@@ -8,7 +8,7 @@
 //! batch and site, storage faults (torn writes, short reads, ENOSPC,
 //! single-bit flips) in the journal or checkpoint bytes, stalls, memory
 //! pressure, delayed batch delivery — and runs each plan through
-//! `serve_durable` + `recover` against a fault-free reference run of the
+//! durable `serve` + `recover` against a fault-free reference run of the
 //! same workload. The oracle demands that every plan resolves to one of:
 //!
 //! * **clean** — recovered state bit-identical to the reference: same
@@ -36,7 +36,7 @@ use crate::runner::{print_table, ExpConfig};
 use gt_core::config::ModelConfig;
 use gt_core::error::GtError;
 use gt_core::journal;
-use gt_core::serve::{DurabilityConfig, RecoveryReport, Supervisor};
+use gt_core::serve::{DurabilityConfig, RecoveryReport, ServeCtx, Supervisor};
 use gt_core::trainer::GtVariant;
 use gt_core::TracerConfig;
 use gt_sim::{ChaosConfig, FaultKind, FaultPlan, IoFault, IoTarget};
@@ -131,17 +131,19 @@ pub struct CampaignSummary {
     pub minimized: Option<(FaultPlan, PathBuf)>,
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
+/// A fresh throwaway directory path under the system temp dir, unique per
+/// process and call.
+pub(crate) fn fresh_dir(tag: &str) -> PathBuf {
     static NONCE: AtomicUsize = AtomicUsize::new(0);
     let n = NONCE.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("gt_chaos_{}_{n}_{tag}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("gt_{}_{n}_{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
 /// Removes a throwaway durable-state directory on every exit path (the
 /// shrinker runs hundreds of plans; leaked directories would pile up).
-struct DirCleanup(PathBuf);
+pub(crate) struct DirCleanup(pub(crate) PathBuf);
 
 impl Drop for DirCleanup {
     fn drop(&mut self) {
@@ -224,13 +226,13 @@ pub fn run_plan(
     let order = gt_sim::delivery_order(plan, opts.batches);
 
     // ---- reference run: same workload, durability faults neutralized --
-    let ref_dir = fresh_dir("ref");
+    let ref_dir = fresh_dir("chaos_ref");
     let _ref_cleanup = DirCleanup(ref_dir.clone());
     let ref_durability = DurabilityConfig::new(&ref_dir);
     let mut reference = make_server(plan.without_durability_rules());
     reference.make_durable(ref_durability.clone())?;
     for &i in &order {
-        reference.serve_durable(&data, &stream[i])?;
+        reference.serve(&data, &stream[i], ServeCtx::default())?;
     }
     reference.checkpoint_now()?;
     let ref_outcomes =
@@ -260,8 +262,20 @@ pub fn run_plan(
         )
     });
 
+    // A recovery that errors out: a bit-flip rule explains a typed
+    // CorruptJournal; anything else is the system misbehaving.
+    let failed_recovery = |what: &str, e: GtError| match e {
+        GtError::CorruptJournal { offset, detail } if journal_bitflip => Verdict::Detected(
+            format!("bit flip caught as CorruptJournal at offset {offset}: {detail}"),
+        ),
+        GtError::CorruptJournal { detail, .. } => {
+            Verdict::Violation(format!("CorruptJournal without a bit-flip rule: {detail}"))
+        }
+        e => Verdict::Violation(format!("{what} failed: {e}")),
+    };
+
     // ---- faulted run: serve, die, recover, repeat ----------------------
-    let dir = fresh_dir("run");
+    let dir = fresh_dir("chaos_run");
     let _run_cleanup = DirCleanup(dir.clone());
     let durability = DurabilityConfig::new(&dir);
     let mut short_reads: Vec<(IoTarget, IoFault)> = plan
@@ -283,7 +297,7 @@ pub fn run_plan(
     let max_recoveries = plan.durability_rule_count() + 3;
     let mut sabotaged = false;
     while pos < opts.batches {
-        match server.serve_durable(&data, &stream[order[pos]]) {
+        match server.serve(&data, &stream[order[pos]], ServeCtx::default()) {
             Ok(_) => pos += 1,
             Err(e) => {
                 // Any error out of the durable path models process death:
@@ -311,7 +325,7 @@ pub fn run_plan(
                     && !injected_checkpoint_fault
                 {
                     return report(
-                        Verdict::Violation(format!("serve_durable surfaced {e}")),
+                        Verdict::Violation(format!("durable serve surfaced {e}")),
                         recoveries,
                     );
                 }
@@ -319,26 +333,7 @@ pub fn run_plan(
                 arm_flight(&mut server);
                 match recover_with_retries(&mut server, &data, &durability, &mut short_reads) {
                     Ok(rec) => pos = rec.batches_replayed,
-                    Err(GtError::CorruptJournal { offset, detail }) => {
-                        return report(
-                            if journal_bitflip {
-                                Verdict::Detected(format!(
-                                    "bit flip caught as CorruptJournal at offset {offset}: {detail}"
-                                ))
-                            } else {
-                                Verdict::Violation(format!(
-                                    "CorruptJournal without a bit-flip rule: {detail}"
-                                ))
-                            },
-                            recoveries,
-                        );
-                    }
-                    Err(e) => {
-                        return report(
-                            Verdict::Violation(format!("recovery failed: {e}")),
-                            recoveries,
-                        );
-                    }
+                    Err(e) => return report(failed_recovery("recovery", e), recoveries),
                 }
                 if opts.sabotage && !sabotaged {
                     // The planted bug: resume one batch past the replayed
@@ -359,24 +354,7 @@ pub fn run_plan(
     let recovered = match recover_with_retries(&mut verifier, &data, &durability, &mut short_reads)
     {
         Ok(rec) => rec,
-        Err(GtError::CorruptJournal { offset, detail }) => {
-            return report(
-                if journal_bitflip {
-                    Verdict::Detected(format!(
-                        "bit flip caught as CorruptJournal at offset {offset}: {detail}"
-                    ))
-                } else {
-                    Verdict::Violation(format!("CorruptJournal without a bit-flip rule: {detail}"))
-                },
-                recoveries,
-            );
-        }
-        Err(e) => {
-            return report(
-                Verdict::Violation(format!("verification recovery failed: {e}")),
-                recoveries,
-            );
-        }
+        Err(e) => return report(failed_recovery("verification recovery", e), recoveries),
     };
     if recovered.torn_tail_dropped {
         // The serving loop truncated every real torn tail before resuming

@@ -28,15 +28,15 @@
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
+use super::chaos::{fresh_dir, DirCleanup};
 use crate::benchjson::{BenchConfig, BenchReport, EnvFingerprint, SCHEMA_VERSION};
 use crate::runner::{print_table, ExpConfig};
 use gt_core::config::ModelConfig;
 use gt_core::error::GtError;
 use gt_core::journal;
-use gt_core::serve::{DurabilityConfig, Supervisor};
+use gt_core::serve::{DurabilityConfig, ServeCtx, Supervisor};
 use gt_core::tracing::TracerConfig;
 use gt_core::trainer::GtVariant;
 use gt_core::{ClusterConfig, ClusterSummary, ClusterSupervisor, Partition};
@@ -146,23 +146,6 @@ pub struct CampaignSummary {
     pub trace_json: String,
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NONCE: AtomicUsize = AtomicUsize::new(0);
-    let n = NONCE.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("gt_cluster_{}_{n}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Removes a throwaway durable-state directory on every exit path.
-struct DirCleanup(PathBuf);
-
-impl Drop for DirCleanup {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// The base fault plan every run shares: a persistent straggler on the
 /// last worker's first core, so the hedging path is exercised and the
 /// report's hedge counters are live numbers. The core index is outside
@@ -210,30 +193,16 @@ fn run_once(
         .take(opts.batches)
         .collect();
 
-    // Drive by the serving index, not call count: a crash recovered
-    // after journal commit folds its batch in during replay.
     let mut observer = FleetObserver::new();
-    let mut spins = 0usize;
-    while cs.supervisor.batches_served() < opts.batches {
-        spins += 1;
-        if spins > 8 * opts.batches {
-            return Err(GtError::Io {
-                detail: format!(
-                    "cluster made no progress after {spins} serve calls \
-                     ({} of {} batches)",
-                    cs.supervisor.batches_served(),
-                    opts.batches
-                ),
-            });
-        }
-        let i = cs.supervisor.batches_served();
-        let report = cs.serve_batch(&data, &stream[i])?;
-        // Fold the batch into the fleet observer only when this call
-        // priced it: a trained batch leaves its per-worker schedules in
-        // `last_schedules`; replay-folded or untrained batches don't.
-        let priced =
-            cs.supervisor.batches_served() == i + 1 && report.is_some_and(|r| r.outcome.trained());
-        if priced {
+    for (i, batch) in stream.iter().enumerate() {
+        // A trained batch was priced and left its per-worker schedules in
+        // `last_schedules`; an untrained one never reaches the fleet.
+        if cs
+            .serve(&data, batch, ServeCtx::default())?
+            .report
+            .outcome
+            .trained()
+        {
             observer.observe_batch(i, cs.last_schedules());
         }
     }
@@ -289,7 +258,7 @@ fn run_once(
 /// The fault-free reference run in a throwaway directory.
 fn reference_run(cfg: &ExpConfig, opts: &ClusterOpts) -> Result<Run, GtError> {
     let spec = ClusterSpec::paper_testbed(opts.workers);
-    let dir = fresh_dir("ref");
+    let dir = fresh_dir("cluster_ref");
     let _cleanup = DirCleanup(dir.clone());
     run_once(cfg, opts, base_plan(cfg, opts, &spec), &dir)
 }
@@ -313,7 +282,7 @@ fn killed_run(
             (d.to_path_buf(), None)
         }
         None => {
-            let d = fresh_dir("kill");
+            let d = fresh_dir("cluster_kill");
             (d.clone(), Some(DirCleanup(d)))
         }
     };

@@ -14,7 +14,7 @@ use crate::runner::{print_table, ExpConfig};
 use gt_core::config::ModelConfig;
 use gt_core::error::GtError;
 use gt_core::journal;
-use gt_core::serve::{DurabilityConfig, Supervisor};
+use gt_core::serve::{DurabilityConfig, ServeCtx, Supervisor};
 use gt_core::trainer::GtVariant;
 use gt_sim::{CrashSite, FaultPlan};
 use gt_tensor::checkpoint;
@@ -106,7 +106,7 @@ pub fn run(cfg: &ExpConfig, opts: &DurabilityOpts) -> Result<Summary, GtError> {
         .skip(start);
     let mut served = 0usize;
     for batch in stream {
-        server.serve_durable(&data, &batch)?;
+        server.serve(&data, &batch, ServeCtx::default())?;
         served += 1;
     }
     server.checkpoint_now()?;

@@ -438,6 +438,7 @@ pub fn print(cfg: &ExpConfig, opts: &ServingOpts) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gt_core::serve::ServeCtx;
 
     fn opts(tag: &str) -> ServingOpts {
         let dir = std::env::temp_dir().join(format!("gt_bench_serving_{tag}"));
@@ -531,6 +532,11 @@ mod tests {
             (sup, DurabilityConfig::new(dir))
         };
 
+        let serve = |sup: &mut Supervisor, b: &[gt_graph::VId]| {
+            let served = sup.serve(&data, b, ServeCtx::default()).unwrap();
+            served.report.outcome
+        };
+
         // Reference: serve all 20 batches in one uninterrupted process.
         let dir_a = std::env::temp_dir().join("gt_bench_serving_rec_a");
         let (mut a, dcfg) = fresh(&dir_a);
@@ -538,7 +544,7 @@ mod tests {
         let mut outcomes_a = Vec::new();
         let mut stats_mid = None;
         for (i, b) in batches.iter().enumerate() {
-            outcomes_a.push(a.serve_durable(&data, b).unwrap().outcome);
+            outcomes_a.push(serve(&mut a, b));
             if i + 1 == 10 {
                 stats_mid = a.cache_stats();
             }
@@ -549,7 +555,7 @@ mod tests {
         let (mut b1, dcfg_b) = fresh(&dir_b);
         b1.make_durable(dcfg_b.clone()).unwrap();
         for b in &batches[..10] {
-            b1.serve_durable(&data, b).unwrap();
+            serve(&mut b1, b);
         }
         drop(b1);
         let (mut b2, _) = fresh(&std::path::PathBuf::from("/nonexistent"));
@@ -562,7 +568,7 @@ mod tests {
         );
         let mut outcomes_b: Vec<_> = outcomes_a[..10].to_vec();
         for b in &batches[10..] {
-            outcomes_b.push(b2.serve_durable(&data, b).unwrap().outcome);
+            outcomes_b.push(serve(&mut b2, b));
         }
         assert_eq!(
             outcomes_a, outcomes_b,

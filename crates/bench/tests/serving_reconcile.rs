@@ -100,7 +100,7 @@ fn run_scenario(tag: &str) -> String {
     assert_eq!(g.submitted(), arrivals.len());
 
     // Completions ↔ journal, 1:1: every non-shed completion was served
-    // through `serve_durable` and journaled as one batch record with a
+    // through the durable `serve` and journaled as one batch record with a
     // contiguous batch index; shed requests never reached the supervisor
     // and must have no record.
     let scan = journal::read_journal(durability.journal_path()).expect("readable journal");
@@ -124,6 +124,15 @@ fn run_scenario(tag: &str) -> String {
         journaled,
         (0..not_shed).collect::<Vec<_>>(),
         "journaled batch indices must be contiguous from 0"
+    );
+
+    // Journal ↔ counter: at the end of the day `gt_journal_records_total`
+    // equals the records on disk — batch, quarantine, and checkpoint
+    // markers alike.
+    assert_eq!(
+        telemetry.snapshot().counter("gt_journal_records_total"),
+        scan.records.len() as u64,
+        "every journal record must be counted"
     );
 
     // Per-tenant labeled counters ↔ completions: each

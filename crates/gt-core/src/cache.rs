@@ -3,7 +3,7 @@
 //! Million-user query streams are heavily skewed: a small hot set of
 //! vertices draws most lookups (the power-law access pattern of GNN
 //! inference), and popular queries repeat verbatim. Two caches exploit
-//! that inside [`Supervisor::serve_batch`](crate::serve::Supervisor::serve_batch):
+//! that inside [`Supervisor::serve`](crate::serve::Supervisor::serve):
 //!
 //! * the **historical-embedding cache** — a bounded LRU over vertex ids.
 //!   A hit means the vertex's embedding row was fetched recently and the
@@ -18,8 +18,9 @@
 //! every batch, so parameters, journal records, and checkpoint CRCs are
 //! byte-identical with caches on or off — the caches are a serving-latency
 //! optimization, not a numerics change. Savings are capped at the batch's
-//! preprocessing makespan and priced by the gateway
-//! ([`Gateway`](crate::overload::Gateway)) when it charges service time.
+//! preprocessing makespan and come back in
+//! [`Served::saved_us`](crate::serve::Served), which is what the
+//! gateway charges service time from.
 //!
 //! **Invalidation.** The subgraph key includes a parameter *epoch* that
 //! bumps on every committed checkpoint, so entries sampled against stale
@@ -34,7 +35,9 @@
 //! iteration order ever influences behavior, so cache decisions are
 //! bit-identical across `GT_THREADS` widths and machines.
 
+use crate::framework::BatchReport;
 use gt_graph::VId;
+use gt_sim::Phase;
 use std::collections::{BTreeSet, HashMap};
 
 /// Sizing of the serving caches.
@@ -106,10 +109,6 @@ impl<K: Copy + Ord + std::hash::Hash> Lru<K> {
             self.last_use.insert(key, self.tick);
         }
         self.order.insert((self.tick, key));
-    }
-
-    fn len(&self) -> usize {
-        self.last_use.len()
     }
 
     fn clear(&mut self) {
@@ -191,13 +190,10 @@ fn subgraph_key(batch: &[VId], fanout: usize, epoch: u64) -> u64 {
 /// [`Supervisor`](crate::serve::Supervisor) when caching is enabled.
 #[derive(Debug)]
 pub struct ServingCaches {
-    config: CacheConfig,
     embedding: Lru<VId>,
     subgraph: Lru<u64>,
     epoch: u64,
     stats: CacheStats,
-    /// Modeled µs the *last* batch saved — read by the gateway's pricing.
-    last_saved_us: f64,
 }
 
 impl ServingCaches {
@@ -206,10 +202,8 @@ impl ServingCaches {
         ServingCaches {
             embedding: Lru::new(config.embedding_capacity),
             subgraph: Lru::new(config.subgraph_capacity),
-            config,
             epoch: 0,
             stats: CacheStats::default(),
-            last_saved_us: 0.0,
         }
     }
 
@@ -243,22 +237,33 @@ impl ServingCaches {
         }
     }
 
-    /// Record the modeled µs the last batch saved (already capped by the
-    /// caller at the batch's preprocessing makespan).
-    pub fn note_saved(&mut self, saved_us: f64) {
-        self.last_saved_us = saved_us;
-        self.stats.saved_us += saved_us;
-    }
-
-    /// Modeled µs the most recent batch saved (0 when the last batch
-    /// missed everything or none was served yet).
-    pub fn last_saved_us(&self) -> f64 {
-        self.last_saved_us
-    }
-
-    /// Current parameter epoch (part of the subgraph key).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// [`consult`](Self::consult) for a trained batch and price the hits
+    /// against its preprocessing schedule: a subgraph hit skips sampling +
+    /// reindex outright; cached embedding rows shrink the lookup phase by
+    /// the batch's hit fraction. Returns the lookup and the modeled µs
+    /// saved, capped at the makespan — a cache can erase preprocessing,
+    /// never GPU compute.
+    pub fn consult_priced(
+        &mut self,
+        batch: &[VId],
+        fanout: usize,
+        report: &BatchReport,
+    ) -> (CacheLookup, f64) {
+        let lookup = self.consult(batch, fanout);
+        let mut saved = 0.0;
+        if let Some(schedule) = &report.prepro {
+            if lookup.subgraph_hit {
+                saved += schedule.phase_busy_us(Phase::Sampling)
+                    + schedule.phase_busy_us(Phase::Reindex);
+            }
+            if lookup.batch_len > 0 {
+                saved += schedule.phase_busy_us(Phase::Lookup) * lookup.embedding_hits as f64
+                    / lookup.batch_len as f64;
+            }
+        }
+        let saved = saved.min(report.prepro_us());
+        self.stats.saved_us += saved;
+        (lookup, saved)
     }
 
     /// Advance the parameter epoch — called on every committed checkpoint,
@@ -275,27 +280,11 @@ impl ServingCaches {
         self.subgraph.clear();
         self.epoch = 0;
         self.stats = CacheStats::default();
-        self.last_saved_us = 0.0;
     }
 
     /// Running totals.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Vertices currently cached.
-    pub fn embedding_len(&self) -> usize {
-        self.embedding.len()
-    }
-
-    /// Subgraph entries currently cached.
-    pub fn subgraph_len(&self) -> usize {
-        self.subgraph.len()
-    }
-
-    /// The sizing this instance was built with.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 }
 
@@ -313,7 +302,7 @@ mod tests {
         assert!(lru.lookup(1));
         assert!(lru.lookup(3));
         assert!(!lru.lookup(2));
-        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.last_use.len(), 2);
     }
 
     #[test]
@@ -362,14 +351,12 @@ mod tests {
     fn reset_forgets_everything() {
         let mut c = ServingCaches::new(CacheConfig::default());
         c.consult(&[1u32, 2], 4);
-        c.note_saved(12.5);
         c.bump_epoch();
         c.reset();
-        assert_eq!(c.epoch(), 0);
-        assert_eq!(c.embedding_len(), 0);
-        assert_eq!(c.subgraph_len(), 0);
+        assert_eq!(c.epoch, 0);
+        assert!(c.embedding.last_use.is_empty());
+        assert!(c.subgraph.last_use.is_empty());
         assert_eq!(c.stats(), CacheStats::default());
-        assert_eq!(c.last_saved_us(), 0.0);
     }
 
     #[test]

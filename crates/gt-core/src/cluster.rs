@@ -41,18 +41,20 @@
 
 use crate::data::GraphData;
 use crate::error::GtError;
-use crate::framework::BatchReport;
+use crate::framework::{BatchOutcome, BatchReport};
 use crate::journal;
 use crate::prepro::{HopWork, PreproWork};
 use crate::scheduler::build_prepro_sim;
-use crate::serve::{DurabilityConfig, Supervisor};
+use crate::serve::{
+    BatchService, DurabilityConfig, RecoveryReport, RequestCtx, ServeCtx, Served, Supervisor,
+};
 use crate::tracing::TracerConfig;
 use gt_graph::VId;
 use gt_sim::{
     schedule_to_trace, worker_process, ActiveFaults, ClusterSpec, FaultKind, HeartbeatConfig,
     Phase, PhiDetector, Resource, Schedule, TaskSpec,
 };
-use gt_telemetry::{Json, Trace, TraceContext};
+use gt_telemetry::{Json, Telemetry, Trace, TraceContext};
 
 /// Seed all cluster trace/span identities derive from (hash input, not
 /// RNG): batch root spans, per-worker flow arrows, hedge and recovery
@@ -121,21 +123,8 @@ impl ClusterConfig {
     }
 }
 
-/// Modeled per-worker utilization, accumulated across batches.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WorkerStats {
-    /// Virtual µs the worker's resources spent executing subtasks.
-    pub busy_us: f64,
-    /// Virtual µs the worker idled waiting at the collective barrier.
-    pub idle_us: f64,
-    /// Virtual µs the worker's network link was occupied by ring
-    /// collectives (every member's link is held for the whole collective —
-    /// the ring moves at its slowest hop).
-    pub link_us: f64,
-}
-
 /// Deterministic modeled metrics of a cluster run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterSummary {
     /// Worker count (including dead workers).
     pub workers: usize,
@@ -155,11 +144,13 @@ pub struct ClusterSummary {
     pub false_suspicions: u64,
     /// Supervisor rebuild-and-replay recoveries (kills + injected crashes).
     pub recoveries: u64,
-    /// Per-worker busy time, µs.
+    /// Virtual µs each worker's resources spent executing subtasks.
     pub worker_busy_us: Vec<f64>,
-    /// Per-worker idle time, µs.
+    /// Virtual µs each worker idled waiting at the collective barrier.
     pub worker_idle_us: Vec<f64>,
-    /// Per-worker link occupancy in collectives, µs.
+    /// Virtual µs each worker's network link was occupied by ring
+    /// collectives (every member's link is held for the whole collective —
+    /// the ring moves at its slowest hop).
     pub worker_link_us: Vec<f64>,
 }
 
@@ -183,14 +174,9 @@ pub struct ClusterSupervisor {
     /// are 1:1 with workers at start; kills reassign them.
     owner: Vec<usize>,
     detectors: Vec<PhiDetector>,
-    stats: Vec<WorkerStats>,
-    clock_us: f64,
-    collective_us: f64,
-    recovery_virtual_us: f64,
-    hedges_launched: u64,
-    hedges_won: u64,
-    false_suspicions: u64,
-    recoveries: u64,
+    /// Running totals on the cluster clock ([`summary`](Self::summary)
+    /// fills in the batch count).
+    totals: ClusterSummary,
     /// EMA of recent stage makespans: the deterministic per-batch cost used
     /// to price journal replay during recovery.
     stage_ema_us: f64,
@@ -230,14 +216,13 @@ impl ClusterSupervisor {
             alive: vec![true; n],
             owner: (0..n).collect(),
             detectors: vec![PhiDetector::new(config.heartbeat.clone()); n],
-            stats: vec![WorkerStats::default(); n],
-            clock_us: 0.0,
-            collective_us: 0.0,
-            recovery_virtual_us: 0.0,
-            hedges_launched: 0,
-            hedges_won: 0,
-            false_suspicions: 0,
-            recoveries: 0,
+            totals: ClusterSummary {
+                workers: n,
+                worker_busy_us: vec![0.0; n],
+                worker_idle_us: vec![0.0; n],
+                worker_link_us: vec![0.0; n],
+                ..ClusterSummary::default()
+            },
             stage_ema_us: 0.0,
             suppress_kills_below: 0,
             last_schedules: Vec::new(),
@@ -308,18 +293,8 @@ impl ClusterSupervisor {
     /// Deterministic modeled metrics so far.
     pub fn summary(&self) -> ClusterSummary {
         ClusterSummary {
-            workers: self.config.spec.len(),
             batches: self.supervisor.batches_served(),
-            clock_us: self.clock_us,
-            collective_us: self.collective_us,
-            recovery_virtual_us: self.recovery_virtual_us,
-            hedges_launched: self.hedges_launched,
-            hedges_won: self.hedges_won,
-            false_suspicions: self.false_suspicions,
-            recoveries: self.recoveries,
-            worker_busy_us: self.stats.iter().map(|s| s.busy_us).collect(),
-            worker_idle_us: self.stats.iter().map(|s| s.idle_us).collect(),
-            worker_link_us: self.stats.iter().map(|s| s.link_us).collect(),
+            ..self.totals.clone()
         }
     }
 
@@ -344,39 +319,29 @@ impl ClusterSupervisor {
     }
 
     /// Serve one batch across the cluster: detect kills, recover, serve
-    /// the numerics through the inner supervisor, price the distributed
-    /// schedule (partitions, hedging, collectives), and advance the
-    /// virtual clock.
+    /// the numerics through the inner supervisor (`ctx.worker` is set to
+    /// the batch's coordinating worker), price the distributed schedule
+    /// (partitions, hedging, collectives), and advance the virtual clock.
     ///
-    /// Returns `Ok(None)` when a crash hit *after* the batch committed:
-    /// recovery replayed the batch to completion, so it is already folded
-    /// into the serving state and must not be re-served. Drive loops by
-    /// [`Supervisor::batches_served`], not by counting calls.
-    pub fn serve_batch(
+    /// A crash that hit *after* the batch committed is not re-served:
+    /// recovery already replayed the batch to completion, and the replayed
+    /// result is what comes back.
+    pub fn serve(
         &mut self,
         data: &GraphData,
         batch: &[VId],
-    ) -> Result<Option<BatchReport>, GtError> {
+        ctx: ServeCtx,
+    ) -> Result<Served, GtError> {
         let batch_index = self.supervisor.batches_served();
-        let active = if self.supervisor.plan.is_empty() {
-            ActiveFaults::default()
-        } else {
-            self.supervisor.plan.active(batch_index, 0)
-        };
+        let active = self.supervisor.plan.active(batch_index, 0);
 
         self.heartbeat_round(&active);
         self.handle_kills(data, batch_index, &active)?;
-
-        let coordinator = self.batch_owner(batch_index);
-        self.supervisor.set_worker_tag(Some(coordinator));
-        let report = self.serve_with_crash_recovery(data, batch, batch_index)?;
-
-        if let Some(report) = &report {
-            if report.outcome.trained() {
-                self.price_batch(batch_index, report, &active)?;
-            }
+        let served = self.serve_with_crash_recovery(data, batch, batch_index, ctx)?;
+        if served.report.outcome.trained() {
+            self.price_batch(batch_index, &served.report, &active)?;
         }
-        Ok(report)
+        Ok(served)
     }
 
     /// One virtual heartbeat round: every live worker beats once. Dropped
@@ -392,7 +357,7 @@ impl ClusterSupervisor {
             let dropped = active.heartbeat_drops(w);
             let gap = self.config.heartbeat.interval_us * f64::from(1 + dropped);
             if dropped > 0 && self.detectors[w].suspects(gap) {
-                self.false_suspicions += 1;
+                self.totals.false_suspicions += 1;
                 telemetry
                     .counter(
                         "gt_cluster_false_suspicions_total",
@@ -408,11 +373,8 @@ impl ClusterSupervisor {
                     "heartbeats",
                     format!("suspect worker {w}"),
                     "cluster",
-                    self.clock_us,
-                    vec![
-                        ("worker".to_string(), Json::from(w)),
-                        ("gap_us".to_string(), Json::from(gap)),
-                    ],
+                    self.totals.clock_us,
+                    args([("worker", w.into()), ("gap_us", gap.into())]),
                 );
             }
             self.detectors[w].observe(gap);
@@ -477,73 +439,109 @@ impl ClusterSupervisor {
                 "lifecycle",
                 "killed",
                 "cluster",
-                self.clock_us,
-                vec![
-                    ("batch".to_string(), Json::from(batch_index)),
-                    ("adopter".to_string(), Json::from(adopter)),
-                ],
+                self.totals.clock_us,
+                args([("batch", batch_index.into()), ("adopter", adopter.into())]),
             );
         }
-        let replayed = self.recover_now(data, batch_index)?;
-        if replayed != batch_index {
+        // The re-replay is a child of this batch in the cross-worker trace:
+        // a recovery slice on the coordinator, flow-linked to the adopter's
+        // process, one flow per killed worker.
+        let n2 = 2 * n;
+        let rec = self.recover_traced(
+            data,
+            batch_index,
+            detect_us,
+            format!("re-replay batch #{batch_index}"),
+            (n2, &killed, adopter),
+            |replayed, replay_us| {
+                args([
+                    ("killed", format!("{killed:?}").into()),
+                    ("adopter", adopter.into()),
+                    ("batches_replayed", replayed.into()),
+                    ("detect_us", detect_us.into()),
+                    ("replay_us", replay_us.into()),
+                ])
+            },
+        )?;
+        if rec.batches_replayed != batch_index {
             return Err(GtError::ReplayDiverged {
                 batch_index,
                 detail: format!(
-                    "kill recovery replayed {replayed} batches, expected {batch_index}"
+                    "kill recovery replayed {} batches, expected {batch_index}",
+                    rec.batches_replayed
                 ),
             });
         }
-        let replay_us = replayed as f64 * self.stage_ema_us;
-        self.recovery_virtual_us += detect_us + replay_us;
         self.suppress_kills_below = batch_index + 1;
-        telemetry
+        Ok(())
+    }
+
+    /// Rebuild-and-replay ([`recover_now`](Self::recover_now)) plus all of
+    /// its accounting: `detect_us` + modeled replay time on the recovery
+    /// clock and counter; a `name`d recovery slice on the coordinator with
+    /// `args(replayed, replay_us)`; and per lost worker `w` in
+    /// `(flow_base, lost, dest)` a flow arrow (id slot `flow_base + w`) to
+    /// `dest`'s process and a `cluster-recovery:<w>` flight dump.
+    fn recover_traced(
+        &mut self,
+        data: &GraphData,
+        batch_index: usize,
+        detect_us: f64,
+        name: String,
+        (flow_base, lost, dest): (usize, &[usize], usize),
+        args: impl FnOnce(usize, f64) -> Vec<(String, Json)>,
+    ) -> Result<RecoveryReport, GtError> {
+        let rec = self.recover_now(data, batch_index)?;
+        let replay_us = rec.batches_replayed as f64 * self.stage_ema_us;
+        self.totals.recovery_virtual_us += detect_us + replay_us;
+        self.supervisor
+            .trainer
+            .telemetry
             .counter(
                 "gt_cluster_recovery_us_total",
                 "Virtual µs spent detecting failures and replaying partitions",
             )
             .add((detect_us + replay_us) as u64);
-        // The re-replay is a child of this batch in the cross-worker trace:
-        // a recovery slice on the coordinator, flow-linked to the adopter's
-        // process, one flow per killed worker.
         let ctx = TraceContext::for_request(CLUSTER_TRACE_SEED, batch_index);
-        let n2 = 2 * self.config.spec.len();
         self.coordinator_trace.duration(
             "recovery",
-            format!("re-replay batch #{batch_index}"),
+            name,
             "cluster",
-            self.clock_us,
+            self.totals.clock_us,
             detect_us + replay_us,
-            vec![
-                ("killed".to_string(), Json::from(format!("{killed:?}"))),
-                ("adopter".to_string(), Json::from(adopter)),
-                ("batches_replayed".to_string(), Json::from(replayed)),
-                ("detect_us".to_string(), Json::from(detect_us)),
-                ("replay_us".to_string(), Json::from(replay_us)),
-            ],
+            args(rec.batches_replayed, replay_us),
         );
-        for &w in &killed {
-            let flow_id = ctx.span_id(n2 + w);
-            self.coordinator_trace
-                .flow_start("recovery", "re-replay", self.clock_us, flow_id);
-            self.worker_traces[adopter].flow_finish(
+        for &w in lost {
+            let flow_id = ctx.span_id(flow_base + w);
+            self.coordinator_trace.flow_start(
+                "recovery",
+                "re-replay",
+                self.totals.clock_us,
+                flow_id,
+            );
+            self.worker_traces[dest].flow_finish(
                 "lifecycle",
                 "re-replay",
-                self.clock_us,
+                self.totals.clock_us,
                 flow_id,
             );
         }
-        for &w in &killed {
-            if let Some(tracer) = self.supervisor.tracer.as_mut() {
+        if let Some(tracer) = self.supervisor.tracer.as_mut() {
+            for &w in lost {
                 tracer.dump_now(&format!("cluster-recovery:{w}"));
             }
         }
-        Ok(())
+        Ok(rec)
     }
 
     /// Discard the supervisor, rebuild it from the factory, and replay the
     /// journal — the exact protocol a survivor follows when adopting a dead
-    /// worker's partition. Returns the number of batches replayed.
-    fn recover_now(&mut self, data: &GraphData, batch_index: usize) -> Result<usize, GtError> {
+    /// worker's partition.
+    fn recover_now(
+        &mut self,
+        data: &GraphData,
+        batch_index: usize,
+    ) -> Result<RecoveryReport, GtError> {
         let cfg = self.durability.clone().ok_or_else(|| GtError::Io {
             detail: "cluster recovery before make_durable".to_string(),
         })?;
@@ -553,12 +551,12 @@ impl ClusterSupervisor {
         }
         let rec = fresh.recover(data, cfg)?;
         self.supervisor = fresh;
-        self.recoveries += 1;
+        self.totals.recoveries += 1;
         // The rebuilt counters are process-local state; the journal is the
         // ground truth hedges are restored from.
         let (launched, won) = self.hedge_journal_counts()?;
-        self.hedges_launched = launched;
-        self.hedges_won = won;
+        self.totals.hedges_launched = launched;
+        self.totals.hedges_won = won;
         self.supervisor
             .trainer
             .telemetry
@@ -575,77 +573,51 @@ impl ClusterSupervisor {
                 ("batches_replayed", &rec.batches_replayed),
             ],
         );
-        Ok(rec.batches_replayed)
+        Ok(rec)
     }
 
-    /// `serve_durable` with crash handling: an injected crash (or storage
-    /// fault) kills the owning worker's process mid-batch; the cluster
-    /// rebuilds and replays, then re-serves the batch unless the journal
-    /// shows it already committed (an after-commit crash).
+    /// [`Supervisor::serve`] with crash handling: an injected crash (or
+    /// storage fault) kills the owning worker's process mid-batch; the
+    /// cluster rebuilds and replays, then re-serves the batch unless the
+    /// journal shows it already committed (an after-commit crash).
     fn serve_with_crash_recovery(
         &mut self,
         data: &GraphData,
         batch: &[VId],
         batch_index: usize,
-    ) -> Result<Option<BatchReport>, GtError> {
+        ctx: ServeCtx,
+    ) -> Result<Served, GtError> {
+        let owner = self.batch_owner(batch_index);
+        let ctx = ServeCtx {
+            worker: Some(owner),
+            ..ctx
+        };
         // Bounded: each recovery suppresses the fault that fired, so the
         // loop can only iterate once per distinct durability rule.
         for _ in 0..8 {
-            match self.supervisor.serve_durable(data, batch) {
-                Ok(report) => return Ok(Some(report)),
-                Err(GtError::InjectedCrash { .. }) | Err(GtError::Io { .. }) => {
-                    let owner = self.batch_owner(batch_index);
-                    let replayed = self.recover_now(data, batch_index)?;
-                    let replay_us = replayed as f64 * self.stage_ema_us;
-                    let detect_us = self.detectors[owner].confirm_delay_us();
-                    self.recovery_virtual_us += detect_us + replay_us;
-                    self.supervisor
-                        .trainer
-                        .telemetry
-                        .counter(
-                            "gt_cluster_recovery_us_total",
-                            "Virtual µs spent detecting failures and replaying partitions",
-                        )
-                        .add((detect_us + replay_us) as u64);
-                    let ctx = TraceContext::for_request(CLUSTER_TRACE_SEED, batch_index);
-                    let n3 = 3 * self.config.spec.len();
-                    self.coordinator_trace.duration(
-                        "recovery",
-                        format!("re-replay batch #{batch_index} (crash)"),
-                        "cluster",
-                        self.clock_us,
-                        detect_us + replay_us,
-                        vec![
-                            ("worker".to_string(), Json::from(owner)),
-                            ("batches_replayed".to_string(), Json::from(replayed)),
-                        ],
-                    );
-                    let flow_id = ctx.span_id(n3 + owner);
-                    self.coordinator_trace.flow_start(
-                        "recovery",
-                        "re-replay",
-                        self.clock_us,
-                        flow_id,
-                    );
-                    self.worker_traces[owner].flow_finish(
-                        "lifecycle",
-                        "re-replay",
-                        self.clock_us,
-                        flow_id,
-                    );
-                    if let Some(tracer) = self.supervisor.tracer.as_mut() {
-                        tracer.dump_now(&format!("cluster-recovery:{owner}"));
-                    }
-                    if replayed == batch_index + 1 {
-                        // The crash hit after the journal committed: the
-                        // batch is durable and replay already trained it.
-                        // Re-serving would double-train.
-                        return Ok(None);
-                    }
-                    self.supervisor
-                        .set_worker_tag(Some(self.batch_owner(batch_index)));
-                }
-                Err(e) => return Err(e),
+            match self.supervisor.serve(data, batch, ctx) {
+                Err(GtError::InjectedCrash { .. }) | Err(GtError::Io { .. }) => {}
+                done => return done,
+            }
+            let n3 = 3 * self.config.spec.len();
+            let rec = self.recover_traced(
+                data,
+                batch_index,
+                self.detectors[owner].confirm_delay_us(),
+                format!("re-replay batch #{batch_index} (crash)"),
+                (n3, &[owner], owner),
+                |replayed, _| {
+                    args([
+                        ("worker", owner.into()),
+                        ("batches_replayed", replayed.into()),
+                    ])
+                },
+            )?;
+            if rec.batches_replayed == batch_index + 1 {
+                // The crash hit after the journal committed: the batch is
+                // durable and replay already trained it. Re-serving would
+                // double-train; hand back the replayed result instead.
+                return Ok(rec.last_replayed.expect("replayed at least one batch"));
             }
         }
         Err(GtError::Io {
@@ -672,19 +644,23 @@ impl ClusterSupervisor {
         let alive: Vec<usize> = (0..spec.len()).filter(|&w| self.alive[w]).collect();
         let p = alive.len();
         let strategy = self.supervisor.trainer.prepro_strategy();
-        let batch_start = self.clock_us;
+        let batch_start = self.totals.clock_us;
 
         // Per-alive-worker stage time: local DES over the worker's owned
         // partitions plus its share of the NAPA GPU work.
+        let (partition, gpu_us) = (self.config.partition, report.gpu_us());
+        // Worker `on` executing the partitions `of` owns.
+        let price = |owner: &[usize], of: usize, on: usize| {
+            let owned: Vec<usize> = owned(owner, of).collect();
+            let work_w = partition_work(&work, partition, &owned, nparts);
+            let gpu_share = gpu_us * owned.len() as f64 / nparts as f64;
+            price_worker(&work_w, &spec, on, strategy, gpu_share, active)
+        };
         let mut stage: Vec<(usize, f64)> = Vec::with_capacity(p);
         self.last_schedules.clear();
         for &w in &alive {
-            let owned: Vec<usize> = (0..nparts).filter(|&q| self.owner[q] == w).collect();
-            let work_w = partition_work(&work, self.config.partition, &owned, nparts);
-            let gpu_share = report.gpu_us() * owned.len() as f64 / nparts as f64;
-            let schedule = price_worker(&work_w, &spec, w, strategy, gpu_share, active);
-            let busy: f64 = schedule.events.iter().map(|e| e.end_us - e.start_us).sum();
-            self.stats[w].busy_us += busy;
+            let schedule = price(&self.owner, w, w);
+            self.totals.worker_busy_us[w] += busy_us(&schedule);
             stage.push((w, schedule.makespan_us));
             self.last_schedules.push((w, schedule));
         }
@@ -716,10 +692,7 @@ impl ClusterSupervisor {
                     .filter(|&&(w, _)| w != victim)
                     .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                     .expect("p >= 2");
-                let owned: Vec<usize> = (0..nparts).filter(|&q| self.owner[q] == victim).collect();
-                let work_v = partition_work(&work, self.config.partition, &owned, nparts);
-                let gpu_share = report.gpu_us() * owned.len() as f64 / nparts as f64;
-                let backup_run = price_worker(&work_v, &spec, backup, strategy, gpu_share, active);
+                let backup_run = price(&self.owner, victim, backup);
                 let backup_finish = launch_at.max(backup_own_t) + backup_run.makespan_us;
                 let backup_won = backup_finish < victim_t;
                 hedge_slice = Some((
@@ -731,7 +704,7 @@ impl ClusterSupervisor {
                 ));
                 self.supervisor
                     .journal_hedge(batch_index, victim, backup, backup_won)?;
-                self.hedges_launched += 1;
+                self.totals.hedges_launched += 1;
                 telemetry
                     .counter(
                         "gt_cluster_hedges_launched_total",
@@ -739,12 +712,8 @@ impl ClusterSupervisor {
                     )
                     .inc();
                 if backup_won {
-                    self.hedges_won += 1;
-                    self.stats[backup].busy_us += backup_run
-                        .events
-                        .iter()
-                        .map(|e| e.end_us - e.start_us)
-                        .sum::<f64>();
+                    self.totals.hedges_won += 1;
+                    self.totals.worker_busy_us[backup] += busy_us(&backup_run);
                     stage[vi].1 = backup_finish;
                     telemetry
                         .counter(
@@ -768,7 +737,7 @@ impl ClusterSupervisor {
 
         let max_stage = stage.iter().map(|&(_, t)| t).fold(0.0, f64::max);
         for &(w, t) in &stage {
-            self.stats[w].idle_us += max_stage - t;
+            self.totals.worker_idle_us[w] += max_stage - t;
         }
         self.stage_ema_us = if self.stage_ema_us == 0.0 {
             max_stage
@@ -791,25 +760,25 @@ impl ClusterSupervisor {
         let collective = degrade
             * (spec.all_gather_us(work.total_feature_bytes as f64 / p as f64, p)
                 + spec.all_reduce_us(param_bytes as f64, p));
-        self.collective_us += collective;
+        self.totals.collective_us += collective;
         for &w in &alive {
-            self.stats[w].link_us += collective;
+            self.totals.worker_link_us[w] += collective;
         }
-        self.clock_us += max_stage + collective;
+        self.totals.clock_us += max_stage + collective;
         telemetry
             .counter(
                 "gt_cluster_collective_us_total",
                 "Virtual µs spent in all-gather/all-reduce collectives",
             )
             .add(collective as u64);
-        for &(w, _) in &stage {
+        for (w, schedule) in &self.last_schedules {
             telemetry
                 .counter_with(
                     "gt_cluster_worker_busy_us_total",
                     "Virtual µs spent executing subtasks, by worker",
                     &[("worker", &w.to_string())],
                 )
-                .add(self.last_batch_busy(w) as u64);
+                .add(busy_us(schedule) as u64);
         }
 
         // Fold the batch into the cross-worker trace: a root span on the
@@ -825,15 +794,12 @@ impl ClusterSupervisor {
             "cluster",
             batch_start,
             max_stage + collective,
-            vec![
-                (
-                    "trace_id".to_string(),
-                    Json::from(format!("{:016x}", ctx.trace_id)),
-                ),
-                ("workers".to_string(), Json::from(p)),
-                ("stage_us".to_string(), Json::from(max_stage)),
-                ("collective_us".to_string(), Json::from(collective)),
-            ],
+            args([
+                ("trace_id", format!("{:016x}", ctx.trace_id).into()),
+                ("workers", p.into()),
+                ("stage_us", max_stage.into()),
+                ("collective_us", collective.into()),
+            ]),
         );
         self.coordinator_trace.duration(
             "batches",
@@ -841,12 +807,14 @@ impl ClusterSupervisor {
             "cluster",
             batch_start + max_stage,
             collective,
-            vec![("degrade".to_string(), Json::from(degrade))],
+            args([("degrade", degrade.into())]),
         );
         for (w, schedule) in &self.last_schedules {
             let flow_id = ctx.span_id(*w);
             self.coordinator_trace
                 .flow_start("batches", "partition", batch_start, flow_id);
+            let parts: Vec<String> = owned(&self.owner, *w).map(|q| q.to_string()).collect();
+            let parts = parts.join(",");
             let wt = &mut self.worker_traces[*w];
             wt.flow_finish("batch", "partition", batch_start, flow_id);
             wt.duration(
@@ -855,13 +823,7 @@ impl ClusterSupervisor {
                 "cluster",
                 batch_start,
                 schedule.makespan_us,
-                vec![
-                    ("batch".to_string(), Json::from(batch_index)),
-                    (
-                        "parts".to_string(),
-                        Json::from(owned_parts(&self.owner, *w)),
-                    ),
-                ],
+                args([("batch", batch_index.into()), ("parts", parts.into())]),
             );
             let local = schedule_to_trace(schedule, &worker_process(*w));
             for mut e in local.events {
@@ -881,10 +843,7 @@ impl ClusterSupervisor {
                 "cluster",
                 start_us,
                 dur_us,
-                vec![
-                    ("victim".to_string(), Json::from(victim)),
-                    ("backup_won".to_string(), Json::from(won)),
-                ],
+                args([("victim", victim.into()), ("backup_won", won.into())]),
             );
             if won {
                 if let Some(tracer) = self.supervisor.tracer.as_mut() {
@@ -894,28 +853,39 @@ impl ClusterSupervisor {
         }
         Ok(())
     }
+}
 
-    /// Busy µs of worker `w` in the most recent priced batch.
-    fn last_batch_busy(&self, w: usize) -> f64 {
-        self.last_schedules
-            .iter()
-            .filter(|(worker, _)| *worker == w)
-            .flat_map(|(_, s)| s.events.iter())
-            .map(|e| e.end_us - e.start_us)
-            .sum()
+impl BatchService for ClusterSupervisor {
+    fn serve(&mut self, data: &GraphData, batch: &[VId], ctx: ServeCtx) -> Result<Served, GtError> {
+        ClusterSupervisor::serve(self, data, batch, ctx)
+    }
+
+    fn note_shed(&mut self, request: RequestCtx, outcome: &BatchOutcome) {
+        self.supervisor.note_shed(request, outcome);
+    }
+
+    fn telemetry(&self) -> Telemetry {
+        self.supervisor.trainer.telemetry.clone()
+    }
+
+    fn fanout(&self) -> usize {
+        self.supervisor.trainer.sampler.fanout
     }
 }
 
-/// The partition indices worker `w` currently owns, as a stable
-/// comma-joined string for trace args.
-fn owned_parts(owner: &[usize], w: usize) -> String {
-    let parts: Vec<String> = owner
-        .iter()
-        .enumerate()
-        .filter(|&(_, &o)| o == w)
-        .map(|(q, _)| q.to_string())
-        .collect();
-    parts.join(",")
+/// The partition indices worker `w` currently owns.
+fn owned(owner: &[usize], w: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..owner.len()).filter(move |&q| owner[q] == w)
+}
+
+/// Trace-event args from `(key, value)` pairs.
+fn args<const N: usize>(pairs: [(&str, Json); N]) -> Vec<(String, Json)> {
+    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+/// Virtual µs a schedule's resources spent executing subtasks.
+fn busy_us(schedule: &Schedule) -> f64 {
+    schedule.events.iter().map(|e| e.end_us - e.start_us).sum()
 }
 
 /// Near-equal integer split: part `idx` of `total` over `parts`.
@@ -933,47 +903,39 @@ fn split_owned(total: u64, owned: &[usize], parts: usize) -> u64 {
 }
 
 /// The slice of `work` a worker owning partitions `owned` executes.
+/// Feature bytes always divide (a vertex cut shares nodes; a feature-dim
+/// split slices the feature matrix along the embedding dimension);
+/// structure work divides under a vertex cut and replicates in full on
+/// every worker under a feature-dim split.
 fn partition_work(
     work: &PreproWork,
     partition: Partition,
     owned: &[usize],
     parts: usize,
 ) -> PreproWork {
-    let hops = work
-        .hops
-        .iter()
-        .map(|h| match partition {
-            Partition::VertexCut => HopWork {
-                sample_alg_ops: split_owned(h.sample_alg_ops, owned, parts),
-                sample_hash_ops: split_owned(h.sample_hash_ops, owned, parts),
-                reindex_ops: split_owned(h.reindex_ops, owned, parts),
-                nodes_added: split_owned(h.nodes_added, owned, parts),
-                edges: split_owned(h.edges, owned, parts),
-                structure_bytes: split_owned(h.structure_bytes, owned, parts),
-                feature_bytes: split_owned(h.feature_bytes, owned, parts),
-            },
-            // Feature-dim split: the feature matrix slices along the
-            // embedding dimension; structure work replicates in full.
-            Partition::FeatureDim => HopWork {
-                feature_bytes: split_owned(h.feature_bytes, owned, parts),
-                ..*h
-            },
-        })
-        .collect();
-    match partition {
-        Partition::VertexCut => PreproWork {
-            hops,
-            batch_nodes: split_owned(work.batch_nodes, owned, parts),
-            batch_feature_bytes: split_owned(work.batch_feature_bytes, owned, parts),
-            total_nodes: split_owned(work.total_nodes, owned, parts),
-            total_feature_bytes: split_owned(work.total_feature_bytes, owned, parts),
-        },
-        Partition::FeatureDim => PreproWork {
-            hops,
-            batch_feature_bytes: split_owned(work.batch_feature_bytes, owned, parts),
-            total_feature_bytes: split_owned(work.total_feature_bytes, owned, parts),
-            ..work.clone()
-        },
+    let split = |total: u64| split_owned(total, owned, parts);
+    let structure = |total: u64| match partition {
+        Partition::VertexCut => split(total),
+        Partition::FeatureDim => total,
+    };
+    PreproWork {
+        hops: work
+            .hops
+            .iter()
+            .map(|h| HopWork {
+                sample_alg_ops: structure(h.sample_alg_ops),
+                sample_hash_ops: structure(h.sample_hash_ops),
+                reindex_ops: structure(h.reindex_ops),
+                nodes_added: structure(h.nodes_added),
+                edges: structure(h.edges),
+                structure_bytes: structure(h.structure_bytes),
+                feature_bytes: split(h.feature_bytes),
+            })
+            .collect(),
+        batch_nodes: structure(work.batch_nodes),
+        batch_feature_bytes: split(work.batch_feature_bytes),
+        total_nodes: structure(work.total_nodes),
+        total_feature_bytes: split(work.total_feature_bytes),
     }
 }
 

@@ -137,6 +137,18 @@ pub enum BatchOutcome {
     },
 }
 
+impl DegradeAction {
+    /// Stable kebab-case label used in telemetry events.
+    pub fn label(&self) -> &'static str {
+        match self {
+            DegradeAction::HalvedBatch { .. } => "halved-batch",
+            DegradeAction::SerializedPrepro => "serialized-prepro",
+            DegradeAction::ReducedFanout { .. } => "reduced-fanout",
+            DegradeAction::HalvedBatchReducedFanout { .. } => "halved-batch+reduced-fanout",
+        }
+    }
+}
+
 impl FailReason {
     /// Stable kebab-case label used in telemetry events and JSON reports.
     pub fn label(&self) -> &'static str {
@@ -265,31 +277,26 @@ mod machine_readable {
 
     impl ToJson for DegradeAction {
         fn to_json(&self) -> Json {
-            match self {
-                DegradeAction::HalvedBatch { from, to } => obj([
-                    ("action", "halved-batch".into()),
-                    ("from", (*from).into()),
-                    ("to", (*to).into()),
-                ]),
-                DegradeAction::SerializedPrepro => obj([("action", "serialized-prepro".into())]),
-                DegradeAction::ReducedFanout { from, to } => obj([
-                    ("action", "reduced-fanout".into()),
-                    ("from", (*from).into()),
-                    ("to", (*to).into()),
-                ]),
+            let mut pairs = vec![("action", Json::from(self.label()))];
+            match *self {
+                DegradeAction::SerializedPrepro => {}
+                DegradeAction::HalvedBatch { from, to }
+                | DegradeAction::ReducedFanout { from, to } => {
+                    pairs.extend([("from", from.into()), ("to", to.into())]);
+                }
                 DegradeAction::HalvedBatchReducedFanout {
                     from,
                     to,
                     fanout_from,
                     fanout_to,
-                } => obj([
-                    ("action", "halved-batch+reduced-fanout".into()),
-                    ("from", (*from).into()),
-                    ("to", (*to).into()),
-                    ("fanout_from", (*fanout_from).into()),
-                    ("fanout_to", (*fanout_to).into()),
+                } => pairs.extend([
+                    ("from", from.into()),
+                    ("to", to.into()),
+                    ("fanout_from", fanout_from.into()),
+                    ("fanout_to", fanout_to.into()),
                 ]),
             }
+            obj(pairs)
         }
     }
 

@@ -312,34 +312,34 @@ pub fn batch_ids(rec: &Json) -> Option<Vec<VId>> {
         .collect::<Option<Vec<VId>>>()
 }
 
+fn usize_field(rec: &Json, key: &str) -> Option<usize> {
+    rec.get(key).and_then(|v| v.as_f64()).map(|f| f as usize)
+}
+
 /// A record's `"batch_index"` field.
 pub fn record_batch_index(rec: &Json) -> Option<usize> {
-    rec.get("batch_index")
-        .and_then(|v| v.as_f64())
-        .map(|f| f as usize)
+    usize_field(rec, "batch_index")
 }
 
 /// A batch record's `"fanout"` field (absent in journals written before
 /// the field existed; replay then uses the configured fanout).
 pub fn record_fanout(rec: &Json) -> Option<usize> {
-    rec.get("fanout")
-        .and_then(|v| v.as_f64())
-        .map(|f| f as usize)
+    usize_field(rec, "fanout")
 }
 
 /// A batch record's owning-worker tag (absent for single-node journals).
 pub fn record_worker(rec: &Json) -> Option<usize> {
-    rec.get("worker")
-        .and_then(|v| v.as_f64())
-        .map(|f| f as usize)
+    usize_field(rec, "worker")
 }
 
 /// A hedge record's `(victim, backup, backup_won)` triple.
 pub fn hedge_fields(rec: &Json) -> Option<(usize, usize, bool)> {
-    let victim = rec.get("victim")?.as_f64()? as usize;
-    let backup = rec.get("backup")?.as_f64()? as usize;
     let won = matches!(rec.get("backup_won")?, Json::Bool(true));
-    Some((victim, backup, won))
+    Some((
+        usize_field(rec, "victim")?,
+        usize_field(rec, "backup")?,
+        won,
+    ))
 }
 
 #[cfg(test)]

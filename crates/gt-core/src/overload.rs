@@ -45,8 +45,9 @@
 //! `gt_gateway_tenant_{submitted,served,shed,degraded}_total{tenant="t"}`
 //! series break the same stream down by tenant.
 //!
-//! Service time for a batch is its overlapped end-to-end latency
-//! ([`BatchReport::e2e_us`]) plus any injected
+//! Service time for a batch is [`Served::service_us`](crate::serve::Served):
+//! its overlapped end-to-end latency
+//! ([`BatchReport::e2e_us`](crate::framework::BatchReport::e2e_us)) plus any injected
 //! [`gt_sim::FaultKind::ServeDelay`] stall and any retry backoff the
 //! supervisor paid — so a fault plan with a sustained stall window is
 //! exactly how tests (and capacity planners) push the gateway into
@@ -56,9 +57,10 @@
 //! overlap max — warm caches raise effective capacity.
 
 use crate::data::GraphData;
-use crate::framework::{BatchOutcome, BatchReport, DegradeAction, ShedCause};
-use crate::serve::Supervisor;
+use crate::framework::{BatchOutcome, DegradeAction, ShedCause};
+use crate::serve::{BatchService, RequestCtx, ServeCtx, Supervisor};
 use gt_graph::VId;
+use gt_telemetry::Telemetry;
 use std::collections::VecDeque;
 
 /// Admission-control policy of the gateway.
@@ -172,12 +174,20 @@ pub struct Completion {
 }
 
 /// Bounded admission queue + deadline watchdog + shed/degrade ladder in
-/// front of a [`Supervisor`]. See the module docs for the ladder.
-pub struct Gateway {
-    /// The supervised trainer behind the queue.
-    pub supervisor: Supervisor,
+/// front of any [`BatchService`] — a [`Supervisor`] or a
+/// [`ClusterSupervisor`](crate::cluster::ClusterSupervisor). See the
+/// module docs for the ladder.
+///
+/// The gateway has no recovery protocol of its own: a service error (an
+/// injected crash in a bare durable [`Supervisor`]) panics the submission.
+/// Put the layer that recovers — the cluster supervisor — behind it to
+/// serve through crashes.
+pub struct Gateway<S = Supervisor> {
+    /// The service behind the queue.
+    pub supervisor: S,
     /// Admission-control policy.
     pub config: OverloadConfig,
+    telemetry: Telemetry,
     tenancy: Option<TenancyConfig>,
     tenants: Vec<Tenant>,
     rr_cursor: usize,
@@ -186,11 +196,12 @@ pub struct Gateway {
     submitted: usize,
 }
 
-impl Gateway {
+impl<S: BatchService> Gateway<S> {
     /// Put `supervisor` behind an admission queue with `config`.
-    pub fn new(supervisor: Supervisor, config: OverloadConfig) -> Self {
+    pub fn new(supervisor: S, config: OverloadConfig) -> Self {
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
         Gateway {
+            telemetry: supervisor.telemetry(),
             supervisor,
             config,
             tenancy: None,
@@ -255,62 +266,54 @@ impl Gateway {
             self.tenants.len()
         );
         self.last_arrival_us = arrival_us;
-        let request_index = self.submitted;
+        let p = Pending {
+            request_index: self.submitted,
+            tenant,
+            arrival_us,
+            batch: batch.to_vec(),
+        };
         self.submitted += 1;
-        let telemetry = self.supervisor.trainer.telemetry.clone();
-        if self.tenancy.is_some() {
-            telemetry
-                .counter_with(
-                    "gt_gateway_tenant_submitted_total",
-                    "Requests submitted, by tenant",
-                    &[("tenant", &tenant.to_string())],
-                )
-                .inc();
-        }
+        self.count_tenant(
+            "gt_gateway_tenant_submitted_total",
+            "Requests submitted, by tenant",
+            tenant,
+        );
 
         let mut done = self.pump(data, arrival_us);
 
-        if let Some(cfg) = &self.tenancy {
-            // Token-bucket quota, refilled on the virtual arrival clock.
+        // Token-bucket quota, refilled on the virtual arrival clock.
+        let over_quota = self.tenancy.as_ref().is_some_and(|cfg| {
             let quota = &cfg.quotas[tenant];
             let t = &mut self.tenants[tenant];
             let elapsed_s = (arrival_us - t.refilled_us) / 1e6;
             t.tokens = quota.burst.min(t.tokens + elapsed_s * quota.rate_per_s);
             t.refilled_us = arrival_us;
-            if t.tokens < 1.0 {
-                done.push(self.shed_arrival(
-                    request_index,
-                    tenant,
-                    arrival_us,
-                    ShedCause::QuotaExceeded,
-                ));
-                self.update_depth_gauge();
-                return done;
+            let over = t.tokens < 1.0;
+            if !over {
+                t.tokens -= 1.0;
             }
-            t.tokens -= 1.0;
-        }
-
-        if self.queue_depth() >= self.config.queue_capacity {
-            done.push(self.shed_arrival(request_index, tenant, arrival_us, ShedCause::QueueFull));
+            over
+        });
+        let refused = if over_quota {
+            Some(ShedCause::QuotaExceeded)
+        } else if self.queue_depth() >= self.config.queue_capacity {
+            Some(ShedCause::QueueFull)
         } else if self.busy_until_us.max(arrival_us) - arrival_us >= self.config.deadline_us {
             // Predicted lateness: the server is provably busy past this
             // request's deadline before it could even start — shedding now
             // is strictly better than queueing a guaranteed-late answer.
-            done.push(self.shed_arrival(
-                request_index,
-                tenant,
-                arrival_us,
-                ShedCause::DeadlineExpired,
-            ));
+            Some(ShedCause::DeadlineExpired)
         } else {
-            self.tenants[tenant].queue.push_back(Pending {
-                request_index,
-                tenant,
-                arrival_us,
-                batch: batch.to_vec(),
-            });
+            None
+        };
+        match refused {
+            Some(cause) => {
+                let depth = self.queue_depth();
+                done.push(self.shed(&p, arrival_us, cause, ("queue_depth", &depth)));
+            }
+            None => self.tenants[tenant].queue.push_back(p),
         }
-        self.update_depth_gauge();
+        self.set_depth_gauge(self.queue_depth());
         done
     }
 
@@ -318,71 +321,74 @@ impl Gateway {
     /// the remaining completions.
     pub fn drain(&mut self, data: &GraphData) -> Vec<Completion> {
         let done = self.pump(data, f64::INFINITY);
-        self.supervisor
-            .trainer
-            .telemetry
-            .gauge("gt_gateway_queue_depth", "Admission-queue occupancy")
-            .set(0.0);
+        self.set_depth_gauge(0);
         done
     }
 
-    fn update_depth_gauge(&self) {
-        self.supervisor
-            .trainer
-            .telemetry
+    fn set_depth_gauge(&self, depth: usize) {
+        self.telemetry
             .gauge("gt_gateway_queue_depth", "Admission-queue occupancy")
-            .set(self.queue_depth() as f64);
+            .set(depth as f64);
     }
 
-    /// Shed an arriving request before it is queued (quota, capacity, or
-    /// predicted lateness): one counter bump, one event, one completion.
-    fn shed_arrival(
-        &mut self,
-        request_index: usize,
-        tenant: usize,
-        arrival_us: f64,
-        cause: ShedCause,
-    ) -> Completion {
-        let telemetry = self.supervisor.trainer.telemetry.clone();
-        telemetry
-            .counter("gt_gateway_shed_total", "Requests shed by the gateway")
-            .inc();
+    /// Bump a per-tenant series; they exist only under tenancy.
+    fn count_tenant(&self, name: &str, help: &str, tenant: usize) {
         if self.tenancy.is_some() {
-            telemetry
-                .counter_with(
-                    "gt_gateway_tenant_shed_total",
-                    "Requests shed, by tenant",
-                    &[("tenant", &tenant.to_string())],
-                )
+            self.telemetry
+                .counter_with(name, help, &[("tenant", &tenant.to_string())])
                 .inc();
         }
-        telemetry.event(
+    }
+
+    /// How the service (and its tracer) sees request `p` starting — or
+    /// being refused — at `start_us`; tenants are named only under tenancy.
+    fn request_ctx(&self, p: &Pending, start_us: f64) -> RequestCtx {
+        RequestCtx {
+            index: p.request_index,
+            tenant: self.tenancy.is_some().then_some(p.tenant),
+            arrival_us: p.arrival_us,
+            start_us,
+        }
+    }
+
+    /// Refuse `p` at `at_us` — on arrival (quota, capacity, predicted
+    /// lateness) or from the queue once provably late: one counter bump,
+    /// one event (`detail` is its third argument), one completion. The
+    /// server is never occupied.
+    fn shed(
+        &mut self,
+        p: &Pending,
+        at_us: f64,
+        cause: ShedCause,
+        detail: (&str, &dyn std::fmt::Display),
+    ) -> Completion {
+        self.telemetry
+            .counter("gt_gateway_shed_total", "Requests shed by the gateway")
+            .inc();
+        self.count_tenant(
+            "gt_gateway_tenant_shed_total",
+            "Requests shed, by tenant",
+            p.tenant,
+        );
+        self.telemetry.event(
             "gateway",
             "shed",
             &[
-                ("request", &request_index),
+                ("request", &p.request_index),
                 ("cause", &cause.label()),
-                ("queue_depth", &self.queue_depth()),
+                detail,
             ],
         );
         let outcome = BatchOutcome::Shed { cause };
-        let traced_tenant = self.tenancy.is_some().then_some(tenant);
-        if let Some(tracer) = self.supervisor.tracer.as_mut() {
-            tracer.record_shed(
-                request_index,
-                &outcome,
-                traced_tenant,
-                arrival_us,
-                arrival_us,
-            );
-        }
+        self.supervisor
+            .note_shed(self.request_ctx(p, at_us), &outcome);
         Completion {
-            request_index,
-            tenant,
+            request_index: p.request_index,
+            tenant: p.tenant,
             outcome,
-            queued_us: 0.0,
+            queued_us: at_us - p.arrival_us,
             service_us: 0.0,
-            done_us: arrival_us,
+            done_us: at_us,
         }
     }
 
@@ -394,13 +400,12 @@ impl Gateway {
     /// serve is idempotent (an affordable head returns before any accrual),
     /// so pausing the pump mid-backlog cannot skew the schedule.
     fn select_tenant(&mut self) -> Option<usize> {
-        if self.tenancy.is_none() {
+        let Some(quantum) = self.tenancy.as_ref().map(|t| t.quantum) else {
             return (!self.tenants[0].queue.is_empty()).then_some(0);
-        }
+        };
         if self.queue_depth() == 0 {
             return None;
         }
-        let quantum = self.tenancy.as_ref().expect("tenancy checked").quantum;
         let n = self.tenants.len();
         loop {
             let t = self.rr_cursor;
@@ -461,80 +466,34 @@ impl Gateway {
                 break;
             }
             let p = self.tenants[t].queue.pop_front().expect("front checked");
-            let telemetry = self.supervisor.trainer.telemetry.clone();
-            telemetry
+            self.telemetry
                 .histogram_us("gt_gateway_queue_wait_us", "Admission-queue wait, µs")
                 .observe(queued_us);
             if late {
                 // Deadline watchdog: the answer is already too late.
                 self.after_dequeue(t, None);
+                let waited = format!("{queued_us:.0}");
                 let cause = ShedCause::DeadlineExpired;
-                telemetry
-                    .counter("gt_gateway_shed_total", "Requests shed by the gateway")
-                    .inc();
-                if self.tenancy.is_some() {
-                    telemetry
-                        .counter_with(
-                            "gt_gateway_tenant_shed_total",
-                            "Requests shed, by tenant",
-                            &[("tenant", &t.to_string())],
-                        )
-                        .inc();
-                }
-                telemetry.event(
-                    "gateway",
-                    "shed",
-                    &[
-                        ("request", &p.request_index),
-                        ("cause", &cause.label()),
-                        ("queued_us", &format!("{queued_us:.0}")),
-                    ],
-                );
-                let outcome = BatchOutcome::Shed { cause };
-                let traced_tenant = self.tenancy.is_some().then_some(p.tenant);
-                if let Some(tracer) = self.supervisor.tracer.as_mut() {
-                    tracer.record_shed(
-                        p.request_index,
-                        &outcome,
-                        traced_tenant,
-                        p.arrival_us,
-                        start_us,
-                    );
-                }
-                out.push(Completion {
-                    request_index: p.request_index,
-                    tenant: p.tenant,
-                    outcome,
-                    queued_us,
-                    service_us: 0.0,
-                    done_us: start_us,
-                });
-                continue; // the server was never occupied
+                out.push(self.shed(&p, start_us, cause, ("queued_us", &waited)));
+                continue;
             }
-            let cost = p.batch.len().max(1);
             let depth = self.queue_depth();
             let (outcome, service_us) = self.serve_one(data, &p, depth, start_us);
             self.busy_until_us = start_us + service_us;
-            self.after_dequeue(t, Some(cost));
-            if self.tenancy.is_some() {
-                telemetry
-                    .counter_with(
-                        "gt_gateway_tenant_served_total",
-                        "Requests served, by tenant",
-                        &[("tenant", &t.to_string())],
-                    )
-                    .inc();
-                if matches!(outcome, BatchOutcome::Degraded { .. }) {
-                    telemetry
-                        .counter_with(
-                            "gt_gateway_tenant_degraded_total",
-                            "Requests served degraded, by tenant",
-                            &[("tenant", &t.to_string())],
-                        )
-                        .inc();
-                }
+            self.after_dequeue(t, Some(p.batch.len().max(1)));
+            self.count_tenant(
+                "gt_gateway_tenant_served_total",
+                "Requests served, by tenant",
+                t,
+            );
+            if matches!(outcome, BatchOutcome::Degraded { .. }) {
+                self.count_tenant(
+                    "gt_gateway_tenant_degraded_total",
+                    "Requests served degraded, by tenant",
+                    t,
+                );
             }
-            telemetry.event(
+            self.telemetry.event(
                 "gateway",
                 "served",
                 &[
@@ -556,8 +515,8 @@ impl Gateway {
     }
 
     /// Serve one admitted request, applying the degrade ladder for the
-    /// current queue `depth`, and price its service time. `start_us` is
-    /// when service begins on the virtual clock (≥ arrival).
+    /// current queue `depth`; returns its outcome and service time.
+    /// `start_us` is when service begins on the virtual clock (≥ arrival).
     fn serve_one(
         &mut self,
         data: &GraphData,
@@ -565,36 +524,20 @@ impl Gateway {
         depth: usize,
         start_us: f64,
     ) -> (BatchOutcome, f64) {
-        let telemetry = self.supervisor.trainer.telemetry.clone();
-        let batch_index = self.supervisor.batches_served();
-        // Injected serving stalls stretch the virtual service time; they
-        // never reach the trainer (see ActiveFaults::des_relevant), so the
-        // numerics stay on the fault-free path.
-        let stall_us = if self.supervisor.plan.is_empty() {
-            0.0
-        } else {
-            self.supervisor
-                .plan
-                .active(batch_index, 0)
-                .serve_delay_us()
-                .unwrap_or(0.0)
-        };
-
-        let mut batch: Vec<VId> = p.batch.clone();
+        let mut batch = &p.batch[..];
         let mut action: Option<DegradeAction> = None;
         if depth >= self.config.halve_watermark && batch.len() > 1 {
             let from = batch.len();
             let to = (from / 2).max(1);
-            batch.truncate(to);
+            batch = &batch[..to];
             action = Some(DegradeAction::HalvedBatch { from, to });
         }
-        let mut restore_fanout: Option<usize> = None;
+        let mut fanout = None;
         if depth >= self.config.degrade_watermark {
-            let from = self.supervisor.trainer.sampler.fanout;
+            let from = self.supervisor.fanout();
             let to = self.config.reduced_fanout.min(from);
             if to < from {
-                self.supervisor.trainer.sampler.fanout = to;
-                restore_fanout = Some(from);
+                fanout = Some(to);
                 // Both rungs engaged must be reported as both rungs: the
                 // composed variant, not whichever fired first.
                 action = Some(match action.take() {
@@ -611,68 +554,37 @@ impl Gateway {
             }
         }
         if let Some(a) = &action {
-            telemetry
+            self.telemetry
                 .counter(
                     "gt_gateway_degraded_total",
                     "Requests served degraded under load",
                 )
                 .inc();
-            telemetry.event(
+            self.telemetry.event(
                 "gateway",
                 "degrade",
                 &[
                     ("request", &p.request_index),
                     ("queue_depth", &depth),
-                    (
-                        "action",
-                        &match a {
-                            DegradeAction::HalvedBatch { .. } => "halved-batch",
-                            DegradeAction::ReducedFanout { .. } => "reduced-fanout",
-                            DegradeAction::HalvedBatchReducedFanout { .. } => {
-                                "halved-batch+reduced-fanout"
-                            }
-                            DegradeAction::SerializedPrepro => "serialized-prepro",
-                        },
-                    ),
+                    ("action", &a.label()),
                 ],
             );
         }
 
-        let traced_tenant = self.tenancy.is_some().then_some(p.tenant);
-        if let Some(tracer) = self.supervisor.tracer.as_mut() {
-            tracer.begin_request(p.request_index, traced_tenant, p.arrival_us, start_us);
-        }
-        let backoff_before = self.supervisor.backoff_paid_us;
-        // A durable supervisor journals through the gateway too, so flight
-        // dumps reconcile against the write-ahead outcome stream. Crash
-        // faults are not routed through the gateway (drive `serve_durable`
-        // directly to exercise them); an injected crash here is a test
-        // configuration error, not a servable state.
-        let report: BatchReport = if self.supervisor.is_durable() {
-            self.supervisor
-                .serve_durable(data, &batch)
-                .expect("crash faults must not be injected behind the gateway")
-        } else {
-            self.supervisor.serve_batch(data, &batch)
+        let ctx = ServeCtx {
+            fanout,
+            worker: None,
+            request: Some(self.request_ctx(p, start_us)),
         };
-        if let Some(fanout) = restore_fanout {
-            self.supervisor.trainer.sampler.fanout = fanout;
-        }
-        let backoff_us = self.supervisor.backoff_paid_us - backoff_before;
-        // Cache hits shave preprocessing off the critical path before the
-        // prepro/GPU overlap max; with caches disabled saved is 0 and this
-        // is exactly `e2e_us(true)`.
-        let saved_us = self.supervisor.cache_saved_us();
-        let service_us = (report.prepro_us() - saved_us)
-            .max(0.0)
-            .max(report.gpu_us())
-            + stall_us
-            + backoff_us;
+        let served = self
+            .supervisor
+            .serve(data, batch, ctx)
+            .unwrap_or_else(|e| panic!("the service behind the gateway failed: {e}"));
 
         // A gateway degradation outranks a clean supervisor outcome in the
         // report (the caller got less than it asked for); a supervisor
         // degradation or quarantine is more severe and wins.
-        let outcome = match (report.outcome, action) {
+        let outcome = match (served.report.outcome, action) {
             (BatchOutcome::Succeeded, Some(a)) => BatchOutcome::Degraded {
                 action: a,
                 retries: 0,
@@ -682,7 +594,7 @@ impl Gateway {
             }
             (o, _) => o,
         };
-        (outcome, service_us)
+        (outcome, served.service_us())
     }
 }
 
@@ -713,6 +625,22 @@ mod tests {
         };
         t.telemetry = gt_telemetry::Telemetry::recording();
         Supervisor::new(t, plan)
+    }
+
+    /// `(capacity, deadline, degrade/halve watermarks)` at reduced fanout 2.
+    fn cfg(
+        queue_capacity: usize,
+        deadline_us: f64,
+        degrade: usize,
+        halve: usize,
+    ) -> OverloadConfig {
+        OverloadConfig {
+            queue_capacity,
+            deadline_us,
+            degrade_watermark: degrade,
+            halve_watermark: halve,
+            reduced_fanout: 2,
+        }
     }
 
     fn batches(n: usize) -> Vec<Vec<VId>> {
@@ -748,14 +676,7 @@ mod tests {
     #[test]
     fn overload_sheds_and_degrades_with_bounded_queue() {
         let plan = FaultPlan::new(7).with_serve_delay_window(50_000.0, 0, None);
-        let cfg = OverloadConfig {
-            queue_capacity: 4,
-            deadline_us: f64::INFINITY,
-            degrade_watermark: 2,
-            halve_watermark: 3,
-            reduced_fanout: 2,
-        };
-        let mut g = Gateway::new(supervisor(plan), cfg);
+        let mut g = Gateway::new(supervisor(plan), cfg(4, f64::INFINITY, 2, 3));
         let d = data();
         let mut all = Vec::new();
         for (i, b) in batches(24).iter().enumerate() {
@@ -815,14 +736,7 @@ mod tests {
     #[test]
     fn composed_degradation_reports_both_rungs() {
         let plan = FaultPlan::new(7).with_serve_delay_window(50_000.0, 0, None);
-        let cfg = OverloadConfig {
-            queue_capacity: 6,
-            deadline_us: f64::INFINITY,
-            degrade_watermark: 2,
-            halve_watermark: 3,
-            reduced_fanout: 2,
-        };
-        let mut g = Gateway::new(supervisor(plan), cfg);
+        let mut g = Gateway::new(supervisor(plan), cfg(6, f64::INFINITY, 2, 3));
         let d = data();
         let mut all = Vec::new();
         for (i, b) in batches(16).iter().enumerate() {
@@ -884,14 +798,7 @@ mod tests {
     #[test]
     fn deadline_watchdog_sheds_stale_requests() {
         let plan = FaultPlan::new(3).with_serve_delay_window(100_000.0, 0, None);
-        let cfg = OverloadConfig {
-            queue_capacity: 16,
-            deadline_us: 150_000.0,
-            degrade_watermark: usize::MAX,
-            halve_watermark: usize::MAX,
-            reduced_fanout: 2,
-        };
-        let mut g = Gateway::new(supervisor(plan), cfg);
+        let mut g = Gateway::new(supervisor(plan), cfg(16, 150_000.0, usize::MAX, usize::MAX));
         let d = data();
         let mut all = Vec::new();
         for (i, b) in batches(8).iter().enumerate() {
@@ -919,81 +826,15 @@ mod tests {
         }
     }
 
-    /// Regression for the off-by-one at the deadline boundary: a wait of
-    /// *exactly* the deadline is late (inclusive bound), and a provably
-    /// late arrival is shed immediately instead of queueing. One µs of
-    /// headroom and the same request is served.
-    #[test]
-    fn deadline_boundary_is_inclusive() {
-        let d = data();
-        // Probe the exact virtual service time of the first batch.
-        let service = {
-            let mut g = Gateway::new(supervisor(FaultPlan::new(0)), OverloadConfig::default());
-            let mut c = g.submit(&d, 0.0, &batches(1)[0]);
-            c.extend(g.drain(&d));
-            assert_eq!(c.len(), 1);
-            c[0].done_us
-        };
-        assert!(service > 0.0);
-
-        let cfg = OverloadConfig {
-            queue_capacity: 16,
-            deadline_us: service,
-            degrade_watermark: usize::MAX,
-            halve_watermark: usize::MAX,
-            reduced_fanout: 2,
-        };
-        // Request 1 arrives while request 0 occupies the server for exactly
-        // `service` µs: its wait would be exactly the deadline — shed.
-        let mut g = Gateway::new(supervisor(FaultPlan::new(0)), cfg.clone());
-        let mut all = g.submit(&d, 0.0, &batches(2)[0]);
-        all.extend(g.submit(&d, 0.0, &batches(2)[1]));
-        all.extend(g.drain(&d));
-        assert_eq!(all.len(), 2);
-        assert!(all[0].outcome.trained());
-        assert_eq!(
-            all[1].outcome,
-            BatchOutcome::Shed {
-                cause: ShedCause::DeadlineExpired
-            },
-            "a wait of exactly the deadline must shed (inclusive bound)"
-        );
-        assert_eq!(
-            all[1].done_us, 0.0,
-            "predicted-late sheds resolve on arrival"
-        );
-
-        // With one µs of headroom the same request is served after queueing
-        // for the full service time.
-        let cfg2 = OverloadConfig {
-            deadline_us: service + 1.0,
-            ..cfg
-        };
-        let mut g = Gateway::new(supervisor(FaultPlan::new(0)), cfg2);
-        let mut all = g.submit(&d, 0.0, &batches(2)[0]);
-        all.extend(g.submit(&d, 0.0, &batches(2)[1]));
-        all.extend(g.drain(&d));
-        assert_eq!(all.len(), 2);
-        assert!(
-            all[1].outcome.trained(),
-            "1µs under the deadline must serve"
-        );
-        assert_eq!(all[1].queued_us, service);
-    }
-
     /// Tenancy: token buckets shed a tenant that exceeds its quota, and
     /// deficit round robin keeps the remaining tenants' service balanced.
     #[test]
     fn tenant_quotas_and_fair_queue() {
         let plan = FaultPlan::new(5).with_serve_delay_window(40_000.0, 0, None);
-        let cfg = OverloadConfig {
-            queue_capacity: 24,
-            deadline_us: f64::INFINITY,
-            degrade_watermark: usize::MAX,
-            halve_watermark: usize::MAX,
-            reduced_fanout: 2,
-        };
-        let mut g = Gateway::new(supervisor(plan), cfg);
+        let mut g = Gateway::new(
+            supervisor(plan),
+            cfg(24, f64::INFINITY, usize::MAX, usize::MAX),
+        );
         // Tenant 2 is offered ~333 req/s but its quota admits 20 req/s with
         // a burst of 1: the first request passes, the rest are shed.
         g.enable_tenancy(TenancyConfig {
@@ -1082,16 +923,7 @@ mod tests {
             let plan = FaultPlan::new(9)
                 .with_serve_delay_window(30_000.0, 0, None)
                 .with_transfer_failure(0.2);
-            let mut g = Gateway::new(
-                supervisor(plan),
-                OverloadConfig {
-                    queue_capacity: 3,
-                    deadline_us: 200_000.0,
-                    degrade_watermark: 1,
-                    halve_watermark: 2,
-                    reduced_fanout: 2,
-                },
-            );
+            let mut g = Gateway::new(supervisor(plan), cfg(3, 200_000.0, 1, 2));
             g.enable_tenancy(TenancyConfig {
                 quotas: vec![TenantQuota::new(400.0, 2.0), TenantQuota::unlimited()],
                 quantum: 8,
@@ -1105,6 +937,121 @@ mod tests {
             all
         };
         assert_eq!(run(), run());
+    }
+
+    /// A service that trains nothing: every batch succeeds in exactly
+    /// 100 virtual µs. Records the order requests reached it.
+    #[derive(Default)]
+    struct Fixed {
+        served: Vec<usize>,
+        sheds: usize,
+    }
+
+    impl BatchService for Fixed {
+        fn serve(
+            &mut self,
+            _: &GraphData,
+            _: &[VId],
+            ctx: ServeCtx,
+        ) -> Result<crate::serve::Served, crate::error::GtError> {
+            self.served.push(ctx.request.expect("request named").index);
+            Ok(crate::serve::Served {
+                report: crate::framework::BatchReport {
+                    loss: 0.0,
+                    sim: gt_sim::SimContext::new(gt_sim::DeviceSpec::tiny()),
+                    prepro: None,
+                    num_nodes: 0,
+                    num_edges: 0,
+                    oom: None,
+                    outcome: BatchOutcome::Succeeded,
+                    telemetry: Telemetry::null(),
+                },
+                stall_us: 100.0,
+                backoff_us: 0.0,
+                saved_us: 0.0,
+            })
+        }
+        fn note_shed(&mut self, _: RequestCtx, _: &BatchOutcome) {
+            self.sheds += 1;
+        }
+        fn telemetry(&self) -> Telemetry {
+            Telemetry::null()
+        }
+        fn fanout(&self) -> usize {
+            4
+        }
+    }
+
+    /// Deficit round robin, exact over the fake service: a flooding tenant
+    /// cannot starve a late one.
+    #[test]
+    fn drr_order_under_a_flooding_tenant() {
+        let d = GraphData::synthetic(8, 16, 2, 2, 1);
+        let mut g = Gateway::new(
+            Fixed::default(),
+            cfg(16, f64::INFINITY, usize::MAX, usize::MAX),
+        );
+        g.enable_tenancy(TenancyConfig {
+            quotas: vec![TenantQuota::unlimited(), TenantQuota::unlimited()],
+            quantum: 4,
+        });
+        // Tenant 0 floods requests 0..6 before tenant 1's 6 and 7 arrive,
+        // all at t=0, every batch costing one quantum. Request 0 starts at
+        // once and request 1 was already selected (deficit paid) before
+        // tenant 1 had a backlog; from then on the tenants alternate until
+        // tenant 1's queue is empty.
+        let mut done = Vec::new();
+        for tenant in [0, 0, 0, 0, 0, 0, 1, 1] {
+            done.extend(g.submit_from(&d, 0.0, tenant, &[0, 1, 2, 3]));
+        }
+        done.extend(g.drain(&d));
+        assert_eq!(g.supervisor.served, [0, 1, 6, 2, 7, 3, 4, 5]);
+        let finished: Vec<f64> = done.iter().map(|c| c.done_us).collect();
+        assert_eq!(finished, [100., 200., 300., 400., 500., 600., 700., 800.]);
+        assert_eq!(g.supervisor.sheds, 0);
+    }
+
+    /// Regression for the off-by-one at the deadline boundary, exact over
+    /// the fake service: a wait of *exactly* the deadline is late
+    /// (inclusive bound), and a provably late arrival is shed immediately
+    /// instead of queueing. One µs of headroom and the same request is
+    /// served after queueing for the full service time.
+    #[test]
+    fn deadline_boundary_is_inclusive() {
+        let d = GraphData::synthetic(8, 16, 2, 2, 1);
+        let run = |deadline_us| {
+            let mut g = Gateway::new(
+                Fixed::default(),
+                cfg(16, deadline_us, usize::MAX, usize::MAX),
+            );
+            // Request 1 arrives while request 0 holds the server for 100 µs.
+            let mut all = g.submit(&d, 0.0, &[0, 1, 2, 3]);
+            all.extend(g.submit(&d, 0.0, &[0, 1, 2, 3]));
+            all.extend(g.drain(&d));
+            assert_eq!(all.len(), 2);
+            assert!(all[0].outcome.trained());
+            (all.pop().unwrap(), g.supervisor.sheds)
+        };
+        let (second, sheds) = run(100.0);
+        assert_eq!(
+            second.outcome,
+            BatchOutcome::Shed {
+                cause: ShedCause::DeadlineExpired
+            },
+            "a wait of exactly the deadline must shed (inclusive bound)"
+        );
+        assert_eq!(
+            second.done_us, 0.0,
+            "predicted-late sheds resolve on arrival"
+        );
+        assert_eq!(sheds, 1, "the service hears about the shed");
+
+        let (second, sheds) = run(101.0);
+        assert!(
+            second.outcome.trained(),
+            "1µs under the deadline must serve"
+        );
+        assert_eq!((second.queued_us, sheds), (100.0, 0));
     }
 
     #[test]

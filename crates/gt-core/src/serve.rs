@@ -32,7 +32,7 @@ use crate::trainer::GraphTensor;
 use gt_graph::VId;
 use gt_sample::validate_batch;
 use gt_sim::{CrashSite, FaultPlan, SimContext};
-use gt_telemetry::ToJson;
+use gt_telemetry::{Json, Telemetry, ToJson};
 use gt_tensor::{chaosio, checkpoint};
 use std::path::PathBuf;
 
@@ -123,7 +123,7 @@ impl DurabilityConfig {
 }
 
 /// What [`Supervisor::recover`] did.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct RecoveryReport {
     /// Journaled batches replayed (the next batch's serving index).
     pub batches_replayed: usize,
@@ -134,6 +134,88 @@ pub struct RecoveryReport {
     /// True when a torn tail (an append interrupted by the crash) was
     /// dropped and truncated away.
     pub torn_tail_dropped: bool,
+    /// The last replayed batch, as [`Supervisor::serve`] would have
+    /// returned it — what a caller whose batch committed just before the
+    /// crash hands back instead of re-serving (and double-training) it.
+    pub last_replayed: Option<Served>,
+}
+
+/// Gateway-side identity of the request a batch serves, on the virtual
+/// clock — what the tracer roots the request's span tree in.
+#[derive(Debug, Clone, Copy)]
+pub struct RequestCtx {
+    /// Submission index of the request.
+    pub index: usize,
+    /// Tenant the request belongs to (`None` without tenancy).
+    pub tenant: Option<usize>,
+    /// When the request arrived, virtual µs.
+    pub arrival_us: f64,
+    /// When service starts (or the request was refused), virtual µs.
+    pub start_us: f64,
+}
+
+/// What the caller of [`Supervisor::serve`] knows about the batch. The
+/// default is plain single-node serving at the configured fanout.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ServeCtx {
+    /// Sample with this fanout instead of the configured one (a gateway
+    /// degrading under load; journal replay of such a batch).
+    pub fanout: Option<usize>,
+    /// Cluster worker whose partition owns the batch, stamped on its
+    /// journal record (recovery enforces strictly increasing batch
+    /// indices per tag, so a reordered journal cannot replay silently).
+    pub worker: Option<usize>,
+    /// The request being served; without one the batch index doubles as
+    /// the request index and service is back-to-back on the tracer's clock.
+    pub request: Option<RequestCtx>,
+}
+
+/// One served batch plus what the serving layers charged around it.
+#[derive(Debug)]
+pub struct Served {
+    /// How the batch resolved and everything measured while training it.
+    pub report: BatchReport,
+    /// Injected [`gt_sim::FaultKind::ServeDelay`] stall, virtual µs. It
+    /// never reaches the trainer, so numerics stay on the fault-free path.
+    pub stall_us: f64,
+    /// Retry backoff the ladder paid for this batch, virtual µs.
+    pub backoff_us: f64,
+    /// Modeled preprocessing µs cache hits saved (0 with caches off).
+    pub saved_us: f64,
+}
+
+impl Served {
+    /// The batch's modeled latency: cache hits shave preprocessing off the
+    /// critical path before the prepro/GPU overlap max, so with nothing
+    /// saved this is exactly `report.e2e_us(true)`.
+    pub fn modeled_us(&self) -> f64 {
+        (self.report.prepro_us() - self.saved_us)
+            .max(0.0)
+            .max(self.report.gpu_us())
+    }
+
+    /// Virtual service time: what the gateway charges the server for and
+    /// what the request's trace spans add up to.
+    pub fn service_us(&self) -> f64 {
+        self.modeled_us() + self.stall_us + self.backoff_us
+    }
+}
+
+/// What an admission layer ([`Gateway`](crate::overload::Gateway)) needs
+/// from the service behind it; implemented by [`Supervisor`] and
+/// [`ClusterSupervisor`](crate::cluster::ClusterSupervisor).
+pub trait BatchService {
+    /// Train one batch; see [`Supervisor::serve`].
+    fn serve(&mut self, data: &GraphData, batch: &[VId], ctx: ServeCtx) -> Result<Served, GtError>;
+    /// A request was refused without being served (`request.start_us` is
+    /// when), so its trace and SLO sample still exist.
+    fn note_shed(&mut self, request: RequestCtx, outcome: &BatchOutcome);
+    /// The telemetry handle the service exports through; the admission
+    /// layer takes it once, at construction.
+    fn telemetry(&self) -> Telemetry;
+    /// The configured sampling fanout, which a degrade rung names before
+    /// it overrides it.
+    fn fanout(&self) -> usize;
 }
 
 struct DurabilityState {
@@ -146,6 +228,28 @@ struct DurabilityState {
     /// either). Without this, a persistent fault rule would re-kill every
     /// recovery at the same batch — a livelock.
     suppress_faults_below: usize,
+}
+
+/// The typed error for durable-only calls on a supervisor with no journal.
+fn not_durable(what: &str) -> GtError {
+    GtError::Io {
+        detail: format!("{what} before make_durable/recover"),
+    }
+}
+
+impl DurabilityState {
+    /// The one way a record reaches the journal, so
+    /// `gt_journal_records_total` counts every record on disk.
+    fn append(&mut self, telemetry: &Telemetry, record: &Json) -> Result<(), GtError> {
+        self.journal.append(record)?;
+        telemetry
+            .counter(
+                "gt_journal_records_total",
+                "Records appended to the outcome journal",
+            )
+            .inc();
+        Ok(())
+    }
 }
 
 /// Wraps a trainer in the retry/degrade/quarantine ladder described in the
@@ -168,9 +272,6 @@ pub struct Supervisor {
     strikes: usize,
     degraded_prepro: bool,
     durability: Option<DurabilityState>,
-    /// Cluster-worker tag stamped on journaled batch records (`None` for
-    /// single-node serving; set per batch by the cluster supervisor).
-    worker_tag: Option<usize>,
     /// Skew-exploiting serving caches; `None` (the default) keeps serving
     /// exactly as before caching existed.
     caches: Option<ServingCaches>,
@@ -193,17 +294,8 @@ impl Supervisor {
             strikes: 0,
             degraded_prepro: false,
             durability: None,
-            worker_tag: None,
             caches: None,
         }
-    }
-
-    /// Tag journaled batch records with the cluster worker that owns the
-    /// next batch's partition (`None` restores untagged single-node
-    /// records). Recovery enforces strictly increasing batch indices per
-    /// tag, so a reordered journal cannot replay silently.
-    pub fn set_worker_tag(&mut self, worker: Option<usize>) {
-        self.worker_tag = worker;
     }
 
     /// Batches served so far (the next batch's fault-plan coordinate).
@@ -224,19 +316,18 @@ impl Supervisor {
         config: TracerConfig,
         slo: Option<gt_telemetry::SloSpec>,
     ) -> &mut RequestTracer {
-        self.tracer = Some(RequestTracer::new(
+        self.tracer.insert(RequestTracer::new(
             config,
             slo,
             self.trainer.telemetry.clone(),
-        ));
-        self.tracer.as_mut().expect("just set")
+        ))
     }
 
     /// Attach the skew-exploiting serving caches (see [`crate::cache`]).
     /// From now on every trained batch consults the historical-embedding
     /// and sampled-subgraph caches; hits shrink the *modeled* service
-    /// time the gateway charges, while the numerics (parameters, journal,
-    /// checkpoints) stay byte-identical to an uncached run.
+    /// time ([`Served::service_us`]), while the numerics (parameters,
+    /// journal, checkpoints) stay byte-identical to an uncached run.
     pub fn enable_caches(&mut self, config: CacheConfig) {
         self.caches = Some(ServingCaches::new(config));
     }
@@ -246,104 +337,161 @@ impl Supervisor {
         self.caches.as_ref().map(|c| c.stats())
     }
 
-    /// Modeled µs the most recent batch saved via cache hits (0 when
-    /// caching is off) — what the gateway subtracts from the batch's
-    /// preprocessing time when pricing service.
-    pub fn cache_saved_us(&self) -> f64 {
-        self.caches.as_ref().map_or(0.0, |c| c.last_saved_us())
-    }
-
-    /// The serving caches, when enabled.
-    pub fn caches(&self) -> Option<&ServingCaches> {
-        self.caches.as_ref()
-    }
-
-    /// Train one batch under supervision. Never panics on injected faults;
-    /// the report's [`BatchOutcome`] says how the batch resolved.
-    pub fn serve_batch(&mut self, data: &GraphData, batch: &[VId]) -> BatchReport {
+    /// Train one batch under supervision — the one way a batch reaches the
+    /// trainer. Never panics on injected faults; the report's
+    /// [`BatchOutcome`] says how the batch resolved. Around the
+    /// retry/degrade ladder, each armed layer runs in order and an unarmed
+    /// one is skipped: caches price their hits, the tracer files the
+    /// request's span tree, and — once [`make_durable`](Self::make_durable)
+    /// or [`recover`](Self::recover) armed the journal — the outcome (and
+    /// any quarantine record) is journaled and fsynced *before* this
+    /// returns, so an acknowledged result can never be lost to a crash.
+    ///
+    /// `Err` only comes out of the durable path. An active
+    /// [`gt_sim::FaultKind::Crash`] rule is honored there: the call leaves
+    /// exactly the on-disk state a process killed at that site would leave
+    /// (a torn journal record, a torn checkpoint staging file, or a fully
+    /// committed batch whose report was never delivered) and returns
+    /// [`GtError::InjectedCrash`]. The supervisor must then be rebuilt and
+    /// [`recover`](Self::recover)ed, as after a real `kill -9`.
+    pub fn serve(
+        &mut self,
+        data: &GraphData,
+        batch: &[VId],
+        ctx: ServeCtx,
+    ) -> Result<Served, GtError> {
         let batch_index = self.batches_served;
+        // Serving-layer rules are persistent: attempt 0 decides.
+        let active = self.plan.active(batch_index, 0);
+        let armed = self
+            .durability
+            .as_ref()
+            .is_some_and(|d| batch_index >= d.suppress_faults_below);
+        let (crash, io_faults) = if armed {
+            (active.crash_site(), active.io_faults())
+        } else {
+            (None, Vec::new())
+        };
+        // Arm this batch's storage faults below the durability layer; the
+        // guard disarms whatever is left on every exit path, so a fault
+        // can never leak into the next batch.
+        let _io_guard = chaosio::arm(&io_faults);
+
+        // The one place the configured fanout is overridden and restored.
+        let configured = self.trainer.sampler.fanout;
+        let fanout = ctx.fanout.unwrap_or(configured);
+        self.trainer.sampler.fanout = fanout;
         let backoff_before = self.backoff_paid_us;
-        let report = self.serve_batch_inner(data, batch);
-        if let Some(caches) = self.caches.as_mut() {
-            // Quarantined/shed batches never reached the preprocessing
-            // pipeline, so they neither consult nor populate the caches.
-            if report.outcome.trained() {
-                let lookup = caches.consult(batch, self.trainer.sampler.fanout);
-                // A subgraph hit skips sampling + reindex outright; cached
-                // embedding rows shrink the lookup phase by the batch's
-                // hit fraction. Capped at the makespan: a cache can erase
-                // preprocessing, never GPU compute.
-                let mut saved = 0.0;
-                if let Some(schedule) = &report.prepro {
-                    if lookup.subgraph_hit {
-                        saved += schedule.phase_busy_us(gt_sim::Phase::Sampling)
-                            + schedule.phase_busy_us(gt_sim::Phase::Reindex);
-                    }
-                    if lookup.batch_len > 0 {
-                        saved += schedule.phase_busy_us(gt_sim::Phase::Lookup)
-                            * lookup.embedding_hits as f64
-                            / lookup.batch_len as f64;
-                    }
-                }
-                let saved = saved.min(report.prepro_us());
-                caches.note_saved(saved);
-                let telemetry = self.trainer.telemetry.clone();
-                telemetry
-                    .counter(
+        let report = self.run_ladder(data, batch);
+        self.trainer.sampler.fanout = configured;
+
+        // Quarantined batches never reached the preprocessing pipeline, so
+        // they neither consult nor populate the caches.
+        let saved_us = match self.caches.as_mut() {
+            Some(caches) if report.outcome.trained() => {
+                let (lookup, saved) = caches.consult_priced(batch, fanout, &report);
+                let misses = lookup.batch_len - lookup.embedding_hits;
+                for (name, help, n) in [
+                    (
                         "gt_cache_embedding_hits_total",
                         "Embedding-cache hits (batch vertices)",
-                    )
-                    .add(lookup.embedding_hits as u64);
-                telemetry
-                    .counter(
+                        lookup.embedding_hits as u64,
+                    ),
+                    (
                         "gt_cache_embedding_misses_total",
                         "Embedding-cache misses (batch vertices)",
-                    )
-                    .add((lookup.batch_len - lookup.embedding_hits) as u64);
-                telemetry
-                    .counter(
+                        misses as u64,
+                    ),
+                    (
                         "gt_cache_subgraph_hits_total",
                         "Sampled-subgraph cache hits (batches)",
-                    )
-                    .add(lookup.subgraph_hit as u64);
-                telemetry
-                    .counter(
+                        lookup.subgraph_hit as u64,
+                    ),
+                    (
                         "gt_cache_subgraph_misses_total",
                         "Sampled-subgraph cache misses (batches)",
-                    )
-                    .add(!lookup.subgraph_hit as u64);
-                telemetry
-                    .counter(
+                        !lookup.subgraph_hit as u64,
+                    ),
+                    (
                         "gt_cache_saved_us_total",
                         "Modeled preprocessing µs saved by cache hits",
-                    )
-                    .add(saved as u64);
-            } else {
-                caches.note_saved(0.0);
+                        saved as u64,
+                    ),
+                ] {
+                    self.trainer.telemetry.counter(name, help).add(n);
+                }
+                saved
             }
+            _ => 0.0,
+        };
+        let served = Served {
+            report,
+            stall_us: active.serve_delay_us().unwrap_or(0.0),
+            backoff_us: self.backoff_paid_us - backoff_before,
+            saved_us,
+        };
+        if let Some(tracer) = self.tracer.as_mut() {
+            tracer.finish_batch(batch_index, &served, ctx.request);
         }
-        if self.tracer.is_some() {
-            // The injected serving stall is charged by the layer above the
-            // trainer (gateway service pricing); re-derive it here so the
-            // trace's stall segment agrees with that pricing exactly.
-            let stall_us = if self.plan.is_empty() {
-                0.0
-            } else {
-                self.plan
-                    .active(batch_index, 0)
-                    .serve_delay_us()
-                    .unwrap_or(0.0)
-            };
-            let backoff_us = self.backoff_paid_us - backoff_before;
-            if let Some(tracer) = self.tracer.as_mut() {
-                tracer.finish_batch(batch_index, &report, stall_us, backoff_us);
-            }
+        let Some(d) = self.durability.as_mut() else {
+            return Ok(served);
+        };
+
+        // The record carries the fanout the batch was actually sampled
+        // with: a replay at the configured fanout would diverge.
+        let rec = journal::batch_record_tagged(
+            batch_index,
+            batch,
+            &served.report.outcome,
+            fanout,
+            ctx.worker,
+        );
+        if crash == Some(CrashSite::MidJournal) {
+            d.journal.append_torn(&rec)?;
+            return Err(self.crash(batch_index, CrashSite::MidJournal));
         }
-        report
+        let telemetry = &self.trainer.telemetry;
+        d.append(telemetry, &rec)?;
+        if let BatchOutcome::Quarantined { .. } = served.report.outcome {
+            let filed = self.quarantine.last().expect("quarantine just filed");
+            d.append(telemetry, &journal::quarantine_record(filed))?;
+        }
+        if crash == Some(CrashSite::MidCheckpoint) {
+            // The batch committed to the journal, but the process dies
+            // while staging the checkpoint: a torn temporary sibling is
+            // left behind and the previous checkpoint stays intact
+            // (save_file's atomicity is what makes this survivable).
+            let bytes = checkpoint::to_bytes(self.trainer.params());
+            let tmp = checkpoint::tmp_path(&d.cfg.checkpoint_path());
+            std::fs::write(tmp, &bytes[..bytes.len() / 2])?;
+            return Err(self.crash(batch_index, CrashSite::MidCheckpoint));
+        }
+        let every = d.cfg.checkpoint_every;
+        if every > 0 && (batch_index + 1).is_multiple_of(every) {
+            self.write_checkpoint(batch_index)?;
+        }
+        if crash == Some(CrashSite::AfterCommit) {
+            return Err(self.crash(batch_index, CrashSite::AfterCommit));
+        }
+        Ok(served)
     }
 
-    /// The retry/degrade ladder itself (see [`Supervisor::serve_batch`]).
-    fn serve_batch_inner(&mut self, data: &GraphData, batch: &[VId]) -> BatchReport {
+    /// Die at an injected crash site: one event, one flight dump, and the
+    /// error the caller sees instead of the batch's result.
+    fn crash(&mut self, batch_index: usize, site: CrashSite) -> GtError {
+        self.trainer.telemetry.event(
+            "serve",
+            "crash_injected",
+            &[("batch", &batch_index), ("site", &site.label())],
+        );
+        if let Some(tracer) = self.tracer.as_mut() {
+            tracer.dump_now(&format!("crash:{}", site.label()));
+        }
+        GtError::InjectedCrash { site }
+    }
+
+    /// The retry/degrade ladder itself (see [`Supervisor::serve`]).
+    fn run_ladder(&mut self, data: &GraphData, batch: &[VId]) -> BatchReport {
         let batch_index = self.batches_served;
         self.batches_served += 1;
         let telemetry = self.trainer.telemetry.clone();
@@ -367,17 +515,7 @@ impl Supervisor {
             !batch.iter().all(|v| seen.insert(v))
         };
         if has_dup || validate_batch(&data.graph, batch, &self.trainer.sampler).is_err() {
-            self.quarantine.push(QuarantineRecord {
-                batch_index,
-                batch: batch.to_vec(),
-                reason: FailReason::InvalidBatch,
-                attempts: 0,
-            });
-            let outcome = BatchOutcome::Quarantined {
-                reason: FailReason::InvalidBatch,
-                attempts: 0,
-            };
-            self.note_outcome(&telemetry, batch_index, &outcome);
+            let outcome = self.give_up(batch_index, batch, FailReason::InvalidBatch, 0);
             return BatchReport {
                 loss: f32::NAN,
                 sim: SimContext::new(self.trainer.sys.gpu.clone()),
@@ -395,13 +533,11 @@ impl Supervisor {
         let mut consecutive_oom = 0usize;
         let mut attempt = 0usize;
         loop {
-            if !self.plan.is_empty() {
-                // Serving-layer faults (crashes, serve stalls) are filtered
-                // out: the trainer and DES must take the exact fault-free
-                // path for them, or replay-based recovery loses its
-                // bit-identity contract.
-                self.trainer.injected = Some(self.plan.active(batch_index, attempt).des_relevant());
-            }
+            // Serving-layer faults (crashes, serve stalls) are filtered
+            // out: the trainer and DES must take the exact fault-free path
+            // for them, or replay-based recovery loses its bit-identity
+            // contract.
+            self.trainer.injected = Some(self.plan.active(batch_index, attempt).des_relevant());
             if self.degraded_prepro {
                 self.trainer.prepro_override = Some(PreproStrategy::Serial);
             }
@@ -448,23 +584,13 @@ impl Supervisor {
                     } else {
                         BatchOutcome::Succeeded
                     };
-                    self.note_outcome(&telemetry, batch_index, &report.outcome);
+                    self.note_outcome(batch_index, &report.outcome);
                     return report;
                 }
             };
 
             if attempt >= self.config.max_retries {
-                self.quarantine.push(QuarantineRecord {
-                    batch_index,
-                    batch: batch.to_vec(),
-                    reason,
-                    attempts: attempt + 1,
-                });
-                report.outcome = BatchOutcome::Quarantined {
-                    reason,
-                    attempts: attempt + 1,
-                };
-                self.note_outcome(&telemetry, batch_index, &report.outcome);
+                report.outcome = self.give_up(batch_index, batch, reason, attempt + 1);
                 return report;
             }
 
@@ -527,15 +653,31 @@ impl Supervisor {
         }
     }
 
+    /// Quarantine `batch` after `attempts` attempts: file the record and
+    /// resolve the outcome.
+    fn give_up(
+        &mut self,
+        batch_index: usize,
+        batch: &[VId],
+        reason: FailReason,
+        attempts: usize,
+    ) -> BatchOutcome {
+        self.quarantine.push(QuarantineRecord {
+            batch_index,
+            batch: batch.to_vec(),
+            reason,
+            attempts,
+        });
+        let outcome = BatchOutcome::Quarantined { reason, attempts };
+        self.note_outcome(batch_index, &outcome);
+        outcome
+    }
+
     /// Funnel every resolved [`BatchOutcome`] into one structured event and
     /// the per-outcome counters — the supervisor's externally visible
     /// transition record.
-    fn note_outcome(
-        &self,
-        telemetry: &gt_telemetry::Telemetry,
-        batch_index: usize,
-        outcome: &BatchOutcome,
-    ) {
+    fn note_outcome(&self, batch_index: usize, outcome: &BatchOutcome) {
+        let telemetry = &self.trainer.telemetry;
         let (name, help) = match outcome {
             BatchOutcome::Succeeded => ("gt_serve_succeeded_total", "Batches trained first try"),
             BatchOutcome::Recovered { .. } => {
@@ -561,9 +703,9 @@ impl Supervisor {
     // ---- durable serving -------------------------------------------------
 
     /// Turn on durability: create `cfg.dir`, start a fresh write-ahead
-    /// journal, and serve through [`Supervisor::serve_durable`] from now
-    /// on. For restarting over existing durable state use
-    /// [`Supervisor::recover`] instead.
+    /// journal, and journal every [`serve`](Self::serve) from now on. For
+    /// restarting over existing durable state use [`Supervisor::recover`]
+    /// instead.
     pub fn make_durable(&mut self, cfg: DurabilityConfig) -> Result<(), GtError> {
         std::fs::create_dir_all(&cfg.dir)?;
         // A fresh journal is a fresh serving history; caches warmed before
@@ -588,137 +730,6 @@ impl Supervisor {
         self.durability.is_some()
     }
 
-    /// Serve one batch with the write-ahead guarantee: the outcome (and any
-    /// quarantine record) is journaled and fsynced *before* this returns,
-    /// so an acknowledged result can never be lost to a crash.
-    ///
-    /// An active [`gt_sim::FaultKind::Crash`] rule is honored here: the
-    /// call leaves exactly the on-disk state a process killed at that site
-    /// would leave (a torn journal record, a torn checkpoint staging file,
-    /// or a fully committed batch whose report was never delivered) and
-    /// returns [`GtError::InjectedCrash`]. The supervisor must then be
-    /// rebuilt and [`Supervisor::recover`]ed, as after a real `kill -9`.
-    pub fn serve_durable(
-        &mut self,
-        data: &GraphData,
-        batch: &[VId],
-    ) -> Result<BatchReport, GtError> {
-        let batch_index = self.batches_served;
-        let (crash, io_faults) = {
-            let d = self.durability.as_ref().ok_or_else(|| GtError::Io {
-                detail: "serve_durable before make_durable/recover".to_string(),
-            })?;
-            if self.plan.is_empty() || batch_index < d.suppress_faults_below {
-                (None, Vec::new())
-            } else {
-                // Durability rules are persistent (attempt 0 decides).
-                let active = self.plan.active(batch_index, 0);
-                (active.crash_site(), active.io_faults())
-            }
-        };
-        // Arm this batch's storage faults below the durability layer; the
-        // guard disarms whatever is left on every exit path, so a fault
-        // can never leak into the next batch.
-        let _io_guard = chaosio::arm(&io_faults);
-        let telemetry = self.trainer.telemetry.clone();
-        let report = self.serve_batch(data, batch);
-        // The record carries the fanout the batch was actually sampled
-        // with: a gateway under load serves with reduced fanout, and a
-        // replay at the configured fanout would diverge.
-        let rec = journal::batch_record_tagged(
-            batch_index,
-            batch,
-            &report.outcome,
-            self.trainer.sampler.fanout,
-            self.worker_tag,
-        );
-        let qrec = match report.outcome {
-            BatchOutcome::Quarantined { .. } => {
-                self.quarantine.last().map(journal::quarantine_record)
-            }
-            _ => None,
-        };
-
-        let ckpt_path;
-        let due;
-        {
-            let d = self.durability.as_mut().expect("checked above");
-            if crash == Some(CrashSite::MidJournal) {
-                d.journal.append_torn(&rec)?;
-                telemetry.event(
-                    "serve",
-                    "crash_injected",
-                    &[
-                        ("batch", &batch_index),
-                        ("site", &CrashSite::MidJournal.label()),
-                    ],
-                );
-                if let Some(tracer) = self.tracer.as_mut() {
-                    tracer.dump_now(&format!("crash:{}", CrashSite::MidJournal.label()));
-                }
-                return Err(GtError::InjectedCrash {
-                    site: CrashSite::MidJournal,
-                });
-            }
-            d.journal.append(&rec)?;
-            if let Some(q) = &qrec {
-                d.journal.append(q)?;
-            }
-            telemetry
-                .counter(
-                    "gt_journal_records_total",
-                    "Records appended to the outcome journal",
-                )
-                .add(1 + qrec.is_some() as u64);
-            ckpt_path = d.cfg.checkpoint_path();
-            due = d.cfg.checkpoint_every > 0
-                && (batch_index + 1).is_multiple_of(d.cfg.checkpoint_every);
-        }
-
-        if crash == Some(CrashSite::MidCheckpoint) {
-            // The batch committed to the journal, but the process dies
-            // while staging the checkpoint: a torn temporary sibling is
-            // left behind and the previous checkpoint stays intact
-            // (save_file's atomicity is what makes this survivable).
-            let bytes = checkpoint::to_bytes(self.trainer.params());
-            std::fs::write(checkpoint::tmp_path(&ckpt_path), &bytes[..bytes.len() / 2])?;
-            telemetry.event(
-                "serve",
-                "crash_injected",
-                &[
-                    ("batch", &batch_index),
-                    ("site", &CrashSite::MidCheckpoint.label()),
-                ],
-            );
-            if let Some(tracer) = self.tracer.as_mut() {
-                tracer.dump_now(&format!("crash:{}", CrashSite::MidCheckpoint.label()));
-            }
-            return Err(GtError::InjectedCrash {
-                site: CrashSite::MidCheckpoint,
-            });
-        }
-        if due {
-            self.write_checkpoint(batch_index)?;
-        }
-        if crash == Some(CrashSite::AfterCommit) {
-            telemetry.event(
-                "serve",
-                "crash_injected",
-                &[
-                    ("batch", &batch_index),
-                    ("site", &CrashSite::AfterCommit.label()),
-                ],
-            );
-            if let Some(tracer) = self.tracer.as_mut() {
-                tracer.dump_now(&format!("crash:{}", CrashSite::AfterCommit.label()));
-            }
-            return Err(GtError::InjectedCrash {
-                site: CrashSite::AfterCommit,
-            });
-        }
-        Ok(report)
-    }
-
     /// Journal a cluster-layer hedge decision (write-ahead, like
     /// outcomes): which batch was hedged, the straggling worker, the
     /// backup, and which copy won. The cluster supervisor's
@@ -731,48 +742,33 @@ impl Supervisor {
         backup: usize,
         backup_won: bool,
     ) -> Result<(), GtError> {
-        let d = self.durability.as_mut().ok_or_else(|| GtError::Io {
-            detail: "journal_hedge before make_durable/recover".to_string(),
-        })?;
-        d.journal.append(&journal::hedge_record(
-            batch_index,
-            victim,
-            backup,
-            backup_won,
-        ))?;
-        self.trainer
-            .telemetry
-            .counter(
-                "gt_journal_records_total",
-                "Records appended to the outcome journal",
-            )
-            .inc();
-        Ok(())
+        let d = self
+            .durability
+            .as_mut()
+            .ok_or_else(|| not_durable("journal_hedge"))?;
+        let rec = journal::hedge_record(batch_index, victim, backup, backup_won);
+        d.append(&self.trainer.telemetry, &rec)
     }
 
     /// Checkpoint the current parameters now (e.g. at end of serving),
     /// regardless of the periodic cadence.
     pub fn checkpoint_now(&mut self) -> Result<(), GtError> {
-        if self.durability.is_none() {
-            return Err(GtError::Io {
-                detail: "checkpoint_now before make_durable/recover".to_string(),
-            });
-        }
         self.write_checkpoint(self.batches_served.saturating_sub(1))
     }
 
     /// Atomically save the checkpoint, then journal a marker carrying the
     /// image fingerprint so replay can verify it byte-for-byte.
     fn write_checkpoint(&mut self, batch_index: usize) -> Result<(), GtError> {
+        let d = self
+            .durability
+            .as_mut()
+            .ok_or_else(|| not_durable("checkpoint"))?;
+        let telemetry = &self.trainer.telemetry;
         let bytes = checkpoint::to_bytes(self.trainer.params());
-        let d = self.durability.as_mut().expect("durability checked");
         checkpoint::save_file(self.trainer.params(), d.cfg.checkpoint_path())?;
-        d.journal.append(&journal::checkpoint_record(
-            batch_index,
-            checkpoint::image_crc(&bytes),
-        ))?;
-        self.trainer
-            .telemetry
+        let marker = journal::checkpoint_record(batch_index, checkpoint::image_crc(&bytes));
+        d.append(telemetry, &marker)?;
+        telemetry
             .counter("gt_checkpoints_total", "Parameter checkpoints committed")
             .inc();
         // Cached subgraphs were sampled against the pre-checkpoint
@@ -804,6 +800,8 @@ impl Supervisor {
         cfg: DurabilityConfig,
     ) -> Result<RecoveryReport, GtError> {
         let telemetry = self.trainer.telemetry.clone();
+        // Replay rebuilds state; it must not journal what it replays.
+        self.durability = None;
         // Checkpoint restore invalidates the serving caches outright; the
         // deterministic replay below rebuilds the exact cache state (and
         // hit counters) the crashed process had at the crash instant.
@@ -822,6 +820,7 @@ impl Supervisor {
             detail: detail.to_string(),
         };
         let mut replayed = 0usize;
+        let mut last_replayed = None;
         let mut quarantine_restored = 0usize;
         let mut checkpoints_verified = 0usize;
         // Last replayed batch index per cluster-worker tag: the journal's
@@ -870,13 +869,12 @@ impl Supervisor {
                     // gateway may have reduced it under load); records
                     // from journals predating the field use the
                     // configured fanout, exactly as before.
-                    let configured_fanout = self.trainer.sampler.fanout;
-                    if let Some(f) = journal::record_fanout(rec) {
-                        self.trainer.sampler.fanout = f;
-                    }
-                    let report = self.serve_batch(data, &ids);
-                    self.trainer.sampler.fanout = configured_fanout;
-                    let got = report.outcome.to_json().to_json_string();
+                    let ctx = ServeCtx {
+                        fanout: journal::record_fanout(rec),
+                        ..ServeCtx::default()
+                    };
+                    let served = self.serve(data, &ids, ctx)?;
+                    let got = served.report.outcome.to_json().to_json_string();
                     if got != recorded {
                         return Err(GtError::ReplayDiverged {
                             batch_index: idx,
@@ -884,9 +882,10 @@ impl Supervisor {
                         });
                     }
                     replayed += 1;
+                    last_replayed = Some(served);
                 }
                 Some("quarantine") => {
-                    // serve_batch re-quarantined deterministically; the
+                    // The replay re-quarantined deterministically; the
                     // journaled record must match the one just re-filed.
                     let refiled = self.quarantine.last().map(journal::quarantine_record);
                     if refiled.as_ref() != Some(rec) {
@@ -966,6 +965,27 @@ impl Supervisor {
             quarantine_restored,
             checkpoints_verified,
             torn_tail_dropped: scan.torn_tail,
+            last_replayed,
         })
+    }
+}
+
+impl BatchService for Supervisor {
+    fn serve(&mut self, data: &GraphData, batch: &[VId], ctx: ServeCtx) -> Result<Served, GtError> {
+        Supervisor::serve(self, data, batch, ctx)
+    }
+
+    fn note_shed(&mut self, request: RequestCtx, outcome: &BatchOutcome) {
+        if let Some(tracer) = self.tracer.as_mut() {
+            tracer.record_shed(request, outcome);
+        }
+    }
+
+    fn telemetry(&self) -> Telemetry {
+        self.trainer.telemetry.clone()
+    }
+
+    fn fanout(&self) -> usize {
+        self.trainer.sampler.fanout
     }
 }

@@ -23,7 +23,8 @@
 //! to their root span (still present, still reconcilable against the
 //! journal — just one span instead of a tree).
 
-use crate::framework::{BatchOutcome, BatchReport};
+use crate::framework::BatchOutcome;
+use crate::serve::{RequestCtx, Served};
 use gt_sim::Phase;
 use gt_telemetry::{
     FlightRecorder, RequestTrace, SegmentKind, SloAlert, SloEngine, SloSpec, Telemetry, ToJson,
@@ -57,16 +58,6 @@ impl Default for TracerConfig {
     }
 }
 
-/// Gateway-provided identity of the request a `serve_batch` call is
-/// serving: who it is and when it arrived/started on the virtual clock.
-#[derive(Debug, Clone, Copy)]
-struct PendingRequest {
-    request_index: usize,
-    tenant: Option<usize>,
-    arrival_us: f64,
-    start_us: f64,
-}
-
 /// Root-span name: the request index, qualified with the tenant when the
 /// gateway runs multi-tenant admission.
 fn root_name(request_index: usize, tenant: Option<usize>) -> String {
@@ -95,7 +86,6 @@ pub struct RequestTracer {
     recorder: FlightRecorder,
     slo: Option<SloEngine>,
     telemetry: Telemetry,
-    pending: Option<PendingRequest>,
     /// Internal virtual clock for supervisor-only serving (no gateway):
     /// advances by each batch's service time.
     clock_us: f64,
@@ -119,7 +109,6 @@ impl RequestTracer {
             config,
             slo,
             telemetry,
-            pending: None,
             clock_us: 0.0,
             slo_clock_us: 0.0,
             normal_seen: 0,
@@ -158,69 +147,51 @@ impl RequestTracer {
         &self.dumps
     }
 
-    /// Gateway hand-off: the next `serve_batch` call serves request
-    /// `request_index` for `tenant` (None without tenancy), which arrived
-    /// at `arrival_us` and starts service at `start_us` (both virtual µs).
-    pub fn begin_request(
-        &mut self,
-        request_index: usize,
-        tenant: Option<usize>,
-        arrival_us: f64,
-        start_us: f64,
-    ) {
-        self.pending = Some(PendingRequest {
-            request_index,
-            tenant,
-            arrival_us,
-            start_us,
-        });
-    }
-
     /// Resolve one served batch into a span tree, record it, and feed the
-    /// SLO engine. Called by the supervisor at the end of `serve_batch`
-    /// with the stall/backoff the serving layer charged on top of the
-    /// report's modeled latency.
+    /// SLO engine. Called by the supervisor at the end of `serve`, with
+    /// the request the gateway said the batch serves.
     pub fn finish_batch(
         &mut self,
         batch_index: usize,
-        report: &BatchReport,
-        stall_us: f64,
-        backoff_us: f64,
+        served: &Served,
+        request: Option<RequestCtx>,
     ) {
         // Without a gateway in front, the batch index doubles as the
         // request index and service is back-to-back on the virtual clock.
-        let pending = self.pending.take().unwrap_or(PendingRequest {
-            request_index: batch_index,
+        let req = request.unwrap_or(RequestCtx {
+            index: batch_index,
             tenant: None,
             arrival_us: self.clock_us,
             start_us: self.clock_us,
         });
-        let service_us = report.e2e_us(true) + stall_us + backoff_us;
-        let queued_us = pending.start_us - pending.arrival_us;
-        let done_us = pending.start_us + service_us;
+        let report = &served.report;
+        let (stall_us, backoff_us) = (served.stall_us, served.backoff_us);
+        let service_us = served.service_us();
+        let queued_us = req.start_us - req.arrival_us;
+        let done_us = req.start_us + service_us;
         self.clock_us = self.clock_us.max(done_us);
 
-        let ctx = TraceContext::for_request(self.config.seed, pending.request_index);
+        let ctx = TraceContext::for_request(self.config.seed, req.index);
         let root = ctx.parent_span_id;
         let mut spans = vec![TraceSpan {
             span_id: root,
             parent: None,
             kind: SegmentKind::Request,
-            name: root_name(pending.request_index, pending.tenant),
-            start_us: pending.arrival_us,
+            name: root_name(req.index, req.tenant),
+            start_us: req.arrival_us,
             dur_us: queued_us + service_us,
         }];
         // Child span ids are minted in a fixed order so the tree is a pure
         // function of (seed, request_index) and the segments present.
         let mut minted = 0usize;
-        let mut child = |spans: &mut Vec<TraceSpan>, kind, name: String, start, dur| {
+        let mut child = |spans: &mut Vec<TraceSpan>, kind: SegmentKind, start, dur| {
             let span_id = ctx.span_id(minted);
             minted += 1;
             spans.push(TraceSpan {
                 span_id,
                 parent: Some(root),
                 kind,
-                name,
+                name: kind.label().to_string(),
                 start_us: start,
                 dur_us: dur,
             });
@@ -229,8 +200,7 @@ impl RequestTracer {
             child(
                 &mut spans,
                 SegmentKind::QueueWait,
-                "queue-wait".to_string(),
-                pending.arrival_us,
+                req.arrival_us,
                 queued_us,
             );
         }
@@ -244,13 +214,7 @@ impl RequestTracer {
                 (Phase::Transfer, SegmentKind::Transfer),
             ] {
                 if let Some((from, until)) = schedule.phase_window_us(phase) {
-                    child(
-                        &mut spans,
-                        kind,
-                        kind.label().to_string(),
-                        pending.start_us + from,
-                        until - from,
-                    );
+                    child(&mut spans, kind, req.start_us + from, until - from);
                 }
             }
         }
@@ -258,45 +222,27 @@ impl RequestTracer {
         if gpu_us > 0.0 {
             // Steady-state overlap: kernels run against the next batch's
             // preprocessing, so the segment starts at service start.
-            child(
-                &mut spans,
-                SegmentKind::Kernel,
-                "kernel".to_string(),
-                pending.start_us,
-                gpu_us,
-            );
+            child(&mut spans, SegmentKind::Kernel, req.start_us, gpu_us);
         }
-        let mut tail = pending.start_us + report.e2e_us(true);
+        let mut tail = req.start_us + served.modeled_us();
         if stall_us > 0.0 {
-            child(
-                &mut spans,
-                SegmentKind::Stall,
-                "stall".to_string(),
-                tail,
-                stall_us,
-            );
+            child(&mut spans, SegmentKind::Stall, tail, stall_us);
             tail += stall_us;
         }
         if backoff_us > 0.0 {
-            child(
-                &mut spans,
-                SegmentKind::Backoff,
-                "backoff".to_string(),
-                tail,
-                backoff_us,
-            );
+            child(&mut spans, SegmentKind::Backoff, tail, backoff_us);
         }
 
         let latency_us = queued_us + service_us;
         let ok = report.outcome.trained();
         let mut trace = RequestTrace {
             trace_id: ctx.trace_id,
-            request_index: pending.request_index,
-            tenant: pending.tenant,
+            request_index: req.index,
+            tenant: req.tenant,
             batch_index: Some(batch_index),
             outcome: report.outcome.label().to_string(),
             outcome_json: report.outcome.to_json().to_json_string(),
-            arrival_us: pending.arrival_us,
+            arrival_us: req.arrival_us,
             done_us,
             spans,
         };
@@ -309,23 +255,16 @@ impl RequestTracer {
         self.feed_slo(done_us, latency_us, ok);
     }
 
-    /// Record a request the gateway refused to serve: a root-only trace
-    /// (there is nothing below it — no batch ran) that still carries the
-    /// outcome, plus an always-bad SLO sample.
-    pub fn record_shed(
-        &mut self,
-        request_index: usize,
-        outcome: &BatchOutcome,
-        tenant: Option<usize>,
-        arrival_us: f64,
-        done_us: f64,
-    ) {
-        self.pending = None;
-        let ctx = TraceContext::for_request(self.config.seed, request_index);
+    /// Record a request the gateway refused to serve at `request.start_us`:
+    /// a root-only trace (there is nothing below it — no batch ran) that
+    /// still carries the outcome, plus an always-bad SLO sample.
+    pub fn record_shed(&mut self, request: RequestCtx, outcome: &BatchOutcome) {
+        let (arrival_us, done_us) = (request.arrival_us, request.start_us);
+        let ctx = TraceContext::for_request(self.config.seed, request.index);
         let mut trace = RequestTrace {
             trace_id: ctx.trace_id,
-            request_index,
-            tenant,
+            request_index: request.index,
+            tenant: request.tenant,
             batch_index: None,
             outcome: outcome.label().to_string(),
             outcome_json: outcome.to_json().to_json_string(),
@@ -335,7 +274,7 @@ impl RequestTracer {
                 span_id: ctx.parent_span_id,
                 parent: None,
                 kind: SegmentKind::Request,
-                name: root_name(request_index, tenant),
+                name: root_name(request.index, request.tenant),
                 start_us: arrival_us,
                 dur_us: done_us - arrival_us,
             }],

@@ -11,54 +11,20 @@
 
 use gt_core::journal;
 use gt_core::{
-    ClusterConfig, ClusterSupervisor, DurabilityConfig, GraphData, GraphTensor, GtError, GtVariant,
-    ModelConfig, Partition, Supervisor,
+    BatchService, ClusterConfig, ClusterSupervisor, Completion, DurabilityConfig, Gateway,
+    GraphData, GtError, OverloadConfig, Partition, ServeCtx, Supervisor, TenancyConfig,
+    TenantQuota,
 };
-use gt_graph::VId;
-use gt_sample::SamplerConfig;
 use gt_sim::{ClusterSpec, CrashSite, FaultPlan, HeartbeatConfig, SystemSpec};
 use gt_telemetry::ToJson;
 use gt_tensor::checkpoint;
 use std::path::{Path, PathBuf};
 
-fn data() -> GraphData {
-    GraphData::synthetic(300, 3000, 16, 4, 3)
-}
-
-fn trainer() -> GraphTensor {
-    let mut t = GraphTensor::new(
-        GtVariant::Dynamic,
-        ModelConfig::gcn(2, 16, 4),
-        SystemSpec::tiny(),
-    );
-    t.sampler = SamplerConfig {
-        fanout: 4,
-        layers: 2,
-        seed: 11,
-        ..Default::default()
-    };
-    t
-}
-
-/// Mostly clean batches plus one poison batch (duplicate ids) so the
-/// journal carries quarantine records through recovery too.
-fn batches(n: usize) -> Vec<Vec<VId>> {
-    (0..n)
-        .map(|i| {
-            if i == 2 {
-                vec![5, 5, 6]
-            } else {
-                ((i * 16) as VId..(i * 16 + 16) as VId).collect()
-            }
-        })
-        .collect()
-}
+mod common;
+use common::{batches_with_poison as batches, data, trainer};
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gt_cluster_{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    common::tmp_dir("cluster", name)
 }
 
 fn cluster_config(workers: usize, hedging: bool) -> ClusterConfig {
@@ -92,13 +58,12 @@ fn run_cluster(
     })
     .unwrap();
     let d = data();
-    let bs = batches(n);
-    // Drive by the serving index, not by call count: a crash recovered
-    // after commit folds its batch in during replay.
-    while cs.supervisor.batches_served() < n {
-        let i = cs.supervisor.batches_served();
-        cs.serve_batch(&d, &bs[i]).unwrap();
+    // One call per batch, crashes included: a crash recovered after commit
+    // hands back the replayed result instead of re-serving.
+    for b in batches(n) {
+        cs.serve(&d, &b, ServeCtx::default()).unwrap();
     }
+    assert_eq!(cs.supervisor.batches_served(), n);
     let stream = outcome_stream(dir);
     (cs, stream)
 }
@@ -127,7 +92,7 @@ fn fault_free_cluster_matches_single_node_numerics_at_every_worker_count() {
     let mut single = Supervisor::new(trainer(), FaultPlan::new(42));
     let mut ref_outcomes = Vec::new();
     for b in batches(n) {
-        let r = single.serve_batch(&d, &b);
+        let r = single.serve(&d, &b, ServeCtx::default()).unwrap().report;
         ref_outcomes.push(r.outcome.to_json().to_json_string());
     }
     let ref_params = checkpoint::to_bytes(single.trainer.params());
@@ -420,10 +385,8 @@ fn false_suspicion_counter_reconciles_exactly_with_injected_drops() {
         let dir = tmp_dir(&format!("hb_sweep_w{workers}"));
         cs.make_durable(DurabilityConfig::new(&dir)).unwrap();
         let d = data();
-        let bs = batches(n);
-        while cs.supervisor.batches_served() < n {
-            let i = cs.supervisor.batches_served();
-            cs.serve_batch(&d, &bs[i]).unwrap();
+        for b in batches(n) {
+            cs.serve(&d, &b, ServeCtx::default()).unwrap();
         }
         let s = cs.summary();
         assert_eq!(s.false_suspicions, 2, "{workers} workers");
@@ -452,10 +415,8 @@ fn feature_dim_partition_serves_identically_to_vertex_cut() {
         );
         cs.make_durable(DurabilityConfig::new(dir)).unwrap();
         let d = data();
-        let bs = batches(n);
-        while cs.supervisor.batches_served() < n {
-            let i = cs.supervisor.batches_served();
-            cs.serve_batch(&d, &bs[i]).unwrap();
+        for b in batches(n) {
+            cs.serve(&d, &b, ServeCtx::default()).unwrap();
         }
         cs
     };
@@ -471,6 +432,69 @@ fn feature_dim_partition_serves_identically_to_vertex_cut() {
     // Feature-dim replicates structure work on every worker, so its
     // stages are strictly longer than a vertex cut's.
     assert!(fd.summary().clock_us > vc.summary().clock_us);
+}
+
+/// A gateway with tenancy composes over the cluster exactly as over a
+/// plain supervisor: one completion per submission, and — the numerics
+/// still flowing through one inner supervisor — the same final checkpoint
+/// bytes, worker kill and all.
+#[test]
+fn gateway_in_front_of_a_cluster_matches_a_gateway_over_a_supervisor() {
+    let n = 12;
+    let d = data();
+    fn day<S: BatchService>(
+        mut g: Gateway<S>,
+        d: &GraphData,
+        n: usize,
+    ) -> (Gateway<S>, Vec<Completion>) {
+        g.enable_tenancy(TenancyConfig {
+            quotas: vec![TenantQuota::unlimited(), TenantQuota::new(500.0, 2.0)],
+            quantum: 16,
+        });
+        let mut done = Vec::new();
+        for (i, b) in batches(n).iter().enumerate() {
+            done.extend(g.submit_from(d, i as f64 * 40.0, i % 2, b));
+        }
+        done.extend(g.drain(d));
+        (g, done)
+    }
+    let overload = OverloadConfig {
+        queue_capacity: 4,
+        degrade_watermark: 2,
+        halve_watermark: 3,
+        ..OverloadConfig::default()
+    };
+    let durability = |dir: &Path| DurabilityConfig {
+        dir: dir.to_path_buf(),
+        checkpoint_every: 2,
+    };
+
+    let single_dir = tmp_dir("gw_single");
+    let mut single = Supervisor::new(trainer(), FaultPlan::new(42));
+    single.make_durable(durability(&single_dir)).unwrap();
+    let (mut single, single_done) = day(Gateway::new(single, overload.clone()), &d, n);
+    single.supervisor.checkpoint_now().unwrap();
+
+    let cluster_dir = tmp_dir("gw_cluster");
+    let plan = FaultPlan::new(42).with_worker_kill(3, 1);
+    let mut cs = ClusterSupervisor::new(
+        move || Supervisor::new(trainer(), plan.clone()),
+        cluster_config(4, true),
+    );
+    cs.make_durable(durability(&cluster_dir)).unwrap();
+    let (mut clustered, cluster_done) = day(Gateway::new(cs, overload), &d, n);
+    clustered.supervisor.supervisor.checkpoint_now().unwrap();
+
+    assert_eq!(cluster_done.len(), n, "one completion per submission");
+    assert_eq!(cluster_done, single_done);
+    assert!(cluster_done.iter().any(|c| c.outcome.trained()));
+    assert_eq!(clustered.supervisor.summary().recoveries, 1);
+    assert!(!clustered.supervisor.alive()[1]);
+    assert_eq!(
+        std::fs::read(durability(&cluster_dir).checkpoint_path()).unwrap(),
+        std::fs::read(durability(&single_dir).checkpoint_path()).unwrap(),
+        "params.gt must be cmp-equal with and without the cluster"
+    );
 }
 
 /// Rewrite the journal file from scratch with `records`.

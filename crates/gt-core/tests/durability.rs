@@ -8,48 +8,20 @@
 //! parameters and outcome sequence of a run that never crashed.
 
 use gt_core::journal;
-use gt_core::{
-    DurabilityConfig, GraphData, GraphTensor, GtError, GtVariant, ModelConfig, Supervisor,
-};
-use gt_graph::VId;
-use gt_sample::SamplerConfig;
-use gt_sim::{CrashSite, FaultPlan, SystemSpec};
+use gt_core::{DurabilityConfig, GtError, ServeCtx, Supervisor};
+use gt_sim::{CrashSite, FaultPlan};
 use gt_telemetry::ToJson;
 use gt_tensor::checkpoint;
 use std::path::PathBuf;
 
-fn data() -> GraphData {
-    GraphData::synthetic(300, 3000, 16, 4, 3)
-}
+mod common;
+use common::{batches_with_poison as batches, data, trainer};
 
-fn trainer() -> GraphTensor {
-    let mut t = GraphTensor::new(
-        GtVariant::Dynamic,
-        ModelConfig::gcn(2, 16, 4),
-        SystemSpec::tiny(),
-    );
-    t.sampler = SamplerConfig {
-        fanout: 4,
-        layers: 2,
-        seed: 11,
-        ..Default::default()
-    };
-    t
-}
-
-/// A serving workload that exercises the whole outcome alphabet: mostly
-/// clean batches, transfer faults that force retries, and one poison batch
-/// (duplicate ids) that gets quarantined and journaled.
-fn batches(n: usize) -> Vec<Vec<VId>> {
-    (0..n)
-        .map(|i| {
-            if i == 2 {
-                vec![5, 5, 6] // duplicate ids → quarantined
-            } else {
-                ((i * 16) as VId..(i * 16 + 16) as VId).collect()
-            }
-        })
-        .collect()
+/// A serving workload that exercises the whole outcome alphabet comes from
+/// `common`: mostly clean batches, transfer faults that force retries (the
+/// plan below), and one poison batch that gets quarantined and journaled.
+fn tmp_dir(name: &str) -> PathBuf {
+    common::tmp_dir("durability", name)
 }
 
 /// The base fault plan shared by crashed and uncrashed runs. The crash
@@ -57,13 +29,6 @@ fn batches(n: usize) -> Vec<Vec<VId>> {
 /// rolls are identical with and without it.
 fn base_plan() -> FaultPlan {
     FaultPlan::new(42).with_transfer_failure(0.25)
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gt_durability_{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn cfg(dir: &std::path::Path) -> DurabilityConfig {
@@ -80,7 +45,7 @@ fn reference_run(n: usize) -> (Vec<String>, Vec<u8>) {
     let mut sup = Supervisor::new(trainer(), base_plan());
     let mut outcomes = Vec::new();
     for b in batches(n) {
-        let r = sup.serve_batch(&d, &b);
+        let r = sup.serve(&d, &b, ServeCtx::default()).unwrap().report;
         outcomes.push(r.outcome.to_json().to_json_string());
     }
     (outcomes, checkpoint::to_bytes(sup.trainer.params()))
@@ -92,11 +57,13 @@ fn durable_serving_is_bit_identical_to_plain() {
     let (ref_outcomes, ref_params) = reference_run(n);
     let dir = tmp_dir("bitident");
     let d = data();
-    let mut sup = Supervisor::new(trainer(), base_plan());
+    let mut t = trainer();
+    t.telemetry = gt_telemetry::Telemetry::recording();
+    let mut sup = Supervisor::new(t, base_plan());
     sup.make_durable(cfg(&dir)).unwrap();
     let mut outcomes = Vec::new();
     for b in batches(n) {
-        let r = sup.serve_durable(&d, &b).unwrap();
+        let r = sup.serve(&d, &b, ServeCtx::default()).unwrap().report;
         outcomes.push(r.outcome.to_json().to_json_string());
     }
     assert_eq!(outcomes, ref_outcomes);
@@ -126,6 +93,15 @@ fn durable_serving_is_bit_identical_to_plain() {
         .filter(|r| journal::record_type(r) == Some("quarantine"))
         .count();
     assert_eq!(quarantines, 1, "the poison batch must be journaled");
+    // Every record on disk — batch, quarantine, and checkpoint markers
+    // alike — went through the one counted append.
+    assert_eq!(
+        sup.trainer
+            .telemetry
+            .snapshot()
+            .counter("gt_journal_records_total"),
+        scan.records.len() as u64
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -154,7 +130,7 @@ fn kill_at_any_point_recovers_bit_identically() {
             let mut next = 0usize;
             let mut crashed = false;
             while next < n {
-                match sup.serve_durable(&d, &all[next]) {
+                match sup.serve(&d, &all[next], ServeCtx::default()) {
                     Ok(_) => next += 1,
                     Err(GtError::InjectedCrash { site: s }) => {
                         assert_eq!(s, site);
@@ -188,7 +164,7 @@ fn kill_at_any_point_recovers_bit_identically() {
 
             // Resume at the exact batch index and finish the workload.
             for b in &all[report.batches_replayed..] {
-                sup.serve_durable(&d, b).unwrap_or_else(|e| {
+                sup.serve(&d, b, ServeCtx::default()).unwrap_or_else(|e| {
                     panic!(
                         "post-recovery serve failed ({} @ {crash_batch}): {e}",
                         site.label()
@@ -238,7 +214,7 @@ fn journal_truncation_at_record_boundaries_recovers() {
     let mut sup = Supervisor::new(trainer(), base_plan());
     sup.make_durable(cfg(&dir)).unwrap();
     for b in batches(n) {
-        sup.serve_durable(&d, &b).unwrap();
+        sup.serve(&d, &b, ServeCtx::default()).unwrap();
     }
     let bytes = std::fs::read(cfg(&dir).journal_path()).unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -272,7 +248,8 @@ fn journal_truncation_at_record_boundaries_recovers() {
             assert_eq!(report.batches_replayed, whole_batches, "cut at {cut}");
             assert!(!scan.torn_tail, "recovery must truncate the torn tail");
             // The recovered supervisor keeps serving durably.
-            sup.serve_durable(&d, &[100, 101, 102]).unwrap();
+            sup.serve(&d, &[100, 101, 102], ServeCtx::default())
+                .unwrap();
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -287,7 +264,7 @@ fn midfile_journal_corruption_is_surfaced() {
     let mut sup = Supervisor::new(trainer(), base_plan());
     sup.make_durable(cfg(&dir)).unwrap();
     for b in batches(3) {
-        sup.serve_durable(&d, &b).unwrap();
+        sup.serve(&d, &b, ServeCtx::default()).unwrap();
     }
     let path = cfg(&dir).journal_path();
     let mut bytes = std::fs::read(&path).unwrap();
@@ -310,7 +287,7 @@ fn replay_divergence_is_detected() {
     let mut sup = Supervisor::new(trainer(), base_plan());
     sup.make_durable(cfg(&dir)).unwrap();
     for b in batches(4) {
-        sup.serve_durable(&d, &b).unwrap();
+        sup.serve(&d, &b, ServeCtx::default()).unwrap();
     }
     // Same plan, different sampler seed: replayed losses (and eventually
     // outcomes or checkpoint CRCs) cannot match the journal.
@@ -327,14 +304,17 @@ fn replay_divergence_is_detected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// serve_durable without make_durable/recover is a typed error.
+/// Without make_durable/recover, `serve` simply does not journal; the
+/// durable-only calls are typed errors.
 #[test]
 fn durable_calls_require_setup() {
     let d = data();
     let mut sup = Supervisor::new(trainer(), FaultPlan::new(0));
+    assert!(sup.serve(&d, &[0, 1], ServeCtx::default()).is_ok());
+    assert!(!sup.is_durable());
+    assert!(matches!(sup.checkpoint_now(), Err(GtError::Io { .. })));
     assert!(matches!(
-        sup.serve_durable(&d, &[0, 1]),
+        sup.journal_hedge(0, 0, 1, true),
         Err(GtError::Io { .. })
     ));
-    assert!(matches!(sup.checkpoint_now(), Err(GtError::Io { .. })));
 }

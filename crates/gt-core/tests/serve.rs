@@ -4,36 +4,18 @@
 //! on a multi-batch serving loop — with zero panics throughout.
 
 use gt_core::{
-    BatchOutcome, DegradeAction, FailReason, Framework, GraphData, GraphTensor, GtVariant,
-    ModelConfig, Supervisor,
+    BatchOutcome, BatchReport, DegradeAction, FailReason, Framework, GraphData, GtVariant,
+    ServeCtx, Supervisor,
 };
 use gt_graph::VId;
-use gt_sample::SamplerConfig;
 use gt_sim::{FaultKind, FaultPlan, FaultRule, SystemSpec};
 
-fn data() -> GraphData {
-    GraphData::synthetic(300, 3000, 16, 4, 3)
-}
+mod common;
+use common::{batches, data, trainer};
 
-fn trainer() -> GraphTensor {
-    let mut t = GraphTensor::new(
-        GtVariant::Dynamic,
-        ModelConfig::gcn(2, 16, 4),
-        SystemSpec::tiny(),
-    );
-    t.sampler = SamplerConfig {
-        fanout: 4,
-        layers: 2,
-        seed: 11,
-        ..Default::default()
-    };
-    t
-}
-
-fn batches(n: usize) -> Vec<Vec<VId>> {
-    (0..n)
-        .map(|i| ((i * 16) as VId..(i * 16 + 16) as VId).collect())
-        .collect()
+/// Plain single-node serving: no gateway, no journal, so never an error.
+fn serve(sup: &mut Supervisor, d: &GraphData, batch: &[VId]) -> BatchReport {
+    sup.serve(d, batch, ServeCtx::default()).unwrap().report
 }
 
 #[test]
@@ -43,7 +25,7 @@ fn empty_plan_is_bit_identical_to_unsupervised() {
     let mut sup = Supervisor::new(trainer(), FaultPlan::new(0));
     for b in batches(6) {
         let plain = raw.train_batch(&d, &b);
-        let served = sup.serve_batch(&d, &b);
+        let served = serve(&mut sup, &d, &b);
         assert_eq!(plain.loss.to_bits(), served.loss.to_bits());
         assert_eq!(served.outcome, BatchOutcome::Succeeded);
         let (p, s) = (plain.prepro.unwrap(), served.prepro.unwrap());
@@ -63,7 +45,7 @@ fn same_seed_and_plan_give_identical_outcomes() {
         .with_contention_spike(2.0, 0.3);
     let run = || {
         let mut sup = Supervisor::new(trainer(), plan.clone());
-        let reports: Vec<_> = batches(8).iter().map(|b| sup.serve_batch(&d, b)).collect();
+        let reports: Vec<_> = batches(8).iter().map(|b| serve(&mut sup, &d, b)).collect();
         let outcomes: Vec<BatchOutcome> = reports.iter().map(|r| r.outcome).collect();
         let losses: Vec<u32> = reports.iter().map(|r| r.loss.to_bits()).collect();
         (
@@ -88,7 +70,7 @@ fn transient_transfer_failures_are_retried_with_backoff() {
     // with 3 retries almost all eventually clear.
     let plan = FaultPlan::new(7).with_transfer_failure(0.6);
     let mut sup = Supervisor::new(trainer(), plan);
-    let reports: Vec<_> = batches(10).iter().map(|b| sup.serve_batch(&d, b)).collect();
+    let reports: Vec<_> = batches(10).iter().map(|b| serve(&mut sup, &d, b)).collect();
     let recovered = reports
         .iter()
         .filter(|r| matches!(r.outcome, BatchOutcome::Recovered { retries } if retries > 0))
@@ -120,7 +102,7 @@ fn transient_transfer_failures_are_retried_with_backoff() {
 fn always_failing_transfers_quarantine_the_batch() {
     let d = data();
     let mut sup = Supervisor::new(trainer(), FaultPlan::new(1).with_transfer_failure(1.0));
-    let r = sup.serve_batch(&d, &batches(1)[0]);
+    let r = serve(&mut sup, &d, &batches(1)[0]);
     assert_eq!(
         r.outcome,
         BatchOutcome::Quarantined {
@@ -139,7 +121,7 @@ fn invalid_batches_are_quarantined_without_touching_the_trainer() {
     let d = data();
     let mut sup = Supervisor::new(trainer(), FaultPlan::new(0));
     // Out-of-range vertex id.
-    let r = sup.serve_batch(&d, &[5, 9999]);
+    let r = serve(&mut sup, &d, &[5, 9999]);
     assert_eq!(
         r.outcome,
         BatchOutcome::Quarantined {
@@ -148,11 +130,11 @@ fn invalid_batches_are_quarantined_without_touching_the_trainer() {
         }
     );
     // Empty batch.
-    let r = sup.serve_batch(&d, &[]);
+    let r = serve(&mut sup, &d, &[]);
     assert!(matches!(r.outcome, BatchOutcome::Quarantined { .. }));
     // Duplicate ids: legal for the sampler (BPR triples) but not for
     // supervised serving, where labels are gathered per batch entry.
-    let r = sup.serve_batch(&d, &[1, 1, 1]);
+    let r = serve(&mut sup, &d, &[1, 1, 1]);
     assert!(matches!(
         r.outcome,
         BatchOutcome::Quarantined {
@@ -162,7 +144,7 @@ fn invalid_batches_are_quarantined_without_touching_the_trainer() {
     ));
     assert_eq!(sup.quarantine.len(), 3);
     // A good batch still trains afterwards.
-    let r = sup.serve_batch(&d, &batches(1)[0]);
+    let r = serve(&mut sup, &d, &batches(1)[0]);
     assert_eq!(r.outcome, BatchOutcome::Succeeded);
 }
 
@@ -185,7 +167,7 @@ fn persistent_memory_pressure_halves_the_batch() {
     // Pressure afflicts every attempt of batch 0 only.
     let plan = FaultPlan::new(3).with_memory_pressure(fraction, 0, Some(1));
     let mut sup = Supervisor::new(trainer(), plan);
-    let r = sup.serve_batch(&d, &full);
+    let r = serve(&mut sup, &d, &full);
     match r.outcome {
         BatchOutcome::Degraded {
             action: DegradeAction::HalvedBatch { from, to },
@@ -199,7 +181,7 @@ fn persistent_memory_pressure_halves_the_batch() {
     }
     assert!(r.loss.is_finite());
     // The next batch is unafflicted and trains at full size.
-    let r = sup.serve_batch(&d, &full);
+    let r = serve(&mut sup, &d, &full);
     assert_eq!(r.outcome, BatchOutcome::Succeeded);
 }
 
@@ -211,10 +193,10 @@ fn repeated_prepro_stalls_serialize_the_pipeline() {
     let mut sup = Supervisor::new(t, FaultPlan::new(0));
     sup.config.prepro_timeout_us = 1.0; // everything "stalls"
     sup.config.stall_strikes = 2;
-    let r0 = sup.serve_batch(&d, &batches(1)[0]);
+    let r0 = serve(&mut sup, &d, &batches(1)[0]);
     assert_eq!(r0.outcome, BatchOutcome::Succeeded); // first strike
     assert!(!sup.is_prepro_degraded());
-    let r1 = sup.serve_batch(&d, &batches(2)[1]);
+    let r1 = serve(&mut sup, &d, &batches(2)[1]);
     assert_eq!(
         r1.outcome,
         BatchOutcome::Degraded {
@@ -224,7 +206,7 @@ fn repeated_prepro_stalls_serialize_the_pipeline() {
     );
     assert!(sup.is_prepro_degraded());
     // Later batches run serialized (override is sticky) and report normally.
-    let r2 = sup.serve_batch(&d, &batches(3)[2]);
+    let r2 = serve(&mut sup, &d, &batches(3)[2]);
     assert_eq!(r2.outcome, BatchOutcome::Succeeded);
 }
 
@@ -265,7 +247,7 @@ fn multi_batch_demo_under_mixed_faults_never_panics() {
         .with_straggler(0, 4.0)
         .with_memory_pressure(fraction, 4, Some(5)); // forced OOM on batch 4
     let mut sup = Supervisor::new(trainer(), plan);
-    let reports: Vec<_> = batches(10).iter().map(|b| sup.serve_batch(&d, b)).collect();
+    let reports: Vec<_> = batches(10).iter().map(|b| serve(&mut sup, &d, b)).collect();
 
     let trained = reports.iter().filter(|r| r.outcome.trained()).count();
     assert!(trained >= 7, "only {trained}/10 batches trained");

@@ -2,39 +2,13 @@
 //! with the [`BatchOutcome`]s it returns, and a recording collector must not
 //! perturb numerics relative to the null collector.
 
-use gt_core::{
-    BatchOutcome, DegradeAction, Framework, GraphData, GraphTensor, GtVariant, ModelConfig,
-    Supervisor,
-};
+use gt_core::{BatchOutcome, DegradeAction, Framework, ServeCtx, Supervisor};
 use gt_graph::VId;
-use gt_sample::SamplerConfig;
 use gt_sim::{FaultKind, FaultPlan, FaultRule, SystemSpec};
 use gt_telemetry::Telemetry;
 
-fn data() -> GraphData {
-    GraphData::synthetic(300, 3000, 16, 4, 3)
-}
-
-fn trainer() -> GraphTensor {
-    let mut t = GraphTensor::new(
-        GtVariant::Dynamic,
-        ModelConfig::gcn(2, 16, 4),
-        SystemSpec::tiny(),
-    );
-    t.sampler = SamplerConfig {
-        fanout: 4,
-        layers: 2,
-        seed: 11,
-        ..Default::default()
-    };
-    t
-}
-
-fn batches(n: usize) -> Vec<Vec<VId>> {
-    (0..n)
-        .map(|i| ((i * 16) as VId..(i * 16 + 16) as VId).collect())
-        .collect()
-}
+mod common;
+use common::{batches, data, trainer};
 
 /// Retries implied by an outcome: the supervisor increments its retry
 /// counter once per re-attempt, so `Quarantined { attempts }` paid
@@ -108,7 +82,15 @@ fn mixed_fault_serving_counters_match_outcomes_exactly() {
     t.telemetry = telemetry.clone();
     let mut sup = Supervisor::new(t, plan);
     let min_batch = sup.config.min_batch;
-    let outcomes: Vec<BatchOutcome> = bs.iter().map(|b| sup.serve_batch(&d, b).outcome).collect();
+    let outcomes: Vec<BatchOutcome> = bs
+        .iter()
+        .map(|b| {
+            sup.serve(&d, b, ServeCtx::default())
+                .unwrap()
+                .report
+                .outcome
+        })
+        .collect();
 
     let snap = telemetry.snapshot();
     let count = |label: &str| outcomes.iter().filter(|o| o.label() == label).count() as u64;
@@ -146,7 +128,7 @@ fn mixed_fault_serving_counters_match_outcomes_exactly() {
     let trained = outcomes.iter().filter(|o| o.trained()).count() as u64;
     assert_eq!(snap.counter("gt_train_batches_total"), trained);
 
-    // Every serve_batch call produced one span and one resolved-outcome event.
+    // Every serve call produced one `serve_batch` span and one resolved-outcome event.
     let spans = telemetry.spans();
     assert_eq!(
         spans

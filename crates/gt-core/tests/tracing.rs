@@ -11,33 +11,24 @@
 
 use gt_core::journal;
 use gt_core::{
-    DurabilityConfig, Gateway, GraphData, GraphTensor, GtError, GtVariant, ModelConfig,
-    OverloadConfig, Supervisor, TracerConfig,
+    DurabilityConfig, Gateway, GtError, OverloadConfig, ServeCtx, Supervisor, TracerConfig,
 };
 use gt_graph::VId;
-use gt_sample::SamplerConfig;
-use gt_sim::{FaultPlan, SystemSpec};
+use gt_sim::FaultPlan;
 use gt_telemetry::{dump_outcomes, from_chrome_json, json::parse, SloSpec};
 use std::path::PathBuf;
 
-fn data() -> GraphData {
-    GraphData::synthetic(300, 3000, 16, 4, 3)
-}
+mod common;
+use common::data;
 
 fn supervisor(plan: FaultPlan) -> Supervisor {
-    let mut t = GraphTensor::new(
-        GtVariant::Dynamic,
-        ModelConfig::gcn(2, 16, 4),
-        SystemSpec::tiny(),
-    );
-    t.sampler = SamplerConfig {
-        fanout: 4,
-        layers: 2,
-        seed: 11,
-        ..Default::default()
-    };
+    let mut t = common::trainer();
     t.telemetry = gt_telemetry::Telemetry::recording();
     Supervisor::new(t, plan)
+}
+
+fn tmp_dir(name: &str) -> PathBuf {
+    common::tmp_dir("tracing", name)
 }
 
 fn batches(n: usize) -> Vec<Vec<VId>> {
@@ -48,13 +39,6 @@ fn batches(n: usize) -> Vec<Vec<VId>> {
                 .collect()
         })
         .collect()
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gt_tracing_{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// A gateway under a sustained injected stall: service is 50× slower than
@@ -225,7 +209,7 @@ fn breach_dump_reconciles_with_the_journal() {
     }
 }
 
-/// Tracing without a gateway: `serve_batch` alone still produces span
+/// Tracing without a gateway: `serve` alone still produces span
 /// trees with the S/R/K/T decomposition, parented to a per-request root
 /// with deterministic ids.
 #[test]
@@ -234,7 +218,7 @@ fn supervisor_only_tracing_builds_segment_trees() {
     sup.enable_tracing(TracerConfig::default(), None);
     let d = data();
     for b in batches(3) {
-        sup.serve_batch(&d, &b);
+        sup.serve(&d, &b, ServeCtx::default()).unwrap();
     }
     let traces = sup.tracer.as_ref().unwrap().recorder().traces();
     assert_eq!(traces.len(), 3);
@@ -266,7 +250,7 @@ fn supervisor_only_tracing_builds_segment_trees() {
         sup.enable_tracing(TracerConfig::default(), None);
         let d = data();
         for b in batches(3) {
-            sup.serve_batch(&d, &b);
+            sup.serve(&d, &b, ServeCtx::default()).unwrap();
         }
         sup.tracer.unwrap().recorder().traces()
     };
@@ -296,7 +280,7 @@ fn injected_crash_takes_a_flight_dump() {
     let d = data();
     let mut crashed = false;
     for b in batches(4) {
-        match sup.serve_durable(&d, &b) {
+        match sup.serve(&d, &b, ServeCtx::default()) {
             Ok(_) => {}
             Err(GtError::InjectedCrash { site }) => {
                 assert_eq!(site, gt_sim::CrashSite::MidJournal);
@@ -340,7 +324,7 @@ fn tail_sampling_demotes_only_plain_successes() {
     );
     let d = data();
     for b in batches(16) {
-        sup.serve_batch(&d, &b);
+        sup.serve(&d, &b, ServeCtx::default()).unwrap();
     }
     let traces = sup.tracer.as_ref().unwrap().recorder().traces();
     assert_eq!(traces.len(), 16);
@@ -373,7 +357,7 @@ fn tail_sampling_demotes_only_plain_successes() {
         },
         None,
     );
-    sup.serve_batch(&d, &[5, 5, 6]); // duplicate ids → quarantined
+    sup.serve(&d, &[5, 5, 6], ServeCtx::default()).unwrap(); // duplicate ids → quarantined
     let traces = sup.tracer.as_ref().unwrap().recorder().traces();
     assert_eq!(traces[0].outcome, "quarantined");
     assert!(traces[0].outcome_json.contains("invalid-batch"));

@@ -19,9 +19,9 @@
 //!
 //! Everything here is pure: no clock, no filesystem, no global state.
 
-use crate::fault::{splitmix64, CrashSite, FaultKind, FaultPlan, FaultRule, IoFault, IoTarget};
+use crate::fault::{CrashSite, FaultKind, FaultPlan, FaultRule, IoFault, IoTarget};
 use gt_telemetry::json::obj;
-use gt_telemetry::Json;
+use gt_telemetry::{splitmix64, Json};
 
 /// Shape of the sampled fault schedules.
 #[derive(Debug, Clone, Copy)]

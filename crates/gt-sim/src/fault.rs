@@ -15,6 +15,8 @@
 //! the device memory tracker. An empty set takes the exact `run()` code
 //! path, so fault-free schedules are bit-identical to unsupervised ones.
 
+use gt_telemetry::splitmix64;
+
 /// One kind of injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
@@ -718,13 +720,6 @@ impl ActiveFaults {
     }
 }
 
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Deterministic roll in `[0, 1)` for `(seed, batch, attempt, rule)`.
 fn roll(seed: u64, batch: usize, attempt: usize, rule: usize) -> f64 {
     let mut h = splitmix64(seed);
@@ -744,6 +739,21 @@ mod tests {
         assert!(plan.is_empty());
         for b in 0..100 {
             assert!(plan.active(b, 0).is_empty());
+        }
+    }
+
+    /// Callers consult `active` unconditionally (no `is_empty` guard): over
+    /// zero rules it must be free and every accessor must say "nothing".
+    #[test]
+    fn empty_plan_active_is_empty_and_allocation_free() {
+        let plan = FaultPlan::new(7);
+        for (b, a) in [(0, 0), (3, 2), (99, 0)] {
+            let active = plan.active(b, a);
+            assert!(active.is_empty());
+            assert_eq!(active.faults.capacity(), 0, "must not allocate");
+            assert!(active.des_relevant().is_empty());
+            assert_eq!(active.serve_delay_us(), None);
+            assert_eq!(active.crash_site(), None);
         }
     }
 

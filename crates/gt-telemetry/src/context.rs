@@ -14,7 +14,9 @@
 use crate::json::{obj, Json, ToJson};
 use crate::trace::Trace;
 
-fn splitmix64(mut z: u64) -> u64 {
+/// The splitmix64 finalizer: the workspace's one stateless 64-bit mixer
+/// (trace ids here, fault-plan rolls and chaos sampling in `gt-sim`).
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

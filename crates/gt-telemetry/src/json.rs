@@ -152,8 +152,7 @@ pub fn obj<'a>(pairs: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
 
 /// Types with a canonical machine-readable JSON form. The workspace's
 /// substitute for `serde::Serialize` (external crates cannot be vendored in
-/// the offline build); gated behind each crate's `serde` feature where the
-/// paper-facing types are concerned.
+/// the offline build).
 pub trait ToJson {
     /// The value's JSON representation.
     fn to_json(&self) -> Json;

@@ -7,7 +7,9 @@
 //! cargo run --release --example fault_tolerant_serving
 //! ```
 //!
-//! With `--checkpoint-dir DIR` the run is **durable**: every outcome is
+//! Every batch goes through the one entry point,
+//! `Supervisor::serve(&data, &batch, ServeCtx::default())`. With
+//! `--checkpoint-dir DIR` the same call is **durable**: every outcome is
 //! journaled (write-ahead) and the parameters are checkpointed
 //! crash-consistently. Killing the process at an injected crash point and
 //! re-running with the same flags recovers from the journal and finishes
@@ -158,18 +160,16 @@ fn main() {
         .enumerate()
         .skip(start)
     {
-        let report = if server.is_durable() {
-            match server.serve_durable(&data, &batch) {
-                Ok(report) => report,
-                Err(GtError::InjectedCrash { site }) => {
-                    println!("batch {i:>2}: KILLED ({} crash injected)", site.label());
-                    println!("\nre-run with the same flags to recover");
-                    std::process::exit(3);
-                }
-                Err(e) => panic!("durable serving failed: {e}"),
+        // One entry point whether or not `--checkpoint-dir` armed the
+        // journal; only the durable path can die at an injected crash site.
+        let report = match server.serve(&data, &batch, ServeCtx::default()) {
+            Ok(served) => served.report,
+            Err(GtError::InjectedCrash { site }) => {
+                println!("batch {i:>2}: KILLED ({} crash injected)", site.label());
+                println!("\nre-run with the same flags to recover");
+                std::process::exit(3);
             }
-        } else {
-            server.serve_batch(&data, &batch)
+            Err(e) => panic!("durable serving failed: {e}"),
         };
         let desc = match report.outcome {
             BatchOutcome::Succeeded => "ok".to_string(),

@@ -12,6 +12,10 @@
 //!   exposition format.
 //! * stdout — human-readable metric, span, and span-tree summaries.
 //!
+//! Batches go through `Supervisor::serve(&data, &batch, ServeCtx::default())`,
+//! the supervisor's single entry point; the tracer armed by
+//! `enable_tracing` runs inside it.
+//!
 //! ```sh
 //! cargo run --release --example tracing_demo
 //! ```
@@ -51,7 +55,10 @@ fn main() {
     println!("serving 12 batches under injected faults...");
     let mut last_schedule = None;
     for batch in BatchIter::new(2_000, 100, 3).take(12) {
-        let report = server.serve_batch(&data, &batch);
+        let report = server
+            .serve(&data, &batch, ServeCtx::default())
+            .expect("not durable: nothing can fail")
+            .report;
         if let Some(s) = report.prepro {
             last_schedule = Some(s);
         }

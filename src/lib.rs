@@ -58,7 +58,8 @@ pub mod prelude {
     pub use gt_core::overload::{Completion, Gateway, OverloadConfig};
     pub use gt_core::scheduler::PreproStrategy;
     pub use gt_core::serve::{
-        DurabilityConfig, QuarantineRecord, RecoveryReport, ServeConfig, Supervisor,
+        DurabilityConfig, QuarantineRecord, RecoveryReport, ServeConfig, ServeCtx, Served,
+        Supervisor,
     };
     pub use gt_core::tracing::{RequestTracer, TracerConfig};
     pub use gt_core::trainer::{GraphTensor, GtVariant};
