@@ -114,36 +114,33 @@ impl NeighborApply {
         // dst-disjoint trick doesn't apply; sampled layers are small.
         for (d, srcs) in layer.csr.iter() {
             for (&s, e) in srcs.iter().zip(layer.csr.edge_range(d)) {
-                let grow = grad.row(e).to_vec();
+                // `grad` and `features` are not `dx`, so their rows are
+                // borrowed across the two accumulations, not copied.
+                let (s, d, grow) = (s as usize, d as usize, grad.row(e));
+                let (srow, drow) = (features.row(s), features.row(d));
                 match self.g {
                     EdgeOp::ElemMul => {
-                        let srow: Vec<f32> = features.row(s as usize).to_vec();
-                        let drow: Vec<f32> = features.row(d as usize).to_vec();
-                        for ((x, &g), &b) in dx.row_mut(s as usize).iter_mut().zip(&grow).zip(&drow)
-                        {
+                        for ((x, &g), &b) in dx.row_mut(s).iter_mut().zip(grow).zip(drow) {
                             *x += g * b;
                         }
-                        for ((x, &g), &a) in dx.row_mut(d as usize).iter_mut().zip(&grow).zip(&srow)
-                        {
+                        for ((x, &g), &a) in dx.row_mut(d).iter_mut().zip(grow).zip(srow) {
                             *x += g * a;
                         }
                     }
                     EdgeOp::ElemAdd => {
-                        for (x, &g) in dx.row_mut(s as usize).iter_mut().zip(&grow) {
+                        for (x, &g) in dx.row_mut(s).iter_mut().zip(grow) {
                             *x += g;
                         }
-                        for (x, &g) in dx.row_mut(d as usize).iter_mut().zip(&grow) {
+                        for (x, &g) in dx.row_mut(d).iter_mut().zip(grow) {
                             *x += g;
                         }
                     }
                     EdgeOp::Dot => {
                         let gsum: f32 = grow.iter().sum();
-                        let srow: Vec<f32> = features.row(s as usize).to_vec();
-                        let drow: Vec<f32> = features.row(d as usize).to_vec();
-                        for (x, &b) in dx.row_mut(s as usize).iter_mut().zip(&drow) {
+                        for (x, &b) in dx.row_mut(s).iter_mut().zip(drow) {
                             *x += gsum * b;
                         }
-                        for (x, &a) in dx.row_mut(d as usize).iter_mut().zip(&srow) {
+                        for (x, &a) in dx.row_mut(d).iter_mut().zip(srow) {
                             *x += gsum * a;
                         }
                     }

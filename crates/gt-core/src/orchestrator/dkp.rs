@@ -221,14 +221,9 @@ impl Op for CostDkp {
         } else {
             (0.0, 0.0)
         };
-        let w = ctx.params.get(&self.weight).clone();
-        let bias: Option<Vec<f32>> = self
-            .bias
-            .as_ref()
-            .map(|b| ctx.params.get(b).row(0).to_vec());
 
         let mut observed_fwd_us = 0.0;
-        let (out, intermediate) = match placement {
+        let (mut out, intermediate) = match placement {
             Placement::AggregationFirst => {
                 self.counters
                     .aggregation_first
@@ -237,13 +232,10 @@ impl Op for CostDkp {
                 let lat = self.charge_pull(d.n_feat, ctx);
                 self.record_agg_sample(&d, d.n_feat, lat);
                 observed_fwd_us += lat;
-                let mut y = a.matmul(&w);
+                let y = a.matmul(ctx.params.get(&self.weight));
                 let lat = self.charge_matmul(d.n_dst, d.n_feat, d.n_hid, 1, ctx);
                 self.record_comb_sample(d.n_dst, d.n_feat, d.n_hid, 1, lat);
                 observed_fwd_us += lat;
-                if let Some(b) = &bias {
-                    y.add_row_vector(b);
-                }
                 (y, a)
             }
             Placement::CombinationFirst => {
@@ -251,20 +243,21 @@ impl Op for CostDkp {
                     .combination_first
                     .fetch_add(1, Ordering::Relaxed);
                 debug_assert!(weights.is_none(), "weighted pulls never swap");
-                let t = x.matmul(&w);
+                let t = x.matmul(ctx.params.get(&self.weight));
                 let lat = self.charge_matmul(d.n_src, d.n_feat, d.n_hid, 1, ctx);
                 self.record_comb_sample(d.n_src, d.n_feat, d.n_hid, 1, lat);
                 observed_fwd_us += lat;
-                let mut y = self.pull.compute(&t, None);
+                let y = self.pull.compute(&t, None);
                 let lat = self.charge_pull(d.n_hid, ctx);
                 self.record_agg_sample(&d, d.n_hid, lat);
                 observed_fwd_us += lat;
-                if let Some(b) = &bias {
-                    y.add_row_vector(b);
-                }
                 (y, t)
             }
         };
+        // The bias goes on after aggregation under either placement.
+        if let Some(b) = &self.bias {
+            out.add_row_vector(ctx.params.get(b).row(0));
+        }
         *self.stash.lock() = Some(Stash {
             placement,
             intermediate,
@@ -293,7 +286,6 @@ impl Op for CostDkp {
             debug_assert!(false, "backward without matching forward");
             return vec![None; inputs.len()];
         };
-        let w = ctx.params.get(&self.weight).clone();
         if let Some(b) = &self.bias {
             let db = Matrix::from_vec(1, grad.cols(), grad.column_sums());
             ctx.params.accumulate_grad(b, &db);
@@ -306,15 +298,17 @@ impl Op for CostDkp {
                 let a = &stash.intermediate;
                 let dw = a.transpose_a_matmul(grad);
                 ctx.params.accumulate_grad(&self.weight, &dw);
-                let da = grad.matmul_transpose_b(&w);
+                // The model charges both combination passes even when the
+                // first layer skips `da` below (docs/MODEL.md).
                 let lat = self.charge_matmul(d.n_dst, d.n_feat, d.n_hid, 2, ctx);
                 self.record_comb_sample(d.n_dst, d.n_feat, d.n_hid, 2, lat);
                 observed_bwd_us += lat;
                 if !self.needs_input_grad {
-                    // First GNN layer: skip f' entirely (Table I's n_src
-                    // reduction-factor case).
+                    // First GNN layer: skip `da = grad·Wᵀ` and f' entirely
+                    // (Table I's n_src reduction-factor case).
                     vec![None; inputs.len()]
                 } else {
+                    let da = grad.matmul_transpose_b(ctx.params.get(&self.weight));
                     let (dx, dwe) = self.pull.compute_backward(x, weights, &da);
                     let lat = self.charge_pull(d.n_feat, ctx);
                     self.record_agg_sample(&d, d.n_feat, lat);
@@ -341,7 +335,7 @@ impl Op for CostDkp {
                 self.record_comb_sample(d.n_src, d.n_feat, d.n_hid, comb_passes, lat);
                 observed_bwd_us += lat;
                 if self.needs_input_grad {
-                    vec![Some(dt.matmul_transpose_b(&w))]
+                    vec![Some(dt.matmul_transpose_b(ctx.params.get(&self.weight)))]
                 } else {
                     vec![None]
                 }
@@ -431,74 +425,54 @@ mod tests {
         })
     }
 
-    /// Build X → Pull → Linear DFG, optionally fused, and run one fwd+bwd.
-    fn run(force: Option<Placement>, needs_input_grad: bool) -> (Matrix, Matrix, (usize, usize)) {
-        let l = layer();
-        let feat = 8;
-        let hid = 3;
-        let mut params = ParamStore::new();
-        params.register("w", xavier(feat, hid, 3));
-        params.register("b", Matrix::from_vec(1, hid, vec![0.1, -0.2, 0.3]));
-        let mut dfg = Dfg::new();
-        let x = dfg.input(0);
-        let pull = Pull::new(Arc::clone(&l), Reduce::Mean);
-        let pn = dfg.op(pull.clone(), &[x]);
-        let ln = dfg.op(Linear::new("w", "b"), &[pn]);
-        dfg.set_output(ln);
-
-        let cost = Arc::new(CostModel::from_device(&DeviceSpec::tiny()));
-        if let Some(p) = force {
-            // Force the decision by planting extreme coefficients through
-            // synthetic samples: we instead bypass and fuse with a model
-            // that will pick `p` given the dims; easiest is to scale hidden
-            // vs feature dims... simpler: monkey-set by recording samples is
-            // convoluted — directly test both dims families elsewhere. Here
-            // we only exercise the fused path with the real decision, then
-            // assert numerics; `p` picks which dims family we construct.
-            let _ = p;
-        }
-        let counters = Arc::new(DkpCounters::default());
-        let pairs = vec![DkpPair {
-            pull_node: pn,
-            linear_node: ln,
-            pull,
-            weight: "w".into(),
-            bias: Some("b".into()),
-            needs_input_grad,
-        }];
-        assert_eq!(apply_dkp(&mut dfg, pairs, &cost, true, &counters, None), 1);
-
-        let xval = xavier(4, feat, 9);
-        let mut sim = SimContext::new(DeviceSpec::tiny());
-        let mut ctx = ExecCtx {
-            sim: &mut sim,
-            params: &mut params,
-        };
-        let vals = dfg.forward(std::slice::from_ref(&xval), &mut ctx);
-        let out = vals.get(dfg.output()).clone();
-        let grads = dfg.backward(
-            &vals,
-            Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.len()]),
-            &mut ctx,
-        );
-        let dw = params.grad("w").unwrap().clone();
-        let _ = grads;
-        (out, dw, counters.snapshot())
+    /// One forward + backward (L = sum(out)) of [`pull_linear`].
+    struct Run {
+        out: Matrix,
+        input_grads: Vec<Option<Matrix>>,
+        dw: Matrix,
+        db: Matrix,
+        /// (aggregation-first, combination-first) decisions taken.
+        decisions: (usize, usize),
     }
 
-    /// Reference: unfused Pull → Linear.
-    fn reference(needs_input_grad: bool) -> (Matrix, Matrix) {
+    /// X (→ NeighborApply when `weighted`) → Pull → Linear(`feat`→`hid`);
+    /// `fuse` installs the Cost-DKP node with that `needs_input_grad`,
+    /// `None` runs the graph unfused as the reference.
+    fn pull_linear(weighted: bool, (feat, hid): (usize, usize), fuse: Option<bool>) -> Run {
+        use crate::config::HFn;
+        use crate::napa::NeighborApply;
+        use gt_tensor::sparse::EdgeOp;
         let l = layer();
-        let feat = 8;
-        let hid = 3;
         let mut params = ParamStore::new();
         params.register("w", xavier(feat, hid, 3));
-        params.register("b", Matrix::from_vec(1, hid, vec![0.1, -0.2, 0.3]));
+        params.register("b", xavier(1, hid, 4));
         let mut dfg = Dfg::new();
         let x = dfg.input(0);
-        let pn = dfg.op(Pull::new(Arc::clone(&l), Reduce::Mean), &[x]);
+        let (pull, pn) = if weighted {
+            let na = dfg.op(NeighborApply::new(Arc::clone(&l), EdgeOp::ElemMul), &[x]);
+            let pull = Pull::weighted(Arc::clone(&l), Reduce::Sum, HFn::Mul);
+            let pn = dfg.op(pull.clone(), &[x, na]);
+            (pull, pn)
+        } else {
+            let pull = Pull::new(Arc::clone(&l), Reduce::Mean);
+            let pn = dfg.op(pull.clone(), &[x]);
+            (pull, pn)
+        };
         let ln = dfg.op(Linear::new("w", "b"), &[pn]);
         dfg.set_output(ln);
+        let counters = Arc::new(DkpCounters::default());
+        if let Some(needs_input_grad) = fuse {
+            let cost = Arc::new(CostModel::from_device(&DeviceSpec::tiny()));
+            let pairs = vec![DkpPair {
+                pull_node: pn,
+                linear_node: ln,
+                pull,
+                weight: "w".into(),
+                bias: Some("b".into()),
+                needs_input_grad,
+            }];
+            assert_eq!(apply_dkp(&mut dfg, pairs, &cost, true, &counters, None), 1);
+        }
         let xval = xavier(4, feat, 9);
         let mut sim = SimContext::new(DeviceSpec::tiny());
         let mut ctx = ExecCtx {
@@ -507,29 +481,68 @@ mod tests {
         };
         let vals = dfg.forward(std::slice::from_ref(&xval), &mut ctx);
         let out = vals.get(ln).clone();
-        dfg.backward(
-            &vals,
-            Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.len()]),
-            &mut ctx,
-        );
-        let _ = needs_input_grad;
-        (out, params.grad("w").unwrap().clone())
+        let ones = Matrix::from_vec(out.rows(), hid, vec![1.0; out.len()]);
+        let input_grads = dfg.backward(&vals, ones, &mut ctx);
+        Run {
+            out,
+            input_grads,
+            dw: params.grad("w").unwrap().clone(),
+            db: params.grad("b").unwrap().clone(),
+            decisions: counters.snapshot(),
+        }
     }
 
     #[test]
     fn fused_matches_unfused_numerics() {
-        let (out_f, dw_f, (af, cf)) = run(None, true);
-        let (out_r, dw_r) = reference(true);
-        assert!(out_f.max_abs_diff(&out_r) < 1e-4);
-        assert!(dw_f.max_abs_diff(&dw_r) < 1e-4);
+        let fused = pull_linear(false, (8, 3), Some(true));
+        let unfused = pull_linear(false, (8, 3), None);
+        assert!(fused.out.max_abs_diff(&unfused.out) < 1e-4);
+        assert!(fused.dw.max_abs_diff(&unfused.dw) < 1e-4);
+        let (af, cf) = fused.decisions;
         assert_eq!(af + cf, 1, "exactly one decision made");
     }
 
+    /// The first layer's backward computes no input gradient under either
+    /// placement. Aggregation-first (neither `da = grad·Wᵀ` nor `f'`) is the
+    /// unfused graph's arithmetic, operation for operation; combination-first
+    /// reorders the weight-gradient sum, so it agrees to rounding.
     #[test]
     fn first_layer_skip_keeps_weight_grads_exact() {
-        let (_, dw_f, _) = run(None, false);
-        let (_, dw_r) = reference(false);
-        assert!(dw_f.max_abs_diff(&dw_r) < 1e-4);
+        // feat > hid places the unweighted pair combination-first; hid > feat
+        // would widen the aggregation, so it stays aggregation-first like the
+        // weighted pair, which never swaps.
+        let cases = [
+            (false, (8, 3), (0, 1)),
+            (false, (3, 8), (1, 0)),
+            (true, (3, 8), (1, 0)),
+        ];
+        for (weighted, dims, placed) in cases {
+            let case = format!("weighted={weighted} dims={dims:?}");
+            let unfused = pull_linear(weighted, dims, None);
+            assert!(
+                unfused.input_grads[0].is_some(),
+                "{case}: unfused reaches x"
+            );
+            let first = pull_linear(weighted, dims, Some(false));
+            assert_eq!(first.decisions, placed, "{case}");
+            assert!(first.input_grads.iter().all(Option::is_none), "{case}");
+            assert_eq!(first.db.data(), unfused.db.data(), "{case}");
+            let inner = pull_linear(weighted, dims, Some(true));
+            assert_eq!(inner.decisions, placed, "{case}");
+            if placed == (1, 0) {
+                assert_eq!(first.dw.data(), unfused.dw.data(), "{case}");
+                // With the input gradient requested, it is the unfused one too.
+                assert_eq!(inner.input_grads, unfused.input_grads, "{case}");
+                assert_eq!(inner.dw.data(), unfused.dw.data(), "{case}");
+            } else {
+                assert!(first.dw.max_abs_diff(&unfused.dw) < 1e-4, "{case}");
+                // Skipping the input gradient leaves the weight gradient alone.
+                assert_eq!(first.dw.data(), inner.dw.data(), "{case}");
+                let (dx, dx_ref) = (&inner.input_grads[0], &unfused.input_grads[0]);
+                let diff = dx.as_ref().unwrap().max_abs_diff(dx_ref.as_ref().unwrap());
+                assert!(diff < 1e-4, "{case}");
+            }
+        }
     }
 
     /// Both placements must agree numerically. We force each side by

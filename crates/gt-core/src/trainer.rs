@@ -450,6 +450,9 @@ impl GraphTensor {
             .arg("batch_size", batch.len())
             .arg("layers", self.model.layers);
         let faults = self.injected.take().unwrap_or_default();
+        // Gradients are dead between batches: free them before the feature
+        // gather, the largest allocation of the batch.
+        self.params.zero_grads();
         let mut cfg = self.sampler.clone();
         cfg.seed = cfg.seed.wrapping_add(self.batches_run as u64);
         let pr = {
@@ -533,7 +536,6 @@ impl GraphTensor {
                 .add((cf - cf0) as u64);
         }
 
-        self.params.zero_grads();
         let (loss, num_edges) = {
             let _s = telemetry
                 .span("train", "forward_backward")
@@ -687,6 +689,29 @@ mod tests {
         assert!(r.phase_us(Phase::EdgeWeighting) > 0.0);
         assert!(r.phase_us(Phase::Aggregation) > 0.0);
         assert!(r.phase_us(Phase::Combination) > 0.0);
+    }
+
+    #[test]
+    fn infer_batch_borrowing_its_input_matches_a_copied_one() {
+        let d = data();
+        let mut t = trainer(GtVariant::Base, ModelConfig::gcn(2, 16, 4));
+        let batch: Vec<VId> = (0..16).collect();
+        t.train_batch(&d, &batch);
+        let logits = t.infer_batch(&d, &batch);
+
+        // The same forward pass by hand, fed a copy of the gathered tensor.
+        let mut cfg = t.sampler.clone();
+        cfg.seed = cfg.seed.wrapping_add(0x1FE0);
+        let pr = run_prepro(&d, &batch, &cfg);
+        let (dfg, _) = t.build_dfg(&pr);
+        let mut sim = SimContext::new(t.sys.gpu.clone());
+        let mut ctx = ExecCtx {
+            sim: &mut sim,
+            params: &mut t.params,
+        };
+        let copied = [pr.features.clone()];
+        let values = dfg.forward(&copied, &mut ctx);
+        assert_eq!(logits, *values.get(dfg.output()));
     }
 
     #[test]

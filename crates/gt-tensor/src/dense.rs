@@ -2,16 +2,83 @@
 //! (MLP: matmul, bias add, ReLU — the `tf.matmul`/`tf.nn.*` primitives the
 //! paper's `Apply` delegates to, §IV-B).
 //!
-//! The matmul is cache-blocked and parallel over row bands on the
-//! deterministic `gt_par` pool (each output row has one writer, so results
-//! are bit-identical at any `GT_THREADS`); on a multi-core host it scales
-//! near-linearly, and its FLOP/traffic profile is what [`crate::dfg`]
-//! charges to the device model.
+//! All three products (`matmul`, `matmul_transpose_b`, `transpose_a_matmul`)
+//! run one band kernel, [`band`]: the output band is cut into register tiles
+//! of `TILE_R` rows × `TILE_C` feature columns, and each tile accumulates
+//! `Σ_k A[r][k]·B[k][j]` with **k ascending per output element**, one rounded
+//! multiply and one rounded add per step. Tiling only reorders *which
+//! element* is worked on, never the order of one element's sum, so every
+//! result equals (`==`) the plain triple loop's. The kernel is plain Rust
+//! compiled for the build's baseline target; whatever instantiation is added
+//! for wider vectors must stay without `fma`, because a fused multiply-add
+//! rounds once and would break that identity.
+//!
+//! Bands are spread over the deterministic `gt_par` pool (each output row has
+//! one writer and band geometry ignores the worker count, so results are
+//! bit-identical at any `GT_THREADS`). The FLOP/traffic profile the device
+//! model sees is charged by [`crate::dfg`], not here.
 
 use gt_par::ThreadPool;
 
 /// Output rows per matmul pool chunk (fixed, independent of worker count).
 const MM_ROW_CHUNK: usize = 32;
+/// Output rows per `transpose_a_matmul` pool chunk.
+const TA_ROW_CHUNK: usize = 64;
+/// Register tile: output rows × output columns held in accumulators.
+const TILE_R: usize = 4;
+const TILE_C: usize = 16;
+
+/// The left operand of a band product as a strided view, so `A` and `Aᵀ`
+/// read through the same kernel: element `(r, k)` is `data[r*rs + k*ks]`.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    rs: usize,
+    ks: usize,
+}
+
+/// `c[r][j] = Σ_{kk<k} a(r, kk) · b[kk][j]` for the `c.len()/n` rows of the
+/// band `c`, k ascending per element (the module contract). `b` is `k×n`
+/// row-major. Full tiles get compile-time bounds (unrolled, accumulators in
+/// registers); ragged edge tiles run the same loops with runtime bounds.
+fn band(c: &mut [f32], n: usize, a: Lhs, k: usize, b: &[f32]) {
+    let rows = c.len() / n;
+    for r0 in (0..rows).step_by(TILE_R) {
+        for j0 in (0..n).step_by(TILE_C) {
+            let (rw, cw) = (TILE_R.min(rows - r0), TILE_C.min(n - j0));
+            if (rw, cw) == (TILE_R, TILE_C) {
+                tile(c, n, a, k, b, (r0, j0), (TILE_R, TILE_C));
+            } else {
+                tile(c, n, a, k, b, (r0, j0), (rw, cw));
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn tile(
+    c: &mut [f32],
+    n: usize,
+    a: Lhs,
+    k: usize,
+    b: &[f32],
+    (r0, j0): (usize, usize),
+    (rw, cw): (usize, usize),
+) {
+    let mut acc = [[0.0f32; TILE_C]; TILE_R];
+    for kk in 0..k {
+        let brow = &b[kk * n + j0..][..cw];
+        for (r, arow) in acc.iter_mut().enumerate().take(rw) {
+            let av = a.data[(r0 + r) * a.rs + kk * a.ks];
+            for (o, &bv) in arow.iter_mut().zip(brow) {
+                *o += av * bv;
+            }
+        }
+    }
+    for (r, arow) in acc.iter().enumerate().take(rw) {
+        c[(r0 + r) * n + j0..][..cw].copy_from_slice(&arow[..cw]);
+    }
+}
 
 /// Row-major dense matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,86 +181,83 @@ impl Matrix {
     }
 
     /// Matrix product `self · rhs`.
+    ///
+    /// Zero entries of `self` are multiplied like any other (the old loop
+    /// skipped them): adding `0·b` is exact for finite `b`, so results only
+    /// differ where a zero meets `∞`/`NaN` (now `NaN`, as IEEE says).
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = Matrix::zeros(m, n);
-        // Parallelize over output row bands; ikj loop order streams rhs rows.
-        ThreadPool::global().for_each_chunk_mut(
-            "dense.matmul",
-            &mut out.data,
-            MM_ROW_CHUNK * n,
-            |ci, band| {
-                let row_base = ci * MM_ROW_CHUNK;
-                for (r, orow) in band.chunks_mut(n).enumerate() {
-                    let i = row_base + r;
-                    let arow = &self.data[i * k..(i + 1) * k];
-                    for (kk, &a) in arow.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let brow = &rhs.data[kk * n..(kk + 1) * n];
-                        for (o, &b) in orow.iter_mut().zip(brow) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            },
-        );
-        out
+        self.row_banded("dense.matmul", rhs)
     }
 
     /// `self · rhsᵀ`.
+    ///
+    /// Equal (`==`) to the serial dot it replaced, bit-identical except for
+    /// the sign of an exact zero: `f32::sum` starts at `-0.0`, the kernel's
+    /// accumulators at `+0.0`, so an element whose products are all `-0.0`
+    /// (or that has none, `k == 0`) was `-0.0` and is now `+0.0`.
     pub fn matmul_transpose_b(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.cols, "matmul_tb shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
+        // Transposing `rhs` puts the output's feature columns contiguous for
+        // the band kernel; each dot product still sums k ascending.
+        self.row_banded("dense.matmul_tb", &rhs.transpose())
+    }
+
+    /// `self · b`, parallel over bands of output rows.
+    fn row_banded(&self, label: &'static str, b: &Matrix) -> Matrix {
+        let (m, k, n) = (self.rows, self.cols, b.cols);
         let mut out = Matrix::zeros(m, n);
-        ThreadPool::global().for_each_chunk_mut(
-            "dense.matmul_tb",
-            &mut out.data,
-            MM_ROW_CHUNK * n,
-            |ci, band| {
-                let row_base = ci * MM_ROW_CHUNK;
-                for (r, orow) in band.chunks_mut(n).enumerate() {
-                    let i = row_base + r;
-                    let arow = &self.data[i * k..(i + 1) * k];
-                    for (j, o) in orow.iter_mut().enumerate() {
-                        let brow = &rhs.data[j * k..(j + 1) * k];
-                        *o = arow.iter().zip(brow).map(|(&a, &b)| a * b).sum();
-                    }
-                }
-            },
-        );
+        let chunk = MM_ROW_CHUNK * n;
+        ThreadPool::global().for_each_chunk_mut(label, &mut out.data, chunk, |ci, c| {
+            let a = Lhs {
+                data: &self.data[ci * MM_ROW_CHUNK * k..],
+                rs: k,
+                ks: 1,
+            };
+            band(c, n, a, k, &b.data);
+        });
         out
     }
 
     /// `selfᵀ · rhs`.
     pub fn transpose_a_matmul(&self, rhs: &Matrix) -> Matrix {
+        self.transpose_a_matmul_on(ThreadPool::global(), rhs)
+    }
+
+    /// [`transpose_a_matmul`](Self::transpose_a_matmul) on an explicit pool:
+    /// one band of output rows (columns of `self`) per chunk, so every
+    /// output row has a single writer and no partial sums are combined.
+    fn transpose_a_matmul_on(&self, pool: &ThreadPool, rhs: &Matrix) -> Matrix {
         assert_eq!(self.rows, rhs.rows, "matmul_ta shape mismatch");
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
         let mut out = Matrix::zeros(m, n);
-        for kk in 0..k {
-            let arow = &self.data[kk * m..(kk + 1) * m];
-            let brow = &rhs.data[kk * n..(kk + 1) * n];
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
+        let chunk = TA_ROW_CHUNK * n;
+        pool.for_each_chunk_mut("dense.matmul_ta", &mut out.data, chunk, |ci, c| {
+            let a = Lhs {
+                // Column `ci * TA_ROW_CHUNK` onwards; `self` is empty if k = 0.
+                data: self.data.get(ci * TA_ROW_CHUNK..).unwrap_or_default(),
+                rs: 1,
+                ks: m,
+            };
+            band(c, n, a, k, &rhs.data);
+        });
         out
     }
 
-    /// Explicit transpose.
+    /// Explicit transpose, walked in square tiles so both the reads and the
+    /// strided writes stay within a few cache lines per tile.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                *out.at_mut(c, r) = self.at(r, c);
+        const T: usize = 32;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut out = Matrix::zeros(cols, rows);
+        for r0 in (0..rows).step_by(T) {
+            for c0 in (0..cols).step_by(T) {
+                for r in r0..(r0 + T).min(rows) {
+                    let src = &self.data[r * cols + c0..r * cols + (c0 + T).min(cols)];
+                    for (c, &v) in src.iter().enumerate() {
+                        out.data[(c0 + c) * rows + r] = v;
+                    }
+                }
             }
         }
         out
@@ -346,6 +410,153 @@ mod tests {
     fn transpose_involution() {
         let a = m23();
         assert_eq!(a.transpose().transpose(), a);
+    }
+
+    #[test]
+    fn transpose_ragged_last_tile() {
+        // 70×37: two full 32-tiles plus a ragged one along each axis.
+        let a = Matrix::from_fn(70, 37, |r, c| (r * 37 + c) as f32);
+        let t = a.transpose();
+        assert_eq!(t.shape(), (37, 70));
+        for r in 0..70 {
+            for c in 0..37 {
+                assert_eq!(t.at(c, r), a.at(r, c));
+            }
+        }
+        assert_eq!(t.transpose(), a);
+    }
+
+    // The three loops the band kernel replaced, kept verbatim (minus the
+    // pool) as the oracle: ikj with a zero skip, a serial `sum()` dot, and
+    // the k-outer scatter.
+    fn ref_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k, n) = (a.rows, a.cols, b.cols);
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            for kk in 0..k {
+                let av = a.data[i * k + kk];
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out.data[i * n + j] += av * b.data[kk * n + j];
+                }
+            }
+        }
+        out
+    }
+
+    fn ref_matmul_tb(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, n) = (a.rows, b.rows);
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                out.data[i * n + j] = a.row(i).iter().zip(b.row(j)).map(|(&x, &y)| x * y).sum();
+            }
+        }
+        out
+    }
+
+    fn ref_ta_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let (k, m, n) = (a.rows, a.cols, b.cols);
+        let mut out = Matrix::zeros(m, n);
+        for kk in 0..k {
+            for i in 0..m {
+                let av = a.data[kk * m + i];
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out.data[i * n + j] += av * b.data[kk * n + j];
+                }
+            }
+        }
+        out
+    }
+
+    /// Finite values in (-2, 2) salted with exact `0.0`, `-0.0` and
+    /// denormals, so the dropped zero skip and gradual underflow are hit.
+    fn salted(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        Matrix::from_fn(rows, cols, |_, _| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match state % 11 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits((state >> 40) as u32 % 1000 + 1),
+                3 => -f32::from_bits((state >> 40) as u32 % 1000 + 1),
+                _ => ((state >> 40) as f32 / (1u64 << 24) as f32) * 4.0 - 2.0,
+            }
+        })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every remainder path: rows % TILE_R, rows across pool chunks,
+    /// cols % TILE_C, the empty and the single-step sum, and the heavy
+    /// workload's 4353-long one.
+    fn oracle_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for m in [0, 1, 3, 4, 5, 33, 70] {
+            for k in [0, 1, 64] {
+                for n in [1, 2, 7, 16, 47, 64] {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        shapes.extend([(5, 4353, 64), (9, 4353, 47), (4353, 5, 64), (0, 4353, 7)]);
+        shapes
+    }
+
+    #[test]
+    fn products_equal_the_replaced_loops() {
+        for (i, (m, k, n)) in oracle_shapes().into_iter().enumerate() {
+            let seed = i as u64 + 1;
+            let a = salted(m, k, seed);
+            let b = salted(k, n, seed + 1000);
+            let want = ref_matmul(&a, &b);
+            // Bit-for-bit, signed zeros included: an accumulator that starts
+            // at +0.0 can never become -0.0, so the extra `+ 0·b` is a no-op.
+            assert_eq!(bits(&a.matmul(&b)), bits(&want), "matmul {m}x{k}x{n}");
+
+            // `sum()` starts from -0.0, so the old dot returned -0.0 for an
+            // empty or all-(-0.0) sum where the kernel returns +0.0: equal
+            // under `==`, which is the contract, but not the same bits.
+            let bt = salted(n, k, seed + 2000);
+            assert_eq!(
+                a.matmul_transpose_b(&bt).data,
+                ref_matmul_tb(&a, &bt).data,
+                "matmul_tb {m}x{k}x{n}"
+            );
+
+            let at = salted(k, m, seed + 3000);
+            let want = ref_ta_matmul(&at, &b);
+            assert_eq!(
+                bits(&at.transpose_a_matmul(&b)),
+                bits(&want),
+                "matmul_ta {m}x{k}x{n}"
+            );
+        }
+    }
+
+    #[test]
+    fn transpose_a_matmul_identical_at_any_pool_width() {
+        // 150 output rows = two full 64-row bands and a ragged third.
+        let a = salted(97, 150, 7);
+        let b = salted(97, 47, 8);
+        let want = bits(&ref_ta_matmul(&a, &b));
+        for width in [1, 2, 4] {
+            let pool = ThreadPool::new(width);
+            assert_eq!(
+                bits(&a.transpose_a_matmul_on(&pool, &b)),
+                want,
+                "width {width}"
+            );
+        }
     }
 
     #[test]

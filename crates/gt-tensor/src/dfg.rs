@@ -15,6 +15,7 @@
 use crate::dense::Matrix;
 use crate::error::TensorError;
 use gt_sim::{Phase, SimContext};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Identifies a node within one [`Dfg`].
@@ -172,15 +173,17 @@ struct Node {
 }
 
 /// All forward values of one DFG execution, kept for the backward pass.
+/// Input nodes borrow the caller's matrices (the gathered feature tensor is
+/// the largest buffer of a batch — it is never copied); op outputs are owned.
 #[derive(Debug)]
-pub struct DfgValues {
-    values: Vec<Option<Matrix>>,
+pub struct DfgValues<'a> {
+    values: Vec<Option<Cow<'a, Matrix>>>,
 }
 
-impl DfgValues {
+impl DfgValues<'_> {
     /// Value of node `id` (panics if the node was dead/skipped).
     pub fn get(&self, id: NodeId) -> &Matrix {
-        self.values[id].as_ref().expect("node not evaluated")
+        self.values[id].as_deref().expect("node not evaluated")
     }
 }
 
@@ -354,39 +357,41 @@ impl Dfg {
 
     /// [`Dfg::forward`] with up-front validation: wiring bugs come back as
     /// [`TensorError`]s instead of panics mid-execution.
-    pub fn try_forward(
+    pub fn try_forward<'a>(
         &self,
-        inputs: &[Matrix],
+        inputs: &'a [Matrix],
         ctx: &mut ExecCtx,
-    ) -> Result<DfgValues, TensorError> {
+    ) -> Result<DfgValues<'a>, TensorError> {
         self.validate(inputs.len(), ctx.params)?;
         Ok(self.forward(inputs, ctx))
     }
 
-    /// Run the forward pass. `inputs[slot]` feeds `Input(slot)` nodes.
-    pub fn forward(&self, inputs: &[Matrix], ctx: &mut ExecCtx) -> DfgValues {
+    /// Run the forward pass. `inputs[slot]` feeds `Input(slot)` nodes, which
+    /// borrow it for the lifetime of the returned values.
+    pub fn forward<'a>(&self, inputs: &'a [Matrix], ctx: &mut ExecCtx) -> DfgValues<'a> {
         let live = self.live();
-        let mut values: Vec<Option<Matrix>> = Vec::with_capacity(self.nodes.len());
+        let mut values: Vec<Option<Cow<'a, Matrix>>> = Vec::with_capacity(self.nodes.len());
         for (id, node) in self.nodes.iter().enumerate() {
             if !live[id] {
                 values.push(None);
                 continue;
             }
             let value = match &node.kind {
-                NodeKind::Input(slot) => inputs
-                    .get(*slot)
-                    .unwrap_or_else(|| panic!("missing input slot {slot}"))
-                    .clone(),
+                NodeKind::Input(slot) => Cow::Borrowed(
+                    inputs
+                        .get(*slot)
+                        .unwrap_or_else(|| panic!("missing input slot {slot}")),
+                ),
                 NodeKind::Op(op) => {
                     let ins: Vec<&Matrix> = node
                         .inputs
                         .iter()
-                        .map(|&i| values[i].as_ref().expect("input not evaluated"))
+                        .map(|&i| values[i].as_deref().expect("input not evaluated"))
                         .collect();
                     let out = op.forward(&ins, ctx);
                     // Outputs land in device memory; count toward the peak.
                     let _ = ctx.sim.memory.alloc(out.bytes());
-                    out
+                    Cow::Owned(out)
                 }
             };
             values.push(Some(value));
@@ -432,7 +437,7 @@ impl Dfg {
                     let ins: Vec<&Matrix> = self.nodes[id]
                         .inputs
                         .iter()
-                        .map(|&i| values.values[i].as_ref().expect("missing value"))
+                        .map(|&i| values.values[i].as_deref().expect("missing value"))
                         .collect();
                     let in_grads = op.backward(&ins, values.get(id), &grad, ctx);
                     assert_eq!(
@@ -520,8 +525,8 @@ impl Op for Linear {
 
     fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix {
         let x = inputs[0];
-        let w = ctx.params.get(&self.weight).clone();
-        let mut y = x.matmul(&w);
+        let w = ctx.params.get(&self.weight);
+        let mut y = x.matmul(w);
         if let Some(b) = &self.bias {
             y.add_row_vector(ctx.params.get(b).row(0));
         }
@@ -548,9 +553,10 @@ impl Op for Linear {
         ctx: &mut ExecCtx,
     ) -> Vec<Option<Matrix>> {
         let x = inputs[0];
-        let w = ctx.params.get(&self.weight).clone();
+        let w = ctx.params.get(&self.weight);
         // dX = dY · Wᵀ ; dW = Xᵀ · dY ; db = colsum(dY).
-        let dx = grad.matmul_transpose_b(&w);
+        let dx = grad.matmul_transpose_b(w);
+        let (w_bytes, h) = (w.bytes(), w.cols());
         let dw = x.transpose_a_matmul(grad);
         ctx.params.accumulate_grad(&self.weight, &dw);
         if let Some(b) = &self.bias {
@@ -558,12 +564,11 @@ impl Op for Linear {
             ctx.params.accumulate_grad(b, &db);
         }
         let (n, f) = x.shape();
-        let h = w.cols();
         ctx.sim.record_gpu(
             Phase::Combination,
             gt_sim::KernelStats {
                 flops: 4 * (n * f * h) as u64,
-                global_read_bytes: x.bytes() + w.bytes() + 2 * grad.bytes(),
+                global_read_bytes: x.bytes() + w_bytes + 2 * grad.bytes(),
                 global_write_bytes: dx.bytes() + dw.bytes(),
                 launches: 2,
                 ..Default::default()
@@ -658,9 +663,36 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let vals = dfg.forward(&[Matrix::from_vec(1, 2, vec![1., 1.])], &mut ctx);
+        let xval = Matrix::from_vec(1, 2, vec![1., 1.]);
+        let vals = dfg.forward(std::slice::from_ref(&xval), &mut ctx);
         assert_eq!(vals.get(y).data(), &[14., 26.]);
         assert!(ctx.sim.phase_us(Phase::Combination) > 0.0);
+    }
+
+    #[test]
+    fn forward_borrows_inputs_and_owns_op_outputs() {
+        let (mut sim, mut params) = ctx_parts();
+        params.register("w", Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]));
+        let mut dfg = Dfg::new();
+        let x = dfg.input(0);
+        let y = dfg.op(Linear::no_bias("w"), &[x]);
+        dfg.set_output(y);
+        let mut ctx = ExecCtx {
+            sim: &mut sim,
+            params: &mut params,
+        };
+        let inputs = [Matrix::from_vec(1, 2, vec![1., 1.])];
+        let vals = dfg.forward(&inputs, &mut ctx);
+        // The input node *is* the caller's matrix, not a copy of it...
+        assert!(std::ptr::eq(vals.get(x), &inputs[0]));
+        assert!(std::ptr::eq(
+            vals.get(x).data().as_ptr(),
+            inputs[0].data().as_ptr()
+        ));
+        // ...while op outputs are values the execution owns.
+        assert!(matches!(vals.values[x], Some(Cow::Borrowed(_))));
+        assert!(matches!(vals.values[y], Some(Cow::Owned(_))));
+        assert_eq!(vals.get(y).data(), &[4., 6.]);
     }
 
     #[test]
@@ -779,7 +811,8 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let vals = dfg.forward(&[Matrix::from_vec(1, 2, vec![-1., 2.])], &mut ctx);
+        let xval = Matrix::from_vec(1, 2, vec![-1., 2.]);
+        let vals = dfg.forward(std::slice::from_ref(&xval), &mut ctx);
         assert_eq!(vals.get(l).data(), &[0., 2.]);
         // Node r is dead now: exactly 2 live evaluations (input + fused).
         assert!(std::panic::catch_unwind(|| vals.get(r)).is_err());
