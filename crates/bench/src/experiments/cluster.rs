@@ -314,11 +314,8 @@ fn killed_run(
 
 /// Derive a (worker, kill batch) from a campaign seed.
 fn kill_site(seed: u64, opts: &ClusterOpts) -> (usize, usize) {
-    // splitmix64 finalizer: decorrelates consecutive corpus seeds.
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    // Decorrelates consecutive corpus seeds.
+    let z = gt_telemetry::splitmix64(seed);
     let worker = (z % opts.workers as u64) as usize;
     let kill_at = ((z >> 16) % opts.batches as u64) as usize;
     (worker, kill_at)

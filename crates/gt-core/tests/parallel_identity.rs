@@ -8,9 +8,9 @@ use gt_core::napa::{NeighborApply, Pull};
 use gt_core::prepro::{run_prepro_with_pool, PreproResult};
 use gt_par::ThreadPool;
 use gt_sample::SamplerConfig;
+use gt_sim::prop::{check, CASES};
 use gt_tensor::dense::Matrix;
 use gt_tensor::sparse::{EdgeOp, Reduce};
-use proptest::prelude::*;
 use std::sync::OnceLock;
 
 /// The widths under test; pools are created once (their workers persist).
@@ -38,19 +38,21 @@ fn assert_same_prepro(a: &PreproResult, b: &PreproResult) {
     }
 }
 
-proptest! {
-    /// Whole-pipeline bit-identity: S, R, and K at widths 2 and 8 equal
-    /// width 1 exactly, and a same-seed re-run at width 1 is stable.
-    #[test]
-    fn prepro_is_bit_identical_across_widths(
-        seed in 0u64..500,
-        batch_len in 4usize..40,
-        fanout in 2usize..8,
-        layers in 1usize..3,
-    ) {
+/// Whole-pipeline bit-identity: S, R, and K at widths 2 and 8 equal
+/// width 1 exactly, and a same-seed re-run at width 1 is stable.
+#[test]
+fn prepro_is_bit_identical_across_widths() {
+    check("prepro_is_bit_identical_across_widths", CASES, |g| {
+        let seed = g.range(0..500) as u64;
+        let (batch_len, fanout, layers) = (g.range(4..40), g.range(2..8), g.range(1..3));
         let data = GraphData::synthetic(300, 3000, 8, 4, seed);
         let batch: Vec<u32> = (0..batch_len as u32).collect();
-        let cfg = SamplerConfig { fanout, layers, seed, ..Default::default() };
+        let cfg = SamplerConfig {
+            fanout,
+            layers,
+            seed,
+            ..Default::default()
+        };
         let [p1, p2, p8] = pools();
         let serial = run_prepro_with_pool(&data, &batch, &cfg, p1);
         let rerun = run_prepro_with_pool(&data, &batch, &cfg, p1);
@@ -59,18 +61,23 @@ proptest! {
             let par = run_prepro_with_pool(&data, &batch, &cfg, pool);
             assert_same_prepro(&serial, &par);
         }
-    }
+    });
+}
 
-    /// NAPA kernel bit-identity: Pull forward/backward and NeighborApply
-    /// at widths 2 and 8 equal width 1 exactly (f32 `==`, not tolerance).
-    #[test]
-    fn napa_kernels_are_bit_identical_across_widths(
-        seed in 0u64..500,
-        dim in 1usize..16,
-    ) {
+/// NAPA kernel bit-identity: Pull forward/backward and NeighborApply
+/// at widths 2 and 8 equal width 1 exactly (f32 `==`, not tolerance).
+#[test]
+fn napa_kernels_are_bit_identical_across_widths() {
+    check("napa_kernels_are_bit_identical_across_widths", CASES, |g| {
+        let (seed, dim) = (g.range(0..500) as u64, g.range(1..16));
         let data = GraphData::synthetic(200, 2000, dim, 3, seed);
         let batch: Vec<u32> = (0..16).collect();
-        let cfg = SamplerConfig { fanout: 5, layers: 2, seed, ..Default::default() };
+        let cfg = SamplerConfig {
+            fanout: 5,
+            layers: 2,
+            seed,
+            ..Default::default()
+        };
         let [p1, p2, p8] = pools();
         let pre = run_prepro_with_pool(&data, &batch, &cfg, p1);
         let layer = std::sync::Arc::clone(&pre.layers[0]);
@@ -92,13 +99,13 @@ proptest! {
                 assert_eq!(bwd.data(), bwd1.data());
             }
         }
-        for g in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
-            let na1 = NeighborApply::new(std::sync::Arc::clone(&layer), g).with_pool(p1);
+        for op in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
+            let na1 = NeighborApply::new(std::sync::Arc::clone(&layer), op).with_pool(p1);
             let ew1 = na1.compute(feats);
             for pool in [p2, p8] {
-                let na = NeighborApply::new(std::sync::Arc::clone(&layer), g).with_pool(pool);
+                let na = NeighborApply::new(std::sync::Arc::clone(&layer), op).with_pool(pool);
                 assert_eq!(na.compute(feats).data(), ew1.data());
             }
         }
-    }
+    });
 }

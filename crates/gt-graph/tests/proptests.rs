@@ -2,34 +2,38 @@
 
 use gt_graph::convert::{coo_to_csc, coo_to_csr, csc_to_csr, csr_to_coo, csr_to_csc};
 use gt_graph::{Coo, DegreeStats, EmbeddingTable, VId};
-use proptest::prelude::*;
+use gt_sim::prop::{check, Gen, CASES};
 
 /// Arbitrary edge list over a small vertex id space.
-fn edges(max_v: VId, max_e: usize) -> impl Strategy<Value = Vec<(VId, VId)>> {
-    prop::collection::vec((0..max_v, 0..max_v), 0..max_e)
+fn edges(g: &mut Gen, max_v: usize, max_e: usize) -> Vec<(VId, VId)> {
+    g.vec(0..max_e, |g| {
+        (g.range(0..max_v) as VId, g.range(0..max_v) as VId)
+    })
 }
 
-proptest! {
-    /// COO → CSR → COO preserves the edge multiset.
-    #[test]
-    fn csr_roundtrip_preserves_edges(es in edges(40, 200)) {
-        let coo = Coo::from_edges(40, &es);
+/// COO → CSR → COO preserves the edge multiset.
+#[test]
+fn csr_roundtrip_preserves_edges() {
+    check("csr_roundtrip_preserves_edges", CASES, |g| {
+        let coo = Coo::from_edges(40, &edges(g, 40, 200));
         let (csr, _) = coo_to_csr(&coo);
         let (back, _) = csr_to_coo(&csr);
         let mut a: Vec<_> = coo.edges().collect();
         let mut b: Vec<_> = back.edges().collect();
         a.sort();
         b.sort();
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
+}
 
-    /// CSR and CSC derived from the same COO describe the same edges.
-    #[test]
-    fn csr_csc_agree(es in edges(30, 150)) {
-        let coo = Coo::from_edges(30, &es);
+/// CSR and CSC derived from the same COO describe the same edges.
+#[test]
+fn csr_csc_agree() {
+    check("csr_csc_agree", CASES, |g| {
+        let coo = Coo::from_edges(30, &edges(g, 30, 150));
         let (csr, _) = coo_to_csr(&coo);
         let (csc, _) = coo_to_csc(&coo);
-        prop_assert_eq!(csr.num_edges(), csc.num_edges());
+        assert_eq!(csr.num_edges(), csc.num_edges());
         let mut from_csr: Vec<(VId, VId)> = Vec::new();
         for (d, ss) in csr.iter() {
             for &s in ss {
@@ -44,77 +48,90 @@ proptest! {
         }
         from_csr.sort();
         from_csc.sort();
-        prop_assert_eq!(from_csr, from_csc);
-    }
+        assert_eq!(from_csr, from_csc);
+    });
+}
 
-    /// Transposing twice preserves the edge multiset and per-dst slices
-    /// (order within a slice may differ — both sorts are stable but see
-    /// different intermediate orders).
-    #[test]
-    fn double_transpose_identity(es in edges(25, 120)) {
-        let coo = Coo::from_edges(25, &es);
+/// Transposing twice preserves the edge multiset and per-dst slices
+/// (order within a slice may differ — both sorts are stable but see
+/// different intermediate orders).
+#[test]
+fn double_transpose_identity() {
+    let holds = |es: &[(VId, VId)]| {
+        let coo = Coo::from_edges(25, es);
         let (csr, _) = coo_to_csr(&coo);
         let (csc, _) = csr_to_csc(&csr);
         let (back, _) = csc_to_csr(&csc);
-        prop_assert_eq!(&back.indptr, &csr.indptr);
+        assert_eq!(&back.indptr, &csr.indptr);
         for d in 0..csr.num_vertices() as VId {
             let mut a = csr.srcs(d).to_vec();
             let mut b = back.srcs(d).to_vec();
             a.sort();
             b.sort();
-            prop_assert_eq!(a, b, "dst {} slice mismatch", d);
+            assert_eq!(a, b, "dst {d} slice mismatch");
         }
-    }
+    };
+    // A past failure: one slice whose order the double transpose reverses.
+    holds(&[(7, 0), (0, 0)]);
+    check("double_transpose_identity", CASES, |g| {
+        holds(&edges(g, 25, 120))
+    });
+}
 
-    /// dedup is idempotent and removes exactly duplicates/self-loops.
-    #[test]
-    fn dedup_idempotent(es in edges(20, 100)) {
-        let once = Coo::from_edges(20, &es).dedup();
+/// dedup is idempotent and removes exactly duplicates/self-loops.
+#[test]
+fn dedup_idempotent() {
+    check("dedup_idempotent", CASES, |g| {
+        let once = Coo::from_edges(20, &edges(g, 20, 100)).dedup();
         let twice = once.clone().dedup();
-        prop_assert_eq!(&once, &twice);
+        assert_eq!(&once, &twice);
         let set: std::collections::HashSet<_> = once.edges().collect();
-        prop_assert_eq!(set.len(), once.num_edges());
-        prop_assert!(once.edges().all(|(s, d)| s != d));
-    }
+        assert_eq!(set.len(), once.num_edges());
+        assert!(once.edges().all(|(s, d)| s != d));
+    });
+}
 
-    /// Degree statistics: the CDF is monotone, ends at 1, and the histogram
-    /// accounts for every vertex.
-    #[test]
-    fn degree_cdf_invariants(es in edges(30, 200)) {
-        let coo = Coo::from_edges(30, &es);
+/// Degree statistics: the CDF is monotone, ends at 1, and the histogram
+/// accounts for every vertex.
+#[test]
+fn degree_cdf_invariants() {
+    check("degree_cdf_invariants", CASES, |g| {
+        let coo = Coo::from_edges(30, &edges(g, 30, 200));
         let (csr, _) = coo_to_csr(&coo);
         let s = DegreeStats::of_csr(&csr);
-        prop_assert_eq!(s.hist.iter().sum::<u64>(), 30);
+        assert_eq!(s.hist.iter().sum::<u64>(), 30);
         let cdf = s.cdf();
-        prop_assert!(cdf.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert!(cdf.windows(2).all(|w| w[0].1 <= w[1].1));
         if let Some(last) = cdf.last() {
-            prop_assert!((last.1 - 1.0).abs() < 1e-9);
+            assert!((last.1 - 1.0).abs() < 1e-9);
         }
         // Mean equals edges / vertices.
-        prop_assert!((s.mean - csr.num_edges() as f64 / 30.0).abs() < 1e-9);
-    }
+        assert!((s.mean - csr.num_edges() as f64 / 30.0).abs() < 1e-9);
+    });
+}
 
-    /// Gather semantics: row i of the gather equals row ids[i] of the table.
-    #[test]
-    fn gather_is_row_selection(
-        ids in prop::collection::vec(0u32..20, 0..50),
-        seed in 0u64..1000,
-    ) {
-        let table = EmbeddingTable::random(20, 8, seed);
-        let g = table.gather(&ids);
-        prop_assert_eq!(g.rows(), ids.len());
+/// Gather semantics: row i of the gather equals row ids[i] of the table.
+#[test]
+fn gather_is_row_selection() {
+    check("gather_is_row_selection", CASES, |g| {
+        let ids = g.vec(0..50, |g| g.range(0..20) as u32);
+        let table = EmbeddingTable::random(20, 8, g.range(0..1000) as u64);
+        let got = table.gather(&ids);
+        assert_eq!(got.rows(), ids.len());
         for (i, &v) in ids.iter().enumerate() {
-            prop_assert_eq!(g.row(i as u32), table.row(v));
+            assert_eq!(got.row(i as u32), table.row(v));
         }
-    }
+    });
+}
 
-    /// Symmetrize yields a graph containing both directions of every edge.
-    #[test]
-    fn symmetrize_is_symmetric(es in edges(15, 60)) {
-        let g = Coo::from_edges(15, &es).symmetrize();
-        let set: std::collections::HashSet<_> = g.edges().collect();
+/// Symmetrize yields a graph containing both directions of every edge.
+#[test]
+fn symmetrize_is_symmetric() {
+    check("symmetrize_is_symmetric", CASES, |g| {
+        let sym = Coo::from_edges(15, &edges(g, 15, 60)).symmetrize();
+        let set: std::collections::HashSet<_> = sym.edges().collect();
         for &(s, d) in &set {
-            prop_assert!(set.contains(&(d, s)), "missing reverse of {}->{}", s, d);
+            assert!(set.contains(&(d, s)), "missing reverse of {s}->{d}");
         }
-    }
+    });
 }

@@ -22,7 +22,9 @@
 //! its own `cpu-worker-{i}` track, so a Perfetto trace shows the real
 //! overlap next to the DES-predicted schedule (Fig 13/14-style lanes).
 
+use std::any::Any;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -34,7 +36,9 @@ pub const THREADS_ENV: &str = "GT_THREADS";
 /// always worker 0. Closures may capture locals by reference: the caller
 /// blocks until every worker has finished the operation, so borrows cannot
 /// outlive it (the lifetime erasure this requires is contained in
-/// [`ThreadPool::run_parallel`]).
+/// [`ThreadPool::run_parallel`]). A panic in a chunk stops the worker that
+/// ran it, the others finish the round, and the caller then panics with the
+/// payload of the lowest-numbered worker that failed; the pool stays usable.
 ///
 /// Operations on one pool are serialized: a second thread calling into the
 /// pool while an operation is in flight waits for it to finish. A worker
@@ -89,6 +93,9 @@ struct PoolState {
     job: Option<Job>,
     /// Spawned workers still running the current round.
     active: usize,
+    /// The lowest-numbered spawned worker whose job panicked this round,
+    /// with its payload.
+    panicked: Option<(usize, Box<dyn Any + Send>)>,
     shutdown: bool,
 }
 
@@ -123,6 +130,7 @@ impl ThreadPool {
                 seq: 0,
                 job: None,
                 active: 0,
+                panicked: None,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -191,7 +199,7 @@ impl ThreadPool {
     /// Broadcast `task` to every worker (index 1..workers on the spawned
     /// threads, 0 on the calling thread) and block until all have returned.
     fn run_parallel(&self, task: &(dyn Fn(usize) + Sync)) {
-        let _op = self.op_lock.lock().unwrap();
+        let op = self.op_lock.lock().unwrap();
         let shared = self.shared.as_ref().expect("multi-worker pool");
         // Safety: we block below until every worker finished the round, so
         // the erased borrow strictly outlives all uses.
@@ -211,13 +219,22 @@ impl ThreadPool {
             shared.work_cv.notify_all();
         }
         IN_POOL_JOB.with(|c| c.set(true));
-        task(0);
+        let own = catch_unwind(AssertUnwindSafe(|| task(0)));
         IN_POOL_JOB.with(|c| c.set(false));
+        // Wait even when `task(0)` panicked: the workers still hold the
+        // erased borrow.
         let mut st = shared.state.lock().unwrap();
         while st.active > 0 {
             st = shared.done_cv.wait(st).unwrap();
         }
         st.job = None;
+        let worker_panic = st.panicked.take().map(|(_, payload)| payload);
+        // Unlock before unwinding so neither mutex is poisoned.
+        drop(st);
+        drop(op);
+        if let Some(payload) = own.err().or(worker_panic) {
+            resume_unwind(payload);
+        }
     }
 
     /// Map every chunk of `0..total` through `f` and return the results in
@@ -272,7 +289,8 @@ impl Drop for ThreadPool {
 }
 
 /// A spawned worker's park-run loop: wait for a round it hasn't run yet,
-/// run it, report drained, repeat until shutdown.
+/// run it, report drained (and a panic, if the job raised one), repeat
+/// until shutdown.
 fn worker_thread(w: usize, shared: &Shared) {
     let mut last_seq = 0u64;
     loop {
@@ -292,9 +310,14 @@ fn worker_thread(w: usize, shared: &Shared) {
         IN_POOL_JOB.with(|c| c.set(true));
         // Safety: the publisher blocks until `active` drains, keeping the
         // closure alive for the duration of this call.
-        unsafe { (*job.f)(w) };
+        let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.f)(w) }));
         IN_POOL_JOB.with(|c| c.set(false));
         let mut st = shared.state.lock().unwrap();
+        if let Err(payload) = outcome {
+            if st.panicked.as_ref().is_none_or(|&(first, _)| w < first) {
+                st.panicked = Some((w, payload));
+            }
+        }
         st.active -= 1;
         if st.active == 0 {
             shared.done_cv.notify_all();
@@ -499,6 +522,33 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn a_panicking_chunk_fails_the_caller_and_leaves_the_pool_usable() {
+        for workers in [1, 2, 4] {
+            let pool = ThreadPool::new(workers);
+            for panic_on_caller in [true, false] {
+                // One chunk per worker: none leaves its chunk before every
+                // worker holds one, so both sides of the pool run a chunk.
+                let all_claimed = std::sync::Barrier::new(workers);
+                let caller = std::thread::current().id();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    pool.for_each_chunk("test", workers, 1, |i, _| {
+                        all_claimed.wait();
+                        let on_caller = std::thread::current().id() == caller;
+                        if on_caller == panic_on_caller || workers == 1 {
+                            panic!("chunk {i}");
+                        }
+                    })
+                }));
+                let payload = outcome.expect_err("the panic reaches the caller");
+                let message = payload.downcast_ref::<String>().expect("panic! message");
+                assert!(message.starts_with("chunk "), "{message}");
+                let clean = pool.map_chunks("test", 40, 4, |i, _| i);
+                assert_eq!(clean, (0..10).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

@@ -11,75 +11,52 @@
 //!   bit-exactly.
 
 use gt_profile::{profile_schedule, Stage};
+use gt_sim::prop::{check, Gen, CASES};
 use gt_sim::{Phase, Resource, Simulator, TaskSpec};
-use proptest::prelude::*;
 
-type RawTask = (f64, Vec<prop::sample::Index>, Option<u32>, u8, u8);
-/// `(duration_us, deps, lock_group, resource, phase)` after index fixup.
-type Task = (f64, Vec<usize>, Option<u32>, u8, u8);
+/// `(duration_us, deps, lock_group, resource, phase)`.
+type Task = (f64, Vec<usize>, Option<u32>, Resource, Phase);
+
+const RESOURCES: [Resource; 3] = [Resource::HostCore, Resource::Pcie, Resource::Gpu];
+const PHASES: [Phase; 12] = [
+    Phase::Sampling,
+    Phase::Reindex,
+    Phase::Lookup,
+    Phase::Transfer,
+    Phase::Aggregation,
+    Phase::EdgeWeighting,
+    Phase::Combination,
+    Phase::Loss,
+    Phase::Optimizer,
+    Phase::Sparse2Dense,
+    Phase::FormatTranslation,
+    Phase::Other,
+];
 
 /// A random mixed-resource DAG: each task may depend on earlier tasks, may
 /// join one of two lock groups, and lands on a random resource/phase.
-fn dag() -> impl Strategy<Value = Vec<Task>> {
-    prop::collection::vec(
-        (
-            0.0f64..200.0,
-            prop::collection::vec(any::<prop::sample::Index>(), 0..3),
-            prop::option::of(0u32..2),
-            0u8..3,  // resource
-            0u8..12, // phase
-        ),
-        1..40,
-    )
-    .prop_map(|raw: Vec<RawTask>| {
-        raw.into_iter()
-            .enumerate()
-            .map(|(i, (dur, deps, lock, resource, phase))| {
-                let deps: Vec<usize> = if i == 0 {
-                    Vec::new()
-                } else {
-                    let mut d: Vec<usize> = deps.iter().map(|ix| ix.index(i)).collect();
-                    d.sort_unstable();
-                    d.dedup();
-                    d
-                };
-                (dur, deps, lock, resource, phase)
-            })
-            .collect()
+fn dag(g: &mut Gen) -> Vec<Task> {
+    let mut i = 0;
+    g.vec(1..40, |g| {
+        let mut deps = match i {
+            0 => Vec::new(),
+            _ => g.vec(0..3, |g| g.range(0..i)),
+        };
+        deps.sort_unstable();
+        deps.dedup();
+        i += 1;
+        let lock = (g.below(2) == 0).then(|| g.below(2) as u32);
+        let dur = g.f64_in(0.0..200.0);
+        (dur, deps, lock, *g.pick(&RESOURCES), *g.pick(&PHASES))
     })
 }
 
 fn build_sim(cores: usize, tasks: &[Task]) -> Simulator {
-    let phases = [
-        Phase::Sampling,
-        Phase::Reindex,
-        Phase::Lookup,
-        Phase::Transfer,
-        Phase::Aggregation,
-        Phase::EdgeWeighting,
-        Phase::Combination,
-        Phase::Loss,
-        Phase::Optimizer,
-        Phase::Sparse2Dense,
-        Phase::FormatTranslation,
-        Phase::Other,
-    ];
     let mut sim = Simulator::new(cores);
     let mut ids = Vec::new();
     for (i, (dur, deps, lock, resource, phase)) in tasks.iter().enumerate() {
-        let resource = match resource {
-            0 => Resource::HostCore,
-            1 => Resource::Pcie,
-            _ => Resource::Gpu,
-        };
         let dep_ids: Vec<usize> = deps.iter().map(|&d| ids[d]).collect();
-        let mut spec = TaskSpec::new(
-            format!("t{i}"),
-            resource,
-            *dur,
-            phases[(*phase as usize) % phases.len()],
-        )
-        .after(&dep_ids);
+        let mut spec = TaskSpec::new(format!("t{i}"), *resource, *dur, *phase).after(&dep_ids);
         if let Some(g) = lock {
             spec = spec.locked(*g);
         }
@@ -88,76 +65,83 @@ fn build_sim(cores: usize, tasks: &[Task]) -> Simulator {
     sim
 }
 
-proptest! {
-    #[test]
-    fn critical_path_le_makespan_le_sum_of_stage_times(
-        cores in 1usize..5,
-        tasks in dag(),
-    ) {
-        let sim = build_sim(cores, &tasks);
+#[test]
+fn critical_path_le_makespan_le_sum_of_stage_times() {
+    let name = "critical_path_le_makespan_le_sum_of_stage_times";
+    check(name, CASES, |g| {
+        let sim = build_sim(g.range(1..5), &dag(g));
         let schedule = sim.run();
         let p = profile_schedule(&sim, &schedule);
+        let (makespan, busy) = (p.makespan_us, p.breakdown.total());
 
         // dag critical path ≤ makespan ≤ sum of stage (busy) times.
-        prop_assert!(p.critical.dag_path_us <= p.makespan_us + 1e-6,
-            "dag {} > makespan {}", p.critical.dag_path_us, p.makespan_us);
-        prop_assert!(p.makespan_us <= p.breakdown.total() + 1e-6,
-            "makespan {} > busy {}", p.makespan_us, p.breakdown.total());
+        let dag_path = p.critical.dag_path_us;
+        assert!(dag_path <= makespan + 1e-6, "dag {dag_path} > {makespan}");
+        assert!(makespan <= busy + 1e-6, "makespan {makespan} > busy {busy}");
 
         // The binding chain is contiguous and sums exactly to the makespan.
-        let chain_sum: f64 = p.critical.chain.iter().map(|l| l.end_us - l.start_us).sum();
-        prop_assert!((chain_sum - p.makespan_us).abs() < 1e-6,
-            "chain {} vs makespan {}", chain_sum, p.makespan_us);
-        for w in p.critical.chain.windows(2) {
-            prop_assert_eq!(w[0].end_us.to_bits(), w[1].start_us.to_bits());
+        let chain = &p.critical.chain;
+        let chain_sum: f64 = chain.iter().map(|l| l.end_us - l.start_us).sum();
+        assert!((chain_sum - makespan).abs() < 1e-6, "chain {chain_sum}");
+        for w in chain.windows(2) {
+            assert_eq!(w[0].end_us.to_bits(), w[1].start_us.to_bits());
         }
-        if let Some(first) = p.critical.chain.first() {
-            prop_assert_eq!(first.start_us, 0.0);
+        if let Some(first) = chain.first() {
+            assert_eq!(first.start_us, 0.0);
         }
 
         // Stage breakdown partitions total busy time.
-        let busy: f64 = schedule.events.iter().map(|e| e.end_us - e.start_us).sum();
-        prop_assert!((p.breakdown.total() - busy).abs() < 1e-6);
+        let events = schedule.events.iter();
+        let event_sum: f64 = events.map(|e| e.end_us - e.start_us).sum();
+        assert!((busy - event_sum).abs() < 1e-6);
 
         // Bubble accounting: busy + idle = makespan, per unit; gaps cover
         // exactly the idle time.
         for u in &p.bubbles.units {
-            prop_assert!((u.busy_us + u.idle_us - p.makespan_us).abs() < 1e-6,
-                "{}: busy {} + idle {} != makespan {}", u.track, u.busy_us, u.idle_us, p.makespan_us);
+            let (busy, idle) = (u.busy_us, u.idle_us);
+            assert!(
+                (busy + idle - makespan).abs() < 1e-6,
+                "{}: busy {busy} + idle {idle} != makespan {makespan}",
+                u.track
+            );
             let gap_sum: f64 = u.gaps.iter().map(|(a, b)| b - a).sum();
-            prop_assert!((gap_sum - u.idle_us).abs() < 1e-6);
+            assert!((gap_sum - idle).abs() < 1e-6);
         }
-    }
+    });
+}
 
-    #[test]
-    fn what_if_headroom_is_sane(cores in 1usize..4, tasks in dag()) {
-        let sim = build_sim(cores, &tasks);
+#[test]
+fn what_if_headroom_is_sane() {
+    check("what_if_headroom_is_sane", CASES, |g| {
+        let sim = build_sim(g.range(1..4), &dag(g));
         let p = profile_schedule(&sim, &sim.run());
         for w in &p.what_if {
             // The hypothetical schedule exists and stays within the
             // work-conserving bound of the original task set.
-            prop_assert!(w.makespan_zeroed_us.is_finite());
-            prop_assert!(w.makespan_zeroed_us >= 0.0);
-            prop_assert!(w.makespan_zeroed_us <= p.breakdown.total() + 1e-6);
+            assert!(w.makespan_zeroed_us.is_finite());
+            assert!(w.makespan_zeroed_us >= 0.0);
+            assert!(w.makespan_zeroed_us <= p.breakdown.total() + 1e-6);
             // A stage with no busy time has no headroom.
             if w.busy_us == 0.0 {
-                prop_assert!(w.headroom_us.abs() < 1e-6);
+                assert!(w.headroom_us.abs() < 1e-6);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn profiler_tracks_round_trip_bit_exactly(cores in 1usize..4, tasks in dag()) {
-        let sim = build_sim(cores, &tasks);
+#[test]
+fn profiler_tracks_round_trip_bit_exactly() {
+    check("profiler_tracks_round_trip_bit_exactly", CASES, |g| {
+        let sim = build_sim(g.range(1..4), &dag(g));
         let schedule = sim.run();
         let p = profile_schedule(&sim, &schedule);
         let mut combined = gt_sim::schedule_to_trace(&schedule, "virtual time");
         gt_profile::append_profile_tracks(&p, &mut combined);
         let text = gt_telemetry::write_chrome_json(&[&combined]);
         let back = gt_telemetry::from_chrome_json(&text).unwrap();
-        prop_assert_eq!(back.len(), 1);
-        prop_assert_eq!(&back[0], &combined);
-    }
+        assert_eq!(back.len(), 1);
+        assert_eq!(&back[0], &combined);
+    });
 }
 
 #[test]

@@ -3,92 +3,108 @@
 use gt_graph::convert::coo_to_csr;
 use gt_graph::{Coo, VId};
 use gt_sample::{reindex_layer, sample_batch, SamplerConfig, VidMap};
-use proptest::prelude::*;
+use gt_sim::prop::{check, Gen, CASES};
 
-fn graph_strategy() -> impl Strategy<Value = (Coo, Vec<VId>)> {
-    (
-        prop::collection::vec((0u32..50, 0u32..50), 20..200),
-        prop::collection::vec(0u32..50, 1..8),
-    )
-        .prop_map(|(es, mut batch)| {
-            batch.sort();
-            batch.dedup();
-            (Coo::from_edges(50, &es), batch)
-        })
+/// A 50-vertex graph and a sorted, distinct batch of its vertices.
+fn graph(g: &mut Gen) -> (Coo, Vec<VId>) {
+    let es = g.vec(20..200, |g| (g.range(0..50) as VId, g.range(0..50) as VId));
+    let mut batch = g.vec(1..8, |g| g.range(0..50) as VId);
+    batch.sort();
+    batch.dedup();
+    (Coo::from_edges(50, &es), batch)
 }
 
-proptest! {
-    /// Sampling invariants: boundaries monotone, batch gets the first ids,
-    /// every sampled edge is a real edge or a self-loop, new→orig is a
-    /// bijection onto the sampled set.
-    #[test]
-    fn sampling_invariants(
-        (coo, batch) in graph_strategy(),
-        fanout in 1usize..6,
-        layers in 1usize..4,
-        seed in 0u64..100,
-    ) {
+/// Sampling invariants: boundaries monotone, batch gets the first ids,
+/// every sampled edge is a real edge or a self-loop, new→orig is a
+/// bijection onto the sampled set.
+#[test]
+fn sampling_invariants() {
+    check("sampling_invariants", CASES, |g| {
+        let (coo, batch) = graph(g);
+        let (fanout, layers, seed) = (g.range(1..6), g.range(1..4), g.range(0..100) as u64);
         let (csr, _) = coo_to_csr(&coo);
-        let out = sample_batch(&csr, &batch, &SamplerConfig { fanout, layers, seed, ..Default::default() });
+        let cfg = SamplerConfig {
+            fanout,
+            layers,
+            seed,
+            ..Default::default()
+        };
+        let out = sample_batch(&csr, &batch, &cfg);
 
-        prop_assert_eq!(out.hops.len(), layers);
-        prop_assert!(out.boundaries.windows(2).all(|w| w[0] <= w[1]));
-        prop_assert_eq!(out.boundaries[0], batch.len());
+        assert_eq!(out.hops.len(), layers);
+        assert!(out.boundaries.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(out.boundaries[0], batch.len());
 
         let inv = out.new_to_orig();
-        prop_assert_eq!(inv.len(), out.num_nodes());
+        assert_eq!(inv.len(), out.num_nodes());
         // First ids are the batch, in order.
-        prop_assert_eq!(&inv[..batch.len()], &batch[..]);
+        assert_eq!(&inv[..batch.len()], &batch[..]);
         // Bijection: distinct originals.
         let set: std::collections::HashSet<_> = inv.iter().collect();
-        prop_assert_eq!(set.len(), inv.len());
+        assert_eq!(set.len(), inv.len());
 
         for hop in &out.hops {
             for (&s, &d) in hop.src_orig.iter().zip(&hop.dst_orig) {
-                prop_assert!(s == d || csr.srcs(d).contains(&s));
+                assert!(s == d || csr.srcs(d).contains(&s));
             }
         }
-    }
+    });
+}
 
-    /// Reindexed layers: ids within boundaries, CSR/CSC edge multisets
-    /// match, per-dst degree bounded by fanout + 1.
-    #[test]
-    fn reindex_invariants(
-        (coo, batch) in graph_strategy(),
-        fanout in 1usize..5,
-        seed in 0u64..100,
-    ) {
-        let (csr, _) = coo_to_csr(&coo);
-        let out = sample_batch(&csr, &batch, &SamplerConfig { fanout, layers: 2, seed, ..Default::default() });
+/// Reindexed layers: ids within boundaries, CSR/CSC edge multisets
+/// match, per-dst degree bounded by fanout + 1.
+#[test]
+fn reindex_invariants() {
+    let holds = |coo: &Coo, batch: &[VId], fanout: usize, seed: u64| {
+        let (csr, _) = coo_to_csr(coo);
+        let cfg = SamplerConfig {
+            fanout,
+            layers: 2,
+            seed,
+            ..Default::default()
+        };
+        let out = sample_batch(&csr, batch, &cfg);
         for (k, hop) in out.hops.iter().enumerate() {
             let lg = reindex_layer(hop, &out.vidmap, out.boundaries[k], out.boundaries[k + 1]);
-            prop_assert_eq!(lg.csr.num_edges(), hop.len());
+            assert_eq!(lg.csr.num_edges(), hop.len());
             for (d, srcs) in lg.csr.iter() {
-                prop_assert!((d as usize) < lg.num_dst);
-                prop_assert!(srcs.len() <= fanout + 1, "degree {} > fanout+1", srcs.len());
+                assert!((d as usize) < lg.num_dst);
+                assert!(srcs.len() <= fanout + 1, "degree {} > fanout+1", srcs.len());
                 for &s in srcs {
-                    prop_assert!((s as usize) < lg.num_src);
+                    assert!((s as usize) < lg.num_src);
                 }
             }
-            prop_assert_eq!(lg.csc.num_edges(), lg.csr.num_edges());
+            assert_eq!(lg.csc.num_edges(), lg.csr.num_edges());
         }
-    }
+    };
+    // A past failure: twenty edges, all self-loops at 0 but 0→19 (twice)
+    // and 19→3, with both endpoints of the chain in the batch.
+    let mut past = vec![(0, 0); 20];
+    (past[0], past[4], past[8]) = ((0, 19), (0, 19), (19, 3));
+    holds(&Coo::from_edges(50, &past), &[3, 19], 1, 0);
+    check("reindex_invariants", CASES, |g| {
+        let (coo, batch) = graph(g);
+        holds(&coo, &batch, g.range(1..5), g.range(0..100) as u64)
+    });
+}
 
-    /// VidMap allocates dense ids regardless of insertion pattern.
-    #[test]
-    fn vidmap_dense_allocation(keys in prop::collection::vec(0u32..1000, 1..300)) {
+/// VidMap allocates dense ids regardless of insertion pattern.
+#[test]
+fn vidmap_dense_allocation() {
+    check("vidmap_dense_allocation", CASES, |g| {
+        let keys = g.vec(1..300, |g| g.range(0..1000) as VId);
         let m = VidMap::new();
         for &k in &keys {
             m.insert_or_get(k);
         }
         let unique: std::collections::HashSet<_> = keys.iter().collect();
-        prop_assert_eq!(m.len(), unique.len());
+        assert_eq!(m.len(), unique.len());
         let inv = m.new_to_orig();
         for (new, &orig) in inv.iter().enumerate() {
-            prop_assert_eq!(m.get(orig), Some(new as VId));
+            assert_eq!(m.get(orig), Some(new as VId));
         }
         let stats = m.stats();
-        prop_assert_eq!(stats.inserts as usize, unique.len());
-        prop_assert_eq!((stats.inserts + stats.hits) as usize, keys.len());
-    }
+        assert_eq!(stats.inserts as usize, unique.len());
+        assert_eq!((stats.inserts + stats.hits) as usize, keys.len());
+    });
 }

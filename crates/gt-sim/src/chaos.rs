@@ -20,8 +20,9 @@
 //! Everything here is pure: no clock, no filesystem, no global state.
 
 use crate::fault::{CrashSite, FaultKind, FaultPlan, FaultRule, IoFault, IoTarget};
+use crate::prop::Gen;
 use gt_telemetry::json::obj;
-use gt_telemetry::{splitmix64, Json};
+use gt_telemetry::Json;
 
 /// Shape of the sampled fault schedules.
 #[derive(Debug, Clone, Copy)]
@@ -41,26 +42,9 @@ impl Default for ChaosConfig {
     }
 }
 
-/// Tiny deterministic RNG over splitmix64 (the same primitive the rule
-/// rolls use, differently keyed).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        // Distinct stream from FaultPlan's probability rolls.
-        Rng(splitmix64(seed ^ 0xC4A0_5CA0_DE7E_C7ED))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = splitmix64(self.0);
-        self.0
-    }
-
-    /// Uniform in `[0, n)`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
+/// Keys [`sample_plan`]'s stream apart from `FaultPlan`'s probability
+/// rolls, which hash the same seed.
+const PLAN_STREAM_KEY: u64 = 0xC4A0_5CA0_DE7E_C7ED;
 
 /// Sample one composite fault schedule for `seed`.
 ///
@@ -70,7 +54,7 @@ impl Rng {
 /// Journal/checkpoint faults stay inside the recoverable-or-detectable
 /// envelope documented on [`IoFault`].
 pub fn sample_plan(seed: u64, cfg: &ChaosConfig) -> FaultPlan {
-    let mut rng = Rng::new(seed);
+    let mut rng = Gen::new(seed ^ PLAN_STREAM_KEY);
     let n_faults = 1 + rng.below(cfg.max_faults.max(1) as u64) as usize;
     let mut plan = FaultPlan::new(seed);
     for _ in 0..n_faults {

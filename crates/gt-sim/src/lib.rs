@@ -20,6 +20,7 @@ pub mod device;
 pub mod fault;
 pub mod lru;
 pub mod memory;
+pub mod prop;
 pub mod timeline;
 pub mod trace;
 pub mod transfer;

@@ -1,59 +1,74 @@
 //! Property-based tests on tensor kernels and autodiff invariants.
 
 use gt_graph::convert::coo_to_csr;
-use gt_graph::Coo;
+use gt_graph::{Coo, VId};
+use gt_sim::prop::{check, Gen, CASES};
 use gt_tensor::dense::Matrix;
 use gt_tensor::lstsq::lstsq;
 use gt_tensor::sparse::{spmm, spmm_backward, Reduce};
-use proptest::prelude::*;
 
-/// Small random matrix strategy.
-fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
-    prop::collection::vec(-2.0f32..2.0, rows * cols)
-        .prop_map(move |v| Matrix::from_vec(rows, cols, v))
+/// Small random matrix.
+fn matrix(g: &mut Gen, rows: usize, cols: usize) -> Matrix {
+    let data = (0..rows * cols).map(|_| g.f64_in(-2.0..2.0) as f32);
+    Matrix::from_vec(rows, cols, data.collect())
 }
 
-proptest! {
-    /// (A·B)ᵀ = Bᵀ·Aᵀ.
-    #[test]
-    fn matmul_transpose_identity(a in matrix(4, 3), b in matrix(3, 5)) {
+/// Up to `max_e` random edges over `n` vertices, as a CSR and its COO.
+fn graph(g: &mut Gen, n: usize, max_e: usize) -> (gt_graph::Csr, Coo) {
+    let es = g.vec(0..max_e, |g| (g.range(0..n) as VId, g.range(0..n) as VId));
+    let coo = Coo::from_edges(n, &es);
+    (coo_to_csr(&coo).0, coo)
+}
+
+/// (A·B)ᵀ = Bᵀ·Aᵀ.
+#[test]
+fn matmul_transpose_identity() {
+    check("matmul_transpose_identity", CASES, |g| {
+        let (a, b) = (matrix(g, 4, 3), matrix(g, 3, 5));
         let left = a.matmul(&b).transpose();
         let right = b.transpose().matmul(&a.transpose());
-        prop_assert!(left.max_abs_diff(&right) < 1e-4);
-    }
+        assert!(left.max_abs_diff(&right) < 1e-4);
+    });
+}
 
-    /// matmul_transpose_b(A, B) = A · Bᵀ.
-    #[test]
-    fn matmul_tb_equivalence(a in matrix(4, 6), b in matrix(5, 6)) {
+/// matmul_transpose_b(A, B) = A · Bᵀ.
+#[test]
+fn matmul_tb_equivalence() {
+    check("matmul_tb_equivalence", CASES, |g| {
+        let (a, b) = (matrix(g, 4, 6), matrix(g, 5, 6));
         let fast = a.matmul_transpose_b(&b);
         let slow = a.matmul(&b.transpose());
-        prop_assert!(fast.max_abs_diff(&slow) < 1e-4);
-    }
+        assert!(fast.max_abs_diff(&slow) < 1e-4);
+    });
+}
 
-    /// transpose_a_matmul(A, B) = Aᵀ · B.
-    #[test]
-    fn matmul_ta_equivalence(a in matrix(6, 4), b in matrix(6, 5)) {
+/// transpose_a_matmul(A, B) = Aᵀ · B.
+#[test]
+fn matmul_ta_equivalence() {
+    check("matmul_ta_equivalence", CASES, |g| {
+        let (a, b) = (matrix(g, 6, 4), matrix(g, 6, 5));
         let fast = a.transpose_a_matmul(&b);
         let slow = a.transpose().matmul(&b);
-        prop_assert!(fast.max_abs_diff(&slow) < 1e-4);
-    }
+        assert!(fast.max_abs_diff(&slow) < 1e-4);
+    });
+}
 
-    /// Matmul distributes over addition: A(B + C) = AB + AC.
-    #[test]
-    fn matmul_distributes(a in matrix(3, 4), b in matrix(4, 3), c in matrix(4, 3)) {
+/// Matmul distributes over addition: A(B + C) = AB + AC.
+#[test]
+fn matmul_distributes() {
+    check("matmul_distributes", CASES, |g| {
+        let (a, b, c) = (matrix(g, 3, 4), matrix(g, 4, 3), matrix(g, 4, 3));
         let left = a.matmul(&b.add(&c));
         let right = a.matmul(&b).add(&a.matmul(&c));
-        prop_assert!(left.max_abs_diff(&right) < 1e-3);
-    }
+        assert!(left.max_abs_diff(&right) < 1e-3);
+    });
+}
 
-    /// SpMM with Sum equals the dense adjacency-matrix product.
-    #[test]
-    fn spmm_matches_dense_adjacency(
-        es in prop::collection::vec((0u32..8, 0u32..8), 0..40),
-        x in matrix(8, 3),
-    ) {
-        let coo = Coo::from_edges(8, &es);
-        let (csr, _) = coo_to_csr(&coo);
+/// SpMM with Sum equals the dense adjacency-matrix product.
+#[test]
+fn spmm_matches_dense_adjacency() {
+    check("spmm_matches_dense_adjacency", CASES, |g| {
+        let ((csr, coo), x) = (graph(g, 8, 40), matrix(g, 8, 3));
         let sparse = spmm(&csr, &x, Reduce::Sum);
         // Dense S (dst × src) from the same edges.
         let mut s = Matrix::zeros(8, 8);
@@ -61,32 +76,31 @@ proptest! {
             *s.at_mut(dst as usize, src as usize) += 1.0;
         }
         let dense = s.matmul(&x);
-        prop_assert!(sparse.max_abs_diff(&dense) < 1e-3);
-    }
+        assert!(sparse.max_abs_diff(&dense) < 1e-3);
+    });
+}
 
-    /// SpMM backward is the transpose operator: <spmm(X), G> = <X, spmmᵀ(G)>.
-    #[test]
-    fn spmm_backward_is_adjoint(
-        es in prop::collection::vec((0u32..6, 0u32..6), 0..25),
-        x in matrix(6, 2),
-        g in matrix(6, 2),
-    ) {
-        let coo = Coo::from_edges(6, &es);
-        let (csr, _) = coo_to_csr(&coo);
+/// SpMM backward is the transpose operator: <spmm(X), G> = <X, spmmᵀ(G)>.
+#[test]
+fn spmm_backward_is_adjoint() {
+    check("spmm_backward_is_adjoint", CASES, |g| {
+        let ((csr, _), x, grad) = (graph(g, 6, 25), matrix(g, 6, 2), matrix(g, 6, 2));
         let y = spmm(&csr, &x, Reduce::Sum);
-        let gx = spmm_backward(&csr, &g, 6, Reduce::Sum);
+        let gx = spmm_backward(&csr, &grad, 6, Reduce::Sum);
         let dot = |a: &Matrix, b: &Matrix| -> f64 {
-            a.data().iter().zip(b.data()).map(|(&p, &q)| (p * q) as f64).sum()
+            let terms = a.data().iter().zip(b.data());
+            terms.map(|(&p, &q)| (p * q) as f64).sum()
         };
-        prop_assert!((dot(&y, &g) - dot(&x, &gx)).abs() < 1e-2);
-    }
+        assert!((dot(&y, &grad) - dot(&x, &gx)).abs() < 1e-2);
+    });
+}
 
-    /// Least squares on a consistent system recovers the planted solution.
-    #[test]
-    fn lstsq_recovers_planted(
-        coef in prop::collection::vec(-3.0f64..3.0, 2),
-        xs in prop::collection::vec(-5.0f64..5.0, 8..20),
-    ) {
+/// Least squares on a consistent system recovers the planted solution.
+#[test]
+fn lstsq_recovers_planted() {
+    check("lstsq_recovers_planted", CASES, |g| {
+        let coef = [g.f64_in(-3.0..3.0), g.f64_in(-3.0..3.0)];
+        let xs = g.vec(8..20, |g| g.f64_in(-5.0..5.0));
         let mut a = Vec::new();
         let mut b = Vec::new();
         for (i, &x) in xs.iter().enumerate() {
@@ -96,20 +110,23 @@ proptest! {
             b.push(coef[0] * xi + coef[1]);
         }
         let got = lstsq(&a, 2, &b).expect("full-rank system");
-        prop_assert!((got[0] - coef[0]).abs() < 1e-6);
-        prop_assert!((got[1] - coef[1]).abs() < 1e-6);
-    }
+        assert!((got[0] - coef[0]).abs() < 1e-6);
+        assert!((got[1] - coef[1]).abs() < 1e-6);
+    });
+}
 
-    /// ReLU gradient is a mask: grad flows exactly where input > 0.
-    #[test]
-    fn relu_grad_mask(x in matrix(3, 5), g in matrix(3, 5)) {
-        let gx = x.relu_grad(&g);
+/// ReLU gradient is a mask: grad flows exactly where input > 0.
+#[test]
+fn relu_grad_mask() {
+    check("relu_grad_mask", CASES, |g| {
+        let (x, grad) = (matrix(g, 3, 5), matrix(g, 3, 5));
+        let gx = x.relu_grad(&grad);
         for i in 0..x.len() {
             if x.data()[i] > 0.0 {
-                prop_assert_eq!(gx.data()[i], g.data()[i]);
+                assert_eq!(gx.data()[i], grad.data()[i]);
             } else {
-                prop_assert_eq!(gx.data()[i], 0.0);
+                assert_eq!(gx.data()[i], 0.0);
             }
         }
-    }
+    });
 }
