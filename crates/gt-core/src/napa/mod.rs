@@ -15,3 +15,24 @@ pub mod schedule;
 
 pub use neighbor_apply::NeighborApply;
 pub use pull::Pull;
+
+/// A hand-built layer for kernel tests: `(src, dst)` edges over `num_src`
+/// sources and `num_dst` destinations, CSR and CSC both in `edges` order.
+#[cfg(test)]
+pub(crate) fn test_layer(
+    num_src: usize,
+    num_dst: usize,
+    edges: &[(u32, u32)],
+) -> std::sync::Arc<gt_sample::LayerGraph> {
+    use gt_graph::convert::{coo_to_csc, coo_to_csr};
+    let coo = gt_graph::Coo::from_edges(num_src.max(num_dst), edges);
+    let (csr_full, _) = coo_to_csr(&coo);
+    let csr = gt_graph::Csr::new(csr_full.indptr[..=num_dst].to_vec(), csr_full.srcs);
+    let (csc, _) = coo_to_csc(&coo);
+    std::sync::Arc::new(gt_sample::LayerGraph {
+        csr,
+        csc,
+        num_dst,
+        num_src,
+    })
+}

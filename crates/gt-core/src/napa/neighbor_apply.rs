@@ -5,6 +5,13 @@
 //! without edge-wise scheduling (Graph-approach's cache bloat): all edges of
 //! one destination are processed in the same SM, so "NAPA loads dst nodes'
 //! embedding only once and reuses the embedding during NeighborApply".
+//!
+//! This op materialises its output, one `F`-wide row per edge. The trainer
+//! does not instantiate it: an edge-weighted model runs `g` inside
+//! [`super::Pull::edge_weighted`], which shares this module's device charge,
+//! `g'` scatter and `Dot` scalar. The materialising kernel stays for the
+//! baselines, whose strategies hold edge values by design, and as the oracle
+//! the fused kernel is tested against.
 
 use gt_par::ThreadPool;
 use gt_sample::LayerGraph;
@@ -52,32 +59,28 @@ impl NeighborApply {
         let f = features.cols();
         let layer = &self.layer;
         assert!(features.rows() >= layer.num_src, "features cover src space");
+        assert_covers_dst(layer, features);
         let mut out = Matrix::zeros(layer.csr.num_edges(), f);
         // Parallelize over edge rows: each edge owns one output row, so a
-        // chunked split of the output is disjoint. The edge's dst is found
-        // by binary search on indptr (edge ranges are dst-sorted).
+        // chunked split of the output is disjoint. Edge ranges are
+        // dst-sorted: one search of indptr finds the chunk's first dst, and
+        // the rows after it walk indptr forward.
         let indptr = &layer.csr.indptr;
         let srcs_arr = &layer.csr.srcs;
-        let num_dst = layer.num_dst;
         self.pool.for_each_chunk_mut(
             "napa.neighbor_apply",
             out.data_mut(),
             EDGE_CHUNK * f,
             |ci, chunk| {
                 let edge_base = ci * EDGE_CHUNK;
+                // The last dst whose range starts at or before the edge;
+                // empty ranges sharing that boundary sort ahead of it.
+                let mut d = indptr.partition_point(|&p| p as usize <= edge_base) - 1;
                 for (r, wrow) in chunk.chunks_mut(f).enumerate() {
                     let e = edge_base + r;
-                    // Find this edge's dst by binary search on indptr.
-                    let d = match indptr.binary_search(&(e as u32)) {
-                        Ok(mut i) => {
-                            // Skip empty ranges that share the boundary.
-                            while i < num_dst && indptr[i + 1] == e as u32 {
-                                i += 1;
-                            }
-                            i
-                        }
-                        Err(i) => i - 1,
-                    };
+                    while indptr[d + 1] as usize <= e {
+                        d += 1;
+                    }
                     let s = srcs_arr[e] as usize;
                     let srow = features.row(s);
                     let drow = features.row(d);
@@ -93,7 +96,7 @@ impl NeighborApply {
                             }
                         }
                         EdgeOp::Dot => {
-                            let dot: f32 = srow.iter().zip(drow).map(|(&a, &b)| a * b).sum();
+                            let dot = dot(srow, drow);
                             for o in wrow.iter_mut() {
                                 *o = dot;
                             }
@@ -107,44 +110,20 @@ impl NeighborApply {
 
     /// Backward numerics: gradient w.r.t. features.
     pub fn compute_backward(&self, features: &Matrix, grad: &Matrix) -> Matrix {
-        let f = features.cols();
         let layer = &self.layer;
-        let mut dx = Matrix::zeros(features.rows(), f);
+        let mut dx = Matrix::zeros(features.rows(), features.cols());
         // Sequential edge scan: src and dst rows both accumulate, so the
         // dst-disjoint trick doesn't apply; sampled layers are small.
         for (d, srcs) in layer.csr.iter() {
             for (&s, e) in srcs.iter().zip(layer.csr.edge_range(d)) {
-                // `grad` and `features` are not `dx`, so their rows are
-                // borrowed across the two accumulations, not copied.
-                let (s, d, grow) = (s as usize, d as usize, grad.row(e));
-                let (srow, drow) = (features.row(s), features.row(d));
-                match self.g {
-                    EdgeOp::ElemMul => {
-                        for ((x, &g), &b) in dx.row_mut(s).iter_mut().zip(grow).zip(drow) {
-                            *x += g * b;
-                        }
-                        for ((x, &g), &a) in dx.row_mut(d).iter_mut().zip(grow).zip(srow) {
-                            *x += g * a;
-                        }
-                    }
-                    EdgeOp::ElemAdd => {
-                        for (x, &g) in dx.row_mut(s).iter_mut().zip(grow) {
-                            *x += g;
-                        }
-                        for (x, &g) in dx.row_mut(d).iter_mut().zip(grow) {
-                            *x += g;
-                        }
-                    }
-                    EdgeOp::Dot => {
-                        let gsum: f32 = grow.iter().sum();
-                        for (x, &b) in dx.row_mut(s).iter_mut().zip(drow) {
-                            *x += gsum * b;
-                        }
-                        for (x, &a) in dx.row_mut(d).iter_mut().zip(srow) {
-                            *x += gsum * a;
-                        }
-                    }
-                }
+                scatter_edge_grad(
+                    &mut dx,
+                    self.g,
+                    features,
+                    s as usize,
+                    d as usize,
+                    grad.row(e),
+                );
             }
         }
         dx
@@ -152,17 +131,83 @@ impl NeighborApply {
 
     /// Device work charged by this kernel.
     pub fn stats(&self, feat_dim: usize, num_sms: usize) -> KernelStats {
-        let layer = &self.layer;
-        let row_bytes = (feat_dim * 4) as u64;
-        let cache = feature_wise_cache(layer, row_bytes, num_sms);
-        let edges = layer.csr.num_edges() as u64;
-        KernelStats {
-            flops: edges * feat_dim as u64,
-            global_read_bytes: cache.loaded_bytes() + layer.csr.storage_bytes(),
-            global_write_bytes: edges * row_bytes,
-            cache_loaded_bytes: cache.loaded_bytes(),
-            launches: 1,
-            ..Default::default()
+        stats(&self.layer, feat_dim, num_sms)
+    }
+}
+
+/// The edge-weighting kernel's device work over `layer`. `Pull` charges the
+/// same when it computes edge values itself: the modeled GPU runs this
+/// kernel whether or not the host does (docs/MODEL.md).
+pub(super) fn stats(layer: &LayerGraph, feat_dim: usize, num_sms: usize) -> KernelStats {
+    let row_bytes = (feat_dim * 4) as u64;
+    let cache = feature_wise_cache(layer, row_bytes, num_sms);
+    let edges = layer.csr.num_edges() as u64;
+    KernelStats {
+        flops: edges * feat_dim as u64,
+        global_read_bytes: cache.loaded_bytes() + layer.csr.storage_bytes(),
+        global_write_bytes: edges * row_bytes,
+        cache_loaded_bytes: cache.loaded_bytes(),
+        launches: 1,
+        ..Default::default()
+    }
+}
+
+/// Edge weighting reads `features.row(d)` for every destination; fail here,
+/// on the caller's thread, rather than on a slice index in a pool worker.
+pub(super) fn assert_covers_dst(layer: &LayerGraph, features: &Matrix) {
+    assert!(
+        layer.num_dst <= features.rows(),
+        "edge weighting reads a feature row per destination: layer has {} dst / {} src, features have {} rows",
+        layer.num_dst,
+        layer.num_src,
+        features.rows()
+    );
+}
+
+/// `Dot`'s per-edge scalar, summed in feature order.
+pub(super) fn dot(srow: &[f32], drow: &[f32]) -> f32 {
+    srow.iter().zip(drow).map(|(&a, &b)| a * b).sum()
+}
+
+/// `g'` for one edge `(s, d)` whose weight-row gradient is `grow`: the src
+/// row of `dx` accumulates first, then the dst row (they alias on a
+/// self-loop).
+pub(super) fn scatter_edge_grad(
+    dx: &mut Matrix,
+    g: EdgeOp,
+    features: &Matrix,
+    s: usize,
+    d: usize,
+    grow: &[f32],
+) {
+    // `grow` and `features` are not `dx`, so their rows are borrowed across
+    // the two accumulations, not copied.
+    let (srow, drow) = (features.row(s), features.row(d));
+    match g {
+        EdgeOp::ElemMul => {
+            for ((x, &g), &b) in dx.row_mut(s).iter_mut().zip(grow).zip(drow) {
+                *x += g * b;
+            }
+            for ((x, &g), &a) in dx.row_mut(d).iter_mut().zip(grow).zip(srow) {
+                *x += g * a;
+            }
+        }
+        EdgeOp::ElemAdd => {
+            for (x, &g) in dx.row_mut(s).iter_mut().zip(grow) {
+                *x += g;
+            }
+            for (x, &g) in dx.row_mut(d).iter_mut().zip(grow) {
+                *x += g;
+            }
+        }
+        EdgeOp::Dot => {
+            let gsum: f32 = grow.iter().sum();
+            for (x, &b) in dx.row_mut(s).iter_mut().zip(drow) {
+                *x += gsum * b;
+            }
+            for (x, &a) in dx.row_mut(d).iter_mut().zip(srow) {
+                *x += gsum * a;
+            }
         }
     }
 }
@@ -202,22 +247,12 @@ impl Op for NeighborApply {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gt_graph::convert::{coo_to_csc, coo_to_csr};
-    use gt_graph::{Coo, Csr};
+    use crate::napa::test_layer;
     use gt_tensor::sparse;
 
     fn layer() -> Arc<LayerGraph> {
         // dst 0 ← {1, 2}; dst 1 ← {0, 1}; 3 srcs; dst space 2.
-        let coo = Coo::from_edges(3, &[(1, 0), (2, 0), (0, 1), (1, 1)]);
-        let (csr_full, _) = coo_to_csr(&coo);
-        let csr = Csr::new(csr_full.indptr[..=2].to_vec(), csr_full.srcs.clone());
-        let (csc, _) = coo_to_csc(&coo);
-        Arc::new(LayerGraph {
-            csr,
-            csc,
-            num_dst: 2,
-            num_src: 3,
-        })
+        test_layer(3, 2, &[(1, 0), (2, 0), (0, 1), (1, 1)])
     }
 
     fn feats() -> Matrix {
@@ -233,6 +268,33 @@ mod tests {
             let oracle = sparse::sddmm(&l.csr, &feats(), g);
             assert!(got.max_abs_diff(&oracle) < 1e-6, "g={g:?}");
         }
+    }
+
+    /// The per-chunk dst search lands on chunk boundaries that coincide with
+    /// a dst boundary followed by empty destinations, and on a short tail.
+    #[test]
+    fn chunked_dst_walk_matches_sddmm_oracle() {
+        let degrees = [EDGE_CHUNK, 0, 0, 100, EDGE_CHUNK - 100, 0, 37, 0];
+        let mut edges = Vec::new();
+        for (d, &deg) in degrees.iter().enumerate() {
+            for k in 0..deg {
+                edges.push((((d + 7 * k + 3) % 16) as u32, d as u32));
+            }
+        }
+        assert_ne!(edges.len() % EDGE_CHUNK, 0);
+        let l = test_layer(16, degrees.len(), &edges);
+        let x = Matrix::from_vec(16, 3, (0..48).map(|i| (i % 11) as f32 - 4.5).collect());
+        for g in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
+            let got = NeighborApply::new(Arc::clone(&l), g).compute(&x);
+            assert_eq!(got.data(), sparse::sddmm(&l.csr, &x, g).data(), "g={g:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "layer has 3 dst / 1 src, features have 2 rows")]
+    fn features_shorter_than_the_dst_space_are_refused_by_name() {
+        let l = test_layer(1, 3, &[(0, 2)]);
+        NeighborApply::new(l, EdgeOp::ElemMul).compute(&Matrix::zeros(2, 4));
     }
 
     #[test]

@@ -14,6 +14,16 @@
 //! Row-parallelism runs on the deterministic `gt_par` pool: each output row
 //! has exactly one writer and chunk geometry is fixed, so results are
 //! bit-identical at any `GT_THREADS`.
+//!
+//! Edge-weighted models run `NeighborApply` *inside* this kernel on the host
+//! ([`Pull::edge_weighted`]): each edge's weight is computed from its
+//! (src, dst) rows where it is consumed, so no `E×F` edge matrix exists, and
+//! the backward pass recomputes weights instead of reading them. Every
+//! rounding happens in the order the two separate kernels use, so the result
+//! is bit-identical to `NeighborApply::compute` → [`Pull::weighted`], which
+//! stays as the materialising strategy the baselines reproduce. The device
+//! model is not fused: it still prices two kernels and a resident edge
+//! tensor (docs/MODEL.md).
 
 use crate::config::HFn;
 use gt_par::ThreadPool;
@@ -21,22 +31,27 @@ use gt_sample::LayerGraph;
 use gt_sim::{KernelStats, Phase};
 use gt_tensor::dense::Matrix;
 use gt_tensor::dfg::{ExecCtx, Op, ParamStore};
-use gt_tensor::sparse::Reduce;
+use gt_tensor::sparse::{EdgeOp, Reduce};
 use std::sync::Arc;
 
+use super::neighbor_apply;
 use super::schedule::feature_wise_cache;
 
 /// Output rows per pool chunk (fixed — never derived from the worker count).
 const ROW_CHUNK: usize = 64;
 
-/// The Pull DFG op. Inputs: `[features]` (unweighted) or
-/// `[features, edge_weights]` (weighted; weight row order = CSR edge order).
+/// The Pull DFG op. Inputs: `[features]` (unweighted, or edge-weighted with
+/// `g` set) or `[features, edge_weights]` (materialised weights; weight row
+/// order = CSR edge order).
 #[derive(Debug, Clone)]
 pub struct Pull {
     /// The per-layer subgraph this Pull traverses.
     pub layer: Arc<LayerGraph>,
     /// Aggregation function `f`.
     pub agg: Reduce,
+    /// `g`: when set, each edge's weight is computed here from its
+    /// (src, dst) embedding pair instead of being read from a second input.
+    pub g: Option<EdgeOp>,
     /// `h`: how an edge weight transforms its src embedding. `None` for
     /// unweighted aggregation (GCN).
     pub h: Option<HFn>,
@@ -50,6 +65,7 @@ impl Pull {
         Pull {
             layer,
             agg,
+            g: None,
             h: None,
             pool: ThreadPool::global(),
         }
@@ -58,10 +74,17 @@ impl Pull {
     /// Weighted aggregation: `h` folds NeighborApply's weights into sources.
     pub fn weighted(layer: Arc<LayerGraph>, agg: Reduce, h: HFn) -> Self {
         Pull {
-            layer,
-            agg,
             h: Some(h),
-            pool: ThreadPool::global(),
+            ..Pull::new(layer, agg)
+        }
+    }
+
+    /// Edge-weighted aggregation over `[features]` alone: `g` weights each
+    /// edge and `h` folds the weight into its source, in one pass.
+    pub fn edge_weighted(layer: Arc<LayerGraph>, agg: Reduce, g: EdgeOp, h: HFn) -> Self {
+        Pull {
+            g: Some(g),
+            ..Pull::weighted(layer, agg, h)
         }
     }
 
@@ -73,13 +96,16 @@ impl Pull {
 
     /// Forward numerics, shared with the fused Cost-DKP node.
     pub fn compute(&self, features: &Matrix, weights: Option<&Matrix>) -> Matrix {
-        assert_eq!(self.h.is_some(), weights.is_some(), "weight arity mismatch");
+        self.assert_weight_arity(weights);
         let f = features.cols();
         let layer = &self.layer;
         assert!(
             features.rows() >= layer.num_src,
             "features cover the src id space"
         );
+        if self.g.is_some() {
+            neighbor_apply::assert_covers_dst(layer, features);
+        }
         if let Some(w) = weights {
             assert_eq!(w.rows(), layer.csr.num_edges(), "one weight row per edge");
             assert_eq!(w.cols(), f, "weight dim");
@@ -101,15 +127,26 @@ impl Pull {
                         Reduce::Sum | Reduce::Mean => {
                             for (&s, e) in srcs.iter().zip(erange) {
                                 let srow = features.row(s as usize);
-                                match (self.h, weights) {
-                                    (Some(HFn::Mul), Some(w)) => {
+                                match (self.h, self.g, weights) {
+                                    // The dst row stays hot across its edges.
+                                    (Some(HFn::Mul), Some(g), _) => {
+                                        fold_edge(orow, srow, srow, features.row(d), g, |x, wk| {
+                                            x * wk
+                                        })
+                                    }
+                                    (Some(HFn::Add), Some(g), _) => {
+                                        fold_edge(orow, srow, srow, features.row(d), g, |x, wk| {
+                                            x + wk
+                                        })
+                                    }
+                                    (Some(HFn::Mul), None, Some(w)) => {
                                         for ((o, &x), &wk) in
                                             orow.iter_mut().zip(srow).zip(w.row(e))
                                         {
                                             *o += x * wk;
                                         }
                                     }
-                                    (Some(HFn::Add), Some(w)) => {
+                                    (Some(HFn::Add), None, Some(w)) => {
                                         for ((o, &x), &wk) in
                                             orow.iter_mut().zip(srow).zip(w.row(e))
                                         {
@@ -170,7 +207,9 @@ impl Pull {
         }
     }
 
-    /// Backward numerics: returns `(d_features, d_weights)`.
+    /// Backward numerics: returns `(d_features, d_weights)`. With `g` set
+    /// there is no weight input: `d_features` is then the whole input
+    /// gradient, through the aggregation and through the edge weights.
     pub fn compute_backward(
         &self,
         features: &Matrix,
@@ -181,6 +220,7 @@ impl Pull {
             self.agg != Reduce::Max,
             "Pull backward: Max needs argmax state"
         );
+        self.assert_weight_arity(weights);
         let f = features.cols();
         let layer = &self.layer;
         // Degree of each dst (for Mean scaling).
@@ -210,8 +250,13 @@ impl Pull {
                             _ => 1.0,
                         };
                         let grow = grad.row(d as usize);
-                        match (self.h, weights) {
-                            (Some(HFn::Mul), Some(w)) => {
+                        match (self.h, self.g, weights) {
+                            (Some(HFn::Mul), Some(g), _) => {
+                                // Recompute this edge's weights: no edge id.
+                                let (srow, drow) = (features.row(s), features.row(d as usize));
+                                fold_edge(xrow, grow, srow, drow, g, |gk, wk| gk * wk * scale);
+                            }
+                            (Some(HFn::Mul), None, Some(w)) => {
                                 // Need this edge's weight row: find the edge id
                                 // in CSR order (s within dsts' src slice).
                                 let e = edge_id(layer, d, s as u32);
@@ -234,7 +279,7 @@ impl Pull {
         // while reading per-dst gradient rows; the loop is cheap relative
         // to dx and keeping it serial avoids a second edge-id index.
         let dw = match (self.h, weights) {
-            (Some(HFn::Mul), Some(_)) | (Some(HFn::Add), Some(_)) => {
+            (Some(_), Some(_)) => {
                 let mut dw = Matrix::zeros(layer.csr.num_edges(), f);
                 for (d, srcs) in layer.csr.iter() {
                     let scale = match self.agg {
@@ -263,7 +308,118 @@ impl Pull {
             }
             _ => None,
         };
+        if let (Some(g), Some(h)) = (self.g, self.h) {
+            // The sum a DFG forms when Pull and NeighborApply both feed
+            // gradients back to `features`: Pull's first, then `+= 1.0 ·`.
+            dx.axpy(1.0, &self.edge_input_grad(features, grad, g, h));
+        }
         (dx, dw)
+    }
+
+    /// The input gradient that flows through the edge weights — what
+    /// `NeighborApply::compute_backward` returns for this Pull's `d_weights`
+    /// — with each `d_weights` row recomputed where it is consumed. Serial
+    /// like that kernel: src and dst rows both accumulate in CSR edge order.
+    fn edge_input_grad(&self, features: &Matrix, grad: &Matrix, g: EdgeOp, h: HFn) -> Matrix {
+        let layer = &self.layer;
+        let mut dx = Matrix::zeros(features.rows(), features.cols());
+        let mut dwrow = vec![0.0f32; features.cols()];
+        for (d, srcs) in layer.csr.iter() {
+            let scale = match self.agg {
+                Reduce::Mean => 1.0 / layer.csr.degree(d).max(1) as f32,
+                _ => 1.0,
+            };
+            let grow = grad.row(d as usize);
+            if h == HFn::Add {
+                // `h = Add` passes the scaled gradient through: one row per dst.
+                for (o, &g) in dwrow.iter_mut().zip(grow) {
+                    *o = g * scale;
+                }
+            }
+            for &s in srcs {
+                if h == HFn::Mul {
+                    let srow = features.row(s as usize);
+                    for ((o, &g), &x) in dwrow.iter_mut().zip(grow).zip(srow) {
+                        *o = g * x * scale;
+                    }
+                }
+                neighbor_apply::scatter_edge_grad(
+                    &mut dx, g, features, s as usize, d as usize, &dwrow,
+                );
+            }
+        }
+        dx
+    }
+
+    /// `[features, edge_weights]` exactly when `h` reads stored weights.
+    fn assert_weight_arity(&self, weights: Option<&Matrix>) {
+        assert_eq!(
+            self.h.is_some() && self.g.is_none(),
+            weights.is_some(),
+            "weight arity mismatch"
+        );
+    }
+
+    /// Bytes of the `E×F` edge tensor the modeled device keeps resident.
+    fn edge_tensor_bytes(&self, feat_dim: usize) -> u64 {
+        (self.layer.csr.num_edges() * feat_dim * 4) as u64
+    }
+
+    /// With `g` set, charge what the `NeighborApply` node ahead of a weighted
+    /// Pull charges in a forward pass: its kernel, then its output landing
+    /// in device memory.
+    pub(crate) fn charge_edge_weighting(&self, feat_dim: usize, ctx: &mut ExecCtx) {
+        if self.g.is_some() {
+            let stats = neighbor_apply::stats(&self.layer, feat_dim, ctx.sim.device().num_sms);
+            ctx.sim.record_gpu(Phase::EdgeWeighting, stats);
+            let _ = ctx.sim.memory.alloc(self.edge_tensor_bytes(feat_dim));
+        }
+    }
+
+    /// With `g` set, charge the `NeighborApply` backward kernel that turns
+    /// weight gradients into `dx`.
+    pub(crate) fn charge_edge_weighting_backward(&self, dx: &Matrix, ctx: &mut ExecCtx) {
+        if self.g.is_some() {
+            // g' applies to both dst and src (Fig 3c): same traversal cost.
+            let mut stats = neighbor_apply::stats(&self.layer, dx.cols(), ctx.sim.device().num_sms);
+            stats.global_write_bytes = dx.bytes();
+            ctx.sim.record_gpu(Phase::EdgeWeighting, stats);
+        }
+    }
+}
+
+/// One edge of an edge-weighted kernel: `acc[j] += k(lhs[j], w[j])`, where
+/// `w[j] = g(x_s[j], x_d[j])` is rounded to `f32` before `k` sees it, as if
+/// it had been stored, and `Dot`'s scalar is summed once per edge.
+#[inline(always)]
+fn fold_edge(
+    acc: &mut [f32],
+    lhs: &[f32],
+    srow: &[f32],
+    drow: &[f32],
+    g: EdgeOp,
+    k: impl Fn(f32, f32) -> f32,
+) {
+    #[inline(always)]
+    fn fold(
+        acc: &mut [f32],
+        lhs: &[f32],
+        srow: &[f32],
+        drow: &[f32],
+        w: impl Fn(f32, f32) -> f32,
+        k: impl Fn(f32, f32) -> f32,
+    ) {
+        for (((o, &l), &a), &b) in acc.iter_mut().zip(lhs).zip(srow).zip(drow) {
+            *o += k(l, w(a, b));
+        }
+    }
+    match g {
+        EdgeOp::ElemMul => fold(acc, lhs, srow, drow, |a, b| a * b, k),
+        EdgeOp::ElemAdd => fold(acc, lhs, srow, drow, |a, b| a + b, k),
+        EdgeOp::Dot => {
+            let dot = neighbor_apply::dot(srow, drow);
+            fold(acc, lhs, srow, drow, |_, _| dot, k)
+        }
     }
 }
 
@@ -282,6 +438,7 @@ impl Op for Pull {
 
     fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix {
         let weights = inputs.get(1).copied();
+        self.charge_edge_weighting(inputs[0].cols(), ctx);
         let out = self.compute(inputs[0], weights);
         let stats = self.forward_stats(inputs[0].cols(), ctx.sim.device().num_sms);
         ctx.sim.record_gpu(Phase::Aggregation, stats);
@@ -299,9 +456,13 @@ impl Op for Pull {
         let (dx, dw) = self.compute_backward(inputs[0], weights, grad);
         // Backward is the same traversal in reverse (f' ≡ f, Fig 3b).
         let mut stats = self.forward_stats(inputs[0].cols(), ctx.sim.device().num_sms);
-        stats.global_write_bytes = dx.bytes() + dw.as_ref().map_or(0, |w| w.bytes());
+        // The modeled kernel writes weight gradients whether the host
+        // materialises them or not.
+        let dw_bytes = self.h.map_or(0, |_| self.edge_tensor_bytes(dx.cols()));
+        stats.global_write_bytes = dx.bytes() + dw_bytes;
         ctx.sim.record_gpu(Phase::Aggregation, stats);
-        if self.h.is_some() {
+        self.charge_edge_weighting_backward(&dx, ctx);
+        if weights.is_some() {
             vec![Some(dx), dw]
         } else {
             vec![Some(dx)]
@@ -316,22 +477,12 @@ impl Op for Pull {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gt_graph::convert::{coo_to_csc, coo_to_csr};
-    use gt_graph::{Coo, Csr};
+    use crate::napa::test_layer;
     use gt_tensor::sparse;
 
     /// Layer: dst 0 ← {1, 2}, dst 1 ← {1}, over 3 srcs.
     fn layer() -> Arc<LayerGraph> {
-        let coo = Coo::from_edges(3, &[(1, 0), (2, 0), (1, 1)]);
-        let (csr_full, _) = coo_to_csr(&coo);
-        let csr = Csr::new(csr_full.indptr[..=2].to_vec(), csr_full.srcs.clone());
-        let (csc, _) = coo_to_csc(&coo);
-        Arc::new(LayerGraph {
-            csr,
-            csc,
-            num_dst: 2,
-            num_src: 3,
-        })
+        test_layer(3, 2, &[(1, 0), (2, 0), (1, 1)])
     }
 
     fn feats() -> Matrix {
@@ -360,6 +511,14 @@ mod tests {
         let got = pull.compute(&feats(), Some(&w));
         let oracle = sparse::spmm_weighted(&l.csr, &feats(), &w, Reduce::Sum);
         assert!(got.max_abs_diff(&oracle) < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer has 3 dst / 1 src, features have 2 rows")]
+    fn edge_weighted_features_shorter_than_the_dst_space_are_refused_by_name() {
+        let l = test_layer(1, 3, &[(0, 2)]);
+        Pull::edge_weighted(l, Reduce::Sum, EdgeOp::ElemMul, HFn::Mul)
+            .compute(&Matrix::zeros(2, 4), None);
     }
 
     #[test]

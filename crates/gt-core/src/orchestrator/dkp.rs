@@ -222,6 +222,9 @@ impl Op for CostDkp {
             (0.0, 0.0)
         };
 
+        // An edge-weighted Pull stands for a NeighborApply node ahead of
+        // this one; its device charges come first, as that node's did.
+        self.pull.charge_edge_weighting(d.n_feat, ctx);
         let mut observed_fwd_us = 0.0;
         let (mut out, intermediate) = match placement {
             Placement::AggregationFirst => {
@@ -313,7 +316,8 @@ impl Op for CostDkp {
                     let lat = self.charge_pull(d.n_feat, ctx);
                     self.record_agg_sample(&d, d.n_feat, lat);
                     observed_bwd_us += lat;
-                    if self.pull.h.is_some() {
+                    self.pull.charge_edge_weighting_backward(&dx, ctx);
+                    if weights.is_some() {
                         vec![Some(dx), dwe]
                     } else {
                         vec![Some(dx)]
@@ -404,8 +408,7 @@ pub fn apply_dkp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gt_graph::convert::{coo_to_csc, coo_to_csr};
-    use gt_graph::{Coo, Csr};
+    use crate::napa::test_layer;
     use gt_sample::LayerGraph;
     use gt_sim::{DeviceSpec, SimContext};
     use gt_tensor::dfg::Linear;
@@ -413,16 +416,11 @@ mod tests {
     use gt_tensor::sparse::Reduce;
 
     fn layer() -> Arc<LayerGraph> {
-        let coo = Coo::from_edges(4, &[(0, 0), (1, 0), (2, 0), (1, 1), (3, 1), (2, 2), (0, 2)]);
-        let (csr_full, _) = coo_to_csr(&coo);
-        let csr = Csr::new(csr_full.indptr[..=3].to_vec(), csr_full.srcs.clone());
-        let (csc, _) = coo_to_csc(&coo);
-        Arc::new(LayerGraph {
-            csr,
-            csc,
-            num_dst: 3,
-            num_src: 4,
-        })
+        test_layer(
+            4,
+            3,
+            &[(0, 0), (1, 0), (2, 0), (1, 1), (3, 1), (2, 2), (0, 2)],
+        )
     }
 
     /// One forward + backward (L = sum(out)) of [`pull_linear`].

@@ -8,7 +8,7 @@
 use crate::config::ModelConfig;
 use crate::data::GraphData;
 use crate::framework::{BatchOutcome, BatchReport, FailReason, Framework, FrameworkTraits};
-use crate::napa::{NeighborApply, Pull};
+use crate::napa::Pull;
 use crate::orchestrator::{apply_dkp, CostModel, DkpPair, DriftMonitor};
 use crate::prepro::{run_prepro, PreproResult};
 use crate::scheduler::{schedule_prepro_with_faults, PreproStrategy};
@@ -182,16 +182,14 @@ impl GraphTensor {
         let mut x = dfg.input(0);
         for l in 0..self.model.layers {
             let layer = Arc::clone(&pr.layers[l]);
-            let pull_op;
-            let pull_node;
-            if let Some(ew) = self.model.edge {
-                let na = dfg.op(NeighborApply::new(Arc::clone(&layer), ew.g), &[x]);
-                pull_op = Pull::weighted(Arc::clone(&layer), self.model.agg, ew.h);
-                pull_node = dfg.op(pull_op.clone(), &[x, na]);
-            } else {
-                pull_op = Pull::new(Arc::clone(&layer), self.model.agg);
-                pull_node = dfg.op(pull_op.clone(), &[x]);
-            }
+            // An edge-weighted Pull computes `g` per edge itself: the host
+            // never holds the `E×F` edge matrix (the device model still
+            // prices NeighborApply and its output, docs/MODEL.md).
+            let pull_op = match self.model.edge {
+                Some(ew) => Pull::edge_weighted(layer, self.model.agg, ew.g, ew.h),
+                None => Pull::new(layer, self.model.agg),
+            };
+            let pull_node = dfg.op(pull_op.clone(), &[x]);
             let w = self.model.weight_name(l);
             let b = self.model.bias_name(l);
             let lin = dfg.op(Linear::new(w.clone(), b.clone()), &[pull_node]);
