@@ -208,15 +208,6 @@ fn run_scenario(tag: &str) -> String {
     digest
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// The in-process invariants at whatever width this process runs.
 #[test]
 fn serving_day_reconciles_journal_and_tenant_counters() {
@@ -233,7 +224,10 @@ fn digest_helper() {
     if std::env::var(DIGEST_ENV).is_err() {
         return;
     }
-    println!("serving-digest={:#018x}", fnv1a(&run_scenario("child")));
+    println!(
+        "serving-digest={:#018x}",
+        gt_telemetry::fnv1a(run_scenario("child").bytes())
+    );
 }
 
 /// `GT_THREADS=1` and `GT_THREADS=4` resolve the identical serving day —

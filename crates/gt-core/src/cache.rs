@@ -31,14 +31,13 @@
 //! state (and hit counters) the crashed one had.
 //!
 //! **Determinism.** Eviction is strict least-recently-used with ties
-//! impossible (a global use tick orders every touch); no hash-map
+//! impossible (`gt_sim::Lru` gives every touch a fresh tick); no hash-map
 //! iteration order ever influences behavior, so cache decisions are
 //! bit-identical across `GT_THREADS` widths and machines.
 
 use crate::framework::BatchReport;
 use gt_graph::VId;
-use gt_sim::Phase;
-use std::collections::{BTreeSet, HashMap};
+use gt_sim::{Lru, Phase};
 
 /// Sizing of the serving caches.
 #[derive(Debug, Clone)]
@@ -55,66 +54,6 @@ impl Default for CacheConfig {
             embedding_capacity: 4096,
             subgraph_capacity: 256,
         }
-    }
-}
-
-/// A bounded LRU set with deterministic eviction: every touch gets a
-/// fresh global tick, and eviction always removes the smallest
-/// `(tick, key)` pair — never anything order-dependent.
-#[derive(Debug)]
-struct Lru<K: Copy + Ord + std::hash::Hash> {
-    capacity: usize,
-    tick: u64,
-    last_use: HashMap<K, u64>,
-    order: BTreeSet<(u64, K)>,
-}
-
-impl<K: Copy + Ord + std::hash::Hash> Lru<K> {
-    fn new(capacity: usize) -> Self {
-        Lru {
-            capacity,
-            tick: 0,
-            last_use: HashMap::new(),
-            order: BTreeSet::new(),
-        }
-    }
-
-    /// Look `key` up, refreshing its recency on a hit.
-    fn lookup(&mut self, key: K) -> bool {
-        let Some(t) = self.last_use.get_mut(&key) else {
-            return false;
-        };
-        self.tick += 1;
-        self.order.remove(&(*t, key));
-        *t = self.tick;
-        self.order.insert((self.tick, key));
-        true
-    }
-
-    /// Insert `key` as most recent, evicting the least recent at capacity.
-    fn insert(&mut self, key: K) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.tick += 1;
-        if let Some(t) = self.last_use.get_mut(&key) {
-            self.order.remove(&(*t, key));
-            *t = self.tick;
-        } else {
-            if self.last_use.len() >= self.capacity {
-                let oldest = *self.order.iter().next().expect("non-empty at capacity");
-                self.order.remove(&oldest);
-                self.last_use.remove(&oldest.1);
-            }
-            self.last_use.insert(key, self.tick);
-        }
-        self.order.insert((self.tick, key));
-    }
-
-    fn clear(&mut self) {
-        self.tick = 0;
-        self.last_use.clear();
-        self.order.clear();
     }
 }
 
@@ -171,19 +110,8 @@ impl CacheStats {
 fn subgraph_key(batch: &[VId], fanout: usize, epoch: u64) -> u64 {
     let mut ids: Vec<VId> = batch.to_vec();
     ids.sort_unstable();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    for id in ids {
-        mix(id as u64);
-    }
-    mix(fanout as u64);
-    mix(epoch);
-    h
+    let words = ids.into_iter().map(u64::from).chain([fanout as u64, epoch]);
+    gt_telemetry::fnv1a(words.flat_map(u64::to_le_bytes))
 }
 
 /// Both serving caches plus their accounting, owned by the
@@ -302,7 +230,10 @@ mod tests {
         assert!(lru.lookup(1));
         assert!(lru.lookup(3));
         assert!(!lru.lookup(2));
-        assert_eq!(lru.last_use.len(), 2);
+        // Exactly the two survivors are held, oldest first.
+        assert_eq!(lru.pop_oldest(), Some(1));
+        assert_eq!(lru.pop_oldest(), Some(3));
+        assert_eq!(lru.pop_oldest(), None);
     }
 
     #[test]
@@ -354,8 +285,8 @@ mod tests {
         c.bump_epoch();
         c.reset();
         assert_eq!(c.epoch, 0);
-        assert!(c.embedding.last_use.is_empty());
-        assert!(c.subgraph.last_use.is_empty());
+        assert_eq!(c.embedding.pop_oldest(), None);
+        assert_eq!(c.subgraph.pop_oldest(), None);
         assert_eq!(c.stats(), CacheStats::default());
     }
 

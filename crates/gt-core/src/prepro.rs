@@ -151,14 +151,15 @@ pub fn run_prepro_with_pool(
     // Execution order: GNN layer l consumes hops[nhops - 1 - l].
     let layers: Vec<Arc<LayerGraph>> = layers_rev.into_iter().rev().collect();
 
-    let new_to_orig = sample.new_to_orig();
+    // R is done with the map: keep only its id log, without copying it.
+    let total_nodes = sample.num_nodes() as u64;
+    let new_to_orig = sample.vidmap.into_new_to_orig();
     let gathered = {
         let _s = telemetry.span("prepro", "K (lookup)");
         lookup_all_with_pool(&data.features, &new_to_orig, pool)
     };
     let features = Matrix::from_vec(gathered.rows(), gathered.dim(), gathered.into_vec());
 
-    let total_nodes = sample.num_nodes() as u64;
     let work = PreproWork {
         hops,
         batch_nodes: batch.len() as u64,

@@ -1,10 +1,10 @@
-//! Typed errors for the preprocessing stages (S/R and the hash table).
+//! Typed errors for the preprocessing stages (S and R).
 //!
 //! The serving supervisor in `gt-core` needs to tell a *bad batch* (poison
 //! input it should quarantine) from a *scheduler bug* (which should still
-//! abort loudly). Every validation the samplers used to `assert!` is also
-//! available as a `Result` through the `try_*` entry points; the panicking
-//! wrappers delegate to them so the two paths can never disagree.
+//! abort loudly). Every validation is a `Result` from the stage's
+//! `try_*_with_pool` entry point; the panicking conveniences delegate to it
+//! so the two paths can never disagree.
 
 use gt_graph::VId;
 
@@ -28,12 +28,6 @@ pub enum SampleError {
         /// The unmapped original vertex id.
         v: VId,
     },
-    /// The dense `new → orig` log has a hole at this new id (an insert's
-    /// log write has not landed yet).
-    IdLogGap {
-        /// The new id whose log slot is unfilled.
-        new: VId,
-    },
 }
 
 impl std::fmt::Display for SampleError {
@@ -46,9 +40,6 @@ impl std::fmt::Display for SampleError {
             }
             SampleError::MissingMapping { v } => {
                 write!(f, "vertex {v} missing from hash table")
-            }
-            SampleError::IdLogGap { new } => {
-                write!(f, "gap in new→orig id log at new id {new}")
             }
         }
     }

@@ -2,268 +2,94 @@
 //!
 //! Neighbor sampling "maintains a hash table for the sampled nodes"; each
 //! unique node added to a subgraph gets a fresh dense new-VID starting from
-//! zero. Sampling (S) inserts, reindexing (R) looks up — both hammer this
-//! shared structure, which is exactly the lock-contention hot spot of
-//! Fig 14a that the optimized scheduler relaxes by splitting S into an
-//! algorithm part and a hash-update part (Fig 14c).
-//!
-//! The table is sharded: each shard is a `parking_lot::Mutex<HashMap>`, and
-//! every acquisition that found its shard already locked is counted, so the
-//! contention analysis has real operation counts to work from. Sequential
-//! use is fully deterministic (new VIDs are allocated in insertion order).
+//! zero, in first-occurrence order. Sampling's H phase writes the table
+//! (`&mut self`); reindexing (R) reads it (`&self`, shared by pool workers).
+//! There is no lock: Fig 14c serializes H, so the map has one writer, and
+//! the contention of Fig 14a is modeled in `gt-core::scheduler`.
 
-use crate::error::SampleError;
 use crate::idhash::IdHashMap;
 use gt_graph::VId;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Number of shards; power of two for cheap masking.
-const SHARDS: usize = 16;
-
-/// Operation counters exported for scheduler cost models and Fig 14.
+/// Counters the scheduler's cost model prices (S's hash ops: `inserts + hits`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct VidMapStats {
-    /// `insert_or_get` calls that allocated a new VID.
+    /// Insert calls that allocated a new VID.
     pub inserts: u64,
-    /// `insert_or_get` calls that found an existing mapping.
+    /// Insert calls that found an existing mapping.
     pub hits: u64,
-    /// Pure lookups (reindexing reads).
-    pub lookups: u64,
-    /// Lock acquisitions that found the shard already held.
-    pub contended: u64,
 }
 
-impl VidMapStats {
-    /// Total hash-table operations.
-    pub fn total_ops(&self) -> u64 {
-        self.inserts + self.hits + self.lookups
-    }
-}
-
-/// Concurrent original-VID → new-VID map with dense id allocation.
-#[derive(Debug)]
+/// Original-VID → new-VID map with dense id allocation.
+#[derive(Debug, Default)]
 pub struct VidMap {
-    shards: Vec<Mutex<IdHashMap<VId, VId>>>,
-    next: AtomicU32,
-    /// Insertion log: `new_to_orig[new]` = original id. Sharded appends
-    /// would race, so each insert also records into a per-shard log merged
-    /// on demand; for the sequential fast path we keep one mutex-protected
-    /// vec (uncontended locks in parking_lot are a few ns).
-    new_to_orig: Mutex<Vec<VId>>,
-    inserts: AtomicU64,
-    hits: AtomicU64,
-    lookups: AtomicU64,
-    contended: AtomicU64,
-}
-
-impl Default for VidMap {
-    fn default() -> Self {
-        Self::new()
-    }
+    map: IdHashMap<VId, VId>,
+    /// Insertion log: `new_to_orig[new]` = original id.
+    new_to_orig: Vec<VId>,
+    hits: u64,
 }
 
 impl VidMap {
     /// Empty map.
     pub fn new() -> Self {
-        VidMap {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(IdHashMap::default()))
-                .collect(),
-            next: AtomicU32::new(0),
-            new_to_orig: Mutex::new(Vec::new()),
-            inserts: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-        }
-    }
-
-    fn shard_index(orig: VId) -> usize {
-        // Multiplicative hash spreads sequential ids across shards.
-        let h = (orig as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 32;
-        h as usize & (SHARDS - 1)
-    }
-
-    fn shard(&self, orig: VId) -> &Mutex<IdHashMap<VId, VId>> {
-        &self.shards[Self::shard_index(orig)]
-    }
-
-    fn lock_counting<'a>(
-        &self,
-        m: &'a Mutex<IdHashMap<VId, VId>>,
-    ) -> parking_lot::MutexGuard<'a, IdHashMap<VId, VId>> {
-        match m.try_lock() {
-            Some(g) => g,
-            None => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                m.lock()
-            }
-        }
+        Self::default()
     }
 
     /// Map `orig` to its new VID, allocating the next dense id if unseen.
     /// Returns `(new_vid, was_inserted)`.
-    pub fn insert_or_get(&self, orig: VId) -> (VId, bool) {
-        let mut shard = self.lock_counting(self.shard(orig));
-        if let Some(&new) = shard.get(&orig) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (new, false);
+    pub fn insert_or_get(&mut self, orig: VId) -> (VId, bool) {
+        let next = self.new_to_orig.len() as VId;
+        // Mapped values are all `< next`, so `new == next` means "fresh".
+        let new = *self.map.entry(orig).or_insert(next);
+        if new == next {
+            self.new_to_orig.push(orig);
+        } else {
+            self.hits += 1;
         }
-        let new = self.next.fetch_add(1, Ordering::Relaxed);
-        shard.insert(orig, new);
-        drop(shard);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        let mut log = self.new_to_orig.lock();
-        if log.len() <= new as usize {
-            log.resize(new as usize + 1, VId::MAX);
-        }
-        log[new as usize] = orig;
-        (new, true)
+        (new, new == next)
     }
 
-    /// H-phase batched update (Fig 14c): insert `origs` in slice order,
-    /// allocating dense new-VIDs for first occurrences. Semantically equal
-    /// to calling [`insert_or_get`](Self::insert_or_get) in a loop, but the
-    /// `new_to_orig` log lock and the insert counter are amortized to one
-    /// acquisition per batch instead of one per id — the sampler calls this
-    /// once per A-phase chunk, keeping the whole hash-update cost inside
-    /// the serial H region. Returns the number of fresh ids allocated.
-    pub fn insert_batch(&self, origs: &[VId]) -> usize {
-        let mut fresh: Vec<(VId, VId)> = Vec::new();
+    /// H-phase batched update (Fig 14c): [`insert_or_get`](Self::insert_or_get)
+    /// over `origs` in slice order, so first occurrences get dense new-VIDs.
+    /// Returns the number of fresh ids allocated.
+    pub fn insert_batch(&mut self, origs: &[VId]) -> usize {
+        let before = self.len();
         for &orig in origs {
-            let mut shard = self.lock_counting(self.shard(orig));
-            if shard.contains_key(&orig) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let new = self.next.fetch_add(1, Ordering::Relaxed);
-            shard.insert(orig, new);
-            drop(shard);
-            fresh.push((new, orig));
+            self.insert_or_get(orig);
         }
-        if fresh.is_empty() {
-            return 0;
-        }
-        self.inserts
-            .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-        let mut log = self.new_to_orig.lock();
-        let max_new = fresh.iter().map(|&(n, _)| n).max().unwrap();
-        if log.len() <= max_new as usize {
-            log.resize(max_new as usize + 1, VId::MAX);
-        }
-        for &(new, orig) in &fresh {
-            log[new as usize] = orig;
-        }
-        fresh.len()
-    }
-
-    /// [`insert_batch`](Self::insert_batch) through exclusive access: no
-    /// shard locks, no atomics, one hash probe per id. This is the H
-    /// phase's fast path — H is serial by construction (Fig 14c serializes
-    /// hash updates), and the sampler owns its map, so exclusive access is
-    /// free. Allocation order (slice order) is identical to the locked
-    /// variants'.
-    pub fn insert_batch_mut(&mut self, origs: &[VId]) -> usize {
-        let mut next = *self.next.get_mut();
-        let mut fresh = 0usize;
-        let mut hit_count = 0u64;
-        for &orig in origs {
-            match self.shards[Self::shard_index(orig)].get_mut().entry(orig) {
-                std::collections::hash_map::Entry::Occupied(_) => hit_count += 1,
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(next);
-                    let log = self.new_to_orig.get_mut();
-                    debug_assert_eq!(log.len(), next as usize, "id log out of sync");
-                    log.push(orig);
-                    next += 1;
-                    fresh += 1;
-                }
-            }
-        }
-        *self.next.get_mut() = next;
-        *self.hits.get_mut() += hit_count;
-        *self.inserts.get_mut() += fresh as u64;
-        fresh
+        self.len() - before
     }
 
     /// Look up an existing mapping (reindexing read path).
     pub fn get(&self, orig: VId) -> Option<VId> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let shard = self.lock_counting(self.shard(orig));
-        shard.get(&orig).copied()
-    }
-
-    /// Acquire every shard once and serve lock-free lookups for the guard's
-    /// lifetime. This is R's bulk read path: per-id [`get`](Self::get) pays
-    /// a lock acquisition and a stats increment per edge endpoint, which is
-    /// pure cache-line traffic when reindex workers hammer it in parallel.
-    /// The guard's `get` touches no shared state; callers account the reads
-    /// afterwards with [`record_lookups`](Self::record_lookups).
-    pub fn read(&self) -> VidMapReadGuard<'_> {
-        VidMapReadGuard {
-            guards: self.shards.iter().map(|s| self.lock_counting(s)).collect(),
-        }
-    }
-
-    /// Bulk-add `n` to the lookup counter (pairs with [`read`](Self::read),
-    /// whose guard does not count per-`get`).
-    pub fn record_lookups(&self, n: u64) {
-        self.lookups.fetch_add(n, Ordering::Relaxed);
+        self.map.get(&orig).copied()
     }
 
     /// Number of unique nodes mapped so far.
     pub fn len(&self) -> usize {
-        self.next.load(Ordering::Relaxed) as usize
+        self.new_to_orig.len()
     }
 
     /// True if no nodes have been mapped.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.new_to_orig.is_empty()
     }
 
-    /// Snapshot of `new → orig`, densely indexed by new VID. A gap in the
-    /// log (snapshot raced an in-flight insert) trips a debug assertion;
-    /// use [`try_new_to_orig`](Self::try_new_to_orig) to get it as a value.
-    pub fn new_to_orig(&self) -> Vec<VId> {
-        let log = self.new_to_orig.lock();
-        debug_assert!(log.iter().all(|&v| v != VId::MAX), "gap in id log");
-        log.clone()
+    /// `new → orig`, densely indexed by new VID.
+    pub fn new_to_orig(&self) -> &[VId] {
+        &self.new_to_orig
     }
 
-    /// Snapshot of `new → orig`, reporting any gap in the log as a
-    /// [`SampleError::IdLogGap`] in every build profile.
-    pub fn try_new_to_orig(&self) -> Result<Vec<VId>, SampleError> {
-        let log = self.new_to_orig.lock();
-        if let Some(new) = log.iter().position(|&v| v == VId::MAX) {
-            return Err(SampleError::IdLogGap { new: new as VId });
-        }
-        Ok(log.clone())
+    /// Consume the map, keeping only the `new → orig` table (K's row order).
+    pub fn into_new_to_orig(self) -> Vec<VId> {
+        self.new_to_orig
     }
 
     /// Operation counters.
     pub fn stats(&self) -> VidMapStats {
         VidMapStats {
-            inserts: self.inserts.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            lookups: self.lookups.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
+            inserts: self.new_to_orig.len() as u64,
+            hits: self.hits,
         }
-    }
-}
-
-/// Lock-free read view over the whole map: holds every shard's mutex, so
-/// `get` can read the maps directly. Shareable across pool workers
-/// (`MutexGuard<HashMap>` is `Sync`); writers block until it drops.
-pub struct VidMapReadGuard<'a> {
-    guards: Vec<parking_lot::MutexGuard<'a, IdHashMap<VId, VId>>>,
-}
-
-impl VidMapReadGuard<'_> {
-    /// Look up an existing mapping without touching shared counters; the
-    /// caller accounts reads in bulk via [`VidMap::record_lookups`].
-    pub fn get(&self, orig: VId) -> Option<VId> {
-        self.guards[VidMap::shard_index(orig)].get(&orig).copied()
     }
 }
 
@@ -271,119 +97,54 @@ impl VidMapReadGuard<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn read_guard_matches_get() {
-        let m = VidMap::new();
-        for v in [100u32, 50, 7, 900, 13] {
-            m.insert_or_get(v);
-        }
-        // Collect expectations first: the guard holds every shard lock, so
-        // calling `m.get` while it lives would self-deadlock.
-        let expected: Vec<_> = [100u32, 50, 7, 900, 13]
-            .iter()
-            .map(|&v| (v, m.get(v)))
-            .collect();
-        let lookups_before = m.stats().lookups;
-        {
-            let view = m.read();
-            for &(v, want) in &expected {
-                assert_eq!(view.get(v), want);
-            }
-            assert_eq!(view.get(12345), None);
-        }
-        m.record_lookups(6);
-        assert_eq!(m.stats().lookups, lookups_before + 6);
+    fn stats(inserts: u64, hits: u64) -> VidMapStats {
+        VidMapStats { inserts, hits }
     }
 
     #[test]
     fn dense_sequential_allocation() {
-        let m = VidMap::new();
+        let mut m = VidMap::new();
+        assert!(m.is_empty());
         assert_eq!(m.insert_or_get(100), (0, true));
         assert_eq!(m.insert_or_get(50), (1, true));
         assert_eq!(m.insert_or_get(100), (0, false));
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.new_to_orig(), vec![100, 50]);
+        assert_eq!(m.new_to_orig(), [100, 50]);
+        assert_eq!(m.into_new_to_orig(), vec![100, 50]);
     }
 
     #[test]
     fn get_does_not_insert() {
-        let m = VidMap::new();
+        let mut m = VidMap::new();
         assert_eq!(m.get(7), None);
+        assert_eq!((m.len(), m.stats()), (0, stats(0, 0)));
         m.insert_or_get(7);
-        assert_eq!(m.get(7), Some(0));
-        assert_eq!(m.len(), 1);
+        assert_eq!((m.get(7), m.get(8)), (Some(0), None));
+        assert_eq!((m.len(), m.stats()), (1, stats(1, 0)));
     }
 
     #[test]
     fn insert_batch_matches_looped_inserts() {
         let ids = [5u32, 9, 5, 2, 9, 7, 2, 11];
-        let looped = VidMap::new();
+        let mut looped = VidMap::new();
         for &v in &ids {
             looped.insert_or_get(v);
         }
-        let batched = VidMap::new();
+        let mut batched = VidMap::new();
         assert_eq!(batched.insert_batch(&ids), 5);
+        assert_eq!(batched.new_to_orig(), [5, 9, 2, 7, 11]);
         assert_eq!(batched.new_to_orig(), looped.new_to_orig());
-        assert_eq!(batched.len(), looped.len());
-        assert_eq!(batched.stats().inserts, looped.stats().inserts);
-        assert_eq!(batched.stats().hits, looped.stats().hits);
+        assert_eq!(batched.stats(), looped.stats());
+        assert_eq!(batched.stats(), stats(5, 3));
         // A second batch of already-seen ids allocates nothing.
         assert_eq!(batched.insert_batch(&ids), 0);
-        // The exclusive-access fast path behaves identically.
-        let mut exclusive = VidMap::new();
-        assert_eq!(exclusive.insert_batch_mut(&ids), 5);
-        assert_eq!(exclusive.new_to_orig(), looped.new_to_orig());
-        assert_eq!(exclusive.stats().inserts, looped.stats().inserts);
-        assert_eq!(exclusive.stats().hits, looped.stats().hits);
-        assert_eq!(exclusive.insert_batch_mut(&ids), 0);
+        assert_eq!(batched.stats(), stats(5, 11));
     }
 
     #[test]
     fn stats_count_operations() {
-        let m = VidMap::new();
-        m.insert_or_get(1);
-        m.insert_or_get(1);
-        m.insert_or_get(2);
-        m.get(1);
-        m.get(99);
-        let s = m.stats();
-        assert_eq!(s.inserts, 2);
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.lookups, 2);
-        assert_eq!(s.total_ops(), 5);
-    }
-
-    #[test]
-    fn try_new_to_orig_matches_panicking_path_when_dense() {
-        let m = VidMap::new();
-        m.insert_or_get(100);
-        m.insert_or_get(50);
-        assert_eq!(m.try_new_to_orig().unwrap(), m.new_to_orig());
-    }
-
-    #[test]
-    fn concurrent_inserts_stay_dense_and_consistent() {
-        use std::sync::Arc;
-        let m = Arc::new(VidMap::new());
-        let mut handles = Vec::new();
-        for t in 0..4u32 {
-            let m = Arc::clone(&m);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..500u32 {
-                    // Overlapping key ranges force shard contention.
-                    m.insert_or_get((i + t * 250) % 800);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.len(), 800);
-        let inv = m.new_to_orig();
-        assert_eq!(inv.len(), 800);
-        // Mapping is a bijection: every orig id maps back to its new id.
-        for (new, &orig) in inv.iter().enumerate() {
-            assert_eq!(m.get(orig), Some(new as VId));
-        }
+        let mut m = VidMap::new();
+        m.insert_batch(&[1, 1, 2]);
+        assert_eq!((m.get(1), m.get(99)), (Some(0), None));
+        assert_eq!(m.stats(), stats(2, 1));
     }
 }

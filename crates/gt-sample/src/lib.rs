@@ -10,8 +10,13 @@
 //!
 //! S, R, and K execute on the deterministic `gt_par` thread pool — S split
 //! into its algorithm and hash-update phases (A + H, Fig 14c) so the
-//! parallel part never touches the hash table. Output is bit-identical at
-//! any `GT_THREADS`; see docs/parallelism.md.
+//! parallel part never touches the hash table. The hash table therefore
+//! has one writer (H, `&mut`) and lock-free shared readers (R, `&`): Fig
+//! 14c serializes H, and the contention of Fig 14a is modeled in
+//! `gt-core::scheduler` rather than reproduced with locks here. Each stage
+//! has one fallible entry point on an explicit pool (`*_with_pool`); S and
+//! R add a panicking convenience on the process-wide pool. Output is
+//! bit-identical at any `GT_THREADS`; see docs/parallelism.md.
 
 pub mod batch;
 pub mod error;
@@ -25,9 +30,8 @@ pub use batch::BatchIter;
 pub use error::SampleError;
 pub use hashtable::VidMap;
 pub use idhash::{BuildIdHasher, IdHashMap, IdHashSet};
-pub use lookup::{lookup_all, lookup_all_with_pool, lookup_chunk, LookupPlan};
-pub use reindex::{reindex_layer, try_reindex_layer, try_reindex_layer_with_pool, LayerGraph};
+pub use lookup::lookup_all_with_pool;
+pub use reindex::{reindex_layer, try_reindex_layer_with_pool, LayerGraph};
 pub use sampler::{
-    sample_batch, try_sample_batch, try_sample_batch_with_pool, validate_batch, Priority,
-    SampleOutput, SamplerConfig,
+    sample_batch, try_sample_batch_with_pool, validate_batch, Priority, SampleOutput, SamplerConfig,
 };

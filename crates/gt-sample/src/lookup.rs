@@ -2,10 +2,10 @@
 //!
 //! Scans the global embedding table with the sampled nodes' original ids and
 //! builds the compact per-batch table (row `new_vid` = global row
-//! `new_to_orig[new_vid]`). [`LookupPlan`] splits the gather into chunks so
-//! the optimized scheduler can pipeline each chunk's transfer as soon as it
-//! is gathered (Fig 14b: "immediately transfers each sampled embedding
-//! whenever it is ready on a buffer").
+//! `new_to_orig[new_vid]`) in one chunk-parallel gather. The K→T chunk
+//! pipelining of Fig 14b ("immediately transfers each sampled embedding
+//! whenever it is ready on a buffer") is priced by `gt-core::scheduler`
+//! from the gathered byte counts; the host does not stage chunks.
 
 use gt_graph::{EmbeddingTable, VId};
 use gt_par::ThreadPool;
@@ -14,13 +14,7 @@ use gt_par::ThreadPool;
 /// independent of the worker count.
 const K_CHUNK_ROWS: usize = 512;
 
-/// Gather all sampled rows at once (the serialized baselines' K stage).
-/// Runs on the process-wide pool (`GT_THREADS`).
-pub fn lookup_all(global: &EmbeddingTable, new_to_orig: &[VId]) -> EmbeddingTable {
-    lookup_all_with_pool(global, new_to_orig, ThreadPool::global())
-}
-
-/// [`lookup_all`] on an explicit pool. Each worker gathers disjoint row
+/// Gather all sampled rows on `pool`. Each worker gathers disjoint row
 /// ranges straight into the output buffer; every output row has exactly one
 /// writer, so the result is bitwise-identical at any worker count.
 pub fn lookup_all_with_pool(
@@ -46,58 +40,6 @@ pub fn lookup_all_with_pool(
     EmbeddingTable::from_vec(rows, dim, data)
 }
 
-/// Chunking plan for the pipelined K→T path.
-#[derive(Debug, Clone)]
-pub struct LookupPlan {
-    /// Total rows to gather.
-    pub rows: usize,
-    /// Rows per chunk.
-    pub chunk_rows: usize,
-}
-
-impl LookupPlan {
-    /// Plan for `rows` rows in `chunks` roughly equal pieces.
-    pub fn new(rows: usize, chunks: usize) -> Self {
-        let chunks = chunks.max(1);
-        LookupPlan {
-            rows,
-            chunk_rows: rows.div_ceil(chunks).max(1),
-        }
-    }
-
-    /// Number of chunks.
-    pub fn num_chunks(&self) -> usize {
-        if self.rows == 0 {
-            0
-        } else {
-            self.rows.div_ceil(self.chunk_rows)
-        }
-    }
-
-    /// Row range of chunk `i`.
-    pub fn range(&self, i: usize) -> std::ops::Range<usize> {
-        let lo = i * self.chunk_rows;
-        let hi = ((i + 1) * self.chunk_rows).min(self.rows);
-        lo..hi
-    }
-}
-
-/// Gather chunk `i` of the plan into `out` (a pinned staging buffer in the
-/// real system). Returns the number of rows gathered.
-pub fn lookup_chunk(
-    global: &EmbeddingTable,
-    new_to_orig: &[VId],
-    plan: &LookupPlan,
-    i: usize,
-    out: &mut Vec<f32>,
-) -> usize {
-    let range = plan.range(i);
-    let ids = &new_to_orig[range.clone()];
-    out.resize(ids.len() * global.dim(), 0.0);
-    global.gather_into(ids, out);
-    range.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,7 +50,7 @@ mod tests {
 
     #[test]
     fn lookup_all_reorders() {
-        let t = lookup_all(&table(), &[3, 1, 0]);
+        let t = lookup_all_with_pool(&table(), &[3, 1, 0], ThreadPool::global());
         assert_eq!(t.rows(), 3);
         assert_eq!(t.row(0), &[3., 3.]);
         assert_eq!(t.row(1), &[1., 1.]);
@@ -126,39 +68,5 @@ mod tests {
             assert_eq!(serial.data(), par.data());
         }
         assert_eq!(serial.data(), global.gather(&ids).data());
-    }
-
-    #[test]
-    fn chunked_equals_monolithic() {
-        let ids: Vec<VId> = vec![2, 0, 3, 1, 2];
-        let whole = lookup_all(&table(), &ids);
-        let plan = LookupPlan::new(ids.len(), 3);
-        let mut assembled: Vec<f32> = Vec::new();
-        let mut buf = Vec::new();
-        for c in 0..plan.num_chunks() {
-            lookup_chunk(&table(), &ids, &plan, c, &mut buf);
-            assembled.extend_from_slice(&buf);
-        }
-        assert_eq!(assembled, whole.data());
-    }
-
-    #[test]
-    fn plan_covers_rows_exactly_once() {
-        let plan = LookupPlan::new(10, 4);
-        let mut covered = [false; 10];
-        for c in 0..plan.num_chunks() {
-            for r in plan.range(c) {
-                assert!(!covered[r], "row {r} covered twice");
-                covered[r] = true;
-            }
-        }
-        assert!(covered.iter().all(|&c| c));
-    }
-
-    #[test]
-    fn degenerate_plans() {
-        assert_eq!(LookupPlan::new(0, 4).num_chunks(), 0);
-        assert_eq!(LookupPlan::new(5, 100).num_chunks(), 5);
-        assert_eq!(LookupPlan::new(5, 0).num_chunks(), 1);
     }
 }

@@ -1,15 +1,18 @@
 //! Graph reindexing (R) — §II-B, Fig 4b.
 //!
 //! Renumbers a sampled hop's edges from original ids into the dense new-id
-//! space by reading the shared VID hash table, then builds the per-layer
-//! graph structures: dst-indexed CSR for forward aggregation and
-//! src-indexed CSC for backward propagation (§II-A, Fig 3). The hash reads
-//! are charged to the [`VidMap`]'s counters — R's reads racing S's writes
-//! is the second contention source of Fig 14a.
+//! space by reading the sampler's VID hash table, then builds the per-layer
+//! graph structures from one COO: dst-indexed CSR for forward aggregation
+//! and src-indexed CSC for backward propagation (§II-A, Fig 3). R only
+//! reads the [`VidMap`], so pool workers share a plain `&VidMap` with no
+//! lock (Fig 14c serializes H before R; R's reads racing S's writes, the
+//! second contention source of Fig 14a, is modeled in
+//! `gt-core::scheduler`, which prices `reindex_ops` per edge).
 
 use crate::error::SampleError;
 use crate::hashtable::VidMap;
 use crate::sampler::HopEdges;
+use gt_graph::convert::{coo_to_csc, coo_to_csr};
 use gt_graph::{Coo, Csc, Csr};
 use gt_par::ThreadPool;
 
@@ -43,38 +46,30 @@ impl LayerGraph {
     }
 }
 
-/// Reindex one hop: map original ids through the hash table and build
-/// CSR + CSC. `num_dst`/`num_src` are the boundaries recorded by the
-/// sampler for this hop.
+/// Reindex one hop on the process-wide pool (`GT_THREADS`): map original
+/// ids through the hash table and build CSR + CSC. `num_dst`/`num_src` are
+/// the boundaries recorded by the sampler for this hop.
 ///
 /// Panics if an edge references a node missing from the hash table (a
 /// scheduler-ordering bug: R ran before its S finished); see
-/// [`try_reindex_layer`] for the non-panicking variant.
+/// [`try_reindex_layer_with_pool`] for the non-panicking variant.
 pub fn reindex_layer(
     hop: &HopEdges,
     vidmap: &VidMap,
     num_dst: usize,
     num_src: usize,
 ) -> LayerGraph {
-    try_reindex_layer(hop, vidmap, num_dst, num_src).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`reindex_layer`] returning a missing hash-table mapping as a
-/// [`SampleError::MissingMapping`] instead of panicking. Runs on the
-/// process-wide pool (`GT_THREADS`).
-pub fn try_reindex_layer(
-    hop: &HopEdges,
-    vidmap: &VidMap,
-    num_dst: usize,
-    num_src: usize,
-) -> Result<LayerGraph, SampleError> {
     try_reindex_layer_with_pool(hop, vidmap, num_dst, num_src, ThreadPool::global())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`try_reindex_layer`] on an explicit pool. The endpoint mapping — the
-/// hash-read-heavy part R spends its time in — is chunked across workers;
-/// results are concatenated in chunk order, so the edge order (and the CSR
-/// and CSC built from it) is identical at any worker count.
+/// The reindexing entry point: [`reindex_layer`] on an explicit pool,
+/// returning a missing hash-table mapping as a
+/// [`SampleError::MissingMapping`] instead of panicking. The endpoint
+/// mapping — the hash-read-heavy part R spends its time in — is chunked
+/// across workers reading the shared `&VidMap`; results are concatenated in
+/// chunk order, so the edge order (and the CSR and CSC built from it) is
+/// identical at any worker count.
 pub fn try_reindex_layer_with_pool(
     hop: &HopEdges,
     vidmap: &VidMap,
@@ -82,16 +77,13 @@ pub fn try_reindex_layer_with_pool(
     num_src: usize,
     pool: &ThreadPool,
 ) -> Result<LayerGraph, SampleError> {
+    assert!(num_dst <= num_src, "dsts are a prefix of srcs");
     let n = hop.len();
-    // One all-shards read lock for the whole mapping phase: workers read
-    // the hash table with no per-id locking or stats traffic (the reads
-    // are accounted in bulk below).
-    let view = vidmap.read();
     let map_ids = |ids: &[gt_graph::VId]| -> Result<Vec<gt_graph::VId>, SampleError> {
         let chunks = pool.map_chunks("reindex.map", n, R_CHUNK, |_, range| {
             ids[range]
                 .iter()
-                .map(|&v| view.get(v).ok_or(SampleError::MissingMapping { v }))
+                .map(|&v| vidmap.get(v).ok_or(SampleError::MissingMapping { v }))
                 .collect::<Result<Vec<_>, _>>()
         });
         let mut out = Vec::with_capacity(n);
@@ -102,8 +94,6 @@ pub fn try_reindex_layer_with_pool(
     };
     let src_new = map_ids(&hop.src_orig)?;
     let dst_new = map_ids(&hop.dst_orig)?;
-    drop(view);
-    vidmap.record_lookups(2 * n as u64);
     debug_assert!(
         src_new.iter().all(|&s| (s as usize) < num_src),
         "src id beyond boundary"
@@ -113,21 +103,15 @@ pub fn try_reindex_layer_with_pool(
         "dst id beyond boundary"
     );
 
-    // Build dst-indexed CSR over the dst space and src-indexed CSC over the
-    // src space. The two spaces differ (dsts are a prefix of srcs), so we
-    // construct each from a COO sized to its own id space.
-    let csr = {
-        let coo = Coo::new(num_dst.max(num_src), src_new.clone(), dst_new.clone());
-        let (full, _) = gt_graph::convert::coo_to_csr(&coo);
-        // Truncate the pointer array to the dst space (no edges land above
-        // num_dst by construction).
-        Csr::new(full.indptr[..=num_dst].to_vec(), full.srcs.clone())
-    };
-    let csc = {
-        let coo = Coo::new(num_src, src_new, dst_new);
-        let (c, _) = gt_graph::convert::coo_to_csc(&coo);
-        c
-    };
+    // One COO over the src space (dsts are a prefix of srcs) feeds both the
+    // dst-indexed CSR and the src-indexed CSC.
+    let coo = Coo::new(num_src, src_new, dst_new);
+    let (csc, _) = coo_to_csc(&coo);
+    let (Csr { mut indptr, srcs }, _) = coo_to_csr(&coo);
+    // Truncate the pointer array to the dst space (no edges land above
+    // num_dst by construction; `Csr::new` re-checks that).
+    indptr.truncate(num_dst + 1);
+    let csr = Csr::new(indptr, srcs);
     Ok(LayerGraph {
         csr,
         csc,
@@ -140,7 +124,6 @@ pub fn try_reindex_layer_with_pool(
 mod tests {
     use super::*;
     use crate::sampler::{sample_batch, SamplerConfig};
-    use gt_graph::convert::coo_to_csr;
     use gt_graph::generators::erdos_renyi;
     use gt_graph::VId;
 
@@ -241,14 +224,38 @@ mod tests {
             src_orig: vec![9],
             dst_orig: vec![10],
         };
-        let vm = VidMap::new();
+        let mut vm = VidMap::new();
+        let pool = ThreadPool::global();
         assert_eq!(
-            try_reindex_layer(&hop, &vm, 1, 1).err(),
+            try_reindex_layer_with_pool(&hop, &vm, 1, 1, pool).err(),
             Some(SampleError::MissingMapping { v: 9 })
         );
         // With the mapping present, the same call succeeds.
-        vm.insert_or_get(9);
-        vm.insert_or_get(10);
-        assert!(try_reindex_layer(&hop, &vm, 2, 2).is_ok());
+        vm.insert_batch(&[9, 10]);
+        assert!(try_reindex_layer_with_pool(&hop, &vm, 2, 2, pool).is_ok());
+    }
+
+    #[test]
+    fn single_coo_build_equals_one_coo_per_structure() {
+        let (out, _) = sampled();
+        for (k, hop) in out.hops.iter().enumerate() {
+            let (num_dst, num_src) = (out.boundaries[k], out.boundaries[k + 1]);
+            let lg = reindex_layer(hop, &out.vidmap, num_dst, num_src);
+            // The replaced construction: a COO per structure, the CSR's
+            // pointer array copied down to the dst space.
+            let map = |ids: &[VId]| -> Vec<VId> {
+                ids.iter().map(|&v| out.vidmap.get(v).unwrap()).collect()
+            };
+            let (src_new, dst_new) = (map(&hop.src_orig), map(&hop.dst_orig));
+            let coo = Coo::new(num_dst.max(num_src), src_new.clone(), dst_new.clone());
+            let full = coo_to_csr(&coo).0;
+            let csr = Csr::new(full.indptr[..=num_dst].to_vec(), full.srcs.clone());
+            let csc = coo_to_csc(&Coo::new(num_src, src_new, dst_new)).0;
+            assert_eq!(lg.csr.indptr, csr.indptr);
+            assert_eq!(lg.csr.srcs, csr.srcs);
+            assert_eq!(lg.csc.indptr, csc.indptr);
+            assert_eq!(lg.csc.dsts, csc.dsts);
+            assert_eq!((lg.num_dst, lg.num_src), (num_dst, num_src));
+        }
     }
 }

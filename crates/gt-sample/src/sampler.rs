@@ -3,8 +3,8 @@
 //! For a batch of destination vertices, sample up to `fanout` unique random
 //! in-neighbors per frontier node, hop by hop (one hop per GNN layer,
 //! outer hops feeding earlier layers). New VIDs are allocated densely
-//! through the shared [`VidMap`]; already-seen nodes are found by scanning
-//! the hash table, exactly as steps ②/④ of Fig 4a describe.
+//! through the sampler's own [`VidMap`]; already-seen nodes are found by
+//! scanning the hash table, exactly as steps ②/④ of Fig 4a describe.
 //!
 //! Each hop runs in two phases, the paper's contention-relaxing split:
 //!
@@ -14,10 +14,12 @@
 //!   chunk geometry nor worker count. A touches the hash table not at all —
 //!   it emits per-chunk edge lists.
 //! * **H (hash update)** — serial, in chunk order: each chunk's sampled ids
-//!   are applied to the [`VidMap`] as one batch ([`VidMap::insert_batch`]),
-//!   allocating dense new-VIDs in first-occurrence order. Because H walks
-//!   chunks in index order and A is order-independent, `GT_THREADS=N`
-//!   produces bit-identical output to `GT_THREADS=1`.
+//!   are applied to the [`VidMap`] as one batch ([`VidMap::insert_batch`],
+//!   `&mut self`), allocating dense new-VIDs in first-occurrence order.
+//!   Because H walks chunks in index order and A is order-independent,
+//!   `GT_THREADS=N` produces bit-identical output to `GT_THREADS=1`. H is
+//!   the map's only writer, so the map needs no lock (Fig 14c serializes
+//!   H; the contention of Fig 14a is modeled in `gt-core::scheduler`).
 //!
 //! Every frontier node also samples itself (a self-loop edge): GCN's
 //! normalized adjacency includes self-loops (Â = A + I), and the self-edge
@@ -117,15 +119,15 @@ pub struct SampleStats {
     pub draws: u64,
 }
 
-/// The sampler's output: per-hop edge lists (original ids), the shared VID
-/// hash table, and the id-space boundaries after each hop.
+/// The sampler's output: per-hop edge lists (original ids), the VID hash
+/// table, and the id-space boundaries after each hop.
 #[derive(Debug)]
 pub struct SampleOutput {
     /// `hops[0]` is hop 1 (adjacent to the batch); `hops[k]` is hop k+1.
     /// GNN layer `l` of an `L`-layer model consumes `hops[L - l]` — the
     /// outermost hop is processed first (§II-A).
     pub hops: Vec<HopEdges>,
-    /// Shared original→new VID map (S writes, R reads).
+    /// Original→new VID map: S's H phase filled it, R reads it.
     pub vidmap: VidMap,
     /// Id-space size after each stage: `boundaries[0]` = batch size,
     /// `boundaries[k]` = unique nodes after sampling hop k.
@@ -141,16 +143,18 @@ impl SampleOutput {
     }
 
     /// Dense `new → orig` id table (the K stage gathers rows in this order).
-    pub fn new_to_orig(&self) -> Vec<VId> {
+    pub fn new_to_orig(&self) -> &[VId] {
         self.vidmap.new_to_orig()
     }
 }
 
 /// Sample the per-layer subgraphs for `batch` destination vertices from the
-/// full graph's in-adjacency `graph` (dst-indexed CSR). Panics on invalid
-/// input; [`try_sample_batch`] returns the violation as a value instead.
+/// full graph's in-adjacency `graph` (dst-indexed CSR), on the process-wide
+/// pool (`GT_THREADS`). Panics on invalid input;
+/// [`try_sample_batch_with_pool`] returns the violation as a value instead.
 pub fn sample_batch(graph: &Csr, batch: &[VId], cfg: &SamplerConfig) -> SampleOutput {
-    try_sample_batch(graph, batch, cfg).unwrap_or_else(|e| panic!("{e}"))
+    try_sample_batch_with_pool(graph, batch, cfg, ThreadPool::global())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Validate a sampling request without running it: the supervisor uses this
@@ -171,19 +175,9 @@ pub fn validate_batch(graph: &Csr, batch: &[VId], cfg: &SamplerConfig) -> Result
     Ok(())
 }
 
-/// [`sample_batch`] returning invalid requests (zero layers, empty batch,
-/// out-of-range batch ids) as [`SampleError`]s instead of panicking. Runs
-/// on the process-wide pool (`GT_THREADS`).
-pub fn try_sample_batch(
-    graph: &Csr,
-    batch: &[VId],
-    cfg: &SamplerConfig,
-) -> Result<SampleOutput, SampleError> {
-    try_sample_batch_with_pool(graph, batch, cfg, ThreadPool::global())
-}
-
-/// [`try_sample_batch`] on an explicit pool — determinism tests compare
-/// pools of different widths directly.
+/// The sampling entry point: [`sample_batch`] on an explicit pool,
+/// returning invalid requests (zero layers, empty batch, out-of-range batch
+/// ids) as [`SampleError`]s instead of panicking.
 pub fn try_sample_batch_with_pool(
     graph: &Csr,
     batch: &[VId],
@@ -262,7 +256,7 @@ pub fn try_sample_batch_with_pool(
         for (chunk_edges, st) in chunks {
             stats.edges_visited += st.edges_visited;
             stats.draws += st.draws;
-            vidmap.insert_batch_mut(&chunk_edges.src_orig);
+            vidmap.insert_batch(&chunk_edges.src_orig);
             for &s in &chunk_edges.src_orig {
                 if in_next.insert(s) {
                     next_frontier.push(s);
@@ -550,19 +544,22 @@ mod tests {
     #[test]
     fn try_sample_batch_reports_bad_requests_as_values() {
         let g = chain_graph();
+        let try_sample = |batch: &[VId], cfg: &SamplerConfig| {
+            try_sample_batch_with_pool(&g, batch, cfg, ThreadPool::global())
+        };
         assert_eq!(
-            try_sample_batch(&g, &[], &cfg(2, 1)).err(),
+            try_sample(&[], &cfg(2, 1)).err(),
             Some(SampleError::EmptyBatch)
         );
         assert_eq!(
-            try_sample_batch(&g, &[0], &cfg(2, 0)).err(),
+            try_sample(&[0], &cfg(2, 0)).err(),
             Some(SampleError::ZeroLayers)
         );
         assert_eq!(
-            try_sample_batch(&g, &[0, 99], &cfg(2, 1)).err(),
+            try_sample(&[0, 99], &cfg(2, 1)).err(),
             Some(SampleError::VertexOutOfRange { v: 99, n: 5 })
         );
-        assert!(try_sample_batch(&g, &[0, 4], &cfg(2, 1)).is_ok());
+        assert!(try_sample(&[0, 4], &cfg(2, 1)).is_ok());
     }
 
     #[test]

@@ -93,9 +93,17 @@ fn reindex_invariants() {
 fn vidmap_dense_allocation() {
     check("vidmap_dense_allocation", CASES, |g| {
         let keys = g.vec(1..300, |g| g.range(0..1000) as VId);
-        let m = VidMap::new();
+        let mut m = VidMap::new();
         for &k in &keys {
             m.insert_or_get(k);
+        }
+        // The H-phase batch path is the same loop.
+        let mut batched = VidMap::new();
+        batched.insert_batch(&keys);
+        assert_eq!(batched.new_to_orig(), m.new_to_orig());
+        assert_eq!(batched.stats(), m.stats());
+        for &k in &keys {
+            assert_eq!(batched.get(k), m.get(k));
         }
         let unique: std::collections::HashSet<_> = keys.iter().collect();
         assert_eq!(m.len(), unique.len());

@@ -32,7 +32,7 @@ pub use counters::{KernelRecord, KernelStats, Phase, SimContext};
 pub use des::{Resource, Schedule, ScheduledEvent, Simulator, TaskId, TaskSpec};
 pub use device::{DeviceSpec, HostSpec, PcieSpec, SystemSpec};
 pub use fault::{ActiveFaults, CrashSite, FaultKind, FaultPlan, FaultRule, IoFault, IoTarget};
-pub use lru::LruCacheSim;
+pub use lru::{Lru, LruCacheSim};
 pub use memory::{MemoryTracker, OutOfMemory};
 pub use timeline::{Timeline, TimelineEvent};
 pub use trace::{cluster_to_traces, resource_track, schedule_to_trace, worker_process};

@@ -7,14 +7,85 @@
 //! exceeds the SM's L1, rows are re-fetched on reuse. The `cache_ablation`
 //! experiment uses it to show the paper's conclusions are not an artifact
 //! of the infinite-capacity assumption.
+//!
+//! Both it and `gt-core`'s serving caches sit on [`Lru`], the workspace's
+//! one least-recently-used set.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::Hash;
 
-/// One SM's LRU set of cached rows.
-#[derive(Debug, Clone, Default)]
+/// A bounded LRU set with deterministic eviction: every touch gets a
+/// fresh tick, and eviction always removes the smallest `(tick, key)`
+/// pair — never anything that depends on hash-map iteration order.
+#[derive(Debug, Clone)]
+pub struct Lru<K> {
+    capacity: usize,
+    tick: u64,
+    last_use: HashMap<K, u64>,
+    order: BTreeSet<(u64, K)>,
+}
+
+impl<K: Copy + Ord + Hash> Lru<K> {
+    /// Empty set holding at most `capacity` keys (0 disables it).
+    pub fn new(capacity: usize) -> Self {
+        Lru {
+            capacity,
+            tick: 0,
+            last_use: HashMap::new(),
+            order: BTreeSet::new(),
+        }
+    }
+
+    /// Look `key` up, refreshing its recency on a hit.
+    pub fn lookup(&mut self, key: K) -> bool {
+        let Some(t) = self.last_use.get_mut(&key) else {
+            return false;
+        };
+        self.tick += 1;
+        self.order.remove(&(*t, key));
+        *t = self.tick;
+        self.order.insert((self.tick, key));
+        true
+    }
+
+    /// Insert `key` as most recent, evicting the least recent at capacity.
+    pub fn insert(&mut self, key: K) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.tick += 1;
+        if let Some(t) = self.last_use.get_mut(&key) {
+            self.order.remove(&(*t, key));
+            *t = self.tick;
+        } else {
+            if self.last_use.len() >= self.capacity {
+                self.pop_oldest();
+            }
+            self.last_use.insert(key, self.tick);
+        }
+        self.order.insert((self.tick, key));
+    }
+
+    /// Remove and return the least recently used key.
+    pub fn pop_oldest(&mut self) -> Option<K> {
+        let (_, key) = self.order.pop_first()?;
+        self.last_use.remove(&key);
+        Some(key)
+    }
+
+    /// Forget every key and restart the tick.
+    pub fn clear(&mut self) {
+        self.tick = 0;
+        self.last_use.clear();
+        self.order.clear();
+    }
+}
+
+/// One SM's resident rows; capacity is in bytes, so the set itself is
+/// unbounded and [`LruCacheSim::touch_block`] evicts by hand.
+#[derive(Debug, Clone)]
 struct LruSet {
-    /// row → last-use tick.
-    resident: HashMap<u64, u64>,
+    rows: Lru<u64>,
     bytes: u64,
 }
 
@@ -23,7 +94,6 @@ struct LruSet {
 pub struct LruCacheSim {
     sms: Vec<LruSet>,
     capacity_bytes: u64,
-    tick: u64,
     loaded_bytes: u64,
     hits: u64,
     misses: u64,
@@ -35,9 +105,14 @@ impl LruCacheSim {
         assert!(num_sms > 0);
         assert!(capacity_bytes > 0);
         LruCacheSim {
-            sms: vec![LruSet::default(); num_sms],
+            sms: vec![
+                LruSet {
+                    rows: Lru::new(usize::MAX),
+                    bytes: 0,
+                };
+                num_sms
+            ],
             capacity_bytes,
-            tick: 0,
             loaded_bytes: 0,
             hits: 0,
             misses: 0,
@@ -48,12 +123,9 @@ impl LruCacheSim {
     /// `block % num_sms`. Returns true on a miss (a load happened).
     pub fn touch_block(&mut self, block: usize, row: u64, bytes: u64) -> bool {
         let sm_idx = block % self.sms.len();
-        self.tick += 1;
-        let tick = self.tick;
         let capacity = self.capacity_bytes;
         let sm = &mut self.sms[sm_idx];
-        if let Some(t) = sm.resident.get_mut(&row) {
-            *t = tick;
+        if sm.rows.lookup(row) {
             self.hits += 1;
             return false;
         }
@@ -61,16 +133,10 @@ impl LruCacheSim {
         self.loaded_bytes += bytes;
         // Evict LRU rows until the new one fits. Rows are uniform-sized per
         // kernel, so this loop runs at most a couple of times.
-        while sm.bytes + bytes > capacity && !sm.resident.is_empty() {
-            let (&lru_row, _) = sm
-                .resident
-                .iter()
-                .min_by_key(|(_, &t)| t)
-                .expect("non-empty");
-            sm.resident.remove(&lru_row);
+        while sm.bytes + bytes > capacity && sm.rows.pop_oldest().is_some() {
             sm.bytes = sm.bytes.saturating_sub(bytes);
         }
-        sm.resident.insert(row, tick);
+        sm.rows.insert(row);
         sm.bytes += bytes;
         true
     }
@@ -94,6 +160,19 @@ impl LruCacheSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pop_oldest_follows_recency_not_insertion() {
+        let mut lru = Lru::new(8);
+        for k in [10u32, 20, 30] {
+            lru.insert(k);
+        }
+        assert!(lru.lookup(10)); // 20 is now the oldest
+        assert_eq!(lru.pop_oldest(), Some(20));
+        assert_eq!(lru.pop_oldest(), Some(30));
+        assert_eq!(lru.pop_oldest(), Some(10));
+        assert_eq!(lru.pop_oldest(), None);
+    }
 
     #[test]
     fn within_capacity_behaves_like_infinite() {

@@ -8,7 +8,7 @@
 //!
 //! [`Gen`] is also the seeded stream behind [`crate::chaos::sample_plan`].
 
-use gt_telemetry::splitmix64;
+use gt_telemetry::{fnv1a, splitmix64};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -73,9 +73,7 @@ impl Gen {
 /// with the case seed appended.
 pub fn check(name: &str, cases: u64, property: impl Fn(&mut Gen)) {
     // FNV-1a of the name keys the suite; splitmix64 decorrelates cases.
-    let key = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-    });
+    let key = fnv1a(name.bytes());
     for case in 0..cases {
         // Full size from the halfway case on.
         let size = ((case + 1) * 512 / cases).clamp(1, 256) - 1;

@@ -23,6 +23,15 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// 64-bit FNV-1a over a byte stream: the workspace's one order-sensitive
+/// digest (subgraph-cache keys in `gt-core`, property-suite keys in
+/// `gt-sim::prop`, the test digests that pin bit-identity).
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// The identity a request carries through Gateway → Supervisor → prepro /
 /// DES: a trace id plus the id of the span acting as current parent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,6 +290,13 @@ mod tests {
         let child = a.child(a.span_id(1));
         assert_eq!(child.trace_id, a.trace_id);
         assert_eq!(child.parent_span_id, a.span_id(1));
+    }
+
+    #[test]
+    fn fnv1a_matches_published_vectors() {
+        assert_eq!(fnv1a([]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a("a".bytes()), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a("foobar".bytes()), 0x8594_4171_f739_67e8);
     }
 
     fn two_span_trace() -> RequestTrace {

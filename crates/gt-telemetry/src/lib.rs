@@ -35,7 +35,7 @@ pub mod trace;
 
 use std::sync::{Arc, OnceLock};
 
-pub use context::{splitmix64, RequestTrace, SegmentKind, TraceContext, TraceSpan};
+pub use context::{fnv1a, splitmix64, RequestTrace, SegmentKind, TraceContext, TraceSpan};
 pub use json::{Json, JsonError, ToJson};
 pub use metrics::{
     label_set, Counter, Gauge, Histogram, HistogramSnapshot, LabelSet, MetricSnapshot, MetricValue,

@@ -23,7 +23,6 @@ pub mod error;
 pub mod init;
 pub mod loss;
 pub mod lstsq;
-pub mod ops_extra;
 pub mod optim;
 pub mod sparse;
 
