@@ -111,7 +111,10 @@ pub fn print(cfg: &ExpConfig) {
         })
         .collect();
     print_table(
-        "threads: S/R/K wall-clock scaling on the gt_par pool (vs 1 worker)",
+        &format!(
+            "threads: S/R/K wall-clock scaling on the gt_par pool (vs 1 worker; {} dense kernel)",
+            gt_tensor::dense::kernel_isa()
+        ),
         &["threads", "prepro", "speedup", "bit-identical"],
         &table,
     );

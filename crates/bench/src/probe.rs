@@ -183,8 +183,11 @@ pub fn print(cfg: &ExpConfig) {
         .collect();
     print_table(
         &format!(
-            "perf smoke ({} dst/batch, {} measured batches, {} threads)",
-            r.config.batch, r.config.measure_batches, r.env.threads
+            "perf smoke ({} dst/batch, {} measured batches, {} threads, {} dense kernel)",
+            r.config.batch,
+            r.config.measure_batches,
+            r.env.threads,
+            gt_tensor::dense::kernel_isa()
         ),
         &["metric", "value", "kind"],
         &rows,

@@ -21,7 +21,7 @@ use gt_tensor::dfg::{ExecCtx, Op, ParamStore};
 use gt_tensor::sparse::EdgeOp;
 use std::sync::Arc;
 
-use super::schedule::feature_wise_cache;
+use super::schedule::feature_wise_loaded_rows;
 
 /// Edge rows per pool chunk (fixed — never derived from the worker count).
 const EDGE_CHUNK: usize = 128;
@@ -140,13 +140,13 @@ impl NeighborApply {
 /// kernel whether or not the host does (docs/MODEL.md).
 pub(super) fn stats(layer: &LayerGraph, feat_dim: usize, num_sms: usize) -> KernelStats {
     let row_bytes = (feat_dim * 4) as u64;
-    let cache = feature_wise_cache(layer, row_bytes, num_sms);
+    let cache_loaded_bytes = feature_wise_loaded_rows(layer, num_sms) * row_bytes;
     let edges = layer.csr.num_edges() as u64;
     KernelStats {
         flops: edges * feat_dim as u64,
-        global_read_bytes: cache.loaded_bytes() + layer.csr.storage_bytes(),
+        global_read_bytes: cache_loaded_bytes + layer.csr.storage_bytes(),
         global_write_bytes: edges * row_bytes,
-        cache_loaded_bytes: cache.loaded_bytes(),
+        cache_loaded_bytes,
         launches: 1,
         ..Default::default()
     }

@@ -35,7 +35,7 @@ use gt_tensor::sparse::{EdgeOp, Reduce};
 use std::sync::Arc;
 
 use super::neighbor_apply;
-use super::schedule::feature_wise_cache;
+use super::schedule::feature_wise_loaded_rows;
 
 /// Output rows per pool chunk (fixed — never derived from the worker count).
 const ROW_CHUNK: usize = 64;
@@ -185,7 +185,7 @@ impl Pull {
     pub fn forward_stats(&self, feat_dim: usize, num_sms: usize) -> KernelStats {
         let layer = &self.layer;
         let row_bytes = (feat_dim * 4) as u64;
-        let cache = feature_wise_cache(layer, row_bytes, num_sms);
+        let cache_loaded_bytes = feature_wise_loaded_rows(layer, num_sms) * row_bytes;
         let edges = layer.csr.num_edges() as u64;
         let weight_stream = if self.h.is_some() {
             edges * row_bytes // weight rows streamed once, no reuse needed
@@ -199,9 +199,9 @@ impl Pull {
         };
         KernelStats {
             flops: edges * feat_dim as u64 + h_flops + (layer.num_dst * feat_dim) as u64,
-            global_read_bytes: cache.loaded_bytes() + weight_stream + layer.csr.storage_bytes(),
+            global_read_bytes: cache_loaded_bytes + weight_stream + layer.csr.storage_bytes(),
             global_write_bytes: (layer.num_dst * feat_dim * 4) as u64,
-            cache_loaded_bytes: cache.loaded_bytes(),
+            cache_loaded_bytes,
             launches: 1,
             ..Default::default()
         }

@@ -29,6 +29,36 @@ pub fn feature_wise_cache(layer: &LayerGraph, row_bytes: u64, num_sms: usize) ->
     cache
 }
 
+/// Rows [`feature_wise_cache`] loads, in closed form: `loaded_bytes()` of
+/// that cache is this count times the row size. A row is loaded once per SM
+/// that touches it — SM `d % num_sms` for each destination `d` it feeds,
+/// plus its own SM if it is a destination with sources — so one pass over
+/// the CSC with a `num_sms`-bit mask per row counts them with no hashing.
+/// This is what `Pull` and `NeighborApply` charge per batch; the set model
+/// stays as the definition it is tested against.
+pub fn feature_wise_loaded_rows(layer: &LayerGraph, num_sms: usize) -> u64 {
+    assert!(num_sms > 0, "device must have at least one SM");
+    let (csr, csc) = (&layer.csr, &layer.csc);
+    let sms = u32::try_from(num_sms).expect("SM count fits the vertex id type");
+    let mut mask = vec![0u64; num_sms.div_ceil(64)];
+    let mut rows = 0u64;
+    for r in 0..csc.num_vertices().max(csr.num_vertices()) as u32 {
+        mask.fill(0);
+        let mut touch = |d: u32| {
+            let sm = d % sms;
+            mask[(sm / 64) as usize] |= 1 << (sm % 64);
+        };
+        if (r as usize) < csc.num_vertices() {
+            csc.dsts(r).iter().for_each(|&d| touch(d));
+        }
+        if (r as usize) < csr.num_vertices() && csr.degree(r) > 0 {
+            touch(r);
+        }
+        rows += mask.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+    }
+    rows
+}
+
 /// Cache traffic of an *edge-wise* kernel over the same layer: each edge is
 /// its own block, touching its src and dst rows (Graph-approach, Fig 5c
 /// bottom). Exposed here so benches can contrast the two policies directly;
@@ -49,7 +79,25 @@ pub fn edge_wise_cache(layer: &LayerGraph, row_bytes: u64, num_sms: usize) -> Ca
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::GraphData;
+    use crate::prepro::run_prepro;
     use gt_graph::{Coo, Csc, Csr};
+    use gt_sample::SamplerConfig;
+    use gt_sim::prop;
+
+    /// A layer over `num_src >= num_dst` ids from `(src, dst)` pairs.
+    fn layer_from_edges(num_dst: usize, num_src: usize, edges: &[(u32, u32)]) -> LayerGraph {
+        let coo = Coo::from_edges(num_src, edges);
+        let (csr_full, _) = gt_graph::convert::coo_to_csr(&coo);
+        let csr = Csr::new(csr_full.indptr[..=num_dst].to_vec(), csr_full.srcs.clone());
+        let (csc, _) = gt_graph::convert::coo_to_csc(&coo);
+        LayerGraph {
+            csr,
+            csc: Csc::new(csc.indptr, csc.dsts),
+            num_dst,
+            num_src,
+        }
+    }
 
     /// A hub layer: many dsts all reading src 0, plus per-dst self rows.
     fn hub_layer(dsts: usize) -> LayerGraph {
@@ -58,16 +106,62 @@ mod tests {
             edges.push((dsts as u32, d)); // hub src = id `dsts`
             edges.push((d, d)); // self loop
         }
-        let coo = Coo::from_edges(dsts + 1, &edges);
-        let (csr_full, _) = gt_graph::convert::coo_to_csr(&coo);
-        let csr = Csr::new(csr_full.indptr[..=dsts].to_vec(), csr_full.srcs.clone());
-        let (csc, _) = gt_graph::convert::coo_to_csc(&coo);
-        LayerGraph {
-            csr,
-            csc: Csc::new(csc.indptr, csc.dsts),
-            num_dst: dsts,
-            num_src: dsts + 1,
-        }
+        layer_from_edges(dsts, dsts + 1, &edges)
+    }
+
+    /// What the kernels charge equals the set model it replaced, on hubs,
+    /// empty destinations, isolated sources, `num_dst == num_src` and
+    /// sampled layers of two generators, below and above one mask word.
+    #[test]
+    fn loaded_rows_closed_form_equals_the_set_model() {
+        prop::check("feature_wise_loaded_rows", prop::CASES, |g| {
+            let layers = match g.below(6) {
+                0 | 1 => {
+                    let seed = g.next_u64();
+                    let data = if g.below(2) == 0 {
+                        GraphData::synthetic(200, 2400, 4, 3, seed)
+                    } else {
+                        GraphData::synthetic_learnable(200, 2400, 4, 3, seed)
+                    };
+                    let batch = g.vec(1..40, |g| g.range(0..200) as u32);
+                    let cfg = SamplerConfig {
+                        fanout: g.range(1..8),
+                        layers: 2,
+                        seed,
+                        ..Default::default()
+                    };
+                    run_prepro(&data, &batch, &cfg).layers
+                }
+                2 => vec![std::sync::Arc::new(hub_layer(g.range(1..200)))],
+                _ => {
+                    let num_dst = g.range(0..150);
+                    let num_src = (num_dst + g.range(0..3) * g.range(0..100)).max(1);
+                    let edges = if num_dst == 0 {
+                        Vec::new()
+                    } else {
+                        g.vec(0..600, |g| {
+                            (g.range(0..num_src) as u32, g.range(0..num_dst) as u32)
+                        })
+                    };
+                    vec![std::sync::Arc::new(layer_from_edges(
+                        num_dst, num_src, &edges,
+                    ))]
+                }
+            };
+            let row_bytes = g.range(1..20_000) as u64;
+            for layer in &layers {
+                for num_sms in [1, 4, 64, 82, 130] {
+                    assert_eq!(
+                        feature_wise_loaded_rows(layer, num_sms) * row_bytes,
+                        feature_wise_cache(layer, row_bytes, num_sms).loaded_bytes(),
+                        "{} dst, {} src, {} edges, {num_sms} SMs",
+                        layer.num_dst,
+                        layer.num_src,
+                        layer.num_edges()
+                    );
+                }
+            }
+        });
     }
 
     #[test]

@@ -687,6 +687,9 @@ mod tests {
         assert!(r.phase_us(Phase::EdgeWeighting) > 0.0);
         assert!(r.phase_us(Phase::Aggregation) > 0.0);
         assert!(r.phase_us(Phase::Combination) > 0.0);
+        // Printed by the set-model (`feature_wise_cache`) accounting that
+        // Pull and NeighborApply charged before the closed form.
+        assert_eq!(r.sim.total_stats().cache_loaded_bytes, 55552);
     }
 
     #[test]

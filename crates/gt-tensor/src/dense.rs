@@ -8,10 +8,33 @@
 //! `Σ_k A[r][k]·B[k][j]` with **k ascending per output element**, one rounded
 //! multiply and one rounded add per step. Tiling only reorders *which
 //! element* is worked on, never the order of one element's sum, so every
-//! result equals (`==`) the plain triple loop's. The kernel is plain Rust
-//! compiled for the build's baseline target; whatever instantiation is added
-//! for wider vectors must stay without `fma`, because a fused multiply-add
-//! rounds once and would break that identity.
+//! result equals (`==`) the plain triple loop's.
+//!
+//! **One body, two instantiations.** The kernel is plain Rust, no intrinsics:
+//! `band_body` + `tile`. [`band`] compiles it twice on `x86_64` — for the
+//! build's baseline target (SSE2) and, behind `is_x86_feature_detected!`,
+//! under `#[target_feature(enable = "avx2")]`, where the same loops become
+//! 256-bit multiplies and adds — and once everywhere else. The lanes are
+//! independent output elements, so vector width cannot change a result.
+//! **Never `fma`:** a fused multiply-add rounds once where the contract says
+//! twice, and would break the `==` identity with the scalar loops (and every
+//! pinned digest downstream). [`kernel_isa`] names the instantiation in use.
+//!
+//! **The kernel adds onto `c`.** A tile loads its accumulators from the
+//! output band, so `band` computes `c += A·B` and a long sum can be fed to
+//! it in k blocks: an `f32` stored and reloaded between blocks is the same
+//! `f32`, so the chain `acc = acc + a·b` is unbroken. Callers start from
+//! `Matrix::zeros`, i.e. from `+0.0` like the loops they replaced.
+//!
+//! **`Xᵀ·dY` packs its left operand.** Read in place, column `r` of `X` is
+//! one float per `k` step at a stride of a whole row (17 KB at F = 4353): a
+//! new page per step and more pages per band than the second-level TLB
+//! holds. `transpose_a_matmul` instead copies `TA_K_BLOCK` rows × one band's
+//! columns of `X` into a contiguous k-major panel and runs the kernel per
+//! block. The panel is a fixed 64 KB array on the worker's stack: together
+//! with the block of `dY` it stays L2-resident, and nothing is allocated or
+//! kept between calls (a retained per-thread buffer would add to the peak
+//! RSS of every workload; a per-band heap one to its allocation traffic).
 //!
 //! Bands are spread over the deterministic `gt_par` pool (each output row has
 //! one writer and band geometry ignores the worker count, so results are
@@ -24,12 +47,15 @@ use gt_par::ThreadPool;
 const MM_ROW_CHUNK: usize = 32;
 /// Output rows per `transpose_a_matmul` pool chunk.
 const TA_ROW_CHUNK: usize = 64;
+/// Rows of the left operand packed per `transpose_a_matmul` panel.
+const TA_K_BLOCK: usize = 256;
 /// Register tile: output rows × output columns held in accumulators.
 const TILE_R: usize = 4;
 const TILE_C: usize = 16;
 
-/// The left operand of a band product as a strided view, so `A` and `Aᵀ`
-/// read through the same kernel: element `(r, k)` is `data[r*rs + k*ks]`.
+/// The left operand of a band product as a strided view, so `A` and a packed
+/// panel of `Aᵀ` read through the same kernel: element `(r, k)` is
+/// `data[r*rs + k*ks]`.
 #[derive(Clone, Copy)]
 struct Lhs<'a> {
     data: &'a [f32],
@@ -37,11 +63,52 @@ struct Lhs<'a> {
     ks: usize,
 }
 
-/// `c[r][j] = Σ_{kk<k} a(r, kk) · b[kk][j]` for the `c.len()/n` rows of the
+/// A band kernel: [`band`], or in tests `band_body` directly.
+type Kernel = fn(&mut [f32], usize, Lhs, usize, &[f32]);
+
+/// The band kernel's dispatch predicate.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Which instantiation of the band kernel this process runs: `"avx2"` or
+/// `"baseline"`. Wall-clock tables print it; results do not depend on it.
+pub fn kernel_isa() -> &'static str {
+    if has_avx2() {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
+/// `c[r][j] += Σ_{kk<k} a(r, kk) · b[kk][j]` for the `c.len()/n` rows of the
 /// band `c`, k ascending per element (the module contract). `b` is `k×n`
-/// row-major. Full tiles get compile-time bounds (unrolled, accumulators in
-/// registers); ragged edge tiles run the same loops with runtime bounds.
+/// row-major. Runs the widest instantiation of [`band_body`] the CPU has.
 fn band(c: &mut [f32], n: usize, a: Lhs, k: usize, b: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `band_avx2` requires the `avx2` target feature, which
+        // `has_avx2` has just detected on the running CPU.
+        return unsafe { band_avx2(c, n, a, k, b) };
+    }
+    band_body(c, n, a, k, b)
+}
+
+/// [`band_body`] compiled for 256-bit vectors. No `fma` (module doc).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn band_avx2(c: &mut [f32], n: usize, a: Lhs, k: usize, b: &[f32]) {
+    band_body(c, n, a, k, b)
+}
+
+/// The one kernel body. Full tiles get compile-time bounds (unrolled,
+/// accumulators in registers); ragged edge tiles run the same loops with
+/// runtime bounds.
+#[inline(always)]
+fn band_body(c: &mut [f32], n: usize, a: Lhs, k: usize, b: &[f32]) {
     let rows = c.len() / n;
     for r0 in (0..rows).step_by(TILE_R) {
         for j0 in (0..n).step_by(TILE_C) {
@@ -66,6 +133,9 @@ fn tile(
     (rw, cw): (usize, usize),
 ) {
     let mut acc = [[0.0f32; TILE_C]; TILE_R];
+    for (r, arow) in acc.iter_mut().enumerate().take(rw) {
+        arow[..cw].copy_from_slice(&c[(r0 + r) * n + j0..][..cw]);
+    }
     for kk in 0..k {
         let brow = &b[kk * n + j0..][..cw];
         for (r, arow) in acc.iter_mut().enumerate().take(rw) {
@@ -187,7 +257,7 @@ impl Matrix {
     /// differ where a zero meets `∞`/`NaN` (now `NaN`, as IEEE says).
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
-        self.row_banded("dense.matmul", rhs)
+        self.row_banded("dense.matmul", rhs, band)
     }
 
     /// `self · rhsᵀ`.
@@ -200,11 +270,11 @@ impl Matrix {
         assert_eq!(self.cols, rhs.cols, "matmul_tb shape mismatch");
         // Transposing `rhs` puts the output's feature columns contiguous for
         // the band kernel; each dot product still sums k ascending.
-        self.row_banded("dense.matmul_tb", &rhs.transpose())
+        self.row_banded("dense.matmul_tb", &rhs.transpose(), band)
     }
 
     /// `self · b`, parallel over bands of output rows.
-    fn row_banded(&self, label: &'static str, b: &Matrix) -> Matrix {
+    fn row_banded(&self, label: &'static str, b: &Matrix, kernel: Kernel) -> Matrix {
         let (m, k, n) = (self.rows, self.cols, b.cols);
         let mut out = Matrix::zeros(m, n);
         let chunk = MM_ROW_CHUNK * n;
@@ -214,32 +284,42 @@ impl Matrix {
                 rs: k,
                 ks: 1,
             };
-            band(c, n, a, k, &b.data);
+            kernel(c, n, a, k, &b.data);
         });
         out
     }
 
     /// `selfᵀ · rhs`.
     pub fn transpose_a_matmul(&self, rhs: &Matrix) -> Matrix {
-        self.transpose_a_matmul_on(ThreadPool::global(), rhs)
+        self.transpose_a_matmul_on(ThreadPool::global(), rhs, band)
     }
 
     /// [`transpose_a_matmul`](Self::transpose_a_matmul) on an explicit pool:
     /// one band of output rows (columns of `self`) per chunk, so every
     /// output row has a single writer and no partial sums are combined.
-    fn transpose_a_matmul_on(&self, pool: &ThreadPool, rhs: &Matrix) -> Matrix {
+    /// Each band packs its columns of `self` into a k-major stack panel,
+    /// `TA_K_BLOCK` rows at a time, and the kernel adds the blocks onto the
+    /// zeroed band in ascending `k` (module doc).
+    fn transpose_a_matmul_on(&self, pool: &ThreadPool, rhs: &Matrix, kernel: Kernel) -> Matrix {
         assert_eq!(self.rows, rhs.rows, "matmul_ta shape mismatch");
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
         let mut out = Matrix::zeros(m, n);
         let chunk = TA_ROW_CHUNK * n;
         pool.for_each_chunk_mut("dense.matmul_ta", &mut out.data, chunk, |ci, c| {
-            let a = Lhs {
-                // Column `ci * TA_ROW_CHUNK` onwards; `self` is empty if k = 0.
-                data: self.data.get(ci * TA_ROW_CHUNK..).unwrap_or_default(),
-                rs: 1,
-                ks: m,
-            };
-            band(c, n, a, k, &rhs.data);
+            let (col0, w) = (ci * TA_ROW_CHUNK, c.len() / n);
+            let mut panel = [0.0f32; TA_K_BLOCK * TA_ROW_CHUNK];
+            for k0 in (0..k).step_by(TA_K_BLOCK) {
+                let kb = TA_K_BLOCK.min(k - k0);
+                for (kk, prow) in panel.chunks_exact_mut(w).take(kb).enumerate() {
+                    prow.copy_from_slice(&self.data[(k0 + kk) * m + col0..][..w]);
+                }
+                let a = Lhs {
+                    data: &panel,
+                    rs: 1,
+                    ks: w,
+                };
+                kernel(c, n, a, kb, &rhs.data[k0 * n..]);
+            }
         });
         out
     }
@@ -497,8 +577,9 @@ mod tests {
     }
 
     /// Every remainder path: rows % TILE_R, rows across pool chunks,
-    /// cols % TILE_C, the empty and the single-step sum, and the heavy
-    /// workload's 4353-long one.
+    /// cols % TILE_C, the empty and the single-step sum, the heavy
+    /// workload's 4353-long one, and for `transpose_a_matmul`'s panel a
+    /// ragged last band and a ragged last k block around several blocks.
     fn oracle_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = Vec::new();
         for m in [0, 1, 3, 4, 5, 33, 70] {
@@ -509,7 +590,24 @@ mod tests {
             }
         }
         shapes.extend([(5, 4353, 64), (9, 4353, 47), (4353, 5, 64), (0, 4353, 7)]);
+        for (m, n) in [(1, 16), (63, 7), (64, 17), (65, 2), (130, 33)] {
+            for k in [255, 256, 257, 513, 4353] {
+                shapes.push((m, k, n));
+            }
+        }
         shapes
+    }
+
+    /// The dispatcher (AVX2 where the host has it) and the baseline body.
+    const KERNELS: [(&str, Kernel); 2] = [("dispatched", band), ("baseline", band_body)];
+
+    #[test]
+    fn kernel_isa_names_what_the_cpu_reports() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        assert_eq!(kernel_isa(), if avx2 { "avx2" } else { "baseline" });
     }
 
     #[test]
@@ -518,44 +616,83 @@ mod tests {
             let seed = i as u64 + 1;
             let a = salted(m, k, seed);
             let b = salted(k, n, seed + 1000);
-            let want = ref_matmul(&a, &b);
-            // Bit-for-bit, signed zeros included: an accumulator that starts
-            // at +0.0 can never become -0.0, so the extra `+ 0·b` is a no-op.
-            assert_eq!(bits(&a.matmul(&b)), bits(&want), "matmul {m}x{k}x{n}");
-
-            // `sum()` starts from -0.0, so the old dot returned -0.0 for an
-            // empty or all-(-0.0) sum where the kernel returns +0.0: equal
-            // under `==`, which is the contract, but not the same bits.
             let bt = salted(n, k, seed + 2000);
-            assert_eq!(
-                a.matmul_transpose_b(&bt).data,
-                ref_matmul_tb(&a, &bt).data,
-                "matmul_tb {m}x{k}x{n}"
-            );
-
             let at = salted(k, m, seed + 3000);
-            let want = ref_ta_matmul(&at, &b);
-            assert_eq!(
-                bits(&at.transpose_a_matmul(&b)),
-                bits(&want),
-                "matmul_ta {m}x{k}x{n}"
-            );
+            let want_mm = ref_matmul(&a, &b);
+            let want_tb = ref_matmul_tb(&a, &bt);
+            let want_ta = ref_ta_matmul(&at, &b);
+            let mut tb_bits = Vec::new();
+            for (name, kernel) in KERNELS {
+                // Bit-for-bit, signed zeros included: an accumulator that
+                // starts at +0.0 can never become -0.0, so the extra `+ 0·b`
+                // is a no-op.
+                let got = a.row_banded("dense.matmul", &b, kernel);
+                assert_eq!(bits(&got), bits(&want_mm), "{name} matmul {m}x{k}x{n}");
+
+                // `sum()` starts from -0.0, so the old dot returned -0.0 for
+                // an empty or all-(-0.0) sum where the kernel returns +0.0:
+                // equal under `==`, which is the contract, but not the same
+                // bits. The two instantiations do agree bit for bit.
+                let got = a.row_banded("dense.matmul_tb", &bt.transpose(), kernel);
+                assert_eq!(got.data, want_tb.data, "{name} matmul_tb {m}x{k}x{n}");
+                tb_bits.push(bits(&got));
+
+                let got = at.transpose_a_matmul_on(ThreadPool::global(), &b, kernel);
+                assert_eq!(bits(&got), bits(&want_ta), "{name} matmul_ta {m}x{k}x{n}");
+            }
+            assert_eq!(tb_bits[0], tb_bits[1], "matmul_tb {m}x{k}x{n}");
+            // The public entry points are the dispatched kernel.
+            assert_eq!(bits(&a.matmul(&b)), bits(&want_mm));
+            assert_eq!(bits(&a.matmul_transpose_b(&bt)), tb_bits[0]);
+            assert_eq!(bits(&at.transpose_a_matmul(&b)), bits(&want_ta));
         }
     }
 
     #[test]
     fn transpose_a_matmul_identical_at_any_pool_width() {
-        // 150 output rows = two full 64-row bands and a ragged third.
-        let a = salted(97, 150, 7);
-        let b = salted(97, 47, 8);
+        // 150 output rows = two full 64-row bands and a ragged third; 300
+        // sum terms = one full k block and a ragged second.
+        let a = salted(300, 150, 7);
+        let b = salted(300, 47, 8);
         let want = bits(&ref_ta_matmul(&a, &b));
         for width in [1, 2, 4] {
             let pool = ThreadPool::new(width);
-            assert_eq!(
-                bits(&a.transpose_a_matmul_on(&pool, &b)),
-                want,
-                "width {width}"
-            );
+            for (name, kernel) in KERNELS {
+                assert_eq!(
+                    bits(&a.transpose_a_matmul_on(&pool, &b, kernel)),
+                    want,
+                    "{name}, width {width}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn band_adds_onto_c() {
+        // The kernel's contract since the k-blocked panel: `c += A·B`, each
+        // element's chain continuing from the value already in `c`.
+        for (m, k, n) in [(1, 1, 1), (4, 16, 16), (5, 37, 17), (9, 300, 47)] {
+            let a = salted(m, k, 11);
+            let b = salted(k, n, 12);
+            let c0 = salted(m, n, 13);
+            let mut want = c0.clone();
+            for i in 0..m {
+                for kk in 0..k {
+                    for j in 0..n {
+                        want.data[i * n + j] += a.data[i * k + kk] * b.data[kk * n + j];
+                    }
+                }
+            }
+            for (name, kernel) in KERNELS {
+                let mut c = c0.clone();
+                let lhs = Lhs {
+                    data: &a.data,
+                    rs: k,
+                    ks: 1,
+                };
+                kernel(&mut c.data, n, lhs, k, &b.data);
+                assert_eq!(bits(&c), bits(&want), "{name} {m}x{k}x{n}");
+            }
         }
     }
 
