@@ -4,7 +4,8 @@
 //! model, which prices the same work under different schedules (serialized
 //! baselines vs GraphTensor's pipelined subtasks) on the modeled 12-core
 //! host (DESIGN.md §2). The work itself executes on the `gt_par` thread
-//! pool (S split into A + H phases, R and K chunk-parallel); each stage is
+//! pool (S split into A + H phases, K chunk-parallel; R builds its CSR and
+//! CSC from the new ids H assigned, with no pool pass); each stage is
 //! wrapped in a telemetry span on the `prepro` track so real overlap shows
 //! up next to the DES-predicted schedule in a Perfetto trace.
 
@@ -12,7 +13,7 @@ use crate::data::GraphData;
 use gt_graph::VId;
 use gt_par::ThreadPool;
 use gt_sample::{
-    lookup_all_with_pool, try_reindex_layer_with_pool, try_sample_batch_with_pool, LayerGraph,
+    lookup_all_into, try_reindex_layer_with_pool, try_sample_batch_with_pool, LayerGraph,
     SamplerConfig,
 };
 use gt_tensor::dense::Matrix;
@@ -25,7 +26,8 @@ pub struct HopWork {
     pub sample_alg_ops: u64,
     /// Sampling hash-table operations (inserts + hits).
     pub sample_hash_ops: u64,
-    /// Reindexing operations (2 hash lookups + CSR/CSC build per edge).
+    /// Reindexing operations (2 hash lookups + CSR/CSC build per edge, as
+    /// the paper's R does them; the host's H already did the lookups).
     pub reindex_ops: u64,
     /// Unique nodes this hop added to the batch.
     pub nodes_added: u64,
@@ -88,18 +90,21 @@ pub struct PreproResult {
     pub work: PreproWork,
 }
 
-/// Run S, R, and K for one batch on the process-wide pool (`GT_THREADS`).
+/// Run S, R, and K for one batch on the process-wide pool (`GT_THREADS`),
+/// gathering the features into a fresh buffer.
 pub fn run_prepro(data: &GraphData, batch: &[VId], cfg: &SamplerConfig) -> PreproResult {
-    run_prepro_with_pool(data, batch, cfg, ThreadPool::global())
+    run_prepro_with_pool(data, batch, cfg, ThreadPool::global(), Vec::new())
 }
 
-/// [`run_prepro`] on an explicit pool — determinism tests and the scaling
-/// bench pin pool widths directly.
+/// [`run_prepro`] on an explicit pool, with K gathering into `features_buf`
+/// (see [`lookup_all_into`]): the trainer hands back the previous batch's
+/// feature matrix, determinism tests and the scaling bench pin pool widths.
 pub fn run_prepro_with_pool(
     data: &GraphData,
     batch: &[VId],
     cfg: &SamplerConfig,
     pool: &ThreadPool,
+    features_buf: Vec<f32>,
 ) -> PreproResult {
     let telemetry = gt_telemetry::global();
     let sample = {
@@ -139,7 +144,8 @@ pub fn run_prepro_with_pool(
             sample_alg_ops: ((sample.stats.edges_visited + sample.stats.draws) as f64 * share)
                 as u64,
             sample_hash_ops: (((vstats.inserts + vstats.hits) as f64) * share) as u64,
-            // 2 hash lookups per edge (src + dst) plus CSR and CSC builds.
+            // 2 hash lookups per edge (src + dst) plus CSR and CSC builds:
+            // what Fig 14 prices, though the host folds the lookups into H.
             reindex_ops: 4 * edges,
             nodes_added,
             edges,
@@ -151,12 +157,12 @@ pub fn run_prepro_with_pool(
     // Execution order: GNN layer l consumes hops[nhops - 1 - l].
     let layers: Vec<Arc<LayerGraph>> = layers_rev.into_iter().rev().collect();
 
-    // R is done with the map: keep only its id log, without copying it.
+    // S is done with the map: keep only its id log, without copying it.
     let total_nodes = sample.num_nodes() as u64;
     let new_to_orig = sample.vidmap.into_new_to_orig();
     let gathered = {
         let _s = telemetry.span("prepro", "K (lookup)");
-        lookup_all_with_pool(&data.features, &new_to_orig, pool)
+        lookup_all_into(&data.features, &new_to_orig, pool, features_buf)
     };
     let features = Matrix::from_vec(gathered.rows(), gathered.dim(), gathered.into_vec());
 

@@ -10,9 +10,10 @@ use crate::data::GraphData;
 use crate::framework::{BatchOutcome, BatchReport, FailReason, Framework, FrameworkTraits};
 use crate::napa::Pull;
 use crate::orchestrator::{apply_dkp, CostModel, DkpPair, DriftMonitor};
-use crate::prepro::{run_prepro, PreproResult};
+use crate::prepro::{run_prepro_with_pool, PreproResult};
 use crate::scheduler::{schedule_prepro_with_faults, PreproStrategy};
 use gt_graph::VId;
+use gt_par::ThreadPool;
 use gt_sample::SamplerConfig;
 use gt_sim::{ActiveFaults, SimContext, SystemSpec};
 use gt_tensor::dense::Matrix;
@@ -84,6 +85,9 @@ pub struct GraphTensor {
     /// [`gt_telemetry::Telemetry::recording`] to capture traces.
     pub telemetry: gt_telemetry::Telemetry,
     params: ParamStore,
+    /// The last batch's gathered feature matrix, handed back to the next
+    /// batch's K so a steady-state batch gathers without allocating.
+    feature_buf: Vec<f32>,
     cost: Arc<CostModel>,
     counters: Arc<DkpCounters>,
     drift: Arc<DriftMonitor>,
@@ -113,6 +117,7 @@ impl GraphTensor {
             last_work: None,
             telemetry: gt_telemetry::global(),
             params: ParamStore::new(),
+            feature_buf: Vec::new(),
             cost,
             counters: Arc::new(DkpCounters::default()),
             drift: Arc::new(DriftMonitor::default()),
@@ -281,7 +286,7 @@ impl GraphTensor {
         // a pure function of (params, sampler config) so a trainer restored
         // from a checkpoint scores batches identically to the original.
         cfg.seed = cfg.seed.wrapping_add(0x1FE0);
-        let pr = run_prepro(data, batch, &cfg);
+        let pr = self.run_prepro(data, batch, &cfg);
         let mut sim = SimContext::new(self.sys.gpu.clone());
         let (dfg, pairs) = self.build_dfg(&pr);
         let mut dfg = dfg;
@@ -290,12 +295,23 @@ impl GraphTensor {
             // drift monitor.
             apply_dkp(&mut dfg, pairs, &self.cost, false, &self.counters, None);
         }
-        let mut ctx = ExecCtx {
-            sim: &mut sim,
-            params: &mut self.params,
+        let logits = {
+            let mut ctx = ExecCtx {
+                sim: &mut sim,
+                params: &mut self.params,
+            };
+            let values = dfg.forward(std::slice::from_ref(&pr.features), &mut ctx);
+            values.get(dfg.output()).clone()
         };
-        let values = dfg.forward(std::slice::from_ref(&pr.features), &mut ctx);
-        values.get(dfg.output()).clone()
+        self.feature_buf = pr.features.into_vec();
+        logits
+    }
+
+    /// S, R and K for one batch, K gathering into the last batch's
+    /// feature matrix; hand `pr.features` back to `feature_buf` when done.
+    fn run_prepro(&mut self, data: &GraphData, batch: &[VId], cfg: &SamplerConfig) -> PreproResult {
+        let buf = std::mem::take(&mut self.feature_buf);
+        run_prepro_with_pool(data, batch, cfg, ThreadPool::global(), buf)
     }
 
     /// Apply the configured update rule to the accumulated gradients.
@@ -455,7 +471,7 @@ impl GraphTensor {
         cfg.seed = cfg.seed.wrapping_add(self.batches_run as u64);
         let pr = {
             let _s = telemetry.span("train", "run_prepro").arg("phase", "prepro");
-            run_prepro(data, batch, &cfg)
+            self.run_prepro(data, batch, &cfg)
         };
         self.last_work = Some(pr.work.clone());
 
@@ -494,6 +510,7 @@ impl GraphTensor {
                 // seed, so `batches_run` stays untouched too.
                 telemetry.event("train", "fail_fast", &[("reason", &reason.label())]);
                 let oom = sim.memory.oom().map(|e| e.to_string());
+                self.feature_buf = pr.features.into_vec();
                 return BatchReport {
                     loss: f32::NAN,
                     sim,
@@ -549,6 +566,7 @@ impl GraphTensor {
             dfg.backward(&values, grad, &mut ctx);
             (loss, pr.layers.iter().map(|l| l.csr.num_edges()).sum())
         };
+        self.feature_buf = pr.features.into_vec();
 
         if self.fail_fast {
             if let Some(oom) = sim.memory.oom() {
@@ -703,7 +721,7 @@ mod tests {
         // The same forward pass by hand, fed a copy of the gathered tensor.
         let mut cfg = t.sampler.clone();
         cfg.seed = cfg.seed.wrapping_add(0x1FE0);
-        let pr = run_prepro(&d, &batch, &cfg);
+        let pr = crate::prepro::run_prepro(&d, &batch, &cfg);
         let (dfg, _) = t.build_dfg(&pr);
         let mut sim = SimContext::new(t.sys.gpu.clone());
         let mut ctx = ExecCtx {

@@ -59,11 +59,12 @@ fn prepro_is_bit_identical_across_widths() {
             ..Default::default()
         };
         let [p1, p2, p8] = pools();
-        let serial = run_prepro_with_pool(&data, &batch, &cfg, p1);
-        let rerun = run_prepro_with_pool(&data, &batch, &cfg, p1);
+        let serial = run_prepro_with_pool(&data, &batch, &cfg, p1, Vec::new());
+        // A rerun gathering into a recycled, garbage-filled buffer.
+        let rerun = run_prepro_with_pool(&data, &batch, &cfg, p1, vec![f32::NAN; 7]);
         assert_same_prepro(&serial, &rerun);
         for pool in [p2, p8] {
-            let par = run_prepro_with_pool(&data, &batch, &cfg, pool);
+            let par = run_prepro_with_pool(&data, &batch, &cfg, pool, Vec::new());
             assert_same_prepro(&serial, &par);
         }
     });
@@ -84,7 +85,7 @@ fn napa_kernels_are_bit_identical_across_widths() {
             ..Default::default()
         };
         let [p1, p2, p8] = pools();
-        let pre = run_prepro_with_pool(&data, &batch, &cfg, p1);
+        let pre = run_prepro_with_pool(&data, &batch, &cfg, p1, Vec::new());
         let layer = std::sync::Arc::clone(&pre.layers[0]);
         let feats = &pre.features;
         // Any deterministic non-uniform gradient.

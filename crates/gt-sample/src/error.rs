@@ -22,11 +22,38 @@ pub enum SampleError {
         /// The graph's vertex count.
         n: usize,
     },
-    /// Reindexing met an original id the hash table never saw (a
-    /// scheduler-ordering bug: R ran before its S finished).
-    MissingMapping {
-        /// The unmapped original vertex id.
+    /// A hop handed to reindexing has columns of different lengths.
+    RaggedHop {
+        /// Length of `src_orig` (the hop's edge count).
+        src_orig: usize,
+        /// Length of `dst_orig`.
+        dst_orig: usize,
+        /// Length of `src_new`.
+        src_new: usize,
+        /// Length of `dst_new`.
+        dst_new: usize,
+    },
+    /// A hop's source new id lies outside the layer's source space.
+    SrcOutOfRange {
+        /// The offending new id.
         v: VId,
+        /// The source space size.
+        num_src: usize,
+    },
+    /// A hop's destination new id lies outside the layer's destination space.
+    DstOutOfRange {
+        /// The offending new id.
+        v: VId,
+        /// The destination space size.
+        num_dst: usize,
+    },
+    /// The destination space is larger than the source space; destinations
+    /// are a prefix of sources.
+    DstSpaceExceedsSrc {
+        /// The destination space size.
+        num_dst: usize,
+        /// The source space size.
+        num_src: usize,
     },
 }
 
@@ -38,9 +65,29 @@ impl std::fmt::Display for SampleError {
             SampleError::VertexOutOfRange { v, n } => {
                 write!(f, "batch vertex {v} out of range (graph has {n} vertices)")
             }
-            SampleError::MissingMapping { v } => {
-                write!(f, "vertex {v} missing from hash table")
+            SampleError::RaggedHop {
+                src_orig,
+                dst_orig,
+                src_new,
+                dst_new,
+            } => write!(
+                f,
+                "hop columns differ in length (src_orig {src_orig}, dst_orig {dst_orig}, \
+                 src_new {src_new}, dst_new {dst_new})"
+            ),
+            SampleError::SrcOutOfRange { v, num_src } => {
+                write!(f, "source id {v} outside the {num_src}-id source space")
             }
+            SampleError::DstOutOfRange { v, num_dst } => {
+                write!(
+                    f,
+                    "destination id {v} outside the {num_dst}-id destination space"
+                )
+            }
+            SampleError::DstSpaceExceedsSrc { num_dst, num_src } => write!(
+                f,
+                "destination space {num_dst} exceeds source space {num_src}"
+            ),
         }
     }
 }
@@ -57,8 +104,14 @@ mod tests {
         assert!(SampleError::VertexOutOfRange { v: 9, n: 4 }
             .to_string()
             .contains("9"));
-        assert!(SampleError::MissingMapping { v: 3 }
+        assert!(SampleError::SrcOutOfRange { v: 7, num_src: 5 }
             .to_string()
-            .contains("hash table"));
+            .contains("source id 7"));
+        assert!(SampleError::DstSpaceExceedsSrc {
+            num_dst: 6,
+            num_src: 5
+        }
+        .to_string()
+        .contains("exceeds"));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Neighbor sampling "maintains a hash table for the sampled nodes"; each
 //! unique node added to a subgraph gets a fresh dense new-VID starting from
-//! zero, in first-occurrence order. Sampling's H phase writes the table
-//! (`&mut self`); reindexing (R) reads it (`&self`, shared by pool workers).
+//! zero, in first-occurrence order. Sampling's H phase is the table's one
+//! user: one [`VidMap::insert_or_get`] per sampled endpoint both assigns
+//! the id and hands it to reindexing (R), which reads no table on the host.
 //! There is no lock: Fig 14c serializes H, so the map has one writer, and
 //! the contention of Fig 14a is modeled in `gt-core::scheduler`.
 
@@ -48,18 +49,7 @@ impl VidMap {
         (new, new == next)
     }
 
-    /// H-phase batched update (Fig 14c): [`insert_or_get`](Self::insert_or_get)
-    /// over `origs` in slice order, so first occurrences get dense new-VIDs.
-    /// Returns the number of fresh ids allocated.
-    pub fn insert_batch(&mut self, origs: &[VId]) -> usize {
-        let before = self.len();
-        for &orig in origs {
-            self.insert_or_get(orig);
-        }
-        self.len() - before
-    }
-
-    /// Look up an existing mapping (reindexing read path).
+    /// Look up an existing mapping without inserting.
     pub fn get(&self, orig: VId) -> Option<VId> {
         self.map.get(&orig).copied()
     }
@@ -123,27 +113,38 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_matches_looped_inserts() {
+    fn repeated_inserts_allocate_once() {
         let ids = [5u32, 9, 5, 2, 9, 7, 2, 11];
-        let mut looped = VidMap::new();
+        let mut m = VidMap::new();
+        let got: Vec<(VId, bool)> = ids.iter().map(|&v| m.insert_or_get(v)).collect();
+        assert_eq!(
+            got,
+            [
+                (0, true),
+                (1, true),
+                (0, false),
+                (2, true),
+                (1, false),
+                (3, true),
+                (2, false),
+                (4, true)
+            ]
+        );
+        assert_eq!(m.new_to_orig(), [5, 9, 2, 7, 11]);
+        assert_eq!(m.stats(), stats(5, 3));
+        // A second pass over already-seen ids allocates nothing.
         for &v in &ids {
-            looped.insert_or_get(v);
+            assert!(!m.insert_or_get(v).1);
         }
-        let mut batched = VidMap::new();
-        assert_eq!(batched.insert_batch(&ids), 5);
-        assert_eq!(batched.new_to_orig(), [5, 9, 2, 7, 11]);
-        assert_eq!(batched.new_to_orig(), looped.new_to_orig());
-        assert_eq!(batched.stats(), looped.stats());
-        assert_eq!(batched.stats(), stats(5, 3));
-        // A second batch of already-seen ids allocates nothing.
-        assert_eq!(batched.insert_batch(&ids), 0);
-        assert_eq!(batched.stats(), stats(5, 11));
+        assert_eq!((m.len(), m.stats()), (5, stats(5, 11)));
     }
 
     #[test]
     fn stats_count_operations() {
         let mut m = VidMap::new();
-        m.insert_batch(&[1, 1, 2]);
+        for v in [1, 1, 2] {
+            m.insert_or_get(v);
+        }
         assert_eq!((m.get(1), m.get(99)), (Some(0), None));
         assert_eq!(m.stats(), stats(2, 1));
     }

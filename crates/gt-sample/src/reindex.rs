@@ -1,13 +1,14 @@
 //! Graph reindexing (R) — §II-B, Fig 4b.
 //!
-//! Renumbers a sampled hop's edges from original ids into the dense new-id
-//! space by reading the sampler's VID hash table, then builds the per-layer
-//! graph structures from one COO: dst-indexed CSR for forward aggregation
-//! and src-indexed CSC for backward propagation (§II-A, Fig 3). R only
-//! reads the [`VidMap`], so pool workers share a plain `&VidMap` with no
-//! lock (Fig 14c serializes H before R; R's reads racing S's writes, the
-//! second contention source of Fig 14a, is modeled in
-//! `gt-core::scheduler`, which prices `reindex_ops` per edge).
+//! Builds a sampled hop's per-layer graph structures in the dense new-id
+//! space from one COO: dst-indexed CSR for forward aggregation and
+//! src-indexed CSC for backward propagation (§II-A, Fig 3). The new ids are
+//! the ones the sampler's H phase assigned as it inserted each endpoint
+//! (`HopEdges::{src_new, dst_new}`), so on the host R reads no hash table
+//! and runs no pool pass. The paper's R renumbers through the table, and
+//! the model still prices it that way: R's reads racing S's writes, the
+//! second contention source of Fig 14a, is modeled in `gt-core::scheduler`,
+//! which prices `reindex_ops` (two hash reads + two builds) per edge.
 
 use crate::error::SampleError;
 use crate::hashtable::VidMap;
@@ -16,12 +17,8 @@ use gt_graph::convert::{coo_to_csc, coo_to_csr};
 use gt_graph::{Coo, Csc, Csr};
 use gt_par::ThreadPool;
 
-/// Edges per chunk for the parallel endpoint-mapping pass. Fixed so chunk
-/// geometry (and thus output) is independent of the worker count.
-const R_CHUNK: usize = 2048;
-
 /// Per-layer graph structures in new-id space.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerGraph {
     /// Dst-indexed CSR over `num_dst` destinations; srcs are new ids
     /// `< num_src` (forward aggregation traverses this).
@@ -46,12 +43,11 @@ impl LayerGraph {
     }
 }
 
-/// Reindex one hop on the process-wide pool (`GT_THREADS`): map original
-/// ids through the hash table and build CSR + CSC. `num_dst`/`num_src` are
-/// the boundaries recorded by the sampler for this hop.
+/// Reindex one hop: build CSR + CSC from the new ids the sampler assigned.
+/// `num_dst`/`num_src` are the boundaries recorded by the sampler for this
+/// hop.
 ///
-/// Panics if an edge references a node missing from the hash table (a
-/// scheduler-ordering bug: R ran before its S finished); see
+/// Panics on a hop that does not fit them; see
 /// [`try_reindex_layer_with_pool`] for the non-panicking variant.
 pub fn reindex_layer(
     hop: &HopEdges,
@@ -63,53 +59,45 @@ pub fn reindex_layer(
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The reindexing entry point: [`reindex_layer`] on an explicit pool,
-/// returning a missing hash-table mapping as a
-/// [`SampleError::MissingMapping`] instead of panicking. The endpoint
-/// mapping — the hash-read-heavy part R spends its time in — is chunked
-/// across workers reading the shared `&VidMap`; results are concatenated in
-/// chunk order, so the edge order (and the CSR and CSC built from it) is
-/// identical at any worker count.
+/// The reindexing entry point: [`reindex_layer`], returning a hop that does
+/// not fit `num_dst`/`num_src` as a [`SampleError`] instead of panicking —
+/// ragged columns, a new id outside its space, or a destination space
+/// larger than the source space. The ids come from the hop's columns, so
+/// neither `vidmap` nor `pool` is read; both stay in the signature so that
+/// its callers, `benchmark/src/layers.rs` among them, compile unchanged.
 pub fn try_reindex_layer_with_pool(
     hop: &HopEdges,
-    vidmap: &VidMap,
+    _vidmap: &VidMap,
     num_dst: usize,
     num_src: usize,
-    pool: &ThreadPool,
+    _pool: &ThreadPool,
 ) -> Result<LayerGraph, SampleError> {
-    assert!(num_dst <= num_src, "dsts are a prefix of srcs");
     let n = hop.len();
-    let map_ids = |ids: &[gt_graph::VId]| -> Result<Vec<gt_graph::VId>, SampleError> {
-        let chunks = pool.map_chunks("reindex.map", n, R_CHUNK, |_, range| {
-            ids[range]
-                .iter()
-                .map(|&v| vidmap.get(v).ok_or(SampleError::MissingMapping { v }))
-                .collect::<Result<Vec<_>, _>>()
+    if [hop.dst_orig.len(), hop.src_new.len(), hop.dst_new.len()] != [n; 3] {
+        return Err(SampleError::RaggedHop {
+            src_orig: n,
+            dst_orig: hop.dst_orig.len(),
+            src_new: hop.src_new.len(),
+            dst_new: hop.dst_new.len(),
         });
-        let mut out = Vec::with_capacity(n);
-        for c in chunks {
-            out.extend(c?);
-        }
-        Ok(out)
-    };
-    let src_new = map_ids(&hop.src_orig)?;
-    let dst_new = map_ids(&hop.dst_orig)?;
-    debug_assert!(
-        src_new.iter().all(|&s| (s as usize) < num_src),
-        "src id beyond boundary"
-    );
-    debug_assert!(
-        dst_new.iter().all(|&d| (d as usize) < num_dst),
-        "dst id beyond boundary"
-    );
+    }
+    if num_dst > num_src {
+        return Err(SampleError::DstSpaceExceedsSrc { num_dst, num_src });
+    }
+    if let Some(&v) = hop.src_new.iter().find(|&&v| v as usize >= num_src) {
+        return Err(SampleError::SrcOutOfRange { v, num_src });
+    }
+    if let Some(&v) = hop.dst_new.iter().find(|&&v| v as usize >= num_dst) {
+        return Err(SampleError::DstOutOfRange { v, num_dst });
+    }
 
     // One COO over the src space (dsts are a prefix of srcs) feeds both the
     // dst-indexed CSR and the src-indexed CSC.
-    let coo = Coo::new(num_src, src_new, dst_new);
+    let coo = Coo::new(num_src, hop.src_new.clone(), hop.dst_new.clone());
     let (csc, _) = coo_to_csc(&coo);
     let (Csr { mut indptr, srcs }, _) = coo_to_csr(&coo);
     // Truncate the pointer array to the dst space (no edges land above
-    // num_dst by construction; `Csr::new` re-checks that).
+    // num_dst, checked above; `Csr::new` re-checks that).
     indptr.truncate(num_dst + 1);
     let csr = Csr::new(indptr, srcs);
     Ok(LayerGraph {
@@ -208,31 +196,79 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn missing_node_panics() {
-        let hop = HopEdges {
-            src_orig: vec![9],
-            dst_orig: vec![10],
-        };
-        let vm = VidMap::new();
-        reindex_layer(&hop, &vm, 1, 1);
+    #[should_panic(expected = "outside")]
+    fn out_of_range_id_panics_via_wrapper() {
+        let (out, _) = sampled();
+        let b = &out.boundaries;
+        reindex_layer(&out.hops[0], &out.vidmap, b[0], b[1] - 1);
+    }
+
+    /// `try_reindex` on the first real sampled hop with the given spaces.
+    fn try_hop0(
+        out: &crate::sampler::SampleOutput,
+        num_dst: usize,
+        num_src: usize,
+    ) -> Result<LayerGraph, SampleError> {
+        let pool = ThreadPool::global();
+        try_reindex_layer_with_pool(&out.hops[0], &out.vidmap, num_dst, num_src, pool)
     }
 
     #[test]
-    fn try_reindex_reports_missing_node_as_value() {
-        let hop = HopEdges {
-            src_orig: vec![9],
-            dst_orig: vec![10],
-        };
-        let mut vm = VidMap::new();
-        let pool = ThreadPool::global();
+    fn try_reindex_reports_ragged_columns_as_value() {
+        let (mut out, _) = sampled();
+        let b = out.boundaries.clone();
+        assert!(try_hop0(&out, b[0], b[1]).is_ok());
+        let n = out.hops[0].len();
+        out.hops[0].src_new.pop();
         assert_eq!(
-            try_reindex_layer_with_pool(&hop, &vm, 1, 1, pool).err(),
-            Some(SampleError::MissingMapping { v: 9 })
+            try_hop0(&out, b[0], b[1]).err(),
+            Some(SampleError::RaggedHop {
+                src_orig: n,
+                dst_orig: n,
+                src_new: n - 1,
+                dst_new: n
+            })
         );
-        // With the mapping present, the same call succeeds.
-        vm.insert_batch(&[9, 10]);
-        assert!(try_reindex_layer_with_pool(&hop, &vm, 2, 2, pool).is_ok());
+    }
+
+    #[test]
+    fn try_reindex_reports_src_beyond_num_src_as_value() {
+        let (out, _) = sampled();
+        let num_src = out.boundaries[1] - 1;
+        assert!(out.boundaries[0] <= num_src);
+        assert_eq!(
+            try_hop0(&out, out.boundaries[0], num_src).err(),
+            Some(SampleError::SrcOutOfRange {
+                v: num_src as VId,
+                num_src
+            })
+        );
+    }
+
+    #[test]
+    fn try_reindex_reports_dst_beyond_num_dst_as_value() {
+        let (out, _) = sampled();
+        let num_dst = out.boundaries[0] - 1;
+        assert_eq!(
+            try_hop0(&out, num_dst, out.boundaries[1]).err(),
+            Some(SampleError::DstOutOfRange {
+                v: num_dst as VId,
+                num_dst
+            })
+        );
+    }
+
+    #[test]
+    fn try_reindex_reports_dst_space_beyond_src_space_as_value() {
+        let (out, _) = sampled();
+        let num_src = out.boundaries[1];
+        assert_eq!(
+            try_hop0(&out, num_src + 1, num_src).err(),
+            Some(SampleError::DstSpaceExceedsSrc {
+                num_dst: num_src + 1,
+                num_src
+            })
+        );
     }
 
     #[test]

@@ -8,17 +8,24 @@
 //!
 //! Each hop runs in two phases, the paper's contention-relaxing split:
 //!
-//! * **A (algorithm)** — the sampling proper. Frontier destinations are
-//!   chunked across the [`ThreadPool`]; each destination draws from its own
-//!   RNG stream keyed by `(seed, hop, dst)`, so the draws depend on neither
-//!   chunk geometry nor worker count. A touches the hash table not at all —
-//!   it emits per-chunk edge lists.
-//! * **H (hash update)** — serial, in chunk order: each chunk's sampled ids
-//!   are applied to the [`VidMap`] as one batch ([`VidMap::insert_batch`],
-//!   `&mut self`), allocating dense new-VIDs in first-occurrence order.
+//! * **A (algorithm)** — the sampling proper. Frontier destinations, carried
+//!   as `(orig, new)` id pairs, are chunked across the [`ThreadPool`]; each
+//!   destination draws from its own RNG stream keyed by `(seed, hop, dst)`,
+//!   so the draws depend on neither chunk geometry nor worker count. A
+//!   touches the hash table not at all — it emits per-chunk edge columns,
+//!   each sampled source's original id beside its destination's new id, and
+//!   allocates nothing per destination (duplicates are found by scanning the
+//!   destination's own tail of the chunk's source column).
+//! * **H (hash update)** — serial, in chunk order: one
+//!   [`VidMap::insert_or_get`] per sampled source allocates or finds its
+//!   dense new VID (first-occurrence order) and H writes it into the hop's
+//!   `src_new` column, so R builds the layer from the ids H assigned and
+//!   never probes the map again. Whether a source is new to the next
+//!   frontier is a hop stamp in a dense `Vec` indexed by new id, which
+//!   grows with the id log — one probe per sampled endpoint in all.
 //!   Because H walks chunks in index order and A is order-independent,
 //!   `GT_THREADS=N` produces bit-identical output to `GT_THREADS=1`. H is
-//!   the map's only writer, so the map needs no lock (Fig 14c serializes
+//!   the map's only user, so the map needs no lock (Fig 14c serializes
 //!   H; the contention of Fig 14a is modeled in `gt-core::scheduler`).
 //!
 //! Every frontier node also samples itself (a self-loop edge): GCN's
@@ -36,12 +43,12 @@ use rand::{Rng, SeedableRng};
 /// Frontier destinations per A-phase chunk. Fixed (never derived from the
 /// worker count) so chunk boundaries — and therefore H's id-allocation
 /// order — are the same for every `GT_THREADS`.
-const A_CHUNK: usize = 128;
+pub(crate) const A_CHUNK: usize = 128;
 
 /// Per-destination RNG stream seed: a SplitMix64-style finalizer over
 /// `(seed, hop, dst)`. Giving every destination its own stream is what
 /// detaches the sampled neighbors from frontier iteration order.
-fn node_stream_seed(seed: u64, hop: usize, dst: VId) -> u64 {
+pub(crate) fn node_stream_seed(seed: u64, hop: usize, dst: VId) -> u64 {
     let mut z = seed
         ^ (hop as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (dst as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03);
@@ -88,17 +95,32 @@ impl Default for SamplerConfig {
     }
 }
 
-/// Edges of one sampled hop, in **original** vertex ids (reindexing maps
-/// them to new ids — that split is what lets S and R be separate subtasks).
+/// Edges of one sampled hop as four parallel columns: the **original** ids
+/// A drew and the **new** ids H assigned them. Reindexing builds the layer
+/// from the new-id columns alone; the original-id columns are what the
+/// checks and pins read.
 #[derive(Debug, Clone, Default)]
 pub struct HopEdges {
     /// Source (neighbor) original ids.
     pub src_orig: Vec<VId>,
     /// Destination original ids.
     pub dst_orig: Vec<VId>,
+    /// Source new ids (`< boundaries[hop + 1]`).
+    pub src_new: Vec<VId>,
+    /// Destination new ids (`< boundaries[hop]`).
+    pub dst_new: Vec<VId>,
 }
 
 impl HopEdges {
+    fn with_capacity(n: usize) -> Self {
+        HopEdges {
+            src_orig: Vec::with_capacity(n),
+            dst_orig: Vec::with_capacity(n),
+            src_new: Vec::with_capacity(n),
+            dst_new: Vec::with_capacity(n),
+        }
+    }
+
     /// Number of sampled edges in this hop.
     pub fn len(&self) -> usize {
         self.src_orig.len()
@@ -119,15 +141,15 @@ pub struct SampleStats {
     pub draws: u64,
 }
 
-/// The sampler's output: per-hop edge lists (original ids), the VID hash
-/// table, and the id-space boundaries after each hop.
+/// The sampler's output: per-hop edge columns (original and new ids), the
+/// VID hash table, and the id-space boundaries after each hop.
 #[derive(Debug)]
 pub struct SampleOutput {
     /// `hops[0]` is hop 1 (adjacent to the batch); `hops[k]` is hop k+1.
     /// GNN layer `l` of an `L`-layer model consumes `hops[L - l]` — the
     /// outermost hop is processed first (§II-A).
     pub hops: Vec<HopEdges>,
-    /// Original→new VID map: S's H phase filled it, R reads it.
+    /// Original→new VID map H filled; its id log is K's row order.
     pub vidmap: VidMap,
     /// Id-space size after each stage: `boundaries[0]` = batch size,
     /// `boundaries[k]` = unique nodes after sampling hop k.
@@ -191,13 +213,16 @@ pub fn try_sample_batch_with_pool(
     // Step ①/②: batch dsts get new ids in first-occurrence order. The
     // batch may repeat a vertex (e.g. one user in several BPR triples);
     // it is sampled once.
-    let mut frontier: Vec<VId> = Vec::with_capacity(batch.len());
+    let mut frontier: Vec<(VId, VId)> = Vec::with_capacity(batch.len());
     for &v in batch {
-        let (_, fresh) = vidmap.insert_or_get(v);
+        let (new, fresh) = vidmap.insert_or_get(v);
         if fresh {
-            frontier.push(v);
+            frontier.push((v, new));
         }
     }
+    // `stamp[new] == hop + 1` once `new` is in hop's next frontier; one
+    // entry per id in the log, so it never grows to O(|V|).
+    let mut stamp: Vec<usize> = vec![0; vidmap.len()];
     let mut boundaries = vec![vidmap.len()];
     let mut hops = Vec::with_capacity(cfg.layers);
     for hop in 0..cfg.layers {
@@ -205,65 +230,89 @@ pub fn try_sample_batch_with_pool(
         let frontier_ref = &frontier;
         let chunks: Vec<(HopEdges, SampleStats)> =
             pool.map_chunks("sample.A", frontier.len(), A_CHUNK, |_, range| {
-                let mut edges = HopEdges::default();
+                let dsts = &frontier_ref[range];
+                // Each dst adds its self-loop and at most `fanout` samples.
+                let bound = dsts
+                    .iter()
+                    .map(|&(d, _)| 1 + graph.degree(d).min(cfg.fanout))
+                    .sum();
+                // H fills `src_new`.
+                let mut edges = HopEdges {
+                    src_orig: Vec::with_capacity(bound),
+                    dst_orig: Vec::with_capacity(bound),
+                    dst_new: Vec::with_capacity(bound),
+                    ..HopEdges::default()
+                };
                 let mut st = SampleStats::default();
-                for &dst in &frontier_ref[range] {
-                    // Self-loop: a node always aggregates itself.
-                    edges.src_orig.push(dst);
-                    edges.dst_orig.push(dst);
+                let (mut chosen, mut weights) = (Vec::new(), Vec::new());
+                for &(dst, dst_new) in dsts {
                     // Neighbors already taken for this dst ("unique random",
-                    // §II-B): the adjacency list may contain duplicate edges
-                    // or an explicit self-loop, both of which must not
+                    // §II-B) are the chunk's source column from its
+                    // self-loop on: the adjacency list may contain duplicate
+                    // edges or an explicit self-loop, both of which must not
                     // produce repeat samples.
-                    let mut local: Vec<VId> = vec![dst];
+                    let taken = edges.src_orig.len();
+                    let mut take = |s: VId| {
+                        if !edges.src_orig[taken..].contains(&s) {
+                            edges.src_orig.push(s);
+                            edges.dst_orig.push(dst);
+                            edges.dst_new.push(dst_new);
+                        }
+                    };
+                    // Self-loop: a node always aggregates itself.
+                    take(dst);
 
                     let neigh = graph.srcs(dst);
                     st.edges_visited += neigh.len() as u64;
-                    let mut rng = StdRng::seed_from_u64(node_stream_seed(cfg.seed, hop, dst));
-                    let picked = match cfg.priority {
-                        Priority::UniqueRandom => {
-                            sample_unique(neigh, cfg.fanout, &mut rng, &mut st)
-                        }
-                        Priority::DegreeWeighted => {
-                            sample_degree_weighted(graph, neigh, cfg.fanout, &mut rng, &mut st)
-                        }
-                    };
-                    for s in picked {
-                        if local.contains(&s) {
-                            continue;
-                        }
-                        local.push(s);
-                        edges.src_orig.push(s);
-                        edges.dst_orig.push(dst);
+                    if neigh.len() <= cfg.fanout {
+                        neigh.iter().for_each(|&s| take(s));
+                        continue;
                     }
+                    let mut rng = StdRng::seed_from_u64(node_stream_seed(cfg.seed, hop, dst));
+                    match cfg.priority {
+                        Priority::UniqueRandom => {
+                            sample_unique(neigh.len(), cfg.fanout, &mut rng, &mut st, &mut chosen)
+                        }
+                        Priority::DegreeWeighted => sample_degree_weighted(
+                            graph,
+                            neigh,
+                            cfg.fanout,
+                            &mut rng,
+                            &mut st,
+                            &mut chosen,
+                            &mut weights,
+                        ),
+                    }
+                    chosen.iter().for_each(|&i| take(neigh[i]));
                 }
                 (edges, st)
             });
 
-        // H phase: serial, in chunk order. Steps ③/④ — allocate-or-find the
-        // new ids, one batched hash update per chunk, and build the next
-        // frontier in first-occurrence order (Fig 4a iterates ③ "for all
-        // the previously sampled vertices"). The src list visits each dst
-        // before that dst's samples (self-loop first), so the frontier
-        // order matches what a fully serial pass would produce.
-        let mut edges = HopEdges::default();
-        let mut next_frontier: Vec<VId> = Vec::new();
-        let mut in_next: crate::idhash::IdHashSet<VId> =
-            crate::idhash::IdHashSet::with_capacity_and_hasher(
-                frontier.len() * (cfg.fanout + 1),
-                crate::idhash::BuildIdHasher,
-            );
-        for (chunk_edges, st) in chunks {
+        // H phase: serial, in chunk order. Steps ③/④ — allocate-or-find each
+        // source's new id with one probe, and build the next frontier in
+        // first-occurrence order (Fig 4a iterates ③ "for all the previously
+        // sampled vertices"). The src column visits each dst before that
+        // dst's samples (self-loop first), so the frontier order matches
+        // what a fully serial pass would produce.
+        let mut edges = HopEdges::with_capacity(chunks.iter().map(|(e, _)| e.len()).sum());
+        let mut next_frontier: Vec<(VId, VId)> = Vec::new();
+        for (chunk, st) in chunks {
             stats.edges_visited += st.edges_visited;
             stats.draws += st.draws;
-            vidmap.insert_batch(&chunk_edges.src_orig);
-            for &s in &chunk_edges.src_orig {
-                if in_next.insert(s) {
-                    next_frontier.push(s);
+            for &s in &chunk.src_orig {
+                let (new, fresh) = vidmap.insert_or_get(s);
+                if fresh {
+                    stamp.push(0);
                 }
+                if stamp[new as usize] != hop + 1 {
+                    stamp[new as usize] = hop + 1;
+                    next_frontier.push((s, new));
+                }
+                edges.src_new.push(new);
             }
-            edges.src_orig.extend_from_slice(&chunk_edges.src_orig);
-            edges.dst_orig.extend_from_slice(&chunk_edges.dst_orig);
+            edges.src_orig.extend_from_slice(&chunk.src_orig);
+            edges.dst_orig.extend_from_slice(&chunk.dst_orig);
+            edges.dst_new.extend_from_slice(&chunk.dst_new);
         }
         boundaries.push(vidmap.len());
         hops.push(edges);
@@ -280,22 +329,22 @@ pub fn try_sample_batch_with_pool(
 
 /// Degree-weighted sampling without replacement: repeatedly draw with
 /// probability proportional to each candidate's in-degree, rejecting
-/// repeats. Falls back to the whole pool when it is small.
-fn sample_degree_weighted(
+/// repeats. Leaves `k < pool.len()` indices into `pool` in `chosen`;
+/// `weights` is scratch.
+pub(crate) fn sample_degree_weighted(
     graph: &Csr,
     pool: &[VId],
     k: usize,
     rng: &mut StdRng,
     stats: &mut SampleStats,
-) -> Vec<VId> {
-    if pool.len() <= k {
-        return pool.to_vec();
-    }
-    // Degrees + prefix sums over the candidate pool (degree + 1 so
-    // isolated neighbors keep nonzero mass).
-    let weights: Vec<u64> = pool.iter().map(|&v| graph.degree(v) as u64 + 1).collect();
+    chosen: &mut Vec<usize>,
+    weights: &mut Vec<u64>,
+) {
+    // Degree + 1 per candidate, so isolated neighbors keep nonzero mass.
+    weights.clear();
+    weights.extend(pool.iter().map(|&v| graph.degree(v) as u64 + 1));
     let total: u64 = weights.iter().sum();
-    let mut chosen: Vec<usize> = Vec::with_capacity(k);
+    chosen.clear();
     let mut guard = 0;
     while chosen.len() < k && guard < 20 * k {
         guard += 1;
@@ -322,19 +371,21 @@ fn sample_degree_weighted(
             chosen.push(i);
         }
     }
-    chosen.into_iter().map(|i| pool[i]).collect()
 }
 
-/// Pick up to `k` unique elements of `pool` uniformly at random
-/// (Floyd's algorithm for k < len; whole pool otherwise).
-fn sample_unique(pool: &[VId], k: usize, rng: &mut StdRng, stats: &mut SampleStats) -> Vec<VId> {
-    if pool.len() <= k {
-        return pool.to_vec();
-    }
+/// Pick `k < len` unique indices of a `len`-long pool uniformly at random
+/// (Floyd's algorithm) into `chosen`.
+pub(crate) fn sample_unique(
+    len: usize,
+    k: usize,
+    rng: &mut StdRng,
+    stats: &mut SampleStats,
+    chosen: &mut Vec<usize>,
+) {
     // Partial Fisher–Yates over an index vector would allocate len; Floyd's
     // needs only the result set.
-    let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    for j in pool.len() - k..pool.len() {
+    chosen.clear();
+    for j in len - k..len {
         stats.draws += 1;
         let t = rng.gen_range(0..=j);
         if chosen.contains(&t) {
@@ -343,7 +394,6 @@ fn sample_unique(pool: &[VId], k: usize, rng: &mut StdRng, stats: &mut SampleSta
             chosen.push(t);
         }
     }
-    chosen.into_iter().map(|i| pool[i]).collect()
 }
 
 #[cfg(test)]

@@ -97,14 +97,6 @@ fn vidmap_dense_allocation() {
         for &k in &keys {
             m.insert_or_get(k);
         }
-        // The H-phase batch path is the same loop.
-        let mut batched = VidMap::new();
-        batched.insert_batch(&keys);
-        assert_eq!(batched.new_to_orig(), m.new_to_orig());
-        assert_eq!(batched.stats(), m.stats());
-        for &k in &keys {
-            assert_eq!(batched.get(k), m.get(k));
-        }
         let unique: std::collections::HashSet<_> = keys.iter().collect();
         assert_eq!(m.len(), unique.len());
         let inv = m.new_to_orig();
