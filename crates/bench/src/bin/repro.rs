@@ -67,8 +67,8 @@
 //! `BENCH_cluster.json` — per-worker busy/idle/link time, collective
 //! time, modeled recovery time, hedge counters, and the fleet skew
 //! figures (busy/stage imbalance, straggler attribution), all in
-//! virtual time — which is the `cluster-smoke` CI gate's workload. For
-//! `cluster`, `--trace-out` writes the *cross-worker* Perfetto trace
+//! virtual time — which CI's `identity` job gates. For `cluster`,
+//! `--trace-out` writes the *cross-worker* Perfetto trace
 //! (the coordinator plus one process per worker, flow-linked, all
 //! virtual time) instead of the wall-clock span tree; `--fleet-out`
 //! writes the fleet health report (the `/fleetz` page body), and
@@ -83,7 +83,7 @@
 //! `--bench-out` it writes `BENCH_serving.json` — cache hit rates,
 //! shed/degrade totals, and the p99-vs-load curve, all in virtual time
 //! and bit-identical at every `GT_THREADS` width — which is the
-//! `serving-smoke` CI gate's workload. See `docs/serving.md`.
+//! `identity` CI job's serving gate. See `docs/serving.md`.
 
 use gt_bench::experiments::*;
 use gt_bench::ExpConfig;

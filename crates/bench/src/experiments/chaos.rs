@@ -116,19 +116,40 @@ pub struct PlanReport {
     pub recoveries: usize,
 }
 
+impl std::fmt::Display for PlanReport {
+    /// `clean (digest 0x…, N recoveries)` — one line per plan in campaign
+    /// and replay output alike.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} (digest {:#010x}, {} recoveries)",
+            self.verdict.label(),
+            self.digest,
+            self.recoveries
+        )
+    }
+}
+
 /// One campaign's totals.
 #[derive(Debug)]
 pub struct CampaignSummary {
-    /// Plans executed (stops at the first violation).
-    pub plans: usize,
-    /// Plans that resolved bit-identical to the reference.
-    pub clean: usize,
-    /// Plans whose corruption was detected/healed as documented.
-    pub detected: usize,
+    /// `(seed, report)` of every plan executed, in campaign order (stops
+    /// at the first violation).
+    pub plans: Vec<(u64, PlanReport)>,
     /// `(seed, detail)` of the violating plan, if any.
     pub violation: Option<(u64, String)>,
     /// The shrunk violating plan and where its JSON was written.
     pub minimized: Option<(FaultPlan, PathBuf)>,
+}
+
+impl CampaignSummary {
+    /// Plans whose verdict carries `label` ([`Verdict::label`]).
+    pub fn count(&self, label: &str) -> usize {
+        self.plans
+            .iter()
+            .filter(|(_, rep)| rep.verdict.label() == label)
+            .count()
+    }
 }
 
 /// A fresh throwaway directory path under the system temp dir, unique per
@@ -517,24 +538,18 @@ pub fn run_campaign(cfg: &ExpConfig, opts: &ChaosOpts) -> Result<CampaignSummary
         ..Default::default()
     };
     let mut summary = CampaignSummary {
-        plans: 0,
-        clean: 0,
-        detected: 0,
+        plans: Vec::new(),
         violation: None,
         minimized: None,
     };
     for seed in seeds {
         let plan = gt_sim::sample_plan(seed, &chaos_cfg);
         let rep = run_plan(cfg, &plan, opts)?;
-        summary.plans += 1;
-        match rep.verdict {
-            Verdict::Clean => summary.clean += 1,
-            Verdict::Detected(_) => summary.detected += 1,
-            Verdict::Violation(detail) => {
-                summary.violation = Some((seed, detail));
-                summary.minimized = Some(shrink_and_write(cfg, &plan, opts));
-                return Ok(summary);
-            }
+        summary.plans.push((seed, rep.clone()));
+        if let Verdict::Violation(detail) = rep.verdict {
+            summary.violation = Some((seed, detail));
+            summary.minimized = Some(shrink_and_write(cfg, &plan, opts));
+            return Ok(summary);
         }
     }
     Ok(summary)
@@ -605,13 +620,7 @@ pub fn print(cfg: &ExpConfig, opts: &ChaosOpts) {
     if let Some(path) = &opts.replay {
         let rep =
             run_replay(cfg, path, opts).unwrap_or_else(|e| panic!("chaos replay failed: {e}"));
-        println!(
-            "chaos replay {}: {} (digest {:#010x}, {} recoveries)",
-            path.display(),
-            rep.verdict.label(),
-            rep.digest,
-            rep.recoveries
-        );
+        println!("chaos replay {}: {rep}", path.display());
         if let Verdict::Violation(detail) | Verdict::Detected(detail) = &rep.verdict {
             println!("  {detail}");
         }
@@ -625,18 +634,17 @@ pub fn print(cfg: &ExpConfig, opts: &ChaosOpts) {
     print_table(
         &format!(
             "chaos: {} plans × {} batches (oracle: bit-identical recovery)",
-            summary.plans, opts.batches
+            summary.plans.len(),
+            opts.batches
         ),
         &["verdict", "plans"],
-        &[
-            vec!["clean".to_string(), summary.clean.to_string()],
-            vec!["detected".to_string(), summary.detected.to_string()],
-            vec![
-                "violation".to_string(),
-                usize::from(summary.violation.is_some()).to_string(),
-            ],
-        ],
+        &["clean", "detected", "violation"]
+            .map(|label| vec![label.to_string(), summary.count(label).to_string()]),
     );
+    // The per-plan digests are what the identity manifest pins.
+    for (seed, rep) in &summary.plans {
+        println!("seed {seed}: {rep}");
+    }
     print_flight_out(opts);
     if let Some((seed, detail)) = &summary.violation {
         println!("  seed {seed} VIOLATED the oracle: {detail}");
@@ -768,13 +776,13 @@ mod tests {
         let mut o = opts(6);
         o.seeds = 5;
         let summary = run_campaign(&cfg, &o).unwrap();
-        assert_eq!(summary.plans, 5);
+        assert_eq!(summary.plans.len(), 5);
         assert_eq!(
             summary.violation, None,
             "minimized: {:?}",
             summary.minimized
         );
-        assert_eq!(summary.clean + summary.detected, 5);
+        assert_eq!(summary.count("clean") + summary.count("detected"), 5);
     }
 
     /// The acceptance scenario: a planted recovery bug (resume

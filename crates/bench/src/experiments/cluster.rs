@@ -23,7 +23,8 @@
 //! Every run also records the cross-worker Perfetto trace
 //! (`--trace-out`) and the rendered fleet health text (`--fleet-out`,
 //! also mounted at `/fleetz` with `--serve-metrics`); both are pure
-//! virtual-time artifacts CI `cmp`s across thread widths.
+//! virtual-time artifacts the identity manifest holds at every thread
+//! width.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -67,8 +68,8 @@ pub struct ClusterOpts {
     /// `cfg.seed + i`.
     pub seeds: usize,
     /// Persist the canonical killed run's durable state (journal +
-    /// recovered checkpoint) here so CI can `cmp` checkpoints across
-    /// worker counts and `GT_THREADS` widths.
+    /// recovered checkpoint) here so `crates/bench/identity.sh` can
+    /// compare checkpoints across worker counts and `GT_THREADS` widths.
     pub dir: Option<PathBuf>,
     /// Arm the request tracer on every run: cross-worker trace spans
     /// accumulate and cluster events (recoveries, hedge wins) freeze
@@ -370,7 +371,7 @@ pub fn run_campaign(cfg: &ExpConfig, opts: &ClusterOpts) -> Result<CampaignSumma
 }
 
 /// Distill the cluster into a schema-stable [`BenchReport`] for
-/// `repro cluster --bench-out` / the `cluster-smoke` CI gate: the
+/// `repro cluster --bench-out` / CI's `identity` job: the
 /// fault-free run's modeled metrics plus one canonical kill's recovery
 /// cost. Everything is virtual time — bit-identical at any
 /// `GT_THREADS`.
@@ -525,7 +526,7 @@ pub fn print(cfg: &ExpConfig, opts: &ClusterOpts) {
 }
 
 /// Mount the fleet report at `/fleetz` next to `/metrics`, self-scrape
-/// both pages, and shut down — the CI fleet-smoke job's proof that the
+/// both pages, and shut down — CI's `identity` job's proof that the
 /// labeled exposition and the fleet page actually render over HTTP.
 fn serve_and_scrape(port: u16, fleet_text: &str) {
     let server = MetricsServer::start(port, gt_telemetry::global())
@@ -702,8 +703,7 @@ mod tests {
     }
 
     /// The bench report is deterministic and survives a JSON round-trip
-    /// — the property the `cluster-smoke` gate's cross-width diff rests
-    /// on.
+    /// — the property the `benchdiff --tolerance 0` gate rests on.
     #[test]
     fn report_is_deterministic() {
         let cfg = ExpConfig::test();

@@ -306,7 +306,7 @@ pub fn run(cfg: &ExpConfig, opts: &ServingOpts) -> Result<Summary, GtError> {
 }
 
 /// Run the scenario and distill it into a schema-stable [`BenchReport`]
-/// for `repro serving --bench-out` / the `serving-smoke` CI gate.
+/// for `repro serving --bench-out` / CI's `identity` job.
 pub fn report(cfg: &ExpConfig, opts: &ServingOpts) -> BenchReport {
     let s = run(cfg, opts).unwrap_or_else(|e| panic!("serving experiment failed: {e}"));
     let tenants = s.spec.tenant_weights.len();

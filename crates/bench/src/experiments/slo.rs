@@ -7,8 +7,8 @@
 //! tracer freezes a flight dump at the breach instant. Everything is
 //! priced in DES virtual time, so the breach timeline, the alert stream,
 //! and the dump bytes are a pure function of `(workload, seed)` —
-//! bit-identical across runs and `GT_THREADS` widths, which is what CI's
-//! flight-recorder smoke job asserts with a plain `cmp`.
+//! bit-identical across runs and `GT_THREADS` widths, which is what the
+//! identity manifest (`crates/bench/identity.sh`) holds at both widths.
 
 use crate::runner::{print_table, ExpConfig};
 use gt_core::config::ModelConfig;
@@ -174,8 +174,8 @@ pub fn run(cfg: &ExpConfig, opts: &SloOpts) -> Result<Summary, GtError> {
     })
 }
 
-/// Print the run. The breach line (`SLO BREACH ...`) and the dump line
-/// are what CI's flight-recorder smoke job greps for.
+/// Print the run: the breach line (`SLO BREACH ...`), the dump line and
+/// the reconciliation, all hashed into the identity manifest.
 pub fn print(cfg: &ExpConfig, opts: &SloOpts) {
     let s = run(cfg, opts).unwrap_or_else(|e| panic!("slo experiment failed: {e}"));
     let rows: Vec<Vec<String>> = s

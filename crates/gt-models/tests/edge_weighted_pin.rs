@@ -11,23 +11,10 @@ use gt_core::trainer::{GraphTensor, GtVariant};
 use gt_graph::VId;
 use gt_sample::SamplerConfig;
 use gt_sim::SystemSpec;
+use gt_telemetry::fnv1a;
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn f32s(&mut self, vs: &[f32]) {
-        for v in vs {
-            self.bytes(&v.to_bits().to_le_bytes());
-        }
-    }
+fn f32_bytes(vs: &[f32]) -> impl Iterator<Item = u8> + '_ {
+    vs.iter().flat_map(|v| v.to_bits().to_le_bytes())
 }
 
 /// Six `train_batch` calls plus one `infer_batch`, folded into one FNV-1a.
@@ -42,24 +29,24 @@ fn digest(model: ModelConfig, variant: GtVariant) -> u64 {
         seed: 11,
         ..Default::default()
     };
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut bytes = Vec::new();
     for i in 0..6u32 {
         let batch: Vec<VId> = (i * 32..i * 32 + 32).collect();
         let r = t.train_batch(&data, &batch);
         assert!(r.loss.is_finite(), "batch {i}: loss {}", r.loss);
-        h.f32s(&[r.loss]);
-        h.u64(r.e2e_us(true).to_bits());
-        h.u64(r.sim.memory.peak());
+        bytes.extend(r.loss.to_bits().to_le_bytes());
+        bytes.extend(r.e2e_us(true).to_bits().to_le_bytes());
+        bytes.extend(r.sim.memory.peak().to_le_bytes());
     }
     let mut names: Vec<String> = t.params().names().map(str::to_string).collect();
     names.sort();
     for name in &names {
-        h.bytes(name.as_bytes());
-        h.f32s(t.params().get(name).data());
+        bytes.extend(name.as_bytes());
+        bytes.extend(f32_bytes(t.params().get(name).data()));
     }
     let batch: Vec<VId> = (300..332).collect();
-    h.f32s(t.infer_batch(&data, &batch).data());
-    h.0
+    bytes.extend(f32_bytes(t.infer_batch(&data, &batch).data()));
+    fnv1a(bytes)
 }
 
 #[test]
