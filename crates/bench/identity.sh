@@ -9,7 +9,7 @@
 #   diff -u crates/bench/baselines/IDENTITY.sha256 OUT/IDENTITY.sha256
 #
 # The run also writes OUT/BENCH_{smoke,serving,cluster}.json for
-# `benchdiff --tolerance 0` against crates/bench/baselines/. Not hashed,
+# `benchdiff BASE CAND` against crates/bench/baselines/. Not hashed,
 # because they vary with the run: `smoke` stdout (thread count, dense ISA,
 # wall_* rows), the `threads` sweep (widths and wall times), every stderr.
 # After an intended change, rerun and copy OUT/IDENTITY.sha256 over the

@@ -5,12 +5,11 @@
 //! cost model prices the same work identically on every machine and at
 //! every `GT_THREADS` width, so they are diffable against a committed
 //! baseline) from **wall-clock** metrics (machine-dependent, recorded for
-//! information and only gated when `benchdiff --wall` opts in).
+//! information and never gated).
 //!
-//! Metric direction is encoded in the name, not in a side table: any
-//! metric whose name contains `throughput` or `hit_rate` is
-//! higher-is-better; all others (latencies, idle percentages, makespans)
-//! are lower-is-better.
+//! The gate is equality: every modeled metric must hold the same value in
+//! both reports. A metric that moved in either direction, vanished, or
+//! appeared is one failure.
 
 use gt_telemetry::Json;
 
@@ -50,16 +49,10 @@ pub struct BenchReport {
     pub experiment: String,
     pub config: BenchConfig,
     pub env: EnvFingerprint,
-    /// Deterministic modeled metrics, gated by `benchdiff` by default.
+    /// Deterministic modeled metrics, gated by `benchdiff`.
     pub metrics: Vec<(String, f64)>,
-    /// Wall-clock metrics, informational unless `--wall`.
+    /// Wall-clock metrics, printed by `benchdiff` but never gated.
     pub wall: Vec<(String, f64)>,
-}
-
-/// Direction rule: `throughput` or `hit_rate` anywhere in the name means
-/// higher is better; everything else is a cost (latency, idle, makespan).
-pub fn higher_is_better(name: &str) -> bool {
-    name.contains("throughput") || name.contains("hit_rate")
 }
 
 fn pairs_to_json(pairs: &[(String, f64)]) -> Json {
@@ -177,181 +170,114 @@ impl std::str::FromStr for BenchReport {
     }
 }
 
-/// One compared metric.
-#[derive(Debug, Clone)]
+/// One metric as the two reports hold it; `None` on the side that lacks it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiffLine {
     pub name: String,
-    pub base: f64,
-    pub cand: f64,
-    /// `cand / base` (NaN when the baseline value is not positive).
-    pub ratio: f64,
-    pub higher_is_better: bool,
-    /// Outside the noise tolerance in the bad direction.
-    pub regressed: bool,
+    pub base: Option<f64>,
+    pub cand: Option<f64>,
+}
+
+impl DiffLine {
+    /// The reports disagree: the value moved, or one side lacks the metric.
+    pub fn differs(&self) -> bool {
+        self.base != self.cand
+    }
+}
+
+impl std::fmt::Display for DiffLine {
+    /// `name: base -> cand`, with `absent` for a side that lacks the metric.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let show = |v: Option<f64>| v.map_or_else(|| "absent".to_string(), |v| v.to_string());
+        write!(
+            f,
+            "{}: {} -> {}",
+            self.name,
+            show(self.base),
+            show(self.cand)
+        )
+    }
 }
 
 /// The full comparison of two reports.
 #[derive(Debug, Clone)]
 pub struct DiffReport {
-    pub lines: Vec<DiffLine>,
-    /// Metrics present in the baseline but missing from the candidate —
-    /// a schema break, treated as a regression.
-    pub missing: Vec<String>,
-    /// Metrics only the candidate has. A schema break unless the
-    /// comparison allowed additive metrics (`--allow-new`); wall-clock
-    /// additions (`wall:` prefix) are always informational.
-    pub added: Vec<String>,
-    /// Whether additive modeled metrics count as a schema break (the
-    /// default; `--allow-new` clears it).
-    pub new_fatal: bool,
-    /// Incompatibility (schema version / experiment mismatch), if any.
+    /// Every modeled metric in either report: the baseline's in order, then
+    /// the candidate's additions. Gated.
+    pub metrics: Vec<DiffLine>,
+    /// The wall-clock metrics, laid out the same way. Never gated.
+    pub wall: Vec<DiffLine>,
+    /// Incompatibility (schema version / experiment mismatch), if any; it
+    /// fails the gate whatever the metrics say.
     pub incompatible: Option<String>,
 }
 
 impl DiffReport {
-    /// Whether the candidate regressed against the baseline.
-    pub fn regressed(&self) -> bool {
-        self.incompatible.is_some()
-            || !self.missing.is_empty()
-            || self.lines.iter().any(|l| l.regressed)
-            || (self.new_fatal && !self.fatal_added().is_empty())
+    /// The modeled metrics whose values differ.
+    pub fn failures(&self) -> impl Iterator<Item = &DiffLine> {
+        self.metrics.iter().filter(|l| l.differs())
     }
 
-    /// The additive metrics that gate when `new_fatal`: every added
-    /// modeled metric (wall-clock additions never gate).
-    pub fn fatal_added(&self) -> Vec<&str> {
-        self.added
-            .iter()
-            .filter(|n| !n.starts_with("wall:"))
-            .map(String::as_str)
-            .collect()
+    /// Whether the candidate fails the gate.
+    pub fn failed(&self) -> bool {
+        self.incompatible.is_some() || self.failures().next().is_some()
     }
 
-    /// Multi-line failure summary enumerating EVERY failing metric with its
-    /// baseline and candidate values (and every vanished metric), so a CI
-    /// log shows the whole damage at once instead of just a count. Empty
-    /// when nothing regressed.
+    /// One line per failure with both values, so a CI log shows the whole
+    /// damage at once instead of just a count. Empty when the gate passes.
     pub fn failure_summary(&self) -> String {
-        let mut out = String::new();
         if let Some(why) = &self.incompatible {
-            out.push_str(&format!("incompatible: {why}\n"));
-            return out;
+            return format!("incompatible: {why}\n");
         }
-        for l in self.lines.iter().filter(|l| l.regressed) {
-            let direction = if l.higher_is_better { "fell" } else { "rose" };
-            out.push_str(&format!(
-                "{}: {direction} {} -> {} ({})\n",
-                l.name,
-                l.base,
-                l.cand,
-                if l.ratio.is_nan() {
-                    "n/a".to_string()
-                } else {
-                    format!("{:.2}x", l.ratio)
-                }
-            ));
-        }
-        for name in &self.missing {
-            out.push_str(&format!("{name}: missing from candidate (schema break)\n"));
-        }
-        if self.new_fatal {
-            for name in self.fatal_added() {
-                out.push_str(&format!(
-                    "{name}: new in candidate (schema break; regenerate the \
-                     baseline or pass --allow-new)\n"
-                ));
-            }
-        }
-        out
+        self.failures().map(|l| format!("{l}\n")).collect()
     }
 }
 
-fn diff_pairs(
-    base: &[(String, f64)],
-    cand: &[(String, f64)],
-    prefix: &str,
-    tolerance: f64,
-    gate: bool,
-    out: &mut DiffReport,
-) {
-    for (name, b) in base {
-        let display = format!("{prefix}{name}");
-        let Some((_, c)) = cand.iter().find(|(n, _)| n == name) else {
-            if gate {
-                out.missing.push(display);
-            }
-            continue;
-        };
-        let hib = higher_is_better(name);
-        let ratio = if *b > 0.0 { c / b } else { f64::NAN };
-        let regressed = gate
-            && *b > 0.0
-            && if hib {
-                *c < b * (1.0 - tolerance)
-            } else {
-                *c > b * (1.0 + tolerance)
-            };
-        out.lines.push(DiffLine {
-            name: display,
-            base: *b,
-            cand: *c,
-            ratio,
-            higher_is_better: hib,
-            regressed,
-        });
-    }
-    for (name, _) in cand {
-        if !base.iter().any(|(n, _)| n == name) {
-            out.added.push(format!("{prefix}{name}"));
-        }
-    }
-}
-
-/// Compare `cand` against `base` with a relative noise `tolerance`
-/// (e.g. `0.3` = ±30%). Modeled metrics always gate; wall-clock metrics
-/// gate only when `include_wall` (they still appear, unmarked, otherwise).
-/// Additive modeled metrics in the candidate are a schema break unless
-/// `allow_new` — a baseline that silently stops covering new metrics is
-/// as stale as one missing old ones. Vanished metrics stay fatal either
-/// way.
-pub fn compare(
-    base: &BenchReport,
-    cand: &BenchReport,
-    tolerance: f64,
-    include_wall: bool,
-    allow_new: bool,
-) -> DiffReport {
-    let mut out = DiffReport {
-        lines: Vec::new(),
-        missing: Vec::new(),
-        added: Vec::new(),
-        new_fatal: !allow_new,
-        incompatible: None,
+fn diff_pairs(base: &[(String, f64)], cand: &[(String, f64)]) -> Vec<DiffLine> {
+    let value = |pairs: &[(String, f64)], name: &str| {
+        pairs.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     };
-    if base.schema_version != cand.schema_version {
-        out.incompatible = Some(format!(
+    let mut lines: Vec<DiffLine> = base
+        .iter()
+        .map(|(name, b)| DiffLine {
+            name: name.clone(),
+            base: Some(*b),
+            cand: value(cand, name),
+        })
+        .collect();
+    lines.extend(
+        cand.iter()
+            .filter(|(name, _)| value(base, name).is_none())
+            .map(|(name, c)| DiffLine {
+                name: name.clone(),
+                base: None,
+                cand: Some(*c),
+            }),
+    );
+    lines
+}
+
+/// Compare `cand` against `base`: the modeled metrics must be equal, and
+/// the wall-clock ones are laid side by side for information.
+pub fn compare(base: &BenchReport, cand: &BenchReport) -> DiffReport {
+    let incompatible = if base.schema_version != cand.schema_version {
+        Some(format!(
             "schema version mismatch: baseline v{} vs candidate v{}",
             base.schema_version, cand.schema_version
-        ));
-        return out;
-    }
-    if base.experiment != cand.experiment {
-        out.incompatible = Some(format!(
+        ))
+    } else if base.experiment != cand.experiment {
+        Some(format!(
             "experiment mismatch: baseline {:?} vs candidate {:?}",
             base.experiment, cand.experiment
-        ));
-        return out;
+        ))
+    } else {
+        None
+    };
+    DiffReport {
+        metrics: diff_pairs(&base.metrics, &cand.metrics),
+        wall: diff_pairs(&base.wall, &cand.wall),
+        incompatible,
     }
-    diff_pairs(&base.metrics, &cand.metrics, "", tolerance, true, &mut out);
-    diff_pairs(
-        &base.wall,
-        &cand.wall,
-        "wall:",
-        tolerance,
-        include_wall,
-        &mut out,
-    );
-    out
 }
 
 #[cfg(test)]
@@ -380,6 +306,7 @@ mod tests {
                 ("batch_e2e_us_p50".into(), 1000.0),
                 ("batch_e2e_us_p99".into(), 1500.0),
                 ("throughput_samples_per_s".into(), 40_000.0),
+                ("false_suspicions_total".into(), 0.0),
             ],
             wall: vec![("wall_batch_us_p50".into(), 2300.0)],
         }
@@ -392,157 +319,112 @@ mod tests {
         assert_eq!(back, r);
     }
 
-    #[test]
-    fn direction_rule() {
-        assert!(higher_is_better("throughput_samples_per_s"));
-        assert!(higher_is_better("embedding_cache_hit_rate"));
-        assert!(higher_is_better("subgraph_cache_hit_rate"));
-        assert!(!higher_is_better("batch_e2e_us_p99"));
-        assert!(!higher_is_better("prepro_idle_pct"));
+    /// Gate `report()` edited by `edit` against `report()`: the failure
+    /// summary's lines, empty exactly when the gate passes.
+    fn failures_after(edit: impl FnOnce(&mut BenchReport)) -> Vec<String> {
+        let mut cand = report();
+        edit(&mut cand);
+        let d = compare(&report(), &cand);
+        let lines: Vec<String> = d.failure_summary().lines().map(str::to_string).collect();
+        assert_eq!(d.failed(), !lines.is_empty(), "{lines:?}");
+        lines
     }
 
     #[test]
     fn identical_reports_do_not_regress() {
         let r = report();
-        let d = compare(&r, &r, 0.3, false, false);
-        assert!(!d.regressed());
-        assert!(d.missing.is_empty());
-        assert_eq!(d.lines.len(), 4);
-        for l in &d.lines {
-            assert!((l.ratio - 1.0).abs() < 1e-12);
-        }
+        let d = compare(&r, &r);
+        assert!(!d.failed());
+        assert!(d.failure_summary().is_empty());
+        assert_eq!(d.metrics.len(), 4);
+        assert_eq!(d.wall.len(), 1);
     }
 
     #[test]
     fn injected_latency_regression_is_caught() {
-        let base = report();
-        let mut cand = report();
-        // 2× latency on one metric: far outside a 30% tolerance.
-        cand.metrics[1].1 *= 2.0;
-        let d = compare(&base, &cand, 0.3, false, false);
-        assert!(d.regressed());
-        let line = d
-            .lines
-            .iter()
-            .find(|l| l.name == "batch_e2e_us_p99")
-            .unwrap();
-        assert!(line.regressed);
-        assert!((line.ratio - 2.0).abs() < 1e-12);
-        // The untouched metrics stay green.
-        assert_eq!(d.lines.iter().filter(|l| l.regressed).count(), 1);
+        // 2× latency on one metric; the untouched metrics stay green.
+        assert_eq!(
+            failures_after(|c| c.metrics[1].1 *= 2.0),
+            ["batch_e2e_us_p99: 1500 -> 3000"]
+        );
     }
 
     #[test]
-    fn throughput_drop_regresses_and_rise_does_not() {
-        let base = report();
-        let mut slower = report();
-        slower.metrics[2].1 *= 0.5;
-        assert!(compare(&base, &slower, 0.3, false, false).regressed());
-        let mut faster = report();
-        faster.metrics[2].1 *= 2.0;
-        assert!(!compare(&base, &faster, 0.3, false, false).regressed());
+    fn throughput_drop_and_rise_both_fail() {
+        assert_eq!(
+            failures_after(|c| c.metrics[2].1 *= 0.5),
+            ["throughput_samples_per_s: 40000 -> 20000"]
+        );
+        assert_eq!(
+            failures_after(|c| c.metrics[2].1 *= 2.0),
+            ["throughput_samples_per_s: 40000 -> 80000"]
+        );
+        // An improvement does not hide a zero baseline that moved.
+        assert_eq!(
+            failures_after(|c| {
+                c.metrics[0].1 = 900.0;
+                c.metrics[3].1 = 1.0;
+            }),
+            [
+                "batch_e2e_us_p50: 1000 -> 900",
+                "false_suspicions_total: 0 -> 1",
+            ]
+        );
     }
 
     #[test]
-    fn within_tolerance_noise_passes() {
-        let base = report();
-        let mut cand = report();
-        for (_, v) in cand.metrics.iter_mut() {
-            *v *= 1.2; // +20% on costs, +20% on throughput: both inside ±30%.
-        }
-        assert!(!compare(&base, &cand, 0.3, false, false).regressed());
-    }
-
-    #[test]
-    fn wall_metrics_gate_only_on_request() {
-        let base = report();
-        let mut cand = report();
-        cand.wall[0].1 *= 10.0;
-        assert!(!compare(&base, &cand, 0.3, false, false).regressed());
-        assert!(compare(&base, &cand, 0.3, true, false).regressed());
+    fn wall_metrics_never_gate() {
+        assert!(failures_after(|c| c.wall[0].1 *= 10.0).is_empty());
+        assert!(failures_after(|c| c.wall.clear()).is_empty());
     }
 
     #[test]
     fn missing_metric_is_a_schema_break() {
-        let base = report();
-        let mut cand = report();
-        cand.metrics.remove(0);
-        let d = compare(&base, &cand, 0.3, false, false);
-        assert_eq!(d.missing, vec!["batch_e2e_us_p50".to_string()]);
-        assert!(d.regressed());
+        assert_eq!(
+            failures_after(|c| {
+                c.metrics.remove(0);
+            }),
+            ["batch_e2e_us_p50: 1000 -> absent"]
+        );
     }
 
     #[test]
     fn failure_summary_enumerates_every_regression() {
-        let base = report();
-        let mut cand = report();
-        cand.metrics[0].1 *= 3.0; // p50 latency 3×
-        cand.metrics[2].1 *= 0.1; // throughput collapses
-        cand.metrics.remove(1); // p99 vanishes
-        let d = compare(&base, &cand, 0.3, false, false);
-        assert!(d.regressed());
-        let summary = d.failure_summary();
-        let lines: Vec<&str> = summary.lines().collect();
-        assert_eq!(lines.len(), 3, "all three failures listed:\n{summary}");
-        assert!(
-            summary.contains("batch_e2e_us_p50: rose 1000 -> 3000 (3.00x)"),
-            "{summary}"
+        assert_eq!(
+            failures_after(|c| {
+                c.metrics[0].1 *= 3.0; // p50 latency 3×
+                c.metrics[2].1 *= 0.1; // throughput collapses
+                c.metrics.remove(1); // p99 vanishes
+                c.metrics.push(("fleet_busy_imbalance".into(), 1.2));
+            }),
+            [
+                "batch_e2e_us_p50: 1000 -> 3000",
+                "batch_e2e_us_p99: 1500 -> absent",
+                "throughput_samples_per_s: 40000 -> 4000",
+                "fleet_busy_imbalance: absent -> 1.2",
+            ]
         );
-        assert!(
-            summary.contains("throughput_samples_per_s: fell 40000 -> 4000 (0.10x)"),
-            "{summary}"
-        );
-        assert!(
-            summary.contains("batch_e2e_us_p99: missing from candidate (schema break)"),
-            "{summary}"
-        );
-        // A clean comparison yields an empty summary.
-        assert!(compare(&base, &base, 0.3, false, false)
-            .failure_summary()
-            .is_empty());
     }
 
     #[test]
     fn new_metrics_gate_unless_allowed() {
-        let base = report();
-        let mut cand = report();
-        cand.metrics.push(("fleet_busy_imbalance".into(), 1.2));
-        // Default: an additive modeled metric is a schema break.
-        let strict = compare(&base, &cand, 0.3, false, false);
-        assert!(strict.regressed());
-        assert_eq!(strict.fatal_added(), vec!["fleet_busy_imbalance"]);
-        assert!(
-            strict
-                .failure_summary()
-                .contains("fleet_busy_imbalance: new in candidate"),
-            "{}",
-            strict.failure_summary()
+        // A new modeled metric fails; only the wall section may grow.
+        assert_eq!(
+            failures_after(|c| c.metrics.push(("fleet_busy_imbalance".into(), 1.2))),
+            ["fleet_busy_imbalance: absent -> 1.2"]
         );
-        // --allow-new: the addition is listed but does not gate.
-        let relaxed = compare(&base, &cand, 0.3, false, true);
-        assert!(!relaxed.regressed());
-        assert_eq!(relaxed.added, vec!["fleet_busy_imbalance".to_string()]);
-        assert!(relaxed.failure_summary().is_empty());
-        // Vanished metrics stay fatal even with --allow-new.
-        let fewer = compare(&cand, &base, 0.3, false, true);
-        assert!(fewer.regressed());
-        assert_eq!(fewer.missing, vec!["fleet_busy_imbalance".to_string()]);
-        // Wall-clock additions never gate, allowed or not.
-        let mut wall_cand = report();
-        wall_cand.wall.push(("wall_extra_us".into(), 1.0));
-        let d = compare(&base, &wall_cand, 0.3, false, false);
-        assert!(!d.regressed());
-        assert_eq!(d.added, vec!["wall:wall_extra_us".to_string()]);
+        assert!(failures_after(|c| c.wall.push(("wall_extra_us".into(), 1.0))).is_empty());
     }
 
     #[test]
     fn version_and_experiment_mismatches_refuse() {
-        let base = report();
-        let mut v = report();
-        v.schema_version += 1;
-        assert!(compare(&base, &v, 0.3, false, false).incompatible.is_some());
-        let mut e = report();
-        e.experiment = "fig16".into();
-        assert!(compare(&base, &e, 0.3, false, false).incompatible.is_some());
+        assert_eq!(
+            failures_after(|c| c.schema_version += 1),
+            ["incompatible: schema version mismatch: baseline v1 vs candidate v2"]
+        );
+        assert_eq!(
+            failures_after(|c| c.experiment = "fig16".into()),
+            ["incompatible: experiment mismatch: baseline \"smoke\" vs candidate \"fig16\""]
+        );
     }
 }

@@ -1,25 +1,21 @@
-//! `benchdiff` — compare two `BENCH_<exp>.json` reports and gate on
-//! regressions.
+//! `benchdiff` — compare two `BENCH_<exp>.json` reports and gate on any
+//! difference in their modeled metrics.
 //!
 //! ```text
-//! benchdiff BASELINE CANDIDATE [--tolerance FRACTION] [--wall] [--allow-new]
+//! benchdiff BASELINE CANDIDATE
 //! ```
 //!
-//! Modeled metrics always gate; `--wall` additionally gates the
-//! wall-clock family (off by default — those are machine-dependent).
-//! `--tolerance` is a relative noise band, default `0.3` (±30%).
-//! Modeled metrics only the candidate has are a schema break by default
-//! (a stale baseline silently stops covering them); `--allow-new`
-//! downgrades them to a warning — vanished metrics stay fatal either way.
+//! Every modeled metric must hold the same value in both reports: one that
+//! moved (in either direction), vanished or appeared is one failure. The
+//! wall-clock metrics are printed beside them and never gated.
 //!
-//! Exit codes: `0` no regression, `1` regression (or schema break:
-//! version/experiment mismatch, vanished or — without `--allow-new` —
-//! added metric), `2` usage or I/O error.
+//! Exit codes: `0` the modeled metrics are equal, `1` they differ (or the
+//! schema version / experiment does not match), `2` usage or I/O error.
 
 use gt_bench::benchjson::{compare, BenchReport};
 
 fn usage() -> ! {
-    eprintln!("usage: benchdiff BASELINE CANDIDATE [--tolerance FRACTION] [--wall] [--allow-new]");
+    eprintln!("usage: benchdiff BASELINE CANDIDATE");
     std::process::exit(2);
 }
 
@@ -36,34 +32,16 @@ fn load(path: &str) -> BenchReport {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths = Vec::new();
-    let mut tolerance = 0.3;
-    let mut wall = false;
-    let mut allow_new = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                tolerance = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--wall" => wall = true,
-            "--allow-new" => allow_new = true,
-            p if !p.starts_with("--") => paths.push(p.to_string()),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let [base_path, cand_path] = paths.as_slice() else {
+    let [base_path, cand_path] = args.as_slice() else {
         usage();
     };
+    if base_path.starts_with('-') || cand_path.starts_with('-') {
+        usage();
+    }
 
     let base = load(base_path);
     let cand = load(cand_path);
-    let diff = compare(&base, &cand, tolerance, wall, allow_new);
+    let diff = compare(&base, &cand);
 
     if let Some(why) = &diff.incompatible {
         eprintln!("benchdiff: {why}");
@@ -71,62 +49,24 @@ fn main() {
     }
 
     println!(
-        "benchdiff: {} vs {} (experiment {:?}, tolerance ±{:.0}%{})",
-        base_path,
-        cand_path,
-        base.experiment,
-        tolerance * 100.0,
-        if wall { ", wall gated" } else { "" }
+        "benchdiff: {base_path} vs {cand_path} (experiment {:?}; modeled metrics must be equal)",
+        base.experiment
     );
-    for l in &diff.lines {
-        println!(
-            "  {:<28} {:>14.1} -> {:>14.1}  ({}{})  {}",
-            l.name,
-            l.base,
-            l.cand,
-            if l.ratio.is_nan() {
-                "n/a".to_string()
-            } else {
-                format!("{:.2}x", l.ratio)
-            },
-            if l.higher_is_better {
-                ", higher ok"
-            } else {
-                ""
-            },
-            if l.regressed { "REGRESSED" } else { "ok" }
-        );
+    for l in &diff.metrics {
+        println!("  {l}  {}", if l.differs() { "DIFFERS" } else { "ok" });
     }
-    for name in &diff.missing {
-        println!("  {name:<28} MISSING from candidate (schema break)");
-    }
-    for name in &diff.added {
-        let fatal = diff.new_fatal && !name.starts_with("wall:");
-        println!(
-            "  {name:<28} new in candidate ({})",
-            if fatal {
-                "schema break; pass --allow-new to accept"
-            } else {
-                "not gated"
-            }
-        );
+    for l in &diff.wall {
+        println!("  wall:{l}  (not gated)");
     }
 
-    if diff.regressed() {
-        let n = diff.lines.iter().filter(|l| l.regressed).count()
-            + diff.missing.len()
-            + if diff.new_fatal {
-                diff.fatal_added().len()
-            } else {
-                0
-            };
+    if diff.failed() {
         // Every failing metric with both values, not just a count: a CI
         // log must show the whole damage in one run.
         for line in diff.failure_summary().lines() {
             eprintln!("benchdiff:   {line}");
         }
-        eprintln!("benchdiff: {n} regression(s)");
+        eprintln!("benchdiff: {} metric(s) differ", diff.failures().count());
         std::process::exit(1);
     }
-    println!("benchdiff: no regressions");
+    println!("benchdiff: modeled metrics equal");
 }

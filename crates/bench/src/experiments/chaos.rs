@@ -39,7 +39,7 @@ use gt_core::journal;
 use gt_core::serve::{DurabilityConfig, RecoveryReport, ServeCtx, Supervisor};
 use gt_core::trainer::GtVariant;
 use gt_core::TracerConfig;
-use gt_sim::{ChaosConfig, FaultKind, FaultPlan, IoFault, IoTarget};
+use gt_sim::{FaultKind, FaultPlan, IoFault, IoTarget};
 use gt_tensor::{chaosio, crc32::crc32};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -533,17 +533,13 @@ pub fn run_campaign(cfg: &ExpConfig, opts: &ChaosOpts) -> Result<CampaignSummary
             .map(|i| cfg.seed.wrapping_add(i))
             .collect(),
     };
-    let chaos_cfg = ChaosConfig {
-        batches: opts.batches,
-        ..Default::default()
-    };
     let mut summary = CampaignSummary {
         plans: Vec::new(),
         violation: None,
         minimized: None,
     };
     for seed in seeds {
-        let plan = gt_sim::sample_plan(seed, &chaos_cfg);
+        let plan = gt_sim::sample_plan(seed, opts.batches);
         let rep = run_plan(cfg, &plan, opts)?;
         summary.plans.push((seed, rep.clone()));
         if let Verdict::Violation(detail) = rep.verdict {

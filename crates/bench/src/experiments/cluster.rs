@@ -59,8 +59,6 @@ pub struct ClusterOpts {
     pub kill_worker: Option<usize>,
     /// Directed kill: the batch at which the worker dies.
     pub kill_at: Option<usize>,
-    /// Launch speculative backups for straggling workers.
-    pub hedging: bool,
     /// Read campaign seeds (one integer per line, `#` comments) from this
     /// file instead of deriving them from `--seed`.
     pub seeds_file: Option<PathBuf>,
@@ -96,7 +94,6 @@ impl Default for ClusterOpts {
             batches: 6,
             kill_worker: None,
             kill_at: None,
-            hedging: true,
             seeds_file: None,
             seeds: 8,
             dir: None,
@@ -178,9 +175,7 @@ fn run_once(
             plan.clone(),
         )
     };
-    let mut cluster_cfg =
-        ClusterConfig::new(ClusterSpec::paper_testbed(opts.workers), opts.partition);
-    cluster_cfg.hedging = opts.hedging;
+    let cluster_cfg = ClusterConfig::new(ClusterSpec::paper_testbed(opts.workers), opts.partition);
     let mut cs = ClusterSupervisor::new(factory, cluster_cfg);
     cs.make_durable(DurabilityConfig::new(dir))?;
     if opts.tracing {
@@ -703,7 +698,7 @@ mod tests {
     }
 
     /// The bench report is deterministic and survives a JSON round-trip
-    /// — the property the `benchdiff --tolerance 0` gate rests on.
+    /// — the property the `benchdiff` equality gate rests on.
     #[test]
     fn report_is_deterministic() {
         let cfg = ExpConfig::test();

@@ -6,13 +6,11 @@
 //!     relative to the unique working set (paper: +81.9% on average).
 
 use crate::runner::{geomean, print_table, ExpConfig};
-use gt_baselines::graph_approach::EdgeWiseEdgeWeight;
 use gt_baselines::BaselineKind;
 use gt_core::framework::Framework;
 use gt_core::napa::schedule::edge_wise_cache;
 use gt_core::prepro::run_prepro;
 use gt_sim::DeviceSpec;
-use gt_tensor::sparse::EdgeOp;
 
 /// One dataset's bloat measurements.
 #[derive(Debug, Clone)]
@@ -90,11 +88,6 @@ pub fn print(cfg: &ExpConfig) {
         "average: footprint {gm:.2}x (paper 5.8x), cache bloat +{:.1}% (paper +81.9%)",
         cb * 100.0
     );
-}
-
-/// The SDDMM kernel whose loads Fig 6b measures — re-exported for benches.
-pub fn sddmm_kernel(layer: std::sync::Arc<gt_sample::LayerGraph>) -> EdgeWiseEdgeWeight {
-    EdgeWiseEdgeWeight::new(layer, EdgeOp::ElemMul)
 }
 
 #[cfg(test)]

@@ -311,7 +311,6 @@ pub fn report(cfg: &ExpConfig, opts: &ServingOpts) -> BenchReport {
     let s = run(cfg, opts).unwrap_or_else(|e| panic!("serving experiment failed: {e}"));
     let tenants = s.spec.tenant_weights.len();
     let mut metrics: Vec<(String, f64)> = vec![
-        // "hit_rate" names benchdiff's higher-is-better direction rule.
         (
             "embedding_cache_hit_rate".into(),
             s.cache.embedding_hit_rate(),

@@ -116,12 +116,6 @@ impl ExpConfig {
             .map(|_| fw.train_batch(data, &batch))
             .collect()
     }
-
-    /// Mean modeled GPU latency (µs) over measured batches.
-    pub fn mean_gpu_us<F: Framework>(&self, fw: &mut F, data: &GraphData, warmup: usize) -> f64 {
-        let reports = self.measure(fw, data, warmup);
-        reports.iter().map(|r| r.gpu_us()).sum::<f64>() / reports.len() as f64
-    }
 }
 
 /// Geometric mean (the paper's "on average" for ratios).

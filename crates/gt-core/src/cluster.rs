@@ -10,9 +10,9 @@
 //! * **Heartbeat failure detection** — a deterministic [`PhiDetector`] per
 //!   worker, fed one virtual-time heartbeat per batch. `WorkerKill` faults
 //!   are *detected* after the detector's confirm delay, never assumed.
-//! * **Straggler hedging** — when a worker's stage time exceeds
-//!   [`ClusterConfig::hedge_factor`] × the median, its partition is
-//!   speculatively re-executed on the fastest peer; first completion wins,
+//! * **Straggler hedging** — when a worker's stage time exceeds 2.5 × the
+//!   median, its partition is speculatively re-executed on the fastest
+//!   peer; first completion wins,
 //!   with a deterministic lowest-index tiebreak. Every hedge is journaled
 //!   write-ahead, so the `gt_cluster_hedges_*` counters reconcile exactly
 //!   against the journal.
@@ -51,8 +51,8 @@ use crate::serve::{
 use crate::tracing::TracerConfig;
 use gt_graph::VId;
 use gt_sim::{
-    schedule_to_trace, worker_process, ActiveFaults, ClusterSpec, FaultKind, HeartbeatConfig,
-    Phase, PhiDetector, Resource, Schedule, TaskSpec,
+    schedule_to_trace, worker_process, ActiveFaults, ClusterSpec, FaultKind, Phase, PhiDetector,
+    Resource, Schedule, TaskSpec, HEARTBEAT_INTERVAL_US,
 };
 use gt_telemetry::{Json, Telemetry, Trace, TraceContext};
 
@@ -60,6 +60,10 @@ use gt_telemetry::{Json, Telemetry, Trace, TraceContext};
 /// RNG): batch root spans, per-worker flow arrows, hedge and recovery
 /// flows are all pure functions of `(CLUSTER_TRACE_SEED, batch_index)`.
 const CLUSTER_TRACE_SEED: u64 = 0x6774_636c; // "gtcl"
+
+/// A hedge launches when a worker's stage time exceeds this multiple of
+/// the median stage time.
+const HEDGE_FACTOR: f64 = 2.5;
 
 /// How a batch's preprocessing work is split across workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,24 +105,18 @@ pub struct ClusterConfig {
     pub spec: ClusterSpec,
     /// Work partitioning strategy.
     pub partition: Partition,
-    /// Heartbeat protocol parameters (detector per worker).
-    pub heartbeat: HeartbeatConfig,
-    /// Launch a backup when a worker's stage time exceeds `hedge_factor ×`
-    /// the median stage time.
+    /// Launch a backup when a worker's stage time exceeds 2.5 × the median
+    /// stage time.
     pub hedging: bool,
-    /// The straggler multiple that triggers a hedge.
-    pub hedge_factor: f64,
 }
 
 impl ClusterConfig {
-    /// Hedging on at 2.5× median, default heartbeats, over `spec`.
+    /// Hedging on, over `spec`.
     pub fn new(spec: ClusterSpec, partition: Partition) -> Self {
         ClusterConfig {
             spec,
             partition,
-            heartbeat: HeartbeatConfig::default(),
             hedging: true,
-            hedge_factor: 2.5,
         }
     }
 }
@@ -215,7 +213,7 @@ impl ClusterSupervisor {
             durability: None,
             alive: vec![true; n],
             owner: (0..n).collect(),
-            detectors: vec![PhiDetector::new(config.heartbeat.clone()); n],
+            detectors: vec![PhiDetector::default(); n],
             totals: ClusterSummary {
                 workers: n,
                 worker_busy_us: vec![0.0; n],
@@ -355,7 +353,7 @@ impl ClusterSupervisor {
                 continue;
             }
             let dropped = active.heartbeat_drops(w);
-            let gap = self.config.heartbeat.interval_us * f64::from(1 + dropped);
+            let gap = HEARTBEAT_INTERVAL_US * f64::from(1 + dropped);
             if dropped > 0 && self.detectors[w].suspects(gap) {
                 self.totals.false_suspicions += 1;
                 telemetry
@@ -425,7 +423,7 @@ impl ClusterSupervisor {
         }
         for &w in &killed {
             // A restarted incarnation's detector starts fresh.
-            self.detectors[w] = PhiDetector::new(self.config.heartbeat.clone());
+            self.detectors[w] = PhiDetector::default();
             telemetry.event(
                 "cluster",
                 "worker_killed",
@@ -665,7 +663,7 @@ impl ClusterSupervisor {
             self.last_schedules.push((w, schedule));
         }
 
-        // Straggler hedging: if the slowest stage exceeds hedge_factor ×
+        // Straggler hedging: if the slowest stage exceeds HEDGE_FACTOR ×
         // median, re-execute the victim's partitions on the fastest peer;
         // the first completion wins (ties go to the original — the backup
         // must strictly improve).
@@ -680,7 +678,7 @@ impl ClusterSupervisor {
             } else {
                 0.5 * (times[times.len() / 2 - 1] + times[times.len() / 2])
             };
-            let launch_at = self.config.hedge_factor * median;
+            let launch_at = HEDGE_FACTOR * median;
             let (vi, &(victim, victim_t)) = stage
                 .iter()
                 .enumerate()

@@ -3,9 +3,9 @@
 //! Each substrate crate reports its own failures ([`GraphError`],
 //! [`SampleError`], [`TensorError`], [`OutOfMemory`]); the serving
 //! supervisor needs one type that also covers the failures only visible at
-//! the pipeline level — a transfer that the fault plan killed, a
-//! preprocessing schedule that blew through its latency budget. `GtError`
-//! is that union, with `From` impls so `?` composes across crates.
+//! the pipeline level — a journal that fails validation, a replay that
+//! diverges, an injected crash. `GtError` is that union, with `From` impls
+//! so `?` composes across crates.
 
 use gt_graph::GraphError;
 use gt_sample::SampleError;
@@ -23,18 +23,6 @@ pub enum GtError {
     Tensor(TensorError),
     /// Device memory exhausted.
     Oom(OutOfMemory),
-    /// Host→device transfers failed this batch (injected or real).
-    TransferFailed {
-        /// How many PCIe tasks in the schedule failed.
-        failed_tasks: usize,
-    },
-    /// The preprocessing schedule exceeded its latency budget.
-    PreproStalled {
-        /// Observed makespan, µs.
-        makespan_us: f64,
-        /// Configured budget, µs.
-        limit_us: f64,
-    },
     /// An underlying I/O operation failed (journal append, checkpoint
     /// write). Message kept as a string so the error stays `Clone + Eq`.
     Io {
@@ -76,16 +64,6 @@ impl std::fmt::Display for GtError {
             GtError::Sample(e) => write!(f, "preprocessing error: {e}"),
             GtError::Tensor(e) => write!(f, "tensor error: {e}"),
             GtError::Oom(e) => write!(f, "device OOM: {e}"),
-            GtError::TransferFailed { failed_tasks } => {
-                write!(f, "{failed_tasks} host→device transfer(s) failed")
-            }
-            GtError::PreproStalled {
-                makespan_us,
-                limit_us,
-            } => write!(
-                f,
-                "preprocessing stalled: {makespan_us:.0}µs exceeds budget {limit_us:.0}µs"
-            ),
             GtError::Io { detail } => write!(f, "i/o error: {detail}"),
             GtError::CorruptJournal { offset, detail } => {
                 write!(f, "corrupt journal at byte {offset}: {detail}")
@@ -165,7 +143,10 @@ mod tests {
     fn display_carries_inner_message() {
         let e = GtError::Sample(SampleError::EmptyBatch);
         assert!(e.to_string().contains("empty batch"));
-        let e = GtError::TransferFailed { failed_tasks: 2 };
-        assert!(e.to_string().contains("2"));
+        let e = GtError::ReplayDiverged {
+            batch_index: 2,
+            detail: "outcome".to_string(),
+        };
+        assert!(e.to_string().contains("batch 2: outcome"));
     }
 }

@@ -33,8 +33,6 @@ pub enum FailReason {
     OutOfMemory,
     /// The batch itself was invalid (empty, out-of-range vertex ids).
     InvalidBatch,
-    /// Preprocessing repeatedly exceeded its latency budget.
-    PreproStall,
 }
 
 /// A degradation the supervisor applied to get a batch through.
@@ -47,8 +45,6 @@ pub enum DegradeAction {
         /// Size actually trained.
         to: usize,
     },
-    /// Preprocessing fell back from the pipelined strategy to serialized.
-    SerializedPrepro,
     /// The overload gateway reduced the sampling fanout to cut per-batch
     /// work while the admission queue drains.
     ReducedFanout {
@@ -108,8 +104,8 @@ pub enum BatchOutcome {
         /// Retries spent before success.
         retries: usize,
     },
-    /// Trained, but only after a degradation (smaller batch, serialized
-    /// preprocessing).
+    /// Trained, but only after a degradation (smaller batch, reduced
+    /// fanout).
     Degraded {
         /// What was given up.
         action: DegradeAction,
@@ -142,7 +138,6 @@ impl DegradeAction {
     pub fn label(&self) -> &'static str {
         match self {
             DegradeAction::HalvedBatch { .. } => "halved-batch",
-            DegradeAction::SerializedPrepro => "serialized-prepro",
             DegradeAction::ReducedFanout { .. } => "reduced-fanout",
             DegradeAction::HalvedBatchReducedFanout { .. } => "halved-batch+reduced-fanout",
         }
@@ -156,7 +151,6 @@ impl FailReason {
             FailReason::TransferFailure => "transfer-failure",
             FailReason::OutOfMemory => "out-of-memory",
             FailReason::InvalidBatch => "invalid-batch",
-            FailReason::PreproStall => "prepro-stall",
         }
     }
 }
@@ -279,7 +273,6 @@ mod machine_readable {
         fn to_json(&self) -> Json {
             let mut pairs = vec![("action", Json::from(self.label()))];
             match *self {
-                DegradeAction::SerializedPrepro => {}
                 DegradeAction::HalvedBatch { from, to }
                 | DegradeAction::ReducedFanout { from, to } => {
                     pairs.extend([("from", from.into()), ("to", to.into())]);

@@ -23,7 +23,6 @@ pub mod config;
 pub mod data;
 pub mod error;
 pub mod framework;
-pub mod full_graph;
 pub mod journal;
 pub mod napa;
 pub mod orchestrator;
@@ -45,8 +44,8 @@ pub use framework::{
 pub use overload::{Completion, Gateway, OverloadConfig, TenancyConfig, TenantQuota};
 pub use scheduler::{build_prepro_sim, schedule_prepro_with_faults, PreproStrategy};
 pub use serve::{
-    BatchService, DurabilityConfig, QuarantineRecord, RecoveryReport, RequestCtx, ServeConfig,
-    ServeCtx, Served, Supervisor,
+    BatchService, DurabilityConfig, QuarantineRecord, RecoveryReport, RequestCtx, ServeCtx, Served,
+    Supervisor,
 };
 pub use tracing::{FlightDump, RequestTracer, TracerConfig};
 pub use trainer::{GraphTensor, GtVariant};

@@ -4,14 +4,10 @@
 //! [`Supervisor`] wraps a [`GraphTensor`] trainer in a retry/degrade ladder:
 //!
 //! * **Transient faults** (failed transfers, transient memory pressure) are
-//!   retried with exponential backoff, up to [`ServeConfig::max_retries`].
+//!   retried with exponential backoff, up to three times.
 //! * **Persistent memory pressure** degrades gracefully: after two
-//!   consecutive OOM attempts the batch is halved (down to
-//!   [`ServeConfig::min_batch`]) so *some* progress is made.
-//! * **Repeated preprocessing stalls** (makespan over
-//!   [`ServeConfig::prepro_timeout_us`]) trip a strike counter that falls
-//!   back from the pipelined scheduler to the serialized one — slower but
-//!   free of hash-lock convoys.
+//!   consecutive OOM attempts the batch is halved (down to one vertex) so
+//!   *some* progress is made.
 //! * **Poison batches** (invalid ids, or exhausted retries) are quarantined
 //!   with a structured [`QuarantineRecord`] instead of being retried forever.
 //!
@@ -26,7 +22,6 @@ use crate::data::GraphData;
 use crate::error::GtError;
 use crate::framework::{BatchOutcome, BatchReport, DegradeAction, FailReason, Framework};
 use crate::journal::{self, Journal};
-use crate::scheduler::PreproStrategy;
 use crate::tracing::{RequestTracer, TracerConfig};
 use crate::trainer::GraphTensor;
 use gt_graph::VId;
@@ -36,33 +31,11 @@ use gt_telemetry::{Json, Telemetry, ToJson};
 use gt_tensor::{chaosio, checkpoint};
 use std::path::PathBuf;
 
-/// Retry/degradation policy of the supervisor.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Retries after the first failed attempt before quarantining.
-    pub max_retries: usize,
-    /// First retry waits this long; attempt `k` waits `base · 2ᵏ` µs.
-    pub backoff_base_us: f64,
-    /// Preprocessing makespan budget; stalls beyond it accrue strikes
-    /// (default ∞: never stalls).
-    pub prepro_timeout_us: f64,
-    /// Stalled batches tolerated before degrading pipelined→serialized.
-    pub stall_strikes: usize,
-    /// Batch halving floor: never shrink a batch below this many vertices.
-    pub min_batch: usize,
-}
+/// Retries after the first failed attempt before quarantining.
+const MAX_RETRIES: usize = 3;
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            max_retries: 3,
-            backoff_base_us: 50.0,
-            prepro_timeout_us: f64::INFINITY,
-            stall_strikes: 2,
-            min_batch: 1,
-        }
-    }
-}
+/// First retry waits this long; attempt `k` waits `BACKOFF_BASE_US · 2ᵏ` µs.
+const BACKOFF_BASE_US: f64 = 50.0;
 
 /// A batch the supervisor gave up on, with enough context to replay it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -257,8 +230,6 @@ impl DurabilityState {
 pub struct Supervisor {
     /// The supervised trainer (fail-fast mode is forced on).
     pub trainer: GraphTensor,
-    /// Retry/degradation policy.
-    pub config: ServeConfig,
     /// Faults injected per (batch, attempt); empty = pass-through.
     pub plan: FaultPlan,
     /// Batches the supervisor gave up on.
@@ -269,8 +240,6 @@ pub struct Supervisor {
     /// (the default) keeps serving exactly as before tracing existed.
     pub tracer: Option<RequestTracer>,
     batches_served: usize,
-    strikes: usize,
-    degraded_prepro: bool,
     durability: Option<DurabilityState>,
     /// Skew-exploiting serving caches; `None` (the default) keeps serving
     /// exactly as before caching existed.
@@ -285,14 +254,11 @@ impl Supervisor {
         trainer.fail_fast = true;
         Supervisor {
             trainer,
-            config: ServeConfig::default(),
             plan,
             quarantine: Vec::new(),
             backoff_paid_us: 0.0,
             tracer: None,
             batches_served: 0,
-            strikes: 0,
-            degraded_prepro: false,
             durability: None,
             caches: None,
         }
@@ -301,11 +267,6 @@ impl Supervisor {
     /// Batches served so far (the next batch's fault-plan coordinate).
     pub fn batches_served(&self) -> usize {
         self.batches_served
-    }
-
-    /// True once preprocessing has fallen back to the serialized strategy.
-    pub fn is_prepro_degraded(&self) -> bool {
-        self.degraded_prepro
     }
 
     /// Attach a [`RequestTracer`] with `config`, evaluating `slo` when
@@ -538,45 +499,14 @@ impl Supervisor {
             // for them, or replay-based recovery loses its bit-identity
             // contract.
             self.trainer.injected = Some(self.plan.active(batch_index, attempt).des_relevant());
-            if self.degraded_prepro {
-                self.trainer.prepro_override = Some(PreproStrategy::Serial);
-            }
             let mut report = self.trainer.train_batch(data, &cur);
 
             let reason = match report.outcome {
                 BatchOutcome::Failed { reason } => reason,
                 _ => {
-                    // Trained. Account a stall strike before classifying.
-                    let just_degraded = if !self.degraded_prepro
-                        && report.prepro_us() > self.config.prepro_timeout_us
-                    {
-                        self.strikes += 1;
-                        if self.strikes >= self.config.stall_strikes {
-                            self.degraded_prepro = true;
-                            telemetry
-                                .counter(
-                                    "gt_serve_prepro_serializations_total",
-                                    "Pipelined→serialized preprocessing fallbacks",
-                                )
-                                .inc();
-                            telemetry.event(
-                                "serve",
-                                "prepro_serialized",
-                                &[("batch", &batch_index), ("strikes", &self.strikes)],
-                            );
-                        }
-                        self.degraded_prepro
-                    } else {
-                        false
-                    };
                     report.outcome = if let Some(action) = halved {
                         BatchOutcome::Degraded {
                             action,
-                            retries: attempt,
-                        }
-                    } else if just_degraded {
-                        BatchOutcome::Degraded {
-                            action: DegradeAction::SerializedPrepro,
                             retries: attempt,
                         }
                     } else if attempt > 0 {
@@ -589,7 +519,7 @@ impl Supervisor {
                 }
             };
 
-            if attempt >= self.config.max_retries {
+            if attempt >= MAX_RETRIES {
                 report.outcome = self.give_up(batch_index, batch, reason, attempt + 1);
                 return report;
             }
@@ -597,7 +527,7 @@ impl Supervisor {
             match reason {
                 FailReason::TransferFailure => {
                     // Transient by assumption: back off and re-roll.
-                    let wait_us = self.config.backoff_base_us * (1u64 << attempt) as f64;
+                    let wait_us = BACKOFF_BASE_US * (1u64 << attempt) as f64;
                     self.backoff_paid_us += wait_us;
                     telemetry
                         .counter(
@@ -611,9 +541,9 @@ impl Supervisor {
                     consecutive_oom += 1;
                     // One plain retry first (transient pressure clears);
                     // a second OOM in a row means the batch must shrink.
-                    if consecutive_oom >= 2 && cur.len() > self.config.min_batch {
+                    if consecutive_oom >= 2 && cur.len() > 1 {
                         let from = cur.len();
-                        let to = (from / 2).max(self.config.min_batch);
+                        let to = (from / 2).max(1);
                         halved = Some(match halved {
                             Some(DegradeAction::HalvedBatch { from, .. }) => {
                                 DegradeAction::HalvedBatch { from, to }
@@ -635,7 +565,7 @@ impl Supervisor {
                         );
                     }
                 }
-                FailReason::InvalidBatch | FailReason::PreproStall => {}
+                FailReason::InvalidBatch => {}
             }
             telemetry
                 .counter("gt_serve_retries_total", "Retry attempts after a failure")

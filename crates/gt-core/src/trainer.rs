@@ -72,9 +72,6 @@ pub struct GraphTensor {
     /// Faults to apply to the *next* batch only (taken on use). Set by the
     /// serving supervisor from its [`gt_sim::FaultPlan`].
     pub injected: Option<ActiveFaults>,
-    /// Overrides the variant's preprocessing strategy (the supervisor's
-    /// pipelined→serialized degradation).
-    pub prepro_override: Option<PreproStrategy>,
     /// Measured preprocessing work of the most recent batch, kept for the
     /// cluster supervisor: partitioning a batch across workers re-prices the
     /// same measured work per partition instead of re-running preprocessing.
@@ -113,7 +110,6 @@ impl GraphTensor {
             calibration_batches: 3,
             fail_fast: false,
             injected: None,
-            prepro_override: None,
             last_work: None,
             telemetry: gt_telemetry::global(),
             params: ParamStore::new(),
@@ -214,63 +210,6 @@ impl GraphTensor {
         }
         dfg.set_output(x);
         (dfg, pairs)
-    }
-
-    /// Train one step on the ENTIRE graph without sampling — the
-    /// full-graph scenario GNNAdvisor targets (§VI-A). The whole embedding
-    /// table and adjacency are charged to device memory, so graphs beyond
-    /// the device capacity report OOM, reproducing the paper's scalability
-    /// argument for sampling-based preprocessing.
-    pub fn train_full_graph(&mut self, data: &GraphData) -> BatchReport {
-        self.ensure_params(data.feature_dim());
-        let _span = self
-            .telemetry
-            .span("train", "train_full_graph")
-            .arg("variant", self.variant.label())
-            .arg("vertices", data.num_vertices());
-        let pr = crate::full_graph::full_graph_prepro(data, self.model.layers);
-        let mut sim = SimContext::new(self.sys.gpu.clone());
-        let _ = sim.memory.alloc(pr.features.bytes());
-        // All layers share one resident structure.
-        let _ = sim.memory.alloc(pr.layers[0].structure_bytes());
-
-        let (mut dfg, pairs) = self.build_dfg(&pr);
-        if self.variant != GtVariant::Base {
-            apply_dkp(
-                &mut dfg,
-                pairs,
-                &self.cost,
-                false,
-                &self.counters,
-                Some(&self.drift),
-            );
-        }
-        let all: Vec<VId> = (0..data.num_vertices() as VId).collect();
-        let labels = data.batch_labels(&all);
-        self.params.zero_grads();
-        let loss = {
-            let mut ctx = ExecCtx {
-                sim: &mut sim,
-                params: &mut self.params,
-            };
-            let values = dfg.forward(std::slice::from_ref(&pr.features), &mut ctx);
-            let logits = values.get(dfg.output());
-            let (loss, grad) = softmax_cross_entropy(logits, &labels);
-            dfg.backward(&values, grad, &mut ctx);
-            loss
-        };
-        self.optimizer_step();
-        let oom = sim.memory.oom().map(|e| e.to_string());
-        BatchReport {
-            loss,
-            sim,
-            prepro: None,
-            num_nodes: data.num_vertices(),
-            num_edges: data.graph.num_edges(),
-            oom,
-            outcome: BatchOutcome::Succeeded,
-            telemetry: self.telemetry.clone(),
-        }
     }
 
     /// Forward-only inference on one batch: preprocess, run FWP, return the
@@ -393,13 +332,10 @@ impl GraphTensor {
         self.drift_emitted = now;
     }
 
-    /// The preprocessing strategy in force (the override, if set, else the
-    /// variant's default). The cluster supervisor uses this to price each
-    /// worker's partition with the same scheduler the trainer ran.
+    /// The variant's preprocessing strategy. The cluster supervisor uses
+    /// this to price each worker's partition with the same scheduler the
+    /// trainer ran.
     pub fn prepro_strategy(&self) -> PreproStrategy {
-        if let Some(s) = self.prepro_override {
-            return s;
-        }
         match self.variant {
             // Base/Dynamic serialize S→R→K→T like DGL (§VI-B) but still
             // overlap whole batches with GPU compute.

@@ -15,7 +15,7 @@ use gt_core::{
     GraphData, GtError, OverloadConfig, Partition, ServeCtx, Supervisor, TenancyConfig,
     TenantQuota,
 };
-use gt_sim::{ClusterSpec, CrashSite, FaultPlan, HeartbeatConfig, SystemSpec};
+use gt_sim::{ClusterSpec, CrashSite, FaultPlan, SystemSpec};
 use gt_telemetry::ToJson;
 use gt_tensor::checkpoint;
 use std::path::{Path, PathBuf};
@@ -31,9 +31,7 @@ fn cluster_config(workers: usize, hedging: bool) -> ClusterConfig {
     ClusterConfig {
         spec: ClusterSpec::tiny(workers),
         partition: Partition::VertexCut,
-        heartbeat: HeartbeatConfig::default(),
         hedging,
-        hedge_factor: 2.5,
     }
 }
 

@@ -4,8 +4,8 @@
 //! on a multi-batch serving loop — with zero panics throughout.
 
 use gt_core::{
-    BatchOutcome, BatchReport, DegradeAction, FailReason, Framework, GraphData, GtVariant,
-    ServeCtx, Supervisor,
+    BatchOutcome, BatchReport, DegradeAction, FailReason, Framework, GraphData, ServeCtx,
+    Supervisor,
 };
 use gt_graph::VId;
 use gt_sim::{FaultKind, FaultPlan, FaultRule, SystemSpec};
@@ -33,7 +33,6 @@ fn empty_plan_is_bit_identical_to_unsupervised() {
     }
     assert!(sup.quarantine.is_empty());
     assert_eq!(sup.backoff_paid_us, 0.0);
-    assert!(!sup.is_prepro_degraded());
 }
 
 #[test]
@@ -183,31 +182,6 @@ fn persistent_memory_pressure_halves_the_batch() {
     // The next batch is unafflicted and trains at full size.
     let r = serve(&mut sup, &d, &full);
     assert_eq!(r.outcome, BatchOutcome::Succeeded);
-}
-
-#[test]
-fn repeated_prepro_stalls_serialize_the_pipeline() {
-    let d = data();
-    let mut t = trainer();
-    t.variant = GtVariant::Prepro; // pipelined preprocessing
-    let mut sup = Supervisor::new(t, FaultPlan::new(0));
-    sup.config.prepro_timeout_us = 1.0; // everything "stalls"
-    sup.config.stall_strikes = 2;
-    let r0 = serve(&mut sup, &d, &batches(1)[0]);
-    assert_eq!(r0.outcome, BatchOutcome::Succeeded); // first strike
-    assert!(!sup.is_prepro_degraded());
-    let r1 = serve(&mut sup, &d, &batches(2)[1]);
-    assert_eq!(
-        r1.outcome,
-        BatchOutcome::Degraded {
-            action: DegradeAction::SerializedPrepro,
-            retries: 0,
-        }
-    );
-    assert!(sup.is_prepro_degraded());
-    // Later batches run serialized (override is sticky) and report normally.
-    let r2 = serve(&mut sup, &d, &batches(3)[2]);
-    assert_eq!(r2.outcome, BatchOutcome::Succeeded);
 }
 
 #[test]

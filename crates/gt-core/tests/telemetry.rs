@@ -24,8 +24,9 @@ fn implied_retries(outcome: &BatchOutcome) -> u64 {
 }
 
 /// Halving steps implied by a `HalvedBatch { from, to }`: replay the
-/// supervisor's shrink rule until the final size is reached.
-fn implied_halvings(outcome: &BatchOutcome, min_batch: usize) -> u64 {
+/// supervisor's shrink rule (halve, never below one vertex) until the
+/// final size is reached.
+fn implied_halvings(outcome: &BatchOutcome) -> u64 {
     if let BatchOutcome::Degraded {
         action: DegradeAction::HalvedBatch { from, to },
         ..
@@ -34,7 +35,7 @@ fn implied_halvings(outcome: &BatchOutcome, min_batch: usize) -> u64 {
         let mut len = *from;
         let mut steps = 0;
         while len > *to {
-            len = (len / 2).max(min_batch);
+            len = (len / 2).max(1);
             steps += 1;
         }
         steps
@@ -81,7 +82,6 @@ fn mixed_fault_serving_counters_match_outcomes_exactly() {
     let mut t = trainer();
     t.telemetry = telemetry.clone();
     let mut sup = Supervisor::new(t, plan);
-    let min_batch = sup.config.min_batch;
     let outcomes: Vec<BatchOutcome> = bs
         .iter()
         .map(|b| {
@@ -112,10 +112,7 @@ fn mixed_fault_serving_counters_match_outcomes_exactly() {
     assert!(expected_retries > 0, "plan produced no retries at all");
     assert_eq!(snap.counter("gt_serve_retries_total"), expected_retries);
 
-    let expected_halvings: u64 = outcomes
-        .iter()
-        .map(|o| implied_halvings(o, min_batch))
-        .sum();
+    let expected_halvings: u64 = outcomes.iter().map(implied_halvings).sum();
     assert!(expected_halvings > 0, "plan produced no OOM halvings");
     assert_eq!(snap.counter("gt_serve_halvings_total"), expected_halvings);
 

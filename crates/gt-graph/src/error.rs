@@ -1,4 +1,4 @@
-//! Typed errors for graph-structure construction and I/O.
+//! Typed errors for graph-structure construction.
 //!
 //! The hot pipeline (sampling → reindex → CSR/CSC build) historically
 //! asserted its structural invariants; the `try_*` constructors surface the

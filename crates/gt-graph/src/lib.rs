@@ -26,7 +26,6 @@ pub mod degree;
 pub mod embedding;
 pub mod error;
 pub mod generators;
-pub mod io;
 
 pub use convert::{coo_to_csc, coo_to_csr, csr_to_coo, csr_to_csc};
 pub use coo::Coo;

@@ -3,9 +3,9 @@
 //! The paper evaluates GCN and NGCF (§VI) with hidden dimension 64; the
 //! NAPA mode system also covers close relatives — "[FastGCN, JK-Net] are a
 //! variation of GCN, while [GAT, session-based models] are similar to
-//! NGCF" — so this crate additionally ships GIN-style sum aggregation and a
-//! simplified dot-product-attention GAT as configuration presets, plus
-//! epoch-level train/evaluate helpers used by the examples.
+//! NGCF" — so this crate additionally ships a simplified
+//! dot-product-attention GAT as a configuration preset, plus epoch-level
+//! train/evaluate helpers used by the examples.
 
 pub mod recsys;
 
@@ -30,18 +30,6 @@ pub fn gcn(layers: usize, out_dim: usize) -> ModelConfig {
 /// product similarity weights).
 pub fn ngcf(layers: usize, out_dim: usize) -> ModelConfig {
     ModelConfig::ngcf(layers, PAPER_HIDDEN, out_dim)
-}
-
-/// GIN-style preset: sum aggregation (injective), no edge weighting.
-pub fn gin(layers: usize, out_dim: usize) -> ModelConfig {
-    ModelConfig {
-        name: "GIN".into(),
-        layers,
-        hidden: PAPER_HIDDEN,
-        out_dim,
-        agg: Reduce::Sum,
-        edge: None,
-    }
 }
 
 /// Simplified GAT: per-edge scalar attention from the src·dst dot product,
@@ -114,7 +102,6 @@ mod tests {
     fn presets_have_expected_modes() {
         assert_eq!(gcn(2, 10).agg, Reduce::Mean);
         assert!(gcn(2, 10).edge.is_none());
-        assert_eq!(gin(2, 10).agg, Reduce::Sum);
         assert_eq!(ngcf(2, 2).edge.unwrap().g, EdgeOp::ElemMul);
         assert_eq!(gat_lite(2, 2).edge.unwrap().g, EdgeOp::Dot);
         assert_eq!(gcn(3, 7).hidden, PAPER_HIDDEN);
@@ -148,14 +135,6 @@ mod tests {
     fn gat_lite_trains_without_panic() {
         let data = GraphData::synthetic(150, 900, 8, 3, 5);
         let mut t = small_trainer(gat_lite(2, 3));
-        let r = t.train_batch(&data, &[0, 1, 2, 3, 4]);
-        assert!(r.loss.is_finite());
-    }
-
-    #[test]
-    fn gin_trains_without_panic() {
-        let data = GraphData::synthetic(150, 900, 8, 3, 5);
-        let mut t = small_trainer(gin(2, 3));
         let r = t.train_batch(&data, &[0, 1, 2, 3, 4]);
         assert!(r.loss.is_finite());
     }

@@ -24,41 +24,27 @@ use crate::prop::Gen;
 use gt_telemetry::json::obj;
 use gt_telemetry::Json;
 
-/// Shape of the sampled fault schedules.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosConfig {
-    /// Batches in the serving stream faults are scheduled over.
-    pub batches: usize,
-    /// Most faults one plan may carry (at least one is always sampled).
-    pub max_faults: usize,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            batches: 8,
-            max_faults: 4,
-        }
-    }
-}
+/// Most faults one sampled plan carries (at least one is always sampled).
+const MAX_FAULTS: u64 = 4;
 
 /// Keys [`sample_plan`]'s stream apart from `FaultPlan`'s probability
 /// rolls, which hash the same seed.
 const PLAN_STREAM_KEY: u64 = 0xC4A0_5CA0_DE7E_C7ED;
 
-/// Sample one composite fault schedule for `seed`.
+/// Sample one composite fault schedule for `seed` over a serving stream of
+/// `batches` batches.
 ///
 /// Every emitted rule is an *explicit* schedule entry — probability 1.0
 /// over a concrete batch window — except transfer failures, which keep a
 /// per-attempt probability so retry-then-succeed ladders are exercised.
 /// Journal/checkpoint faults stay inside the recoverable-or-detectable
 /// envelope documented on [`IoFault`].
-pub fn sample_plan(seed: u64, cfg: &ChaosConfig) -> FaultPlan {
+pub fn sample_plan(seed: u64, batches: usize) -> FaultPlan {
     let mut rng = Gen::new(seed ^ PLAN_STREAM_KEY);
-    let n_faults = 1 + rng.below(cfg.max_faults.max(1) as u64) as usize;
+    let n_faults = 1 + rng.below(MAX_FAULTS);
     let mut plan = FaultPlan::new(seed);
     for _ in 0..n_faults {
-        let b = rng.below(cfg.batches.max(1) as u64) as usize;
+        let b = rng.below(batches.max(1) as u64) as usize;
         plan = match rng.below(11) {
             0 => {
                 let site = match rng.below(3) {
@@ -580,19 +566,17 @@ mod tests {
 
     #[test]
     fn sample_plan_is_deterministic_and_nonempty() {
-        let cfg = ChaosConfig::default();
         for seed in 0..64 {
-            let a = sample_plan(seed, &cfg);
-            let b = sample_plan(seed, &cfg);
+            let a = sample_plan(seed, 8);
+            let b = sample_plan(seed, 8);
             assert_eq!(a, b, "seed {seed}");
             assert!(!a.is_empty());
-            assert!(a.len() <= cfg.max_faults);
+            assert!(a.len() <= MAX_FAULTS as usize);
         }
     }
 
     #[test]
     fn sampled_space_covers_every_category() {
-        let cfg = ChaosConfig::default();
         let mut seen_crash = false;
         let mut seen_io = false;
         let mut seen_delay = false;
@@ -601,7 +585,7 @@ mod tests {
         let mut seen_link = false;
         let mut seen_beats = false;
         for seed in 0..256 {
-            for r in sample_plan(seed, &cfg).rules() {
+            for r in sample_plan(seed, 8).rules() {
                 match r.kind {
                     FaultKind::Crash { .. } => seen_crash = true,
                     FaultKind::Io { .. } => seen_io = true,
@@ -626,9 +610,8 @@ mod tests {
 
     #[test]
     fn plan_json_round_trips() {
-        let cfg = ChaosConfig::default();
         for seed in 0..64 {
-            let plan = sample_plan(seed, &cfg);
+            let plan = sample_plan(seed, 8);
             let text = plan_to_json(&plan).to_json_string();
             let parsed = gt_telemetry::json::parse(&text).expect("self-produced JSON parses");
             let back = plan_from_json(&parsed).expect("wire form rebuilds");
@@ -747,7 +730,7 @@ mod tests {
 
     #[test]
     fn shrink_respects_the_eval_budget() {
-        let plan = sample_plan(3, &ChaosConfig::default());
+        let plan = sample_plan(3, 8);
         let mut evals = 0usize;
         let _ = shrink(
             &plan,
@@ -762,7 +745,7 @@ mod tests {
 
     #[test]
     fn shrink_is_deterministic() {
-        let plan = sample_plan(17, &ChaosConfig::default());
+        let plan = sample_plan(17, 8);
         let fails = |p: &FaultPlan| p.durability_rule_count() > 0 || p.len() > 2;
         let a = shrink(&plan, fails, 300);
         let b = shrink(&plan, fails, 300);

@@ -9,8 +9,8 @@
 //! the network link. Everything here is a pure function of the specs, so
 //! cluster schedules inherit the DES's bit-identity contract.
 //!
-//! The failure-detection side lives here too: [`HeartbeatConfig`] and the
-//! [`PhiDetector`], a deterministic phi-accrual-style detector running in
+//! The failure-detection side lives here too: the heartbeat constants and
+//! the [`PhiDetector`], a deterministic phi-accrual-style detector running in
 //! virtual time — suspicion is a pure function of observed heartbeat gaps,
 //! never of wall-clock time.
 
@@ -119,24 +119,12 @@ impl ClusterSpec {
     }
 }
 
-/// Virtual-time heartbeat protocol parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeartbeatConfig {
-    /// Interval between heartbeats, virtual microseconds.
-    pub interval_us: f64,
-    /// Suspicion threshold: a worker is suspected once the observed gap
-    /// exceeds `phi_threshold ×` its smoothed mean inter-arrival time.
-    pub phi_threshold: f64,
-}
+/// Interval between heartbeats, virtual microseconds.
+pub const HEARTBEAT_INTERVAL_US: f64 = 1_000.0;
 
-impl Default for HeartbeatConfig {
-    fn default() -> Self {
-        HeartbeatConfig {
-            interval_us: 1_000.0,
-            phi_threshold: 8.0,
-        }
-    }
-}
+/// Suspicion threshold: a worker is suspected once the observed gap
+/// reaches `PHI_THRESHOLD ×` its smoothed mean inter-arrival time.
+const PHI_THRESHOLD: f64 = 8.0;
 
 /// Deterministic phi-accrual-style failure detector for one worker.
 ///
@@ -149,23 +137,22 @@ impl Default for HeartbeatConfig {
 /// bit-identical across runs, worker counts, and `GT_THREADS` widths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhiDetector {
-    cfg: HeartbeatConfig,
     /// Smoothed mean inter-arrival time, seeded with the nominal interval.
     mean_us: f64,
     /// Heartbeats observed so far.
     observed: u64,
 }
 
-impl PhiDetector {
-    pub fn new(cfg: HeartbeatConfig) -> Self {
-        let mean_us = cfg.interval_us;
+impl Default for PhiDetector {
+    fn default() -> Self {
         PhiDetector {
-            cfg,
-            mean_us,
+            mean_us: HEARTBEAT_INTERVAL_US,
             observed: 0,
         }
     }
+}
 
+impl PhiDetector {
     /// Record one heartbeat arriving `gap_us` after the previous one.
     pub fn observe(&mut self, gap_us: f64) {
         // EMA with a 0.2 step: recent gaps dominate after ~10 beats but a
@@ -184,15 +171,15 @@ impl PhiDetector {
 
     /// Whether a silence of `gap_us` crosses the suspicion threshold.
     pub fn suspects(&self, gap_us: f64) -> bool {
-        self.phi(gap_us) >= self.cfg.phi_threshold
+        self.phi(gap_us) >= PHI_THRESHOLD
     }
 
     /// Virtual time from a worker's last heartbeat to the detector
-    /// *confirming* it dead: the silence must reach `phi_threshold ×` the
+    /// *confirming* it dead: the silence must reach `PHI_THRESHOLD ×` the
     /// smoothed mean before suspicion fires. This is the detection-latency
     /// term of a kill's recovery cost.
     pub fn confirm_delay_us(&self) -> f64 {
-        self.cfg.phi_threshold * self.mean_us
+        PHI_THRESHOLD * self.mean_us
     }
 
     /// Smoothed mean inter-arrival time (exposed for telemetry).
@@ -258,7 +245,7 @@ mod tests {
 
     #[test]
     fn detector_is_calm_on_nominal_beats() {
-        let mut d = PhiDetector::new(HeartbeatConfig::default());
+        let mut d = PhiDetector::default();
         for _ in 0..50 {
             d.observe(1_000.0);
         }
@@ -271,26 +258,23 @@ mod tests {
 
     #[test]
     fn detector_adapts_to_slow_workers() {
-        let cfg = HeartbeatConfig {
-            interval_us: 1_000.0,
-            phi_threshold: 4.0,
-        };
-        let mut d = PhiDetector::new(cfg);
+        let mut d = PhiDetector::default();
         // A worker that consistently beats every 2 ms raises the mean, so
         // the same absolute silence scores a lower phi.
-        let phi_before = d.phi(4_000.0);
+        assert!(d.suspects(8_000.0));
+        let phi_before = d.phi(8_000.0);
         for _ in 0..100 {
             d.observe(2_000.0);
         }
-        assert!(d.phi(4_000.0) < phi_before);
-        assert!(!d.suspects(4_000.0));
-        assert!((d.confirm_delay_us() - 4.0 * d.mean_us()).abs() < 1e-9);
+        assert!(d.phi(8_000.0) < phi_before);
+        assert!(!d.suspects(8_000.0));
+        assert!((d.confirm_delay_us() - 8.0 * d.mean_us()).abs() < 1e-9);
     }
 
     #[test]
     fn detector_is_deterministic() {
-        let mut a = PhiDetector::new(HeartbeatConfig::default());
-        let mut b = PhiDetector::new(HeartbeatConfig::default());
+        let mut a = PhiDetector::default();
+        let mut b = PhiDetector::default();
         for gap in [1000.0, 1200.0, 900.0, 3000.0, 1000.0] {
             a.observe(gap);
             b.observe(gap);

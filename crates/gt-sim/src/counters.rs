@@ -191,17 +191,6 @@ impl SimContext {
         modeled_us
     }
 
-    /// Record a host-side or transfer task with an externally computed
-    /// latency (host tasks are priced by `HostSpec`/`PcieSpec`, not by the
-    /// GPU roofline).
-    pub fn record_host(&mut self, phase: Phase, stats: KernelStats, modeled_us: f64) {
-        self.records.push(KernelRecord {
-            phase,
-            stats,
-            modeled_us,
-        });
-    }
-
     /// All recorded kernels, in execution order.
     pub fn records(&self) -> &[KernelRecord] {
         &self.records

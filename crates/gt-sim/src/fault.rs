@@ -292,19 +292,6 @@ impl FaultPlan {
         })
     }
 
-    /// Transient serving stall: the batch takes `extra_us` longer end to end
-    /// with probability `p` (virtual time; drives the overload controller).
-    pub fn with_serve_delay(self, extra_us: f64, p: f64) -> Self {
-        assert!(extra_us >= 0.0, "stall must not be negative");
-        self.with_rule(FaultRule {
-            kind: FaultKind::ServeDelay { extra_us },
-            probability: p,
-            from_batch: 0,
-            until_batch: None,
-            transient: true,
-        })
-    }
-
     /// Persistent serving stall over batches `[from, until)` — the sustained
     /// slowdown that backs an admission queue up.
     pub fn with_serve_delay_window(self, extra_us: f64, from: usize, until: Option<usize>) -> Self {

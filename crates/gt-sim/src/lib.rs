@@ -26,8 +26,8 @@ pub mod trace;
 pub mod transfer;
 
 pub use cache::CacheSim;
-pub use chaos::{delivery_order, plan_from_json, plan_to_json, sample_plan, shrink, ChaosConfig};
-pub use cluster::{ClusterSpec, HeartbeatConfig, NetLinkSpec, PhiDetector};
+pub use chaos::{delivery_order, plan_from_json, plan_to_json, sample_plan, shrink};
+pub use cluster::{ClusterSpec, NetLinkSpec, PhiDetector, HEARTBEAT_INTERVAL_US};
 pub use counters::{KernelRecord, KernelStats, Phase, SimContext};
 pub use des::{Resource, Schedule, ScheduledEvent, Simulator, TaskId, TaskSpec};
 pub use device::{DeviceSpec, HostSpec, PcieSpec, SystemSpec};

@@ -11,11 +11,6 @@ pub fn xavier(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-bound..bound))
 }
 
-/// Zero-initialized bias vector.
-pub fn zeros_bias(dim: usize) -> Vec<f32> {
-    vec![0.0; dim]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,7 @@
 //! cache/memory behaviour.
 
 use crate::dense::Matrix;
-use gt_graph::{Csr, VId};
+use gt_graph::Csr;
 
 /// How aggregated neighbor embeddings are reduced (`f` in §II-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,16 +169,6 @@ pub fn spmm_backward(csr: &Csr, grad: &Matrix, num_srcs: usize, reduce: Reduce) 
         }
     }
     out
-}
-
-/// Number of sources referenced by a CSR (max src id + 1), handy when the
-/// src id space differs from the dst space (per-layer subgraphs).
-pub fn max_src_plus_one(csr: &Csr) -> usize {
-    csr.srcs
-        .iter()
-        .copied()
-        .max()
-        .map_or(0, |v: VId| v as usize + 1)
 }
 
 #[cfg(test)]

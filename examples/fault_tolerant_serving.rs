@@ -183,9 +183,6 @@ fn main() {
                 DegradeAction::HalvedBatch { from, to } => {
                     format!("degraded: batch {from}->{to} nodes ({retries} retries)")
                 }
-                DegradeAction::SerializedPrepro => {
-                    format!("degraded: serialized preprocessing ({retries} retries)")
-                }
                 DegradeAction::ReducedFanout { from, to } => {
                     format!("degraded: fanout {from}->{to} ({retries} retries)")
                 }
@@ -230,9 +227,6 @@ fn main() {
             q.reason,
             q.attempts
         );
-    }
-    if server.is_prepro_degraded() {
-        println!("  preprocessing degraded to the serialized strategy");
     }
     if let Some(endpoint) = metrics_server {
         // Built-in smoke test: scrape our own endpoint once before

@@ -14,7 +14,7 @@
 //! * [`telemetry`] — spans, metrics, Chrome-trace / Prometheus exporters;
 //! * [`core`] — NAPA, the DKP orchestrator, the tensor scheduler, and the
 //!   [`core::trainer::GraphTensor`] framework;
-//! * [`models`] — GCN / NGCF / GIN / GAT-lite presets + train/eval loops;
+//! * [`models`] — GCN / NGCF / GAT-lite presets + train/eval loops;
 //! * [`baselines`] — PyG / DGL / GNNAdvisor / SALIENT strategy replicas;
 //! * [`datasets`] — the ten Table-II workloads as synthetic recipes.
 //!
@@ -58,13 +58,12 @@ pub mod prelude {
     pub use gt_core::overload::{Completion, Gateway, OverloadConfig};
     pub use gt_core::scheduler::PreproStrategy;
     pub use gt_core::serve::{
-        DurabilityConfig, QuarantineRecord, RecoveryReport, ServeConfig, ServeCtx, Served,
-        Supervisor,
+        DurabilityConfig, QuarantineRecord, RecoveryReport, ServeCtx, Served, Supervisor,
     };
     pub use gt_core::tracing::{RequestTracer, TracerConfig};
     pub use gt_core::trainer::{GraphTensor, GtVariant};
     pub use gt_datasets::{DatasetSpec, Scale};
-    pub use gt_models::{evaluate, gat_lite, gcn, gin, ngcf, train_epochs};
+    pub use gt_models::{evaluate, gat_lite, gcn, ngcf, train_epochs};
     pub use gt_sample::{BatchIter, SamplerConfig};
     pub use gt_sim::{CrashSite, FaultPlan, SystemSpec};
     pub use gt_telemetry::{http::MetricsServer, SloSpec, Telemetry};

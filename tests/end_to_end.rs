@@ -188,19 +188,3 @@ fn checkpoint_restore_preserves_predictions() {
         "restored accuracy {b} != original {a}"
     );
 }
-
-/// Full-graph mode matches the scalability story: small graphs train,
-/// sampling covers what full-graph cannot.
-#[test]
-fn full_graph_mode_trains_small_graphs() {
-    let data = GraphData::synthetic_learnable(150, 1200, 8, 2, 3);
-    let mut t = GraphTensor::new(GtVariant::Base, gcn(2, 2), SystemSpec::tiny());
-    t.lr = 0.5;
-    let first = t.train_full_graph(&data).loss;
-    let mut last = first;
-    for _ in 0..15 {
-        last = t.train_full_graph(&data).loss;
-    }
-    assert!(last < first);
-    assert!(t.train_full_graph(&data).oom.is_none());
-}
