@@ -65,10 +65,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
     for &threads in &WIDTHS {
         let pool = ThreadPool::leaked(threads);
         // Warm up once (first touch of the feature table and allocator).
-        let mut result = run_prepro_with_pool(&data, &batch, &scfg, pool, Vec::new());
+        let mut result = run_prepro_with_pool(&data, &batch, &scfg, pool);
         let start = Instant::now();
         for _ in 0..reps {
-            result = run_prepro_with_pool(&data, &batch, &scfg, pool, Vec::new());
+            result = run_prepro_with_pool(&data, &batch, &scfg, pool);
         }
         let us = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
         let identical = match &reference {

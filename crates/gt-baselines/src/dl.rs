@@ -23,7 +23,7 @@ use gt_core::napa::{NeighborApply, Pull};
 use gt_sample::LayerGraph;
 use gt_sim::{KernelStats, Phase};
 use gt_tensor::dense::Matrix;
-use gt_tensor::dfg::{ExecCtx, Op, ParamStore};
+use gt_tensor::dfg::{ExecCtx, Op, Operand, ParamStore};
 use gt_tensor::sparse::{EdgeOp, Reduce};
 use std::sync::Arc;
 
@@ -105,25 +105,29 @@ impl Op for DlAggregate {
         "dl_aggregate"
     }
 
-    fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix {
-        let f = inputs[0].cols();
-        let out = self.pull.compute(inputs[0], inputs.get(1).copied());
-        self.charge_scatter(f, ctx);
+    fn forward(&self, inputs: &[Operand], ctx: &mut ExecCtx) -> Matrix {
+        let (x, w) = (
+            inputs[0].dense(),
+            inputs.get(1).copied().map(Operand::dense),
+        );
+        let out = self.pull.compute(x, w);
+        self.charge_scatter(x.cols(), ctx);
         out
     }
 
     fn backward(
         &self,
-        inputs: &[&Matrix],
+        inputs: &[Operand],
         _output: &Matrix,
         grad: &Matrix,
         ctx: &mut ExecCtx,
     ) -> Vec<Option<Matrix>> {
-        let f = inputs[0].cols();
-        let (dx, dw) = self
-            .pull
-            .compute_backward(inputs[0], inputs.get(1).copied(), grad);
-        self.charge_scatter(f, ctx);
+        let (x, w) = (
+            inputs[0].dense(),
+            inputs.get(1).copied().map(Operand::dense),
+        );
+        let (dx, dw) = self.pull.compute_backward(x, w, grad);
+        self.charge_scatter(x.cols(), ctx);
         if self.pull.h.is_some() {
             vec![Some(dx), dw]
         } else {
@@ -173,11 +177,12 @@ impl Op for DlEdgeWeight {
         "dl_edge_weight"
     }
 
-    fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix {
-        let f = inputs[0].cols();
+    fn forward(&self, inputs: &[Operand], ctx: &mut ExecCtx) -> Matrix {
+        let x = inputs[0].dense();
+        let f = x.cols();
         // Two dense copies: src matrix and dst matrix (Fig 5a bottom).
         let bloat = charge_sparse2dense(&self.na.layer, f, 2, ctx);
-        let out = self.na.compute(inputs[0]);
+        let out = self.na.compute(x);
         self.charge_elementwise(f, ctx);
         ctx.sim.memory.free(bloat);
         out
@@ -185,14 +190,15 @@ impl Op for DlEdgeWeight {
 
     fn backward(
         &self,
-        inputs: &[&Matrix],
+        inputs: &[Operand],
         _output: &Matrix,
         grad: &Matrix,
         ctx: &mut ExecCtx,
     ) -> Vec<Option<Matrix>> {
-        let f = inputs[0].cols();
+        let x = inputs[0].dense();
+        let f = x.cols();
         let bloat = charge_sparse2dense(&self.na.layer, f, 2, ctx);
-        let dx = self.na.compute_backward(inputs[0], grad);
+        let dx = self.na.compute_backward(x, grad);
         self.charge_elementwise(f, ctx);
         ctx.sim.memory.free(bloat);
         vec![Some(dx)]
@@ -238,7 +244,7 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let got = dl.forward(&[&x], &mut ctx);
+        let got = dl.forward(&[Operand::Dense(&x)], &mut ctx);
         assert!(got.max_abs_diff(&napa.compute(&x, None)) < 1e-6);
     }
 
@@ -252,7 +258,7 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let _ = dl.forward(&[&x], &mut ctx);
+        let _ = dl.forward(&[Operand::Dense(&x)], &mut ctx);
         // Fused scatter: no sparse→dense copies for plain aggregation...
         assert_eq!(ctx.sim.phase_stats(Phase::Sparse2Dense).alloc_bytes, 0);
         // ...but edge-wise scheduling still bloats the cache.
@@ -269,7 +275,7 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let out = w.forward(&[&x], &mut ctx);
+        let out = w.forward(&[Operand::Dense(&x)], &mut ctx);
         assert_eq!(out.rows(), 4);
         assert_eq!(ctx.sim.phase_stats(Phase::Sparse2Dense).alloc_bytes, 256);
     }
@@ -295,7 +301,7 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let _ = dl.forward(&[&x], &mut ctx);
+        let _ = dl.forward(&[Operand::Dense(&x)], &mut ctx);
         assert!(ctx.sim.memory.oom().is_some());
     }
 }

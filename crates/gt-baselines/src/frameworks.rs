@@ -24,7 +24,7 @@ use gt_graph::VId;
 use gt_sample::{LayerGraph, SamplerConfig};
 use gt_sim::{Schedule, SimContext, SystemSpec};
 use gt_tensor::dense::Matrix;
-use gt_tensor::dfg::{Dfg, ExecCtx, Linear, Op, ParamStore, Relu};
+use gt_tensor::dfg::{Dfg, ExecCtx, Linear, Op, Operand, ParamStore, Relu};
 use gt_tensor::init::xavier;
 use gt_tensor::loss::softmax_cross_entropy;
 use std::sync::Arc;
@@ -282,7 +282,7 @@ impl Framework for Baseline {
                 sim: &mut sim,
                 params: &mut self.params,
             };
-            let values = dfg.forward(std::slice::from_ref(&pr.features), &mut ctx);
+            let values = dfg.forward(&[Operand::Dense(&pr.features)], &mut ctx);
             let logits = values.get(dfg.output());
             let (loss, grad) = softmax_cross_entropy(logits, &labels);
             dfg.backward(&values, grad, &mut ctx);

@@ -15,7 +15,7 @@ use gt_core::napa::Pull;
 use gt_sample::LayerGraph;
 use gt_sim::{CacheSim, KernelStats, Phase};
 use gt_tensor::dense::Matrix;
-use gt_tensor::dfg::{ExecCtx, Op, ParamStore};
+use gt_tensor::dfg::{ExecCtx, Op, Operand, ParamStore};
 use gt_tensor::sparse::Reduce;
 use std::sync::Arc;
 
@@ -75,22 +75,24 @@ impl Op for NeighborGroupAggregate {
         "neighbor_group_aggregate"
     }
 
-    fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix {
-        let out = self.pull.compute(inputs[0], None);
-        let stats = self.stats(inputs[0].cols(), ctx.sim.device().num_sms);
+    fn forward(&self, inputs: &[Operand], ctx: &mut ExecCtx) -> Matrix {
+        let x = inputs[0].dense();
+        let out = self.pull.compute(x, None);
+        let stats = self.stats(x.cols(), ctx.sim.device().num_sms);
         ctx.sim.record_gpu(Phase::Aggregation, stats);
         out
     }
 
     fn backward(
         &self,
-        inputs: &[&Matrix],
+        inputs: &[Operand],
         _output: &Matrix,
         grad: &Matrix,
         ctx: &mut ExecCtx,
     ) -> Vec<Option<Matrix>> {
-        let (dx, _) = self.pull.compute_backward(inputs[0], None, grad);
-        let mut stats = self.stats(inputs[0].cols(), ctx.sim.device().num_sms);
+        let x = inputs[0].dense();
+        let (dx, _) = self.pull.compute_backward(x, None, grad);
+        let mut stats = self.stats(x.cols(), ctx.sim.device().num_sms);
         stats.global_write_bytes = dx.bytes();
         ctx.sim.record_gpu(Phase::Aggregation, stats);
         vec![Some(dx)]
@@ -147,7 +149,7 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let got = adv.forward(&[&x], &mut ctx);
+        let got = adv.forward(&[Operand::Dense(&x)], &mut ctx);
         let want = adv.pull.compute(&x, None);
         assert!(got.max_abs_diff(&want) < 1e-6);
     }

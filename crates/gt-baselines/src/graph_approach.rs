@@ -16,7 +16,7 @@ use gt_graph::convert::translation_stats;
 use gt_sample::LayerGraph;
 use gt_sim::{KernelStats, Phase};
 use gt_tensor::dense::Matrix;
-use gt_tensor::dfg::{ExecCtx, Op, ParamStore};
+use gt_tensor::dfg::{ExecCtx, Op, Operand, ParamStore};
 use gt_tensor::sparse::{EdgeOp, Reduce};
 use std::sync::Arc;
 
@@ -98,21 +98,24 @@ impl Op for EdgeWiseAggregate {
         "edge_wise_aggregate"
     }
 
-    fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix {
+    fn forward(&self, inputs: &[Operand], ctx: &mut ExecCtx) -> Matrix {
         // FWP SpMM wants CSR; COO-resident frameworks translate first.
         if self.translate {
             charge_translation(&self.pull.layer, ctx);
         }
-        let out = self.pull.compute(inputs[0], inputs.get(1).copied());
-        let stats =
-            edge_wise_agg_stats(&self.pull.layer, inputs[0].cols(), ctx.sim.device().num_sms);
+        let (x, w) = (
+            inputs[0].dense(),
+            inputs.get(1).copied().map(Operand::dense),
+        );
+        let out = self.pull.compute(x, w);
+        let stats = edge_wise_agg_stats(&self.pull.layer, x.cols(), ctx.sim.device().num_sms);
         ctx.sim.record_gpu(Phase::Aggregation, stats);
         out
     }
 
     fn backward(
         &self,
-        inputs: &[&Matrix],
+        inputs: &[Operand],
         _output: &Matrix,
         grad: &Matrix,
         ctx: &mut ExecCtx,
@@ -120,11 +123,12 @@ impl Op for EdgeWiseAggregate {
         // BWP traverses dst→src: translate to CSC (Fig 3b) — needed by
         // both COO-resident (DGL) and CSR-resident (ROC) frameworks.
         charge_translation(&self.pull.layer, ctx);
-        let (dx, dw) = self
-            .pull
-            .compute_backward(inputs[0], inputs.get(1).copied(), grad);
-        let mut stats =
-            edge_wise_agg_stats(&self.pull.layer, inputs[0].cols(), ctx.sim.device().num_sms);
+        let (x, w) = (
+            inputs[0].dense(),
+            inputs.get(1).copied().map(Operand::dense),
+        );
+        let (dx, dw) = self.pull.compute_backward(x, w, grad);
+        let mut stats = edge_wise_agg_stats(&self.pull.layer, x.cols(), ctx.sim.device().num_sms);
         stats.global_write_bytes = dx.bytes() + dw.as_ref().map_or(0, |w| w.bytes());
         ctx.sim.record_gpu(Phase::Aggregation, stats);
         if self.pull.h.is_some() {
@@ -188,25 +192,27 @@ impl Op for EdgeWiseEdgeWeight {
         "edge_wise_edge_weight"
     }
 
-    fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix {
+    fn forward(&self, inputs: &[Operand], ctx: &mut ExecCtx) -> Matrix {
         if self.translate {
             charge_translation(&self.na.layer, ctx);
         }
-        let out = self.na.compute(inputs[0]);
-        let stats = self.stats(inputs[0].cols(), ctx.sim.device().num_sms);
+        let x = inputs[0].dense();
+        let out = self.na.compute(x);
+        let stats = self.stats(x.cols(), ctx.sim.device().num_sms);
         ctx.sim.record_gpu(Phase::EdgeWeighting, stats);
         out
     }
 
     fn backward(
         &self,
-        inputs: &[&Matrix],
+        inputs: &[Operand],
         _output: &Matrix,
         grad: &Matrix,
         ctx: &mut ExecCtx,
     ) -> Vec<Option<Matrix>> {
-        let dx = self.na.compute_backward(inputs[0], grad);
-        let mut stats = self.stats(inputs[0].cols(), ctx.sim.device().num_sms);
+        let x = inputs[0].dense();
+        let dx = self.na.compute_backward(x, grad);
+        let mut stats = self.stats(x.cols(), ctx.sim.device().num_sms);
         stats.global_write_bytes = dx.bytes();
         ctx.sim.record_gpu(Phase::EdgeWeighting, stats);
         vec![Some(dx)]
@@ -254,11 +260,11 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let out = agg.forward(&[&x], &mut ctx);
+        let out = agg.forward(&[Operand::Dense(&x)], &mut ctx);
         assert!(ctx.sim.phase_us(Phase::FormatTranslation) > 0.0);
         let fwd_translation = ctx.sim.phase_us(Phase::FormatTranslation);
         let g = Matrix::zeros(out.rows(), out.cols());
-        agg.backward(&[&x], &out, &g, &mut ctx);
+        agg.backward(&[Operand::Dense(&x)], &out, &g, &mut ctx);
         assert!(ctx.sim.phase_us(Phase::FormatTranslation) > fwd_translation * 1.9);
     }
 
@@ -288,14 +294,14 @@ mod tests {
         let agg = EdgeWiseAggregate::new(Arc::clone(&l), Reduce::Mean);
         let napa = Pull::new(Arc::clone(&l), Reduce::Mean);
         assert!(
-            agg.forward(&[&x], &mut ctx)
+            agg.forward(&[Operand::Dense(&x)], &mut ctx)
                 .max_abs_diff(&napa.compute(&x, None))
                 < 1e-6
         );
         let ew = EdgeWiseEdgeWeight::new(Arc::clone(&l), EdgeOp::ElemAdd);
         let napa_w = NeighborApply::new(l, EdgeOp::ElemAdd);
         assert!(
-            ew.forward(&[&x], &mut ctx)
+            ew.forward(&[Operand::Dense(&x)], &mut ctx)
                 .max_abs_diff(&napa_w.compute(&x))
                 < 1e-6
         );
@@ -311,7 +317,7 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let _ = ew.forward(&[&x], &mut ctx);
+        let _ = ew.forward(&[Operand::Dense(&x)], &mut ctx);
         assert_eq!(ctx.sim.phase_stats(Phase::Sparse2Dense).alloc_bytes, 0);
     }
 }

@@ -16,8 +16,8 @@
 use gt_par::ThreadPool;
 use gt_sample::LayerGraph;
 use gt_sim::{KernelStats, Phase};
-use gt_tensor::dense::Matrix;
-use gt_tensor::dfg::{ExecCtx, Op, ParamStore};
+use gt_tensor::dense::{Matrix, RowSource};
+use gt_tensor::dfg::{ExecCtx, Op, Operand, ParamStore};
 use gt_tensor::sparse::EdgeOp;
 use std::sync::Arc;
 
@@ -154,7 +154,7 @@ pub(super) fn stats(layer: &LayerGraph, feat_dim: usize, num_sms: usize) -> Kern
 
 /// Edge weighting reads `features.row(d)` for every destination; fail here,
 /// on the caller's thread, rather than on a slice index in a pool worker.
-pub(super) fn assert_covers_dst(layer: &LayerGraph, features: &Matrix) {
+pub(super) fn assert_covers_dst<X: RowSource + ?Sized>(layer: &LayerGraph, features: &X) {
     assert!(
         layer.num_dst <= features.rows(),
         "edge weighting reads a feature row per destination: layer has {} dst / {} src, features have {} rows",
@@ -172,10 +172,10 @@ pub(super) fn dot(srow: &[f32], drow: &[f32]) -> f32 {
 /// `g'` for one edge `(s, d)` whose weight-row gradient is `grow`: the src
 /// row of `dx` accumulates first, then the dst row (they alias on a
 /// self-loop).
-pub(super) fn scatter_edge_grad(
+pub(super) fn scatter_edge_grad<X: RowSource + ?Sized>(
     dx: &mut Matrix,
     g: EdgeOp,
-    features: &Matrix,
+    features: &X,
     s: usize,
     d: usize,
     grow: &[f32],
@@ -217,23 +217,25 @@ impl Op for NeighborApply {
         "neighbor_apply"
     }
 
-    fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix {
-        let out = self.compute(inputs[0]);
-        let stats = self.stats(inputs[0].cols(), ctx.sim.device().num_sms);
+    fn forward(&self, inputs: &[Operand], ctx: &mut ExecCtx) -> Matrix {
+        let x = inputs[0].dense();
+        let out = self.compute(x);
+        let stats = self.stats(x.cols(), ctx.sim.device().num_sms);
         ctx.sim.record_gpu(Phase::EdgeWeighting, stats);
         out
     }
 
     fn backward(
         &self,
-        inputs: &[&Matrix],
+        inputs: &[Operand],
         _output: &Matrix,
         grad: &Matrix,
         ctx: &mut ExecCtx,
     ) -> Vec<Option<Matrix>> {
-        let dx = self.compute_backward(inputs[0], grad);
+        let x = inputs[0].dense();
+        let dx = self.compute_backward(x, grad);
         // g' applies to both dst and src (Fig 3c): same traversal cost.
-        let mut stats = self.stats(inputs[0].cols(), ctx.sim.device().num_sms);
+        let mut stats = self.stats(x.cols(), ctx.sim.device().num_sms);
         stats.global_write_bytes = dx.bytes();
         ctx.sim.record_gpu(Phase::EdgeWeighting, stats);
         vec![Some(dx)]

@@ -24,13 +24,18 @@
 //! stays as the materialising strategy the baselines reproduce. The device
 //! model is not fused: it still prices two kernels and a resident edge
 //! tensor (docs/MODEL.md).
+//!
+//! Forward and backward read source and destination rows through
+//! [`RowSource`], so one body serves a dense matrix and the GraphTensor
+//! trainer's first-layer input — rows of the embedding table picked by
+//! `new_to_orig`, never gathered — with the same floats in the same order.
 
 use crate::config::HFn;
 use gt_par::ThreadPool;
 use gt_sample::LayerGraph;
 use gt_sim::{KernelStats, Phase};
-use gt_tensor::dense::Matrix;
-use gt_tensor::dfg::{ExecCtx, Op, ParamStore};
+use gt_tensor::dense::{Matrix, RowSource};
+use gt_tensor::dfg::{ExecCtx, Op, Operand, ParamStore};
 use gt_tensor::sparse::{EdgeOp, Reduce};
 use std::sync::Arc;
 
@@ -72,7 +77,13 @@ impl Pull {
     }
 
     /// Weighted aggregation: `h` folds NeighborApply's weights into sources.
+    /// `agg` is `Sum` or `Mean`: a weighted `Max` is refused, as its kernel
+    /// has no weighted form.
     pub fn weighted(layer: Arc<LayerGraph>, agg: Reduce, h: HFn) -> Self {
+        assert!(
+            agg != Reduce::Max,
+            "weighted aggregation: Max is not supported"
+        );
         Pull {
             h: Some(h),
             ..Pull::new(layer, agg)
@@ -80,7 +91,8 @@ impl Pull {
     }
 
     /// Edge-weighted aggregation over `[features]` alone: `g` weights each
-    /// edge and `h` folds the weight into its source, in one pass.
+    /// edge and `h` folds the weight into its source, in one pass. `agg` is
+    /// `Sum` or `Mean`, as for [`Pull::weighted`].
     pub fn edge_weighted(layer: Arc<LayerGraph>, agg: Reduce, g: EdgeOp, h: HFn) -> Self {
         Pull {
             g: Some(g),
@@ -95,7 +107,7 @@ impl Pull {
     }
 
     /// Forward numerics, shared with the fused Cost-DKP node.
-    pub fn compute(&self, features: &Matrix, weights: Option<&Matrix>) -> Matrix {
+    pub fn compute<X: RowSource + ?Sized>(&self, features: &X, weights: Option<&Matrix>) -> Matrix {
         self.assert_weight_arity(weights);
         let f = features.cols();
         let layer = &self.layer;
@@ -167,6 +179,7 @@ impl Pull {
                                 }
                             }
                         }
+                        // Unweighted only: the constructors refuse a weighted Max.
                         Reduce::Max => {
                             orow.copy_from_slice(features.row(srcs[0] as usize));
                             for &s in &srcs[1..] {
@@ -210,9 +223,9 @@ impl Pull {
     /// Backward numerics: returns `(d_features, d_weights)`. With `g` set
     /// there is no weight input: `d_features` is then the whole input
     /// gradient, through the aggregation and through the edge weights.
-    pub fn compute_backward(
+    pub fn compute_backward<X: RowSource + ?Sized>(
         &self,
-        features: &Matrix,
+        features: &X,
         weights: Option<&Matrix>,
         grad: &Matrix,
     ) -> (Matrix, Option<Matrix>) {
@@ -320,7 +333,13 @@ impl Pull {
     /// `NeighborApply::compute_backward` returns for this Pull's `d_weights`
     /// — with each `d_weights` row recomputed where it is consumed. Serial
     /// like that kernel: src and dst rows both accumulate in CSR edge order.
-    fn edge_input_grad(&self, features: &Matrix, grad: &Matrix, g: EdgeOp, h: HFn) -> Matrix {
+    fn edge_input_grad<X: RowSource + ?Sized>(
+        &self,
+        features: &X,
+        grad: &Matrix,
+        g: EdgeOp,
+        h: HFn,
+    ) -> Matrix {
         let layer = &self.layer;
         let mut dx = Matrix::zeros(features.rows(), features.cols());
         let mut dwrow = vec![0.0f32; features.cols()];
@@ -436,26 +455,26 @@ impl Op for Pull {
         "pull"
     }
 
-    fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix {
-        let weights = inputs.get(1).copied();
-        self.charge_edge_weighting(inputs[0].cols(), ctx);
-        let out = self.compute(inputs[0], weights);
-        let stats = self.forward_stats(inputs[0].cols(), ctx.sim.device().num_sms);
+    fn forward(&self, inputs: &[Operand], ctx: &mut ExecCtx) -> Matrix {
+        let (x, weights) = (inputs[0], inputs.get(1).copied().map(Operand::dense));
+        self.charge_edge_weighting(x.cols(), ctx);
+        let out = self.compute(&x, weights);
+        let stats = self.forward_stats(x.cols(), ctx.sim.device().num_sms);
         ctx.sim.record_gpu(Phase::Aggregation, stats);
         out
     }
 
     fn backward(
         &self,
-        inputs: &[&Matrix],
+        inputs: &[Operand],
         _output: &Matrix,
         grad: &Matrix,
         ctx: &mut ExecCtx,
     ) -> Vec<Option<Matrix>> {
-        let weights = inputs.get(1).copied();
-        let (dx, dw) = self.compute_backward(inputs[0], weights, grad);
+        let (x, weights) = (inputs[0], inputs.get(1).copied().map(Operand::dense));
+        let (dx, dw) = self.compute_backward(&x, weights, grad);
         // Backward is the same traversal in reverse (f' ≡ f, Fig 3b).
-        let mut stats = self.forward_stats(inputs[0].cols(), ctx.sim.device().num_sms);
+        let mut stats = self.forward_stats(x.cols(), ctx.sim.device().num_sms);
         // The modeled kernel writes weight gradients whether the host
         // materialises them or not.
         let dw_bytes = self.h.map_or(0, |_| self.edge_tensor_bytes(dx.cols()));
@@ -522,6 +541,87 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "weighted aggregation: Max is not supported")]
+    fn weighted_max_is_refused_by_name() {
+        Pull::weighted(layer(), Reduce::Max, HFn::Mul);
+    }
+
+    #[test]
+    #[should_panic(expected = "weighted aggregation: Max is not supported")]
+    fn edge_weighted_max_is_refused_by_name() {
+        Pull::edge_weighted(layer(), Reduce::Max, EdgeOp::ElemMul, HFn::Mul);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Forward and backward over rows of a table read in place — directly
+    /// and as the DFG's operand — equal the same kernels over the gathered
+    /// copy, bit for bit, for every aggregation mode.
+    #[test]
+    fn rows_read_in_place_equal_the_gathered_copy() {
+        use gt_graph::{EmbeddingTable, VId};
+        use gt_tensor::dense::Rows;
+        // dst 3 has no edges; dst 2 has a self-loop.
+        let edges = [
+            (1, 0),
+            (2, 0),
+            (5, 0),
+            (0, 1),
+            (1, 1),
+            (3, 2),
+            (4, 2),
+            (2, 2),
+            (5, 2),
+        ];
+        let l = test_layer(6, 4, &edges);
+        let f = 5;
+        // The table's last row first, then descending, each row twice.
+        let t = l.num_src + 4;
+        let table = EmbeddingTable::random(t, f, 17);
+        let ids: Vec<VId> = (0..l.num_src).map(|r| (t - 1 - r / 2) as VId).collect();
+        let view = Rows {
+            table: &table,
+            ids: &ids,
+        };
+        let x = Matrix::from_vec(ids.len(), f, table.gather(&ids).into_vec());
+        let w = Matrix::from_fn(l.csr.num_edges(), f, |e, c| (e * f + c) as f32 * 0.25 - 3.0);
+        let grad = Matrix::from_fn(l.num_dst, f, |r, c| ((r * f + c) % 7) as f32 - 3.0);
+
+        let mut cases = Vec::new();
+        for agg in [Reduce::Sum, Reduce::Mean, Reduce::Max] {
+            cases.push((Pull::new(Arc::clone(&l), agg), None));
+        }
+        for agg in [Reduce::Sum, Reduce::Mean] {
+            for h in [HFn::Mul, HFn::Add] {
+                cases.push((Pull::weighted(Arc::clone(&l), agg, h), Some(&w)));
+                for g in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
+                    cases.push((Pull::edge_weighted(Arc::clone(&l), agg, g, h), None));
+                }
+            }
+        }
+        for (pull, weights) in cases {
+            let mode = format!("agg={:?} g={:?} h={:?}", pull.agg, pull.g, pull.h);
+            let want = bits(&pull.compute(&x, weights));
+            assert_eq!(bits(&pull.compute(&view, weights)), want, "{mode}");
+            let operand = Operand::Rows(view);
+            assert_eq!(bits(&pull.compute(&operand, weights)), want, "{mode}");
+            if pull.agg == Reduce::Max {
+                continue;
+            }
+            let (dx, dw) = pull.compute_backward(&x, weights, &grad);
+            for (got, got_dw) in [
+                pull.compute_backward(&view, weights, &grad),
+                pull.compute_backward(&operand, weights, &grad),
+            ] {
+                assert_eq!(bits(&got), bits(&dx), "{mode}");
+                assert_eq!(got_dw.map(|m| bits(&m)), dw.as_ref().map(bits), "{mode}");
+            }
+        }
+    }
+
+    #[test]
     fn backward_matches_oracle() {
         let l = layer();
         let pull = Pull::new(Arc::clone(&l), Reduce::Mean);
@@ -573,7 +673,7 @@ mod tests {
             params: &mut params,
         };
         let f = feats();
-        let _ = pull.forward(&[&f], &mut ctx);
+        let _ = pull.forward(&[Operand::Dense(&f)], &mut ctx);
         let s = ctx.sim.phase_stats(Phase::Aggregation);
         assert!(s.flops > 0);
         assert_eq!(s.alloc_bytes, 0, "NAPA allocates no conversion buffers");

@@ -11,13 +11,17 @@
 //! commutes past the aggregation, so Cost-DKP transforms all `n_src` rows
 //! first and aggregates in the hidden dimension. The bias is added *after*
 //! aggregation either way, keeping Sum-aggregation exact too.
+//!
+//! The node reads its feature input as an [`Operand`]: in the first layer
+//! that is rows of the embedding table read in place, which Pull, `X·W` and
+//! `Xᵀ·dT` all accept, so no placement needs the gathered matrix.
 
 use super::cost::{CostModel, Dims, Placement};
 use super::drift::{DecisionRecord, DriftAction, DriftMonitor};
 use crate::napa::Pull;
 use gt_sim::{KernelStats, Phase};
-use gt_tensor::dense::Matrix;
-use gt_tensor::dfg::{Dfg, ExecCtx, NodeId, Op, ParamStore};
+use gt_tensor::dense::{Matrix, RowSource};
+use gt_tensor::dfg::{Dfg, ExecCtx, NodeId, Op, Operand, ParamStore};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -198,9 +202,8 @@ impl Op for CostDkp {
         "cost_dkp"
     }
 
-    fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix {
-        let x = inputs[0];
-        let weights = inputs.get(1).copied();
+    fn forward(&self, inputs: &[Operand], ctx: &mut ExecCtx) -> Matrix {
+        let (x, weights) = (inputs[0], inputs.get(1).copied().map(Operand::dense));
         let d = self.dims(x.cols(), ctx.params);
         let weighted = self.pull.h.is_some();
         let placement = self.cost.decide(&d, weighted, self.needs_input_grad);
@@ -231,7 +234,7 @@ impl Op for CostDkp {
                 self.counters
                     .aggregation_first
                     .fetch_add(1, Ordering::Relaxed);
-                let a = self.pull.compute(x, weights);
+                let a = self.pull.compute(&x, weights);
                 let lat = self.charge_pull(d.n_feat, ctx);
                 self.record_agg_sample(&d, d.n_feat, lat);
                 observed_fwd_us += lat;
@@ -274,13 +277,12 @@ impl Op for CostDkp {
 
     fn backward(
         &self,
-        inputs: &[&Matrix],
+        inputs: &[Operand],
         _output: &Matrix,
         grad: &Matrix,
         ctx: &mut ExecCtx,
     ) -> Vec<Option<Matrix>> {
-        let x = inputs[0];
-        let weights = inputs.get(1).copied();
+        let (x, weights) = (inputs[0], inputs.get(1).copied().map(Operand::dense));
         let d = self.dims(x.cols(), ctx.params);
         let Some(stash) = self.stash.lock().take() else {
             // A backward without its matching forward is a wiring bug; in
@@ -312,7 +314,7 @@ impl Op for CostDkp {
                     vec![None; inputs.len()]
                 } else {
                     let da = grad.matmul_transpose_b(ctx.params.get(&self.weight));
-                    let (dx, dwe) = self.pull.compute_backward(x, weights, &da);
+                    let (dx, dwe) = self.pull.compute_backward(&x, weights, &da);
                     let lat = self.charge_pull(d.n_feat, ctx);
                     self.record_agg_sample(&d, d.n_feat, lat);
                     observed_bwd_us += lat;
@@ -477,7 +479,7 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let vals = dfg.forward(std::slice::from_ref(&xval), &mut ctx);
+        let vals = dfg.forward(&[Operand::Dense(&xval)], &mut ctx);
         let out = vals.get(ln).clone();
         let ones = Matrix::from_vec(out.rows(), hid, vec![1.0; out.len()]);
         let input_grads = dfg.backward(&vals, ones, &mut ctx);
@@ -570,7 +572,7 @@ mod tests {
                 sim: &mut sim,
                 params: &mut params,
             };
-            let fused_out = node.forward(&[&xval], &mut ctx);
+            let fused_out = node.forward(&[Operand::Dense(&xval)], &mut ctx);
             // Reference: aggregate then matmul.
             let a = pull.compute(&xval, None);
             let refr = a.matmul(ctx.params.get("w"));
@@ -603,10 +605,10 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let out = node.forward(&[&xval], &mut ctx);
+        let out = node.forward(&[Operand::Dense(&xval)], &mut ctx);
         assert!(cost.num_samples() >= 2);
         let g = Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.len()]);
-        node.backward(&[&xval], &out, &g, &mut ctx);
+        node.backward(&[Operand::Dense(&xval)], &out, &g, &mut ctx);
         assert!(cost.num_samples() >= 4);
     }
 }

@@ -8,12 +8,18 @@
 //! CSC from the new ids H assigned, with no pool pass); each stage is
 //! wrapped in a telemetry span on the `prepro` track so real overlap shows
 //! up next to the DES-predicted schedule in a Perfetto trace.
+//!
+//! [`run_prepro`] runs all three. The GraphTensor trainer runs only S and R
+//! ([`sample_and_reindex`]): its kernels read the sampled rows of the
+//! embedding table in place, so K's gathered copy is never built on that
+//! path. K is still priced there — [`PreproWork`] counts its bytes the same
+//! either way (docs/MODEL.md).
 
 use crate::data::GraphData;
 use gt_graph::VId;
 use gt_par::ThreadPool;
 use gt_sample::{
-    lookup_all_into, try_reindex_layer_with_pool, try_sample_batch_with_pool, LayerGraph,
+    lookup_all_with_pool, try_reindex_layer_with_pool, try_sample_batch_with_pool, LayerGraph,
     SamplerConfig,
 };
 use gt_tensor::dense::Matrix;
@@ -74,6 +80,22 @@ impl PreproWork {
     }
 }
 
+/// S and R of one batch: everything a [`PreproResult`] holds except K's
+/// gathered features.
+#[derive(Debug)]
+pub struct Sampled {
+    /// Per-GNN-layer subgraphs in execution order: `layers[0]` is the
+    /// outermost hop (consumed by GNN layer 1).
+    pub layers: Vec<Arc<LayerGraph>>,
+    /// Dense new → original id table: row `new` of the batch's input is
+    /// embedding-table row `new_to_orig[new]`.
+    pub new_to_orig: Vec<VId>,
+    /// Id-space boundaries per hop (`boundaries[0]` = batch size).
+    pub boundaries: Vec<usize>,
+    /// Measured work for the scheduler, K's included.
+    pub work: PreproWork,
+}
+
 /// Everything the GPU stage needs, plus the work measurements.
 #[derive(Debug)]
 pub struct PreproResult {
@@ -90,22 +112,40 @@ pub struct PreproResult {
     pub work: PreproWork,
 }
 
-/// Run S, R, and K for one batch on the process-wide pool (`GT_THREADS`),
-/// gathering the features into a fresh buffer.
+/// Run S, R, and K for one batch on the process-wide pool (`GT_THREADS`).
 pub fn run_prepro(data: &GraphData, batch: &[VId], cfg: &SamplerConfig) -> PreproResult {
-    run_prepro_with_pool(data, batch, cfg, ThreadPool::global(), Vec::new())
+    run_prepro_with_pool(data, batch, cfg, ThreadPool::global())
 }
 
-/// [`run_prepro`] on an explicit pool, with K gathering into `features_buf`
-/// (see [`lookup_all_into`]): the trainer hands back the previous batch's
-/// feature matrix, determinism tests and the scaling bench pin pool widths.
+/// [`run_prepro`] on an explicit pool — determinism tests and the scaling
+/// bench pin pool widths directly.
 pub fn run_prepro_with_pool(
     data: &GraphData,
     batch: &[VId],
     cfg: &SamplerConfig,
     pool: &ThreadPool,
-    features_buf: Vec<f32>,
 ) -> PreproResult {
+    let s = sample_and_reindex(data, batch, cfg, pool);
+    let gathered = {
+        let _s = gt_telemetry::global().span("prepro", "K (lookup)");
+        lookup_all_with_pool(&data.features, &s.new_to_orig, pool)
+    };
+    PreproResult {
+        layers: s.layers,
+        features: Matrix::from_vec(gathered.rows(), gathered.dim(), gathered.into_vec()),
+        new_to_orig: s.new_to_orig,
+        boundaries: s.boundaries,
+        work: s.work,
+    }
+}
+
+/// S and R for one batch on `pool`, without K.
+pub fn sample_and_reindex(
+    data: &GraphData,
+    batch: &[VId],
+    cfg: &SamplerConfig,
+    pool: &ThreadPool,
+) -> Sampled {
     let telemetry = gt_telemetry::global();
     let sample = {
         let _s = telemetry.span("prepro", "S (sample)");
@@ -160,11 +200,6 @@ pub fn run_prepro_with_pool(
     // S is done with the map: keep only its id log, without copying it.
     let total_nodes = sample.num_nodes() as u64;
     let new_to_orig = sample.vidmap.into_new_to_orig();
-    let gathered = {
-        let _s = telemetry.span("prepro", "K (lookup)");
-        lookup_all_into(&data.features, &new_to_orig, pool, features_buf)
-    };
-    let features = Matrix::from_vec(gathered.rows(), gathered.dim(), gathered.into_vec());
 
     let work = PreproWork {
         hops,
@@ -174,9 +209,8 @@ pub fn run_prepro_with_pool(
         total_feature_bytes: total_nodes * feat_row_bytes,
     };
 
-    PreproResult {
+    Sampled {
         layers,
-        features,
         new_to_orig,
         boundaries: sample.boundaries,
         work,

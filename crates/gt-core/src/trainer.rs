@@ -4,20 +4,25 @@
 //! * **Base-GT** — NAPA only (destination-centric feature-wise kernels);
 //! * **Dynamic-GT** — Base + Dynamic Kernel Placement;
 //! * **Prepro-GT** — Dynamic + the service-wide tensor scheduler.
+//!
+//! All three run S and R on the host, not K: the first layer's kernels read
+//! the sampled rows of `data.features` in place, through `new_to_orig`, so
+//! the gathered feature matrix is never built (K and its transfer are still
+//! priced by the device model and the scheduler).
 
 use crate::config::ModelConfig;
 use crate::data::GraphData;
 use crate::framework::{BatchOutcome, BatchReport, FailReason, Framework, FrameworkTraits};
 use crate::napa::Pull;
 use crate::orchestrator::{apply_dkp, CostModel, DkpPair, DriftMonitor};
-use crate::prepro::{run_prepro_with_pool, PreproResult};
+use crate::prepro::{sample_and_reindex, Sampled};
 use crate::scheduler::{schedule_prepro_with_faults, PreproStrategy};
 use gt_graph::VId;
 use gt_par::ThreadPool;
-use gt_sample::SamplerConfig;
+use gt_sample::{LayerGraph, SamplerConfig};
 use gt_sim::{ActiveFaults, SimContext, SystemSpec};
-use gt_tensor::dense::Matrix;
-use gt_tensor::dfg::{Dfg, ExecCtx, Linear, ParamStore, Relu};
+use gt_tensor::dense::{Matrix, Rows};
+use gt_tensor::dfg::{Dfg, ExecCtx, Linear, Operand, ParamStore, Relu};
 use gt_tensor::init::xavier;
 use gt_tensor::loss::softmax_cross_entropy;
 use gt_tensor::optim::{clip_grad_norm, Optimizer};
@@ -82,9 +87,6 @@ pub struct GraphTensor {
     /// [`gt_telemetry::Telemetry::recording`] to capture traces.
     pub telemetry: gt_telemetry::Telemetry,
     params: ParamStore,
-    /// The last batch's gathered feature matrix, handed back to the next
-    /// batch's K so a steady-state batch gathers without allocating.
-    feature_buf: Vec<f32>,
     cost: Arc<CostModel>,
     counters: Arc<DkpCounters>,
     drift: Arc<DriftMonitor>,
@@ -113,7 +115,6 @@ impl GraphTensor {
             last_work: None,
             telemetry: gt_telemetry::global(),
             params: ParamStore::new(),
-            feature_buf: Vec::new(),
             cost,
             counters: Arc::new(DkpCounters::default()),
             drift: Arc::new(DriftMonitor::default()),
@@ -175,14 +176,15 @@ impl GraphTensor {
         self.params_ready = true;
     }
 
-    /// Construct the per-batch DFG from NAPA primitives (Fig 10) and note
-    /// every Pull → MatMul pair for the orchestrator.
-    fn build_dfg(&self, pr: &PreproResult) -> (Dfg, Vec<DkpPair>) {
+    /// Construct the per-batch DFG from NAPA primitives (Fig 10) over the
+    /// batch's per-layer subgraphs and note every Pull → MatMul pair for the
+    /// orchestrator. Input 0 is the first layer's features.
+    fn build_dfg(&self, layers: &[Arc<LayerGraph>]) -> (Dfg, Vec<DkpPair>) {
         let mut dfg = Dfg::new();
         let mut pairs = Vec::new();
         let mut x = dfg.input(0);
-        for l in 0..self.model.layers {
-            let layer = Arc::clone(&pr.layers[l]);
+        for (l, layer) in layers[..self.model.layers].iter().enumerate() {
+            let layer = Arc::clone(layer);
             // An edge-weighted Pull computes `g` per edge itself: the host
             // never holds the `E×F` edge matrix (the device model still
             // prices NeighborApply and its output, docs/MODEL.md).
@@ -225,32 +227,20 @@ impl GraphTensor {
         // a pure function of (params, sampler config) so a trainer restored
         // from a checkpoint scores batches identically to the original.
         cfg.seed = cfg.seed.wrapping_add(0x1FE0);
-        let pr = self.run_prepro(data, batch, &cfg);
+        let pr = sample_and_reindex(data, batch, &cfg, ThreadPool::global());
         let mut sim = SimContext::new(self.sys.gpu.clone());
-        let (dfg, pairs) = self.build_dfg(&pr);
-        let mut dfg = dfg;
+        let (mut dfg, pairs) = self.build_dfg(&pr.layers);
         if self.variant != GtVariant::Base {
             // Forward-only: the full decision cost is never observed, so no
             // drift monitor.
             apply_dkp(&mut dfg, pairs, &self.cost, false, &self.counters, None);
         }
-        let logits = {
-            let mut ctx = ExecCtx {
-                sim: &mut sim,
-                params: &mut self.params,
-            };
-            let values = dfg.forward(std::slice::from_ref(&pr.features), &mut ctx);
-            values.get(dfg.output()).clone()
+        let mut ctx = ExecCtx {
+            sim: &mut sim,
+            params: &mut self.params,
         };
-        self.feature_buf = pr.features.into_vec();
-        logits
-    }
-
-    /// S, R and K for one batch, K gathering into the last batch's
-    /// feature matrix; hand `pr.features` back to `feature_buf` when done.
-    fn run_prepro(&mut self, data: &GraphData, batch: &[VId], cfg: &SamplerConfig) -> PreproResult {
-        let buf = std::mem::take(&mut self.feature_buf);
-        run_prepro_with_pool(data, batch, cfg, ThreadPool::global(), buf)
+        let values = dfg.forward(&[input_rows(data, &pr)], &mut ctx);
+        values.get(dfg.output()).clone()
     }
 
     /// Apply the configured update rule to the accumulated gradients.
@@ -400,14 +390,14 @@ impl GraphTensor {
             .arg("batch_size", batch.len())
             .arg("layers", self.model.layers);
         let faults = self.injected.take().unwrap_or_default();
-        // Gradients are dead between batches: free them before the feature
-        // gather, the largest allocation of the batch.
+        // Gradients are dead between batches: free them before this batch
+        // allocates its own.
         self.params.zero_grads();
         let mut cfg = self.sampler.clone();
         cfg.seed = cfg.seed.wrapping_add(self.batches_run as u64);
         let pr = {
             let _s = telemetry.span("train", "run_prepro").arg("phase", "prepro");
-            self.run_prepro(data, batch, &cfg)
+            sample_and_reindex(data, batch, &cfg, ThreadPool::global())
         };
         self.last_work = Some(pr.work.clone());
 
@@ -426,8 +416,9 @@ impl GraphTensor {
             gpu.device_mem_bytes = (gpu.device_mem_bytes as f64 * frac) as u64;
         }
         let mut sim = SimContext::new(gpu);
-        // Input tensors land in device memory.
-        let _ = sim.memory.alloc(pr.features.bytes());
+        // Input tensors land in device memory: the features K would gather
+        // (the host reads them in place) and the subgraphs.
+        let _ = sim.memory.alloc(pr.work.total_feature_bytes);
         for l in &pr.layers {
             let _ = sim.memory.alloc(l.structure_bytes());
         }
@@ -446,7 +437,6 @@ impl GraphTensor {
                 // seed, so `batches_run` stays untouched too.
                 telemetry.event("train", "fail_fast", &[("reason", &reason.label())]);
                 let oom = sim.memory.oom().map(|e| e.to_string());
-                self.feature_buf = pr.features.into_vec();
                 return BatchReport {
                     loss: f32::NAN,
                     sim,
@@ -460,7 +450,7 @@ impl GraphTensor {
             }
         }
 
-        let (mut dfg, pairs) = self.build_dfg(&pr);
+        let (mut dfg, pairs) = self.build_dfg(&pr.layers);
         if self.variant != GtVariant::Base {
             let calibrate = self.batches_run < self.calibration_batches;
             let (af0, cf0) = self.counters.snapshot();
@@ -495,14 +485,13 @@ impl GraphTensor {
                 sim: &mut sim,
                 params: &mut self.params,
             };
-            let values = dfg.forward(std::slice::from_ref(&pr.features), &mut ctx);
+            let values = dfg.forward(&[input_rows(data, &pr)], &mut ctx);
             let logits = values.get(dfg.output());
             let (loss, grad) = loss_fn(logits, &pr.new_to_orig);
             let _ = sim_loss_record(ctx.sim, logits);
             dfg.backward(&values, grad, &mut ctx);
             (loss, pr.layers.iter().map(|l| l.csr.num_edges()).sum())
         };
-        self.feature_buf = pr.features.into_vec();
 
         if self.fail_fast {
             if let Some(oom) = sim.memory.oom() {
@@ -570,6 +559,15 @@ impl GraphTensor {
             .add(pr.work.total_feature_bytes + pr.work.total_structure_bytes());
         report
     }
+}
+
+/// The first layer's input: the sampled vertices' rows of the embedding
+/// table, read in place (row `new` = `data.features` row `new_to_orig[new]`).
+fn input_rows<'a>(data: &'a GraphData, pr: &'a Sampled) -> Operand<'a> {
+    Operand::Rows(Rows {
+        table: &data.features,
+        ids: &pr.new_to_orig,
+    })
 }
 
 /// Charge the loss kernel (elementwise over the batch logits).
@@ -647,26 +645,32 @@ mod tests {
     }
 
     #[test]
-    fn infer_batch_borrowing_its_input_matches_a_copied_one() {
+    fn inference_through_the_view_equals_a_forward_pass_over_gathered_features() {
         let d = data();
-        let mut t = trainer(GtVariant::Base, ModelConfig::gcn(2, 16, 4));
         let batch: Vec<VId> = (0..16).collect();
-        t.train_batch(&d, &batch);
-        let logits = t.infer_batch(&d, &batch);
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for variant in [GtVariant::Base, GtVariant::Dynamic] {
+            let mut t = trainer(variant, ModelConfig::gcn(2, 16, 4));
+            t.train_batch(&d, &batch);
+            let logits = t.infer_batch(&d, &batch);
 
-        // The same forward pass by hand, fed a copy of the gathered tensor.
-        let mut cfg = t.sampler.clone();
-        cfg.seed = cfg.seed.wrapping_add(0x1FE0);
-        let pr = crate::prepro::run_prepro(&d, &batch, &cfg);
-        let (dfg, _) = t.build_dfg(&pr);
-        let mut sim = SimContext::new(t.sys.gpu.clone());
-        let mut ctx = ExecCtx {
-            sim: &mut sim,
-            params: &mut t.params,
-        };
-        let copied = [pr.features.clone()];
-        let values = dfg.forward(&copied, &mut ctx);
-        assert_eq!(logits, *values.get(dfg.output()));
+            // The same forward pass by hand, fed `run_prepro`'s gathered
+            // feature matrix.
+            let mut cfg = t.sampler.clone();
+            cfg.seed = cfg.seed.wrapping_add(0x1FE0);
+            let pr = crate::prepro::run_prepro(&d, &batch, &cfg);
+            let (mut dfg, pairs) = t.build_dfg(&pr.layers);
+            if variant != GtVariant::Base {
+                apply_dkp(&mut dfg, pairs, &t.cost, false, &t.counters, None);
+            }
+            let mut sim = SimContext::new(t.sys.gpu.clone());
+            let mut ctx = ExecCtx {
+                sim: &mut sim,
+                params: &mut t.params,
+            };
+            let values = dfg.forward(&[Operand::Dense(&pr.features)], &mut ctx);
+            assert_eq!(bits(&logits), bits(values.get(dfg.output())), "{variant:?}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use gt_graph::convert::{coo_to_csc, coo_to_csr};
 use gt_graph::{Coo, Csr, VId};
 use gt_sample::{LayerGraph, SamplerConfig};
 use gt_sim::{DeviceSpec, SimContext, SystemSpec};
-use gt_tensor::dfg::{ExecCtx, Op, ParamStore};
+use gt_tensor::dfg::{ExecCtx, Op, Operand, ParamStore};
 use gt_tensor::init::xavier;
 use gt_tensor::sparse::Reduce;
 use std::sync::Arc;
@@ -187,9 +187,9 @@ fn singular_refit_degrades_to_static_fallback() {
             sim: &mut sim,
             params: &mut params,
         };
-        let out = node.forward(&[&xval], &mut ctx);
+        let out = node.forward(&[Operand::Dense(&xval)], &mut ctx);
         let g = gt_tensor::dense::Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.len()]);
-        node.backward(&[&xval], &out, &g, &mut ctx);
+        node.backward(&[Operand::Dense(&xval)], &out, &g, &mut ctx);
     }
     assert_eq!(drift.refits(), 1);
     assert!(
@@ -207,8 +207,8 @@ fn singular_refit_degrades_to_static_fallback() {
         sim: &mut sim,
         params: &mut params,
     };
-    let out = node.forward(&[&xval], &mut ctx);
+    let out = node.forward(&[Operand::Dense(&xval)], &mut ctx);
     let g = gt_tensor::dense::Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.len()]);
-    node.backward(&[&xval], &out, &g, &mut ctx);
+    node.backward(&[Operand::Dense(&xval)], &out, &g, &mut ctx);
     assert_eq!(drift.decisions(), decisions_at_latch);
 }

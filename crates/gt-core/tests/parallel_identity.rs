@@ -14,7 +14,7 @@ use gt_sample::{LayerGraph, SamplerConfig};
 use gt_sim::prop::{check, Gen, CASES};
 use gt_sim::{DeviceSpec, KernelStats, Phase, SimContext};
 use gt_tensor::dense::Matrix;
-use gt_tensor::dfg::{Dfg, ExecCtx, Linear, ParamStore};
+use gt_tensor::dfg::{Dfg, ExecCtx, Linear, Operand, ParamStore};
 use gt_tensor::sparse::{EdgeOp, Reduce};
 use std::sync::{Arc, OnceLock};
 
@@ -59,12 +59,11 @@ fn prepro_is_bit_identical_across_widths() {
             ..Default::default()
         };
         let [p1, p2, p8] = pools();
-        let serial = run_prepro_with_pool(&data, &batch, &cfg, p1, Vec::new());
-        // A rerun gathering into a recycled, garbage-filled buffer.
-        let rerun = run_prepro_with_pool(&data, &batch, &cfg, p1, vec![f32::NAN; 7]);
+        let serial = run_prepro_with_pool(&data, &batch, &cfg, p1);
+        let rerun = run_prepro_with_pool(&data, &batch, &cfg, p1);
         assert_same_prepro(&serial, &rerun);
         for pool in [p2, p8] {
-            let par = run_prepro_with_pool(&data, &batch, &cfg, pool, Vec::new());
+            let par = run_prepro_with_pool(&data, &batch, &cfg, pool);
             assert_same_prepro(&serial, &par);
         }
     });
@@ -85,7 +84,7 @@ fn napa_kernels_are_bit_identical_across_widths() {
             ..Default::default()
         };
         let [p1, p2, p8] = pools();
-        let pre = run_prepro_with_pool(&data, &batch, &cfg, p1, Vec::new());
+        let pre = run_prepro_with_pool(&data, &batch, &cfg, p1);
         let layer = std::sync::Arc::clone(&pre.layers[0]);
         let feats = &pre.features;
         // Any deterministic non-uniform gradient.
@@ -251,7 +250,7 @@ fn device_run(
         sim: &mut sim,
         params: &mut params,
     };
-    let values = dfg.forward(std::slice::from_ref(x), &mut ctx);
+    let values = dfg.forward(&[Operand::Dense(x)], &mut ctx);
     let out = values.get(linear_node).clone();
     let mut grad = out.clone();
     grad.scale(0.5);

@@ -15,10 +15,9 @@
 //! new ids to R, so R builds its structures without reading it: Fig 14c
 //! serializes H, and the contention of Fig 14a is modeled in
 //! `gt-core::scheduler` rather than reproduced with locks here. Each stage
-//! has one fallible entry point on an explicit pool (`*_with_pool`); S and
-//! R add a panicking convenience on the process-wide pool, K a form that
-//! gathers into a caller's buffer. Output is bit-identical at any
-//! `GT_THREADS`; see docs/parallelism.md.
+//! has one entry point on an explicit pool (`*_with_pool`, fallible for S
+//! and R); S and R add a panicking convenience on the process-wide pool.
+//! Output is bit-identical at any `GT_THREADS`; see docs/parallelism.md.
 
 pub mod batch;
 pub mod error;
@@ -34,7 +33,7 @@ pub use batch::BatchIter;
 pub use error::SampleError;
 pub use hashtable::VidMap;
 pub use idhash::{BuildIdHasher, IdHashMap};
-pub use lookup::{lookup_all_into, lookup_all_with_pool};
+pub use lookup::lookup_all_with_pool;
 pub use reindex::{reindex_layer, try_reindex_layer_with_pool, LayerGraph};
 pub use sampler::{
     sample_batch, try_sample_batch_with_pool, validate_batch, Priority, SampleOutput, SamplerConfig,

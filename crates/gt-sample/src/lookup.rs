@@ -7,9 +7,10 @@
 //! whenever it is ready on a buffer") is priced by `gt-core::scheduler`
 //! from the gathered byte counts; the host does not stage chunks.
 //!
-//! The gather writes into a buffer the caller hands in: the trainer passes
-//! back the previous batch's feature matrix, so a steady-state batch
-//! neither allocates nor zero-fills it; stateless callers pass `Vec::new()`.
+//! The GraphTensor trainer does not run K: its kernels read the sampled rows
+//! of the global table in place (`gt_tensor::dense::Rows`). The gathered
+//! table is what the baselines train on, and what `gt_core`'s `run_prepro`
+//! returns to every other caller.
 
 use gt_graph::{EmbeddingTable, VId};
 use gt_par::ThreadPool;
@@ -18,48 +19,30 @@ use gt_par::ThreadPool;
 /// independent of the worker count.
 const K_CHUNK_ROWS: usize = 512;
 
-/// Gather all sampled rows on `pool` into a fresh buffer:
-/// [`lookup_all_into`] with nothing to reuse.
+/// Gather all sampled rows on `pool`. Each worker gathers disjoint row
+/// ranges straight into the output buffer; every output row has exactly one
+/// writer, so the result is bitwise-identical at any worker count.
 pub fn lookup_all_with_pool(
     global: &EmbeddingTable,
     new_to_orig: &[VId],
     pool: &ThreadPool,
 ) -> EmbeddingTable {
-    lookup_all_into(global, new_to_orig, pool, Vec::new())
-}
-
-/// Gather all sampled rows on `pool` into `buf`'s allocation, whatever its
-/// contents. Each worker gathers disjoint row ranges straight into the
-/// output buffer; every output row has exactly one writer and every element
-/// is overwritten, so the result is bitwise-identical at any worker count
-/// and for any `buf`.
-///
-/// A long enough `buf` is truncated. One that must grow is dropped before
-/// its replacement (with 1/8 headroom for the next batches) is allocated
-/// zeroed, so its dead contents are never copied; only growth is
-/// zero-filled.
-pub fn lookup_all_into(
-    global: &EmbeddingTable,
-    new_to_orig: &[VId],
-    pool: &ThreadPool,
-    mut buf: Vec<f32>,
-) -> EmbeddingTable {
     let dim = global.dim();
     let rows = new_to_orig.len();
-    let need = rows * dim;
-    if buf.capacity() < need {
-        drop(buf);
-        buf = vec![0.0; need + need / 8];
-    }
-    buf.resize(need, 0.0);
+    let mut data = vec![0.0f32; rows * dim];
     if dim > 0 {
-        pool.for_each_chunk_mut("lookup.gather", &mut buf, K_CHUNK_ROWS * dim, |i, chunk| {
-            let row_lo = i * K_CHUNK_ROWS;
-            let ids = &new_to_orig[row_lo..row_lo + chunk.len() / dim];
-            global.gather_into(ids, chunk);
-        });
+        pool.for_each_chunk_mut(
+            "lookup.gather",
+            &mut data,
+            K_CHUNK_ROWS * dim,
+            |i, chunk| {
+                let row_lo = i * K_CHUNK_ROWS;
+                let ids = &new_to_orig[row_lo..row_lo + chunk.len() / dim];
+                global.gather_into(ids, chunk);
+            },
+        );
     }
-    EmbeddingTable::from_vec(rows, dim, buf)
+    EmbeddingTable::from_vec(rows, dim, data)
 }
 
 #[cfg(test)]
@@ -90,40 +73,5 @@ mod tests {
             assert_eq!(serial.data(), par.data());
         }
         assert_eq!(serial.data(), global.gather(&ids).data());
-    }
-
-    #[test]
-    fn recycled_lookup_matches_fresh() {
-        let bits = |t: &EmbeddingTable| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let rows = 1500;
-        let ids: Vec<VId> = (0..rows as u64).map(|i| ((i * 37) % 100) as VId).collect();
-        for dim in [0, 8] {
-            let global = EmbeddingTable::random(100, dim, 3);
-            let need = rows * dim;
-            for workers in [1, 2, 4] {
-                let pool = ThreadPool::new(workers);
-                let fresh = lookup_all_with_pool(&global, &ids, &pool);
-                // NaN-filled buffers shorter than, equal to and longer than
-                // the gathered matrix, and a short one with spare capacity.
-                let shapes = [
-                    (0, 0),
-                    (need / 2, need / 2),
-                    (need / 2, need),
-                    (need, need),
-                    (need + 100, need + 100),
-                ];
-                for (len, cap) in shapes {
-                    let mut buf = Vec::with_capacity(cap);
-                    buf.resize(len, f32::NAN);
-                    let got = lookup_all_into(&global, &ids, &pool, buf);
-                    assert_eq!((got.rows(), got.dim()), (rows, dim));
-                    assert_eq!(
-                        bits(&got),
-                        bits(&fresh),
-                        "len {len}, cap {cap}, {workers} workers"
-                    );
-                }
-            }
-        }
     }
 }

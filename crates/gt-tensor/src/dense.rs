@@ -36,11 +36,21 @@
 //! kept between calls (a retained per-thread buffer would add to the peak
 //! RSS of every workload; a per-band heap one to its allocation traffic).
 //!
+//! **A left operand can be rows of an embedding table, read in place.**
+//! [`Rows`] names rows `ids` of an [`EmbeddingTable`] without copying them
+//! (the GraphTensor trainer's first-layer input: the sampled vertices'
+//! features). `Rows::matmul` hands the kernel the table and the ids, and a
+//! tile looks up its `TILE_R` row offsets once, before its k loop;
+//! `Rows::transpose_a_matmul` packs its panel from `table.row(ids[k])`. Both
+//! read the same floats in the same k order as the product of the gathered
+//! matrix, through the same kernel, so the results are `to_bits`-equal.
+//!
 //! Bands are spread over the deterministic `gt_par` pool (each output row has
 //! one writer and band geometry ignores the worker count, so results are
 //! bit-identical at any `GT_THREADS`). The FLOP/traffic profile the device
 //! model sees is charged by [`crate::dfg`], not here.
 
+use gt_graph::{EmbeddingTable, VId};
 use gt_par::ThreadPool;
 
 /// Output rows per matmul pool chunk (fixed, independent of worker count).
@@ -53,14 +63,51 @@ const TA_K_BLOCK: usize = 256;
 const TILE_R: usize = 4;
 const TILE_C: usize = 16;
 
-/// The left operand of a band product as a strided view, so `A` and a packed
-/// panel of `Aᵀ` read through the same kernel: element `(r, k)` is
-/// `data[r*rs + k*ks]`.
+/// The left operand of a band product as a strided view, so `A`, a packed
+/// panel of `Aᵀ` and rows of a table read through the same kernel: element
+/// `(r, k)` is `data[start(r) + k*ks]`, where `start(r)` is `ids[r]*rs` when
+/// the rows are picked by id and `r*rs` otherwise.
 #[derive(Clone, Copy)]
 struct Lhs<'a> {
     data: &'a [f32],
     rs: usize,
     ks: usize,
+    ids: Option<&'a [VId]>,
+}
+
+impl<'a> Lhs<'a> {
+    /// A row-major matrix, `rs` floats per row.
+    fn dense(data: &'a [f32], rs: usize) -> Self {
+        Lhs {
+            data,
+            rs,
+            ks: 1,
+            ids: None,
+        }
+    }
+
+    /// Offset of row `r`'s first element in `data`.
+    #[inline(always)]
+    fn start(&self, r: usize) -> usize {
+        match self.ids {
+            Some(ids) => ids[r] as usize * self.rs,
+            None => r * self.rs,
+        }
+    }
+
+    /// The same operand without its first `n` rows.
+    fn skip_rows(self, n: usize) -> Self {
+        match self.ids {
+            Some(ids) => Lhs {
+                ids: Some(&ids[n..]),
+                ..self
+            },
+            None => Lhs {
+                data: &self.data[n * self.rs..],
+                ..self
+            },
+        }
+    }
 }
 
 /// A band kernel: [`band`], or in tests `band_body` directly.
@@ -133,13 +180,15 @@ fn tile(
     (rw, cw): (usize, usize),
 ) {
     let mut acc = [[0.0f32; TILE_C]; TILE_R];
-    for (r, arow) in acc.iter_mut().enumerate().take(rw) {
+    let mut starts = [0usize; TILE_R];
+    for (r, (arow, start)) in acc.iter_mut().zip(&mut starts).enumerate().take(rw) {
         arow[..cw].copy_from_slice(&c[(r0 + r) * n + j0..][..cw]);
+        *start = a.start(r0 + r);
     }
     for kk in 0..k {
         let brow = &b[kk * n + j0..][..cw];
         for (r, arow) in acc.iter_mut().enumerate().take(rw) {
-            let av = a.data[(r0 + r) * a.rs + kk * a.ks];
+            let av = a.data[starts[r] + kk * a.ks];
             for (o, &bv) in arow.iter_mut().zip(brow) {
                 *o += av * bv;
             }
@@ -147,6 +196,120 @@ fn tile(
     }
     for (r, arow) in acc.iter().enumerate().take(rw) {
         c[(r0 + r) * n + j0..][..cw].copy_from_slice(&arow[..cw]);
+    }
+}
+
+/// `a · b` for the `m` rows of `a`, parallel over bands of output rows.
+fn row_banded(label: &'static str, a: Lhs, m: usize, b: &Matrix, kernel: Kernel) -> Matrix {
+    let (k, n) = (b.rows, b.cols);
+    let mut out = Matrix::zeros(m, n);
+    let chunk = MM_ROW_CHUNK * n;
+    ThreadPool::global().for_each_chunk_mut(label, &mut out.data, chunk, |ci, c| {
+        kernel(c, n, a.skip_rows(ci * MM_ROW_CHUNK), k, &b.data);
+    });
+    out
+}
+
+/// `aᵀ · rhs` on `pool`: one band of output rows (columns of `a`) per
+/// chunk, so every output row has a single writer and no partial sums are
+/// combined. Each band packs its columns of `a` into a k-major stack panel,
+/// `TA_K_BLOCK` rows at a time, and the kernel adds the blocks onto the
+/// zeroed band in ascending `k` (module doc).
+fn transpose_a_matmul_on<A: RowSource + ?Sized>(
+    a: &A,
+    pool: &ThreadPool,
+    rhs: &Matrix,
+    kernel: Kernel,
+) -> Matrix {
+    assert_eq!(a.rows(), rhs.rows, "matmul_ta shape mismatch");
+    let (k, m, n) = (a.rows(), a.cols(), rhs.cols);
+    let mut out = Matrix::zeros(m, n);
+    let chunk = TA_ROW_CHUNK * n;
+    pool.for_each_chunk_mut("dense.matmul_ta", &mut out.data, chunk, |ci, c| {
+        let (col0, w) = (ci * TA_ROW_CHUNK, c.len() / n);
+        let mut panel = [0.0f32; TA_K_BLOCK * TA_ROW_CHUNK];
+        for k0 in (0..k).step_by(TA_K_BLOCK) {
+            let kb = TA_K_BLOCK.min(k - k0);
+            for (kk, prow) in panel.chunks_exact_mut(w).take(kb).enumerate() {
+                prow.copy_from_slice(&a.row(k0 + kk)[col0..][..w]);
+            }
+            let lhs = Lhs {
+                data: &panel,
+                rs: 1,
+                ks: w,
+                ids: None,
+            };
+            kernel(c, n, lhs, kb, &rhs.data[k0 * n..]);
+        }
+    });
+    out
+}
+
+/// Row-major `f32` rows read by index: a [`Matrix`], or [`Rows`] of an
+/// embedding table read in place. Kernels generic over it have one body for
+/// both, and read the same floats from either.
+pub trait RowSource: Sync {
+    /// Number of rows.
+    fn rows(&self) -> usize;
+    /// Floats per row.
+    fn cols(&self) -> usize;
+    /// Row `r`.
+    fn row(&self, r: usize) -> &[f32];
+}
+
+/// Rows `ids` of an embedding table, read in place: row `r` of the view is
+/// `table.row(ids[r])`. Its products equal, bit for bit, those of the
+/// gathered matrix (module doc), which is never built.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    /// The table the rows live in.
+    pub table: &'a EmbeddingTable,
+    /// Which table row each view row is.
+    pub ids: &'a [VId],
+}
+
+impl Rows<'_> {
+    /// `self · rhs`: the kernel reads each tile's rows from the table.
+    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(self.table.dim(), rhs.rows, "matmul shape mismatch");
+        let a = Lhs {
+            ids: Some(self.ids),
+            ..Lhs::dense(self.table.data(), self.table.dim())
+        };
+        row_banded("dense.matmul", a, self.ids.len(), rhs, band)
+    }
+
+    /// `selfᵀ · rhs`: the panel is packed from the table's rows.
+    pub fn transpose_a_matmul(&self, rhs: &Matrix) -> Matrix {
+        transpose_a_matmul_on(self, ThreadPool::global(), rhs, band)
+    }
+}
+
+impl RowSource for Rows<'_> {
+    fn rows(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn cols(&self) -> usize {
+        self.table.dim()
+    }
+
+    fn row(&self, r: usize) -> &[f32] {
+        self.table.row(self.ids[r])
+    }
+}
+
+impl RowSource for Matrix {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn row(&self, r: usize) -> &[f32] {
+        Matrix::row(self, r)
     }
 }
 
@@ -257,7 +420,7 @@ impl Matrix {
     /// differ where a zero meets `∞`/`NaN` (now `NaN`, as IEEE says).
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
-        self.row_banded("dense.matmul", rhs, band)
+        row_banded("dense.matmul", self.lhs(), self.rows, rhs, band)
     }
 
     /// `self · rhsᵀ`.
@@ -270,58 +433,22 @@ impl Matrix {
         assert_eq!(self.cols, rhs.cols, "matmul_tb shape mismatch");
         // Transposing `rhs` puts the output's feature columns contiguous for
         // the band kernel; each dot product still sums k ascending.
-        self.row_banded("dense.matmul_tb", &rhs.transpose(), band)
+        row_banded(
+            "dense.matmul_tb",
+            self.lhs(),
+            self.rows,
+            &rhs.transpose(),
+            band,
+        )
     }
 
-    /// `self · b`, parallel over bands of output rows.
-    fn row_banded(&self, label: &'static str, b: &Matrix, kernel: Kernel) -> Matrix {
-        let (m, k, n) = (self.rows, self.cols, b.cols);
-        let mut out = Matrix::zeros(m, n);
-        let chunk = MM_ROW_CHUNK * n;
-        ThreadPool::global().for_each_chunk_mut(label, &mut out.data, chunk, |ci, c| {
-            let a = Lhs {
-                data: &self.data[ci * MM_ROW_CHUNK * k..],
-                rs: k,
-                ks: 1,
-            };
-            kernel(c, n, a, k, &b.data);
-        });
-        out
+    fn lhs(&self) -> Lhs<'_> {
+        Lhs::dense(&self.data, self.cols)
     }
 
     /// `selfᵀ · rhs`.
     pub fn transpose_a_matmul(&self, rhs: &Matrix) -> Matrix {
-        self.transpose_a_matmul_on(ThreadPool::global(), rhs, band)
-    }
-
-    /// [`transpose_a_matmul`](Self::transpose_a_matmul) on an explicit pool:
-    /// one band of output rows (columns of `self`) per chunk, so every
-    /// output row has a single writer and no partial sums are combined.
-    /// Each band packs its columns of `self` into a k-major stack panel,
-    /// `TA_K_BLOCK` rows at a time, and the kernel adds the blocks onto the
-    /// zeroed band in ascending `k` (module doc).
-    fn transpose_a_matmul_on(&self, pool: &ThreadPool, rhs: &Matrix, kernel: Kernel) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "matmul_ta shape mismatch");
-        let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = Matrix::zeros(m, n);
-        let chunk = TA_ROW_CHUNK * n;
-        pool.for_each_chunk_mut("dense.matmul_ta", &mut out.data, chunk, |ci, c| {
-            let (col0, w) = (ci * TA_ROW_CHUNK, c.len() / n);
-            let mut panel = [0.0f32; TA_K_BLOCK * TA_ROW_CHUNK];
-            for k0 in (0..k).step_by(TA_K_BLOCK) {
-                let kb = TA_K_BLOCK.min(k - k0);
-                for (kk, prow) in panel.chunks_exact_mut(w).take(kb).enumerate() {
-                    prow.copy_from_slice(&self.data[(k0 + kk) * m + col0..][..w]);
-                }
-                let a = Lhs {
-                    data: &panel,
-                    rs: 1,
-                    ks: w,
-                };
-                kernel(c, n, a, kb, &rhs.data[k0 * n..]);
-            }
-        });
-        out
+        transpose_a_matmul_on(self, ThreadPool::global(), rhs, band)
     }
 
     /// Explicit transpose, walked in square tiles so both the reads and the
@@ -626,18 +753,18 @@ mod tests {
                 // Bit-for-bit, signed zeros included: an accumulator that
                 // starts at +0.0 can never become -0.0, so the extra `+ 0·b`
                 // is a no-op.
-                let got = a.row_banded("dense.matmul", &b, kernel);
+                let got = row_banded("dense.matmul", a.lhs(), m, &b, kernel);
                 assert_eq!(bits(&got), bits(&want_mm), "{name} matmul {m}x{k}x{n}");
 
                 // `sum()` starts from -0.0, so the old dot returned -0.0 for
                 // an empty or all-(-0.0) sum where the kernel returns +0.0:
                 // equal under `==`, which is the contract, but not the same
                 // bits. The two instantiations do agree bit for bit.
-                let got = a.row_banded("dense.matmul_tb", &bt.transpose(), kernel);
+                let got = row_banded("dense.matmul_tb", a.lhs(), m, &bt.transpose(), kernel);
                 assert_eq!(got.data, want_tb.data, "{name} matmul_tb {m}x{k}x{n}");
                 tb_bits.push(bits(&got));
 
-                let got = at.transpose_a_matmul_on(ThreadPool::global(), &b, kernel);
+                let got = transpose_a_matmul_on(&at, ThreadPool::global(), &b, kernel);
                 assert_eq!(bits(&got), bits(&want_ta), "{name} matmul_ta {m}x{k}x{n}");
             }
             assert_eq!(tb_bits[0], tb_bits[1], "matmul_tb {m}x{k}x{n}");
@@ -645,6 +772,76 @@ mod tests {
             assert_eq!(bits(&a.matmul(&b)), bits(&want_mm));
             assert_eq!(bits(&a.matmul_transpose_b(&bt)), tb_bits[0]);
             assert_eq!(bits(&at.transpose_a_matmul(&b)), bits(&want_ta));
+        }
+    }
+
+    /// `rows` rows of a salted table three rows taller, picked by ids that
+    /// start at the table's last row, descend, and repeat each row twice.
+    fn rows_of_table(rows: usize, cols: usize, seed: u64) -> (EmbeddingTable, Vec<VId>) {
+        let t = rows + 3;
+        let table = EmbeddingTable::from_vec(t, cols, salted(t, cols, seed).into_vec());
+        let ids = (0..rows).map(|r| (t - 1 - r / 2) as VId).collect();
+        (table, ids)
+    }
+
+    fn gathered(view: &Rows) -> Matrix {
+        Matrix::from_vec(
+            view.ids.len(),
+            view.table.dim(),
+            view.table.gather(view.ids).into_vec(),
+        )
+    }
+
+    #[test]
+    fn rows_read_in_place_equal_the_gathered_matrix() {
+        let pools = [1, 2, 4].map(ThreadPool::new);
+        for (i, (m, k, n)) in oracle_shapes().into_iter().enumerate() {
+            if m == 0 {
+                continue;
+            }
+            let seed = i as u64 + 1;
+            let b = salted(k, n, seed + 1000);
+            // `X·W`: m rows of a k-wide table.
+            let (table, ids) = rows_of_table(m, k, seed);
+            let view = Rows {
+                table: &table,
+                ids: &ids,
+            };
+            let x = gathered(&view);
+            for (name, kernel) in KERNELS {
+                let a = Lhs {
+                    ids: Some(view.ids),
+                    ..Lhs::dense(table.data(), k)
+                };
+                let got = row_banded("dense.matmul", a, m, &b, kernel);
+                let want = row_banded("dense.matmul", x.lhs(), m, &b, kernel);
+                assert_eq!(bits(&got), bits(&want), "{name} matmul {m}x{k}x{n}");
+            }
+            assert_eq!(bits(&view.matmul(&b)), bits(&x.matmul(&b)));
+
+            // `Xᵀ·dY`: k rows of an m-wide table.
+            let (table, ids) = rows_of_table(k, m, seed + 3000);
+            let view = Rows {
+                table: &table,
+                ids: &ids,
+            };
+            let xt = gathered(&view);
+            for (name, kernel) in KERNELS {
+                let want = bits(&transpose_a_matmul_on(&xt, &pools[0], &b, kernel));
+                for pool in &pools {
+                    let got = transpose_a_matmul_on(&view, pool, &b, kernel);
+                    let width = pool.workers();
+                    assert_eq!(
+                        bits(&got),
+                        want,
+                        "{name} matmul_ta {m}x{k}x{n}, width {width}"
+                    );
+                }
+            }
+            assert_eq!(
+                bits(&view.transpose_a_matmul(&b)),
+                bits(&xt.transpose_a_matmul(&b))
+            );
         }
     }
 
@@ -659,7 +856,7 @@ mod tests {
             let pool = ThreadPool::new(width);
             for (name, kernel) in KERNELS {
                 assert_eq!(
-                    bits(&a.transpose_a_matmul_on(&pool, &b, kernel)),
+                    bits(&transpose_a_matmul_on(&a, &pool, &b, kernel)),
                     want,
                     "{name}, width {width}"
                 );
@@ -685,12 +882,7 @@ mod tests {
             }
             for (name, kernel) in KERNELS {
                 let mut c = c0.clone();
-                let lhs = Lhs {
-                    data: &a.data,
-                    rs: k,
-                    ks: 1,
-                };
-                kernel(&mut c.data, n, lhs, k, &b.data);
+                kernel(&mut c.data, n, a.lhs(), k, &b.data);
                 assert_eq!(bits(&c), bits(&want), "{name} {m}x{k}x{n}");
             }
         }

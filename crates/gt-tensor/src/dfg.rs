@@ -11,11 +11,15 @@
 //!
 //! Ops charge their own work to the [`gt_sim::SimContext`] carried by
 //! [`ExecCtx`], so a DFG execution doubles as a measured GPU run.
+//!
+//! Ops read their inputs as [`Operand`]s. Op outputs are always dense; an
+//! execution input may also be [`Rows`] of an embedding table, read in
+//! place, which ops accept where their kernels do ([`Linear`], and NAPA's
+//! Pull and the Cost-DKP node); every other op calls [`Operand::dense`].
 
-use crate::dense::Matrix;
+use crate::dense::{Matrix, RowSource, Rows};
 use crate::error::TensorError;
 use gt_sim::{Phase, SimContext};
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Identifies a node within one [`Dfg`].
@@ -119,6 +123,69 @@ pub struct ExecCtx<'a> {
     pub params: &'a mut ParamStore,
 }
 
+/// A value an op reads: a dense matrix, or rows of an embedding table read
+/// in place (an execution input only — op outputs are dense). The view's
+/// rows are what the gathered matrix's would be, so a kernel generic over
+/// [`RowSource`] returns the same bits from either.
+#[derive(Debug, Clone, Copy)]
+pub enum Operand<'a> {
+    /// A dense matrix.
+    Dense(&'a Matrix),
+    /// Rows of a table, never gathered.
+    Rows(Rows<'a>),
+}
+
+impl<'a> Operand<'a> {
+    /// The dense matrix; panics on a row view, which only kernels generic
+    /// over [`RowSource`] read.
+    pub fn dense(self) -> &'a Matrix {
+        match self {
+            Operand::Dense(m) => m,
+            Operand::Rows(_) => panic!("this op reads a dense operand, not a row view"),
+        }
+    }
+
+    /// `self · rhs` ([`Matrix::matmul`] or [`Rows::matmul`]).
+    pub fn matmul(self, rhs: &Matrix) -> Matrix {
+        match self {
+            Operand::Dense(m) => m.matmul(rhs),
+            Operand::Rows(r) => r.matmul(rhs),
+        }
+    }
+
+    /// `selfᵀ · rhs` ([`Matrix::transpose_a_matmul`] or
+    /// [`Rows::transpose_a_matmul`]).
+    pub fn transpose_a_matmul(self, rhs: &Matrix) -> Matrix {
+        match self {
+            Operand::Dense(m) => m.transpose_a_matmul(rhs),
+            Operand::Rows(r) => r.transpose_a_matmul(rhs),
+        }
+    }
+}
+
+impl RowSource for Operand<'_> {
+    fn rows(&self) -> usize {
+        match self {
+            Operand::Dense(m) => m.rows(),
+            Operand::Rows(r) => r.rows(),
+        }
+    }
+
+    fn cols(&self) -> usize {
+        match self {
+            Operand::Dense(m) => m.cols(),
+            Operand::Rows(r) => r.cols(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[f32] {
+        match self {
+            Operand::Dense(m) => m.row(i),
+            Operand::Rows(r) => r.row(i),
+        }
+    }
+}
+
 /// A differentiable operation. Implementations charge their FLOPs/traffic to
 /// `ctx.sim` themselves (they know their scheduling/cache behaviour — that is
 /// the whole point of the paper).
@@ -127,14 +194,14 @@ pub trait Op: std::fmt::Debug {
     fn name(&self) -> &str;
 
     /// Compute the output from input values.
-    fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix;
+    fn forward(&self, inputs: &[Operand], ctx: &mut ExecCtx) -> Matrix;
 
     /// Given input values, the forward output, and ∂L/∂output, return
     /// ∂L/∂input for each input (`None` for inputs that need no gradient).
     /// Parameter gradients are accumulated into `ctx.params` directly.
     fn backward(
         &self,
-        inputs: &[&Matrix],
+        inputs: &[Operand],
         output: &Matrix,
         grad: &Matrix,
         ctx: &mut ExecCtx,
@@ -172,18 +239,37 @@ struct Node {
     inputs: Vec<NodeId>,
 }
 
+/// One node's forward value.
+#[derive(Debug)]
+enum Value<'a> {
+    /// The caller's operand, borrowed, not copied: the first layer's input
+    /// is the largest tensor of a batch, and as a row view it is never
+    /// built at all.
+    Input(Operand<'a>),
+    /// An op's output, owned by the execution.
+    Output(Matrix),
+}
+
 /// All forward values of one DFG execution, kept for the backward pass.
-/// Input nodes borrow the caller's matrices (the gathered feature tensor is
-/// the largest buffer of a batch — it is never copied); op outputs are owned.
 #[derive(Debug)]
 pub struct DfgValues<'a> {
-    values: Vec<Option<Cow<'a, Matrix>>>,
+    values: Vec<Option<Value<'a>>>,
 }
 
 impl DfgValues<'_> {
-    /// Value of node `id` (panics if the node was dead/skipped).
+    /// Value of node `id` as an op reads it (panics if the node was
+    /// dead/skipped).
+    fn operand(&self, id: NodeId) -> Operand<'_> {
+        match self.values[id].as_ref().expect("node not evaluated") {
+            Value::Input(x) => *x,
+            Value::Output(m) => Operand::Dense(m),
+        }
+    }
+
+    /// Dense value of node `id` (panics if the node was dead/skipped or is
+    /// an input fed as a row view).
     pub fn get(&self, id: NodeId) -> &Matrix {
-        self.values[id].as_deref().expect("node not evaluated")
+        self.operand(id).dense()
     }
 }
 
@@ -359,44 +445,43 @@ impl Dfg {
     /// [`TensorError`]s instead of panics mid-execution.
     pub fn try_forward<'a>(
         &self,
-        inputs: &'a [Matrix],
+        inputs: &[Operand<'a>],
         ctx: &mut ExecCtx,
     ) -> Result<DfgValues<'a>, TensorError> {
         self.validate(inputs.len(), ctx.params)?;
         Ok(self.forward(inputs, ctx))
     }
 
-    /// Run the forward pass. `inputs[slot]` feeds `Input(slot)` nodes, which
-    /// borrow it for the lifetime of the returned values.
-    pub fn forward<'a>(&self, inputs: &'a [Matrix], ctx: &mut ExecCtx) -> DfgValues<'a> {
+    /// Run the forward pass. `inputs[slot]` feeds `Input(slot)` nodes; what
+    /// it borrows stays borrowed for the lifetime of the returned values.
+    pub fn forward<'a>(&self, inputs: &[Operand<'a>], ctx: &mut ExecCtx) -> DfgValues<'a> {
         let live = self.live();
-        let mut values: Vec<Option<Cow<'a, Matrix>>> = Vec::with_capacity(self.nodes.len());
+        let mut values = DfgValues {
+            values: Vec::with_capacity(self.nodes.len()),
+        };
         for (id, node) in self.nodes.iter().enumerate() {
             if !live[id] {
-                values.push(None);
+                values.values.push(None);
                 continue;
             }
             let value = match &node.kind {
-                NodeKind::Input(slot) => Cow::Borrowed(
-                    inputs
+                NodeKind::Input(slot) => Value::Input(
+                    *inputs
                         .get(*slot)
                         .unwrap_or_else(|| panic!("missing input slot {slot}")),
                 ),
                 NodeKind::Op(op) => {
-                    let ins: Vec<&Matrix> = node
-                        .inputs
-                        .iter()
-                        .map(|&i| values[i].as_deref().expect("input not evaluated"))
-                        .collect();
+                    let ins: Vec<Operand> =
+                        node.inputs.iter().map(|&i| values.operand(i)).collect();
                     let out = op.forward(&ins, ctx);
                     // Outputs land in device memory; count toward the peak.
                     let _ = ctx.sim.memory.alloc(out.bytes());
-                    Cow::Owned(out)
+                    Value::Output(out)
                 }
             };
-            values.push(Some(value));
+            values.values.push(Some(value));
         }
-        DfgValues { values }
+        values
     }
 
     /// Run the backward pass from `out_grad` at the output node. Returns
@@ -434,10 +519,10 @@ impl Dfg {
                     g @ None => *g = Some(grad),
                 },
                 NodeKind::Op(op) => {
-                    let ins: Vec<&Matrix> = self.nodes[id]
+                    let ins: Vec<Operand> = self.nodes[id]
                         .inputs
                         .iter()
-                        .map(|&i| values.values[i].as_deref().expect("missing value"))
+                        .map(|&i| values.operand(i))
                         .collect();
                     let in_grads = op.backward(&ins, values.get(id), &grad, ctx);
                     assert_eq!(
@@ -523,20 +608,20 @@ impl Op for Linear {
         "matmul"
     }
 
-    fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix {
+    fn forward(&self, inputs: &[Operand], ctx: &mut ExecCtx) -> Matrix {
         let x = inputs[0];
         let w = ctx.params.get(&self.weight);
         let mut y = x.matmul(w);
         if let Some(b) = &self.bias {
             y.add_row_vector(ctx.params.get(b).row(0));
         }
-        let (n, f) = x.shape();
+        let (n, f) = (x.rows(), x.cols());
         let h = w.cols();
         ctx.sim.record_gpu(
             Phase::Combination,
             gt_sim::KernelStats {
                 flops: 2 * (n * f * h) as u64,
-                global_read_bytes: (x.bytes() + w.bytes()),
+                global_read_bytes: (n * f * 4) as u64 + w.bytes(),
                 global_write_bytes: y.bytes(),
                 launches: if self.bias.is_some() { 2 } else { 1 },
                 ..Default::default()
@@ -547,7 +632,7 @@ impl Op for Linear {
 
     fn backward(
         &self,
-        inputs: &[&Matrix],
+        inputs: &[Operand],
         _output: &Matrix,
         grad: &Matrix,
         ctx: &mut ExecCtx,
@@ -563,12 +648,12 @@ impl Op for Linear {
             let db = Matrix::from_vec(1, grad.cols(), grad.column_sums());
             ctx.params.accumulate_grad(b, &db);
         }
-        let (n, f) = x.shape();
+        let (n, f) = (x.rows(), x.cols());
         ctx.sim.record_gpu(
             Phase::Combination,
             gt_sim::KernelStats {
                 flops: 4 * (n * f * h) as u64,
-                global_read_bytes: x.bytes() + w_bytes + 2 * grad.bytes(),
+                global_read_bytes: (n * f * 4) as u64 + w_bytes + 2 * grad.bytes(),
                 global_write_bytes: dx.bytes() + dw.bytes(),
                 launches: 2,
                 ..Default::default()
@@ -599,13 +684,14 @@ impl Op for Relu {
         "relu"
     }
 
-    fn forward(&self, inputs: &[&Matrix], ctx: &mut ExecCtx) -> Matrix {
-        let y = inputs[0].relu();
+    fn forward(&self, inputs: &[Operand], ctx: &mut ExecCtx) -> Matrix {
+        let x = inputs[0].dense();
+        let y = x.relu();
         ctx.sim.record_gpu(
             Phase::Combination,
             gt_sim::KernelStats {
                 flops: y.len() as u64,
-                global_read_bytes: inputs[0].bytes(),
+                global_read_bytes: x.bytes(),
                 global_write_bytes: y.bytes(),
                 launches: 1,
                 ..Default::default()
@@ -616,17 +702,18 @@ impl Op for Relu {
 
     fn backward(
         &self,
-        inputs: &[&Matrix],
+        inputs: &[Operand],
         _output: &Matrix,
         grad: &Matrix,
         ctx: &mut ExecCtx,
     ) -> Vec<Option<Matrix>> {
-        let g = inputs[0].relu_grad(grad);
+        let x = inputs[0].dense();
+        let g = x.relu_grad(grad);
         ctx.sim.record_gpu(
             Phase::Combination,
             gt_sim::KernelStats {
                 flops: g.len() as u64,
-                global_read_bytes: inputs[0].bytes() + grad.bytes(),
+                global_read_bytes: x.bytes() + grad.bytes(),
                 global_write_bytes: g.bytes(),
                 launches: 1,
                 ..Default::default()
@@ -664,13 +751,14 @@ mod tests {
             params: &mut params,
         };
         let xval = Matrix::from_vec(1, 2, vec![1., 1.]);
-        let vals = dfg.forward(std::slice::from_ref(&xval), &mut ctx);
+        let vals = dfg.forward(&[Operand::Dense(&xval)], &mut ctx);
         assert_eq!(vals.get(y).data(), &[14., 26.]);
         assert!(ctx.sim.phase_us(Phase::Combination) > 0.0);
     }
 
     #[test]
     fn forward_borrows_inputs_and_owns_op_outputs() {
+        use gt_graph::EmbeddingTable;
         let (mut sim, mut params) = ctx_parts();
         params.register("w", Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]));
         let mut dfg = Dfg::new();
@@ -681,18 +769,30 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let inputs = [Matrix::from_vec(1, 2, vec![1., 1.])];
-        let vals = dfg.forward(&inputs, &mut ctx);
-        // The input node *is* the caller's matrix, not a copy of it...
-        assert!(std::ptr::eq(vals.get(x), &inputs[0]));
-        assert!(std::ptr::eq(
-            vals.get(x).data().as_ptr(),
-            inputs[0].data().as_ptr()
-        ));
+        let table = EmbeddingTable::from_vec(3, 2, vec![0., 0., 1., 1., 2., 2.]);
+        let ids = [2, 0, 2];
+        let view = Rows {
+            table: &table,
+            ids: &ids,
+        };
+        let vals = dfg.forward(&[Operand::Rows(view)], &mut ctx);
+        // The input node *is* the caller's row view — its table and ids,
+        // nothing gathered from them...
+        let Operand::Rows(got) = vals.operand(x) else {
+            panic!("a row view input stays a row view");
+        };
+        assert!(std::ptr::eq(got.table, &table));
+        assert!(std::ptr::eq(got.ids, &ids[..]));
         // ...while op outputs are values the execution owns.
-        assert!(matches!(vals.values[x], Some(Cow::Borrowed(_))));
-        assert!(matches!(vals.values[y], Some(Cow::Owned(_))));
-        assert_eq!(vals.get(y).data(), &[4., 6.]);
+        assert!(matches!(vals.values[x], Some(Value::Input(_))));
+        assert!(matches!(vals.values[y], Some(Value::Output(_))));
+        assert_eq!(vals.get(y).data(), &[8., 12., 0., 0., 8., 12.]);
+
+        // A dense input is borrowed the same way and reads the same rows.
+        let gathered = Matrix::from_vec(3, 2, table.gather(&ids).into_vec());
+        let dense = dfg.forward(&[Operand::Dense(&gathered)], &mut ctx);
+        assert!(std::ptr::eq(dense.get(x), &gathered));
+        assert_eq!(dense.get(y), vals.get(y));
     }
 
     #[test]
@@ -712,7 +812,7 @@ mod tests {
             sim: &mut sim,
             params: &mut params,
         };
-        let vals = dfg.forward(std::slice::from_ref(&xval), &mut ctx);
+        let vals = dfg.forward(&[Operand::Dense(&xval)], &mut ctx);
         let ones = Matrix::from_vec(2, 2, vec![1.0; 4]);
         let grads = dfg.backward(&vals, ones, &mut ctx);
         let gx = grads[0].as_ref().unwrap().clone();
@@ -724,7 +824,7 @@ mod tests {
                 sim: &mut sim,
                 params: ps,
             };
-            let v = dfg.forward(std::slice::from_ref(xv), &mut c);
+            let v = dfg.forward(&[Operand::Dense(xv)], &mut c);
             v.get(out).data().iter().sum::<f32>()
         };
         let eps = 1e-2f32;
@@ -779,7 +879,7 @@ mod tests {
                 sim: &mut sim,
                 params: &mut params,
             };
-            let vals = dfg.forward(std::slice::from_ref(&xval), &mut ctx);
+            let vals = dfg.forward(&[Operand::Dense(&xval)], &mut ctx);
             let outv = vals.get(y).clone();
             let loss: f32 = outv.data().iter().map(|&v| v * v).sum();
             let mut grad = outv;
@@ -812,7 +912,7 @@ mod tests {
             params: &mut params,
         };
         let xval = Matrix::from_vec(1, 2, vec![-1., 2.]);
-        let vals = dfg.forward(std::slice::from_ref(&xval), &mut ctx);
+        let vals = dfg.forward(&[Operand::Dense(&xval)], &mut ctx);
         assert_eq!(vals.get(l).data(), &[0., 2.]);
         // Node r is dead now: exactly 2 live evaluations (input + fused).
         assert!(std::panic::catch_unwind(|| vals.get(r)).is_err());
@@ -862,7 +962,7 @@ mod tests {
         };
         let xval = Matrix::from_vec(1, 2, vec![1., 1.]);
         assert_eq!(
-            dfg.try_forward(std::slice::from_ref(&xval), &mut ctx).err(),
+            dfg.try_forward(&[Operand::Dense(&xval)], &mut ctx).err(),
             Some(TensorError::MissingParam {
                 name: "w".to_string()
             })
@@ -884,9 +984,7 @@ mod tests {
         );
 
         // Fully wired: matches the panicking path.
-        let vals = dfg
-            .try_forward(std::slice::from_ref(&xval), &mut ctx)
-            .unwrap();
+        let vals = dfg.try_forward(&[Operand::Dense(&xval)], &mut ctx).unwrap();
         assert_eq!(vals.get(l).data(), &[4., 6.]);
     }
 
@@ -899,12 +997,12 @@ mod tests {
             fn name(&self) -> &str {
                 "add"
             }
-            fn forward(&self, inputs: &[&Matrix], _ctx: &mut ExecCtx) -> Matrix {
-                inputs[0].add(inputs[1])
+            fn forward(&self, inputs: &[Operand], _ctx: &mut ExecCtx) -> Matrix {
+                inputs[0].dense().add(inputs[1].dense())
             }
             fn backward(
                 &self,
-                _inputs: &[&Matrix],
+                _inputs: &[Operand],
                 _output: &Matrix,
                 grad: &Matrix,
                 _ctx: &mut ExecCtx,
@@ -927,7 +1025,7 @@ mod tests {
             params: &mut params,
         };
         let xval = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let vals = dfg.forward(std::slice::from_ref(&xval), &mut ctx);
+        let vals = dfg.forward(&[Operand::Dense(&xval)], &mut ctx);
         let grads = dfg.backward(&vals, Matrix::from_vec(1, 2, vec![1.0, 1.0]), &mut ctx);
         assert_eq!(grads[0].as_ref().unwrap().data(), &[2.0, 2.0]);
     }

@@ -62,12 +62,17 @@ pub fn spmm(csr: &Csr, features: &Matrix, reduce: Reduce) -> Matrix {
 /// Weighted SpMM: like [`spmm`] but each (dst, src) edge's contribution is
 /// first scaled elementwise by its weight vector from `edge_weights`
 /// (row = edge id in CSR order). This is `f(h(X))` with `h` = weighted sum.
+/// `Max` has no weighted form here and is refused.
 pub fn spmm_weighted(
     csr: &Csr,
     features: &Matrix,
     edge_weights: &Matrix,
     reduce: Reduce,
 ) -> Matrix {
+    assert!(
+        reduce != Reduce::Max,
+        "weighted aggregation: Max is not supported"
+    );
     assert_eq!(
         edge_weights.rows(),
         csr.num_edges(),
@@ -232,6 +237,13 @@ mod tests {
         let plain = spmm(&csr, &feats(), Reduce::Sum);
         let weighted = spmm_weighted(&csr, &feats(), &ones, Reduce::Sum);
         assert!(plain.max_abs_diff(&weighted) < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "weighted aggregation: Max is not supported")]
+    fn weighted_spmm_refuses_max() {
+        let ones = Matrix::from_vec(3, 2, vec![1.0; 6]);
+        spmm_weighted(&small(), &feats(), &ones, Reduce::Max);
     }
 
     #[test]
