@@ -43,9 +43,14 @@ pub fn translation_stats(n: u64, v: u64) -> KernelStats {
     }
 }
 
-/// Stable counting sort of COO edges by a key array; returns the permuted
-/// (src, dst) arrays and the group-boundary pointer array.
-fn counting_sort(num_vertices: usize, keys: &[VId], values: &[VId]) -> (Vec<EId>, Vec<VId>) {
+/// Stable counting sort of per-edge values by a key array; returns the
+/// group-boundary pointer array and the values grouped by key, in input
+/// order within each group.
+pub(crate) fn counting_sort<T: Copy + Default>(
+    num_vertices: usize,
+    keys: &[VId],
+    values: impl IntoIterator<Item = T>,
+) -> (Vec<EId>, Vec<T>) {
     let mut counts = vec![0 as EId; num_vertices + 1];
     for &k in keys {
         counts[k as usize + 1] += 1;
@@ -54,9 +59,9 @@ fn counting_sort(num_vertices: usize, keys: &[VId], values: &[VId]) -> (Vec<EId>
         counts[i + 1] += counts[i];
     }
     let indptr = counts.clone();
-    let mut out = vec![0 as VId; values.len()];
+    let mut out = vec![T::default(); keys.len()];
     let mut cursor = counts;
-    for (&k, &v) in keys.iter().zip(values) {
+    for (&k, v) in keys.iter().zip(values) {
         let slot = cursor[k as usize];
         out[slot as usize] = v;
         cursor[k as usize] += 1;
@@ -66,7 +71,7 @@ fn counting_sort(num_vertices: usize, keys: &[VId], values: &[VId]) -> (Vec<EId>
 
 /// COO → dst-indexed CSR (what forward aggregation needs).
 pub fn coo_to_csr(coo: &Coo) -> (Csr, KernelStats) {
-    let (indptr, srcs) = counting_sort(coo.num_vertices(), &coo.dst, &coo.src);
+    let (indptr, srcs) = counting_sort(coo.num_vertices(), &coo.dst, coo.src.iter().copied());
     (
         Csr::new(indptr, srcs),
         translation_stats(coo.num_edges() as u64, coo.num_vertices() as u64),
@@ -75,7 +80,7 @@ pub fn coo_to_csr(coo: &Coo) -> (Csr, KernelStats) {
 
 /// COO → src-indexed CSC (what backward propagation needs).
 pub fn coo_to_csc(coo: &Coo) -> (Csc, KernelStats) {
-    let (indptr, dsts) = counting_sort(coo.num_vertices(), &coo.src, &coo.dst);
+    let (indptr, dsts) = counting_sort(coo.num_vertices(), &coo.src, coo.dst.iter().copied());
     (
         Csc::new(indptr, dsts),
         translation_stats(coo.num_edges() as u64, coo.num_vertices() as u64),

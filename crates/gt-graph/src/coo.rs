@@ -1,6 +1,7 @@
 //! Coordinate-list (COO) edge storage: parallel `src`/`dst` arrays indexed by
 //! edge id (Fig 1b, left).
 
+use crate::convert::counting_sort;
 use crate::error::GraphError;
 use crate::VId;
 
@@ -92,21 +93,43 @@ impl Coo {
         (self.src.len() + self.dst.len()) as u64 * std::mem::size_of::<VId>() as u64
     }
 
-    /// Remove duplicate edges and self-loops, preserving first occurrence
-    /// order of the deduplicated set. Generators use this to clean RMAT
+    /// Remove duplicate edges and self-loops, keeping the first occurrence
+    /// of each pair in input order. Generators use this to clean RMAT
     /// output.
+    ///
+    /// O(V+E) time and memory: a stable counting sort groups edge positions
+    /// by source, each source's run marks its first edge to every
+    /// destination against a per-destination stamp, and the kept edges are
+    /// compacted in input order. Panics unless E < 2³² (positions travel in
+    /// the high half of a packed u64).
     pub fn dedup(mut self) -> Self {
-        let mut seen = std::collections::HashSet::with_capacity(self.src.len());
-        let mut s = Vec::with_capacity(self.src.len());
-        let mut d = Vec::with_capacity(self.dst.len());
-        for (a, b) in self.src.iter().copied().zip(self.dst.iter().copied()) {
-            if a != b && seen.insert(((a as u64) << 32) | b as u64) {
-                s.push(a);
-                d.push(b);
+        let e = self.src.len();
+        assert!((e as u64) < 1 << 32, "dedup needs fewer than 2^32 edges");
+        let packed = self
+            .dst
+            .iter()
+            .enumerate()
+            .map(|(pos, &d)| (pos as u64) << 32 | d as u64);
+        let (indptr, by_src) = counting_sort(self.num_vertices, &self.src, packed);
+        // stamp[d] == s once source s kept an edge to d. Starting at
+        // stamp[d] = d needs no sentinel: source d only meets its
+        // self-loop there, and self-loops are skipped first.
+        let mut stamp: Vec<VId> = (0..self.num_vertices).map(|v| v as VId).collect();
+        let mut keep = vec![false; e];
+        for (s, run) in indptr.windows(2).enumerate() {
+            let s = s as VId;
+            for &p in &by_src[run[0] as usize..run[1] as usize] {
+                let d = p as VId;
+                if d != s && stamp[d as usize] != s {
+                    stamp[d as usize] = s;
+                    keep[(p >> 32) as usize] = true;
+                }
             }
         }
-        self.src = s;
-        self.dst = d;
+        let mut kept = keep.iter();
+        self.src.retain(|_| *kept.next().unwrap());
+        let mut kept = keep.iter();
+        self.dst.retain(|_| *kept.next().unwrap());
         self
     }
 

@@ -14,7 +14,7 @@
 
 use crate::{Coo, VId};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_distr::{Distribution, Zipf};
 
 /// Recursive-matrix (R-MAT) generator with the canonical (a,b,c,d) =
@@ -27,28 +27,22 @@ pub fn rmat(num_vertices: usize, num_edges: usize, seed: u64) -> Coo {
 /// R-MAT with explicit quadrant probabilities (d = 1 - a - b - c).
 pub fn rmat_with(num_vertices: usize, num_edges: usize, a: f64, b: f64, c: f64, seed: u64) -> Coo {
     assert!(num_vertices > 1);
+    assert!(
+        [a, b, c].iter().all(|p| p.is_finite() && *p >= 0.0),
+        "quadrant probabilities must be finite and non-negative"
+    );
     assert!(a + b + c < 1.0 + 1e-9, "quadrant probabilities exceed 1");
     let scale = (num_vertices as f64).log2().ceil() as u32;
-    let side = 1usize << scale;
+    let thresholds = quadrant_thresholds(a, b, c);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut src = Vec::with_capacity(num_edges);
     let mut dst = Vec::with_capacity(num_edges);
     while src.len() < num_edges {
         let (mut x, mut y) = (0usize, 0usize);
-        let mut half = side / 2;
-        while half > 0 {
-            let r: f64 = rng.gen();
-            if r < a {
-                // top-left: nothing to add
-            } else if r < a + b {
-                y += half;
-            } else if r < a + b + c {
-                x += half;
-            } else {
-                x += half;
-                y += half;
-            }
-            half /= 2;
+        for bit in (0..scale).rev() {
+            let (xb, yb) = quadrant(rng.next_u64() >> 11, &thresholds);
+            x |= xb << bit;
+            y |= yb << bit;
         }
         if x < num_vertices && y < num_vertices && x != y {
             src.push(x as VId);
@@ -56,6 +50,29 @@ pub fn rmat_with(num_vertices: usize, num_edges: usize, a: f64, b: f64, c: f64, 
         }
     }
     Coo::new(num_vertices, src, dst).dedup()
+}
+
+/// The R-MAT quadrant bounds `a`, `a+b`, `a+b+c` as 53-bit integers.
+///
+/// `rng.gen::<f64>()` is `m / 2^53` for `m = next_u64() >> 11`, and
+/// `t·2^53` is exact, so `m / 2^53 < t` holds exactly when
+/// `m < ceil(t·2^53)`. The sums are the same f64 sums the if/else walk
+/// compared against.
+fn quadrant_thresholds(a: f64, b: f64, c: f64) -> [u64; 3] {
+    let unit = (1u64 << 53) as f64;
+    [a, a + b, a + b + c].map(|t| (t * unit).ceil() as u64)
+}
+
+/// One R-MAT level without floats or data-dependent branches: the
+/// (src, dst) bits of the quadrant the 53-bit draw `m` falls in.
+/// Equal to `r < a → (0,0)`, `r < a+b → (0,1)`, `r < a+b+c → (1,0)`, else
+/// `(1,1)` for `r = m / 2^53` whenever the thresholds are monotone, which
+/// non-negative `b` and `c` guarantee.
+#[inline]
+fn quadrant(m: u64, [t_a, t_ab, t_abc]: &[u64; 3]) -> (usize, usize) {
+    let xb = m >= *t_ab;
+    let yb = (m >= *t_a) ^ (xb & (m < *t_abc));
+    (xb as usize, yb as usize)
 }
 
 /// Configuration-model graph whose out-degrees follow a Zipf distribution
@@ -114,7 +131,10 @@ pub fn bipartite(users: usize, items: usize, num_edges: usize, seed: u64) -> Coo
         src.push(u);
         dst.push(i);
     }
-    Coo::new(users + items, src, dst).dedup().symmetrize()
+    // `symmetrize` deduplicates, and a first-occurrence dedup of a prefix
+    // does not change which pairs come first: dedup(dedup(E) ++ rev(dedup(E)))
+    // equals dedup(E ++ rev(E)).
+    Coo::new(users + items, src, dst).symmetrize()
 }
 
 /// Planted-partition (stochastic-block) graph with `num_classes` blocks laid
@@ -157,7 +177,9 @@ pub fn planted_partition(
     Coo::new(num_vertices, src, dst).dedup()
 }
 
-/// Erdős–Rényi G(n, m) with distinct uniform random edges.
+/// Erdős–Rényi-style graph: `num_edges` uniform random non-loop draws,
+/// deduplicated, so at most `num_edges` distinct edges (G(n, m) is the
+/// limit when duplicates are rare).
 pub fn erdos_renyi(num_vertices: usize, num_edges: usize, seed: u64) -> Coo {
     assert!(num_vertices > 1);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -186,6 +208,95 @@ mod tests {
         let b = rmat(256, 1000, 7);
         assert_eq!(a, b);
         assert_ne!(a, rmat(256, 1000, 8));
+    }
+
+    /// One R-MAT level as first written: an if/else chain over the
+    /// cumulative f64 quadrant probabilities.
+    fn quadrant_reference(r: f64, a: f64, b: f64, c: f64) -> (usize, usize) {
+        if r < a {
+            (0, 0)
+        } else if r < a + b {
+            (0, 1)
+        } else if r < a + b + c {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// The R-MAT walk as first written, one `gen::<f64>()` per level: the
+    /// definition the integer-threshold walk must reproduce bit for bit.
+    fn rmat_reference(n: usize, e: usize, a: f64, b: f64, c: f64, seed: u64) -> Coo {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut src, mut dst) = (Vec::new(), Vec::new());
+        while src.len() < e {
+            let (mut x, mut y) = (0usize, 0usize);
+            let mut half = (1usize << (n as f64).log2().ceil() as u32) / 2;
+            while half > 0 {
+                let (xb, yb) = quadrant_reference(rng.gen(), a, b, c);
+                x += xb * half;
+                y += yb * half;
+                half /= 2;
+            }
+            if x < n && y < n && x != y {
+                src.push(x as VId);
+                dst.push(y as VId);
+            }
+        }
+        Coo::new(n, src, dst).dedup()
+    }
+
+    /// Canonical, dyadic (every threshold an integer, so `<` against `<=`
+    /// shows), a zero quadrant each, and d = 0.
+    const QUADRANTS: [(f64, f64, f64); 6] = [
+        (0.57, 0.19, 0.19),
+        (0.5, 0.25, 0.125),
+        (0.0, 0.5, 0.25),
+        (0.6, 0.0, 0.3),
+        (0.5, 0.3, 0.0),
+        (0.5, 0.25, 0.25),
+    ];
+
+    #[test]
+    fn quadrant_matches_the_float_chain_at_every_threshold() {
+        let unit = (1u64 << 53) as f64;
+        for (a, b, c) in QUADRANTS {
+            let t = quadrant_thresholds(a, b, c);
+            let mut probes = vec![0, 1, (1 << 53) - 2, (1 << 53) - 1];
+            for &ti in &t {
+                probes.extend([ti.saturating_sub(1), ti, ti + 1]);
+            }
+            let mut rng = StdRng::seed_from_u64(3);
+            probes.extend((0..1000).map(|_| rng.next_u64() >> 11));
+            for m in probes.into_iter().filter(|&m| m < 1 << 53) {
+                assert_eq!(
+                    quadrant(m, &t),
+                    quadrant_reference(m as f64 / unit, a, b, c),
+                    "m={m} a={a} b={b} c={c}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rmat_walk_matches_the_float_walk() {
+        for (a, b, c) in QUADRANTS {
+            for (n, e) in [(3, 40), (256, 2000), (1000, 6000)] {
+                for seed in [1, 42] {
+                    assert_eq!(
+                        rmat_with(n, e, a, b, c, seed),
+                        rmat_reference(n, e, a, b, c, seed),
+                        "n={n} a={a} b={b} c={c} seed={seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn rmat_rejects_negative_quadrants() {
+        rmat_with(16, 10, 0.7, -0.1, 0.2, 1);
     }
 
     #[test]
@@ -316,7 +427,9 @@ pub fn watts_strogatz(num_vertices: usize, k: usize, beta: f64, seed: u64) -> Co
             edges.push((v, target));
         }
     }
-    Coo::from_edges(num_vertices, &edges).dedup().symmetrize()
+    // No dedup first: `symmetrize` keeps the same first occurrences (see
+    // `bipartite`).
+    Coo::from_edges(num_vertices, &edges).symmetrize()
 }
 
 #[cfg(test)]

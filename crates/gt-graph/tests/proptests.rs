@@ -3,6 +3,7 @@
 use gt_graph::convert::{coo_to_csc, coo_to_csr, csc_to_csr, csr_to_coo, csr_to_csc};
 use gt_graph::{Coo, DegreeStats, EmbeddingTable, VId};
 use gt_sim::prop::{check, Gen, CASES};
+use std::collections::BTreeSet;
 
 /// Arbitrary edge list over a small vertex id space.
 fn edges(g: &mut Gen, max_v: usize, max_e: usize) -> Vec<(VId, VId)> {
@@ -78,16 +79,51 @@ fn double_transpose_identity() {
     });
 }
 
-/// dedup is idempotent and removes exactly duplicates/self-loops.
+/// dedup keeps the first occurrence of every non-loop pair, in input order:
+/// equal to a linear filter over a set of seen pairs, and idempotent.
 #[test]
-fn dedup_idempotent() {
-    check("dedup_idempotent", CASES, |g| {
-        let once = Coo::from_edges(20, &edges(g, 20, 100)).dedup();
-        let twice = once.clone().dedup();
-        assert_eq!(&once, &twice);
-        let set: std::collections::HashSet<_> = once.edges().collect();
-        assert_eq!(set.len(), once.num_edges());
-        assert!(once.edges().all(|(s, d)| s != d));
+fn dedup_keeps_first_occurrences_in_order() {
+    let holds = |n: usize, es: &[(VId, VId)]| {
+        let mut seen = BTreeSet::new();
+        let want: Vec<(VId, VId)> = es
+            .iter()
+            .copied()
+            .filter(|&(s, d)| s != d && seen.insert((s, d)))
+            .collect();
+        let once = Coo::from_edges(n, es).dedup();
+        assert_eq!(once.edges().collect::<Vec<_>>(), want, "n={n} {es:?}");
+        assert_eq!(once.num_vertices(), n);
+        assert_eq!(once.clone().dedup(), once);
+    };
+    holds(5, &[]);
+    holds(1, &[(0, 0), (0, 0)]);
+    // Duplicates, a reverse pair, vertex n-1, ids far beyond the edge
+    // count, and a self-loop on a vertex a smaller source already reached.
+    holds(
+        1000,
+        &[
+            (999, 3),
+            (3, 999),
+            (2, 5),
+            (5, 5),
+            (999, 3),
+            (0, 999),
+            (3, 999),
+            (7, 0),
+        ],
+    );
+    check("dedup_keeps_first_occurrences_in_order", CASES, |g| {
+        let n = g.range(1..200);
+        let es = edges(g, n, 120);
+        // Append a reversed prefix and a repeated one, so reverse pairs and
+        // duplicates are common.
+        let rev: Vec<(VId, VId)> = es
+            .iter()
+            .take(g.range(0..40))
+            .map(|&(s, d)| (d, s))
+            .collect();
+        let dup: Vec<(VId, VId)> = es.iter().take(g.range(0..40)).copied().collect();
+        holds(n, &[es, rev, dup].concat());
     });
 }
 

@@ -36,3 +36,15 @@ fn zipf_stream_is_pinned() {
     let ranks: [f64; 4] = std::array::from_fn(|_| zipf.sample(&mut rng));
     assert_eq!(ranks, [12.0, 16.0, 90.0, 19.0]);
 }
+
+/// `gen::<f64>()` is the top 53 bits of `next_u64()` over 2^53, the
+/// identity the R-MAT walk's integer thresholds rely on.
+#[test]
+fn gen_f64_is_top_53_bits_over_2_pow_53() {
+    let mut floats = StdRng::seed_from_u64(9);
+    let mut raw = floats.clone();
+    for _ in 0..1000 {
+        let want = (raw.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        assert_eq!(floats.gen::<f64>().to_bits(), want.to_bits());
+    }
+}
