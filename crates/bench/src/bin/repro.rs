@@ -35,17 +35,17 @@
 //! recovers from the journal and finishes bit-identically. See
 //! `docs/fault_model.md` §Durability & recovery.
 //!
-//! The `chaos` experiment (also reachable as `--experiment chaos`) runs
-//! seeded fault campaigns: `--seeds N` samples N composite fault plans
-//! (`--seeds-file PATH` reads a fixed corpus instead), executes each
+//! The `chaos` experiment runs seeded fault campaigns: `--seeds N`
+//! samples N composite fault plans (`--seeds-file PATH` reads a fixed
+//! corpus instead), executes each
 //! through serve/crash/recover, and checks the invariant oracle. On a
 //! violation the guilty plan is delta-debugged to a minimal schedule,
 //! written to `--chaos-out` (default `chaos-minimized.json`), and the
 //! process exits 4. `--chaos-replay FILE` re-executes one serialized
-//! plan deterministically. See `docs/fault_model.md` §Chaos campaigns.
+//! plan deterministically and implies `chaos` when no experiment is
+//! named. See `docs/fault_model.md` §Chaos campaigns.
 //!
-//! The `slo` experiment (also reachable as `--slo`) overloads the
-//! gateway under an injected serve
+//! The `slo` experiment overloads the gateway under an injected serve
 //! stall until the latency SLO's burn-rate rules fire and the tracer
 //! freezes a flight dump, then reconciles the dump against the journal;
 //! `--flight-out PATH` writes the dump (a Chrome trace, load it at
@@ -95,8 +95,8 @@ fn usage() -> ! {
          [--seed S] [--batch B] [--fanout F] [--layers L] [--threads N] \
          [--trace-out PATH] [--bench-out PATH] [--checkpoint-dir DIR] \
          [--crash-at N] [--crash-site mid-journal|mid-checkpoint|after-commit] \
-         [--experiment NAME] [--seeds N] [--seeds-file PATH] \
-         [--chaos-replay FILE] [--chaos-out PATH] [--flight-out PATH] [--slo] \
+         [--seeds N] [--seeds-file PATH] \
+         [--chaos-replay FILE] [--chaos-out PATH] [--flight-out PATH] \
          [--workers N] [--partition vertex-cut|feature-dim] \
          [--kill-worker W] [--kill-at N] [--fleet-out PATH] \
          [--serve-metrics PORT]\n\
@@ -121,8 +121,7 @@ fn main() {
     let mut slo_opts = slo::SloOpts::default();
     let mut serving_opts = serving::ServingOpts::default();
     // The experiment is normally the first positional argument; flag-only
-    // invocations (e.g. `repro --chaos-replay plan.json`) name it via
-    // `--experiment` or imply `chaos` from a replay file.
+    // invocations (`repro --chaos-replay plan.json`) imply `chaos`.
     let mut exp = String::new();
     let mut i = 0;
     if !args[0].starts_with('-') {
@@ -206,10 +205,6 @@ fn main() {
                     .and_then(|s| gt_sim::CrashSite::parse(s))
                     .unwrap_or_else(usage_v);
             }
-            "--experiment" => {
-                i += 1;
-                exp = args.get(i).cloned().unwrap_or_else(usage_v);
-            }
             "--seeds" => {
                 i += 1;
                 chaos_opts.seeds = args
@@ -280,8 +275,6 @@ fn main() {
                 chaos_opts.flight_out = Some(path.clone());
                 slo_opts.flight_out = Some(path);
             }
-            // Shorthand for the overload/breach scenario: `repro --slo`.
-            "--slo" => exp = "slo".to_string(),
             _ => usage(),
         }
         i += 1;

@@ -41,7 +41,7 @@ use gt_core::serve::{DurabilityConfig, ServeCtx, Supervisor};
 use gt_core::tracing::TracerConfig;
 use gt_core::trainer::GtVariant;
 use gt_core::{ClusterConfig, ClusterSummary, ClusterSupervisor, Partition};
-use gt_profile::{fleet, FleetObserver, FleetReport, FleetTotals};
+use gt_profile::{fleet, FleetObserver, FleetReport};
 use gt_sim::{ClusterSpec, FaultPlan, SystemSpec};
 use gt_telemetry::http::MetricsServer;
 
@@ -205,19 +205,7 @@ fn run_once(
     cs.supervisor.checkpoint_now()?;
 
     let summary = cs.summary();
-    let totals = FleetTotals {
-        clock_us: summary.clock_us,
-        collective_us: summary.collective_us,
-        recovery_virtual_us: summary.recovery_virtual_us,
-        hedges_launched: summary.hedges_launched,
-        hedges_won: summary.hedges_won,
-        false_suspicions: summary.false_suspicions,
-        recoveries: summary.recoveries,
-        worker_busy_us: summary.worker_busy_us.clone(),
-        worker_idle_us: summary.worker_idle_us.clone(),
-        worker_link_us: summary.worker_link_us.clone(),
-    };
-    let fleet = FleetReport::build(&observer, &totals);
+    let fleet = FleetReport::build(&observer, &summary.totals);
     let trace_json = gt_telemetry::write_chrome_json(&cs.cluster_traces());
     let dump_reasons = cs
         .supervisor
@@ -299,7 +287,7 @@ fn killed_run(
             reference.stream.len()
         )));
     }
-    if run.summary.recoveries == 0 {
+    if run.summary.totals.recoveries == 0 {
         return Ok(Err(format!(
             "kill worker {worker} at batch {kill_at}: the kill was never detected \
              (0 recoveries)"
@@ -374,7 +362,7 @@ pub fn report(cfg: &ExpConfig, opts: &ClusterOpts) -> BenchReport {
     let wall = Instant::now();
     let reference =
         reference_run(cfg, opts).unwrap_or_else(|e| panic!("cluster experiment failed: {e}"));
-    let s = &reference.summary;
+    let s = &reference.summary.totals;
     let (worker, kill_at) = (opts.workers - 1, opts.batches / 2);
     let killed = killed_run(cfg, opts, &reference, worker, kill_at, None)
         .unwrap_or_else(|e| panic!("cluster kill run failed: {e}"))
@@ -395,8 +383,11 @@ pub fn report(cfg: &ExpConfig, opts: &ClusterOpts) -> BenchReport {
             },
         ),
         ("false_suspicions_total".into(), s.false_suspicions as f64),
-        ("recovery_virtual_us".into(), killed.recovery_virtual_us),
-        ("recoveries_total".into(), killed.recoveries as f64),
+        (
+            "recovery_virtual_us".into(),
+            killed.totals.recovery_virtual_us,
+        ),
+        ("recoveries_total".into(), killed.totals.recoveries as f64),
         (
             "fleet_busy_imbalance".into(),
             reference.fleet.busy_imbalance,
@@ -410,7 +401,7 @@ pub fn report(cfg: &ExpConfig, opts: &ClusterOpts) -> BenchReport {
             reference.fleet.attribution.first().map_or(0, |a| a.2) as f64,
         ),
     ];
-    for w in 0..s.workers {
+    for w in 0..reference.summary.workers {
         metrics.push((format!("worker{w}_busy_us"), s.worker_busy_us[w]));
         metrics.push((format!("worker{w}_idle_us"), s.worker_idle_us[w]));
         metrics.push((format!("worker{w}_link_us"), s.worker_link_us[w]));
@@ -444,7 +435,7 @@ pub fn report(cfg: &ExpConfig, opts: &ClusterOpts) -> BenchReport {
 pub fn print(cfg: &ExpConfig, opts: &ClusterOpts) {
     let summary =
         run_campaign(cfg, opts).unwrap_or_else(|e| panic!("cluster campaign failed: {e}"));
-    let s = &summary.reference;
+    let s = &summary.reference.totals;
     print_table(
         &format!(
             "cluster: {} workers ({}), {} kills × {} batches (oracle: bit-identical recovery)",
@@ -462,7 +453,7 @@ pub fn print(cfg: &ExpConfig, opts: &ClusterOpts) {
             ],
         ],
     );
-    let rows: Vec<Vec<String>> = (0..s.workers)
+    let rows: Vec<Vec<String>> = (0..summary.reference.workers)
         .map(|w| {
             vec![
                 format!("worker{w}"),

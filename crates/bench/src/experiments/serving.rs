@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use crate::benchjson::{BenchConfig, BenchReport, EnvFingerprint, SCHEMA_VERSION};
-use crate::runner::{print_table, ExpConfig};
+use crate::runner::{percentile, print_table, ExpConfig};
 use gt_core::cache::CacheStats;
 use gt_core::config::ModelConfig;
 use gt_core::error::GtError;
@@ -123,17 +123,6 @@ impl Summary {
             .filter(|c| matches!(c.outcome, BatchOutcome::Degraded { .. }))
             .count()
     }
-}
-
-/// Nearest-rank percentile over an unsorted sample.
-fn percentile(values: &[f64], p: f64) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.total_cmp(b));
-    if v.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
-    v[idx.min(v.len() - 1)]
 }
 
 /// Probe the fault-free virtual service time of one workload-sized batch

@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use crate::benchjson::{BenchConfig, BenchReport, EnvFingerprint, SCHEMA_VERSION};
-use crate::runner::{print_table, ExpConfig};
+use crate::runner::{percentile, print_table, ExpConfig};
 use gt_core::config::ModelConfig;
 use gt_core::framework::Framework;
 use gt_core::prepro::run_prepro;
@@ -38,17 +38,6 @@ const SEGMENT_PHASES: [gt_sim::Phase; 4] = [
 /// Metric-key labels for [`SEGMENT_PHASES`] (the S/R/K/T vocabulary of
 /// `gt_telemetry::SegmentKind`).
 const SEGMENT_LABELS: [&str; 4] = ["S", "R", "K", "T"];
-
-/// Nearest-rank percentile over an unsorted sample.
-fn percentile(values: &[f64], p: f64) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.total_cmp(b));
-    if v.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
-    v[idx.min(v.len() - 1)]
-}
 
 /// Run the probe and distill a schema-stable report.
 pub fn report(experiment: &str, cfg: &ExpConfig) -> BenchReport {

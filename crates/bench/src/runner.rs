@@ -126,6 +126,17 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
+/// Nearest-rank percentile over an unsorted sample.
+pub fn percentile(values: &[f64], p: f64) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(|a, b| a.total_cmp(b));
+    if v.is_empty() {
+        return 0.0;
+    }
+    let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
+    v[idx.min(v.len() - 1)]
+}
+
 /// Format a ratio column: `1.23x`.
 pub fn fx(x: f64) -> String {
     format!("{x:.2}x")

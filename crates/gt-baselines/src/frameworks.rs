@@ -23,9 +23,7 @@ use gt_core::scheduler::{schedule_prepro, PreproStrategy};
 use gt_graph::VId;
 use gt_sample::{LayerGraph, SamplerConfig};
 use gt_sim::{Schedule, SimContext, SystemSpec};
-use gt_tensor::dense::Matrix;
 use gt_tensor::dfg::{Dfg, ExecCtx, Linear, Op, Operand, ParamStore, Relu};
-use gt_tensor::init::xavier;
 use gt_tensor::loss::softmax_cross_entropy;
 use std::sync::Arc;
 
@@ -97,24 +95,6 @@ impl Baseline {
             batches_run: 0,
             params_ready: false,
         }
-    }
-
-    fn ensure_params(&mut self, feature_dim: usize) {
-        if self.params_ready {
-            return;
-        }
-        let mut in_dim = feature_dim;
-        for l in 0..self.model.layers {
-            let out = self.model.layer_out_dim(l);
-            self.params.register(
-                self.model.weight_name(l),
-                xavier(in_dim, out, 0xC0FFEE + l as u64),
-            );
-            self.params
-                .register(self.model.bias_name(l), Matrix::zeros(1, out));
-            in_dim = out;
-        }
-        self.params_ready = true;
     }
 
     /// This baseline's aggregation kernel for one layer.
@@ -263,7 +243,10 @@ impl Framework for Baseline {
     }
 
     fn train_batch(&mut self, data: &GraphData, batch: &[VId]) -> BatchReport {
-        self.ensure_params(data.feature_dim());
+        if !self.params_ready {
+            self.params = self.model.init_params(data.feature_dim());
+            self.params_ready = true;
+        }
         let mut cfg = self.sampler.clone();
         cfg.seed = cfg.seed.wrapping_add(self.batches_run as u64);
         let pr = run_prepro(data, batch, &cfg);

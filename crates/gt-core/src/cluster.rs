@@ -51,7 +51,7 @@ use crate::serve::{
 use crate::tracing::TracerConfig;
 use gt_graph::VId;
 use gt_sim::{
-    schedule_to_trace, worker_process, ActiveFaults, ClusterSpec, FaultKind, Phase, PhiDetector,
+    schedule_to_trace, worker_process, ActiveFaults, ClusterSpec, FleetTotals, Phase, PhiDetector,
     Resource, Schedule, TaskSpec, HEARTBEAT_INTERVAL_US,
 };
 use gt_telemetry::{Json, Telemetry, Trace, TraceContext};
@@ -128,28 +128,8 @@ pub struct ClusterSummary {
     pub workers: usize,
     /// Batches the inner supervisor has served.
     pub batches: usize,
-    /// Total virtual time on the cluster clock, µs.
-    pub clock_us: f64,
-    /// Virtual µs spent in all-gather/all-reduce collectives.
-    pub collective_us: f64,
-    /// Virtual µs spent detecting failures and replaying partitions.
-    pub recovery_virtual_us: f64,
-    /// Hedges launched (one journal record each).
-    pub hedges_launched: u64,
-    /// Hedges whose backup strictly beat the straggler.
-    pub hedges_won: u64,
-    /// Heartbeat silences that crossed the phi threshold on a live worker.
-    pub false_suspicions: u64,
-    /// Supervisor rebuild-and-replay recoveries (kills + injected crashes).
-    pub recoveries: u64,
-    /// Virtual µs each worker's resources spent executing subtasks.
-    pub worker_busy_us: Vec<f64>,
-    /// Virtual µs each worker idled waiting at the collective barrier.
-    pub worker_idle_us: Vec<f64>,
-    /// Virtual µs each worker's network link was occupied by ring
-    /// collectives (every member's link is held for the whole collective —
-    /// the ring moves at its slowest hop).
-    pub worker_link_us: Vec<f64>,
+    /// Running totals on the cluster clock.
+    pub totals: FleetTotals,
 }
 
 /// Distributed serving supervisor: partitions batches across a simulated
@@ -173,8 +153,8 @@ pub struct ClusterSupervisor {
     owner: Vec<usize>,
     detectors: Vec<PhiDetector>,
     /// Running totals on the cluster clock ([`summary`](Self::summary)
-    /// fills in the batch count).
-    totals: ClusterSummary,
+    /// adds the worker and batch counts).
+    totals: FleetTotals,
     /// EMA of recent stage makespans: the deterministic per-batch cost used
     /// to price journal replay during recovery.
     stage_ema_us: f64,
@@ -182,8 +162,9 @@ pub struct ClusterSupervisor {
     /// incarnation and must not re-fire (mirrors the inner supervisor's
     /// durability-fault suppression).
     suppress_kills_below: usize,
-    /// Per-worker DES schedules of the most recent priced batch, for
-    /// Perfetto export via [`gt_sim::cluster_to_traces`].
+    /// Per-worker DES schedules of the most recent priced batch (the fleet
+    /// observer's input); the Perfetto export is
+    /// [`cluster_traces`](Self::cluster_traces).
     last_schedules: Vec<(usize, Schedule)>,
     /// Accumulated coordinator-process trace: batch root spans, collective
     /// slices, hedge/suspicion/recovery events, and the origin of every
@@ -214,12 +195,11 @@ impl ClusterSupervisor {
             alive: vec![true; n],
             owner: (0..n).collect(),
             detectors: vec![PhiDetector::default(); n],
-            totals: ClusterSummary {
-                workers: n,
+            totals: FleetTotals {
                 worker_busy_us: vec![0.0; n],
                 worker_idle_us: vec![0.0; n],
                 worker_link_us: vec![0.0; n],
-                ..ClusterSummary::default()
+                ..FleetTotals::default()
             },
             stage_ema_us: 0.0,
             suppress_kills_below: 0,
@@ -261,8 +241,8 @@ impl ClusterSupervisor {
     }
 
     /// Per-worker DES schedules of the most recent priced batch (empty
-    /// until a batch trains). Feed to [`gt_sim::cluster_to_traces`] for
-    /// one Perfetto process per worker.
+    /// until a batch trains). The accumulated Perfetto export, one process
+    /// per worker, is [`cluster_traces`](Self::cluster_traces).
     pub fn last_schedules(&self) -> &[(usize, Schedule)] {
         &self.last_schedules
     }
@@ -291,8 +271,9 @@ impl ClusterSupervisor {
     /// Deterministic modeled metrics so far.
     pub fn summary(&self) -> ClusterSummary {
         ClusterSummary {
+            workers: self.alive.len(),
             batches: self.supervisor.batches_served(),
-            ..self.totals.clone()
+            totals: self.totals.clone(),
         }
     }
 
@@ -955,22 +936,7 @@ fn price_worker(
         let deps: Vec<usize> = (0..sim.len()).collect();
         sim.add(TaskSpec::new("NAPA", Resource::Gpu, gpu_us, Phase::Aggregation).after(&deps));
     }
-    let cores = sys.host.cores;
-    let local = ActiveFaults {
-        faults: active
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                FaultKind::StragglerCore { core, factor } if core / cores == w => {
-                    Some(FaultKind::StragglerCore {
-                        core: core % cores,
-                        factor: *factor,
-                    })
-                }
-                _ => None,
-            })
-            .collect(),
-    };
+    let local = active.stragglers_on_worker(w, sys.host.cores);
     sim.run_with_faults(&local)
 }
 
@@ -978,6 +944,7 @@ fn price_worker(
 mod tests {
     use super::*;
     use crate::scheduler::PreproStrategy;
+    use gt_sim::FaultKind;
 
     fn work() -> PreproWork {
         PreproWork {

@@ -3,6 +3,9 @@
 //! optional edge weighting (`g`, `h`), layer count, and layer widths —
 //! "users can simply apply different GNN models by reconfiguring the modes".
 
+use gt_tensor::dense::Matrix;
+use gt_tensor::dfg::ParamStore;
+use gt_tensor::init::xavier;
 pub use gt_tensor::sparse::{EdgeOp, Reduce};
 
 /// How edge weights are folded into the aggregation (`h` in §II-A): the
@@ -94,6 +97,24 @@ impl ModelConfig {
     /// Bias parameter name for layer `l`.
     pub fn bias_name(&self, l: usize) -> String {
         format!("{}/b{}", self.name, l)
+    }
+
+    /// Fresh parameters over `feature_dim`-wide input features: per layer a
+    /// xavier weight (seed `0xC0FFEE + l`) and a zero bias — the one
+    /// initialization GraphTensor and every baseline share.
+    pub fn init_params(&self, feature_dim: usize) -> ParamStore {
+        let mut params = ParamStore::new();
+        let mut in_dim = feature_dim;
+        for l in 0..self.layers {
+            let out = self.layer_out_dim(l);
+            params.register(
+                self.weight_name(l),
+                xavier(in_dim, out, 0xC0FFEE + l as u64),
+            );
+            params.register(self.bias_name(l), Matrix::zeros(1, out));
+            in_dim = out;
+        }
+        params
     }
 }
 

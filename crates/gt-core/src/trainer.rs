@@ -23,7 +23,6 @@ use gt_sample::{LayerGraph, SamplerConfig};
 use gt_sim::{ActiveFaults, SimContext, SystemSpec};
 use gt_tensor::dense::{Matrix, Rows};
 use gt_tensor::dfg::{Dfg, ExecCtx, Linear, Operand, ParamStore, Relu};
-use gt_tensor::init::xavier;
 use gt_tensor::loss::softmax_cross_entropy;
 use gt_tensor::optim::{clip_grad_norm, Optimizer};
 use std::sync::Arc;
@@ -159,21 +158,10 @@ impl GraphTensor {
     }
 
     fn ensure_params(&mut self, feature_dim: usize) {
-        if self.params_ready {
-            return;
+        if !self.params_ready {
+            self.params = self.model.init_params(feature_dim);
+            self.params_ready = true;
         }
-        let mut in_dim = feature_dim;
-        for l in 0..self.model.layers {
-            let out = self.model.layer_out_dim(l);
-            self.params.register(
-                self.model.weight_name(l),
-                xavier(in_dim, out, 0xC0FFEE + l as u64),
-            );
-            self.params
-                .register(self.model.bias_name(l), Matrix::zeros(1, out));
-            in_dim = out;
-        }
-        self.params_ready = true;
     }
 
     /// Construct the per-batch DFG from NAPA primitives (Fig 10) over the

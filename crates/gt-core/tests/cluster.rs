@@ -105,7 +105,7 @@ fn fault_free_cluster_matches_single_node_numerics_at_every_worker_count() {
         );
         let outcomes: Vec<String> = stream.into_iter().map(|(_, o)| o).collect();
         assert_eq!(outcomes, ref_outcomes);
-        let s = cs.summary();
+        let s = cs.summary().totals;
         assert_eq!(s.recoveries, 0);
         assert_eq!(s.hedges_launched, 0, "uniform workers must not hedge");
         if workers == 1 {
@@ -136,7 +136,7 @@ fn kill_any_worker_at_any_batch_recovers_bit_identically() {
                  must recover to identical bytes"
             );
             assert_eq!(stream, ref_stream, "outcome stream must survive the kill");
-            let s = cs.summary();
+            let s = cs.summary().totals;
             assert_eq!(s.recoveries, 1);
             assert!(
                 s.recovery_virtual_us > 0.0,
@@ -175,7 +175,7 @@ fn crash_mid_batch_is_recovered_by_the_cluster_layer() {
             site.label()
         );
         assert_eq!(stream, ref_stream);
-        assert_eq!(cs.summary().recoveries, 1);
+        assert_eq!(cs.summary().totals.recoveries, 1);
     }
 }
 
@@ -199,10 +199,10 @@ fn hedging_is_pure_virtual_time_and_reconciles_with_the_journal() {
     );
     assert_eq!(hedged_stream, unhedged_stream);
 
-    let s = hedged.summary();
+    let s = hedged.summary().totals;
     assert!(s.hedges_launched > 0, "the straggler must trigger hedges");
     assert!(s.hedges_won > 0, "a 64× straggler must lose to its backup");
-    assert_eq!(unhedged.summary().hedges_launched, 0);
+    assert_eq!(unhedged.summary().totals.hedges_launched, 0);
 
     // The counters reconcile exactly against the journal's hedge records.
     let (launched, won) = hedged.hedge_journal_counts().unwrap();
@@ -211,10 +211,10 @@ fn hedging_is_pure_virtual_time_and_reconciles_with_the_journal() {
     // Hedging shortens the modeled clock: the backup finishes the
     // straggler's partition earlier than the straggler would.
     assert!(
-        hedged.summary().clock_us < unhedged.summary().clock_us,
+        hedged.summary().totals.clock_us < unhedged.summary().totals.clock_us,
         "hedged {} !< unhedged {}",
-        hedged.summary().clock_us,
-        unhedged.summary().clock_us
+        hedged.summary().totals.clock_us,
+        unhedged.summary().totals.clock_us
     );
 
     // The hedge counters survive a kill-and-recover cycle: they are
@@ -223,7 +223,7 @@ fn hedging_is_pure_virtual_time_and_reconciles_with_the_journal() {
     let dir2 = tmp_dir("hedged_killed");
     let (recovered, _) = run_cluster(4, plan2, true, &dir2, n);
     let (launched2, won2) = recovered.hedge_journal_counts().unwrap();
-    let s2 = recovered.summary();
+    let s2 = recovered.summary().totals;
     assert_eq!((s2.hedges_launched, s2.hedges_won), (launched2, won2));
     assert!(s2.recoveries >= 1);
 }
@@ -339,7 +339,7 @@ fn heartbeat_drops_raise_false_suspicions_but_never_recover() {
     // phi threshold of 8 — on a worker that is perfectly alive.
     let plan = FaultPlan::new(42).with_heartbeat_drop(1, 1, 9);
     let (cs, stream) = run_cluster(2, plan, false, &dir, n);
-    let s = cs.summary();
+    let s = cs.summary().totals;
     assert!(
         s.false_suspicions > 0,
         "the silence must cross the threshold"
@@ -386,7 +386,7 @@ fn false_suspicion_counter_reconciles_exactly_with_injected_drops() {
         for b in batches(n) {
             cs.serve(&d, &b, ServeCtx::default()).unwrap();
         }
-        let s = cs.summary();
+        let s = cs.summary().totals;
         assert_eq!(s.false_suspicions, 2, "{workers} workers");
         assert_eq!(s.recoveries, 0, "{workers} workers: drops never recover");
         assert!(cs.alive().iter().all(|&a| a), "{workers} workers");
@@ -429,7 +429,7 @@ fn feature_dim_partition_serves_identically_to_vertex_cut() {
     );
     // Feature-dim replicates structure work on every worker, so its
     // stages are strictly longer than a vertex cut's.
-    assert!(fd.summary().clock_us > vc.summary().clock_us);
+    assert!(fd.summary().totals.clock_us > vc.summary().totals.clock_us);
 }
 
 /// A gateway with tenancy composes over the cluster exactly as over a
@@ -486,7 +486,7 @@ fn gateway_in_front_of_a_cluster_matches_a_gateway_over_a_supervisor() {
     assert_eq!(cluster_done.len(), n, "one completion per submission");
     assert_eq!(cluster_done, single_done);
     assert!(cluster_done.iter().any(|c| c.outcome.trained()));
-    assert_eq!(clustered.supervisor.summary().recoveries, 1);
+    assert_eq!(clustered.supervisor.summary().totals.recoveries, 1);
     assert!(!clustered.supervisor.alive()[1]);
     assert_eq!(
         std::fs::read(durability(&cluster_dir).checkpoint_path()).unwrap(),

@@ -41,7 +41,10 @@ fn same_seed_and_plan_give_identical_outcomes() {
     let plan = FaultPlan::new(42)
         .with_transfer_failure(0.4)
         .with_straggler(0, 4.0)
-        .with_contention_spike(2.0, 0.3);
+        .with_rule(FaultRule::transient(
+            FaultKind::HashContention { factor: 2.0 },
+            0.3,
+        ));
     let run = || {
         let mut sup = Supervisor::new(trainer(), plan.clone());
         let reports: Vec<_> = batches(8).iter().map(|b| serve(&mut sup, &d, b)).collect();
@@ -164,7 +167,8 @@ fn persistent_memory_pressure_halves_the_batch() {
     let fraction = ((peak_half + peak_full) / 2) as f64 / device_mem as f64;
 
     // Pressure afflicts every attempt of batch 0 only.
-    let plan = FaultPlan::new(3).with_memory_pressure(fraction, 0, Some(1));
+    let pressure = FaultKind::MemoryPressure { fraction };
+    let plan = FaultPlan::new(3).with_rule(FaultRule::once(pressure, 0));
     let mut sup = Supervisor::new(trainer(), plan);
     let r = serve(&mut sup, &d, &full);
     match r.outcome {
@@ -219,7 +223,7 @@ fn multi_batch_demo_under_mixed_faults_never_panics() {
         .with_rule(flaky(0, Some(4)))
         .with_rule(flaky(5, None))
         .with_straggler(0, 4.0)
-        .with_memory_pressure(fraction, 4, Some(5)); // forced OOM on batch 4
+        .with_rule(FaultRule::once(FaultKind::MemoryPressure { fraction }, 4)); // forced OOM on batch 4
     let mut sup = Supervisor::new(trainer(), plan);
     let reports: Vec<_> = batches(10).iter().map(|b| serve(&mut sup, &d, b)).collect();
 

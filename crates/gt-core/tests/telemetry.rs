@@ -74,7 +74,7 @@ fn mixed_fault_serving_counters_match_outcomes_exactly() {
         .with_rule(flaky(0, Some(4)))
         .with_rule(flaky(5, None))
         .with_straggler(0, 4.0)
-        .with_memory_pressure(fraction, 4, Some(5));
+        .with_rule(FaultRule::once(FaultKind::MemoryPressure { fraction }, 4));
 
     // Fresh recording handle: Telemetry::null() shares one process-global
     // registry, which other tests in this binary also touch.

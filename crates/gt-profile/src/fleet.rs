@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use gt_sim::Schedule;
+use gt_sim::{FleetTotals, Schedule};
 
 use crate::breakdown::StageBreakdown;
 use crate::stage::Stage;
@@ -114,32 +114,6 @@ fn dominant_stage(b: &StageBreakdown) -> Stage {
         }
     }
     best.0
-}
-
-/// Scalar totals of a cluster run, as accumulated by the supervisor's
-/// summary. Vectors are indexed by worker (dead workers included).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FleetTotals {
-    /// Total virtual time on the cluster clock, µs.
-    pub clock_us: f64,
-    /// Virtual µs spent in all-gather/all-reduce collectives.
-    pub collective_us: f64,
-    /// Virtual µs spent detecting failures and replaying partitions.
-    pub recovery_virtual_us: f64,
-    /// Hedges launched.
-    pub hedges_launched: u64,
-    /// Hedges whose backup strictly beat the straggler.
-    pub hedges_won: u64,
-    /// Heartbeat silences that crossed the phi threshold on a live worker.
-    pub false_suspicions: u64,
-    /// Supervisor rebuild-and-replay recoveries.
-    pub recoveries: u64,
-    /// Per-worker busy time, µs.
-    pub worker_busy_us: Vec<f64>,
-    /// Per-worker idle time at the collective barrier, µs.
-    pub worker_idle_us: Vec<f64>,
-    /// Per-worker link occupancy in collectives, µs.
-    pub worker_link_us: Vec<f64>,
 }
 
 /// Per-worker health in the distilled report.

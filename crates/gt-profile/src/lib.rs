@@ -41,7 +41,7 @@ pub mod whatif;
 pub use breakdown::StageBreakdown;
 pub use bubble::{BubbleReport, UnitUtilization};
 pub use critical::{critical_path, Binding, ChainLink, CriticalPath};
-pub use fleet::{FleetObserver, FleetReport, FleetTotals, StragglerSample, WorkerHealth};
+pub use fleet::{FleetObserver, FleetReport, StragglerSample, WorkerHealth};
 pub use profile::{profile_schedule, ScheduleProfile};
 pub use stage::{classify_kernel, classify_span, classify_spec, classify_task, Stage};
 pub use trace::{append_profile_tracks, profile_to_trace};

@@ -47,12 +47,12 @@ pub fn sample_plan(seed: u64, batches: usize) -> FaultPlan {
         let b = rng.below(batches.max(1) as u64) as usize;
         plan = match rng.below(11) {
             0 => {
-                let site = match rng.below(3) {
-                    0 => CrashSite::MidJournal,
-                    1 => CrashSite::MidCheckpoint,
-                    _ => CrashSite::AfterCommit,
-                };
-                plan.with_crash_at(b, site)
+                let sites = [
+                    CrashSite::MidJournal,
+                    CrashSite::MidCheckpoint,
+                    CrashSite::AfterCommit,
+                ];
+                plan.with_crash_at(b, sites[rng.below(3) as usize])
             }
             1 => {
                 let fault = match rng.below(4) {
@@ -95,33 +95,20 @@ pub fn sample_plan(seed: u64, batches: usize) -> FaultPlan {
                 // Memory pressure: moderate (halving recovers) or hard
                 // (every attempt OOMs and the batch quarantines).
                 let fraction = if rng.below(2) == 0 { 0.5 } else { 1e-6 };
-                plan.with_rule(FaultRule {
-                    kind: FaultKind::MemoryPressure { fraction },
-                    probability: 1.0,
-                    from_batch: b,
-                    until_batch: Some(b + 1),
-                    transient: false,
-                })
+                plan.with_rule(FaultRule::once(FaultKind::MemoryPressure { fraction }, b))
             }
             5 => {
                 let factor = (1 + rng.below(4)) as f64 * 2.0;
-                plan.with_rule(FaultRule {
-                    kind: FaultKind::TransferStall { factor },
-                    probability: 1.0,
-                    from_batch: b,
-                    until_batch: Some(b + 1 + rng.below(3) as usize),
-                    transient: false,
-                })
+                let until = b + 1 + rng.below(3) as usize;
+                plan.with_rule(FaultRule::window(
+                    FaultKind::TransferStall { factor },
+                    b,
+                    Some(until),
+                ))
             }
             6 => {
                 let factor = (1 + rng.below(3)) as f64 * 2.0;
-                plan.with_rule(FaultRule {
-                    kind: FaultKind::HashContention { factor },
-                    probability: 1.0,
-                    from_batch: b,
-                    until_batch: Some(b + 1),
-                    transient: false,
-                })
+                plan.with_rule(FaultRule::once(FaultKind::HashContention { factor }, b))
             }
             7 => plan.with_delivery_delay(b, 1 + rng.below(3) as u32),
             // Cluster faults. Worker indices are sampled over a nominal
@@ -156,63 +143,45 @@ pub fn delivery_order(plan: &FaultPlan, batches: usize) -> Vec<usize> {
 
 // ---- JSON wire form -----------------------------------------------------
 
-fn kind_to_json(kind: &FaultKind) -> Json {
-    match kind {
-        FaultKind::TransferStall { factor } => obj([
-            ("kind", "transfer-stall".into()),
-            ("factor", (*factor).into()),
-        ]),
-        FaultKind::TransferFailure => obj([("kind", "transfer-failure".into())]),
-        FaultKind::StragglerCore { core, factor } => obj([
-            ("kind", "straggler-core".into()),
-            ("core", (*core as u64).into()),
-            ("factor", (*factor).into()),
-        ]),
-        FaultKind::MemoryPressure { fraction } => obj([
-            ("kind", "memory-pressure".into()),
-            ("fraction", (*fraction).into()),
-        ]),
-        FaultKind::HashContention { factor } => obj([
-            ("kind", "hash-contention".into()),
-            ("factor", (*factor).into()),
-        ]),
-        FaultKind::ServeDelay { extra_us } => obj([
-            ("kind", "serve-delay".into()),
-            ("extra_us", (*extra_us).into()),
-        ]),
-        FaultKind::Crash { site } => obj([
-            ("kind", "crash".into()),
-            ("site", Json::Str(site.label().to_string())),
-        ]),
+/// A kind's wire tag and its fields, in wire order.
+fn kind_fields(kind: &FaultKind) -> (&'static str, Vec<(&'static str, Json)>) {
+    match *kind {
+        FaultKind::TransferStall { factor } => ("transfer-stall", vec![("factor", factor.into())]),
+        FaultKind::TransferFailure => ("transfer-failure", vec![]),
+        FaultKind::StragglerCore { core, factor } => (
+            "straggler-core",
+            vec![("core", core.into()), ("factor", factor.into())],
+        ),
+        FaultKind::MemoryPressure { fraction } => {
+            ("memory-pressure", vec![("fraction", fraction.into())])
+        }
+        FaultKind::HashContention { factor } => {
+            ("hash-contention", vec![("factor", factor.into())])
+        }
+        FaultKind::ServeDelay { extra_us } => ("serve-delay", vec![("extra_us", extra_us.into())]),
+        FaultKind::Crash { site } => ("crash", vec![("site", site.label().into())]),
         FaultKind::Io { target, fault } => {
-            let mut pairs = vec![
-                ("kind", Json::Str("io".to_string())),
-                ("target", Json::Str(target.label().to_string())),
-                ("fault", Json::Str(fault.label().to_string())),
+            let mut fields = vec![
+                ("target", target.label().into()),
+                ("fault", fault.label().into()),
             ];
             if let IoFault::BitFlip { bit } = fault {
-                pairs.push(("bit", (*bit as u64).into()));
+                fields.push(("bit", (bit as u64).into()));
             }
-            obj(pairs)
+            ("io", fields)
         }
-        FaultKind::DeliveryDelay { slots } => obj([
-            ("kind", "delivery-delay".into()),
-            ("slots", (*slots as u64).into()),
-        ]),
-        FaultKind::WorkerKill { worker } => obj([
-            ("kind", "worker-kill".into()),
-            ("worker", (*worker as u64).into()),
-        ]),
-        FaultKind::LinkDegrade { worker, factor } => obj([
-            ("kind", "link-degrade".into()),
-            ("worker", (*worker as u64).into()),
-            ("factor", (*factor).into()),
-        ]),
-        FaultKind::HeartbeatDrop { worker, beats } => obj([
-            ("kind", "heartbeat-drop".into()),
-            ("worker", (*worker as u64).into()),
-            ("beats", (*beats as u64).into()),
-        ]),
+        FaultKind::DeliveryDelay { slots } => {
+            ("delivery-delay", vec![("slots", (slots as u64).into())])
+        }
+        FaultKind::WorkerKill { worker } => ("worker-kill", vec![("worker", worker.into())]),
+        FaultKind::LinkDegrade { worker, factor } => (
+            "link-degrade",
+            vec![("worker", worker.into()), ("factor", factor.into())],
+        ),
+        FaultKind::HeartbeatDrop { worker, beats } => (
+            "heartbeat-drop",
+            vec![("worker", worker.into()), ("beats", (beats as u64).into())],
+        ),
     }
 }
 
@@ -258,14 +227,13 @@ fn kind_from_json(v: &Json) -> Result<FaultKind, String> {
                 .and_then(|s| s.as_str())
                 .and_then(IoTarget::parse)
                 .ok_or("io rule with unknown target")?;
-            let fault = match v.get("fault").and_then(|s| s.as_str()) {
-                Some("torn-write") => IoFault::TornWrite,
-                Some("short-read") => IoFault::ShortRead,
-                Some("enospc") => IoFault::Enospc,
-                Some("bit-flip") => IoFault::BitFlip {
+            let name = v.get("fault").and_then(|s| s.as_str());
+            let fault = match name.and_then(IoFault::parse) {
+                Some(IoFault::BitFlip { .. }) => IoFault::BitFlip {
                     bit: num("bit")? as u32,
                 },
-                other => return Err(format!("io rule with unknown fault {other:?}")),
+                Some(fault) => fault,
+                None => return Err(format!("io rule with unknown fault {name:?}")),
             };
             Ok(FaultKind::Io { target, fault })
         }
@@ -290,27 +258,23 @@ fn kind_from_json(v: &Json) -> Result<FaultKind, String> {
 /// Serialize a plan (seed + rules) to its JSON wire form — the payload
 /// `repro --chaos-replay` consumes and CI uploads on campaign failure.
 pub fn plan_to_json(plan: &FaultPlan) -> Json {
-    let rules: Vec<Json> = plan
-        .rules()
-        .iter()
-        .map(|r| {
-            let mut o = kind_to_json(&r.kind);
-            if let Json::Obj(pairs) = &mut o {
-                pairs.push(("probability".to_string(), r.probability.into()));
-                pairs.push(("from".to_string(), (r.from_batch as u64).into()));
-                pairs.push((
-                    "until".to_string(),
-                    match r.until_batch {
-                        Some(u) => (u as u64).into(),
-                        None => Json::Null,
-                    },
-                ));
-                pairs.push(("transient".to_string(), Json::Bool(r.transient)));
-            }
-            o
-        })
-        .collect();
-    obj([("seed", plan.seed().into()), ("rules", Json::Arr(rules))])
+    let rules = plan.rules().iter().map(|r| {
+        let (tag, fields) = kind_fields(&r.kind);
+        let window = [
+            ("probability", r.probability.into()),
+            ("from", r.from_batch.into()),
+            ("until", r.until_batch.map_or(Json::Null, Json::from)),
+            ("transient", r.transient.into()),
+        ];
+        obj([("kind", tag.into())]
+            .into_iter()
+            .chain(fields)
+            .chain(window))
+    });
+    obj([
+        ("seed", plan.seed().into()),
+        ("rules", Json::Arr(rules.collect())),
+    ])
 }
 
 /// Rebuild a plan from [`plan_to_json`]'s wire form.
@@ -326,6 +290,7 @@ pub fn plan_from_json(v: &Json) -> Result<FaultPlan, String> {
     let mut plan = FaultPlan::new(seed);
     for r in rules {
         let kind = kind_from_json(r)?;
+        kind.check()?;
         let probability = r
             .get("probability")
             .and_then(|p| p.as_f64())
@@ -352,92 +317,79 @@ pub fn plan_from_json(v: &Json) -> Result<FaultPlan, String> {
 
 // ---- shrinking ----------------------------------------------------------
 
-fn rebuild(seed: u64, rules: Vec<FaultRule>) -> FaultPlan {
-    rules
-        .into_iter()
-        .fold(FaultPlan::new(seed), |p, r| p.with_rule(r))
-}
-
 /// Strictly-weaker replacements for a fault kind, strongest candidate
 /// first. "Weaker" follows the recovery protocol's cost ordering: a crash
 /// later in the protocol disturbs less state; an ENOSPC persists nothing
 /// where a torn write leaves residue; smaller slowdown factors and delays
 /// perturb less.
 fn weaker_kinds(kind: &FaultKind) -> Vec<FaultKind> {
+    use CrashSite::{AfterCommit, MidCheckpoint, MidJournal};
+    use FaultKind::*;
+    use IoFault::{BitFlip, Enospc, TornWrite};
+    let half = |factor: f64| (factor / 2.0).max(2.0);
     match *kind {
-        FaultKind::Crash {
-            site: CrashSite::MidJournal,
-        } => vec![
-            FaultKind::Crash {
-                site: CrashSite::MidCheckpoint,
+        Crash { site: MidJournal } => vec![
+            Crash {
+                site: MidCheckpoint,
             },
-            FaultKind::Crash {
-                site: CrashSite::AfterCommit,
+            Crash { site: AfterCommit },
+        ],
+        Crash {
+            site: MidCheckpoint,
+        } => vec![Crash { site: AfterCommit }],
+        Io {
+            target,
+            fault: BitFlip { .. },
+        } => vec![
+            Io {
+                target,
+                fault: TornWrite,
+            },
+            Io {
+                target,
+                fault: Enospc,
             },
         ],
-        FaultKind::Crash {
-            site: CrashSite::MidCheckpoint,
-        } => vec![FaultKind::Crash {
-            site: CrashSite::AfterCommit,
+        Io {
+            target,
+            fault: TornWrite,
+        } => vec![Io {
+            target,
+            fault: Enospc,
         }],
-        FaultKind::Io { target, fault } => match fault {
-            IoFault::BitFlip { .. } => vec![
-                FaultKind::Io {
-                    target,
-                    fault: IoFault::TornWrite,
-                },
-                FaultKind::Io {
-                    target,
-                    fault: IoFault::Enospc,
-                },
-            ],
-            IoFault::TornWrite => vec![FaultKind::Io {
-                target,
-                fault: IoFault::Enospc,
-            }],
-            _ => vec![],
-        },
-        FaultKind::TransferStall { factor } if factor > 2.0 => {
-            vec![FaultKind::TransferStall {
-                factor: (factor / 2.0).max(2.0),
-            }]
-        }
-        FaultKind::HashContention { factor } if factor > 2.0 => {
-            vec![FaultKind::HashContention {
-                factor: (factor / 2.0).max(2.0),
-            }]
-        }
-        FaultKind::StragglerCore { core, factor } if factor > 2.0 => {
-            vec![FaultKind::StragglerCore {
+        TransferStall { factor } if factor > 2.0 => vec![TransferStall {
+            factor: half(factor),
+        }],
+        HashContention { factor } if factor > 2.0 => vec![HashContention {
+            factor: half(factor),
+        }],
+        StragglerCore { core, factor } if factor > 2.0 => {
+            vec![StragglerCore {
                 core,
-                factor: (factor / 2.0).max(2.0),
+                factor: half(factor),
             }]
         }
-        FaultKind::ServeDelay { extra_us } if extra_us > 1.0 => {
-            vec![FaultKind::ServeDelay {
-                extra_us: extra_us / 2.0,
-            }]
-        }
-        FaultKind::DeliveryDelay { slots } if slots > 1 => {
-            vec![FaultKind::DeliveryDelay { slots: slots / 2 }]
-        }
+        ServeDelay { extra_us } if extra_us > 1.0 => vec![ServeDelay {
+            extra_us: extra_us / 2.0,
+        }],
+        DeliveryDelay { slots } if slots > 1 => vec![DeliveryDelay { slots: slots / 2 }],
         // A kill is the strongest cluster fault: try the faults that only
         // *look* like one (a silent-but-alive worker, a slow link) first.
-        FaultKind::WorkerKill { worker } => vec![
-            FaultKind::HeartbeatDrop { worker, beats: 2 },
-            FaultKind::LinkDegrade {
+        WorkerKill { worker } => vec![
+            HeartbeatDrop { worker, beats: 2 },
+            LinkDegrade {
                 worker,
                 factor: 2.0,
             },
         ],
-        FaultKind::LinkDegrade { worker, factor } if factor > 2.0 => {
-            vec![FaultKind::LinkDegrade {
+        LinkDegrade { worker, factor } if factor > 2.0 => {
+            vec![LinkDegrade {
                 worker,
-                factor: (factor / 2.0).max(2.0),
+                factor: half(factor),
             }]
         }
-        FaultKind::HeartbeatDrop { worker, beats } if beats > 1 => {
-            vec![FaultKind::HeartbeatDrop {
+        HeartbeatDrop { worker, beats } if beats > 1 => {
+            vec![HeartbeatDrop {
                 worker,
                 beats: beats / 2,
             }]
@@ -467,97 +419,89 @@ pub fn shrink<F: FnMut(&FaultPlan) -> bool>(
     let seed = plan.seed();
     let mut best = plan.clone();
     let mut evals = 0usize;
+    // One candidate: `best` with `edit` applied to its rules, adopted if it
+    // still fails. `None` once the budget is spent.
+    let mut attempt = |best: &mut FaultPlan, edit: &dyn Fn(&mut Vec<FaultRule>)| {
+        if evals >= max_evals {
+            return None;
+        }
+        let mut rules = best.rules().to_vec();
+        edit(&mut rules);
+        let cand = rules
+            .into_iter()
+            .fold(FaultPlan::new(seed), FaultPlan::with_rule);
+        evals += 1;
+        let fails = still_fails(&cand);
+        if fails {
+            *best = cand;
+        }
+        Some(fails)
+    };
+    let mut passes = || -> Option<()> {
+        loop {
+            let mut improved = false;
 
-    loop {
-        let mut improved = false;
-
-        // Pass 1: drop whole rules.
-        let mut i = 0;
-        while i < best.rules().len() {
-            if evals >= max_evals {
-                return best;
+            // Pass 1: drop whole rules.
+            let mut i = 0;
+            while i < best.len() {
+                if attempt(&mut best, &|r| {
+                    r.remove(i);
+                })? {
+                    // Re-test the same index: it now holds the next rule.
+                    improved = true;
+                } else {
+                    i += 1;
+                }
             }
-            let mut rules = best.rules().to_vec();
-            rules.remove(i);
-            let cand = rebuild(seed, rules);
-            evals += 1;
-            if still_fails(&cand) {
-                best = cand;
-                improved = true;
-                // Re-test the same index: it now holds the next rule.
-            } else {
-                i += 1;
+
+            // Passes 2-4: per-rule window rebasing, tightening, weakening.
+            for i in 0..best.len() {
+                // Rebase toward batch 0, preserving the window length.
+                let mut target = 0usize;
+                while target < best.rules()[i].from_batch {
+                    let delta = best.rules()[i].from_batch - target;
+                    if attempt(&mut best, &|r| {
+                        r[i].from_batch = target;
+                        r[i].until_batch = r[i].until_batch.map(|u| u.saturating_sub(delta));
+                    })? {
+                        improved = true;
+                        break;
+                    }
+                    // Couldn't reach `target`; try halfway between it and
+                    // the current position.
+                    let cur = best.rules()[i].from_batch;
+                    let next = cur - (cur - target) / 2;
+                    if next == target || next >= cur {
+                        break;
+                    }
+                    target = next;
+                }
+
+                // Tighten the window to a single batch.
+                let cur = &best.rules()[i];
+                if cur.until_batch != Some(cur.from_batch + 1) {
+                    improved |= attempt(&mut best, &|r| {
+                        r[i].until_batch = Some(r[i].from_batch + 1);
+                    })?;
+                }
+
+                // Weaken the kind.
+                for weaker in weaker_kinds(&best.rules()[i].kind) {
+                    if attempt(&mut best, &|r| r[i].kind = weaker)? {
+                        improved = true;
+                        break;
+                    }
+                }
+            }
+
+            if !improved {
+                return Some(());
             }
         }
-
-        // Passes 2-4: per-rule window rebasing, tightening, weakening.
-        for i in 0..best.rules().len() {
-            let rule = best.rules()[i].clone();
-
-            // Rebase toward batch 0, preserving the window length.
-            let mut target = 0usize;
-            while target < rule.from_batch {
-                if evals >= max_evals {
-                    return best;
-                }
-                let delta = best.rules()[i].from_batch - target;
-                let mut rules = best.rules().to_vec();
-                rules[i].from_batch = target;
-                rules[i].until_batch = rules[i].until_batch.map(|u| u.saturating_sub(delta));
-                let cand = rebuild(seed, rules);
-                evals += 1;
-                if still_fails(&cand) {
-                    best = cand;
-                    improved = true;
-                    break;
-                }
-                // Couldn't reach `target`; try halfway between it and the
-                // current position.
-                let cur = best.rules()[i].from_batch;
-                let next = cur - (cur - target) / 2;
-                if next == target || next >= cur {
-                    break;
-                }
-                target = next;
-            }
-
-            // Tighten the window to a single batch.
-            let cur = best.rules()[i].clone();
-            if cur.until_batch != Some(cur.from_batch + 1) {
-                if evals >= max_evals {
-                    return best;
-                }
-                let mut rules = best.rules().to_vec();
-                rules[i].until_batch = Some(rules[i].from_batch + 1);
-                let cand = rebuild(seed, rules);
-                evals += 1;
-                if still_fails(&cand) {
-                    best = cand;
-                    improved = true;
-                }
-            }
-
-            // Weaken the kind.
-            for weaker in weaker_kinds(&best.rules()[i].kind) {
-                if evals >= max_evals {
-                    return best;
-                }
-                let mut rules = best.rules().to_vec();
-                rules[i].kind = weaker;
-                let cand = rebuild(seed, rules);
-                evals += 1;
-                if still_fails(&cand) {
-                    best = cand;
-                    improved = true;
-                    break;
-                }
-            }
-        }
-
-        if !improved {
-            return best;
-        }
-    }
+    };
+    // Ends at a fixpoint (`Some`) or when the budget runs out (`None`).
+    passes();
+    best
 }
 
 #[cfg(test)]
@@ -659,6 +603,20 @@ mod tests {
         let bad =
             gt_telemetry::json::parse(r#"{"seed": 1, "rules": [{"kind": "warp-core"}]}"#).unwrap();
         assert!(plan_from_json(&bad).is_err());
+        // Kinds every builder rejects are rejected on the wire too.
+        for kind in [
+            r#""kind": "transfer-stall", "factor": 0.5"#,
+            r#""kind": "memory-pressure", "fraction": 0"#,
+            r#""kind": "memory-pressure", "fraction": 1.5"#,
+            r#""kind": "serve-delay", "extra_us": -1"#,
+            r#""kind": "heartbeat-drop", "worker": 0, "beats": 0"#,
+        ] {
+            let text = format!(
+                r#"{{"seed": 1, "rules": [{{{kind}, "probability": 1, "from": 0, "until": null}}]}}"#
+            );
+            let err = plan_from_json(&gt_telemetry::json::parse(&text).unwrap()).unwrap_err();
+            assert!(err.contains("out of range"), "{kind}: {err}");
+        }
     }
 
     #[test]
@@ -750,5 +708,96 @@ mod tests {
         let a = shrink(&plan, fails, 300);
         let b = shrink(&plan, fails, 300);
         assert_eq!(a, b);
+    }
+
+    /// Pins the wire bytes of sampled plans and every `ActiveFaults` answer
+    /// they give (plus one plan built from every builder), so a refactor of
+    /// the fault model can prove it moved nothing.
+    #[test]
+    fn sampled_plans_and_their_faults_are_pinned() {
+        use gt_telemetry::fnv1a;
+        use std::fmt::Write;
+        let wire = fnv1a((0..1000u64).flat_map(|seed| {
+            plan_to_json(&sample_plan(seed, 16))
+                .to_json_string()
+                .into_bytes()
+        }));
+        let built = FaultPlan::new(99)
+            .with_transfer_failure(0.3)
+            .with_transfer_stall(2.5, 0.4)
+            .with_straggler(5, 3.0)
+            .with_straggler(5, 2.0)
+            .with_straggler(1, 4.0)
+            .with_transient_memory_pressure(0.5, 0.5)
+            .with_serve_delay_window(120.0, 3, Some(9))
+            .with_serve_delay_window(30.0, 5, None)
+            .with_crash_at(4, CrashSite::MidCheckpoint)
+            .with_io_fault(6, IoTarget::Checkpoint, IoFault::ShortRead)
+            .with_delivery_delay(2, 5)
+            .with_worker_kill(7, 6)
+            .with_link_degrade(3, 2.0, 1, None)
+            .with_heartbeat_drop(8, 2, 4)
+            .with_rule(FaultRule {
+                kind: FaultKind::MemoryPressure { fraction: 0.25 },
+                probability: 1.0,
+                from_batch: 10,
+                until_batch: Some(12),
+                transient: false,
+            })
+            .with_rule(FaultRule {
+                kind: FaultKind::HashContention { factor: 3.0 },
+                probability: 0.6,
+                from_batch: 0,
+                until_batch: None,
+                transient: true,
+            });
+        let mut plans: Vec<FaultPlan> = (0..200).map(|seed| sample_plan(seed, 16)).collect();
+        plans.push(built);
+        let mut out = String::new();
+        for plan in &plans {
+            let stripped = plan.without_durability_rules();
+            let counts = (
+                plan.durability_rule_count(),
+                stripped.durability_rule_count(),
+            );
+            writeln!(
+                out,
+                "{stripped:?} {counts:?} {:?}",
+                delivery_order(plan, 16)
+            )
+            .unwrap();
+            for b in 0..16 {
+                for a in 0..3 {
+                    let f = plan.active(b, a);
+                    write!(
+                        out,
+                        "{:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+                        f.is_empty(),
+                        f.pcie_slowdown(),
+                        f.lock_slowdown(),
+                        f.fails_transfers(),
+                        f.memory_fraction(),
+                        f.serve_delay_us(),
+                        f.crash_site(),
+                        f.io_faults(),
+                        f.worker_kills(),
+                        f.delivery_delay(),
+                        f.des_relevant(),
+                    )
+                    .unwrap();
+                    for c in 0..8 {
+                        write!(out, " {:?}", f.straggler(c)).unwrap();
+                    }
+                    for w in 0..4 {
+                        write!(out, " {:?} {:?}", f.link_degrade(w), f.heartbeat_drops(w)).unwrap();
+                    }
+                    out.push('\n');
+                }
+            }
+        }
+        assert_eq!(
+            (wire, fnv1a(out.into_bytes())),
+            (0xf056_4c8a_efc4_d445, 0x84d5_b95b_a2e5_72ff)
+        );
     }
 }

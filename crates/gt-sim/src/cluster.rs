@@ -193,6 +193,36 @@ impl PhiDetector {
     }
 }
 
+/// Scalar totals of a cluster run on the cluster clock, as the cluster
+/// supervisor (`gt-core::cluster`) accumulates them and the fleet report
+/// (`gt-profile::fleet`) reads them. Vectors are indexed by worker (dead
+/// workers included).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FleetTotals {
+    /// Total virtual time on the cluster clock, µs.
+    pub clock_us: f64,
+    /// Virtual µs spent in all-gather/all-reduce collectives.
+    pub collective_us: f64,
+    /// Virtual µs spent detecting failures and replaying partitions.
+    pub recovery_virtual_us: f64,
+    /// Hedges launched (one journal record each).
+    pub hedges_launched: u64,
+    /// Hedges whose backup strictly beat the straggler.
+    pub hedges_won: u64,
+    /// Heartbeat silences that crossed the phi threshold on a live worker.
+    pub false_suspicions: u64,
+    /// Supervisor rebuild-and-replay recoveries (kills + injected crashes).
+    pub recoveries: u64,
+    /// Virtual µs each worker's resources spent executing subtasks.
+    pub worker_busy_us: Vec<f64>,
+    /// Virtual µs each worker idled waiting at the collective barrier.
+    pub worker_idle_us: Vec<f64>,
+    /// Virtual µs each worker's network link was occupied by ring
+    /// collectives (every member's link is held for the whole collective —
+    /// the ring moves at its slowest hop).
+    pub worker_link_us: Vec<f64>,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

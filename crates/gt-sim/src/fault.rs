@@ -9,13 +9,18 @@
 //! a run is exactly reproducible and a retry of the same batch re-rolls
 //! only the transient rules.
 //!
-//! The DES engine consumes an [`ActiveFaults`] set via
+//! This module is the one place that says what each kind is:
+//! [`FaultKind::reaches_trainer`] and [`FaultKind::kills_process`] classify
+//! every kind, [`FaultKind::check`] bounds its parameters, and the
+//! [`FaultRule`] constructors name the three firing patterns. The DES engine
+//! consumes the trainer's share via
 //! [`Simulator::run_with_faults`](crate::des::Simulator::run_with_faults);
 //! memory-pressure faults are consumed by the serving layer when it sizes
 //! the device memory tracker. An empty set takes the exact `run()` code
 //! path, so fault-free schedules are bit-identical to unsupervised ones.
 
 use gt_telemetry::splitmix64;
+use std::iter::Sum;
 
 /// One kind of injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,6 +78,66 @@ pub enum FaultKind {
     /// gap raises phi past the threshold without any worker actually
     /// dying. Consumed by the cluster supervisor; inert elsewhere.
     HeartbeatDrop { worker: usize, beats: u32 },
+}
+
+impl FaultKind {
+    /// True for the kinds the trainer's DES and memory tracker consume
+    /// ([`ActiveFaults::des_relevant`]); every other kind is consumed by
+    /// the serving, durability, campaign or cluster layer and leaves the
+    /// trainer on its exact fault-free path.
+    pub fn reaches_trainer(&self) -> bool {
+        match self {
+            FaultKind::TransferStall { .. }
+            | FaultKind::TransferFailure
+            | FaultKind::StragglerCore { .. }
+            | FaultKind::MemoryPressure { .. }
+            | FaultKind::HashContention { .. } => true,
+            FaultKind::ServeDelay { .. }
+            | FaultKind::Crash { .. }
+            | FaultKind::Io { .. }
+            | FaultKind::DeliveryDelay { .. }
+            | FaultKind::WorkerKill { .. }
+            | FaultKind::LinkDegrade { .. }
+            | FaultKind::HeartbeatDrop { .. } => false,
+        }
+    }
+
+    /// True for the durability-layer kinds — the crash surface a chaos
+    /// campaign tests recovery against ([`FaultPlan::without_durability_rules`]).
+    /// Every other kind shapes the workload and survives in the reference.
+    pub fn kills_process(&self) -> bool {
+        match self {
+            FaultKind::Crash { .. } | FaultKind::Io { .. } | FaultKind::WorkerKill { .. } => true,
+            FaultKind::TransferStall { .. }
+            | FaultKind::TransferFailure
+            | FaultKind::StragglerCore { .. }
+            | FaultKind::MemoryPressure { .. }
+            | FaultKind::HashContention { .. }
+            | FaultKind::ServeDelay { .. }
+            | FaultKind::DeliveryDelay { .. }
+            | FaultKind::LinkDegrade { .. }
+            | FaultKind::HeartbeatDrop { .. } => false,
+        }
+    }
+
+    /// Range-check the kind's parameters: slowdown factors ≥ 1, memory
+    /// fractions in (0, 1], serving stalls ≥ 0 µs, at least one dropped
+    /// beat. `Err` names the first violation.
+    pub fn check(&self) -> Result<(), String> {
+        let ok = match *self {
+            FaultKind::TransferStall { factor }
+            | FaultKind::StragglerCore { factor, .. }
+            | FaultKind::HashContention { factor }
+            | FaultKind::LinkDegrade { factor, .. } => factor >= 1.0,
+            FaultKind::MemoryPressure { fraction } => fraction > 0.0 && fraction <= 1.0,
+            FaultKind::ServeDelay { extra_us } => extra_us >= 0.0,
+            FaultKind::HeartbeatDrop { beats, .. } => beats >= 1,
+            _ => true,
+        };
+        let bounds = "factor >= 1, fraction in (0, 1], extra_us >= 0, beats >= 1";
+        ok.then_some(())
+            .ok_or_else(|| format!("{self:?} is out of range ({bounds})"))
+    }
 }
 
 /// Which durable artifact an injected [`IoFault`] targets.
@@ -139,6 +204,18 @@ impl IoFault {
             IoFault::BitFlip { .. } => "bit-flip",
         }
     }
+
+    /// Parse an [`IoFault::label`] back (plan JSON). The label does not
+    /// carry a bit flip's index, so `"bit-flip"` parses as bit 0.
+    pub fn parse(s: &str) -> Option<IoFault> {
+        match s {
+            "torn-write" => Some(IoFault::TornWrite),
+            "short-read" => Some(IoFault::ShortRead),
+            "enospc" => Some(IoFault::Enospc),
+            "bit-flip" => Some(IoFault::BitFlip { bit: 0 }),
+            _ => None,
+        }
+    }
 }
 
 /// Where, within one served batch's durability protocol, an injected crash
@@ -193,6 +270,37 @@ pub struct FaultRule {
     pub transient: bool,
 }
 
+impl FaultRule {
+    /// Fires on every attempt of batch `batch` and no other.
+    pub fn once(kind: FaultKind, batch: usize) -> Self {
+        FaultRule::window(kind, batch, Some(batch + 1))
+    }
+
+    /// Fires on every attempt of every batch in `[from, until)`
+    /// (persistent, probability 1; `None` = open-ended).
+    pub fn window(kind: FaultKind, from: usize, until: Option<usize>) -> Self {
+        FaultRule {
+            kind,
+            probability: 1.0,
+            from_batch: from,
+            until_batch: until,
+            transient: false,
+        }
+    }
+
+    /// Fires with probability `p` on every attempt of every batch,
+    /// re-rolled on each retry.
+    pub fn transient(kind: FaultKind, p: f64) -> Self {
+        FaultRule {
+            kind,
+            probability: p,
+            from_batch: 0,
+            until_batch: None,
+            transient: true,
+        }
+    }
+}
+
 /// A deterministic, seedable collection of fault rules.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
@@ -219,138 +327,66 @@ impl FaultPlan {
         self.rules.len()
     }
 
-    /// Add an arbitrary rule.
+    /// Add an arbitrary rule. Panics when its kind fails
+    /// [`FaultKind::check`].
     pub fn with_rule(mut self, rule: FaultRule) -> Self {
+        rule.kind.check().unwrap_or_else(|e| panic!("{e}"));
         self.rules.push(rule);
         self
     }
 
     /// Transient transfer failure with probability `p` per attempt.
     pub fn with_transfer_failure(self, p: f64) -> Self {
-        self.with_rule(FaultRule {
-            kind: FaultKind::TransferFailure,
-            probability: p,
-            from_batch: 0,
-            until_batch: None,
-            transient: true,
-        })
+        self.with_rule(FaultRule::transient(FaultKind::TransferFailure, p))
     }
 
     /// Transient PCIe slowdown by `factor` with probability `p` per attempt.
     pub fn with_transfer_stall(self, factor: f64, p: f64) -> Self {
-        assert!(factor >= 1.0, "stall factor must be >= 1");
-        self.with_rule(FaultRule {
-            kind: FaultKind::TransferStall { factor },
-            probability: p,
-            from_batch: 0,
-            until_batch: None,
-            transient: true,
-        })
+        self.with_rule(FaultRule::transient(FaultKind::TransferStall { factor }, p))
     }
 
     /// Persistent straggler: host core `core` always runs `factor`× slower.
     pub fn with_straggler(self, core: usize, factor: f64) -> Self {
-        assert!(factor >= 1.0, "straggler factor must be >= 1");
-        self.with_rule(FaultRule {
-            kind: FaultKind::StragglerCore { core, factor },
-            probability: 1.0,
-            from_batch: 0,
-            until_batch: None,
-            transient: false,
-        })
-    }
-
-    /// Memory pressure for batches in `[from, until)`: capacity is reduced
-    /// to `fraction` of nominal for every attempt of those batches.
-    pub fn with_memory_pressure(self, fraction: f64, from: usize, until: Option<usize>) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "memory fraction must be in (0, 1]"
-        );
-        self.with_rule(FaultRule {
-            kind: FaultKind::MemoryPressure { fraction },
-            probability: 1.0,
-            from_batch: from,
-            until_batch: until,
-            transient: false,
-        })
+        let kind = FaultKind::StragglerCore { core, factor };
+        self.with_rule(FaultRule::window(kind, 0, None))
     }
 
     /// Transient memory pressure: capacity drops to `fraction` with
     /// probability `p`, re-rolled on each retry (co-tenant burst).
     pub fn with_transient_memory_pressure(self, fraction: f64, p: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "memory fraction must be in (0, 1]"
-        );
-        self.with_rule(FaultRule {
-            kind: FaultKind::MemoryPressure { fraction },
-            probability: p,
-            from_batch: 0,
-            until_batch: None,
-            transient: true,
-        })
+        let kind = FaultKind::MemoryPressure { fraction };
+        self.with_rule(FaultRule::transient(kind, p))
     }
 
     /// Persistent serving stall over batches `[from, until)` — the sustained
     /// slowdown that backs an admission queue up.
     pub fn with_serve_delay_window(self, extra_us: f64, from: usize, until: Option<usize>) -> Self {
-        assert!(extra_us >= 0.0, "stall must not be negative");
-        self.with_rule(FaultRule {
-            kind: FaultKind::ServeDelay { extra_us },
-            probability: 1.0,
-            from_batch: from,
-            until_batch: until,
-            transient: false,
-        })
+        let kind = FaultKind::ServeDelay { extra_us };
+        self.with_rule(FaultRule::window(kind, from, until))
     }
 
     /// Kill the process at `site` while serving batch `batch` (fires exactly
     /// once: probability 1 over the one-batch window).
     pub fn with_crash_at(self, batch: usize, site: CrashSite) -> Self {
-        self.with_rule(FaultRule {
-            kind: FaultKind::Crash { site },
-            probability: 1.0,
-            from_batch: batch,
-            until_batch: Some(batch + 1),
-            transient: false,
-        })
+        self.with_rule(FaultRule::once(FaultKind::Crash { site }, batch))
     }
 
     /// Inject a storage fault on the next `target` operation while serving
     /// batch `batch` (fires exactly once, like [`FaultPlan::with_crash_at`]).
     pub fn with_io_fault(self, batch: usize, target: IoTarget, fault: IoFault) -> Self {
-        self.with_rule(FaultRule {
-            kind: FaultKind::Io { target, fault },
-            probability: 1.0,
-            from_batch: batch,
-            until_batch: Some(batch + 1),
-            transient: false,
-        })
+        self.with_rule(FaultRule::once(FaultKind::Io { target, fault }, batch))
     }
 
     /// Delay delivery of batch `batch` by `slots` positions in the
     /// submission stream (see [`FaultKind::DeliveryDelay`]).
     pub fn with_delivery_delay(self, batch: usize, slots: u32) -> Self {
-        self.with_rule(FaultRule {
-            kind: FaultKind::DeliveryDelay { slots },
-            probability: 1.0,
-            from_batch: batch,
-            until_batch: Some(batch + 1),
-            transient: false,
-        })
+        self.with_rule(FaultRule::once(FaultKind::DeliveryDelay { slots }, batch))
     }
 
     /// Kill cluster worker `worker` while batch `batch` is in flight
     /// (fires exactly once, like [`FaultPlan::with_crash_at`]).
     pub fn with_worker_kill(self, batch: usize, worker: usize) -> Self {
-        self.with_rule(FaultRule {
-            kind: FaultKind::WorkerKill { worker },
-            probability: 1.0,
-            from_batch: batch,
-            until_batch: Some(batch + 1),
-            transient: false,
-        })
+        self.with_rule(FaultRule::once(FaultKind::WorkerKill { worker }, batch))
     }
 
     /// Persistent network-link degradation on worker `worker` by `factor`
@@ -362,39 +398,15 @@ impl FaultPlan {
         from: usize,
         until: Option<usize>,
     ) -> Self {
-        assert!(factor >= 1.0, "link degrade factor must be >= 1");
-        self.with_rule(FaultRule {
-            kind: FaultKind::LinkDegrade { worker, factor },
-            probability: 1.0,
-            from_batch: from,
-            until_batch: until,
-            transient: false,
-        })
+        let kind = FaultKind::LinkDegrade { worker, factor };
+        self.with_rule(FaultRule::window(kind, from, until))
     }
 
     /// Drop the next `beats` heartbeats from worker `worker` while batch
     /// `batch` is in flight (fires exactly once).
     pub fn with_heartbeat_drop(self, batch: usize, worker: usize, beats: u32) -> Self {
-        assert!(beats >= 1, "must drop at least one beat");
-        self.with_rule(FaultRule {
-            kind: FaultKind::HeartbeatDrop { worker, beats },
-            probability: 1.0,
-            from_batch: batch,
-            until_batch: Some(batch + 1),
-            transient: false,
-        })
-    }
-
-    /// Transient hash-table contention spike by `factor` with probability `p`.
-    pub fn with_contention_spike(self, factor: f64, p: f64) -> Self {
-        assert!(factor >= 1.0, "contention factor must be >= 1");
-        self.with_rule(FaultRule {
-            kind: FaultKind::HashContention { factor },
-            probability: p,
-            from_batch: 0,
-            until_batch: None,
-            transient: true,
-        })
+        let kind = FaultKind::HeartbeatDrop { worker, beats };
+        self.with_rule(FaultRule::once(kind, batch))
     }
 
     /// The plan's seed (drives per-rule probability rolls).
@@ -407,49 +419,25 @@ impl FaultPlan {
         &self.rules
     }
 
-    /// The same plan with every durability-layer rule (crashes, IO faults,
-    /// worker kills) neutralized: the fault-free reference a chaos campaign
-    /// compares recovered state against. Neutralized rules keep their slot
-    /// with an empty batch window instead of being removed, so the
-    /// probability rolls of every *other* rule — which hash the rule's
-    /// index — are bit-identical with and without the durability faults.
-    /// Workload-shaping rules (stalls, memory pressure, delivery delays,
-    /// link degradation, heartbeat drops) survive: they are part of the
-    /// workload, not of the crash surface under test.
+    /// The same plan with every [`FaultKind::kills_process`] rule
+    /// neutralized: the fault-free reference a chaos campaign compares
+    /// recovered state against. Neutralized rules keep their slot with an
+    /// empty batch window instead of being removed, so the probability
+    /// rolls of every *other* rule — which hash the rule's index — are
+    /// bit-identical with and without the durability faults.
     pub fn without_durability_rules(&self) -> FaultPlan {
-        let rules = self
-            .rules
-            .iter()
-            .map(|r| match r.kind {
-                FaultKind::Crash { .. } | FaultKind::Io { .. } | FaultKind::WorkerKill { .. } => {
-                    FaultRule {
-                        from_batch: 0,
-                        until_batch: Some(0),
-                        ..r.clone()
-                    }
-                }
-                _ => r.clone(),
-            })
-            .collect();
-        FaultPlan {
-            seed: self.seed,
-            rules,
+        let mut plan = self.clone();
+        for r in plan.rules.iter_mut().filter(|r| r.kind.kills_process()) {
+            (r.from_batch, r.until_batch) = (0, Some(0));
         }
+        plan
     }
 
-    /// Count of durability-layer rules (crashes, IO faults, worker kills)
-    /// with a non-empty window — the bound a chaos campaign's
-    /// recovery-cycle budget is derived from.
+    /// Count of [`FaultKind::kills_process`] rules with a non-empty window
+    /// — the bound a chaos campaign's recovery-cycle budget is derived from.
     pub fn durability_rule_count(&self) -> usize {
-        self.rules
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.kind,
-                    FaultKind::Crash { .. } | FaultKind::Io { .. } | FaultKind::WorkerKill { .. }
-                ) && r.until_batch != Some(r.from_batch)
-            })
-            .count()
+        let live = |r: &&FaultRule| r.kind.kills_process() && r.until_batch != Some(r.from_batch);
+        self.rules.iter().filter(live).count()
     }
 
     /// Resolve the faults that fire for `(batch, attempt)`.
@@ -461,13 +449,8 @@ impl FaultPlan {
     pub fn active(&self, batch: usize, attempt: usize) -> ActiveFaults {
         let mut faults = Vec::new();
         for (i, rule) in self.rules.iter().enumerate() {
-            if batch < rule.from_batch {
+            if batch < rule.from_batch || rule.until_batch.is_some_and(|u| batch >= u) {
                 continue;
-            }
-            if let Some(until) = rule.until_batch {
-                if batch >= until {
-                    continue;
-                }
             }
             let roll_attempt = if rule.transient { attempt } else { 0 };
             if roll(self.seed, batch, roll_attempt, i) < rule.probability {
@@ -485,83 +468,75 @@ pub struct ActiveFaults {
     pub faults: Vec<FaultKind>,
 }
 
+/// `|k| match *k { pattern => Some(value), _ => None }`: projects the one
+/// kind an [`ActiveFaults`] accessor folds over.
+macro_rules! pick {
+    ($pat:pat $(if $guard:expr)? => $value:expr) => {
+        |k: &FaultKind| match *k {
+            $pat $(if $guard)? => Some($value),
+            _ => None,
+        }
+    };
+}
+
 impl ActiveFaults {
     /// No faults: the DES takes the exact unsupervised code path.
     pub fn none() -> Self {
         ActiveFaults::default()
     }
 
+    /// True when no fault fires.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
     }
 
+    /// The values `pick` projects out of the active faults, in rule order.
+    fn values<'a, T>(
+        &'a self,
+        pick: impl Fn(&FaultKind) -> Option<T> + 'a,
+    ) -> impl Iterator<Item = T> + 'a {
+        self.faults.iter().filter_map(pick)
+    }
+
+    /// Compounded factor; `None` iff the product is exactly 1.
+    fn product(&self, pick: impl Fn(&FaultKind) -> Option<f64>) -> Option<f64> {
+        let f: f64 = self.values(pick).product();
+        (f != 1.0).then_some(f)
+    }
+
+    /// Accumulated amount; `None` iff the sum is zero.
+    fn sum<T: Sum + Default + PartialEq>(
+        &self,
+        pick: impl Fn(&FaultKind) -> Option<T>,
+    ) -> Option<T> {
+        let total: T = self.values(pick).sum();
+        (total != T::default()).then_some(total)
+    }
+
     /// Combined PCIe slowdown factor, if any stall is active.
     pub fn pcie_slowdown(&self) -> Option<f64> {
-        let f: f64 = self
-            .faults
-            .iter()
-            .filter_map(|k| match k {
-                FaultKind::TransferStall { factor } => Some(*factor),
-                _ => None,
-            })
-            .product();
-        if f == 1.0 {
-            None
-        } else {
-            Some(f)
-        }
+        self.product(pick!(FaultKind::TransferStall { factor } => factor))
     }
 
     /// Combined slowdown for tasks holding a lock group, if any.
     pub fn lock_slowdown(&self) -> Option<f64> {
-        let f: f64 = self
-            .faults
-            .iter()
-            .filter_map(|k| match k {
-                FaultKind::HashContention { factor } => Some(*factor),
-                _ => None,
-            })
-            .product();
-        if f == 1.0 {
-            None
-        } else {
-            Some(f)
-        }
+        self.product(pick!(FaultKind::HashContention { factor } => factor))
     }
 
     /// Slowdown for host core `core`, if a straggler fault targets it.
     pub fn straggler(&self, core: usize) -> Option<f64> {
-        let f: f64 = self
-            .faults
-            .iter()
-            .filter_map(|k| match k {
-                FaultKind::StragglerCore { core: c, factor } if *c == core => Some(*factor),
-                _ => None,
-            })
-            .product();
-        if f == 1.0 {
-            None
-        } else {
-            Some(f)
-        }
+        self.product(pick!(FaultKind::StragglerCore { core: c, factor } if c == core => factor))
     }
 
     /// True when a transfer failure is active.
     pub fn fails_transfers(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|k| matches!(k, FaultKind::TransferFailure))
+        self.faults.contains(&FaultKind::TransferFailure)
     }
 
     /// Tightest device-memory capacity fraction, if memory pressure is
     /// active.
     pub fn memory_fraction(&self) -> Option<f64> {
-        self.faults
-            .iter()
-            .filter_map(|k| match k {
-                FaultKind::MemoryPressure { fraction } => Some(*fraction),
-                _ => None,
-            })
+        self.values(pick!(FaultKind::MemoryPressure { fraction } => fraction))
             .fold(None, |acc, f| Some(acc.map_or(f, |a: f64| a.min(f))))
     }
 
@@ -569,141 +544,65 @@ impl ActiveFaults {
     /// [`FaultKind::ServeDelay`] is active (stalls add up: a GC pause and a
     /// slow downstream compound).
     pub fn serve_delay_us(&self) -> Option<f64> {
-        let total: f64 = self
-            .faults
-            .iter()
-            .filter_map(|k| match k {
-                FaultKind::ServeDelay { extra_us } => Some(*extra_us),
-                _ => None,
-            })
-            .sum();
-        if total == 0.0 {
-            None
-        } else {
-            Some(total)
-        }
+        self.sum(pick!(FaultKind::ServeDelay { extra_us } => extra_us))
     }
 
     /// The injected crash site for this batch, if a [`FaultKind::Crash`] is
     /// active (first rule wins when several are configured).
     pub fn crash_site(&self) -> Option<CrashSite> {
-        self.faults.iter().find_map(|k| match k {
-            FaultKind::Crash { site } => Some(*site),
-            _ => None,
-        })
+        self.values(pick!(FaultKind::Crash { site } => site)).next()
     }
 
     /// The storage faults armed for this batch, in rule order — what the
     /// durability layer hands to the `gt-tensor` chaos IO shim.
     pub fn io_faults(&self) -> Vec<(IoTarget, IoFault)> {
-        self.faults
-            .iter()
-            .filter_map(|k| match k {
-                FaultKind::Io { target, fault } => Some((*target, *fault)),
-                _ => None,
-            })
+        self.values(pick!(FaultKind::Io { target, fault } => (target, fault)))
             .collect()
     }
 
     /// Cluster workers killed while this batch is in flight, in rule order
     /// (raw indices — the cluster layer maps them modulo its worker count).
     pub fn worker_kills(&self) -> Vec<usize> {
-        self.faults
-            .iter()
-            .filter_map(|k| match k {
-                FaultKind::WorkerKill { worker } => Some(*worker),
-                _ => None,
-            })
+        self.values(pick!(FaultKind::WorkerKill { worker } => worker))
             .collect()
     }
 
     /// Combined network-link slowdown for worker `worker`, if any
     /// [`FaultKind::LinkDegrade`] targets it (factors compound).
     pub fn link_degrade(&self, worker: usize) -> Option<f64> {
-        let f: f64 = self
-            .faults
-            .iter()
-            .filter_map(|k| match k {
-                FaultKind::LinkDegrade { worker: w, factor } if *w == worker => Some(*factor),
-                _ => None,
-            })
-            .product();
-        if f == 1.0 {
-            None
-        } else {
-            Some(f)
-        }
+        self.product(pick!(FaultKind::LinkDegrade { worker: w, factor } if w == worker => factor))
     }
 
     /// Total heartbeats dropped from worker `worker` for this batch.
     pub fn heartbeat_drops(&self, worker: usize) -> u32 {
-        self.faults
-            .iter()
-            .filter_map(|k| match k {
-                FaultKind::HeartbeatDrop { worker: w, beats } if *w == worker => Some(*beats),
-                _ => None,
-            })
-            .sum()
+        self.sum(pick!(FaultKind::HeartbeatDrop { worker: w, beats } if w == worker => beats))
+            .unwrap_or(0)
     }
 
     /// Total delivery delay for this batch in stream slots, if any
     /// [`FaultKind::DeliveryDelay`] is active (delays compound).
     pub fn delivery_delay(&self) -> Option<usize> {
-        let total: u32 = self
-            .faults
-            .iter()
-            .filter_map(|k| match k {
-                FaultKind::DeliveryDelay { slots } => Some(*slots),
-                _ => None,
-            })
-            .sum();
-        if total == 0 {
-            None
-        } else {
-            Some(total as usize)
-        }
+        self.sum(pick!(FaultKind::DeliveryDelay { slots } => slots))
+            .map(|s: u32| s as usize)
     }
 
-    /// The subset of faults the DES engine consumes. Serving-layer faults
-    /// (crashes, serve stalls, storage faults, delivery delays) and
-    /// cluster-layer faults (worker kills, link degradation, heartbeat
-    /// drops) are filtered out so a plan that only injects them still
-    /// drives the DES down the exact fault-free code path — preserving the
-    /// bit-identity the recovery protocol replays against.
+    /// The [`FaultKind::reaches_trainer`] subset — what the DES engine
+    /// consumes. A plan that only injects other kinds drives the DES down
+    /// the exact fault-free code path, preserving the bit-identity the
+    /// recovery protocol replays against.
     pub fn des_relevant(&self) -> ActiveFaults {
-        ActiveFaults {
-            faults: self
-                .faults
-                .iter()
-                .copied()
-                .filter(|k| {
-                    !matches!(
-                        k,
-                        FaultKind::ServeDelay { .. }
-                            | FaultKind::Crash { .. }
-                            | FaultKind::Io { .. }
-                            | FaultKind::DeliveryDelay { .. }
-                            | FaultKind::WorkerKill { .. }
-                            | FaultKind::LinkDegrade { .. }
-                            | FaultKind::HeartbeatDrop { .. }
-                    )
-                })
-                .collect(),
-        }
+        let faults = self.values(|k| k.reaches_trainer().then_some(*k)).collect();
+        ActiveFaults { faults }
     }
 
-    /// True when any fault stretches DES task durations (the schedule
-    /// differs from the fault-free one).
-    pub fn perturbs_schedule(&self) -> bool {
-        self.faults.iter().any(|k| {
-            matches!(
-                k,
-                FaultKind::TransferStall { .. }
-                    | FaultKind::StragglerCore { .. }
-                    | FaultKind::HashContention { .. }
-                    | FaultKind::TransferFailure
-            )
-        })
+    /// The straggler faults that land on cluster worker `w` of a fleet with
+    /// `cores` host cores per worker: global core `c` belongs to worker
+    /// `c / cores` and becomes its local core `c % cores`.
+    pub fn stragglers_on_worker(&self, w: usize, cores: usize) -> ActiveFaults {
+        let local = pick!(FaultKind::StragglerCore { core, factor } if core / cores == w =>
+            FaultKind::StragglerCore { core: core % cores, factor });
+        let faults = self.values(local).collect();
+        ActiveFaults { faults }
     }
 }
 
@@ -748,7 +647,10 @@ mod tests {
     fn active_is_deterministic() {
         let plan = FaultPlan::new(42)
             .with_transfer_failure(0.3)
-            .with_contention_spike(4.0, 0.5)
+            .with_rule(FaultRule::transient(
+                FaultKind::HashContention { factor: 4.0 },
+                0.5,
+            ))
             .with_straggler(1, 8.0);
         for b in 0..50 {
             for a in 0..3 {
@@ -797,7 +699,11 @@ mod tests {
 
     #[test]
     fn batch_window_is_honored() {
-        let plan = FaultPlan::new(0).with_memory_pressure(0.5, 3, Some(5));
+        let plan = FaultPlan::new(0).with_rule(FaultRule::window(
+            FaultKind::MemoryPressure { fraction: 0.5 },
+            3,
+            Some(5),
+        ));
         for b in 0..10 {
             let active = plan.active(b, 0).memory_fraction().is_some();
             assert_eq!(active, (3..5).contains(&b), "batch {b}");
@@ -817,7 +723,6 @@ mod tests {
         assert_eq!(f.pcie_slowdown(), Some(6.0));
         assert_eq!(f.memory_fraction(), Some(0.25));
         assert_eq!(f.lock_slowdown(), None);
-        assert!(!f.perturbs_schedule() || f.pcie_slowdown().is_some());
     }
 
     #[test]
@@ -829,7 +734,7 @@ mod tests {
         assert!(f.straggler(0).is_none());
         assert!(f.memory_fraction().is_none());
         assert!(!f.fails_transfers());
-        assert!(!f.perturbs_schedule());
+        assert!(f.des_relevant().is_empty());
         assert!(f.serve_delay_us().is_none());
         assert!(f.crash_site().is_none());
     }
@@ -875,7 +780,6 @@ mod tests {
                 },
             ],
         };
-        assert!(!f.perturbs_schedule());
         assert!(f.des_relevant().is_empty());
 
         let mixed = ActiveFaults {
@@ -914,7 +818,7 @@ mod tests {
             // Storage and delivery faults never reach the DES or stretch
             // the schedule — the trainer must stay on the fault-free path.
             assert!(active.des_relevant().io_faults().is_empty());
-            assert!(!active.perturbs_schedule() || b == usize::MAX);
+            assert!(active.des_relevant().is_empty());
         }
     }
 
@@ -970,7 +874,6 @@ mod tests {
             // Cluster faults never reach the single-node DES or serving
             // layers: the inner supervisor stays on the fault-free path.
             assert!(active.des_relevant().is_empty(), "batch {b}");
-            assert!(!active.perturbs_schedule());
             assert!(active.crash_site().is_none());
         }
     }
@@ -1032,10 +935,140 @@ mod tests {
             IoFault::TornWrite,
             IoFault::ShortRead,
             IoFault::Enospc,
-            IoFault::BitFlip { bit: 3 },
+            IoFault::BitFlip { bit: 0 },
         ] {
-            assert!(!f.label().is_empty());
+            assert_eq!(IoFault::parse(f.label()), Some(f));
         }
+        // The label names the kind, not the flipped bit.
+        let flip = IoFault::BitFlip { bit: 3 }.label();
+        assert_eq!(IoFault::parse(flip), Some(IoFault::BitFlip { bit: 0 }));
+        assert_eq!(IoFault::parse("bit-rot"), None);
+    }
+
+    /// One of every kind, in declaration order.
+    fn every_kind() -> [FaultKind; 12] {
+        [
+            FaultKind::TransferStall { factor: 2.0 },
+            FaultKind::TransferFailure,
+            FaultKind::StragglerCore {
+                core: 1,
+                factor: 2.0,
+            },
+            FaultKind::MemoryPressure { fraction: 0.5 },
+            FaultKind::HashContention { factor: 2.0 },
+            FaultKind::ServeDelay { extra_us: 5.0 },
+            FaultKind::Crash {
+                site: CrashSite::MidJournal,
+            },
+            FaultKind::Io {
+                target: IoTarget::Journal,
+                fault: IoFault::Enospc,
+            },
+            FaultKind::DeliveryDelay { slots: 1 },
+            FaultKind::WorkerKill { worker: 1 },
+            FaultKind::LinkDegrade {
+                worker: 1,
+                factor: 2.0,
+            },
+            FaultKind::HeartbeatDrop {
+                worker: 1,
+                beats: 1,
+            },
+        ]
+    }
+
+    #[test]
+    fn the_des_sees_exactly_the_kinds_that_reach_the_trainer() {
+        let all = ActiveFaults {
+            faults: every_kind().to_vec(),
+        };
+        assert_eq!(all.des_relevant().faults, &all.faults[..5]);
+        let kills: Vec<_> = all.faults.iter().filter(|k| k.kills_process()).collect();
+        assert_eq!(kills, [&all.faults[6], &all.faults[7], &all.faults[9]]);
+        assert!(all
+            .faults
+            .iter()
+            .all(|k| !(k.reaches_trainer() && k.kills_process())));
+    }
+
+    #[test]
+    fn check_bounds_every_parameter() {
+        assert!(every_kind().iter().all(|k| k.check().is_ok()));
+        for bad in [
+            FaultKind::TransferStall { factor: 0.5 },
+            FaultKind::StragglerCore {
+                core: 0,
+                factor: f64::NAN,
+            },
+            FaultKind::HashContention { factor: 0.99 },
+            FaultKind::LinkDegrade {
+                worker: 0,
+                factor: 0.0,
+            },
+            FaultKind::MemoryPressure { fraction: 0.0 },
+            FaultKind::MemoryPressure { fraction: 1.5 },
+            FaultKind::ServeDelay { extra_us: -1.0 },
+            FaultKind::HeartbeatDrop {
+                worker: 0,
+                beats: 0,
+            },
+        ] {
+            let err = bad.check().unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn with_rule_rejects_an_out_of_range_kind() {
+        let kind = FaultKind::MemoryPressure { fraction: 2.0 };
+        let _ = FaultPlan::new(0).with_rule(FaultRule::window(kind, 0, None));
+    }
+
+    #[test]
+    fn firing_patterns_match_their_names() {
+        let kind = FaultKind::TransferFailure;
+        let once = FaultRule::once(kind, 4);
+        assert_eq!(FaultRule::window(kind, 4, Some(5)), once);
+        assert_eq!((once.probability, once.transient), (1.0, false));
+        let t = FaultRule::transient(kind, 0.25);
+        assert_eq!((t.from_batch, t.until_batch, t.transient), (0, None, true));
+    }
+
+    #[test]
+    fn stragglers_on_worker_renumbers_global_cores() {
+        let f = ActiveFaults {
+            faults: vec![
+                FaultKind::StragglerCore {
+                    core: 1,
+                    factor: 2.0,
+                },
+                FaultKind::TransferStall { factor: 3.0 },
+                FaultKind::StragglerCore {
+                    core: 13,
+                    factor: 4.0,
+                },
+                FaultKind::StragglerCore {
+                    core: 14,
+                    factor: 8.0,
+                },
+            ],
+        };
+        assert_eq!(
+            f.stragglers_on_worker(1, 12).faults,
+            [
+                FaultKind::StragglerCore {
+                    core: 1,
+                    factor: 4.0
+                },
+                FaultKind::StragglerCore {
+                    core: 2,
+                    factor: 8.0
+                },
+            ]
+        );
+        assert_eq!(f.stragglers_on_worker(0, 12).straggler(1), Some(2.0));
+        assert!(f.stragglers_on_worker(2, 12).is_empty());
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod transfer;
 
 pub use cache::CacheSim;
 pub use chaos::{delivery_order, plan_from_json, plan_to_json, sample_plan, shrink};
-pub use cluster::{ClusterSpec, NetLinkSpec, PhiDetector, HEARTBEAT_INTERVAL_US};
+pub use cluster::{ClusterSpec, FleetTotals, NetLinkSpec, PhiDetector, HEARTBEAT_INTERVAL_US};
 pub use counters::{KernelRecord, KernelStats, Phase, SimContext};
 pub use des::{Resource, Schedule, ScheduledEvent, Simulator, TaskId, TaskSpec};
 pub use device::{DeviceSpec, HostSpec, PcieSpec, SystemSpec};
@@ -35,5 +35,5 @@ pub use fault::{ActiveFaults, CrashSite, FaultKind, FaultPlan, FaultRule, IoFaul
 pub use lru::{Lru, LruCacheSim};
 pub use memory::{MemoryTracker, OutOfMemory};
 pub use timeline::{Timeline, TimelineEvent};
-pub use trace::{cluster_to_traces, resource_track, schedule_to_trace, worker_process};
+pub use trace::{resource_track, schedule_to_trace, worker_process};
 pub use transfer::TransferKind;

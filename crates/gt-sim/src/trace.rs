@@ -61,17 +61,6 @@ pub fn worker_process(worker: usize) -> String {
     format!("worker {worker}")
 }
 
-/// Render one cluster batch as one Chrome-trace process per worker: each
-/// `(worker, schedule)` pair becomes a `worker N` process whose tracks are
-/// that worker's own cores/PCIe/GPU, so per-worker skew (and a hedged
-/// straggler's long tail) is visible side by side in Perfetto.
-pub fn cluster_to_traces(schedules: &[(usize, Schedule)]) -> Vec<Trace> {
-    schedules
-        .iter()
-        .map(|(worker, schedule)| schedule_to_trace(schedule, &worker_process(*worker)))
-        .collect()
-}
-
 fn rank(e: &ScheduledEvent) -> (u8, usize) {
     match e.resource {
         Resource::HostCore => (0, e.unit),
@@ -157,7 +146,10 @@ mod tests {
     #[test]
     fn cluster_traces_get_one_process_per_worker() {
         let schedules: Vec<(usize, Schedule)> = vec![(0, mixed_schedule()), (2, mixed_schedule())];
-        let traces = cluster_to_traces(&schedules);
+        let traces: Vec<Trace> = schedules
+            .iter()
+            .map(|(w, schedule)| schedule_to_trace(schedule, &worker_process(*w)))
+            .collect();
         assert_eq!(traces.len(), 2);
         assert_eq!(traces[0].process, "worker 0");
         assert_eq!(traces[1].process, "worker 2");

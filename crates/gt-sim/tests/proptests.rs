@@ -1,7 +1,7 @@
 //! Property-based tests on the discrete-event simulator's guarantees.
 
 use gt_sim::prop::{check, Gen, CASES};
-use gt_sim::{ActiveFaults, FaultPlan, Phase, Resource, Simulator, TaskSpec};
+use gt_sim::{ActiveFaults, FaultKind, FaultPlan, FaultRule, Phase, Resource, Simulator, TaskSpec};
 
 /// `(duration_us, deps, lock_group)`.
 type Task = (f64, Vec<usize>, Option<u32>);
@@ -134,7 +134,10 @@ fn faulted_runs_are_deterministic() {
         let plan = FaultPlan::new(g.next_u64())
             .with_transfer_stall(3.0, 0.5)
             .with_straggler(0, 4.0)
-            .with_contention_spike(2.0, 0.5)
+            .with_rule(FaultRule::transient(
+                FaultKind::HashContention { factor: 2.0 },
+                0.5,
+            ))
             .with_transfer_failure(0.3);
         let (batch, attempt) = (g.range(0..64), g.range(0..4));
         let faults = plan.active(batch, attempt);
