@@ -238,12 +238,7 @@ pub fn run_plan(
     // The batch stream, materialized and permuted by the plan's
     // delivery-delay rules. Both runs serve the identical permuted order:
     // delayed delivery shapes the workload, it is not a durability fault.
-    let n = cfg.batch.min(data.num_vertices());
-    let (nv, seed) = (data.num_vertices(), cfg.seed);
-    let stream: Vec<_> = (0u64..)
-        .flat_map(|epoch| gt_sample::BatchIter::new(nv, n, seed.wrapping_add(epoch)))
-        .take(opts.batches)
-        .collect();
+    let stream: Vec<_> = cfg.batch_stream(&data, opts.batches).collect();
     let order = gt_sim::delivery_order(plan, opts.batches);
 
     // ---- reference run: same workload, durability faults neutralized --
@@ -335,16 +330,10 @@ pub fn run_plan(
                         recoveries,
                     );
                 }
-                // Crash-site kills and journal faults surface as
-                // InjectedCrash/Io; a fault on the *checkpoint* write
-                // comes back wrapped in the tensor layer's error type.
-                // All of them model process death; anything else is the
-                // system misbehaving.
-                let injected_checkpoint_fault =
-                    matches!(e, GtError::Tensor(_)) && e.to_string().contains("injected ");
-                if !matches!(e, GtError::InjectedCrash { .. } | GtError::Io { .. })
-                    && !injected_checkpoint_fault
-                {
+                // Crash-site kills surface as InjectedCrash, journal and
+                // checkpoint write faults as Io. Both model process death;
+                // anything else is the system misbehaving.
+                if !matches!(e, GtError::InjectedCrash { .. } | GtError::Io { .. }) {
                     return report(
                         Verdict::Violation(format!("durable serve surfaced {e}")),
                         recoveries,
@@ -402,15 +391,6 @@ pub fn run_plan(
         Ok(o) => o,
         Err(detail) => return report(Verdict::Violation(detail), recoveries),
     };
-    if recovered.batches_replayed != opts.batches {
-        return report(
-            Verdict::Violation(format!(
-                "verification replayed {} of {} batches",
-                recovered.batches_replayed, opts.batches
-            )),
-            recoveries,
-        );
-    }
     if let Some(idx) = (0..opts.batches).find(|&i| outcomes[i] != ref_outcomes[i]) {
         return report(
             Verdict::Violation(format!(
@@ -475,45 +455,22 @@ pub fn run_plan(
     report(Verdict::Clean, recoveries)
 }
 
-/// The journaled outcome JSON per batch index. Outer `Err` is driver
-/// trouble; inner `Err` is an oracle violation (missing, duplicate, or
-/// out-of-range batch record).
+/// The journaled outcome JSON of batches `0..batches`, in order. Outer
+/// `Err` is driver trouble; inner `Err` is an oracle violation (a batch
+/// record missing, duplicated, reordered or out of range).
 #[allow(clippy::type_complexity)]
 fn journaled_outcomes(
     durability: &DurabilityConfig,
     batches: usize,
 ) -> Result<Result<Vec<String>, String>, GtError> {
     let scan = journal::read_journal(durability.journal_path())?;
-    let mut outcomes: Vec<Option<String>> = vec![None; batches];
-    for rec in &scan.records {
-        if journal::record_type(rec) != Some("batch") {
-            continue;
-        }
-        let Some(idx) = journal::record_batch_index(rec) else {
-            return Ok(Err("batch record without batch_index".to_string()));
-        };
-        if idx >= batches {
-            return Ok(Err(format!(
-                "journaled batch index {idx} out of range (stream has {batches})"
-            )));
-        }
-        if outcomes[idx].is_some() {
-            return Ok(Err(format!("batch {idx} journaled twice")));
-        }
-        outcomes[idx] = rec.get("outcome").map(|o| o.to_json_string());
+    let (indices, outcomes): (Vec<usize>, Vec<String>) = scan.batch_outcomes().unzip();
+    if !indices.iter().copied().eq(0..batches) {
+        return Ok(Err(format!(
+            "journaled batch indices {indices:?}, expected 0..{batches}"
+        )));
     }
-    let mut flat = Vec::with_capacity(batches);
-    for (idx, o) in outcomes.into_iter().enumerate() {
-        match o {
-            Some(o) => flat.push(o),
-            None => {
-                return Ok(Err(format!(
-                    "committed outcome for batch {idx} missing from the journal"
-                )))
-            }
-        }
-    }
-    Ok(Ok(flat))
+    Ok(Ok(outcomes))
 }
 
 fn outcome_label(outcome_json: &str) -> String {
@@ -744,9 +701,8 @@ mod tests {
             Verdict::Clean
         );
         // A write fault on the *periodic* checkpoint (due every 8th
-        // batch) surfaces through the tensor layer, not as GtError::Io;
-        // the driver must still treat it as process death and the last
-        // good checkpoint + journal must carry the run to a clean finish.
+        // batch) is process death like a journal fault: the last good
+        // checkpoint + journal must carry the run to a clean finish.
         let plan = FaultPlan::new(5).with_io_fault(7, IoTarget::Checkpoint, IoFault::Enospc);
         let rep = run_plan(&cfg, &plan, &opts(8)).unwrap();
         assert_eq!(rep.verdict, Verdict::Clean, "periodic checkpoint ENOSPC");

@@ -182,19 +182,12 @@ fn run_once(
         cs.enable_tracing(TracerConfig::default());
     }
 
-    let n = cfg.batch.min(data.num_vertices());
-    let (nv, seed) = (data.num_vertices(), cfg.seed);
-    let stream: Vec<_> = (0u64..)
-        .flat_map(|epoch| gt_sample::BatchIter::new(nv, n, seed.wrapping_add(epoch)))
-        .take(opts.batches)
-        .collect();
-
     let mut observer = FleetObserver::new();
-    for (i, batch) in stream.iter().enumerate() {
+    for (i, batch) in cfg.batch_stream(&data, opts.batches).enumerate() {
         // A trained batch was priced and left its per-worker schedules in
         // `last_schedules`; an untrained one never reaches the fleet.
         if cs
-            .serve(&data, batch, ServeCtx::default())?
+            .serve(&data, &batch, ServeCtx::default())?
             .report
             .outcome
             .trained()
@@ -216,23 +209,10 @@ fn run_once(
 
     let durability = DurabilityConfig::new(dir);
     let scan = journal::read_journal(durability.journal_path())?;
-    let stream = scan
-        .records
-        .iter()
-        .filter(|r| journal::record_type(r) == Some("batch"))
-        .map(|r| {
-            (
-                journal::record_batch_index(r).unwrap_or(usize::MAX),
-                r.get("outcome")
-                    .map(|o| o.to_json_string())
-                    .unwrap_or_default(),
-            )
-        })
-        .collect();
     Ok(Run {
         summary,
         params: std::fs::read(durability.checkpoint_path())?,
-        stream,
+        stream: scan.batch_outcomes().collect(),
         fleet,
         trace_json,
         dump_reasons,

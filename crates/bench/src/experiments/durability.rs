@@ -13,7 +13,7 @@
 use crate::runner::{print_table, ExpConfig};
 use gt_core::config::ModelConfig;
 use gt_core::error::GtError;
-use gt_core::journal;
+use gt_core::journal::{self, Record};
 use gt_core::serve::{DurabilityConfig, ServeCtx, Supervisor};
 use gt_core::trainer::GtVariant;
 use gt_sim::{CrashSite, FaultPlan};
@@ -96,16 +96,8 @@ pub fn run(cfg: &ExpConfig, opts: &DurabilityOpts) -> Result<Summary, GtError> {
         server.make_durable(durability.clone())?;
     }
 
-    // BatchIter yields one epoch; chain reseeded epochs so the stream is
-    // as long as the run needs while staying deterministic.
-    let n = cfg.batch.min(data.num_vertices());
-    let (nv, seed) = (data.num_vertices(), cfg.seed);
-    let stream = (0u64..)
-        .flat_map(|epoch| gt_sample::BatchIter::new(nv, n, seed.wrapping_add(epoch)))
-        .take(opts.batches)
-        .skip(start);
     let mut served = 0usize;
-    for batch in stream {
+    for batch in cfg.batch_stream(&data, opts.batches).skip(start) {
         server.serve(&data, &batch, ServeCtx::default())?;
         served += 1;
     }
@@ -114,18 +106,15 @@ pub fn run(cfg: &ExpConfig, opts: &DurabilityOpts) -> Result<Summary, GtError> {
     let scan = journal::read_journal(durability.journal_path())?;
     let mut outcomes: Vec<(String, usize)> = Vec::new();
     for rec in &scan.records {
-        if journal::record_type(rec) != Some("batch") {
-            continue;
-        }
-        let label = rec
-            .get("outcome")
-            .and_then(|o| o.get("outcome"))
-            .and_then(|l| l.as_str())
-            .unwrap_or("?")
-            .to_string();
-        match outcomes.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, c)) => *c += 1,
-            None => outcomes.push((label, 1)),
+        if let Record::Batch { outcome, .. } = rec {
+            let label = outcome
+                .get("outcome")
+                .and_then(|l| l.as_str())
+                .unwrap_or("?");
+            match outcomes.iter_mut().find(|(l, _)| l == label) {
+                Some((_, c)) => *c += 1,
+                None => outcomes.push((label.to_string(), 1)),
+            }
         }
     }
     let image = std::fs::read(durability.checkpoint_path())?;

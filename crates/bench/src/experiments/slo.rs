@@ -108,14 +108,8 @@ pub fn run(cfg: &ExpConfig, opts: &SloOpts) -> Result<Summary, GtError> {
             reduced_fanout: 2,
         },
     );
-    let n = cfg.batch.min(data.num_vertices());
-    let (nv, seed) = (data.num_vertices(), cfg.seed);
-    let stream: Vec<_> = (0u64..)
-        .flat_map(|epoch| gt_sample::BatchIter::new(nv, n, seed.wrapping_add(epoch)))
-        .take(opts.requests)
-        .collect();
-    for (i, batch) in stream.iter().enumerate() {
-        g.submit(&data, i as f64 * 1000.0, batch);
+    for (i, batch) in cfg.batch_stream(&data, opts.requests).enumerate() {
+        g.submit(&data, i as f64 * 1000.0, &batch);
     }
     g.drain(&data);
 
@@ -133,14 +127,7 @@ pub fn run(cfg: &ExpConfig, opts: &SloOpts) -> Result<Summary, GtError> {
     // the journal: the observability surface may never disagree with the
     // durable record.
     let scan = journal::read_journal(durability.journal_path())?;
-    let mut journaled = std::collections::BTreeMap::new();
-    for rec in &scan.records {
-        if journal::record_type(rec) == Some("batch") {
-            if let Some(idx) = journal::record_batch_index(rec) {
-                journaled.insert(idx, rec.get("outcome").map(|o| o.to_json_string()));
-            }
-        }
-    }
+    let journaled: std::collections::BTreeMap<_, _> = scan.batch_outcomes().collect();
     let ring = tracer.recorder().dump("final");
     let ring_outcomes = dump_outcomes(&ring).map_err(|e| GtError::Io {
         detail: format!("flight dump is not parseable: {e:?}"),
@@ -148,7 +135,7 @@ pub fn run(cfg: &ExpConfig, opts: &SloOpts) -> Result<Summary, GtError> {
     let mut reconciled = 0usize;
     for (batch_index, outcome_json) in &ring_outcomes {
         match journaled.get(batch_index) {
-            Some(Some(j)) if j == outcome_json => reconciled += 1,
+            Some(j) if j == outcome_json => reconciled += 1,
             other => {
                 return Err(GtError::Io {
                     detail: format!(

@@ -70,10 +70,20 @@ impl ExpConfig {
 
     /// The first training batch for a dataset.
     pub fn batch_ids(&self, data: &GraphData) -> Vec<VId> {
-        let n = self.batch.min(data.num_vertices());
-        gt_sample::BatchIter::new(data.num_vertices(), n, self.seed)
+        self.batch_stream(data, 1)
             .next()
             .expect("non-empty dataset")
+    }
+
+    /// The first `k` batches of the serving stream: one
+    /// [`BatchIter`](gt_sample::BatchIter) epoch per reseed, so the stream
+    /// is as long as a run needs while staying deterministic.
+    pub fn batch_stream(&self, data: &GraphData, k: usize) -> impl Iterator<Item = Vec<VId>> {
+        let (nv, seed) = (data.num_vertices(), self.seed);
+        let n = self.batch.min(nv);
+        (0u64..)
+            .flat_map(move |epoch| gt_sample::BatchIter::new(nv, n, seed.wrapping_add(epoch)))
+            .take(k)
     }
 
     /// A GraphTensor trainer on the paper testbed model.

@@ -12,7 +12,7 @@
 use gt_core::config::ModelConfig;
 use gt_core::data::GraphData;
 use gt_core::framework::{BatchOutcome, ShedCause};
-use gt_core::journal;
+use gt_core::journal::{self, Record};
 use gt_core::serve::{DurabilityConfig, Supervisor};
 use gt_core::trainer::{GraphTensor, GtVariant};
 use gt_core::{CacheConfig, Gateway, OverloadConfig, TenancyConfig, TenantQuota};
@@ -108,8 +108,10 @@ fn run_scenario(tag: &str) -> String {
     let mut journaled: Vec<usize> = scan
         .records
         .iter()
-        .filter(|r| journal::record_type(r) == Some("batch"))
-        .map(|r| journal::record_batch_index(r).expect("batch record has index"))
+        .filter_map(|r| match r {
+            Record::Batch { index, .. } => Some(*index),
+            _ => None,
+        })
         .collect();
     journaled.sort_unstable();
     let not_shed = all

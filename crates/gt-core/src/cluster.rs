@@ -42,7 +42,6 @@
 use crate::data::GraphData;
 use crate::error::GtError;
 use crate::framework::{BatchOutcome, BatchReport};
-use crate::journal;
 use crate::prepro::{HopWork, PreproWork};
 use crate::scheduler::build_prepro_sim;
 use crate::serve::{
@@ -275,26 +274,6 @@ impl ClusterSupervisor {
             batches: self.supervisor.batches_served(),
             totals: self.totals.clone(),
         }
-    }
-
-    /// Count `(launched, won)` hedges recorded in the journal — the
-    /// ground truth the in-memory counters must reconcile against.
-    pub fn hedge_journal_counts(&self) -> Result<(u64, u64), GtError> {
-        let cfg = self.durability.as_ref().ok_or_else(|| GtError::Io {
-            detail: "hedge_journal_counts before make_durable".to_string(),
-        })?;
-        let scan = journal::read_journal(cfg.journal_path())?;
-        let mut launched = 0;
-        let mut won = 0;
-        for rec in &scan.records {
-            if journal::record_type(rec) == Some("hedge") {
-                if let Some((_, _, backup_won)) = journal::hedge_fields(rec) {
-                    launched += 1;
-                    won += u64::from(backup_won);
-                }
-            }
-        }
-        Ok((launched, won))
     }
 
     /// Serve one batch across the cluster: detect kills, recover, serve
@@ -533,9 +512,7 @@ impl ClusterSupervisor {
         self.totals.recoveries += 1;
         // The rebuilt counters are process-local state; the journal is the
         // ground truth hedges are restored from.
-        let (launched, won) = self.hedge_journal_counts()?;
-        self.totals.hedges_launched = launched;
-        self.totals.hedges_won = won;
+        (self.totals.hedges_launched, self.totals.hedges_won) = rec.hedges;
         self.supervisor
             .trainer
             .telemetry

@@ -104,8 +104,13 @@ impl From<SampleError> for GtError {
 }
 
 impl From<TensorError> for GtError {
+    /// A tensor-layer I/O failure (a checkpoint write) is the same error
+    /// as any other I/O failure: a retryable `Io`.
     fn from(e: TensorError) -> Self {
-        GtError::Tensor(e)
+        match e {
+            TensorError::Io { detail } => GtError::Io { detail },
+            e => GtError::Tensor(e),
+        }
     }
 }
 

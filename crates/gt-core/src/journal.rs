@@ -1,9 +1,9 @@
 //! Write-ahead outcome journal for durable serving.
 //!
-//! Every [`BatchOutcome`](crate::framework::BatchOutcome) the supervisor
-//! resolves — and every [`QuarantineRecord`](crate::serve::QuarantineRecord)
-//! it files — is appended here *before* the outcome is returned to the
-//! caller, so a crash can never lose an acknowledged result. Recovery
+//! Every [`BatchOutcome`] the supervisor resolves — and every
+//! [`QuarantineRecord`] it files — is appended here *before* the outcome
+//! is returned to the caller, so a crash can never lose an acknowledged
+//! result. Recovery
 //! ([`Supervisor::recover`](crate::serve::Supervisor::recover)) replays the
 //! journal against a fresh trainer; because the whole pipeline is
 //! deterministic (docs/parallelism.md), the replayed run is bit-identical
@@ -17,10 +17,14 @@
 //! repeat:  [u32 len][u32 crc32(payload)][payload]   one record
 //! ```
 //!
-//! Payloads are JSON documents produced by the same
-//! [`ToJson`](gt_telemetry::ToJson) impls the telemetry exporters use —
-//! one serializer, two sinks. Each record is framed with its byte length
-//! and a CRC-32 of the payload.
+//! Each payload is one [`Record`] as a JSON object whose `"type"` names
+//! the variant (`batch`, `quarantine`, `checkpoint`, `hedge`; the fields
+//! are tabulated in docs/fault_model.md). [`Record`]'s [`ToJson`] impl is
+//! the one encoder and [`scan`] the one decoder. Every number decodes only
+//! as an exact non-negative integer in its field's range, and a batch
+//! record without `fanout` replays at the configured fanout. A CRC-valid
+//! payload that does not decode is [`GtError::CorruptJournal`] at its
+//! frame's offset, naming the field.
 //!
 //! # Torn-tail policy
 //!
@@ -40,7 +44,7 @@
 //! drive an allocation larger than the file itself.
 
 use crate::error::GtError;
-use crate::framework::BatchOutcome;
+use crate::framework::{BatchOutcome, FailReason};
 use crate::serve::QuarantineRecord;
 use gt_graph::VId;
 use gt_sim::IoTarget;
@@ -61,6 +65,189 @@ pub const MAGIC: &[u8; 8] = b"GTJRNL01";
 /// absurd length is therefore corruption, rejected before any reader could
 /// size an allocation from it.
 pub const MAX_RECORD_LEN: usize = 16 << 20;
+
+/// One journal record: the journal's whole wire format (module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Record {
+    /// A resolved batch: its serving index, the vertex ids as submitted
+    /// (what replay re-serves), the fanout it was sampled with (`None`
+    /// replays at the configured fanout), its outcome's telemetry JSON,
+    /// and the cluster worker that owned it (`None` on single-node
+    /// journals), whose per-worker index order recovery checks.
+    Batch {
+        index: usize,
+        ids: Vec<VId>,
+        fanout: Option<usize>,
+        outcome: Json,
+        worker: Option<usize>,
+    },
+    /// A quarantined batch, appended right after its batch record.
+    Quarantine(QuarantineRecord),
+    /// A committed checkpoint: the last batch it reflects and its
+    /// [`image_crc`](gt_tensor::checkpoint::image_crc), which replay
+    /// verifies against the replayed parameters.
+    Checkpoint { index: usize, image_crc: u32 },
+    /// A resolved straggler hedge of batch `index`. Replay re-runs no
+    /// schedule for it, only counts it into
+    /// [`RecoveryReport::hedges`](crate::serve::RecoveryReport::hedges).
+    Hedge {
+        index: usize,
+        victim: usize,
+        backup: usize,
+        backup_won: bool,
+    },
+}
+
+impl Record {
+    /// The `"type"` tag naming the variant on disk.
+    fn tag(&self) -> &'static str {
+        match self {
+            Record::Batch { .. } => "batch",
+            Record::Quarantine(_) => "quarantine",
+            Record::Checkpoint { .. } => "checkpoint",
+            Record::Hedge { .. } => "hedge",
+        }
+    }
+
+    /// The encoded payload, as [`Journal::append`] frames it.
+    pub fn to_json_string(&self) -> String {
+        self.to_json().to_json_string()
+    }
+
+    /// Decode one payload; `Err` names the first missing or invalid field.
+    fn decode(rec: &Json) -> Result<Record, &'static str> {
+        Ok(match rec.get("type").and_then(Json::as_str) {
+            Some("batch") => Record::Batch {
+                index: int(rec, "batch_index")?,
+                ids: vids(rec, "batch")?,
+                fanout: optional(rec, "fanout")?,
+                outcome: rec.get("outcome").ok_or("outcome")?.clone(),
+                worker: optional(rec, "worker")?,
+            },
+            Some("quarantine") => {
+                let q = rec.get("record").ok_or("record")?;
+                let reason = q.get("reason").and_then(Json::as_str);
+                Record::Quarantine(QuarantineRecord {
+                    batch_index: int(q, "batch_index")?,
+                    batch: vids(q, "batch")?,
+                    reason: [
+                        FailReason::TransferFailure,
+                        FailReason::OutOfMemory,
+                        FailReason::InvalidBatch,
+                    ]
+                    .into_iter()
+                    .find(|r| reason == Some(r.label()))
+                    .ok_or("reason")?,
+                    attempts: int(q, "attempts")?,
+                })
+            }
+            Some("checkpoint") => Record::Checkpoint {
+                index: int(rec, "batch_index")?,
+                image_crc: int(rec, "image_crc")?,
+            },
+            Some("hedge") => Record::Hedge {
+                index: int(rec, "batch_index")?,
+                victim: int(rec, "victim")?,
+                backup: int(rec, "backup")?,
+                backup_won: match rec.get("backup_won") {
+                    Some(&Json::Bool(won)) => won,
+                    _ => return Err("backup_won"),
+                },
+            },
+            _ => return Err("type"),
+        })
+    }
+}
+
+impl ToJson for Record {
+    fn to_json(&self) -> Json {
+        let ids = |ids: &[VId]| Json::Arr(ids.iter().map(|&v| Json::from(u64::from(v))).collect());
+        let mut pairs = vec![("type", Json::from(self.tag()))];
+        match self {
+            Record::Batch {
+                index,
+                ids: batch,
+                fanout,
+                outcome,
+                worker,
+            } => {
+                pairs.extend([("batch_index", (*index).into()), ("batch", ids(batch))]);
+                pairs.extend(fanout.map(|f| ("fanout", f.into())));
+                pairs.push(("outcome", outcome.clone()));
+                pairs.extend(worker.map(|w| ("worker", w.into())));
+            }
+            Record::Quarantine(q) => pairs.push((
+                "record",
+                obj([
+                    ("batch_index", q.batch_index.into()),
+                    ("batch", ids(&q.batch)),
+                    ("reason", q.reason.to_json()),
+                    ("attempts", q.attempts.into()),
+                ]),
+            )),
+            Record::Checkpoint { index, image_crc } => pairs.extend([
+                ("batch_index", (*index).into()),
+                ("image_crc", u64::from(*image_crc).into()),
+            ]),
+            Record::Hedge {
+                index,
+                victim,
+                backup,
+                backup_won,
+            } => pairs.extend([
+                ("batch_index", (*index).into()),
+                ("victim", (*victim).into()),
+                ("backup", (*backup).into()),
+                ("backup_won", Json::Bool(*backup_won)),
+            ]),
+        }
+        obj(pairs)
+    }
+}
+
+/// Field `key` of `rec` as a `T`: an exact non-negative integer in range.
+fn int<T: TryFrom<u64>>(rec: &Json, key: &'static str) -> Result<T, &'static str> {
+    rec.get(key).and_then(uint).ok_or(key)
+}
+
+/// [`int`] for a field that may be absent.
+fn optional(rec: &Json, key: &'static str) -> Result<Option<usize>, &'static str> {
+    rec.get(key).map(|v| uint(v).ok_or(key)).transpose()
+}
+
+/// Field `key` of `rec` as vertex ids.
+fn vids(rec: &Json, key: &'static str) -> Result<Vec<VId>, &'static str> {
+    let arr = rec.get(key).and_then(Json::as_arr).ok_or(key)?;
+    arr.iter().map(|v| uint(v).ok_or(key)).collect()
+}
+
+/// `v` as a `T`, when it is an exact non-negative integer in range.
+fn uint<T: TryFrom<u64>>(v: &Json) -> Option<T> {
+    match *v {
+        // `u64::MAX as f64` is 2^64: every integral f64 below it fits.
+        Json::Num(f) if f >= 0.0 && f < u64::MAX as f64 && f.fract() == 0.0 => {
+            T::try_from(f as u64).ok()
+        }
+        _ => None,
+    }
+}
+
+/// The record appended for a resolved single-node batch served at
+/// `fanout`.
+pub fn batch_record(index: usize, batch: &[VId], outcome: &BatchOutcome, fanout: usize) -> Record {
+    Record::Batch {
+        index,
+        ids: batch.to_vec(),
+        fanout: Some(fanout),
+        outcome: outcome.to_json(),
+        worker: None,
+    }
+}
+
+/// A record's `"type"` tag.
+pub fn record_type(rec: &Record) -> Option<&'static str> {
+    Some(rec.tag())
+}
 
 /// An open, append-only journal. Every append is framed, written, and
 /// fsynced before returning — the write-ahead guarantee.
@@ -98,7 +285,7 @@ impl Journal {
     /// Append one record durably: frame, write, fsync. The write goes
     /// through the chaos IO shim — identity in production, the injection
     /// point for torn-write/ENOSPC/bit-flip campaigns.
-    pub fn append(&mut self, record: &Json) -> Result<(), GtError> {
+    pub fn append(&mut self, record: &Record) -> Result<(), GtError> {
         let frame = Self::frame(&record.to_json_string());
         chaosio::append(IoTarget::Journal, &mut self.file, &frame)?;
         Ok(())
@@ -108,7 +295,7 @@ impl Journal {
     /// payload, fsync, and stop — exactly the torn tail a process killed
     /// inside `write_all` leaves behind. Used by crash injection
     /// ([`gt_sim::CrashSite::MidJournal`]).
-    pub fn append_torn(&mut self, record: &Json) -> Result<(), GtError> {
+    pub fn append_torn(&mut self, record: &Record) -> Result<(), GtError> {
         let frame = Self::frame(&record.to_json_string());
         let keep = 8 + (frame.len() - 8) / 2;
         self.file.write_all(&frame[..keep])?;
@@ -122,7 +309,7 @@ impl Journal {
 #[derive(Debug)]
 pub struct JournalScan {
     /// Every valid record, in append order.
-    pub records: Vec<Json>,
+    pub records: Vec<Record>,
     /// Bytes of the valid prefix (magic + whole records). Recovery
     /// truncates the file to this length before appending again.
     pub valid_len: u64,
@@ -130,28 +317,23 @@ pub struct JournalScan {
     pub torn_tail: bool,
 }
 
-/// Read and scan the journal at `path`.
-///
-/// The read is validated against file metadata: fewer bytes than the file
-/// holds (an interrupted syscall, a flaky network filesystem — or an
-/// injected [`gt_sim::IoFault::ShortRead`]) is a retryable [`GtError::Io`],
-/// never silently scanned as if the missing tail were a torn append. A
-/// short read that truncated a committed record would otherwise replay as
-/// data loss.
-pub fn read_journal(path: impl AsRef<Path>) -> Result<JournalScan, GtError> {
-    let path = path.as_ref();
-    let bytes = chaosio::read_file(IoTarget::Journal, path)?;
-    let expected = std::fs::metadata(path)?.len();
-    if (bytes.len() as u64) < expected {
-        return Err(GtError::Io {
-            detail: format!(
-                "short read on {}: got {} of {expected} bytes; retry",
-                path.display(),
-                bytes.len()
-            ),
-        });
+impl JournalScan {
+    /// The outcome stream: `(index, outcome JSON)` of every batch record,
+    /// in append order.
+    pub fn batch_outcomes(&self) -> impl Iterator<Item = (usize, String)> + '_ {
+        self.records.iter().filter_map(|r| match r {
+            Record::Batch { index, outcome, .. } => Some((*index, outcome.to_json_string())),
+            _ => None,
+        })
     }
-    scan(&bytes)
+}
+
+/// Read and scan the journal at `path`. A short read
+/// ([`chaosio::read_whole`]) is a retryable [`GtError::Io`], never scanned
+/// as if the missing tail were a torn append: a short read that truncated
+/// a committed record would otherwise replay as data loss.
+pub fn read_journal(path: impl AsRef<Path>) -> Result<JournalScan, GtError> {
+    scan(&chaosio::read_whole(IoTarget::Journal, path.as_ref())?)
 }
 
 /// Scan a journal image (see the module docs for the torn-tail policy).
@@ -166,6 +348,10 @@ pub fn scan(bytes: &[u8]) -> Result<JournalScan, GtError> {
     let mut pos = MAGIC.len();
     let mut torn_tail = false;
     while pos < bytes.len() {
+        let corrupt = |detail: String| GtError::CorruptJournal {
+            offset: pos as u64,
+            detail,
+        };
         if pos + 8 > bytes.len() {
             torn_tail = true; // header torn mid-write
             break;
@@ -176,10 +362,9 @@ pub fn scan(bytes: &[u8]) -> Result<JournalScan, GtError> {
         // from a torn append (torn writes leave prefixes of valid frames);
         // reject it as corruption before any size could be trusted.
         if len > MAX_RECORD_LEN {
-            return Err(GtError::CorruptJournal {
-                offset: pos as u64,
-                detail: format!("record length {len} exceeds the {MAX_RECORD_LEN}-byte ceiling"),
-            });
+            return Err(corrupt(format!(
+                "record length {len} exceeds the {MAX_RECORD_LEN}-byte ceiling"
+            )));
         }
         let stored = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4-byte slice"));
         let end = pos + 8 + len;
@@ -193,20 +378,15 @@ pub fn scan(bytes: &[u8]) -> Result<JournalScan, GtError> {
                 torn_tail = true; // last record: torn payload bytes
                 break;
             }
-            return Err(GtError::CorruptJournal {
-                offset: pos as u64,
-                detail: format!("CRC mismatch in {len}-byte record"),
-            });
+            return Err(corrupt(format!("CRC mismatch in {len}-byte record")));
         }
-        let text = std::str::from_utf8(payload).map_err(|e| GtError::CorruptJournal {
-            offset: pos as u64,
-            detail: format!("non-UTF-8 payload: {e}"),
-        })?;
-        let json = gt_telemetry::json::parse(text).map_err(|e| GtError::CorruptJournal {
-            offset: pos as u64,
-            detail: format!("unparseable payload: {e}"),
-        })?;
-        records.push(json);
+        let text =
+            std::str::from_utf8(payload).map_err(|e| corrupt(format!("non-UTF-8 payload: {e}")))?;
+        let json = gt_telemetry::json::parse(text)
+            .map_err(|e| corrupt(format!("unparseable payload: {e}")))?;
+        let record = Record::decode(&json)
+            .map_err(|field| corrupt(format!("missing or invalid `{field}`")))?;
+        records.push(record);
         pos = end;
     }
     Ok(JournalScan {
@@ -226,122 +406,6 @@ pub fn truncate_to(path: impl AsRef<Path>, valid_len: u64) -> Result<(), GtError
     Ok(())
 }
 
-/// The record appended for every resolved batch: its serving index, the
-/// vertex ids as submitted (what replay re-serves), the sampling fanout
-/// the batch was actually served with (the gateway reduces it under
-/// load, and replay must match), and the outcome in its canonical
-/// telemetry JSON form.
-pub fn batch_record(
-    batch_index: usize,
-    batch: &[VId],
-    outcome: &BatchOutcome,
-    fanout: usize,
-) -> Json {
-    batch_record_tagged(batch_index, batch, outcome, fanout, None)
-}
-
-/// [`batch_record`] with an optional owning-worker tag. The cluster
-/// supervisor tags every batch with the worker whose partition owned it,
-/// so recovery can enforce the per-worker batch-index ordering invariant;
-/// single-node journals omit the field (and old journals never had it).
-pub fn batch_record_tagged(
-    batch_index: usize,
-    batch: &[VId],
-    outcome: &BatchOutcome,
-    fanout: usize,
-    worker: Option<usize>,
-) -> Json {
-    let mut pairs = vec![
-        ("type", "batch".into()),
-        ("batch_index", batch_index.into()),
-        (
-            "batch",
-            Json::Arr(batch.iter().map(|&v| Json::from(v as u64)).collect()),
-        ),
-        ("fanout", fanout.into()),
-        ("outcome", outcome.to_json()),
-    ];
-    if let Some(w) = worker {
-        pairs.push(("worker", w.into()));
-    }
-    obj(pairs)
-}
-
-/// The record the cluster supervisor appends when a straggler hedge
-/// resolves: which batch was hedged, the slow worker, the backup that ran
-/// the duplicate, and which copy won. Replay skips these (they annotate
-/// the schedule, not the outcome stream), but the hedge counters must
-/// reconcile exactly against them.
-pub fn hedge_record(batch_index: usize, victim: usize, backup: usize, backup_won: bool) -> Json {
-    obj([
-        ("type", "hedge".into()),
-        ("batch_index", batch_index.into()),
-        ("victim", victim.into()),
-        ("backup", backup.into()),
-        ("backup_won", Json::Bool(backup_won)),
-    ])
-}
-
-/// The record appended when a batch is quarantined — the
-/// [`QuarantineRecord`]'s own `ToJson` form, wrapped with a type tag.
-pub fn quarantine_record(rec: &QuarantineRecord) -> Json {
-    obj([("type", "quarantine".into()), ("record", rec.to_json())])
-}
-
-/// The marker appended after a checkpoint save commits: which batch the
-/// parameters reflect and the CRC-32 of the full checkpoint image, so
-/// replay can verify the recovered parameters byte-for-byte.
-pub fn checkpoint_record(batch_index: usize, image_crc: u32) -> Json {
-    obj([
-        ("type", "checkpoint".into()),
-        ("batch_index", batch_index.into()),
-        ("image_crc", (image_crc as u64).into()),
-    ])
-}
-
-/// A record's `"type"` tag.
-pub fn record_type(rec: &Json) -> Option<&str> {
-    rec.get("type").and_then(|t| t.as_str())
-}
-
-/// A batch record's vertex ids.
-pub fn batch_ids(rec: &Json) -> Option<Vec<VId>> {
-    let arr = rec.get("batch")?.as_arr()?;
-    arr.iter()
-        .map(|v| v.as_f64().map(|f| f as VId))
-        .collect::<Option<Vec<VId>>>()
-}
-
-fn usize_field(rec: &Json, key: &str) -> Option<usize> {
-    rec.get(key).and_then(|v| v.as_f64()).map(|f| f as usize)
-}
-
-/// A record's `"batch_index"` field.
-pub fn record_batch_index(rec: &Json) -> Option<usize> {
-    usize_field(rec, "batch_index")
-}
-
-/// A batch record's `"fanout"` field (absent in journals written before
-/// the field existed; replay then uses the configured fanout).
-pub fn record_fanout(rec: &Json) -> Option<usize> {
-    usize_field(rec, "fanout")
-}
-
-/// A batch record's owning-worker tag (absent for single-node journals).
-pub fn record_worker(rec: &Json) -> Option<usize> {
-    usize_field(rec, "worker")
-}
-
-/// A hedge record's `(victim, backup, backup_won)` triple.
-pub fn hedge_fields(rec: &Json) -> Option<(usize, usize, bool)> {
-    let won = matches!(rec.get("backup_won")?, Json::Bool(true));
-    Some((
-        usize_field(rec, "victim")?,
-        usize_field(rec, "backup")?,
-        won,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,17 +417,26 @@ mod tests {
         dir
     }
 
-    fn sample_records() -> Vec<Json> {
+    fn sample_records() -> Vec<Record> {
         vec![
             batch_record(0, &[1, 2, 3], &BatchOutcome::Succeeded, 4),
             batch_record(1, &[4, 5], &BatchOutcome::Recovered { retries: 2 }, 4),
-            quarantine_record(&QuarantineRecord {
+            Record::Quarantine(QuarantineRecord {
                 batch_index: 2,
                 batch: vec![9, 9],
                 reason: FailReason::InvalidBatch,
                 attempts: 0,
             }),
-            checkpoint_record(2, 0xDEAD_BEEF),
+            Record::Checkpoint {
+                index: 2,
+                image_crc: 0xDEAD_BEEF,
+            },
+            Record::Hedge {
+                index: 2,
+                victim: 1,
+                backup: 3,
+                backup_won: true,
+            },
         ]
     }
 
@@ -388,31 +461,63 @@ mod tests {
     fn record_accessors() {
         let r = batch_record(7, &[10, 20], &BatchOutcome::Succeeded, 6);
         assert_eq!(record_type(&r), Some("batch"));
-        assert_eq!(record_batch_index(&r), Some(7));
-        assert_eq!(batch_ids(&r), Some(vec![10, 20]));
-        assert_eq!(record_fanout(&r), Some(6));
-        assert_eq!(record_worker(&r), None, "untagged batch has no worker");
-        let c = checkpoint_record(3, 42);
+        assert_eq!(
+            r,
+            Record::Batch {
+                index: 7,
+                ids: vec![10, 20],
+                fanout: Some(6),
+                outcome: BatchOutcome::Succeeded.to_json(),
+                worker: None,
+            }
+        );
+        // The on-disk field names (docs/fault_model.md).
+        let j = r.to_json();
+        assert_eq!(j.get("type").and_then(Json::as_str), Some("batch"));
+        assert_eq!(j.get("batch_index").and_then(uint::<usize>), Some(7));
+        assert_eq!(vids(&j, "batch"), Ok(vec![10, 20]));
+        assert_eq!(optional(&j, "fanout"), Ok(Some(6)));
+        assert!(j.get("worker").is_none(), "untagged batch has no worker");
+        let c = Record::Checkpoint {
+            index: 3,
+            image_crc: 42,
+        };
         assert_eq!(record_type(&c), Some("checkpoint"));
-        assert_eq!(batch_ids(&c), None);
-        assert_eq!(record_fanout(&c), None);
+        let j = c.to_json();
+        assert!(j.get("batch").is_none());
+        assert!(j.get("fanout").is_none());
+        assert_eq!(j.get("image_crc").and_then(uint::<u32>), Some(42));
     }
 
     #[test]
     fn worker_tagged_and_hedge_records_round_trip() {
-        let r = batch_record_tagged(5, &[8, 9], &BatchOutcome::Succeeded, 6, Some(2));
+        let r = Record::Batch {
+            index: 5,
+            ids: vec![8, 9],
+            fanout: Some(6),
+            outcome: BatchOutcome::Succeeded.to_json(),
+            worker: Some(2),
+        };
         assert_eq!(record_type(&r), Some("batch"));
-        assert_eq!(record_worker(&r), Some(2));
-        assert_eq!(record_batch_index(&r), Some(5));
-        // The tag is additive: every untagged accessor still works.
-        assert_eq!(batch_ids(&r), Some(vec![8, 9]));
-        assert_eq!(record_fanout(&r), Some(6));
+        let j = r.to_json();
+        assert_eq!(optional(&j, "worker"), Ok(Some(2)));
+        assert_eq!(j.get("batch_index").and_then(uint::<usize>), Some(5));
+        // The tag is additive: every untagged field is still written.
+        assert_eq!(vids(&j, "batch"), Ok(vec![8, 9]));
+        assert_eq!(optional(&j, "fanout"), Ok(Some(6)));
 
-        let h = hedge_record(5, 1, 3, true);
+        let h = Record::Hedge {
+            index: 5,
+            victim: 1,
+            backup: 3,
+            backup_won: true,
+        };
         assert_eq!(record_type(&h), Some("hedge"));
-        assert_eq!(record_batch_index(&h), Some(5));
-        assert_eq!(hedge_fields(&h), Some((1, 3, true)));
-        assert_eq!(hedge_fields(&r), None);
+        let j = h.to_json();
+        assert_eq!(j.get("batch_index").and_then(uint::<usize>), Some(5));
+        assert_eq!(j.get("victim").and_then(uint::<usize>), Some(1));
+        assert_eq!(j.get("backup").and_then(uint::<usize>), Some(3));
+        assert_eq!(j.get("backup_won"), Some(&Json::Bool(true)));
 
         // Both survive the framed on-disk round trip.
         let dir = tmp_dir("tagged");
@@ -424,6 +529,66 @@ mod tests {
         let s = read_journal(&path).unwrap();
         assert_eq!(s.records, vec![r, h]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every variant, with `fanout` and `worker` both present and absent,
+    /// survives encode → frame → scan unchanged.
+    #[test]
+    fn records_round_trip_through_scan() {
+        use gt_sim::prop::{self, Gen};
+        // Integers up to 2^53 are exact in the JSON number form.
+        let int = |g: &mut Gen| {
+            let bits = g.range(0..54);
+            g.below(1 << bits) as usize
+        };
+        let maybe = |g: &mut Gen| (g.below(2) == 0).then(|| int(g));
+        let ids = |g: &mut Gen| g.vec(0..12, |g| g.next_u64() as VId);
+        let reasons = [
+            FailReason::TransferFailure,
+            FailReason::OutOfMemory,
+            FailReason::InvalidBatch,
+        ];
+        prop::check("journal_record_round_trip", prop::CASES, |g| {
+            let rec = match g.below(4) {
+                0 => {
+                    let outcome = match g.below(3) {
+                        0 => BatchOutcome::Succeeded,
+                        1 => BatchOutcome::Recovered { retries: int(g) },
+                        _ => BatchOutcome::Quarantined {
+                            reason: *g.pick(&reasons),
+                            attempts: int(g),
+                        },
+                    };
+                    Record::Batch {
+                        index: int(g),
+                        ids: ids(g),
+                        fanout: maybe(g),
+                        outcome: outcome.to_json(),
+                        worker: maybe(g),
+                    }
+                }
+                1 => Record::Quarantine(QuarantineRecord {
+                    batch_index: int(g),
+                    batch: ids(g),
+                    reason: *g.pick(&reasons),
+                    attempts: int(g),
+                }),
+                2 => Record::Checkpoint {
+                    index: int(g),
+                    image_crc: g.next_u64() as u32,
+                },
+                _ => Record::Hedge {
+                    index: int(g),
+                    victim: int(g),
+                    backup: int(g),
+                    backup_won: g.below(2) == 0,
+                },
+            };
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend(Journal::frame(&rec.to_json_string()));
+            let s = scan(&bytes).unwrap();
+            assert_eq!(s.records, vec![rec]);
+        });
     }
 
     /// Truncate a journal at EVERY byte length: the scan must never panic,

@@ -21,13 +21,13 @@ use crate::cache::{CacheConfig, CacheStats, ServingCaches};
 use crate::data::GraphData;
 use crate::error::GtError;
 use crate::framework::{BatchOutcome, BatchReport, DegradeAction, FailReason, Framework};
-use crate::journal::{self, Journal};
+use crate::journal::{self, Journal, Record};
 use crate::tracing::{RequestTracer, TracerConfig};
 use crate::trainer::GraphTensor;
 use gt_graph::VId;
 use gt_sample::validate_batch;
 use gt_sim::{CrashSite, FaultPlan, SimContext};
-use gt_telemetry::{Json, Telemetry, ToJson};
+use gt_telemetry::{Telemetry, ToJson};
 use gt_tensor::{chaosio, checkpoint};
 use std::path::PathBuf;
 
@@ -48,21 +48,6 @@ pub struct QuarantineRecord {
     pub reason: FailReason,
     /// Attempts spent before giving up (0 = rejected before any attempt).
     pub attempts: usize,
-}
-
-impl gt_telemetry::ToJson for QuarantineRecord {
-    fn to_json(&self) -> gt_telemetry::Json {
-        use gt_telemetry::Json;
-        gt_telemetry::json::obj([
-            ("batch_index", self.batch_index.into()),
-            (
-                "batch",
-                Json::Arr(self.batch.iter().map(|&v| Json::from(v as u64)).collect()),
-            ),
-            ("reason", self.reason.to_json()),
-            ("attempts", self.attempts.into()),
-        ])
-    }
 }
 
 /// Where durable state lives and how often parameters are checkpointed.
@@ -107,6 +92,8 @@ pub struct RecoveryReport {
     /// True when a torn tail (an append interrupted by the crash) was
     /// dropped and truncated away.
     pub torn_tail_dropped: bool,
+    /// `(launched, won)` over the journal's straggler-hedge records.
+    pub hedges: (u64, u64),
     /// The last replayed batch, as [`Supervisor::serve`] would have
     /// returned it — what a caller whose batch committed just before the
     /// crash hands back instead of re-serving (and double-training) it.
@@ -213,7 +200,7 @@ fn not_durable(what: &str) -> GtError {
 impl DurabilityState {
     /// The one way a record reaches the journal, so
     /// `gt_journal_records_total` counts every record on disk.
-    fn append(&mut self, telemetry: &Telemetry, record: &Json) -> Result<(), GtError> {
+    fn append(&mut self, telemetry: &Telemetry, record: &Record) -> Result<(), GtError> {
         self.journal.append(record)?;
         telemetry
             .counter(
@@ -400,13 +387,13 @@ impl Supervisor {
 
         // The record carries the fanout the batch was actually sampled
         // with: a replay at the configured fanout would diverge.
-        let rec = journal::batch_record_tagged(
-            batch_index,
-            batch,
-            &served.report.outcome,
-            fanout,
-            ctx.worker,
-        );
+        let rec = Record::Batch {
+            index: batch_index,
+            ids: batch.to_vec(),
+            fanout: Some(fanout),
+            outcome: served.report.outcome.to_json(),
+            worker: ctx.worker,
+        };
         if crash == Some(CrashSite::MidJournal) {
             d.journal.append_torn(&rec)?;
             return Err(self.crash(batch_index, CrashSite::MidJournal));
@@ -415,7 +402,7 @@ impl Supervisor {
         d.append(telemetry, &rec)?;
         if let BatchOutcome::Quarantined { .. } = served.report.outcome {
             let filed = self.quarantine.last().expect("quarantine just filed");
-            d.append(telemetry, &journal::quarantine_record(filed))?;
+            d.append(telemetry, &Record::Quarantine(filed.clone()))?;
         }
         if crash == Some(CrashSite::MidCheckpoint) {
             // The batch committed to the journal, but the process dies
@@ -676,7 +663,12 @@ impl Supervisor {
             .durability
             .as_mut()
             .ok_or_else(|| not_durable("journal_hedge"))?;
-        let rec = journal::hedge_record(batch_index, victim, backup, backup_won);
+        let rec = Record::Hedge {
+            index: batch_index,
+            victim,
+            backup,
+            backup_won,
+        };
         d.append(&self.trainer.telemetry, &rec)
     }
 
@@ -694,9 +686,11 @@ impl Supervisor {
             .as_mut()
             .ok_or_else(|| not_durable("checkpoint"))?;
         let telemetry = &self.trainer.telemetry;
-        let bytes = checkpoint::to_bytes(self.trainer.params());
-        checkpoint::save_file(self.trainer.params(), d.cfg.checkpoint_path())?;
-        let marker = journal::checkpoint_record(batch_index, checkpoint::image_crc(&bytes));
+        let image_crc = checkpoint::save_file(self.trainer.params(), d.cfg.checkpoint_path())?;
+        let marker = Record::Checkpoint {
+            index: batch_index,
+            image_crc,
+        };
         d.append(telemetry, &marker)?;
         telemetry
             .counter("gt_checkpoints_total", "Parameter checkpoints committed")
@@ -745,80 +739,72 @@ impl Supervisor {
         // A crash mid-checkpoint leaves a torn staging sibling; drop it.
         checkpoint::remove_stale_tmp(cfg.checkpoint_path());
 
-        let corrupt = |detail: &str| GtError::CorruptJournal {
-            offset: 0,
-            detail: detail.to_string(),
-        };
         let mut replayed = 0usize;
         let mut last_replayed = None;
         let mut quarantine_restored = 0usize;
         let mut checkpoints_verified = 0usize;
+        let mut hedges = (0, 0);
         // Last replayed batch index per cluster-worker tag: the journal's
         // ordering invariant. Outcome comparison alone cannot catch a
         // reordered journal (most outcomes are plain "succeeded"), so the
         // indices themselves are the cross-check.
-        let mut worker_last: std::collections::BTreeMap<usize, usize> =
-            std::collections::BTreeMap::new();
+        let mut worker_last = std::collections::BTreeMap::new();
         for rec in &scan.records {
-            match journal::record_type(rec) {
-                Some("batch") => {
-                    let idx = journal::record_batch_index(rec)
-                        .ok_or_else(|| corrupt("batch record without batch_index"))?;
-                    if let Some(w) = journal::record_worker(rec) {
-                        if worker_last.get(&w).is_some_and(|&last| last >= idx) {
+            match rec {
+                &Record::Batch {
+                    index,
+                    ref ids,
+                    fanout,
+                    ref outcome,
+                    worker,
+                } => {
+                    if let Some(w) = worker {
+                        if worker_last.get(&w).is_some_and(|&last| last >= index) {
                             return Err(GtError::ReplayDiverged {
-                                batch_index: idx,
+                                batch_index: index,
                                 detail: format!(
                                     "per-worker ordering violated: worker {w} already \
-                                     journaled batch {}, then batch {idx}",
+                                     journaled batch {}, then batch {index}",
                                     worker_last[&w]
                                 ),
                             });
                         }
-                        worker_last.insert(w, idx);
+                        worker_last.insert(w, index);
                     }
                     // Batch records are appended with strictly sequential
                     // indices; a gap or swap means the journal was
                     // reordered and must not replay silently.
-                    if idx != replayed {
+                    if index != replayed {
                         return Err(GtError::ReplayDiverged {
-                            batch_index: idx,
+                            batch_index: index,
                             detail: format!(
                                 "batch records out of order: expected index {replayed}, \
-                                 found {idx}"
+                                 found {index}"
                             ),
                         });
                     }
-                    let ids = journal::batch_ids(rec)
-                        .ok_or_else(|| corrupt("batch record without vertex ids"))?;
-                    let recorded = rec
-                        .get("outcome")
-                        .ok_or_else(|| corrupt("batch record without outcome"))?
-                        .to_json_string();
                     // Replay with the fanout the batch was served at (a
-                    // gateway may have reduced it under load); records
-                    // from journals predating the field use the
-                    // configured fanout, exactly as before.
+                    // gateway may have reduced it under load).
                     let ctx = ServeCtx {
-                        fanout: journal::record_fanout(rec),
+                        fanout,
                         ..ServeCtx::default()
                     };
-                    let served = self.serve(data, &ids, ctx)?;
+                    let served = self.serve(data, ids, ctx)?;
+                    let recorded = outcome.to_json_string();
                     let got = served.report.outcome.to_json().to_json_string();
                     if got != recorded {
                         return Err(GtError::ReplayDiverged {
-                            batch_index: idx,
+                            batch_index: index,
                             detail: format!("recorded {recorded}, replayed {got}"),
                         });
                     }
                     replayed += 1;
                     last_replayed = Some(served);
                 }
-                Some("quarantine") => {
+                Record::Quarantine(filed) => {
                     // The replay re-quarantined deterministically; the
                     // journaled record must match the one just re-filed.
-                    let refiled = self.quarantine.last().map(journal::quarantine_record);
-                    if refiled.as_ref() != Some(rec) {
+                    if self.quarantine.last() != Some(filed) {
                         return Err(GtError::ReplayDiverged {
                             batch_index: replayed.saturating_sub(1),
                             detail: "journaled quarantine record does not match replay".to_string(),
@@ -826,19 +812,14 @@ impl Supervisor {
                     }
                     quarantine_restored += 1;
                 }
-                Some("checkpoint") => {
-                    let recorded = rec
-                        .get("image_crc")
-                        .and_then(|v| v.as_f64())
-                        .ok_or_else(|| corrupt("checkpoint record without image_crc"))?
-                        as u32;
+                &Record::Checkpoint { image_crc, .. } => {
                     let computed =
                         checkpoint::image_crc(&checkpoint::to_bytes(self.trainer.params()));
-                    if computed != recorded {
+                    if computed != image_crc {
                         return Err(GtError::ReplayDiverged {
                             batch_index: replayed.saturating_sub(1),
                             detail: format!(
-                                "checkpoint CRC mismatch: recorded {recorded:#010x}, \
+                                "checkpoint CRC mismatch: recorded {image_crc:#010x}, \
                                  replayed {computed:#010x}"
                             ),
                         });
@@ -851,17 +832,12 @@ impl Supervisor {
                         caches.bump_epoch();
                     }
                 }
-                Some("hedge") => {
-                    // Cluster-layer annotation of a straggler hedge: the
-                    // modeled schedule is not re-run during replay, so the
-                    // record is validated and skipped; the cluster
-                    // supervisor reconciles its hedge counters against
-                    // these records after recovery.
-                    journal::hedge_fields(rec)
-                        .ok_or_else(|| corrupt("hedge record with missing fields"))?;
-                }
-                other => {
-                    return Err(corrupt(&format!("unknown record type {other:?}")));
+                // Cluster-layer annotation of a straggler hedge: the
+                // modeled schedule is not re-run during replay, but the
+                // cluster supervisor restores its hedge counters from these.
+                Record::Hedge { backup_won, .. } => {
+                    hedges.0 += 1;
+                    hedges.1 += u64::from(*backup_won);
                 }
             }
         }
@@ -895,6 +871,7 @@ impl Supervisor {
             quarantine_restored,
             checkpoints_verified,
             torn_tail_dropped: scan.torn_tail,
+            hedges,
             last_replayed,
         })
     }

@@ -9,13 +9,13 @@
 //! model bytes hedged or not) and its counters must reconcile exactly
 //! against the journal's hedge records.
 
-use gt_core::journal;
+use gt_core::journal::{self, Record};
 use gt_core::{
     BatchService, ClusterConfig, ClusterSupervisor, Completion, DurabilityConfig, Gateway,
     GraphData, GtError, OverloadConfig, Partition, ServeCtx, Supervisor, TenancyConfig,
     TenantQuota,
 };
-use gt_sim::{ClusterSpec, CrashSite, FaultPlan, SystemSpec};
+use gt_sim::{ClusterSpec, CrashSite, FaultPlan, IoFault, IoTarget, SystemSpec};
 use gt_telemetry::ToJson;
 use gt_tensor::checkpoint;
 use std::path::{Path, PathBuf};
@@ -70,16 +70,16 @@ fn run_cluster(
 fn outcome_stream(dir: &Path) -> Vec<(usize, String)> {
     let cfg = DurabilityConfig::new(dir);
     let scan = journal::read_journal(cfg.journal_path()).unwrap();
-    scan.records
-        .iter()
-        .filter(|r| journal::record_type(r) == Some("batch"))
-        .map(|r| {
-            (
-                journal::record_batch_index(r).unwrap(),
-                r.get("outcome").unwrap().to_json_string(),
-            )
-        })
-        .collect()
+    scan.batch_outcomes().collect()
+}
+
+/// `(launched, won)` over the journal's hedge records.
+fn journaled_hedges(dir: &Path) -> (u64, u64) {
+    let scan = journal::read_journal(DurabilityConfig::new(dir).journal_path()).unwrap();
+    scan.records.iter().fold((0, 0), |(n, won), r| match r {
+        Record::Hedge { backup_won, .. } => (n + 1, won + u64::from(*backup_won)),
+        _ => (n, won),
+    })
 }
 
 #[test]
@@ -179,6 +179,34 @@ fn crash_mid_batch_is_recovered_by_the_cluster_layer() {
     }
 }
 
+/// A failed checkpoint write is the same process death as a failed
+/// journal append: the cluster recovers from either, at any batch, and
+/// lands on the fault-free outcome stream and checkpoint.
+#[test]
+fn storage_faults_on_journal_and_checkpoint_recover_alike() {
+    let n = 4;
+    let run = |plan: FaultPlan, name: &str| {
+        let dir = tmp_dir(name);
+        let (mut cs, stream) = run_cluster(2, plan, false, &dir, n);
+        cs.supervisor.checkpoint_now().unwrap();
+        let params = std::fs::read(DurabilityConfig::new(&dir).checkpoint_path()).unwrap();
+        (stream, params, cs.summary().totals.recoveries)
+    };
+    let (ref_stream, ref_params, _) = run(FaultPlan::new(42), "io_ref");
+    for target in [IoTarget::Journal, IoTarget::Checkpoint] {
+        for fault in [IoFault::Enospc, IoFault::TornWrite] {
+            for batch in [1, 3] {
+                let plan = FaultPlan::new(42).with_io_fault(batch, target, fault);
+                let name = format!("io_{target:?}_{fault:?}_{batch}");
+                let (stream, params, recoveries) = run(plan, &name);
+                assert_eq!(recoveries, 1, "{name}: the fault must fire once");
+                assert_eq!(stream, ref_stream, "{name}: outcome stream");
+                assert!(params == ref_params, "{name}: final checkpoint diverged");
+            }
+        }
+    }
+}
+
 #[test]
 fn hedging_is_pure_virtual_time_and_reconciles_with_the_journal() {
     let n = 5;
@@ -205,7 +233,7 @@ fn hedging_is_pure_virtual_time_and_reconciles_with_the_journal() {
     assert_eq!(unhedged.summary().totals.hedges_launched, 0);
 
     // The counters reconcile exactly against the journal's hedge records.
-    let (launched, won) = hedged.hedge_journal_counts().unwrap();
+    let (launched, won) = journaled_hedges(&hedged_dir);
     assert_eq!((s.hedges_launched, s.hedges_won), (launched, won));
 
     // Hedging shortens the modeled clock: the backup finishes the
@@ -222,7 +250,7 @@ fn hedging_is_pure_virtual_time_and_reconciles_with_the_journal() {
     let plan2 = plan().with_worker_kill(4, 1);
     let dir2 = tmp_dir("hedged_killed");
     let (recovered, _) = run_cluster(4, plan2, true, &dir2, n);
-    let (launched2, won2) = recovered.hedge_journal_counts().unwrap();
+    let (launched2, won2) = journaled_hedges(&dir2);
     let s2 = recovered.summary().totals;
     assert_eq!((s2.hedges_launched, s2.hedges_won), (launched2, won2));
     assert!(s2.recoveries >= 1);
@@ -241,12 +269,11 @@ fn interleaved_worker_tags_replay_cleanly() {
     let tags: Vec<(usize, usize)> = scan
         .records
         .iter()
-        .filter(|r| journal::record_type(r) == Some("batch"))
-        .map(|r| {
-            (
-                journal::record_worker(r).expect("cluster records are tagged"),
-                journal::record_batch_index(r).unwrap(),
-            )
+        .filter_map(|r| match r {
+            Record::Batch { index, worker, .. } => {
+                Some((worker.expect("cluster records are tagged"), *index))
+            }
+            _ => None,
         })
         .collect();
     let distinct: std::collections::BTreeSet<usize> = tags.iter().map(|&(w, _)| w).collect();
@@ -280,7 +307,7 @@ fn shuffled_journal_is_rejected_not_silently_reordered() {
     let batch_pos: Vec<usize> = records
         .iter()
         .enumerate()
-        .filter(|(_, r)| journal::record_type(r) == Some("batch"))
+        .filter(|(_, r)| matches!(r, Record::Batch { .. }))
         .map(|(i, _)| i)
         .collect();
     records.swap(batch_pos[0], batch_pos[1]);
@@ -313,7 +340,7 @@ fn duplicate_worker_record_trips_the_per_worker_invariant() {
     let mut records = scan.records.clone();
     let first_batch = records
         .iter()
-        .find(|r| journal::record_type(r) == Some("batch"))
+        .find(|r| matches!(r, Record::Batch { .. }))
         .unwrap()
         .clone();
     records.push(first_batch);
@@ -496,7 +523,7 @@ fn gateway_in_front_of_a_cluster_matches_a_gateway_over_a_supervisor() {
 }
 
 /// Rewrite the journal file from scratch with `records`.
-fn rewrite(cfg: &DurabilityConfig, records: &[gt_telemetry::Json]) {
+fn rewrite(cfg: &DurabilityConfig, records: &[Record]) {
     let mut j = journal::Journal::create(cfg.journal_path()).unwrap();
     for r in records {
         j.append(r).unwrap();

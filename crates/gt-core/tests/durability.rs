@@ -7,11 +7,11 @@
 //! then serving the remaining batches — must produce the exact final
 //! parameters and outcome sequence of a run that never crashed.
 
-use gt_core::journal;
+use gt_core::journal::{self, Record};
 use gt_core::{DurabilityConfig, GtError, ServeCtx, Supervisor};
 use gt_sim::{CrashSite, FaultPlan};
-use gt_telemetry::ToJson;
-use gt_tensor::checkpoint;
+use gt_telemetry::{json::parse, Json, ToJson};
+use gt_tensor::{checkpoint, crc32::crc32};
 use std::path::PathBuf;
 
 mod common;
@@ -80,17 +80,14 @@ fn durable_serving_is_bit_identical_to_plain() {
     // checkpoint records), outcomes matching what the caller saw.
     let scan = journal::read_journal(cfg(&dir).journal_path()).unwrap();
     assert!(!scan.torn_tail);
-    let journaled: Vec<String> = scan
-        .records
-        .iter()
-        .filter(|r| journal::record_type(r) == Some("batch"))
-        .map(|r| r.get("outcome").unwrap().to_json_string())
-        .collect();
-    assert_eq!(journaled, ref_outcomes);
+    assert_eq!(
+        scan.batch_outcomes().map(|(_, o)| o).collect::<Vec<_>>(),
+        ref_outcomes
+    );
     let quarantines = scan
         .records
         .iter()
-        .filter(|r| journal::record_type(r) == Some("quarantine"))
+        .filter(|r| matches!(r, Record::Quarantine(_)))
         .count();
     assert_eq!(quarantines, 1, "the poison batch must be journaled");
     // Every record on disk — batch, quarantine, and checkpoint markers
@@ -181,14 +178,8 @@ fn kill_at_any_point_recovers_bit_identically() {
             );
             // ...and of the complete journaled outcome sequence.
             let scan = journal::read_journal(cfg(&dir).journal_path()).unwrap();
-            let journaled: Vec<String> = scan
-                .records
-                .iter()
-                .filter(|r| journal::record_type(r) == Some("batch"))
-                .map(|r| r.get("outcome").unwrap().to_json_string())
-                .collect();
             assert_eq!(
-                journaled,
+                scan.batch_outcomes().map(|(_, o)| o).collect::<Vec<_>>(),
                 ref_outcomes,
                 "outcomes diverged ({} @ {crash_batch})",
                 site.label()
@@ -221,12 +212,7 @@ fn journal_truncation_at_record_boundaries_recovers() {
 
     // Record boundaries, recomputed by a raw scan of the frame headers.
     let mut boundaries = vec![8usize];
-    let mut pos = 8usize;
-    while pos + 8 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 8 + len;
-        boundaries.push(pos);
-    }
+    boundaries.extend(frames(&bytes).iter().map(|&(_, end, _)| end));
     assert_eq!(*boundaries.last().unwrap(), bytes.len());
 
     for (bi, &cut) in boundaries.iter().enumerate() {
@@ -240,11 +226,7 @@ fn journal_truncation_at_record_boundaries_recovers() {
                 .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
             // Replayed batches = batch records wholly inside the prefix.
             let scan = journal::read_journal(cfg(&dir).journal_path()).unwrap();
-            let whole_batches = scan
-                .records
-                .iter()
-                .filter(|r| journal::record_type(r) == Some("batch"))
-                .count();
+            let whole_batches = scan.batch_outcomes().count();
             assert_eq!(report.batches_replayed, whole_batches, "cut at {cut}");
             assert!(!scan.torn_tail, "recovery must truncate the torn tail");
             // The recovered supervisor keeps serving durably.
@@ -276,6 +258,73 @@ fn midfile_journal_corruption_is_surfaced() {
         other => panic!("expected CorruptJournal, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every frame of a journal image: `(start, end, payload)`, read from the
+/// raw frame headers.
+fn frames(bytes: &[u8]) -> Vec<(usize, usize, Json)> {
+    let mut out = Vec::new();
+    let mut pos = 8usize;
+    while pos + 8 <= bytes.len() {
+        let end = pos + 8 + u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let payload = std::str::from_utf8(&bytes[pos + 8..end]).unwrap();
+        out.push((pos, end, parse(payload).unwrap()));
+        pos = end;
+    }
+    out
+}
+
+/// A CRC-valid record whose field is not an exact non-negative integer
+/// in range is corruption at that record's frame, naming the field —
+/// never a lossy cast that replays something else.
+#[test]
+fn inexact_integer_fields_are_corrupt_journal() {
+    let dir = tmp_dir("inexact_source");
+    let d = data();
+    let mut sup = Supervisor::new(trainer(), base_plan());
+    sup.make_durable(cfg(&dir)).unwrap();
+    for b in batches(3) {
+        sup.serve(&d, &b, ServeCtx::default()).unwrap();
+    }
+    let bytes = std::fs::read(cfg(&dir).journal_path()).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let frames = frames(&bytes);
+    let cases = [
+        ("batch", "batch_index", Json::Num(0.5)),
+        ("batch", "fanout", Json::Num(3.7)),
+        ("batch", "batch", Json::Arr(vec![Json::Num(-1.0)])),
+        ("batch", "batch", Json::Arr(vec![Json::Num(4294967296.0)])),
+        ("batch", "batch_index", Json::from("x")),
+        ("checkpoint", "image_crc", Json::Num(4294967296.0)),
+    ];
+    for (i, (tag, field, value)) in cases.into_iter().enumerate() {
+        // Re-frame the first `tag` record with `field` replaced.
+        let (start, end, rec) = frames
+            .iter()
+            .find(|(_, _, rec)| rec.get("type").and_then(Json::as_str) == Some(tag))
+            .unwrap();
+        let Json::Obj(mut pairs) = rec.clone() else {
+            panic!("record is an object")
+        };
+        pairs.iter_mut().find(|(k, _)| k == field).unwrap().1 = value;
+        let payload = Json::Obj(pairs).to_json_string();
+        let mut image = bytes[..*start].to_vec();
+        image.extend((payload.len() as u32).to_le_bytes());
+        image.extend(crc32(payload.as_bytes()).to_le_bytes());
+        image.extend(payload.as_bytes());
+        image.extend(&bytes[*end..]);
+
+        let dir = tmp_dir(&format!("inexact_{i}"));
+        std::fs::write(cfg(&dir).journal_path(), &image).unwrap();
+        match Supervisor::new(trainer(), base_plan()).recover(&d, cfg(&dir)) {
+            Err(GtError::CorruptJournal { offset, detail }) => {
+                assert_eq!(offset, *start as u64, "{tag}.{field}");
+                assert!(detail.contains(&format!("`{field}`")), "{detail}");
+            }
+            other => panic!("{tag}.{field}: expected CorruptJournal, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Recovery under a DIFFERENT trainer configuration diverges from the

@@ -181,14 +181,7 @@ fn breach_dump_reconciles_with_the_journal() {
     let breach = tracer.dumps()[0].artifact.clone();
 
     let scan = journal::read_journal(dir.join("outcomes.gtj")).unwrap();
-    let mut journaled = std::collections::BTreeMap::new();
-    for rec in &scan.records {
-        if journal::record_type(rec) == Some("batch") {
-            let idx = journal::record_batch_index(rec).unwrap();
-            let outcome = rec.get("outcome").unwrap().to_json_string();
-            journaled.insert(idx, outcome);
-        }
-    }
+    let journaled: std::collections::BTreeMap<_, _> = scan.batch_outcomes().collect();
     assert!(
         !journaled.is_empty(),
         "durable gateway must journal batches"

@@ -172,11 +172,9 @@ pub fn append(target: IoTarget, file: &mut std::fs::File, bytes: &[u8]) -> io::R
 }
 
 /// Read all of `path`, honoring an armed [`IoFault::ShortRead`] for
-/// `target` by returning only a prefix of the file. Callers must compare
-/// the returned length against file metadata (see
-/// [`checkpoint::load_file`](crate::checkpoint::load_file)): a short read
-/// is transient — retryable — and must never be misread as truncation.
-pub fn read_file(target: IoTarget, path: &Path) -> io::Result<Vec<u8>> {
+/// `target` by returning only a prefix of the file, which [`read_whole`]
+/// catches.
+fn read_file(target: IoTarget, path: &Path) -> io::Result<Vec<u8>> {
     let bytes = std::fs::read(path)?;
     match take_read(target) {
         None => Ok(bytes),
@@ -185,6 +183,23 @@ pub fn read_file(target: IoTarget, path: &Path) -> io::Result<Vec<u8>> {
             Ok(bytes[..keep].to_vec())
         }
     }
+}
+
+/// [`read_file`], validated against file metadata: fewer bytes than the
+/// file holds (an interrupted syscall, a flaky network filesystem, an
+/// injected [`IoFault::ShortRead`]) is a retryable "short read" error,
+/// never a prefix a caller could misread as truncation or a torn tail.
+pub fn read_whole(target: IoTarget, path: &Path) -> io::Result<Vec<u8>> {
+    let bytes = read_file(target, path)?;
+    let expected = std::fs::metadata(path)?.len();
+    if (bytes.len() as u64) < expected {
+        return Err(io::Error::other(format!(
+            "short read on {}: got {} of {expected} bytes; retry",
+            path.display(),
+            bytes.len()
+        )));
+    }
+    Ok(bytes)
 }
 
 #[cfg(test)]

@@ -188,8 +188,8 @@ pub fn load<R: Read>(mut reader: R) -> Result<ParamStore, TensorError> {
 /// rename it over `path`, then fsync the directory. A crash at any point
 /// leaves either the old checkpoint or the new one — never a torn file at
 /// `path` (the stray `.tmp` sibling is ignored by loads and overwritten by
-/// the next save).
-pub fn save_file(params: &ParamStore, path: impl AsRef<Path>) -> Result<(), TensorError> {
+/// the next save). Returns the saved image's [`image_crc`].
+pub fn save_file(params: &ParamStore, path: impl AsRef<Path>) -> Result<u32, TensorError> {
     let path = path.as_ref();
     let tmp = tmp_path(path);
     let bytes = to_bytes(params);
@@ -207,7 +207,10 @@ pub fn save_file(params: &ParamStore, path: impl AsRef<Path>) -> Result<(), Tens
     if let Ok(d) = std::fs::File::open(dir) {
         let _ = d.sync_all();
     }
-    Ok(())
+    // The trailer `to_bytes` just wrote is the body's CRC: the image_crc.
+    Ok(u32::from_le_bytes(
+        bytes[bytes.len() - 4..].try_into().expect("4-byte trailer"),
+    ))
 }
 
 /// The temporary sibling `save_file` stages into before the atomic rename.
@@ -226,26 +229,11 @@ pub fn remove_stale_tmp(path: impl AsRef<Path>) -> bool {
     std::fs::remove_file(tmp_path(path.as_ref())).is_ok()
 }
 
-/// Load from a file path.
-///
-/// Reads through the chaos IO shim and validates the byte count against
-/// file metadata, so a short read (interrupted syscall, flaky NFS) comes
+/// Load from a file path. A short read ([`chaosio::read_whole`]) comes
 /// back as a retryable [`TensorError::Io`] — never misdiagnosed as a
 /// truncated/corrupt checkpoint.
 pub fn load_file(path: impl AsRef<Path>) -> Result<ParamStore, TensorError> {
-    let path = path.as_ref();
-    let bytes = chaosio::read_file(IoTarget::Checkpoint, path)?;
-    let expected = std::fs::metadata(path)?.len();
-    if (bytes.len() as u64) < expected {
-        return Err(TensorError::Io {
-            detail: format!(
-                "short read on {}: got {} of {expected} bytes; retry",
-                path.display(),
-                bytes.len()
-            ),
-        });
-    }
-    from_bytes(&bytes)
+    from_bytes(&chaosio::read_whole(IoTarget::Checkpoint, path.as_ref())?)
 }
 
 #[cfg(test)]
@@ -302,7 +290,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("params.gt");
         let original = store();
-        save_file(&original, &path).unwrap();
+        let crc = save_file(&original, &path).unwrap();
+        assert_eq!(crc, image_crc(&std::fs::read(&path).unwrap()));
         let loaded = load_file(&path).unwrap();
         assert_eq!(loaded.get("layer1/w"), original.get("layer1/w"));
         assert!(
