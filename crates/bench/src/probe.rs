@@ -14,10 +14,11 @@ use crate::benchjson::{BenchConfig, BenchReport, EnvFingerprint, SCHEMA_VERSION}
 use crate::runner::{percentile, print_table, ExpConfig};
 use gt_core::config::ModelConfig;
 use gt_core::framework::Framework;
-use gt_core::prepro::run_prepro;
+use gt_core::prepro::sample_and_reindex;
 use gt_core::trainer::GtVariant;
 use gt_core::{build_prepro_sim, PreproStrategy};
-use gt_profile::{profile_schedule, Stage, StageBreakdown};
+use gt_par::ThreadPool;
+use gt_profile::{BubbleReport, Stage, StageBreakdown};
 use gt_sim::SystemSpec;
 
 /// The probe's representative workload (the paper's light dataset).
@@ -73,12 +74,14 @@ pub fn report(experiment: &str, cfg: &ExpConfig) -> BenchReport {
     }
     let mean_e2e = e2e_us.iter().sum::<f64>() / n as f64;
 
-    // Preprocessing stage attribution on the pipelined schedule the
-    // trainer models, via gt-profile.
-    let pr = run_prepro(&data, &batch, &cfg.sampler());
+    // The `prepro_*` metrics price Prepro-GT's schedule (pipelined,
+    // contention-relaxed) over the same measured work, via gt-profile.
+    let work = sample_and_reindex(&data, &batch, &cfg.sampler(), ThreadPool::global()).work;
     let sys = SystemSpec::paper_testbed();
-    let sim = build_prepro_sim(&pr.work, &sys, PreproStrategy::PipelinedRelaxed);
-    let profile = profile_schedule(&sim, &sim.run());
+    let sim = build_prepro_sim(&work, &sys, PreproStrategy::PipelinedRelaxed);
+    let schedule = sim.run();
+    let stages = StageBreakdown::from_schedule(&schedule);
+    let bubbles = BubbleReport::from_schedule(&schedule, sim.host_cores());
 
     let mut metrics: Vec<(String, f64)> = vec![
         (
@@ -89,17 +92,14 @@ pub fn report(experiment: &str, cfg: &ExpConfig) -> BenchReport {
         ("batch_e2e_us_p95".into(), percentile(&e2e_us, 95.0)),
         ("batch_e2e_us_p99".into(), percentile(&e2e_us, 99.0)),
         ("gpu_us_mean".into(), gpu_us.iter().sum::<f64>() / n as f64),
-        ("prepro_makespan_us".into(), profile.makespan_us),
-        ("prepro_idle_pct".into(), profile.bubbles.idle_pct()),
+        ("prepro_makespan_us".into(), schedule.makespan_us),
+        ("prepro_idle_pct".into(), bubbles.idle_pct()),
     ];
     // Every stage, present or not: a schema-stable key set is what lets
     // benchdiff treat a vanished key as a break rather than noise.
     for stage in Stage::ALL {
         if stage.is_preprocessing() {
-            metrics.push((
-                format!("prepro_{}_us", stage.label()),
-                profile.breakdown.get(stage),
-            ));
+            metrics.push((format!("prepro_{}_us", stage.label()), stages.get(stage)));
         }
     }
     for stage in [

@@ -147,11 +147,6 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     v[idx.min(v.len() - 1)]
 }
 
-/// Format a ratio column: `1.23x`.
-pub fn fx(x: f64) -> String {
-    format!("{x:.2}x")
-}
-
 /// Format a percentage: `45.6%`.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -197,7 +192,6 @@ mod tests {
 
     #[test]
     fn formatting() {
-        assert_eq!(fx(1.5), "1.50x");
         assert_eq!(pct(0.456), "45.6%");
     }
 

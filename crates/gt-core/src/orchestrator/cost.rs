@@ -279,15 +279,6 @@ impl CostModel {
             Placement::AggregationFirst
         }
     }
-
-    /// Input-tensor size reduction of combination-first relative to
-    /// aggregation-first (Fig 11b): positive values mean combination-first
-    /// shrinks the data the aggregation must touch.
-    pub fn reduction_rate(d: &Dims) -> f64 {
-        let agg_first_bytes = (d.n_edges * d.n_feat) as f64;
-        let comb_first_bytes = (d.n_edges * d.n_hid) as f64;
-        1.0 - comb_first_bytes / agg_first_bytes
-    }
 }
 
 #[cfg(test)]
@@ -314,7 +305,6 @@ mod tests {
         let m = model();
         let d = dims(30_000, 8_000, 60_000, 4353, 64);
         assert_eq!(m.decide(&d, false, true), Placement::CombinationFirst);
-        assert!(CostModel::reduction_rate(&d) > 0.9);
     }
 
     #[test]

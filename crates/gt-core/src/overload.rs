@@ -1,7 +1,7 @@
 //! Deadline watchdog, multi-tenant admission, and overload shedding in
 //! front of the supervisor.
 //!
-//! The [`Supervisor`](crate::serve::Supervisor) keeps individual batches
+//! The [`Supervisor`] keeps individual batches
 //! alive through faults; this module keeps the *service* alive through
 //! load. A [`Gateway`] owns a bounded admission queue driven by a virtual
 //! clock (the same simulated-µs timeline the DES prices batches in) and

@@ -61,19 +61,6 @@ pub struct PreproWork {
 }
 
 impl PreproWork {
-    /// Total sampling ops across hops (algorithm + hash).
-    pub fn total_sample_ops(&self) -> u64 {
-        self.hops
-            .iter()
-            .map(|h| h.sample_alg_ops + h.sample_hash_ops)
-            .sum()
-    }
-
-    /// Total reindexing ops across hops.
-    pub fn total_reindex_ops(&self) -> u64 {
-        self.hops.iter().map(|h| h.reindex_ops).sum()
-    }
-
     /// Total structure bytes across hops.
     pub fn total_structure_bytes(&self) -> u64 {
         self.hops.iter().map(|h| h.structure_bytes).sum()
@@ -272,8 +259,6 @@ mod tests {
             w.total_feature_bytes,
             w.total_nodes * (d.feature_dim() * 4) as u64
         );
-        assert!(w.total_sample_ops() > 0);
-        assert!(w.total_reindex_ops() > 0);
         for h in &w.hops {
             assert!(h.structure_bytes > 0);
             assert_eq!(h.reindex_ops, 4 * h.edges);

@@ -57,8 +57,9 @@ pub fn schedule_prepro_with_faults(
 }
 
 /// Construct the task graph for one batch's preprocessing without running
-/// it. Profilers (gt-profile) use the unrun [`Simulator`] for dependency
-/// reconstruction and zeroed-stage what-if re-runs.
+/// it, for callers that need the [`Simulator`] itself: its host-core pool
+/// size (bubble accounting) or extra tasks added before the run (cluster
+/// workers).
 pub fn build_prepro_sim(
     work: &PreproWork,
     sys: &SystemSpec,

@@ -1,16 +1,17 @@
 //! Acceptance test for gt-profile against real preprocessing schedules:
 //! the pipelined-relaxed strategy must show strictly lower idle (bubble)
-//! percentage than the serial one on the same measured work, and the
-//! what-if headroom must be consistent with the observed makespan delta.
+//! percentage than the serial one on the same measured work.
 
 use gt_core::data::GraphData;
-use gt_core::prepro::run_prepro;
+use gt_core::prepro::sample_and_reindex;
 use gt_core::scheduler::{build_prepro_sim, PreproStrategy};
-use gt_profile::{profile_schedule, ScheduleProfile, Stage};
+use gt_par::ThreadPool;
+use gt_profile::BubbleReport;
 use gt_sample::SamplerConfig;
 use gt_sim::SystemSpec;
 
-fn profiles() -> (ScheduleProfile, ScheduleProfile) {
+#[test]
+fn pipelined_relaxed_has_strictly_fewer_bubbles_than_serial() {
     // Large enough that transfers and sampling dominate chunk overheads
     // (same shape as the trainer's pipelining test).
     let d = GraphData::synthetic(2000, 40_000, 256, 4, 3);
@@ -21,87 +22,24 @@ fn profiles() -> (ScheduleProfile, ScheduleProfile) {
         ..Default::default()
     };
     let batch: Vec<_> = (0..300).collect();
-    let pr = run_prepro(&d, &batch, &cfg);
+    let work = sample_and_reindex(&d, &batch, &cfg, ThreadPool::global()).work;
     let sys = SystemSpec::tiny();
+    let bubbles = |strategy| {
+        let sim = build_prepro_sim(&work, &sys, strategy);
+        BubbleReport::from_schedule(&sim.run(), sim.host_cores())
+    };
 
-    let serial_sim = build_prepro_sim(&pr.work, &sys, PreproStrategy::Serial);
-    let serial = profile_schedule(&serial_sim, &serial_sim.run());
-    let relaxed_sim = build_prepro_sim(&pr.work, &sys, PreproStrategy::PipelinedRelaxed);
-    let relaxed = profile_schedule(&relaxed_sim, &relaxed_sim.run());
-    (serial, relaxed)
-}
-
-#[test]
-fn pipelined_relaxed_has_strictly_fewer_bubbles_than_serial() {
-    let (serial, relaxed) = profiles();
+    let serial = bubbles(PreproStrategy::Serial);
+    let relaxed = bubbles(PreproStrategy::PipelinedRelaxed);
     assert!(
         relaxed.makespan_us < serial.makespan_us,
         "relaxed {} !< serial {}",
         relaxed.makespan_us,
         serial.makespan_us
     );
-    let (si, ri) = (serial.bubbles.idle_pct(), relaxed.bubbles.idle_pct());
+    let (si, ri) = (serial.idle_pct(), relaxed.idle_pct());
     assert!(
         ri < si,
         "pipelined idle {ri:.1}% not strictly below serial idle {si:.1}%"
     );
-}
-
-#[test]
-fn what_if_headroom_is_consistent_with_the_makespan_delta() {
-    let (serial, relaxed) = profiles();
-
-    fn headroom(p: &ScheduleProfile, s: Stage) -> &gt_profile::WhatIf {
-        p.what_if
-            .iter()
-            .find(|w| w.stage == s)
-            .unwrap_or_else(|| panic!("no what-if entry for {}", s.label()))
-    }
-
-    // Serial: the transfer is fully exposed at the end of the chain, so a
-    // free transfer would recover exactly its busy time.
-    let st = headroom(&serial, Stage::Transfer);
-    assert!(
-        (st.headroom_us - st.busy_us).abs() < 1e-6,
-        "serial transfer headroom {} != busy {}",
-        st.headroom_us,
-        st.busy_us
-    );
-
-    // Relaxed: the pipeline already hides part of the transfer behind
-    // compute, so a free transfer recovers strictly less than its busy time.
-    let rt = headroom(&relaxed, Stage::Transfer);
-    assert!(
-        rt.headroom_us < rt.busy_us,
-        "relaxed transfer headroom {} !< busy {} (nothing overlapped?)",
-        rt.headroom_us,
-        rt.busy_us
-    );
-
-    // The pipelining win is bounded by what the serial schedule leaves on
-    // the table: the makespan delta cannot exceed serial's total exposure.
-    let delta = serial.makespan_us - relaxed.makespan_us;
-    assert!(delta > 0.0);
-    let serial_total_headroom: f64 = serial.what_if.iter().map(|w| w.headroom_us.max(0.0)).sum();
-    assert!(
-        delta <= serial_total_headroom + 1e-6,
-        "delta {delta} exceeds serial headroom {serial_total_headroom}"
-    );
-}
-
-#[test]
-fn profile_report_renders_for_a_real_schedule() {
-    let (_, relaxed) = profiles();
-    let text = gt_profile::report::render(&relaxed);
-    for needle in ["schedule profile:", "critical path:", "what-if headroom"] {
-        assert!(text.contains(needle), "missing {needle:?}");
-    }
-    // The critical-path chain explains the full makespan.
-    let chain: f64 = relaxed
-        .critical
-        .chain
-        .iter()
-        .map(|l| l.end_us - l.start_us)
-        .sum();
-    assert!((chain - relaxed.makespan_us).abs() < 1e-6);
 }

@@ -73,15 +73,6 @@ impl DegreeStats {
         )
     }
 
-    /// CDF value P(degree ≤ k).
-    pub fn cdf_at(&self, k: usize) -> f64 {
-        if self.num_vertices == 0 {
-            return 0.0;
-        }
-        let cum: u64 = self.hist.iter().take(k + 1).sum();
-        cum as f64 / self.num_vertices as f64
-    }
-
     /// CDF points `(degree, P(deg ≤ degree))` for every occupied degree.
     pub fn cdf(&self) -> Vec<(usize, f64)> {
         let mut out = Vec::new();
@@ -131,7 +122,6 @@ mod tests {
         let cdf = s.cdf();
         assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
         assert!(cdf.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert!((s.cdf_at(2) - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -158,6 +148,5 @@ mod tests {
     fn empty_sequence() {
         let s = DegreeStats::from_degrees(std::iter::empty());
         assert_eq!(s.mean, 0.0);
-        assert_eq!(s.cdf_at(3), 0.0);
     }
 }

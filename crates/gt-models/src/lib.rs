@@ -34,7 +34,7 @@ pub fn ngcf(layers: usize, out_dim: usize) -> ModelConfig {
 
 /// Simplified GAT: per-edge scalar attention from the src·dst dot product,
 /// scaling each source embedding (unnormalized attention — the NAPA mode
-/// closest to [34]).
+/// closest to \[34\]).
 pub fn gat_lite(layers: usize, out_dim: usize) -> ModelConfig {
     ModelConfig {
         name: "GAT-lite".into(),

@@ -36,7 +36,7 @@ pub const THREADS_ENV: &str = "GT_THREADS";
 /// always worker 0. Closures may capture locals by reference: the caller
 /// blocks until every worker has finished the operation, so borrows cannot
 /// outlive it (the lifetime erasure this requires is contained in
-/// [`ThreadPool::run_parallel`]). A panic in a chunk stops the worker that
+/// `ThreadPool::run_parallel`). A panic in a chunk stops the worker that
 /// ran it, the others finish the round, and the caller then panics with the
 /// payload of the lowest-numbered worker that failed; the pool stays usable.
 ///

@@ -2,16 +2,15 @@
 //! paper's Fig 13/16 bars.
 
 use gt_sim::{KernelRecord, Schedule};
-use gt_telemetry::SpanRecord;
 
-use crate::stage::{classify_kernel, classify_span, classify_task, Stage};
+use crate::stage::{classify_kernel, classify_task, Stage};
 
 /// Busy microseconds attributed to each [`Stage`], in display order.
 ///
 /// A breakdown is a pure accumulator: it can be built from a DES
-/// [`Schedule`] (virtual time), from recorded kernels (modeled GPU time),
-/// or from a live span tree (wall time), and breakdowns from different
-/// sources can be [`merge`](StageBreakdown::merge)d into one report.
+/// [`Schedule`] (virtual time) or from recorded kernels (modeled GPU
+/// time), and breakdowns can be [`merge`](StageBreakdown::merge)d into
+/// one report.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StageBreakdown {
     entries: Vec<(Stage, f64)>,
@@ -83,19 +82,6 @@ impl StageBreakdown {
         }
         b
     }
-
-    /// Attribute live spans whose names classify as a preprocessing stage
-    /// (the `"prepro"`-track spans); unrecognized spans are skipped so
-    /// wrapper spans like `train_batch` don't double-count their children.
-    pub fn from_spans(spans: &[SpanRecord]) -> Self {
-        let mut b = StageBreakdown::new();
-        for s in spans {
-            if let Some(stage) = classify_span(&s.name) {
-                b.add(stage, s.dur_us);
-            }
-        }
-        b
-    }
 }
 
 #[cfg(test)]
@@ -141,41 +127,5 @@ mod tests {
         assert!((a.get(Stage::Transfer) - 7.0).abs() < 1e-12);
         let order: Vec<Stage> = a.iter().map(|(s, _)| s).collect();
         assert_eq!(order, vec![Stage::SampleAlg, Stage::Transfer]);
-    }
-
-    #[test]
-    fn span_breakdown_skips_wrapper_spans() {
-        let spans = vec![
-            SpanRecord {
-                id: 1,
-                parent: None,
-                name: "train_batch".into(),
-                track: "train".into(),
-                start_us: 0.0,
-                dur_us: 100.0,
-                args: vec![],
-            },
-            SpanRecord {
-                id: 2,
-                parent: Some(1),
-                name: "S (sample)".into(),
-                track: "prepro".into(),
-                start_us: 0.0,
-                dur_us: 40.0,
-                args: vec![],
-            },
-            SpanRecord {
-                id: 3,
-                parent: Some(1),
-                name: "K (lookup)".into(),
-                track: "prepro".into(),
-                start_us: 40.0,
-                dur_us: 20.0,
-                args: vec![],
-            },
-        ];
-        let b = StageBreakdown::from_spans(&spans);
-        assert!((b.total() - 60.0).abs() < 1e-12);
-        assert!((b.get(Stage::Sample) - 40.0).abs() < 1e-12);
     }
 }

@@ -1,32 +1,16 @@
 //! Per-resource idle ("bubble") accounting — Fig 13's whitespace, measured.
 
-use gt_sim::{resource_track, Resource, Schedule};
+use gt_sim::{Resource, Schedule};
 
 /// Utilization of one resource unit over the schedule's makespan.
 #[derive(Debug, Clone)]
 pub struct UnitUtilization {
-    /// Display track name (`host core N` / `PCIe` / `GPU`), matching the
-    /// Chrome-trace export.
-    pub track: String,
     pub resource: Resource,
     pub unit: usize,
     /// Summed busy time of events on this unit, µs.
     pub busy_us: f64,
     /// `makespan - busy`, µs.
     pub idle_us: f64,
-    /// Idle gaps `(start, end)` within `[0, makespan)`, in time order.
-    pub gaps: Vec<(f64, f64)>,
-}
-
-impl UnitUtilization {
-    /// Idle share of the makespan, in percent.
-    pub fn idle_pct(&self, makespan_us: f64) -> f64 {
-        if makespan_us <= 0.0 {
-            0.0
-        } else {
-            100.0 * self.idle_us / makespan_us
-        }
-    }
 }
 
 /// Bubble report over every resource unit a schedule could have used.
@@ -89,38 +73,24 @@ fn unit_utilization(
     unit: usize,
     makespan_us: f64,
 ) -> UnitUtilization {
-    let mut spans: Vec<(f64, f64)> = schedule
+    let busy: f64 = schedule
         .events
         .iter()
         .filter(|e| e.resource == resource && e.unit == unit)
-        .map(|e| (e.start_us, e.end_us))
-        .collect();
-    spans.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let busy: f64 = spans.iter().map(|(s, e)| e - s).sum();
-    let mut gaps: Vec<(f64, f64)> = Vec::new();
-    let mut cursor = 0.0f64;
-    for &(s, e) in &spans {
-        if s > cursor {
-            gaps.push((cursor, s));
-        }
-        cursor = cursor.max(e);
-    }
-    if makespan_us > cursor {
-        gaps.push((cursor, makespan_us));
-    }
+        .map(|e| e.end_us - e.start_us)
+        .sum();
     UnitUtilization {
-        track: resource_track(resource, unit),
         resource,
         unit,
         busy_us: busy,
         idle_us: (makespan_us - busy).max(0.0),
-        gaps,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breakdown::StageBreakdown;
     use gt_sim::{Phase, Simulator, TaskSpec};
 
     #[test]
@@ -140,38 +110,34 @@ mod tests {
         let core1 = &b.units[1];
         assert!((core0.busy_us - 50.0).abs() < 1e-9);
         assert!((core1.busy_us - 0.0).abs() < 1e-9);
-        assert!((core1.idle_pct(s.makespan_us) - 100.0).abs() < 1e-9);
+        assert!((core1.idle_us - s.makespan_us).abs() < 1e-9);
         assert!((b.idle_pct() - 50.0).abs() < 1e-9);
     }
 
     #[test]
-    fn gaps_cover_exactly_the_idle_time() {
-        let mut sim = Simulator::new(1);
-        let a = sim.add(TaskSpec::new(
-            "a",
+    fn breakdown_and_bubbles_agree_on_busy_time() {
+        let mut sim = Simulator::new(2);
+        let s = sim.add(TaskSpec::new(
+            "S1A c0",
             Resource::HostCore,
-            30.0,
+            40.0,
             Phase::Sampling,
         ));
-        let t = sim.add(TaskSpec::new("t", Resource::Pcie, 40.0, Phase::Transfer).after(&[a]));
-        sim.add(TaskSpec::new("b", Resource::HostCore, 10.0, Phase::Lookup).after(&[t]));
-        let s = sim.run();
-        let b = BubbleReport::from_schedule(&s, 1);
-        for u in &b.units {
-            let gap_sum: f64 = u.gaps.iter().map(|(g0, g1)| g1 - g0).sum();
-            assert!(
-                (gap_sum - u.idle_us).abs() < 1e-9,
-                "{}: gaps {gap_sum} vs idle {}",
-                u.track,
-                u.idle_us
-            );
-            for w in u.gaps.windows(2) {
-                assert!(w[0].1 <= w[1].0);
-            }
-        }
-        // Core idles exactly while the transfer runs: one 40 µs gap.
-        let core = b.units.iter().find(|u| u.track == "host core 0").unwrap();
-        assert_eq!(core.gaps.len(), 1);
-        assert!((core.gaps[0].1 - core.gaps[0].0 - 40.0).abs() < 1e-9);
+        let h = sim.add(
+            TaskSpec::new("S1H c0", Resource::HostCore, 10.0, Phase::Sampling)
+                .after(&[s])
+                .locked(1),
+        );
+        let r =
+            sim.add(TaskSpec::new("R1 c0", Resource::HostCore, 30.0, Phase::Reindex).after(&[h]));
+        sim.add(TaskSpec::new("T(R)", Resource::Pcie, 20.0, Phase::Transfer).after(&[r]));
+        let schedule = sim.run();
+        let breakdown = StageBreakdown::from_schedule(&schedule);
+        let bubbles = BubbleReport::from_schedule(&schedule, sim.host_cores());
+        assert_eq!(
+            bubbles.makespan_us.to_bits(),
+            schedule.makespan_us.to_bits()
+        );
+        assert!((breakdown.total() - bubbles.busy_us()).abs() < 1e-9);
     }
 }

@@ -5,10 +5,10 @@
 //! hash-table halves when the relaxed scheduler runs them separately
 //! (Fig 14), and the three NAPA GPU kernels Pull / NeighborApply / MatMul
 //! (§IV). Everything the profiler reports is keyed by this enum, so
-//! classification from the three data sources — DES task labels, kernel
-//! records, live spans — lives here and nowhere else.
+//! classification from both data sources — DES task labels and kernel
+//! records — lives here and nowhere else.
 
-use gt_sim::{KernelRecord, Phase, TaskSpec};
+use gt_sim::{KernelRecord, Phase};
 
 /// A pipeline stage the profiler attributes time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -114,29 +114,10 @@ pub fn classify_task(phase: Phase, label: &str) -> Stage {
     }
 }
 
-/// Classify a scheduled task spec (convenience over [`classify_task`]).
-pub fn classify_spec(spec: &TaskSpec) -> Stage {
-    classify_task(spec.phase, &spec.label)
-}
-
 /// Classify a recorded kernel execution by phase only (kernel records carry
 /// no scheduler labels, so sampling never splits here).
 pub fn classify_kernel(rec: &KernelRecord) -> Stage {
     classify_task(rec.phase, "")
-}
-
-/// Classify a live telemetry span by name. Recognizes the spans
-/// `gt_core::prepro` emits on its "prepro" track (`"S (sample)"`,
-/// `"R (reindex)"`, `"K (lookup)"`) plus a `"T"`-prefixed transfer form.
-pub fn classify_span(name: &str) -> Option<Stage> {
-    let head = name.split_whitespace().next().unwrap_or("");
-    match head {
-        "S" => Some(Stage::Sample),
-        "R" => Some(Stage::Reindex),
-        "K" => Some(Stage::Lookup),
-        "T" => Some(Stage::Transfer),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -164,15 +145,6 @@ mod tests {
         );
         assert_eq!(classify_task(Phase::Combination, "mm"), Stage::MatMul);
         assert_eq!(classify_task(Phase::Loss, "loss"), Stage::Other);
-    }
-
-    #[test]
-    fn span_names_classify() {
-        assert_eq!(classify_span("S (sample)"), Some(Stage::Sample));
-        assert_eq!(classify_span("R (reindex)"), Some(Stage::Reindex));
-        assert_eq!(classify_span("K (lookup)"), Some(Stage::Lookup));
-        assert_eq!(classify_span("T (transfer)"), Some(Stage::Transfer));
-        assert_eq!(classify_span("train_batch"), None);
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl BatchIter {
             cursor: 0,
         }
     }
-
-    /// Number of batches this iterator will yield in total.
-    pub fn num_batches(&self) -> usize {
-        self.order.len().div_ceil(self.batch_size)
-    }
 }
 
 impl Iterator for BatchIter {
@@ -85,7 +80,6 @@ mod tests {
         assert_eq!(batches.len(), 4);
         assert_eq!(batches[0].len(), 3);
         assert_eq!(batches[3].len(), 1);
-        assert_eq!(BatchIter::new(10, 3, 1).num_batches(), 4);
     }
 
     #[test]

@@ -68,17 +68,6 @@ impl CacheSim {
         let total: usize = self.per_sm.iter().map(|s| s.len()).sum();
         total - self.unique_rows()
     }
-
-    /// Cache bloat ratio: loaded bytes / unique-working-set bytes, minus one.
-    /// Returns 0 when nothing was loaded. The paper reports this as "an
-    /// average of 81.9% more data" for Graph-approach SDDMM (Fig 6b).
-    pub fn bloat_fraction(&self, row_bytes: u64) -> f64 {
-        let unique = self.unique_rows() as u64 * row_bytes;
-        if unique == 0 {
-            return 0.0;
-        }
-        self.loaded_bytes as f64 / unique as f64 - 1.0
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +91,6 @@ mod tests {
         assert_eq!(c.loaded_bytes(), 200);
         assert_eq!(c.unique_rows(), 1);
         assert_eq!(c.duplicate_rows(), 1);
-        assert!((c.bloat_fraction(100) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -119,7 +107,8 @@ mod tests {
     #[test]
     fn empty_cache_has_zero_bloat() {
         let c = CacheSim::new(3);
-        assert_eq!(c.bloat_fraction(64), 0.0);
+        assert_eq!(c.loaded_bytes(), 0);
+        assert_eq!(c.duplicate_rows(), 0);
     }
 
     #[test]

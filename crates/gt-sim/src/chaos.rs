@@ -406,7 +406,7 @@ fn weaker_kinds(kind: &FaultKind) -> Vec<FaultKind> {
 /// 2. **rebase** — shift each rule's window toward batch 0 (try 0, then
 ///    halve the distance);
 /// 3. **tighten** — shrink open or multi-batch windows to one batch;
-/// 4. **weaken** — substitute strictly weaker kinds ([`weaker_kinds`]).
+/// 4. **weaken** — substitute strictly weaker kinds (`weaker_kinds`).
 ///
 /// The returned plan always fails the predicate (it is only replaced by
 /// candidates that do). `still_fails` must be deterministic — it re-runs

@@ -214,13 +214,6 @@ impl Simulator {
         self.tasks.is_empty()
     }
 
-    /// The submitted task specs, indexable by [`TaskId`]. Analysis layers
-    /// (gt-profile) use this to reconstruct the dependency DAG behind a
-    /// [`Schedule`] and to rebuild what-if variants of the simulator.
-    pub fn tasks(&self) -> &[TaskSpec] {
-        &self.tasks
-    }
-
     /// Size of the host-core pool this simulator schedules onto.
     pub fn host_cores(&self) -> usize {
         self.host_cores

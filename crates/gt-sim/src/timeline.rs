@@ -2,8 +2,7 @@
 //!
 //! Figure 20 plots, for each preprocessing stage, the fraction of sampled
 //! nodes already processed against accumulated time. [`Timeline`] converts a
-//! [`crate::Schedule`] (or manually recorded events) into those normalized
-//! cumulative curves.
+//! [`crate::Schedule`] into those normalized cumulative curves.
 
 use crate::counters::Phase;
 use crate::des::Schedule;
@@ -18,7 +17,7 @@ pub struct TimelineEvent {
 }
 
 /// Normalized per-phase progress curves.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Timeline {
     curves: Vec<(Phase, Vec<TimelineEvent>)>,
 }
@@ -49,27 +48,6 @@ impl Timeline {
         Timeline { curves }
     }
 
-    /// Record a curve manually from `(time, cumulative items)` samples in
-    /// arrival order, normalized against a declared `total`. The same
-    /// clamping as [`from_schedule`](Self::from_schedule) applies, so
-    /// samples with out-of-order times or counts overshooting `total`
-    /// (both possible under fault injection) still yield a well-formed
-    /// curve. Zero `total` or empty samples record nothing.
-    pub fn push_curve(&mut self, phase: Phase, samples: &[(f64, u64)], total: u64) {
-        if total == 0 || samples.is_empty() {
-            return;
-        }
-        let finite: Vec<(f64, u64)> = samples
-            .iter()
-            .copied()
-            .filter(|(t, _)| t.is_finite())
-            .collect();
-        if finite.is_empty() {
-            return;
-        }
-        self.curves.push((phase, sanitized(finite, total)));
-    }
-
     /// Curves in insertion order.
     pub fn curves(&self) -> &[(Phase, Vec<TimelineEvent>)] {
         &self.curves
@@ -82,18 +60,6 @@ impl Timeline {
             .find(|(p, _)| *p == phase)
             .and_then(|(_, pts)| pts.last())
             .map(|e| e.time_us)
-    }
-
-    /// Sample a curve at `time_us` (step interpolation).
-    pub fn fraction_at(&self, phase: Phase, time_us: f64) -> f64 {
-        let Some((_, pts)) = self.curves.iter().find(|(p, _)| *p == phase) else {
-            return 0.0;
-        };
-        pts.iter()
-            .take_while(|e| e.time_us <= time_us)
-            .last()
-            .map(|e| e.fraction)
-            .unwrap_or(0.0)
     }
 }
 
@@ -143,14 +109,6 @@ mod tests {
         assert_eq!(tl.finish_us(Phase::Transfer), None);
     }
 
-    #[test]
-    fn step_sampling() {
-        let tl = Timeline::from_schedule(&schedule(), &[Phase::Sampling]);
-        assert_eq!(tl.fraction_at(Phase::Sampling, 0.0), 0.0);
-        assert!((tl.fraction_at(Phase::Sampling, 10.0) - 0.3).abs() < 1e-12);
-        assert!((tl.fraction_at(Phase::Sampling, 25.0) - 1.0).abs() < 1e-12);
-    }
-
     fn event(end_us: f64, items: u64) -> ScheduledEvent {
         ScheduledEvent {
             task: 0,
@@ -192,16 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn push_curve_clamps_overshoot_and_disorder() {
-        let mut tl = Timeline::default();
+    fn sanitized_clamps_overshoot_and_disorder() {
         // Non-monotonic times and a count overshooting the declared total,
         // as a fault-injected run can record them.
-        tl.push_curve(
-            Phase::Reindex,
-            &[(5.0, 40), (3.0, 60), (f64::NAN, 70), (9.0, 120)],
-            100,
-        );
-        let (_, pts) = &tl.curves()[0];
+        let pts = sanitized([(5.0, 40), (3.0, 60), (9.0, 120)], 100);
         assert_eq!(pts.len(), 3);
         assert_eq!(pts[0].time_us, 5.0);
         // 3.0 clamps up to the running max.
@@ -209,14 +161,5 @@ mod tests {
         // 120/100 clamps to 1.0, never above.
         assert!((pts[2].fraction - 1.0).abs() < 1e-12);
         assert!(pts.iter().all(|e| e.fraction <= 1.0));
-    }
-
-    #[test]
-    fn push_curve_ignores_degenerate_input() {
-        let mut tl = Timeline::default();
-        tl.push_curve(Phase::Sampling, &[], 10);
-        tl.push_curve(Phase::Sampling, &[(1.0, 5)], 0);
-        tl.push_curve(Phase::Sampling, &[(f64::NAN, 5)], 10);
-        assert!(tl.curves().is_empty());
     }
 }

@@ -24,15 +24,6 @@ impl PcieSpec {
         };
         self.latency_us + bytes as f64 / (bw / 1.0e6)
     }
-
-    /// Latency of a transfer split into `chunks` pipelined pieces: each chunk
-    /// pays the DMA-setup latency, but chunking lets producers overlap — the
-    /// caller models the overlap; this prices the raw cost.
-    pub fn chunked_transfer_us(&self, bytes: u64, chunks: u64, kind: TransferKind) -> f64 {
-        let chunks = chunks.max(1);
-        let per_chunk = bytes.div_ceil(chunks);
-        chunks as f64 * self.transfer_us(per_chunk, kind)
-    }
 }
 
 #[cfg(test)]
@@ -54,20 +45,5 @@ mod tests {
         // 12 GB at 12 GB/s pinned ≈ 1s = 1e6 us (plus setup).
         let us = p.transfer_us(12_000_000_000, TransferKind::Pinned);
         assert!((us - 1.0e6).abs() / 1.0e6 < 0.01, "us={us}");
-    }
-
-    #[test]
-    fn chunking_adds_setup_cost_only() {
-        let p = PcieSpec::gen3_x16();
-        let whole = p.transfer_us(1 << 20, TransferKind::Pinned);
-        let chunked = p.chunked_transfer_us(1 << 20, 8, TransferKind::Pinned);
-        assert!(chunked > whole);
-        assert!(chunked < whole + 8.0 * p.latency_us + 1.0);
-    }
-
-    #[test]
-    fn zero_chunks_clamped() {
-        let p = PcieSpec::gen3_x16();
-        assert!(p.chunked_transfer_us(1024, 0, TransferKind::Pinned) > 0.0);
     }
 }

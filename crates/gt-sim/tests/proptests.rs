@@ -1,7 +1,11 @@
 //! Property-based tests on the discrete-event simulator's guarantees.
 
 use gt_sim::prop::{check, Gen, CASES};
-use gt_sim::{ActiveFaults, FaultKind, FaultPlan, FaultRule, Phase, Resource, Simulator, TaskSpec};
+use gt_sim::{
+    schedule_to_trace, ActiveFaults, FaultKind, FaultPlan, FaultRule, Phase, Resource, Simulator,
+    TaskSpec,
+};
+use gt_telemetry::{from_chrome_json, write_chrome_json};
 
 /// `(duration_us, deps, lock_group)`.
 type Task = (f64, Vec<usize>, Option<u32>);
@@ -198,5 +202,31 @@ fn cores_monotone() {
         let makespan = |cores| on_host(&tasks, cores).run().makespan_us;
         assert!(makespan(4) <= makespan(1) + 1e-6);
         assert!(makespan(8) <= makespan(2) + 1e-6);
+    });
+}
+
+/// The Chrome-trace export of a random mixed-resource schedule — every
+/// resource, every phase, transfers failed by an injected fault — survives
+/// a write/parse round trip bit-exactly.
+#[test]
+fn schedule_trace_round_trips_bit_exactly() {
+    const RESOURCES: [Resource; 3] = [Resource::HostCore, Resource::Pcie, Resource::Gpu];
+    check("schedule_trace_round_trips_bit_exactly", CASES, |g| {
+        let mut sim = Simulator::new(g.range(1..4));
+        for (i, (dur, deps, lock)) in dag(g).into_iter().enumerate() {
+            let (resource, phase) = (*g.pick(&RESOURCES), *g.pick(&Phase::ALL));
+            let label = format!("t{i} {}", phase.label());
+            let mut spec = TaskSpec::new(label, resource, dur, phase).after(&deps);
+            if let Some(group) = lock {
+                spec = spec.locked(group);
+            }
+            sim.add(spec);
+        }
+        let faults = FaultPlan::new(g.next_u64()).with_transfer_failure(0.5);
+        let schedule = sim.run_with_faults(&faults.active(0, 0));
+        let trace = schedule_to_trace(&schedule, "virtual time");
+        let back = from_chrome_json(&write_chrome_json(&[&trace])).unwrap();
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0], trace);
     });
 }

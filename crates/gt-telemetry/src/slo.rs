@@ -118,7 +118,6 @@ pub struct SloEngine {
     window: VecDeque<(f64, bool)>,
     /// Per-rule firing state, parallel to `spec.rules`.
     firing: Vec<bool>,
-    breaches: u64,
 }
 
 impl SloEngine {
@@ -133,7 +132,6 @@ impl SloEngine {
             telemetry,
             window: VecDeque::new(),
             firing,
-            breaches: 0,
         }
     }
 
@@ -145,11 +143,6 @@ impl SloEngine {
     /// True while any rule is firing.
     pub fn breached(&self) -> bool {
         self.firing.iter().any(|&f| f)
-    }
-
-    /// Total breach transitions so far.
-    pub fn breach_count(&self) -> u64 {
-        self.breaches
     }
 
     /// Stable state label for `/healthz` and dumps: `ok`, or
@@ -212,7 +205,6 @@ impl SloEngine {
             if firing != self.firing[i] {
                 self.firing[i] = firing;
                 if firing {
-                    self.breaches += 1;
                     self.telemetry
                         .counter("gt_slo_breaches_total", "SLO burn-rate breach transitions")
                         .inc();
@@ -303,7 +295,6 @@ mod tests {
         }
         assert!(!e.breached());
         assert_eq!(e.state(), "ok");
-        assert_eq!(e.breach_count(), 0);
     }
 
     #[test]
@@ -343,7 +334,6 @@ mod tests {
         assert!(cleared, "recovery must clear the breach");
         assert!(!e.breached());
         assert_eq!(e.state(), "ok");
-        assert_eq!(e.breach_count(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! not against a hand-simulated approximation of it. This module is that
 //! injection point: [`checkpoint::save_file`](crate::checkpoint::save_file)
 //! stages its bytes through [`write_file`], journal appends go through
-//! [`append`], and recovery reads come back through [`read_file`].
+//! [`append`], and recovery reads come back through [`read_whole`].
 //!
 //! With nothing armed (the production state), every function is the plain
 //! `std::fs` operation — same syscalls, same fsync placement. A campaign
@@ -185,7 +185,7 @@ fn read_file(target: IoTarget, path: &Path) -> io::Result<Vec<u8>> {
     }
 }
 
-/// [`read_file`], validated against file metadata: fewer bytes than the
+/// `read_file`, validated against file metadata: fewer bytes than the
 /// file holds (an interrupted syscall, a flaky network filesystem, an
 /// injected [`IoFault::ShortRead`]) is a retryable "short read" error,
 /// never a prefix a caller could misread as truncation or a torn tail.

@@ -3,7 +3,7 @@
 //! paper's `Apply` delegates to, §IV-B).
 //!
 //! All three products (`matmul`, `matmul_transpose_b`, `transpose_a_matmul`)
-//! run one band kernel, [`band`]: the output band is cut into register tiles
+//! run one band kernel, `band`: the output band is cut into register tiles
 //! of `TILE_R` rows × `TILE_C` feature columns, and each tile accumulates
 //! `Σ_k A[r][k]·B[k][j]` with **k ascending per output element**, one rounded
 //! multiply and one rounded add per step. Tiling only reorders *which
@@ -11,7 +11,7 @@
 //! result equals (`==`) the plain triple loop's.
 //!
 //! **One body, two instantiations.** The kernel is plain Rust, no intrinsics:
-//! `band_body` + `tile`. [`band`] compiles it twice on `x86_64` — for the
+//! `band_body` + `tile`. `band` compiles it twice on `x86_64` — for the
 //! build's baseline target (SSE2) and, behind `is_x86_feature_detected!`,
 //! under `#[target_feature(enable = "avx2")]`, where the same loops become
 //! 256-bit multiplies and adds — and once everywhere else. The lanes are
@@ -530,21 +530,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape());
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(&a, &b)| a * b)
-                .collect(),
-        }
-    }
-
     /// In-place `self += alpha * rhs`.
     pub fn axpy(&mut self, alpha: f32, rhs: &Matrix) {
         assert_eq!(self.shape(), rhs.shape());
@@ -909,7 +894,6 @@ mod tests {
         let a = Matrix::from_vec(1, 3, vec![1., 2., 3.]);
         let b = Matrix::from_vec(1, 3, vec![4., 5., 6.]);
         assert_eq!(a.add(&b).data(), &[5., 7., 9.]);
-        assert_eq!(a.hadamard(&b).data(), &[4., 10., 18.]);
         let mut c = a.clone();
         c.axpy(2.0, &b);
         assert_eq!(c.data(), &[9., 12., 15.]);

@@ -348,11 +348,6 @@ impl Dfg {
         }
     }
 
-    /// Input edges of node `id`.
-    pub fn node_inputs(&self, id: NodeId) -> &[NodeId] {
-        &self.nodes[id].inputs
-    }
-
     /// Ids of nodes that consume `id`'s value.
     pub fn consumers(&self, id: NodeId) -> Vec<NodeId> {
         self.nodes
@@ -906,7 +901,6 @@ mod tests {
         // Fuse relu→matmul into a single relu (dummy fusion for the test).
         dfg.fuse_pair(r, l, Box::new(Relu));
         assert_eq!(dfg.node_name(l), "relu");
-        assert_eq!(dfg.node_inputs(l), &[x]);
         let mut ctx = ExecCtx {
             sim: &mut sim,
             params: &mut params,

@@ -9,7 +9,7 @@
 //!   scheduling-aware kernels in `gt-core` and `gt-baselines`;
 //! * [`dfg`] — a dataflow graph with reverse-mode autodiff, the structure
 //!   the kernel orchestrator's Dynamic Kernel Placement rewrites (§V-A);
-//! * [`lstsq`] — the least-squares estimator DKP uses to fit its cost-model
+//! * [`lstsq`](mod@lstsq) — the least-squares estimator DKP uses to fit its cost-model
 //!   coefficients (Table I);
 //! * [`loss`], [`init`], [`optim`] — losses, weight initialization, and
 //!   optimizers (SGD / momentum / Adam, gradient clipping).

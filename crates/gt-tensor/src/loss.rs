@@ -29,20 +29,6 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix)
     (loss / n as f32, grad)
 }
 
-/// Mean squared error against a dense target. Returns `(loss, grad)`.
-pub fn mse(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
-    assert_eq!(pred.shape(), target.shape());
-    let n = pred.len() as f32;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
-    let mut loss = 0.0f32;
-    for i in 0..pred.len() {
-        let d = pred.data()[i] - target.data()[i];
-        loss += d * d;
-        grad.data_mut()[i] = 2.0 * d / n;
-    }
-    (loss / n, grad)
-}
-
 /// Classification accuracy of argmax(logits) against labels.
 pub fn accuracy(logits: &Matrix, labels: &[usize]) -> f64 {
     assert_eq!(logits.rows(), labels.len());
@@ -108,23 +94,6 @@ mod tests {
         let (_, g) = softmax_cross_entropy(&logits, &[1]);
         let s: f32 = g.row(0).iter().sum();
         assert!(s.abs() < 1e-6);
-    }
-
-    #[test]
-    fn mse_zero_at_target() {
-        let a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let (l, g) = mse(&a, &a);
-        assert_eq!(l, 0.0);
-        assert!(g.data().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn mse_gradient_direction() {
-        let pred = Matrix::from_vec(1, 1, vec![3.0]);
-        let target = Matrix::from_vec(1, 1, vec![1.0]);
-        let (l, g) = mse(&pred, &target);
-        assert_eq!(l, 4.0);
-        assert_eq!(g.data()[0], 4.0); // 2(3-1)/1
     }
 
     #[test]
