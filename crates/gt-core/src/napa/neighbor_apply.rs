@@ -131,16 +131,18 @@ impl NeighborApply {
 
     /// Device work charged by this kernel.
     pub fn stats(&self, feat_dim: usize, num_sms: usize) -> KernelStats {
-        stats(&self.layer, feat_dim, num_sms)
+        let rows = feature_wise_loaded_rows(&self.layer, num_sms);
+        stats(&self.layer, feat_dim, rows)
     }
 }
 
-/// The edge-weighting kernel's device work over `layer`. `Pull` charges the
-/// same when it computes edge values itself: the modeled GPU runs this
-/// kernel whether or not the host does (docs/MODEL.md).
-pub(super) fn stats(layer: &LayerGraph, feat_dim: usize, num_sms: usize) -> KernelStats {
+/// The edge-weighting kernel's device work over `layer`, whose feature-wise
+/// schedule loads `loaded_rows` rows ([`feature_wise_loaded_rows`]). `Pull`
+/// charges the same when it computes edge values itself: the modeled GPU
+/// runs this kernel whether or not the host does (docs/MODEL.md).
+pub(super) fn stats(layer: &LayerGraph, feat_dim: usize, loaded_rows: u64) -> KernelStats {
     let row_bytes = (feat_dim * 4) as u64;
-    let cache_loaded_bytes = feature_wise_loaded_rows(layer, num_sms) * row_bytes;
+    let cache_loaded_bytes = loaded_rows * row_bytes;
     let edges = layer.csr.num_edges() as u64;
     KernelStats {
         flops: edges * feat_dim as u64,
@@ -165,13 +167,15 @@ pub(super) fn assert_covers_dst<X: RowSource + ?Sized>(layer: &LayerGraph, featu
 }
 
 /// `Dot`'s per-edge scalar, summed in feature order.
+#[inline(always)]
 pub(super) fn dot(srow: &[f32], drow: &[f32]) -> f32 {
     srow.iter().zip(drow).map(|(&a, &b)| a * b).sum()
 }
 
 /// `g'` for one edge `(s, d)` whose weight-row gradient is `grow`: the src
 /// row of `dx` accumulates first, then the dst row (they alias on a
-/// self-loop).
+/// self-loop). Inlined into each instantiation of Pull's walks.
+#[inline(always)]
 pub(super) fn scatter_edge_grad<X: RowSource + ?Sized>(
     dx: &mut Matrix,
     g: EdgeOp,

@@ -29,21 +29,47 @@
 //! [`RowSource`], so one body serves a dense matrix and the GraphTensor
 //! trainer's first-layer input — rows of the embedding table picked by
 //! `new_to_orig`, never gathered — with the same floats in the same order.
+//!
+//! **One body per row walk, two instantiations.** The three row walks — the
+//! forward CSR chunk, the backward CSC chunk and the serial
+//! `edge_input_grad` pass — are plain-Rust `Walk` bodies. `Isa::run`
+//! compiles each twice on `x86_64`, as the dense band kernel is compiled:
+//! for the baseline target (SSE2) and, where [`has_avx2`] detects it,
+//! under `#[target_feature(enable = "avx2")]`. **Never `fma`.** Aggregation is
+//! bound by irregular source-row reads, so the two walks that read source
+//! rows in CSR order (forward, `edge_input_grad`) also prefetch (T0) every
+//! line of the row they will read `PREFETCH_EDGES` edges further on in the
+//! chunk's flat edge slice. The CSC walk's random reads are gradient rows
+//! of the few destinations, which stay cached; a prefetch there measured
+//! slower, so it issues none. Vector lanes are independent output elements
+//! and a prefetch only moves when a line arrives, so neither changes the
+//! order or the rounding of any one element's operations: both
+//! instantiations give the same bits, with or without the hint.
+//!
+//! The device charges of one layer — Pull's forward and backward and, with
+//! `g` set, the edge weighting's — all price the rows
+//! [`feature_wise_loaded_rows`] counts; a Pull counts them once.
 
 use crate::config::HFn;
+use gt_graph::VId;
 use gt_par::ThreadPool;
 use gt_sample::LayerGraph;
 use gt_sim::{KernelStats, Phase};
-use gt_tensor::dense::{Matrix, RowSource};
+use gt_tensor::dense::{has_avx2, Matrix, RowSource};
 use gt_tensor::dfg::{ExecCtx, Op, Operand, ParamStore};
 use gt_tensor::sparse::{EdgeOp, Reduce};
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use super::neighbor_apply;
 use super::schedule::feature_wise_loaded_rows;
 
 /// Output rows per pool chunk (fixed — never derived from the worker count).
 const ROW_CHUNK: usize = 64;
+
+/// How far ahead of the edge it reads a row walk prefetches, in edges of
+/// its chunk's flat edge slice.
+const PREFETCH_EDGES: usize = 8;
 
 /// The Pull DFG op. Inputs: `[features]` (unweighted, or edge-weighted with
 /// `g` set) or `[features, edge_weights]` (materialised weights; weight row
@@ -62,6 +88,9 @@ pub struct Pull {
     pub h: Option<HFn>,
     /// Worker pool for row-parallel compute (the process pool by default).
     pub pool: &'static ThreadPool,
+    /// The first [`feature_wise_loaded_rows`] count of `layer` taken: at
+    /// how many SMs, and the rows.
+    loaded_rows: OnceLock<(usize, u64)>,
 }
 
 impl Pull {
@@ -73,6 +102,7 @@ impl Pull {
             g: None,
             h: None,
             pool: ThreadPool::global(),
+            loaded_rows: OnceLock::new(),
         }
     }
 
@@ -108,6 +138,15 @@ impl Pull {
 
     /// Forward numerics, shared with the fused Cost-DKP node.
     pub fn compute<X: RowSource + ?Sized>(&self, features: &X, weights: Option<&Matrix>) -> Matrix {
+        self.forward_on(features, weights, Isa::Widest)
+    }
+
+    fn forward_on<X: RowSource + ?Sized>(
+        &self,
+        features: &X,
+        weights: Option<&Matrix>,
+        isa: Isa,
+    ) -> Matrix {
         self.assert_weight_arity(weights);
         let f = features.cols();
         let layer = &self.layer;
@@ -127,78 +166,33 @@ impl Pull {
         // one writer on the pool.
         self.pool
             .for_each_chunk_mut("napa.pull", out.data_mut(), ROW_CHUNK * f, |ci, chunk| {
-                let row_base = ci * ROW_CHUNK;
-                for (r, orow) in chunk.chunks_mut(f).enumerate() {
-                    let d = row_base + r;
-                    let srcs = layer.csr.srcs(d as u32);
-                    if srcs.is_empty() {
-                        continue;
-                    }
-                    let erange = layer.csr.edge_range(d as u32);
-                    match self.agg {
-                        Reduce::Sum | Reduce::Mean => {
-                            for (&s, e) in srcs.iter().zip(erange) {
-                                let srow = features.row(s as usize);
-                                match (self.h, self.g, weights) {
-                                    // The dst row stays hot across its edges.
-                                    (Some(HFn::Mul), Some(g), _) => {
-                                        fold_edge(orow, srow, srow, features.row(d), g, |x, wk| {
-                                            x * wk
-                                        })
-                                    }
-                                    (Some(HFn::Add), Some(g), _) => {
-                                        fold_edge(orow, srow, srow, features.row(d), g, |x, wk| {
-                                            x + wk
-                                        })
-                                    }
-                                    (Some(HFn::Mul), None, Some(w)) => {
-                                        for ((o, &x), &wk) in
-                                            orow.iter_mut().zip(srow).zip(w.row(e))
-                                        {
-                                            *o += x * wk;
-                                        }
-                                    }
-                                    (Some(HFn::Add), None, Some(w)) => {
-                                        for ((o, &x), &wk) in
-                                            orow.iter_mut().zip(srow).zip(w.row(e))
-                                        {
-                                            *o += x + wk;
-                                        }
-                                    }
-                                    _ => {
-                                        for (o, &x) in orow.iter_mut().zip(srow) {
-                                            *o += x;
-                                        }
-                                    }
-                                }
-                            }
-                            if self.agg == Reduce::Mean {
-                                let inv = 1.0 / srcs.len() as f32;
-                                for o in orow.iter_mut() {
-                                    *o *= inv;
-                                }
-                            }
-                        }
-                        // Unweighted only: the constructors refuse a weighted Max.
-                        Reduce::Max => {
-                            orow.copy_from_slice(features.row(srcs[0] as usize));
-                            for &s in &srcs[1..] {
-                                for (o, &x) in orow.iter_mut().zip(features.row(s as usize)) {
-                                    *o = o.max(x);
-                                }
-                            }
-                        }
-                    }
-                }
+                isa.run(Forward {
+                    pull: self,
+                    features,
+                    weights,
+                    out: chunk,
+                    row_base: ci * ROW_CHUNK,
+                })
             });
         out
+    }
+
+    /// [`feature_wise_loaded_rows`] of this layer on `num_sms` SMs. The
+    /// first count is kept: every charge of the layer prices the same rows.
+    /// Another SM count is counted afresh.
+    fn loaded_rows(&self, num_sms: usize) -> u64 {
+        let count = || feature_wise_loaded_rows(&self.layer, num_sms);
+        match *self.loaded_rows.get_or_init(|| (num_sms, count())) {
+            (sms, rows) if sms == num_sms => rows,
+            _ => count(),
+        }
     }
 
     /// Work this Pull charges the device (forward direction).
     pub fn forward_stats(&self, feat_dim: usize, num_sms: usize) -> KernelStats {
         let layer = &self.layer;
         let row_bytes = (feat_dim * 4) as u64;
-        let cache_loaded_bytes = feature_wise_loaded_rows(layer, num_sms) * row_bytes;
+        let cache_loaded_bytes = self.loaded_rows(num_sms) * row_bytes;
         let edges = layer.csr.num_edges() as u64;
         let weight_stream = if self.h.is_some() {
             edges * row_bytes // weight rows streamed once, no reuse needed
@@ -229,6 +223,16 @@ impl Pull {
         weights: Option<&Matrix>,
         grad: &Matrix,
     ) -> (Matrix, Option<Matrix>) {
+        self.backward_on(features, weights, grad, Isa::Widest)
+    }
+
+    fn backward_on<X: RowSource + ?Sized>(
+        &self,
+        features: &X,
+        weights: Option<&Matrix>,
+        grad: &Matrix,
+        isa: Isa,
+    ) -> (Matrix, Option<Matrix>) {
         assert!(
             self.agg != Reduce::Max,
             "Pull backward: Max needs argmax state"
@@ -236,8 +240,6 @@ impl Pull {
         self.assert_weight_arity(weights);
         let f = features.cols();
         let layer = &self.layer;
-        // Degree of each dst (for Mean scaling).
-        let deg = |d: u32| layer.csr.degree(d).max(1) as f32;
 
         // d_features via CSC: vertex-centric over sources (disjoint rows),
         // row-parallel on the pool like the forward pass.
@@ -247,44 +249,14 @@ impl Pull {
             dx.data_mut(),
             ROW_CHUNK * f,
             |ci, chunk| {
-                let row_base = ci * ROW_CHUNK;
-                for (r, xrow) in chunk.chunks_mut(f).enumerate() {
-                    let s = row_base + r;
-                    if s >= layer.num_src {
-                        continue;
-                    }
-                    let dsts = layer.csc.dsts(s as u32);
-                    if dsts.is_empty() {
-                        continue;
-                    }
-                    for &d in dsts {
-                        let scale = match self.agg {
-                            Reduce::Mean => 1.0 / deg(d),
-                            _ => 1.0,
-                        };
-                        let grow = grad.row(d as usize);
-                        match (self.h, self.g, weights) {
-                            (Some(HFn::Mul), Some(g), _) => {
-                                // Recompute this edge's weights: no edge id.
-                                let (srow, drow) = (features.row(s), features.row(d as usize));
-                                fold_edge(xrow, grow, srow, drow, g, |gk, wk| gk * wk * scale);
-                            }
-                            (Some(HFn::Mul), None, Some(w)) => {
-                                // Need this edge's weight row: find the edge id
-                                // in CSR order (s within dsts' src slice).
-                                let e = edge_id(layer, d, s as u32);
-                                for ((x, &g), &wk) in xrow.iter_mut().zip(grow).zip(w.row(e)) {
-                                    *x += g * wk * scale;
-                                }
-                            }
-                            _ => {
-                                for (x, &g) in xrow.iter_mut().zip(grow) {
-                                    *x += g * scale;
-                                }
-                            }
-                        }
-                    }
-                }
+                isa.run(Backward {
+                    pull: self,
+                    features,
+                    weights,
+                    grad,
+                    dx: chunk,
+                    row_base: ci * ROW_CHUNK,
+                })
             },
         );
 
@@ -295,10 +267,7 @@ impl Pull {
             (Some(_), Some(_)) => {
                 let mut dw = Matrix::zeros(layer.csr.num_edges(), f);
                 for (d, srcs) in layer.csr.iter() {
-                    let scale = match self.agg {
-                        Reduce::Mean => 1.0 / deg(d),
-                        _ => 1.0,
-                    };
+                    let scale = self.scale(d);
                     let grow = grad.row(d as usize);
                     for (&s, e) in srcs.iter().zip(layer.csr.edge_range(d)) {
                         let wrow = dw.row_mut(e);
@@ -324,50 +293,30 @@ impl Pull {
         if let (Some(g), Some(h)) = (self.g, self.h) {
             // The sum a DFG forms when Pull and NeighborApply both feed
             // gradients back to `features`: Pull's first, then `+= 1.0 ·`.
-            dx.axpy(1.0, &self.edge_input_grad(features, grad, g, h));
+            // The second is what `NeighborApply::compute_backward` returns
+            // for this Pull's `d_weights`, each row recomputed where it is
+            // consumed.
+            let mut dx_na = Matrix::zeros(features.rows(), f);
+            isa.run(EdgeInputGrad {
+                pull: self,
+                features,
+                grad,
+                g,
+                h,
+                dx: &mut dx_na,
+            });
+            dx.axpy(1.0, &dx_na);
         }
         (dx, dw)
     }
 
-    /// The input gradient that flows through the edge weights — what
-    /// `NeighborApply::compute_backward` returns for this Pull's `d_weights`
-    /// — with each `d_weights` row recomputed where it is consumed. Serial
-    /// like that kernel: src and dst rows both accumulate in CSR edge order.
-    fn edge_input_grad<X: RowSource + ?Sized>(
-        &self,
-        features: &X,
-        grad: &Matrix,
-        g: EdgeOp,
-        h: HFn,
-    ) -> Matrix {
-        let layer = &self.layer;
-        let mut dx = Matrix::zeros(features.rows(), features.cols());
-        let mut dwrow = vec![0.0f32; features.cols()];
-        for (d, srcs) in layer.csr.iter() {
-            let scale = match self.agg {
-                Reduce::Mean => 1.0 / layer.csr.degree(d).max(1) as f32,
-                _ => 1.0,
-            };
-            let grow = grad.row(d as usize);
-            if h == HFn::Add {
-                // `h = Add` passes the scaled gradient through: one row per dst.
-                for (o, &g) in dwrow.iter_mut().zip(grow) {
-                    *o = g * scale;
-                }
-            }
-            for &s in srcs {
-                if h == HFn::Mul {
-                    let srow = features.row(s as usize);
-                    for ((o, &g), &x) in dwrow.iter_mut().zip(grow).zip(srow) {
-                        *o = g * x * scale;
-                    }
-                }
-                neighbor_apply::scatter_edge_grad(
-                    &mut dx, g, features, s as usize, d as usize, &dwrow,
-                );
-            }
+    /// Mean's `1 / deg(d)` for destination `d`'s gradient row; 1 otherwise.
+    #[inline(always)]
+    fn scale(&self, d: u32) -> f32 {
+        match self.agg {
+            Reduce::Mean => 1.0 / self.layer.csr.degree(d).max(1) as f32,
+            _ => 1.0,
         }
-        dx
     }
 
     /// `[features, edge_weights]` exactly when `h` reads stored weights.
@@ -389,7 +338,8 @@ impl Pull {
     /// in device memory.
     pub(crate) fn charge_edge_weighting(&self, feat_dim: usize, ctx: &mut ExecCtx) {
         if self.g.is_some() {
-            let stats = neighbor_apply::stats(&self.layer, feat_dim, ctx.sim.device().num_sms);
+            let rows = self.loaded_rows(ctx.sim.device().num_sms);
+            let stats = neighbor_apply::stats(&self.layer, feat_dim, rows);
             ctx.sim.record_gpu(Phase::EdgeWeighting, stats);
             let _ = ctx.sim.memory.alloc(self.edge_tensor_bytes(feat_dim));
         }
@@ -400,9 +350,285 @@ impl Pull {
     pub(crate) fn charge_edge_weighting_backward(&self, dx: &Matrix, ctx: &mut ExecCtx) {
         if self.g.is_some() {
             // g' applies to both dst and src (Fig 3c): same traversal cost.
-            let mut stats = neighbor_apply::stats(&self.layer, dx.cols(), ctx.sim.device().num_sms);
+            let rows = self.loaded_rows(ctx.sim.device().num_sms);
+            let mut stats = neighbor_apply::stats(&self.layer, dx.cols(), rows);
             stats.global_write_bytes = dx.bytes();
             ctx.sim.record_gpu(Phase::EdgeWeighting, stats);
+        }
+    }
+}
+
+/// A row walk: one plain-Rust body, `#[inline(always)]`, that [`Isa::run`]
+/// compiles once per instantiation (module doc).
+trait Walk {
+    fn walk(self);
+}
+
+/// Which instantiation runs a walk.
+#[derive(Debug, Clone, Copy)]
+enum Isa {
+    /// The widest the CPU has: AVX2 where detected, else the baseline.
+    Widest,
+    /// The baseline body alone, which tests hold the dispatcher equal to.
+    #[cfg(test)]
+    Baseline,
+}
+
+impl Isa {
+    fn run<W: Walk>(self, w: W) {
+        #[cfg(target_arch = "x86_64")]
+        if matches!(self, Isa::Widest) && has_avx2() {
+            // SAFETY: `walk_avx2` requires the `avx2` target feature, which
+            // `has_avx2` has just detected on the running CPU.
+            return unsafe { walk_avx2(w) };
+        }
+        w.walk()
+    }
+}
+
+/// [`Walk::walk`] compiled for 256-bit vectors. No `fma` (module doc).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn walk_avx2<W: Walk>(w: W) {
+    w.walk()
+}
+
+/// Prefetch the row of `rows` that `ahead[i + PREFETCH_EDGES]` names, if
+/// `ahead` — the ids a walk reads, cut at its chunk's last edge — has it.
+#[inline(always)]
+fn prefetch_ahead<X: RowSource + ?Sized>(rows: &X, ahead: &[VId], i: usize) {
+    if let Some(&v) = ahead.get(i + PREFETCH_EDGES) {
+        prefetch(rows.row(v as usize));
+    }
+}
+
+/// `edge(srow, e)` for each CSR edge `e` in `edges`, in order, with its
+/// source row. `srcs` is the CSR's source array cut at the chunk's last
+/// edge; each edge first prefetches the row `PREFETCH_EDGES` edges on.
+#[inline(always)]
+fn each_source<'x, X: RowSource + ?Sized>(
+    features: &'x X,
+    srcs: &[VId],
+    edges: Range<usize>,
+    mut edge: impl FnMut(&'x [f32], usize),
+) {
+    for e in edges {
+        prefetch_ahead(features, srcs, e);
+        edge(features.row(srcs[e] as usize), e);
+    }
+}
+
+/// A T0 prefetch of every cache line `row` touches. It is a hint: it reads
+/// nothing the program sees, so no value depends on it.
+#[inline(always)]
+fn prefetch(row: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let start = row.as_ptr().cast::<i8>();
+        // A row need not start on a line boundary.
+        let skew = start.addr() % LINE;
+        let first = start.wrapping_sub(skew);
+        for line in 0..(skew + size_of_val(row)).div_ceil(LINE) {
+            // SAFETY: `_mm_prefetch` requires SSE, which every `x86_64` CPU
+            // has, and a prefetch never faults, whatever the address.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(line * LINE)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
+/// The forward walk over one chunk of destination rows, in CSR order.
+struct Forward<'a, X: ?Sized> {
+    pull: &'a Pull,
+    features: &'a X,
+    weights: Option<&'a Matrix>,
+    /// Rows `row_base..` of the output.
+    out: &'a mut [f32],
+    row_base: usize,
+}
+
+impl<X: RowSource + ?Sized> Walk for Forward<'_, X> {
+    #[inline(always)]
+    fn walk(self) {
+        let Forward {
+            pull,
+            features,
+            weights,
+            out,
+            row_base,
+        } = self;
+        let (csr, f) = (&pull.layer.csr, features.cols());
+        let srcs = &csr.srcs[..csr.indptr[row_base + out.len() / f] as usize];
+        for (r, orow) in out.chunks_mut(f).enumerate() {
+            let d = row_base + r;
+            let edges = csr.edge_range(d as u32);
+            let degree = edges.len();
+            if degree == 0 {
+                continue;
+            }
+            match (pull.agg, pull.h, pull.g, weights) {
+                // Unweighted only: the constructors refuse a weighted Max.
+                (Reduce::Max, ..) => {
+                    let start = edges.start;
+                    each_source(features, srcs, edges, |srow, e| {
+                        if e == start {
+                            orow.copy_from_slice(srow);
+                        } else {
+                            for (o, &x) in orow.iter_mut().zip(srow) {
+                                *o = o.max(x);
+                            }
+                        }
+                    });
+                }
+                // The dst row stays hot across its edges.
+                (_, Some(HFn::Mul), Some(g), _) => {
+                    let drow = features.row(d);
+                    each_source(features, srcs, edges, |srow, _| {
+                        fold_edge(orow, srow, srow, drow, g, |x, wk| x * wk)
+                    });
+                }
+                (_, Some(HFn::Add), Some(g), _) => {
+                    let drow = features.row(d);
+                    each_source(features, srcs, edges, |srow, _| {
+                        fold_edge(orow, srow, srow, drow, g, |x, wk| x + wk)
+                    });
+                }
+                (_, Some(HFn::Mul), None, Some(w)) => {
+                    each_source(features, srcs, edges, |srow, e| {
+                        for ((o, &x), &wk) in orow.iter_mut().zip(srow).zip(w.row(e)) {
+                            *o += x * wk;
+                        }
+                    });
+                }
+                (_, Some(HFn::Add), None, Some(w)) => {
+                    each_source(features, srcs, edges, |srow, e| {
+                        for ((o, &x), &wk) in orow.iter_mut().zip(srow).zip(w.row(e)) {
+                            *o += x + wk;
+                        }
+                    });
+                }
+                _ => {
+                    each_source(features, srcs, edges, |srow, _| {
+                        for (o, &x) in orow.iter_mut().zip(srow) {
+                            *o += x;
+                        }
+                    });
+                }
+            }
+            if pull.agg == Reduce::Mean {
+                let inv = 1.0 / degree as f32;
+                for o in orow.iter_mut() {
+                    *o *= inv;
+                }
+            }
+        }
+    }
+}
+
+/// The backward walk over one chunk of source rows of `dx`, in CSC order.
+struct Backward<'a, X: ?Sized> {
+    pull: &'a Pull,
+    features: &'a X,
+    weights: Option<&'a Matrix>,
+    grad: &'a Matrix,
+    /// Rows `row_base..` of `d_features`.
+    dx: &'a mut [f32],
+    row_base: usize,
+}
+
+impl<X: RowSource + ?Sized> Walk for Backward<'_, X> {
+    #[inline(always)]
+    fn walk(self) {
+        let Backward {
+            pull,
+            features,
+            weights,
+            grad,
+            dx,
+            row_base,
+        } = self;
+        let (layer, f) = (&pull.layer, features.cols());
+        // `dx` covers the feature rows; only the first `num_src` have edges.
+        let sources = layer.num_src.saturating_sub(row_base);
+        for (r, xrow) in dx.chunks_mut(f).take(sources).enumerate() {
+            let s = row_base + r;
+            let dsts = layer.csc.dsts(s as u32);
+            for (k, &d) in dsts.iter().enumerate() {
+                let scale = pull.scale(d);
+                let grow = grad.row(d as usize);
+                match (pull.h, pull.g, weights) {
+                    (Some(HFn::Mul), Some(g), _) => {
+                        // Recompute this edge's weights: no edge id.
+                        let (srow, drow) = (features.row(s), features.row(d as usize));
+                        fold_edge(xrow, grow, srow, drow, g, |gk, wk| gk * wk * scale);
+                    }
+                    (Some(HFn::Mul), None, Some(w)) => {
+                        // This edge's weight row, by its CSR id.
+                        let copy = dsts[..k].iter().filter(|&&x| x == d).count();
+                        let e = edge_id(&pull.layer, d, s as u32, copy);
+                        for ((x, &g), &wk) in xrow.iter_mut().zip(grow).zip(w.row(e)) {
+                            *x += g * wk * scale;
+                        }
+                    }
+                    _ => {
+                        for (x, &g) in xrow.iter_mut().zip(grow) {
+                            *x += g * scale;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The input gradient that flows through the edge weights, into `dx`.
+/// Serial like `NeighborApply::compute_backward`: src and dst rows both
+/// accumulate, in CSR edge order, with each `d_weights` row recomputed into
+/// one scratch row.
+struct EdgeInputGrad<'a, X: ?Sized> {
+    pull: &'a Pull,
+    features: &'a X,
+    grad: &'a Matrix,
+    g: EdgeOp,
+    h: HFn,
+    dx: &'a mut Matrix,
+}
+
+impl<X: RowSource + ?Sized> Walk for EdgeInputGrad<'_, X> {
+    #[inline(always)]
+    fn walk(self) {
+        let EdgeInputGrad {
+            pull,
+            features,
+            grad,
+            g,
+            h,
+            dx,
+        } = self;
+        let csr = &pull.layer.csr;
+        let mut dwrow = vec![0.0f32; features.cols()];
+        for (d, srcs) in csr.iter() {
+            let scale = pull.scale(d);
+            let grow = grad.row(d as usize);
+            if h == HFn::Add {
+                // `h = Add` passes the scaled gradient through: one row per dst.
+                for (o, &g) in dwrow.iter_mut().zip(grow) {
+                    *o = g * scale;
+                }
+            }
+            for (&s, e) in srcs.iter().zip(csr.edge_range(d)) {
+                prefetch_ahead(features, &csr.srcs, e);
+                if h == HFn::Mul {
+                    let srow = features.row(s as usize);
+                    for ((o, &g), &x) in dwrow.iter_mut().zip(grow).zip(srow) {
+                        *o = g * x * scale;
+                    }
+                }
+                neighbor_apply::scatter_edge_grad(dx, g, features, s as usize, d as usize, &dwrow);
+            }
         }
     }
 }
@@ -442,12 +668,21 @@ fn fold_edge(
     }
 }
 
-/// CSR edge id of the (src, dst) pair; linear scan of the dst's slice is
-/// fine because sampled degrees are small and even (§IV-B, Fig 8).
-fn edge_id(layer: &LayerGraph, d: u32, s: u32) -> usize {
-    let srcs = layer.csr.srcs(d);
-    let base = layer.csr.edge_range(d).start;
-    base + srcs.iter().position(|&x| x == s).expect("edge exists")
+/// CSR id of copy `copy` (0 for the first) of the edge `s → d`. CSR and CSC
+/// come from one stable counting sort of the same edge list, so the n-th
+/// copy in `s`'s CSC slice is the n-th copy in `d`'s CSR slice. A linear
+/// scan of the dst's slice is fine: sampled degrees are small and even
+/// (§IV-B, Fig 8).
+fn edge_id(layer: &LayerGraph, d: u32, s: u32, copy: usize) -> usize {
+    let erange = layer.csr.edge_range(d);
+    let pos = layer.csr.srcs[erange.clone()]
+        .iter()
+        .enumerate()
+        .filter(|&(_, &x)| x == s)
+        .nth(copy)
+        .expect("edge exists")
+        .0;
+    erange.start + pos
 }
 
 impl Op for Pull {
@@ -556,6 +791,30 @@ mod tests {
         m.data().iter().map(|x| x.to_bits()).collect()
     }
 
+    /// A Pull in every mode over `l`: unweighted `Sum`, `Mean` and `Max`;
+    /// stored weights under `h = Mul` and `Add`; and edge weighting by
+    /// `ElemMul`, `ElemAdd` and `Dot` under each `h`.
+    fn every_mode(l: &Arc<LayerGraph>) -> Vec<Pull> {
+        let mut pulls = Vec::new();
+        for agg in [Reduce::Sum, Reduce::Mean, Reduce::Max] {
+            pulls.push(Pull::new(Arc::clone(l), agg));
+        }
+        for agg in [Reduce::Sum, Reduce::Mean] {
+            for h in [HFn::Mul, HFn::Add] {
+                pulls.push(Pull::weighted(Arc::clone(l), agg, h));
+                for g in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
+                    pulls.push(Pull::edge_weighted(Arc::clone(l), agg, g, h));
+                }
+            }
+        }
+        pulls
+    }
+
+    /// `w` where `pull` reads stored weights.
+    fn weights_for<'a>(pull: &Pull, w: &'a Matrix) -> Option<&'a Matrix> {
+        (pull.h.is_some() && pull.g.is_none()).then_some(w)
+    }
+
     /// Forward and backward over rows of a table read in place — directly
     /// and as the DFG's operand — equal the same kernels over the gathered
     /// copy, bit for bit, for every aggregation mode.
@@ -619,6 +878,87 @@ mod tests {
                 assert_eq!(got_dw.map(|m| bits(&m)), dw.as_ref().map(bits), "{mode}");
             }
         }
+    }
+
+    fn pools() -> [&'static ThreadPool; 3] {
+        static POOLS: OnceLock<[&'static ThreadPool; 3]> = OnceLock::new();
+        *POOLS.get_or_init(|| [1, 2, 4].map(ThreadPool::leaked))
+    }
+
+    /// The dispatcher — the AVX2 instantiation where the CPU has it — gives
+    /// the baseline body's bits, forward and backward, at pool widths 1, 2
+    /// and 4, over a dense matrix and over table rows read in place, on
+    /// random layers with empty destinations and widths around a vector.
+    #[test]
+    fn dispatched_walks_equal_the_baseline_body() {
+        use gt_graph::EmbeddingTable;
+        use gt_sim::prop;
+        use gt_tensor::dense::Rows;
+        prop::check("pull_isa", 24, |g| {
+            let num_dst = g.range(0..150);
+            let num_src = num_dst + g.range(1..60);
+            let edges = if num_dst == 0 {
+                Vec::new()
+            } else {
+                g.vec(0..300, |g| {
+                    (g.range(0..num_src) as u32, g.range(0..num_dst) as u32)
+                })
+            };
+            let l = test_layer(num_src, num_dst, &edges);
+            let f = *g.pick(&[1, 7, 8, 100, 201]);
+            let t = num_src + 3;
+            let table = EmbeddingTable::random(t, f, g.next_u64());
+            let ids: Vec<VId> = (0..num_src).map(|_| g.range(0..t) as VId).collect();
+            let view = Rows {
+                table: &table,
+                ids: &ids,
+            };
+            let x = Matrix::from_vec(num_src, f, table.gather(&ids).into_vec());
+            let mut random = |rows: usize| {
+                let data = (0..rows * f).map(|_| g.f64_in(-2.0..2.0) as f32).collect();
+                Matrix::from_vec(rows, f, data)
+            };
+            let (w, grad) = (random(l.csr.num_edges()), random(num_dst));
+            for pull in every_mode(&l) {
+                let weights = weights_for(&pull, &w);
+                let mode = format!("agg={:?} g={:?} h={:?} F={f}", pull.agg, pull.g, pull.h);
+                let want = bits(&pull.forward_on(&x, weights, Isa::Baseline));
+                let want_bwd = (pull.agg != Reduce::Max).then(|| {
+                    let (dx, dw) = pull.backward_on(&x, weights, &grad, Isa::Baseline);
+                    (bits(&dx), dw.as_ref().map(bits))
+                });
+                for pool in pools() {
+                    let pull = pull.clone().with_pool(pool);
+                    for isa in [Isa::Widest, Isa::Baseline] {
+                        let at = format!("{mode} {isa:?} width {}", pool.workers());
+                        assert_eq!(bits(&pull.forward_on(&x, weights, isa)), want, "{at}");
+                        assert_eq!(bits(&pull.forward_on(&view, weights, isa)), want, "{at}");
+                        let Some(want_bwd) = &want_bwd else { continue };
+                        for (dx, dw) in [
+                            pull.backward_on(&x, weights, &grad, isa),
+                            pull.backward_on(&view, weights, &grad, isa),
+                        ] {
+                            assert_eq!(&(bits(&dx), dw.as_ref().map(bits)), want_bwd, "{at}");
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// Each copy of a duplicate `(src, dst)` edge carries its own weight
+    /// row, forward and backward: `d/dx₁ (2·x₁ + 5·x₁) = 7`.
+    #[test]
+    fn duplicate_edges_read_their_own_weight_rows() {
+        let l = test_layer(2, 1, &[(1, 0), (1, 0)]);
+        let pull = Pull::weighted(l, Reduce::Sum, HFn::Mul);
+        let x = Matrix::from_vec(2, 1, vec![3.0, 4.0]);
+        let w = Matrix::from_vec(2, 1, vec![2.0, 5.0]);
+        assert_eq!(pull.compute(&x, Some(&w)).data(), &[28.0]);
+        let grad = Matrix::from_vec(1, 1, vec![1.0]);
+        let (dx, dw) = pull.compute_backward(&x, Some(&w), &grad);
+        assert_eq!(dx.data(), &[0.0, 7.0]);
+        assert_eq!(dw.expect("weights have a gradient").data(), &[4.0, 4.0]);
     }
 
     #[test]

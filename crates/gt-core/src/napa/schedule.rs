@@ -79,11 +79,17 @@ pub fn edge_wise_cache(layer: &LayerGraph, row_bytes: u64, num_sms: usize) -> Ca
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HFn;
     use crate::data::GraphData;
+    use crate::napa::Pull;
     use crate::prepro::run_prepro;
     use gt_graph::{Coo, Csc, Csr};
     use gt_sample::SamplerConfig;
-    use gt_sim::prop;
+    use gt_sim::{prop, DeviceSpec, KernelStats, Phase, SimContext};
+    use gt_tensor::dense::Matrix;
+    use gt_tensor::dfg::{ExecCtx, ParamStore};
+    use gt_tensor::sparse::{EdgeOp, Reduce};
+    use std::sync::Arc;
 
     /// A layer over `num_src >= num_dst` ids from `(src, dst)` pairs.
     fn layer_from_edges(num_dst: usize, num_src: usize, edges: &[(u32, u32)]) -> LayerGraph {
@@ -112,6 +118,10 @@ mod tests {
     /// What the kernels charge equals the set model it replaced, on hubs,
     /// empty destinations, isolated sources, `num_dst == num_src` and
     /// sampled layers of two generators, below and above one mask word.
+    /// One Pull per layer charges every SM count in turn: the count it
+    /// keeps from the first is never handed out for another, and each of
+    /// its charges — forward, edge weighting, its backward — equals a fresh
+    /// count.
     #[test]
     fn loaded_rows_closed_form_equals_the_set_model() {
         prop::check("feature_wise_loaded_rows", prop::CASES, |g| {
@@ -132,7 +142,7 @@ mod tests {
                     };
                     run_prepro(&data, &batch, &cfg).layers
                 }
-                2 => vec![std::sync::Arc::new(hub_layer(g.range(1..200)))],
+                2 => vec![Arc::new(hub_layer(g.range(1..200)))],
                 _ => {
                     let num_dst = g.range(0..150);
                     let num_src = (num_dst + g.range(0..3) * g.range(0..100)).max(1);
@@ -143,22 +153,50 @@ mod tests {
                             (g.range(0..num_src) as u32, g.range(0..num_dst) as u32)
                         })
                     };
-                    vec![std::sync::Arc::new(layer_from_edges(
-                        num_dst, num_src, &edges,
-                    ))]
+                    vec![Arc::new(layer_from_edges(num_dst, num_src, &edges))]
                 }
             };
             let row_bytes = g.range(1..20_000) as u64;
+            let feat_dim = g.range(1..300);
             for layer in &layers {
-                for num_sms in [1, 4, 64, 82, 130] {
-                    assert_eq!(
-                        feature_wise_loaded_rows(layer, num_sms) * row_bytes,
-                        feature_wise_cache(layer, row_bytes, num_sms).loaded_bytes(),
+                let pull =
+                    Pull::edge_weighted(Arc::clone(layer), Reduce::Mean, EdgeOp::ElemMul, HFn::Add);
+                for num_sms in [82, 1, 4, 82, 64, 130] {
+                    let at = format!(
                         "{} dst, {} src, {} edges, {num_sms} SMs",
                         layer.num_dst,
                         layer.num_src,
                         layer.num_edges()
                     );
+                    let rows = feature_wise_loaded_rows(layer, num_sms);
+                    assert_eq!(
+                        rows * row_bytes,
+                        feature_wise_cache(layer, row_bytes, num_sms).loaded_bytes(),
+                        "{at}"
+                    );
+                    let loaded = rows * (feat_dim * 4) as u64;
+                    let charged = |stats: KernelStats| stats.cache_loaded_bytes;
+                    assert_eq!(
+                        charged(pull.forward_stats(feat_dim, num_sms)),
+                        loaded,
+                        "{at}"
+                    );
+                    let mut sim = SimContext::new(DeviceSpec {
+                        num_sms,
+                        ..DeviceSpec::tiny()
+                    });
+                    let mut params = ParamStore::new();
+                    let mut ctx = ExecCtx {
+                        sim: &mut sim,
+                        params: &mut params,
+                    };
+                    pull.charge_edge_weighting(feat_dim, &mut ctx);
+                    let fwd = charged(ctx.sim.phase_stats(Phase::EdgeWeighting));
+                    assert_eq!(fwd, loaded, "{at}");
+                    let dx = Matrix::zeros(layer.num_src, feat_dim);
+                    pull.charge_edge_weighting_backward(&dx, &mut ctx);
+                    let both = charged(ctx.sim.phase_stats(Phase::EdgeWeighting));
+                    assert_eq!(both, 2 * loaded, "{at}");
                 }
             }
         });

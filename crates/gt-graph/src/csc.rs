@@ -40,6 +40,7 @@ impl Csc {
     }
 
     /// Out-neighbors (destinations) of source `s`.
+    #[inline]
     pub fn dsts(&self, s: VId) -> &[VId] {
         let lo = self.indptr[s as usize] as usize;
         let hi = self.indptr[s as usize + 1] as usize;

@@ -41,6 +41,7 @@ impl Csr {
     }
 
     /// In-neighbors (sources) of destination `d`.
+    #[inline]
     pub fn srcs(&self, d: VId) -> &[VId] {
         let lo = self.indptr[d as usize] as usize;
         let hi = self.indptr[d as usize + 1] as usize;
@@ -48,6 +49,7 @@ impl Csr {
     }
 
     /// In-degree of destination `d`.
+    #[inline]
     pub fn degree(&self, d: VId) -> usize {
         (self.indptr[d as usize + 1] - self.indptr[d as usize]) as usize
     }
@@ -58,6 +60,7 @@ impl Csr {
     }
 
     /// Edge-id range belonging to destination `d` (for per-edge payloads).
+    #[inline]
     pub fn edge_range(&self, d: VId) -> std::ops::Range<usize> {
         self.indptr[d as usize] as usize..self.indptr[d as usize + 1] as usize
     }

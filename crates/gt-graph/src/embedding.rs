@@ -60,6 +60,7 @@ impl EmbeddingTable {
     }
 
     /// Row `v` as a slice.
+    #[inline]
     pub fn row(&self, v: VId) -> &[f32] {
         let lo = v as usize * self.dim;
         &self.data[lo..lo + self.dim]

@@ -113,15 +113,18 @@ impl<'a> Lhs<'a> {
 /// A band kernel: [`band`], or in tests `band_body` directly.
 type Kernel = fn(&mut [f32], usize, Lhs, usize, &[f32]);
 
-/// The band kernel's dispatch predicate.
-fn has_avx2() -> bool {
+/// The dispatch predicate of every kernel compiled twice (the band kernel
+/// here, Pull's row walks in `gt-core`): whether this CPU runs the AVX2
+/// instantiation.
+pub fn has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     return std::arch::is_x86_feature_detected!("avx2");
     #[cfg(not(target_arch = "x86_64"))]
     false
 }
 
-/// Which instantiation of the band kernel this process runs: `"avx2"` or
+/// Which instantiation of the kernels compiled twice this process runs —
+/// the dense band kernel and Pull's row walks alike: `"avx2"` or
 /// `"baseline"`. Wall-clock tables print it; results do not depend on it.
 pub fn kernel_isa() -> &'static str {
     if has_avx2() {
@@ -294,6 +297,7 @@ impl RowSource for Rows<'_> {
         self.table.dim()
     }
 
+    #[inline]
     fn row(&self, r: usize) -> &[f32] {
         self.table.row(self.ids[r])
     }
@@ -308,6 +312,7 @@ impl RowSource for Matrix {
         self.cols
     }
 
+    #[inline]
     fn row(&self, r: usize) -> &[f32] {
         Matrix::row(self, r)
     }
@@ -389,11 +394,13 @@ impl Matrix {
     }
 
     /// Row `r` as a slice.
+    #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutable row `r`.
+    #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }

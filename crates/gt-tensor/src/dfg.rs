@@ -178,6 +178,7 @@ impl RowSource for Operand<'_> {
         }
     }
 
+    #[inline]
     fn row(&self, i: usize) -> &[f32] {
         match self {
             Operand::Dense(m) => m.row(i),
