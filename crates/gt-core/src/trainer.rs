@@ -24,7 +24,6 @@ use gt_sim::{ActiveFaults, SimContext, SystemSpec};
 use gt_tensor::dense::{Matrix, Rows};
 use gt_tensor::dfg::{Dfg, ExecCtx, Linear, Operand, ParamStore, Relu};
 use gt_tensor::loss::softmax_cross_entropy;
-use gt_tensor::optim::{clip_grad_norm, Optimizer};
 use std::sync::Arc;
 
 pub use crate::orchestrator::dkp::DkpCounters;
@@ -60,12 +59,8 @@ pub struct GraphTensor {
     pub sys: SystemSpec,
     /// Sampling configuration (seed advances per batch).
     pub sampler: SamplerConfig,
-    /// SGD learning rate (used when no [`GraphTensor::optimizer`] is set).
+    /// SGD learning rate.
     pub lr: f32,
-    /// Optional optimizer replacing plain SGD (momentum, Adam).
-    pub optimizer: Option<Optimizer>,
-    /// Optional global gradient-norm clip applied before each step.
-    pub grad_clip: Option<f32>,
     /// Batches used for DKP cost-model calibration (first-epoch fitting).
     pub calibration_batches: usize,
     /// When set, abort a batch (no parameter update) instead of training
@@ -81,8 +76,8 @@ pub struct GraphTensor {
     /// same measured work per partition instead of re-running preprocessing.
     pub last_work: Option<crate::prepro::PreproWork>,
     /// Where spans, events, and metrics go. Defaults to the process-wide
-    /// handle ([`gt_telemetry::global`], a null collector unless installed
-    /// otherwise), so the uninstrumented path costs nothing; swap in
+    /// handle ([`gt_telemetry::global`], off unless installed otherwise), so
+    /// the uninstrumented path costs nothing; swap in
     /// [`gt_telemetry::Telemetry::recording`] to capture traces.
     pub telemetry: gt_telemetry::Telemetry,
     params: ParamStore,
@@ -106,8 +101,6 @@ impl GraphTensor {
             sampler: SamplerConfig::default(),
             sys,
             lr: 0.01,
-            optimizer: None,
-            grad_clip: None,
             calibration_batches: 3,
             fail_fast: false,
             injected: None,
@@ -229,17 +222,6 @@ impl GraphTensor {
         };
         let values = dfg.forward(&[input_rows(data, &pr)], &mut ctx);
         values.get(dfg.output()).clone()
-    }
-
-    /// Apply the configured update rule to the accumulated gradients.
-    fn optimizer_step(&mut self) {
-        if let Some(max) = self.grad_clip {
-            clip_grad_norm(&mut self.params, max);
-        }
-        match &mut self.optimizer {
-            Some(opt) => opt.step(&mut self.params),
-            None => self.params.sgd_step(self.lr),
-        }
     }
 
     /// Publish the drift monitor's state: delta counters, the residual
@@ -507,7 +489,7 @@ impl GraphTensor {
         }
         {
             let _s = telemetry.span("train", "optimizer_step");
-            self.optimizer_step();
+            self.params.sgd_step(self.lr);
         }
 
         self.batches_run += 1;
@@ -733,66 +715,5 @@ mod tests {
         assert!(r.num_edges >= r.num_nodes); // self-loops guarantee ≥
         assert!(r.gpu_us() > 0.0);
         assert!(r.e2e_us(true) <= r.e2e_us(false));
-    }
-}
-
-#[cfg(test)]
-mod optimizer_tests {
-    use super::*;
-    use gt_sample::SamplerConfig;
-
-    #[test]
-    fn adam_trains_through_the_pipeline() {
-        let d = GraphData::synthetic_learnable(200, 1600, 8, 2, 5);
-        let mut t = GraphTensor::new(
-            GtVariant::Dynamic,
-            ModelConfig::gcn(2, 8, 2),
-            SystemSpec::tiny(),
-        );
-        t.sampler = SamplerConfig {
-            fanout: 3,
-            layers: 2,
-            seed: 4,
-            ..Default::default()
-        };
-        t.optimizer = Some(Optimizer::adam(0.05));
-        t.grad_clip = Some(5.0);
-        let batch: Vec<VId> = (0..40).collect();
-        let first = t.train_batch(&d, &batch).loss;
-        let mut last = first;
-        for _ in 0..20 {
-            last = t.train_batch(&d, &batch).loss;
-        }
-        assert!(last < first, "Adam did not descend: {first} → {last}");
-    }
-
-    #[test]
-    fn momentum_matches_sgd_shape() {
-        let d = GraphData::synthetic_learnable(200, 1600, 8, 2, 5);
-        let run = |opt: Option<Optimizer>| {
-            let mut t = GraphTensor::new(
-                GtVariant::Base,
-                ModelConfig::gcn(2, 8, 2),
-                SystemSpec::tiny(),
-            );
-            t.sampler = SamplerConfig {
-                fanout: 3,
-                layers: 2,
-                seed: 4,
-                ..Default::default()
-            };
-            t.lr = 0.2;
-            t.optimizer = opt;
-            let batch: Vec<VId> = (0..40).collect();
-            let mut last = 0.0;
-            for _ in 0..15 {
-                last = t.train_batch(&d, &batch).loss;
-            }
-            last
-        };
-        let sgd = run(None);
-        let mom = run(Some(Optimizer::momentum(0.05, 0.9)));
-        assert!(sgd.is_finite() && mom.is_finite());
-        assert!(sgd < 0.7 && mom < 0.7, "sgd {sgd}, momentum {mom}");
     }
 }

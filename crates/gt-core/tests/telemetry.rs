@@ -1,6 +1,6 @@
 //! Telemetry acceptance tests: the supervisor's counters must agree exactly
-//! with the [`BatchOutcome`]s it returns, and a recording collector must not
-//! perturb numerics relative to the null collector.
+//! with the [`BatchOutcome`]s it returns, and a recording handle must not
+//! perturb numerics relative to the null handle.
 
 use gt_core::{BatchOutcome, DegradeAction, Framework, ServeCtx, Supervisor};
 use gt_graph::VId;

@@ -1,15 +1,17 @@
 //! Seeded synthetic graph generators.
 //!
 //! These stand in for the paper's OGB/GraphSAINT/SNAP datasets (DESIGN.md §2).
-//! Each generator is deterministic given its seed. Four families cover the
+//! Each generator is deterministic given its seed. Three families cover the
 //! Table-II workloads' structure:
 //!
 //! * [`rmat`] — power-law web/social graphs (products, citation2, papers,
 //!   reddit2, livejournal, wiki-talk, google);
-//! * [`power_law`] — configuration-model graphs with an explicit exponent;
 //! * [`grid2d`] — near-planar constant-degree road networks (roadnet-ca);
 //! * [`bipartite`] — user–item interaction graphs (amazon, gowalla).
-//! * [`erdos_renyi`] — uniform random baseline used by tests.
+//!
+//! Two more serve tests:
+//!
+//! * [`erdos_renyi`] — uniform random baseline;
 //! * [`planted_partition`] — homophilous block graphs for learnability tests.
 
 use crate::{Coo, VId};
@@ -73,26 +75,6 @@ fn quadrant(m: u64, [t_a, t_ab, t_abc]: &[u64; 3]) -> (usize, usize) {
     let xb = m >= *t_ab;
     let yb = (m >= *t_a) ^ (xb & (m < *t_abc));
     (xb as usize, yb as usize)
-}
-
-/// Configuration-model graph whose out-degrees follow a Zipf distribution
-/// with the given exponent; endpoints are matched uniformly.
-pub fn power_law(num_vertices: usize, target_edges: usize, exponent: f64, seed: u64) -> Coo {
-    assert!(num_vertices > 1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let zipf = Zipf::new(num_vertices as u64, exponent).expect("valid zipf parameters");
-    let mut src = Vec::with_capacity(target_edges);
-    let mut dst = Vec::with_capacity(target_edges);
-    while src.len() < target_edges {
-        // Zipf yields ranks in 1..=n; rank 1 is the hottest vertex.
-        let s = zipf.sample(&mut rng) as u64 - 1;
-        let d = rng.gen_range(0..num_vertices as u64);
-        if s != d {
-            src.push(s as VId);
-            dst.push(d as VId);
-        }
-    }
-    Coo::new(num_vertices, src, dst).dedup()
 }
 
 /// 2-D grid with 4-neighborhood edges, modeling road networks: bounded
@@ -356,114 +338,6 @@ mod tests {
             "intra {} of {}",
             intra,
             g.num_edges()
-        );
-    }
-
-    #[test]
-    fn power_law_hits_target_before_dedup() {
-        let g = power_law(500, 2000, 1.2, 9);
-        // dedup may trim a little, but the bulk should remain
-        assert!(g.num_edges() > 1000, "edges={}", g.num_edges());
-    }
-}
-
-/// Barabási–Albert preferential attachment: each new vertex attaches to
-/// `m` existing vertices chosen proportionally to their current degree.
-/// Produces the scale-free structure of citation networks.
-pub fn barabasi_albert(num_vertices: usize, m: usize, seed: u64) -> Coo {
-    assert!(num_vertices > m && m > 0);
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Repeated-endpoint list: sampling a uniform element of `endpoints`
-    // is degree-proportional sampling.
-    let mut endpoints: Vec<VId> = Vec::with_capacity(2 * num_vertices * m);
-    let mut edges: Vec<(VId, VId)> = Vec::with_capacity(num_vertices * m);
-    // Seed clique over the first m+1 vertices.
-    for i in 0..=m as VId {
-        for j in 0..i {
-            edges.push((i, j));
-            endpoints.push(i);
-            endpoints.push(j);
-        }
-    }
-    for v in (m as VId + 1)..num_vertices as VId {
-        let mut chosen: Vec<VId> = Vec::with_capacity(m);
-        let mut guard = 0;
-        while chosen.len() < m && guard < 50 * m {
-            guard += 1;
-            let t = endpoints[rng.gen_range(0..endpoints.len())];
-            if t != v && !chosen.contains(&t) {
-                chosen.push(t);
-            }
-        }
-        for &t in &chosen {
-            edges.push((v, t));
-            endpoints.push(v);
-            endpoints.push(t);
-        }
-    }
-    Coo::from_edges(num_vertices, &edges).dedup()
-}
-
-/// Watts–Strogatz small world: a ring lattice with `k` neighbors per side,
-/// each edge rewired with probability `beta`. High clustering, short paths.
-pub fn watts_strogatz(num_vertices: usize, k: usize, beta: f64, seed: u64) -> Coo {
-    assert!(num_vertices > 2 * k && k > 0);
-    assert!((0.0..=1.0).contains(&beta));
-    let n = num_vertices as VId;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges: Vec<(VId, VId)> = Vec::with_capacity(num_vertices * k);
-    for v in 0..n {
-        for j in 1..=k as VId {
-            let mut target = (v + j) % n;
-            if rng.gen_bool(beta) {
-                // Rewire to a uniform non-self target.
-                loop {
-                    target = rng.gen_range(0..n);
-                    if target != v {
-                        break;
-                    }
-                }
-            }
-            edges.push((v, target));
-        }
-    }
-    // No dedup first: `symmetrize` keeps the same first occurrences (see
-    // `bipartite`).
-    Coo::from_edges(num_vertices, &edges).symmetrize()
-}
-
-#[cfg(test)]
-mod extra_tests {
-    use super::*;
-    use crate::convert::coo_to_csr;
-    use crate::degree::DegreeStats;
-
-    #[test]
-    fn barabasi_albert_is_scale_free_ish() {
-        let g = barabasi_albert(2000, 3, 5);
-        let (csr, _) = coo_to_csr(&g.clone().symmetrize());
-        let s = DegreeStats::of_csr(&csr);
-        // Preferential attachment yields hubs: max degree far above mean.
-        assert!(s.max as f64 > 8.0 * s.mean, "max {} mean {}", s.max, s.mean);
-        assert!(g.num_edges() >= 2000 * 2);
-    }
-
-    #[test]
-    fn watts_strogatz_keeps_even_degree() {
-        let g = watts_strogatz(500, 3, 0.1, 7);
-        let (csr, _) = coo_to_csr(&g);
-        let s = DegreeStats::of_csr(&csr);
-        // Mostly lattice: degrees cluster near 2k = 6.
-        assert!(s.mean > 4.0 && s.mean < 8.0, "mean {}", s.mean);
-        assert!(s.std_dev < 2.5, "std {}", s.std_dev);
-    }
-
-    #[test]
-    fn extra_generators_are_deterministic() {
-        assert_eq!(barabasi_albert(300, 2, 9), barabasi_albert(300, 2, 9));
-        assert_eq!(
-            watts_strogatz(300, 2, 0.2, 9),
-            watts_strogatz(300, 2, 0.2, 9)
         );
     }
 }

@@ -5,19 +5,21 @@
 //! breakdowns in Figs 12/16/20, subtask overlap in Fig 13); this crate
 //! makes those decompositions observable in the real system:
 //!
-//! - **Spans** ([`Span`], [`Collector`]): RAII wall-clock regions on named
-//!   tracks, nestable, labeled with phase/batch/layer.
+//! - **Spans** ([`Span`], [`MemoryCollector`]): RAII wall-clock regions on
+//!   named tracks, nestable, labeled with phase/batch/layer.
 //! - **Metrics** ([`Registry`]): counters, gauges, and fixed-bucket
 //!   histograms with p50/p95/p99 estimation.
 //! - **Exporters**: Chrome trace-event JSON ([`trace`]) loadable in
 //!   Perfetto, Prometheus text exposition ([`prometheus`]), and a
 //!   human-readable summary table ([`summary`]).
 //!
-//! The [`Telemetry`] handle bundles one collector with one registry and is
-//! what instrumented code carries. [`Telemetry::null`] is the default
-//! everywhere: spans skip the clock entirely and metrics still work (they
-//! are cheap atomics), so instrumented code paths stay bit-identical to
-//! uninstrumented ones — gt-core has a property test pinning that.
+//! The [`Telemetry`] handle bundles one registry with an in-memory
+//! collector or none, and is what instrumented code carries: a handle
+//! records into memory ([`Telemetry::recording`]) or is off
+//! ([`Telemetry::null`], the default everywhere). Off, spans skip the clock
+//! entirely and metrics still work (they are cheap atomics), so
+//! instrumented code paths stay bit-identical to uninstrumented ones —
+//! gt-core has a property test pinning that.
 //!
 //! Everything here is hand-rolled (including the JSON layer in [`json`])
 //! because the workspace builds offline with no vendored external crates.
@@ -43,14 +45,15 @@ pub use metrics::{
 };
 pub use ring::{dump_outcomes, FlightRecorder, FLIGHT_SCHEMA_VERSION};
 pub use slo::{BurnRule, SloAlert, SloEngine, SloSpec};
-pub use span::{Collector, EventRecord, MemoryCollector, NullCollector, Span, SpanRecord};
+pub use span::{EventRecord, MemoryCollector, Span, SpanRecord};
 pub use trace::{from_chrome_json, write_chrome_json, Flow, FlowStep, Trace, TraceEvent};
 
-/// A collector plus a metrics registry; the handle instrumented code holds.
-/// Cloning is cheap (two `Arc`s) and clones share all state.
+/// A metrics registry plus, when recording, an in-memory span collector;
+/// the handle instrumented code holds. Cloning is cheap (at most two
+/// `Arc`s) and clones share all state.
 #[derive(Clone)]
 pub struct Telemetry {
-    collector: Arc<dyn Collector>,
+    collector: Option<Arc<MemoryCollector>>,
     registry: Arc<Registry>,
 }
 
@@ -75,7 +78,7 @@ impl Telemetry {
     pub fn null() -> Telemetry {
         static NULL: OnceLock<Telemetry> = OnceLock::new();
         NULL.get_or_init(|| Telemetry {
-            collector: Arc::new(NullCollector),
+            collector: None,
             registry: Arc::new(Registry::new()),
         })
         .clone()
@@ -84,43 +87,35 @@ impl Telemetry {
     /// A recording handle with a fresh in-memory collector and registry.
     pub fn recording() -> Telemetry {
         Telemetry {
-            collector: Arc::new(MemoryCollector::new()),
-            registry: Arc::new(Registry::new()),
-        }
-    }
-
-    /// A handle around a custom collector.
-    pub fn with_collector(collector: Arc<dyn Collector>) -> Telemetry {
-        Telemetry {
-            collector,
+            collector: Some(Arc::new(MemoryCollector::new())),
             registry: Arc::new(Registry::new()),
         }
     }
 
     /// Whether spans record anything.
     pub fn enabled(&self) -> bool {
-        self.collector.enabled()
+        self.collector.is_some()
     }
 
     /// Start a span on `track` named `name`. Returns a disabled guard (no
-    /// clock read, no allocation) when the collector is off.
+    /// clock read, no allocation) when the handle is off.
     pub fn span(
         &self,
         track: impl Into<std::borrow::Cow<'static, str>>,
         name: impl Into<std::borrow::Cow<'static, str>>,
     ) -> Span {
-        Span::start(&self.collector, track, name)
+        Span::start(self.collector.as_ref(), track, name)
     }
 
     /// Record an instant event with key/value args. No-op when disabled.
     pub fn event(&self, track: &str, name: &str, args: &[(&str, &dyn std::fmt::Display)]) {
-        if !self.collector.enabled() {
+        let Some(collector) = &self.collector else {
             return;
-        }
-        self.collector.record_event(EventRecord {
+        };
+        collector.record_event(EventRecord {
             name: name.to_string(),
             track: track.to_string(),
-            ts_us: self.collector.now_us(),
+            ts_us: collector.now_us(),
             args: args
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -165,12 +160,14 @@ impl Telemetry {
 
     /// Finished spans so far.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.collector.spans()
+        self.collector.as_ref().map_or_else(Vec::new, |c| c.spans())
     }
 
     /// Recorded instant events so far.
     pub fn events(&self) -> Vec<EventRecord> {
-        self.collector.events()
+        self.collector
+            .as_ref()
+            .map_or_else(Vec::new, |c| c.events())
     }
 
     /// Freeze all metrics.

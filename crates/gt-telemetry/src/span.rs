@@ -1,21 +1,21 @@
-//! RAII spans and the pluggable [`Collector`] behind them.
+//! RAII spans and the in-memory [`MemoryCollector`] behind them.
 //!
 //! A [`Span`] measures one region of wall-clock time on a named *track*
 //! (e.g. `"serve"`, `"train"`) with key/value labels (phase, batch index,
-//! layer). Spans nest: a per-thread stack links each span to its parent, so
-//! exported traces reconstruct the call tree.
+//! layer). Spans nest: a per-thread stack links each span to the innermost
+//! open span of the same collector, so exported traces reconstruct the call
+//! tree.
 //!
-//! Storage is behind the [`Collector`] trait. [`NullCollector`] is the
-//! default and compiles to near-zero cost: `enabled()` is `false`, so span
-//! construction takes no clock reading, allocates nothing, and the guard's
-//! `Drop` is a no-op — the instrumented path is observationally identical
-//! to the uninstrumented one (verified by a bit-identity test in gt-core).
-//! [`MemoryCollector`] keeps finished spans in memory for export.
+//! A span records into a [`MemoryCollector`] or is off. Off costs one
+//! `Option` check: span construction takes no clock reading, allocates
+//! nothing, and the guard's `Drop` is a no-op, so the instrumented path is
+//! observationally identical to the uninstrumented one (verified by a
+//! bit-identity test in gt-core).
 
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// A finished span, as stored by a collector.
@@ -23,7 +23,7 @@ use std::time::Instant;
 pub struct SpanRecord {
     /// Collector-unique id (1-based; 0 is reserved for "no span").
     pub id: u64,
-    /// Enclosing span on the same thread, if any.
+    /// Innermost span of the same collector open on the same thread, if any.
     pub parent: Option<u64>,
     /// Span name (e.g. `"train_batch"`).
     pub name: String,
@@ -48,49 +48,6 @@ pub struct EventRecord {
     pub ts_us: f64,
     /// Key/value payload.
     pub args: Vec<(String, String)>,
-}
-
-/// Where spans and events go. Implementations must be cheap and thread-safe;
-/// the hot path is `enabled()` + `now_us()` + one `record_*` per span.
-pub trait Collector: Send + Sync {
-    /// False for the null collector: spans skip clock reads entirely.
-    fn enabled(&self) -> bool;
-    /// Microseconds since this collector's epoch.
-    fn now_us(&self) -> f64;
-    /// Allocate a collector-unique span id (1-based).
-    fn next_span_id(&self) -> u64;
-    /// Store a finished span.
-    fn record_span(&self, span: SpanRecord);
-    /// Store an instant event.
-    fn record_event(&self, event: EventRecord);
-    /// Snapshot of finished spans (empty for non-recording collectors).
-    fn spans(&self) -> Vec<SpanRecord>;
-    /// Snapshot of recorded events.
-    fn events(&self) -> Vec<EventRecord>;
-}
-
-/// Discards everything; the default collector.
-#[derive(Debug, Default)]
-pub struct NullCollector;
-
-impl Collector for NullCollector {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn now_us(&self) -> f64 {
-        0.0
-    }
-    fn next_span_id(&self) -> u64 {
-        0
-    }
-    fn record_span(&self, _span: SpanRecord) {}
-    fn record_event(&self, _event: EventRecord) {}
-    fn spans(&self) -> Vec<SpanRecord> {
-        Vec::new()
-    }
-    fn events(&self) -> Vec<EventRecord> {
-        Vec::new()
-    }
 }
 
 /// Records spans and events into memory for later export. Span ids come
@@ -120,35 +77,33 @@ impl MemoryCollector {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl Collector for MemoryCollector {
-    fn enabled(&self) -> bool {
-        true
-    }
-    fn now_us(&self) -> f64 {
+    /// Microseconds since this collector's epoch.
+    pub(crate) fn now_us(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64() * 1e6
     }
-    fn next_span_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-    fn record_span(&self, span: SpanRecord) {
-        self.spans.lock().unwrap().push(span);
-    }
-    fn record_event(&self, event: EventRecord) {
+
+    /// Store an instant event.
+    pub(crate) fn record_event(&self, event: EventRecord) {
         self.events.lock().unwrap().push(event);
     }
-    fn spans(&self) -> Vec<SpanRecord> {
+
+    /// Snapshot of finished spans.
+    pub fn spans(&self) -> Vec<SpanRecord> {
         self.spans.lock().unwrap().clone()
     }
-    fn events(&self) -> Vec<EventRecord> {
+
+    /// Snapshot of recorded events.
+    pub fn events(&self) -> Vec<EventRecord> {
         self.events.lock().unwrap().clone()
     }
 }
 
 thread_local! {
-    /// Stack of open span ids on this thread (for parent linkage).
-    static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// Open spans on this thread, innermost last, each keyed by its
+    /// collector's address: every collector numbers its spans from 1, so a
+    /// parent is looked up among the spans of its own collector only.
+    static SPAN_STACK: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// RAII guard for one span. Created through
@@ -167,7 +122,7 @@ impl std::fmt::Debug for Span {
 }
 
 struct SpanInner {
-    collector: Arc<dyn Collector>,
+    collector: Arc<MemoryCollector>,
     id: u64,
     parent: Option<u64>,
     name: Cow<'static, str>,
@@ -177,19 +132,21 @@ struct SpanInner {
 }
 
 impl Span {
+    /// Open a span on `collector`; `None` gives a span that records nothing.
     pub(crate) fn start(
-        collector: &Arc<dyn Collector>,
+        collector: Option<&Arc<MemoryCollector>>,
         track: impl Into<Cow<'static, str>>,
         name: impl Into<Cow<'static, str>>,
     ) -> Span {
-        if !collector.enabled() {
+        let Some(collector) = collector else {
             return Span { inner: None };
-        }
-        let id = collector.next_span_id();
+        };
+        let id = collector.next_id.fetch_add(1, Ordering::Relaxed);
+        let owner = Arc::as_ptr(collector) as usize;
         let parent = SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
-            let parent = s.last().copied();
-            s.push(id);
+            let parent = s.iter().rev().find(|&&(c, _)| c == owner).map(|&(_, p)| p);
+            s.push((owner, id));
             parent
         });
         Span {
@@ -203,11 +160,6 @@ impl Span {
                 args: Vec::new(),
             }),
         }
-    }
-
-    /// A disabled span (what the null collector hands out).
-    pub fn disabled() -> Span {
-        Span { inner: None }
     }
 
     /// True when this span records anything on drop.
@@ -231,16 +183,24 @@ impl Drop for Span {
             return;
         };
         let end_us = inner.collector.now_us();
+        let key = (Arc::as_ptr(&inner.collector) as usize, inner.id);
         SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
             // LIFO in the common case; tolerate out-of-order drops.
-            if s.last() == Some(&inner.id) {
+            if s.last() == Some(&key) {
                 s.pop();
             } else {
-                s.retain(|&x| x != inner.id);
+                s.retain(|&x| x != key);
             }
         });
-        inner.collector.record_span(SpanRecord {
+        // A drop must not panic: a push leaves the vector valid even if
+        // another thread panicked while holding the lock.
+        let mut spans = inner
+            .collector
+            .spans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        spans.push(SpanRecord {
             id: inner.id,
             parent: inner.parent,
             name: inner.name.into_owned(),
@@ -256,24 +216,22 @@ impl Drop for Span {
 mod tests {
     use super::*;
 
-    fn recording() -> Arc<dyn Collector> {
+    fn recording() -> Arc<MemoryCollector> {
         Arc::new(MemoryCollector::new())
     }
 
     #[test]
     fn null_collector_spans_are_free() {
-        let c: Arc<dyn Collector> = Arc::new(NullCollector);
-        let s = Span::start(&c, "t", "a");
+        let s = Span::start(None, "t", "a");
         assert!(!s.is_recording());
         drop(s.arg("k", 1));
-        assert!(c.spans().is_empty());
     }
 
     #[test]
     fn spans_record_on_drop_with_args() {
         let c = recording();
         {
-            let _s = Span::start(&c, "serve", "batch").arg("index", 7);
+            let _s = Span::start(Some(&c), "serve", "batch").arg("index", 7);
         }
         let spans = c.spans();
         assert_eq!(spans.len(), 1);
@@ -287,9 +245,9 @@ mod tests {
     fn nesting_links_parents() {
         let c = recording();
         {
-            let _outer = Span::start(&c, "t", "outer");
+            let _outer = Span::start(Some(&c), "t", "outer");
             {
-                let _inner = Span::start(&c, "t", "inner");
+                let _inner = Span::start(Some(&c), "t", "inner");
             }
         }
         let spans = c.spans();
@@ -305,10 +263,10 @@ mod tests {
     fn sibling_spans_share_a_parent() {
         let c = recording();
         {
-            let _p = Span::start(&c, "t", "p");
-            let a = Span::start(&c, "t", "a");
+            let _p = Span::start(Some(&c), "t", "p");
+            let a = Span::start(Some(&c), "t", "a");
             drop(a);
-            let b = Span::start(&c, "t", "b");
+            let b = Span::start(Some(&c), "t", "b");
             drop(b);
         }
         let spans = c.spans();
@@ -322,17 +280,40 @@ mod tests {
     #[test]
     fn out_of_order_drop_does_not_corrupt_the_stack() {
         let c = recording();
-        let p = Span::start(&c, "t", "p");
-        let q = Span::start(&c, "t", "q");
+        let p = Span::start(Some(&c), "t", "p");
+        let q = Span::start(Some(&c), "t", "q");
         drop(p); // dropped before its child
         {
-            let _r = Span::start(&c, "t", "r");
+            let _r = Span::start(Some(&c), "t", "r");
         }
         drop(q);
         let spans = c.spans();
         let q_id = spans.iter().find(|s| s.name == "q").unwrap().id;
         let r = spans.iter().find(|s| s.name == "r").unwrap();
         assert_eq!(r.parent, Some(q_id));
+    }
+
+    #[test]
+    fn a_parent_is_an_open_span_of_the_same_collector() {
+        let (a, b) = (recording(), recording());
+        {
+            let _a1 = Span::start(Some(&a), "t", "a1");
+            let _b1 = Span::start(Some(&b), "t", "b1");
+            {
+                let _a2 = Span::start(Some(&a), "t", "a2");
+                let _b2 = Span::start(Some(&b), "t", "b2");
+            }
+        }
+        let parent = |c: &MemoryCollector, child: &str, of: Option<&str>| {
+            let spans = c.spans();
+            let id = |name: &str| spans.iter().find(|s| s.name == name).unwrap().id;
+            let got = spans.iter().find(|s| s.name == child).unwrap().parent;
+            assert_eq!(got, of.map(id), "parent of {child}");
+        };
+        parent(&a, "a1", None);
+        parent(&a, "a2", Some("a1"));
+        parent(&b, "b1", None);
+        parent(&b, "b2", Some("b1"));
     }
 
     #[test]

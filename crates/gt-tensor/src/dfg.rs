@@ -94,20 +94,6 @@ impl ParamStore {
         }
     }
 
-    /// Apply `w += alpha · update` to one parameter (optimizer hook).
-    pub fn apply_update(&mut self, name: &str, alpha: f32, update: &Matrix) {
-        if let Some(value) = self.values.get_mut(name) {
-            value.axpy(alpha, update);
-        }
-    }
-
-    /// Scale one parameter's accumulated gradient (gradient clipping hook).
-    pub fn scale_grad(&mut self, name: &str, scale: f32) {
-        if let Some(g) = self.grads.get_mut(name) {
-            g.scale(scale);
-        }
-    }
-
     /// Names of registered parameters (unordered).
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.values.keys().map(|s| s.as_str())
@@ -210,12 +196,6 @@ pub trait Op: std::fmt::Debug {
 
     /// Output shape from input shapes (for the DKP cost model's dry run).
     fn out_shape(&self, in_shapes: &[(usize, usize)], params: &ParamStore) -> (usize, usize);
-
-    /// Names of the [`ParamStore`] entries this op reads, so executions can
-    /// be validated before any kernel runs. Default: none.
-    fn params(&self) -> Vec<&str> {
-        Vec::new()
-    }
 }
 
 enum NodeKind {
@@ -405,47 +385,6 @@ impl Dfg {
             kind: NodeKind::Op(fused),
             inputs,
         };
-    }
-
-    /// Validate an execution without running it: every live input slot must
-    /// be fed and every live op's parameters must be registered. Catching
-    /// wiring bugs *before* any kernel runs means a failed validation
-    /// leaves the sim accounting and parameter store untouched.
-    pub fn validate(&self, num_inputs: usize, params: &ParamStore) -> Result<(), TensorError> {
-        let live = self.live();
-        for (id, node) in self.nodes.iter().enumerate() {
-            if !live[id] {
-                continue;
-            }
-            match &node.kind {
-                NodeKind::Input(slot) => {
-                    if *slot >= num_inputs {
-                        return Err(TensorError::MissingInput { slot: *slot });
-                    }
-                }
-                NodeKind::Op(op) => {
-                    for name in op.params() {
-                        if !params.contains(name) {
-                            return Err(TensorError::MissingParam {
-                                name: name.to_string(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Dfg::forward`] with up-front validation: wiring bugs come back as
-    /// [`TensorError`]s instead of panics mid-execution.
-    pub fn try_forward<'a>(
-        &self,
-        inputs: &[Operand<'a>],
-        ctx: &mut ExecCtx,
-    ) -> Result<DfgValues<'a>, TensorError> {
-        self.validate(inputs.len(), ctx.params)?;
-        Ok(self.forward(inputs, ctx))
     }
 
     /// Run the forward pass. `inputs[slot]` feeds `Input(slot)` nodes; what
@@ -660,14 +599,6 @@ impl Op for Linear {
 
     fn out_shape(&self, in_shapes: &[(usize, usize)], params: &ParamStore) -> (usize, usize) {
         (in_shapes[0].0, params.get(&self.weight).cols())
-    }
-
-    fn params(&self) -> Vec<&str> {
-        let mut names = vec![self.weight.as_str()];
-        if let Some(b) = &self.bias {
-            names.push(b.as_str());
-        }
-        names
     }
 }
 
@@ -942,7 +873,7 @@ mod tests {
     #[test]
     fn try_forward_reports_wiring_bugs_as_values() {
         use crate::error::TensorError;
-        let (mut sim, mut params) = ctx_parts();
+        let mut params = ParamStore::new();
         let mut dfg = Dfg::new();
         let x = dfg.input(0);
         let l = dfg.op(Linear::new("w", "b"), &[x]);
@@ -950,37 +881,15 @@ mod tests {
         assert_eq!(dfg.try_output(), Ok(l));
         assert_eq!(Dfg::new().try_output(), Err(TensorError::OutputUnset));
 
-        // Unregistered weight: caught before any kernel runs.
-        let mut ctx = ExecCtx {
-            sim: &mut sim,
-            params: &mut params,
-        };
-        let xval = Matrix::from_vec(1, 2, vec![1., 1.]);
+        // Unregistered weight.
         assert_eq!(
-            dfg.try_forward(&[Operand::Dense(&xval)], &mut ctx).err(),
+            params.try_get("w").err(),
             Some(TensorError::MissingParam {
                 name: "w".to_string()
             })
         );
-        assert_eq!(
-            ctx.params.try_get("w").err(),
-            Some(TensorError::MissingParam {
-                name: "w".to_string()
-            })
-        );
-
-        // Missing input slot.
-        ctx.params
-            .register("w", Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]));
-        ctx.params.register("b", Matrix::zeros(1, 2));
-        assert_eq!(
-            dfg.try_forward(&[], &mut ctx).err(),
-            Some(TensorError::MissingInput { slot: 0 })
-        );
-
-        // Fully wired: matches the panicking path.
-        let vals = dfg.try_forward(&[Operand::Dense(&xval)], &mut ctx).unwrap();
-        assert_eq!(vals.get(l).data(), &[4., 6.]);
+        params.register("w", Matrix::zeros(2, 2));
+        assert_eq!(params.try_get("w").map(Matrix::rows), Ok(2));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Typed errors for the tensor substrate.
 //!
-//! Model-wiring mistakes (an unregistered parameter, a missing input slot,
-//! a graph with no output) used to abort through `panic!`/`expect`. The
-//! serving supervisor needs them as values so a bad model configuration can
-//! be reported per batch instead of killing the process; the panicking
-//! accessors now delegate to the `try_*` variants.
+//! Checkpoint loading and the least-squares fit report their failures as
+//! values ([`TensorError::Corrupt`], [`TensorError::Io`],
+//! [`TensorError::SingularSystem`]). The two model-wiring mistakes (an
+//! unregistered parameter, a graph with no output) have `try_*` accessors
+//! (`ParamStore::try_get`, `Dfg::try_output`), and the panicking accessors
+//! delegate to them.
 
 /// A tensor-substrate failure, as a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,12 +14,6 @@ pub enum TensorError {
     MissingParam {
         /// The unregistered parameter name.
         name: String,
-    },
-    /// A DFG execution was given fewer input matrices than the graph's
-    /// highest live `Input(slot)` node requires.
-    MissingInput {
-        /// The unfed input slot.
-        slot: usize,
     },
     /// The DFG's output node was never set.
     OutputUnset,
@@ -45,7 +40,6 @@ impl std::fmt::Display for TensorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TensorError::MissingParam { name } => write!(f, "unknown parameter {name:?}"),
-            TensorError::MissingInput { slot } => write!(f, "missing input slot {slot}"),
             TensorError::OutputUnset => write!(f, "output not set"),
             TensorError::SingularSystem => {
                 write!(f, "singular least-squares system (rank-deficient samples)")
@@ -77,9 +71,6 @@ mod tests {
         }
         .to_string()
         .contains("\"w\""));
-        assert!(TensorError::MissingInput { slot: 2 }
-            .to_string()
-            .contains("2"));
         assert_eq!(TensorError::OutputUnset.to_string(), "output not set");
     }
 }

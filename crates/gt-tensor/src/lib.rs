@@ -12,7 +12,7 @@
 //! * [`lstsq`](mod@lstsq) — the least-squares estimator DKP uses to fit its cost-model
 //!   coefficients (Table I);
 //! * [`loss`], [`init`], [`optim`] — losses, weight initialization, and
-//!   optimizers (SGD / momentum / Adam, gradient clipping).
+//!   the SGD update rule.
 
 pub mod chaosio;
 pub mod checkpoint;

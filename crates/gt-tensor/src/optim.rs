@@ -1,160 +1,23 @@
-//! Optimizers beyond plain SGD: momentum and Adam, plus gradient clipping.
-//!
-//! The paper trains with stochastic gradient descent (§II-A); Adam is the
-//! de-facto optimizer of the GNN models it evaluates (GCN, NGCF both use
-//! Adam in their original papers), so the library ships it as an extension.
+//! The update rule: stochastic gradient descent, as the paper trains (§II-A).
 
-use crate::dense::Matrix;
 use crate::dfg::ParamStore;
-use std::collections::HashMap;
 
-/// Optimizer state and update rule over a [`ParamStore`].
+/// SGD over a [`ParamStore`]: `w -= lr · g`.
 #[derive(Debug)]
-pub enum Optimizer {
-    /// `w -= lr · g`.
-    Sgd {
-        /// Learning rate.
-        lr: f32,
-    },
-    /// `v = µ·v + g; w -= lr · v`.
-    Momentum {
-        /// Learning rate.
-        lr: f32,
-        /// Momentum factor (typically 0.9).
-        momentum: f32,
-        /// Per-parameter velocity.
-        velocity: HashMap<String, Matrix>,
-    },
-    /// Adam (Kingma & Ba) with bias correction.
-    Adam {
-        /// Learning rate.
-        lr: f32,
-        /// First-moment decay (0.9).
-        beta1: f32,
-        /// Second-moment decay (0.999).
-        beta2: f32,
-        /// Numerical floor.
-        eps: f32,
-        /// Step counter.
-        t: u64,
-        /// First moments.
-        m: HashMap<String, Matrix>,
-        /// Second moments.
-        v: HashMap<String, Matrix>,
-    },
+pub struct Optimizer {
+    lr: f32,
 }
 
 impl Optimizer {
-    /// Plain SGD.
+    /// Plain SGD with learning rate `lr`.
     pub fn sgd(lr: f32) -> Self {
-        Optimizer::Sgd { lr }
-    }
-
-    /// SGD with momentum.
-    pub fn momentum(lr: f32, momentum: f32) -> Self {
-        Optimizer::Momentum {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// Adam with the canonical hyperparameters.
-    pub fn adam(lr: f32) -> Self {
-        Optimizer::Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: HashMap::new(),
-            v: HashMap::new(),
-        }
+        Optimizer { lr }
     }
 
     /// Apply one update step using the gradients accumulated in `params`.
     pub fn step(&mut self, params: &mut ParamStore) {
-        let names: Vec<String> = params.names().map(|s| s.to_string()).collect();
-        match self {
-            Optimizer::Sgd { lr } => params.sgd_step(*lr),
-            Optimizer::Momentum {
-                lr,
-                momentum,
-                velocity,
-            } => {
-                for name in names {
-                    let Some(grad) = params.grad(&name).cloned() else {
-                        continue;
-                    };
-                    let vel = velocity
-                        .entry(name.clone())
-                        .or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-                    vel.scale(*momentum);
-                    vel.axpy(1.0, &grad);
-                    let update = vel.clone();
-                    params.apply_update(&name, -*lr, &update);
-                }
-            }
-            Optimizer::Adam {
-                lr,
-                beta1,
-                beta2,
-                eps,
-                t,
-                m,
-                v,
-            } => {
-                *t += 1;
-                let bc1 = 1.0 - beta1.powi(*t as i32);
-                let bc2 = 1.0 - beta2.powi(*t as i32);
-                for name in names {
-                    let Some(grad) = params.grad(&name).cloned() else {
-                        continue;
-                    };
-                    let mk = m
-                        .entry(name.clone())
-                        .or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-                    let vk = v
-                        .entry(name.clone())
-                        .or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-                    for i in 0..grad.len() {
-                        let g = grad.data()[i];
-                        let md = &mut mk.data_mut()[i];
-                        *md = *beta1 * *md + (1.0 - *beta1) * g;
-                        let vd = &mut vk.data_mut()[i];
-                        *vd = *beta2 * *vd + (1.0 - *beta2) * g * g;
-                    }
-                    let mut update = Matrix::zeros(grad.rows(), grad.cols());
-                    for i in 0..grad.len() {
-                        let mhat = mk.data()[i] / bc1;
-                        let vhat = vk.data()[i] / bc2;
-                        update.data_mut()[i] = mhat / (vhat.sqrt() + *eps);
-                    }
-                    params.apply_update(&name, -*lr, &update);
-                }
-            }
-        }
+        params.sgd_step(self.lr);
     }
-}
-
-/// Scale all gradients so their global L2 norm is at most `max_norm`.
-/// Returns the pre-clip norm.
-pub fn clip_grad_norm(params: &mut ParamStore, max_norm: f32) -> f32 {
-    let names: Vec<String> = params.names().map(|s| s.to_string()).collect();
-    let mut sq = 0.0f32;
-    for name in &names {
-        if let Some(g) = params.grad(name) {
-            sq += g.data().iter().map(|&x| x * x).sum::<f32>();
-        }
-    }
-    let norm = sq.sqrt();
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for name in &names {
-            params.scale_grad(name, scale);
-        }
-    }
-    norm
 }
 
 #[cfg(test)]
@@ -162,90 +25,34 @@ mod tests {
     use super::*;
     use crate::init::xavier;
 
-    /// Minimize ‖W‖² with each optimizer; all must decrease the norm.
-    fn shrink_with(mut opt: Optimizer, steps: usize) -> (f32, f32) {
+    fn store_with_grads() -> ParamStore {
         let mut params = ParamStore::new();
-        params.register("w", xavier(6, 6, 3));
-        let initial = params.get("w").frobenius();
-        for _ in 0..steps {
-            params.zero_grads();
-            let mut grad = params.get("w").clone();
-            grad.scale(2.0); // d/dW ‖W‖² = 2W
-            params.accumulate_grad("w", &grad);
-            opt.step(&mut params);
+        params.register("w", xavier(6, 5, 3));
+        params.register("b", xavier(1, 5, 4));
+        params.accumulate_grad("w", &xavier(6, 5, 7));
+        params.accumulate_grad("b", &xavier(1, 5, 8));
+        params
+    }
+
+    fn bits(params: &ParamStore, name: &str) -> Vec<u32> {
+        params
+            .get(name)
+            .data()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn sgd_step_is_the_param_store_sgd_step() {
+        let before = store_with_grads();
+        let mut direct = store_with_grads();
+        direct.sgd_step(0.05);
+        let mut stepped = store_with_grads();
+        Optimizer::sgd(0.05).step(&mut stepped);
+        for name in ["w", "b"] {
+            assert_eq!(bits(&stepped, name), bits(&direct, name), "{name}");
+            assert_ne!(bits(&stepped, name), bits(&before, name), "{name} moved");
         }
-        (initial, params.get("w").frobenius())
-    }
-
-    #[test]
-    fn all_optimizers_descend() {
-        for opt in [
-            Optimizer::sgd(0.05),
-            Optimizer::momentum(0.02, 0.9),
-            Optimizer::adam(0.05),
-        ] {
-            let (before, after) = shrink_with(opt, 50);
-            assert!(after < before * 0.5, "{before} → {after}");
-        }
-    }
-
-    #[test]
-    fn momentum_matches_hand_computed_sequence() {
-        // v = µ·v + g; w -= lr·v with µ = 0.9, lr = 0.1, w₀ = 1:
-        //   g₁ =  1.00 → v =  1.00          → w = 1.00 - 0.100 = 0.900
-        //   g₂ =  0.50 → v =  0.90 + 0.50   → w = 0.90 - 0.140 = 0.760
-        //   g₃ = -0.25 → v =  1.26 - 0.25   → w = 0.76 - 0.101 = 0.659
-        let mut params = ParamStore::new();
-        params.register("w", Matrix::from_vec(1, 1, vec![1.0]));
-        let mut opt = Optimizer::momentum(0.1, 0.9);
-        let grads = [1.0f32, 0.5, -0.25];
-        let expected = [0.9f32, 0.76, 0.659];
-        for (g, want) in grads.iter().zip(expected) {
-            params.zero_grads();
-            params.accumulate_grad("w", &Matrix::from_vec(1, 1, vec![*g]));
-            opt.step(&mut params);
-            let got = params.get("w").at(0, 0);
-            assert!((got - want).abs() < 1e-6, "got {got}, want {want}");
-        }
-    }
-
-    #[test]
-    fn adam_handles_sparse_gradient_scales() {
-        // Adam normalizes per-coordinate: a huge-gradient coordinate moves
-        // about as fast as a small-gradient one.
-        let mut params = ParamStore::new();
-        params.register("w", Matrix::from_vec(1, 2, vec![1.0, 1.0]));
-        let mut opt = Optimizer::adam(0.1);
-        params.zero_grads();
-        params.accumulate_grad("w", &Matrix::from_vec(1, 2, vec![1000.0, 0.001]));
-        opt.step(&mut params);
-        let w = params.get("w");
-        let d0 = (1.0 - w.at(0, 0)).abs();
-        let d1 = (1.0 - w.at(0, 1)).abs();
-        assert!(
-            (d0 - d1).abs() < 0.05,
-            "updates {d0} vs {d1} not normalized"
-        );
-    }
-
-    #[test]
-    fn clipping_bounds_norm() {
-        let mut params = ParamStore::new();
-        params.register("w", Matrix::zeros(2, 2));
-        params.accumulate_grad("w", &Matrix::from_vec(2, 2, vec![3.0, 4.0, 0.0, 0.0]));
-        let pre = clip_grad_norm(&mut params, 1.0);
-        assert!((pre - 5.0).abs() < 1e-5);
-        let g = params.grad("w").unwrap();
-        let post: f32 = g.data().iter().map(|&x| x * x).sum::<f32>();
-        assert!((post.sqrt() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn clipping_is_noop_under_threshold() {
-        let mut params = ParamStore::new();
-        params.register("w", Matrix::zeros(1, 2));
-        params.accumulate_grad("w", &Matrix::from_vec(1, 2, vec![0.3, 0.4]));
-        clip_grad_norm(&mut params, 1.0);
-        assert_eq!(params.grad("w").unwrap().data(), &[0.3, 0.4]);
     }
 }
