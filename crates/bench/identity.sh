@@ -76,13 +76,13 @@ hashed+=(flight-crash.json)
 run slo slo --flight-out flight.json
 hashed+=(flight.json)
 
-# The worker-kill campaign at 1 and 4 workers; numerics run once, so the
-# recovered checkpoint is the same at both. BENCH_cluster.json is the
-# 4-worker fleet's.
+# The cluster run at 1 and 4 workers; numerics run once, through one
+# supervisor, so the checkpoint is the same at both. BENCH_cluster.json is
+# the 4-worker fleet's.
 for w in 1 4; do
   bench=()
   if [ "$w" = 4 ]; then bench=(--bench-out BENCH_cluster.json); fi
-  run "cluster-w$w" cluster --workers "$w" --seeds-file "$seeds/cluster.seeds" \
+  run "cluster-w$w" cluster --workers "$w" \
     --checkpoint-dir "cluster-w$w" --fleet-out "cluster-w$w.fleet.txt" \
     --trace-out "cluster-w$w.trace.json" "${bench[@]}"
   hashed+=("cluster-w$w/params.gt" "cluster-w$w/outcomes.gtj"

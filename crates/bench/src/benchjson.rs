@@ -306,7 +306,7 @@ mod tests {
                 ("batch_e2e_us_p50".into(), 1000.0),
                 ("batch_e2e_us_p99".into(), 1500.0),
                 ("throughput_samples_per_s".into(), 40_000.0),
-                ("false_suspicions_total".into(), 0.0),
+                ("worker3_idle_us".into(), 0.0),
             ],
             wall: vec![("wall_batch_us_p50".into(), 2300.0)],
         }
@@ -365,10 +365,7 @@ mod tests {
                 c.metrics[0].1 = 900.0;
                 c.metrics[3].1 = 1.0;
             }),
-            [
-                "batch_e2e_us_p50: 1000 -> 900",
-                "false_suspicions_total: 0 -> 1",
-            ]
+            ["batch_e2e_us_p50: 1000 -> 900", "worker3_idle_us: 0 -> 1",]
         );
     }
 

@@ -6,7 +6,6 @@
 //!       [--trace-out PATH] [--bench-out PATH] [--checkpoint-dir DIR]
 //!       [--crash-at N] [--crash-site mid-journal|mid-checkpoint|after-commit]
 //!       [--workers N] [--partition vertex-cut|feature-dim]
-//!       [--kill-worker W] [--kill-at N]
 //!
 //! experiments: fig6 fig8 fig11b fig12 fig14 fig15 fig16 fig17 fig18
 //!              fig19 fig20 table1 table2 table3 scalability ablation
@@ -55,26 +54,23 @@
 //! are deterministic — bit-identical at every `GT_THREADS` width. See
 //! `docs/telemetry.md` §Tracing contexts and §SLOs in virtual time.
 //!
-//! The `cluster` experiment runs the distributed worker-kill campaign:
-//! `--workers N` simulated workers split each batch (`--partition`
-//! vertex-cut or feature-dim), and every campaign seed (from
-//! `--seeds-file`, or derived from `--seed`) kills one derived worker at
-//! one derived batch; the run must detect the death, re-replay the
-//! partition from the journal, and finish bit-identical to the
-//! fault-free reference, else the process exits 4. `--kill-worker W
-//! --kill-at N` runs one directed kill instead, persisting its durable
-//! state into `--checkpoint-dir`. With `--bench-out` it writes
-//! `BENCH_cluster.json` — per-worker busy/idle/link time, collective
-//! time, modeled recovery time, hedge counters, and the fleet skew
-//! figures (busy/stage imbalance, straggler attribution), all in
-//! virtual time — which CI's `identity` job gates. For `cluster`,
-//! `--trace-out` writes the *cross-worker* Perfetto trace
-//! (the coordinator plus one process per worker, flow-linked, all
-//! virtual time) instead of the wall-clock span tree; `--fleet-out`
-//! writes the fleet health report (the `/fleetz` page body), and
-//! `--serve-metrics PORT` serves `/metrics`, `/healthz`, and `/fleetz`
-//! after the campaign, self-scrapes each page, and shuts down (port 0
-//! binds an ephemeral port). See `docs/distributed.md`.
+//! The `cluster` experiment serves the workload once through the
+//! cluster pricing layer: every batch trains once, through one inner
+//! supervisor, and is priced over `--workers N` simulated workers
+//! (`--partition` vertex-cut or feature-dim) with ring collectives; the
+//! durable state (journal + final checkpoint) lands in
+//! `--checkpoint-dir`, and its checkpoint is byte-identical at every
+//! worker count. With `--bench-out` it writes `BENCH_cluster.json` —
+//! per-worker busy/idle/link time, collective time, and the fleet skew
+//! figures (busy/stage imbalance, straggler attribution), all in virtual
+//! time — which CI's `identity` job gates. For `cluster`, `--trace-out`
+//! writes the *cross-worker* Perfetto trace (the coordinator plus one
+//! process per worker, flow-linked, all virtual time) instead of the
+//! wall-clock span tree; `--fleet-out` writes the fleet health report
+//! (the `/fleetz` page body), and `--serve-metrics PORT` serves
+//! `/metrics`, `/healthz`, and `/fleetz` after the run, self-scrapes
+//! each page, and shuts down (port 0 binds an ephemeral port). See
+//! `docs/distributed.md`.
 //!
 //! The `serving` experiment runs the million-user scenario: a seeded
 //! open-loop diurnal workload (hot-key skew, flash crowds, three
@@ -98,8 +94,7 @@ fn usage() -> ! {
          [--seeds N] [--seeds-file PATH] \
          [--chaos-replay FILE] [--chaos-out PATH] [--flight-out PATH] \
          [--workers N] [--partition vertex-cut|feature-dim] \
-         [--kill-worker W] [--kill-at N] [--fleet-out PATH] \
-         [--serve-metrics PORT]\n\
+         [--fleet-out PATH] [--serve-metrics PORT]\n\
          experiments: fig6 fig8 fig11b fig12 fig14 fig15 fig16 fig17 fig18 \
          fig19 fig20 table1 table2 table3 scalability ablation threads \
          durability chaos cluster slo serving smoke"
@@ -214,9 +209,7 @@ fn main() {
             }
             "--seeds-file" => {
                 i += 1;
-                let path: std::path::PathBuf = args.get(i).cloned().unwrap_or_else(usage_v).into();
-                chaos_opts.seeds_file = Some(path.clone());
-                cluster_opts.seeds_file = Some(path);
+                chaos_opts.seeds_file = Some(args.get(i).cloned().unwrap_or_else(usage_v).into());
             }
             "--workers" => {
                 i += 1;
@@ -232,22 +225,6 @@ fn main() {
                     .get(i)
                     .and_then(|s| gt_core::Partition::parse(s))
                     .unwrap_or_else(usage_v);
-            }
-            "--kill-worker" => {
-                i += 1;
-                cluster_opts.kill_worker = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(usage_v),
-                );
-            }
-            "--kill-at" => {
-                i += 1;
-                cluster_opts.kill_at = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(usage_v),
-                );
             }
             "--fleet-out" => {
                 i += 1;

@@ -547,7 +547,7 @@ pub fn run_replay(cfg: &ExpConfig, path: &Path, opts: &ChaosOpts) -> Result<Plan
     run_plan(cfg, &plan, opts)
 }
 
-pub(crate) fn read_seeds(path: &Path) -> Result<Vec<u64>, GtError> {
+fn read_seeds(path: &Path) -> Result<Vec<u64>, GtError> {
     let text = std::fs::read_to_string(path)?;
     let mut seeds = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -791,6 +791,62 @@ mod tests {
         // bug was in the (planted) recovery path, not the plan.
         o.sabotage = false;
         assert_eq!(run_plan(&cfg, &parsed, &o).unwrap().verdict, Verdict::Clean);
+    }
+
+    /// The committed CI corpus covers what its header promises: sampled
+    /// at the campaign's batch count, its plans hit every category the
+    /// sampler emits at least once, and every rule is one the single-node
+    /// campaign acts on. A rule's category is read through the
+    /// `ActiveFaults` accessors the serving stack consults; a rule none of
+    /// them answers is inert here.
+    #[test]
+    fn smoke_corpus_covers_every_category_with_no_inert_rule() {
+        let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("chaos-seeds/smoke.seeds");
+        let batches = ChaosOpts::default().batches;
+        let mut seen = std::collections::BTreeMap::new();
+        let mut inert = Vec::new();
+        for seed in read_seeds(&corpus).unwrap() {
+            for rule in gt_sim::sample_plan(seed, batches).rules() {
+                let f = gt_sim::ActiveFaults {
+                    faults: vec![rule.kind],
+                };
+                let io = f.io_faults();
+                let category = if let Some(site) = f.crash_site() {
+                    site.label()
+                } else if let Some(&(target, _)) = io.first() {
+                    target.label()
+                } else if f.fails_transfers() {
+                    "transfer-failure"
+                } else if f.memory_fraction().is_some() {
+                    "memory-pressure"
+                } else if f.pcie_slowdown().is_some() {
+                    "stall"
+                } else if f.lock_slowdown().is_some() {
+                    "hash-contention"
+                } else if f.delivery_delay().is_some() {
+                    "delivery-delay"
+                } else {
+                    inert.push((seed, rule.kind));
+                    continue;
+                };
+                *seen.entry(category).or_insert(0usize) += 1;
+            }
+        }
+        assert!(inert.is_empty(), "rules the campaign ignores: {inert:?}");
+        let want = [
+            "mid-journal",
+            "mid-checkpoint",
+            "after-commit",
+            "journal",
+            "checkpoint",
+            "transfer-failure",
+            "memory-pressure",
+            "stall",
+            "hash-contention",
+            "delivery-delay",
+        ];
+        let missing: Vec<_> = want.iter().filter(|c| !seen.contains_key(*c)).collect();
+        assert!(missing.is_empty(), "corpus misses {missing:?}: {seen:?}");
     }
 
     /// Delivery reordering shapes the workload for both runs: a plan

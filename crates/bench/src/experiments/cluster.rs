@@ -1,30 +1,25 @@
-//! Distributed cluster campaign — worker-kill bit-identity over a seed
-//! corpus plus modeled cluster metrics for the perf gate
-//! (docs/distributed.md).
+//! Distributed cluster pricing run plus modeled cluster metrics for the
+//! perf gate (docs/distributed.md).
 //!
-//! Every campaign run serves the same workload twice through the
-//! [`ClusterSupervisor`]: once fault-free and once with a seeded
-//! `WorkerKill` at a derived (worker, batch). The oracle demands the
-//! killed run detect the death, re-replay its partition from the
-//! journal, and finish with byte-identical parameters and journaled
-//! outcome stream — the distributed restatement of the single-node
-//! durability contract. On a violation the process exits 4, same as the
-//! chaos campaign.
+//! One run serves the workload durably through a [`ClusterSupervisor`]:
+//! the numerics go through one inner [`Supervisor`], and every trained
+//! batch is priced over `--workers` modeled workers (per-worker DES over
+//! the partitioned work, ring collectives). The run checkpoints at the
+//! end, so `crates/bench/identity.sh` can `cmp` the checkpoint across
+//! worker counts: the worker count is a modeled lever and must not move
+//! a byte.
 //!
-//! With `--bench-out` the experiment distills the fault-free run (plus
-//! one canonical kill) into a schema-stable `BENCH_cluster.json`:
-//! per-worker busy/idle/link time, collective time, modeled recovery
-//! time, hedge launch/win counters, and the [`FleetReport`]'s skew
-//! figures (busy imbalance, worst stage imbalance, straggler
-//! attribution). All metrics are DES virtual time, bit-identical at
-//! every `GT_THREADS` width and worker count sweep, so CI gates them
-//! with `benchdiff` against a committed baseline.
+//! With `--bench-out` the experiment distills the run into a
+//! schema-stable `BENCH_cluster.json`: per-worker busy/idle/link time,
+//! collective time, and the [`FleetReport`]'s skew figures (busy
+//! imbalance, worst stage imbalance, straggler attribution). All metrics
+//! are DES virtual time, bit-identical at every `GT_THREADS` width, so CI
+//! gates them with `benchdiff` against a committed baseline.
 //!
-//! Every run also records the cross-worker Perfetto trace
-//! (`--trace-out`) and the rendered fleet health text (`--fleet-out`,
-//! also mounted at `/fleetz` with `--serve-metrics`); both are pure
-//! virtual-time artifacts the identity manifest holds at every thread
-//! width.
+//! The run also records the cross-worker Perfetto trace (`--trace-out`)
+//! and the rendered fleet health text (`--fleet-out`, also mounted at
+//! `/fleetz` with `--serve-metrics`); both are pure virtual-time artifacts
+//! the identity manifest holds at every thread width.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -36,16 +31,14 @@ use crate::benchjson::{BenchConfig, BenchReport, EnvFingerprint, SCHEMA_VERSION}
 use crate::runner::{print_table, ExpConfig};
 use gt_core::config::ModelConfig;
 use gt_core::error::GtError;
-use gt_core::journal;
 use gt_core::serve::{DurabilityConfig, ServeCtx, Supervisor};
-use gt_core::tracing::TracerConfig;
 use gt_core::trainer::GtVariant;
 use gt_core::{ClusterConfig, ClusterSummary, ClusterSupervisor, Partition};
 use gt_profile::{fleet, FleetObserver, FleetReport};
 use gt_sim::{ClusterSpec, FaultPlan, SystemSpec};
 use gt_telemetry::http::MetricsServer;
 
-/// Campaign knobs (separate from the `Copy` [`ExpConfig`]).
+/// Run knobs (separate from the `Copy` [`ExpConfig`]).
 #[derive(Debug, Clone)]
 pub struct ClusterOpts {
     /// Workers in the simulated cluster.
@@ -54,35 +47,18 @@ pub struct ClusterOpts {
     pub partition: Partition,
     /// Batches in the serving stream.
     pub batches: usize,
-    /// Directed kill: which worker dies (with `kill_at`); overrides the
-    /// seeded campaign.
-    pub kill_worker: Option<usize>,
-    /// Directed kill: the batch at which the worker dies.
-    pub kill_at: Option<usize>,
-    /// Read campaign seeds (one integer per line, `#` comments) from this
-    /// file instead of deriving them from `--seed`.
-    pub seeds_file: Option<PathBuf>,
-    /// Seeds sampled when no seeds file is given; seed `i` is
-    /// `cfg.seed + i`.
-    pub seeds: usize,
-    /// Persist the canonical killed run's durable state (journal +
-    /// recovered checkpoint) here so `crates/bench/identity.sh` can
-    /// compare checkpoints across worker counts and `GT_THREADS` widths.
+    /// Serve durably into this directory (journal + final checkpoint) so
+    /// `crates/bench/identity.sh` can compare checkpoints across worker
+    /// counts and `GT_THREADS` widths; a throwaway directory otherwise.
     pub dir: Option<PathBuf>,
-    /// Arm the request tracer on every run: cross-worker trace spans
-    /// accumulate and cluster events (recoveries, hedge wins) freeze
-    /// flight dumps. Purely observational — on by default, and the
-    /// oracle holds with it on or off.
-    pub tracing: bool,
-    /// Write the fault-free reference's rendered fleet health report
-    /// (the `/fleetz` page) here.
+    /// Write the rendered fleet health report (the `/fleetz` page) here.
     pub fleet_out: Option<PathBuf>,
-    /// Write the fault-free reference's cross-worker Perfetto trace
-    /// (coordinator + one process per worker, flow-linked) here.
+    /// Write the cross-worker Perfetto trace (coordinator + one process
+    /// per worker, flow-linked) here.
     pub trace_out: Option<PathBuf>,
     /// Serve `/metrics`, `/healthz`, and the fleet report at `/fleetz`
-    /// on this port after the campaign, self-scrape both pages, and
-    /// shut down (port 0 binds an ephemeral port).
+    /// on this port after the run, self-scrape both pages, and shut down
+    /// (port 0 binds an ephemeral port).
     pub serve_metrics: Option<u16>,
 }
 
@@ -92,12 +68,7 @@ impl Default for ClusterOpts {
             workers: 4,
             partition: Partition::VertexCut,
             batches: 6,
-            kill_worker: None,
-            kill_at: None,
-            seeds_file: None,
-            seeds: 8,
             dir: None,
-            tracing: true,
             fleet_out: None,
             trace_out: None,
             serve_metrics: None,
@@ -105,82 +76,49 @@ impl Default for ClusterOpts {
     }
 }
 
-/// One cluster run: modeled summary plus the bit-comparable artifacts.
+/// One cluster run: its modeled summary and the virtual-time artifacts.
 #[derive(Debug)]
 pub struct Run {
     /// Modeled virtual-time summary.
     pub summary: ClusterSummary,
-    /// Serialized final model parameters.
-    pub params: Vec<u8>,
-    /// Journaled `(batch_index, outcome JSON)` stream.
-    pub stream: Vec<(usize, String)>,
     /// Distilled fleet health (per-worker utilization, stage imbalance,
     /// straggler attribution).
     pub fleet: FleetReport,
     /// Serialized cross-worker Perfetto trace (virtual time only).
     pub trace_json: String,
-    /// Flight-dump reasons frozen during the run (`cluster-recovery:*`,
-    /// `hedge-won:*`); empty when tracing is off. Dumps frozen before a
-    /// rebuild-and-replay recovery die with the old supervisor, exactly
-    /// as a real process death loses its in-memory ring.
-    pub dump_reasons: Vec<String>,
 }
 
-/// One campaign's totals.
-#[derive(Debug)]
-pub struct CampaignSummary {
-    /// Killed runs executed (stops at the first violation).
-    pub runs: usize,
-    /// Runs bit-identical to the fault-free reference.
-    pub clean: usize,
-    /// `(seed, detail)` of the violating run, if any.
-    pub violation: Option<(u64, String)>,
-    /// The fault-free reference run's modeled summary.
-    pub reference: ClusterSummary,
-    /// The reference run's rendered fleet health report (the `/fleetz`
-    /// page body).
-    pub fleet_text: String,
-    /// The reference run's cross-worker Perfetto trace JSON.
-    pub trace_json: String,
-}
-
-/// The base fault plan every run shares: a persistent straggler on the
-/// last worker's first core, so the hedging path is exercised and the
-/// report's hedge counters are live numbers. The core index is outside
-/// the inner trainer's own simulator for any multi-worker cluster, so
-/// the straggler prices cluster stages without touching the numerics.
+/// The fault plan every run serves under: a persistent straggler on the
+/// last worker's first core, so the fleet report's stage imbalance and
+/// straggler attribution are live numbers. The core index is outside the
+/// inner trainer's own simulator for any multi-worker cluster, so the
+/// straggler prices cluster stages without touching the numerics.
 fn base_plan(cfg: &ExpConfig, opts: &ClusterOpts, spec: &ClusterSpec) -> FaultPlan {
     let plan = FaultPlan::new(cfg.seed);
     if opts.workers < 2 {
-        return plan; // a 1-worker cluster can neither hedge nor adopt
+        return plan; // a lone worker's core would be the trainer's own
     }
     let cores = spec.workers[0].host.cores;
     plan.with_straggler((opts.workers - 1) * cores, 64.0)
 }
 
-/// Drive one cluster over the workload into `dir`; checkpoint at the end.
-fn run_once(
-    cfg: &ExpConfig,
-    opts: &ClusterOpts,
-    plan: FaultPlan,
-    dir: &Path,
-) -> Result<Run, GtError> {
+/// Serve the workload durably through one cluster into `dir`; checkpoint
+/// at the end.
+fn run_once(cfg: &ExpConfig, opts: &ClusterOpts, dir: &Path) -> Result<Run, GtError> {
     let spec = gt_datasets::by_name("reddit2").expect("known dataset");
     let data = cfg.build(&spec);
     let model = ModelConfig::gcn(cfg.layers, 64, spec.out_dim);
-    let exp = *cfg;
-    let factory = move || {
-        Supervisor::new(
-            exp.graphtensor(GtVariant::Dynamic, model.clone()),
-            plan.clone(),
-        )
+    let cluster_spec = ClusterSpec::paper_testbed(opts.workers);
+    let mut sup = Supervisor::new(
+        cfg.graphtensor(GtVariant::Dynamic, model),
+        base_plan(cfg, opts, &cluster_spec),
+    );
+    sup.make_durable(DurabilityConfig::new(dir))?;
+    let config = ClusterConfig {
+        spec: cluster_spec,
+        partition: opts.partition,
     };
-    let cluster_cfg = ClusterConfig::new(ClusterSpec::paper_testbed(opts.workers), opts.partition);
-    let mut cs = ClusterSupervisor::new(factory, cluster_cfg);
-    cs.make_durable(DurabilityConfig::new(dir))?;
-    if opts.tracing {
-        cs.enable_tracing(TracerConfig::default());
-    }
+    let mut cs = ClusterSupervisor::new(sup, config);
 
     let mut observer = FleetObserver::new();
     for (i, batch) in cfg.batch_stream(&data, opts.batches).enumerate() {
@@ -198,176 +136,46 @@ fn run_once(
     cs.supervisor.checkpoint_now()?;
 
     let summary = cs.summary();
-    let fleet = FleetReport::build(&observer, &summary.totals);
-    let trace_json = gt_telemetry::write_chrome_json(&cs.cluster_traces());
-    let dump_reasons = cs
-        .supervisor
-        .tracer
-        .as_ref()
-        .map(|t| t.dumps().iter().map(|d| d.reason.clone()).collect())
-        .unwrap_or_default();
-
-    let durability = DurabilityConfig::new(dir);
-    let scan = journal::read_journal(durability.journal_path())?;
     Ok(Run {
+        fleet: FleetReport::build(&observer, &summary.totals),
+        trace_json: gt_telemetry::write_chrome_json(&cs.cluster_traces()),
         summary,
-        params: std::fs::read(durability.checkpoint_path())?,
-        stream: scan.batch_outcomes().collect(),
-        fleet,
-        trace_json,
-        dump_reasons,
     })
 }
 
-/// The fault-free reference run in a throwaway directory.
-fn reference_run(cfg: &ExpConfig, opts: &ClusterOpts) -> Result<Run, GtError> {
-    let spec = ClusterSpec::paper_testbed(opts.workers);
-    let dir = fresh_dir("cluster_ref");
-    let _cleanup = DirCleanup(dir.clone());
-    run_once(cfg, opts, base_plan(cfg, opts, &spec), &dir)
-}
-
-/// A killed run in `dir` (or a throwaway) compared against `reference`;
-/// `Ok(Ok(summary))` is clean, `Ok(Err(detail))` an oracle violation.
-#[allow(clippy::type_complexity)]
-fn killed_run(
-    cfg: &ExpConfig,
-    opts: &ClusterOpts,
-    reference: &Run,
-    worker: usize,
-    kill_at: usize,
-    dir: Option<&Path>,
-) -> Result<Result<ClusterSummary, String>, GtError> {
-    let spec = ClusterSpec::paper_testbed(opts.workers);
-    let plan = base_plan(cfg, opts, &spec).with_worker_kill(kill_at, worker);
-    let (dir, _cleanup) = match dir {
+/// One run into `opts.dir` (emptied first), or into a throwaway directory.
+fn run(cfg: &ExpConfig, opts: &ClusterOpts) -> Run {
+    let (dir, _cleanup) = match &opts.dir {
         Some(d) => {
             let _ = std::fs::remove_dir_all(d);
-            (d.to_path_buf(), None)
+            (d.clone(), None)
         }
         None => {
-            let d = fresh_dir("cluster_kill");
+            let d = fresh_dir("cluster");
             (d.clone(), Some(DirCleanup(d)))
         }
     };
-    let run = run_once(cfg, opts, plan, &dir)?;
-    if run.params != reference.params {
-        return Ok(Err(format!(
-            "kill worker {worker} at batch {kill_at}: recovered checkpoint diverged \
-             from the fault-free reference ({} vs {} bytes)",
-            run.params.len(),
-            reference.params.len()
-        )));
-    }
-    if run.stream != reference.stream {
-        return Ok(Err(format!(
-            "kill worker {worker} at batch {kill_at}: journaled outcome stream \
-             diverged ({} vs {} records)",
-            run.stream.len(),
-            reference.stream.len()
-        )));
-    }
-    if run.summary.totals.recoveries == 0 {
-        return Ok(Err(format!(
-            "kill worker {worker} at batch {kill_at}: the kill was never detected \
-             (0 recoveries)"
-        )));
-    }
-    Ok(Ok(run.summary))
+    run_once(cfg, opts, &dir).unwrap_or_else(|e| panic!("cluster experiment failed: {e}"))
 }
 
-/// Derive a (worker, kill batch) from a campaign seed.
-fn kill_site(seed: u64, opts: &ClusterOpts) -> (usize, usize) {
-    // Decorrelates consecutive corpus seeds.
-    let z = gt_telemetry::splitmix64(seed);
-    let worker = (z % opts.workers as u64) as usize;
-    let kill_at = ((z >> 16) % opts.batches as u64) as usize;
-    (worker, kill_at)
-}
-
-/// Run the campaign: one fault-free reference, then a killed run per
-/// seed, each demanded bit-identical. Stops at the first violation.
-pub fn run_campaign(cfg: &ExpConfig, opts: &ClusterOpts) -> Result<CampaignSummary, GtError> {
-    let reference = reference_run(cfg, opts)?;
-    let mut summary = CampaignSummary {
-        runs: 0,
-        clean: 0,
-        violation: None,
-        reference: reference.summary.clone(),
-        fleet_text: fleet::render(&reference.fleet),
-        trace_json: reference.trace_json.clone(),
-    };
-    if let (Some(worker), Some(kill_at)) = (opts.kill_worker, opts.kill_at) {
-        // Directed single kill (`--kill-worker W --kill-at N`).
-        summary.runs = 1;
-        match killed_run(cfg, opts, &reference, worker, kill_at, opts.dir.as_deref())? {
-            Ok(_) => summary.clean = 1,
-            Err(detail) => summary.violation = Some((cfg.seed, detail)),
-        }
-        return Ok(summary);
-    }
-    let seeds: Vec<u64> = match &opts.seeds_file {
-        Some(path) => super::chaos::read_seeds(path)?,
-        None => (0..opts.seeds as u64)
-            .map(|i| cfg.seed.wrapping_add(i))
-            .collect(),
-    };
-    for (i, &seed) in seeds.iter().enumerate() {
-        let (worker, kill_at) = kill_site(seed, opts);
-        // The last seed's durable state lands in `--checkpoint-dir` so CI
-        // can compare recovered checkpoints across sweeps.
-        let dir = if i + 1 == seeds.len() {
-            opts.dir.as_deref()
-        } else {
-            None
-        };
-        summary.runs += 1;
-        match killed_run(cfg, opts, &reference, worker, kill_at, dir)? {
-            Ok(_) => summary.clean += 1,
-            Err(detail) => {
-                summary.violation = Some((seed, detail));
-                return Ok(summary);
-            }
-        }
-    }
-    Ok(summary)
-}
-
-/// Distill the cluster into a schema-stable [`BenchReport`] for
-/// `repro cluster --bench-out` / CI's `identity` job: the
-/// fault-free run's modeled metrics plus one canonical kill's recovery
-/// cost. Everything is virtual time — bit-identical at any
-/// `GT_THREADS`.
+/// Distill one run into a schema-stable [`BenchReport`] for
+/// `repro cluster --bench-out` / CI's `identity` job. Everything is
+/// virtual time — bit-identical at any `GT_THREADS`.
 pub fn report(cfg: &ExpConfig, opts: &ClusterOpts) -> BenchReport {
     let wall = Instant::now();
-    let reference =
-        reference_run(cfg, opts).unwrap_or_else(|e| panic!("cluster experiment failed: {e}"));
+    let reference = run(
+        cfg,
+        &ClusterOpts {
+            dir: None,
+            ..opts.clone()
+        },
+    );
     let s = &reference.summary.totals;
-    let (worker, kill_at) = (opts.workers - 1, opts.batches / 2);
-    let killed = killed_run(cfg, opts, &reference, worker, kill_at, None)
-        .unwrap_or_else(|e| panic!("cluster kill run failed: {e}"))
-        .unwrap_or_else(|detail| panic!("cluster kill run violated the oracle: {detail}"));
     let wall_us = wall.elapsed().as_secs_f64() * 1e6;
 
     let mut metrics: Vec<(String, f64)> = vec![
         ("cluster_clock_us".into(), s.clock_us),
         ("collective_us".into(), s.collective_us),
-        ("hedges_launched_total".into(), s.hedges_launched as f64),
-        ("hedges_won_total".into(), s.hedges_won as f64),
-        (
-            "hedge_win_rate".into(),
-            if s.hedges_launched == 0 {
-                0.0
-            } else {
-                s.hedges_won as f64 / s.hedges_launched as f64
-            },
-        ),
-        ("false_suspicions_total".into(), s.false_suspicions as f64),
-        (
-            "recovery_virtual_us".into(),
-            killed.totals.recovery_virtual_us,
-        ),
-        ("recoveries_total".into(), killed.totals.recoveries as f64),
         (
             "fleet_busy_imbalance".into(),
             reference.fleet.busy_imbalance,
@@ -410,30 +218,12 @@ pub fn report(cfg: &ExpConfig, opts: &ClusterOpts) -> BenchReport {
     }
 }
 
-/// Print the campaign; exits 4 when the bit-identity oracle is violated
-/// (same convention as the chaos campaign).
+/// Run once and print the modeled per-worker time, the fleet report, and
+/// where the artifacts went.
 pub fn print(cfg: &ExpConfig, opts: &ClusterOpts) {
-    let summary =
-        run_campaign(cfg, opts).unwrap_or_else(|e| panic!("cluster campaign failed: {e}"));
-    let s = &summary.reference.totals;
-    print_table(
-        &format!(
-            "cluster: {} workers ({}), {} kills × {} batches (oracle: bit-identical recovery)",
-            opts.workers,
-            opts.partition.label(),
-            summary.runs,
-            opts.batches
-        ),
-        &["verdict", "runs"],
-        &[
-            vec!["clean".to_string(), summary.clean.to_string()],
-            vec![
-                "violation".to_string(),
-                usize::from(summary.violation.is_some()).to_string(),
-            ],
-        ],
-    );
-    let rows: Vec<Vec<String>> = (0..summary.reference.workers)
+    let run = run(cfg, opts);
+    let s = &run.summary.totals;
+    let rows: Vec<Vec<String>> = (0..run.summary.workers)
         .map(|w| {
             vec![
                 format!("worker{w}"),
@@ -444,25 +234,26 @@ pub fn print(cfg: &ExpConfig, opts: &ClusterOpts) {
         .collect();
     print_table(
         &format!(
-            "fault-free modeled time: clock {:.1}µs, collectives {:.1}µs, \
-             hedges {}/{} won",
-            s.clock_us, s.collective_us, s.hedges_won, s.hedges_launched
+            "cluster: {} workers ({}), {} batches, modeled clock {:.1}µs, collectives {:.1}µs",
+            opts.workers,
+            opts.partition.label(),
+            run.summary.batches,
+            s.clock_us,
+            s.collective_us
         ),
         &["worker", "busy µs", "idle µs"],
         &rows,
     );
     if let Some(dir) = &opts.dir {
-        println!(
-            "  recovered durable state (journal + checkpoint): {}",
-            dir.display()
-        );
+        println!("  durable state (journal + checkpoint): {}", dir.display());
     }
-    println!("fleet health (reference run):");
-    for line in summary.fleet_text.lines() {
+    let fleet_text = fleet::render(&run.fleet);
+    println!("fleet health:");
+    for line in fleet_text.lines() {
         println!("  {line}");
     }
     if let Some(path) = &opts.fleet_out {
-        match std::fs::write(path, &summary.fleet_text) {
+        match std::fs::write(path, &fleet_text) {
             Ok(()) => println!("  wrote fleet report to {}", path.display()),
             Err(e) => {
                 eprintln!("failed to write fleet report to {}: {e}", path.display());
@@ -471,7 +262,7 @@ pub fn print(cfg: &ExpConfig, opts: &ClusterOpts) {
         }
     }
     if let Some(path) = &opts.trace_out {
-        match std::fs::write(path, &summary.trace_json) {
+        match std::fs::write(path, &run.trace_json) {
             Ok(()) => println!(
                 "  wrote cross-worker trace to {} (open at https://ui.perfetto.dev)",
                 path.display()
@@ -483,11 +274,7 @@ pub fn print(cfg: &ExpConfig, opts: &ClusterOpts) {
         }
     }
     if let Some(port) = opts.serve_metrics {
-        serve_and_scrape(port, &summary.fleet_text);
-    }
-    if let Some((seed, detail)) = &summary.violation {
-        println!("  seed {seed} VIOLATED the oracle: {detail}");
-        std::process::exit(4);
+        serve_and_scrape(port, &fleet_text);
     }
 }
 
@@ -548,113 +335,27 @@ mod tests {
         ClusterOpts {
             workers,
             batches: 4,
-            seeds: 2,
             ..Default::default()
         }
     }
 
-    /// The seeded campaign over a small corpus is clean: every derived
-    /// (worker, batch) kill recovers bit-identically.
-    #[test]
-    fn seeded_kill_campaign_is_clean() {
-        let cfg = ExpConfig::test();
-        for workers in [1usize, 2] {
-            let summary = run_campaign(&cfg, &opts(workers)).unwrap();
-            assert_eq!(summary.runs, 2, "{workers} workers");
-            assert_eq!(
-                summary.violation, None,
-                "{workers} workers: campaign must be clean"
-            );
-            assert_eq!(summary.clean, 2, "{workers} workers");
-        }
-    }
-
-    /// A directed kill (`--kill-worker`/`--kill-at`) runs exactly one
-    /// comparison and is clean.
-    #[test]
-    fn directed_kill_is_clean() {
-        let cfg = ExpConfig::test();
-        let mut o = opts(2);
-        o.kill_worker = Some(1);
-        o.kill_at = Some(2);
-        let summary = run_campaign(&cfg, &o).unwrap();
-        assert_eq!(summary.runs, 1);
-        assert_eq!(summary.violation, None);
-    }
-
-    /// Tracing is purely observational: a traced and an untraced
-    /// reference produce byte-identical parameters and journal streams,
-    /// and a traced kill freezes a `cluster-recovery:<w>` flight dump
-    /// while still matching the fault-free reference bit-for-bit.
-    #[test]
-    fn flight_dumps_do_not_perturb_the_oracle() {
-        let cfg = ExpConfig::test();
-        // 3 workers so the base straggler plan actually hedges (a
-        // 2-worker cluster never can) and the hedge-won dump fires.
-        let o = opts(3);
-        let traced = reference_run(&cfg, &o).unwrap();
-        let mut quiet = o.clone();
-        quiet.tracing = false;
-        let untraced = reference_run(&cfg, &quiet).unwrap();
-        assert_eq!(
-            traced.params, untraced.params,
-            "tracing perturbed the checkpoint bytes"
-        );
-        assert_eq!(
-            traced.stream, untraced.stream,
-            "tracing perturbed the journal stream"
-        );
-        assert!(untraced.dump_reasons.is_empty());
-        // The fault-free reference hedges (base plan straggler), so its
-        // dumps are exactly the hedge wins — never a recovery.
-        assert!(
-            !traced.dump_reasons.is_empty()
-                && traced
-                    .dump_reasons
-                    .iter()
-                    .all(|r| r.starts_with("hedge-won:")),
-            "unexpected fault-free dumps: {:?}",
-            traced.dump_reasons
-        );
-
-        let spec = ClusterSpec::paper_testbed(o.workers);
-        let plan = base_plan(&cfg, &o, &spec).with_worker_kill(2, 1);
-        let dir = fresh_dir("dumps");
-        let _cleanup = DirCleanup(dir.clone());
-        let killed = run_once(&cfg, &o, plan, &dir).unwrap();
-        assert_eq!(
-            killed.params, traced.params,
-            "dump froze mid-recovery state"
-        );
-        assert_eq!(killed.stream, traced.stream);
-        assert!(
-            killed
-                .dump_reasons
-                .iter()
-                .any(|r| r.starts_with("cluster-recovery:")),
-            "kill must freeze a recovery dump: {:?}",
-            killed.dump_reasons
-        );
-    }
-
-    /// The reference run's fleet report and cross-worker trace are
-    /// deterministic, observe every trained batch, and span one Perfetto
-    /// process per worker plus the coordinator, flow-linked.
+    /// A run's fleet report and cross-worker trace are deterministic,
+    /// observe every trained batch, and span one Perfetto process per
+    /// worker plus the coordinator, flow-linked.
     #[test]
     fn fleet_report_and_cluster_trace_are_deterministic() {
         let cfg = ExpConfig::test();
-        // 3 workers: the smallest fleet whose median makespan the base
-        // straggler can exceed — a 2-worker cluster can never hedge.
         let o = opts(3);
-        let a = reference_run(&cfg, &o).unwrap();
-        let b = reference_run(&cfg, &o).unwrap();
+        let a = run(&cfg, &o);
+        let b = run(&cfg, &o);
         assert_eq!(fleet::render(&a.fleet), fleet::render(&b.fleet));
         assert_eq!(a.trace_json, b.trace_json);
         assert_eq!(a.fleet.batches, o.batches, "every trained batch observed");
         assert_eq!(a.fleet.workers.len(), o.workers);
-        assert!(
-            a.fleet.totals.hedges_launched > 0,
-            "the base straggler plan must exercise hedging"
+        assert_eq!(
+            a.fleet.attribution.first().map(|a| a.0),
+            Some(2),
+            "the base plan's straggler binds the collectives"
         );
         for process in ["\"cluster\"", "\"worker 0\"", "\"worker 1\""] {
             assert!(
@@ -680,7 +381,7 @@ mod tests {
         assert!(a
             .metrics
             .iter()
-            .any(|(n, v)| n == "recovery_virtual_us" && *v > 0.0));
+            .any(|(n, v)| n == "collective_us" && *v > 0.0));
         let back: BenchReport = a.to_json_string().parse().unwrap();
         assert_eq!(back, a);
     }

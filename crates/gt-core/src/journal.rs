@@ -18,7 +18,7 @@
 //! ```
 //!
 //! Each payload is one [`Record`] as a JSON object whose `"type"` names
-//! the variant (`batch`, `quarantine`, `checkpoint`, `hedge`; the fields
+//! the variant (`batch`, `quarantine`, `checkpoint`; the fields
 //! are tabulated in docs/fault_model.md). [`Record`]'s [`ToJson`] impl is
 //! the one encoder and [`scan`] the one decoder. Every number decodes only
 //! as an exact non-negative integer in its field's range, and a batch
@@ -87,15 +87,6 @@ pub enum Record {
     /// [`image_crc`](gt_tensor::checkpoint::image_crc), which replay
     /// verifies against the replayed parameters.
     Checkpoint { index: usize, image_crc: u32 },
-    /// A resolved straggler hedge of batch `index`. Replay re-runs no
-    /// schedule for it, only counts it into
-    /// [`RecoveryReport::hedges`](crate::serve::RecoveryReport::hedges).
-    Hedge {
-        index: usize,
-        victim: usize,
-        backup: usize,
-        backup_won: bool,
-    },
 }
 
 impl Record {
@@ -105,7 +96,6 @@ impl Record {
             Record::Batch { .. } => "batch",
             Record::Quarantine(_) => "quarantine",
             Record::Checkpoint { .. } => "checkpoint",
-            Record::Hedge { .. } => "hedge",
         }
     }
 
@@ -145,15 +135,6 @@ impl Record {
                 index: int(rec, "batch_index")?,
                 image_crc: int(rec, "image_crc")?,
             },
-            Some("hedge") => Record::Hedge {
-                index: int(rec, "batch_index")?,
-                victim: int(rec, "victim")?,
-                backup: int(rec, "backup")?,
-                backup_won: match rec.get("backup_won") {
-                    Some(&Json::Bool(won)) => won,
-                    _ => return Err("backup_won"),
-                },
-            },
             _ => return Err("type"),
         })
     }
@@ -188,17 +169,6 @@ impl ToJson for Record {
             Record::Checkpoint { index, image_crc } => pairs.extend([
                 ("batch_index", (*index).into()),
                 ("image_crc", u64::from(*image_crc).into()),
-            ]),
-            Record::Hedge {
-                index,
-                victim,
-                backup,
-                backup_won,
-            } => pairs.extend([
-                ("batch_index", (*index).into()),
-                ("victim", (*victim).into()),
-                ("backup", (*backup).into()),
-                ("backup_won", Json::Bool(*backup_won)),
             ]),
         }
         obj(pairs)
@@ -431,12 +401,6 @@ mod tests {
                 index: 2,
                 image_crc: 0xDEAD_BEEF,
             },
-            Record::Hedge {
-                index: 2,
-                victim: 1,
-                backup: 3,
-                backup_won: true,
-            },
         ]
     }
 
@@ -490,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_tagged_and_hedge_records_round_trip() {
+    fn worker_tagged_records_round_trip() {
         let r = Record::Batch {
             index: 5,
             ids: vec![8, 9],
@@ -506,28 +470,14 @@ mod tests {
         assert_eq!(vids(&j, "batch"), Ok(vec![8, 9]));
         assert_eq!(optional(&j, "fanout"), Ok(Some(6)));
 
-        let h = Record::Hedge {
-            index: 5,
-            victim: 1,
-            backup: 3,
-            backup_won: true,
-        };
-        assert_eq!(record_type(&h), Some("hedge"));
-        let j = h.to_json();
-        assert_eq!(j.get("batch_index").and_then(uint::<usize>), Some(5));
-        assert_eq!(j.get("victim").and_then(uint::<usize>), Some(1));
-        assert_eq!(j.get("backup").and_then(uint::<usize>), Some(3));
-        assert_eq!(j.get("backup_won"), Some(&Json::Bool(true)));
-
-        // Both survive the framed on-disk round trip.
+        // It survives the framed on-disk round trip.
         let dir = tmp_dir("tagged");
         let path = dir.join("outcomes.gtj");
         let mut j = Journal::create(&path).unwrap();
         j.append(&r).unwrap();
-        j.append(&h).unwrap();
         drop(j);
         let s = read_journal(&path).unwrap();
-        assert_eq!(s.records, vec![r, h]);
+        assert_eq!(s.records, vec![r]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -549,7 +499,7 @@ mod tests {
             FailReason::InvalidBatch,
         ];
         prop::check("journal_record_round_trip", prop::CASES, |g| {
-            let rec = match g.below(4) {
+            let rec = match g.below(3) {
                 0 => {
                     let outcome = match g.below(3) {
                         0 => BatchOutcome::Succeeded,
@@ -573,15 +523,9 @@ mod tests {
                     reason: *g.pick(&reasons),
                     attempts: int(g),
                 }),
-                2 => Record::Checkpoint {
+                _ => Record::Checkpoint {
                     index: int(g),
                     image_crc: g.next_u64() as u32,
-                },
-                _ => Record::Hedge {
-                    index: int(g),
-                    victim: int(g),
-                    backup: int(g),
-                    backup_won: g.below(2) == 0,
                 },
             };
             let mut bytes = MAGIC.to_vec();
@@ -687,6 +631,22 @@ mod tests {
         bytes[20] ^= 0x01;
         match scan(&bytes) {
             Err(GtError::CorruptJournal { offset, .. }) => assert_eq!(offset, 8),
+            other => panic!("expected CorruptJournal, got {other:?}"),
+        }
+        // A CRC-valid record of a type this reader does not know — the
+        // straggler-hedge record older cluster journals carry — is typed
+        // corruption at its own frame, never skipped.
+        let hedge = r#"{"type":"hedge","batch_index":0,"victim":3,"backup":0,"backup_won":true}"#;
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(Journal::frame(&recs[0].to_json_string()));
+        let at = bytes.len() as u64;
+        bytes.extend(Journal::frame(hedge));
+        bytes.extend(Journal::frame(&recs[1].to_json_string()));
+        match scan(&bytes) {
+            Err(GtError::CorruptJournal { offset, detail }) => {
+                assert_eq!(offset, at);
+                assert!(detail.contains("`type`"), "{detail}");
+            }
             other => panic!("expected CorruptJournal, got {other:?}"),
         }
     }

@@ -179,9 +179,10 @@ pub struct Completion {
 /// module docs for the ladder.
 ///
 /// The gateway has no recovery protocol of its own: a service error (an
-/// injected crash in a bare durable [`Supervisor`]) panics the submission.
-/// Put the layer that recovers — the cluster supervisor — behind it to
-/// serve through crashes.
+/// injected crash in a durable [`Supervisor`], bare or under a cluster)
+/// panics the submission. Serving through a crash is a restart:
+/// [`Supervisor::recover`] from the journal, then a fresh gateway in front
+/// of the recovered service.
 pub struct Gateway<S = Supervisor> {
     /// The service behind the queue.
     pub supervisor: S,

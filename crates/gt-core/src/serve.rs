@@ -92,12 +92,6 @@ pub struct RecoveryReport {
     /// True when a torn tail (an append interrupted by the crash) was
     /// dropped and truncated away.
     pub torn_tail_dropped: bool,
-    /// `(launched, won)` over the journal's straggler-hedge records.
-    pub hedges: (u64, u64),
-    /// The last replayed batch, as [`Supervisor::serve`] would have
-    /// returned it — what a caller whose batch committed just before the
-    /// crash hands back instead of re-serving (and double-training) it.
-    pub last_replayed: Option<Served>,
 }
 
 /// Gateway-side identity of the request a batch serves, on the virtual
@@ -647,31 +641,6 @@ impl Supervisor {
         self.durability.is_some()
     }
 
-    /// Journal a cluster-layer hedge decision (write-ahead, like
-    /// outcomes): which batch was hedged, the straggling worker, the
-    /// backup, and which copy won. The cluster supervisor's
-    /// `gt_cluster_hedges_*` counters must reconcile exactly against
-    /// these records.
-    pub fn journal_hedge(
-        &mut self,
-        batch_index: usize,
-        victim: usize,
-        backup: usize,
-        backup_won: bool,
-    ) -> Result<(), GtError> {
-        let d = self
-            .durability
-            .as_mut()
-            .ok_or_else(|| not_durable("journal_hedge"))?;
-        let rec = Record::Hedge {
-            index: batch_index,
-            victim,
-            backup,
-            backup_won,
-        };
-        d.append(&self.trainer.telemetry, &rec)
-    }
-
     /// Checkpoint the current parameters now (e.g. at end of serving),
     /// regardless of the periodic cadence.
     pub fn checkpoint_now(&mut self) -> Result<(), GtError> {
@@ -740,10 +709,8 @@ impl Supervisor {
         checkpoint::remove_stale_tmp(cfg.checkpoint_path());
 
         let mut replayed = 0usize;
-        let mut last_replayed = None;
         let mut quarantine_restored = 0usize;
         let mut checkpoints_verified = 0usize;
-        let mut hedges = (0, 0);
         // Last replayed batch index per cluster-worker tag: the journal's
         // ordering invariant. Outcome comparison alone cannot catch a
         // reordered journal (most outcomes are plain "succeeded"), so the
@@ -799,7 +766,6 @@ impl Supervisor {
                         });
                     }
                     replayed += 1;
-                    last_replayed = Some(served);
                 }
                 Record::Quarantine(filed) => {
                     // The replay re-quarantined deterministically; the
@@ -831,13 +797,6 @@ impl Supervisor {
                     if let Some(caches) = self.caches.as_mut() {
                         caches.bump_epoch();
                     }
-                }
-                // Cluster-layer annotation of a straggler hedge: the
-                // modeled schedule is not re-run during replay, but the
-                // cluster supervisor restores its hedge counters from these.
-                Record::Hedge { backup_won, .. } => {
-                    hedges.0 += 1;
-                    hedges.1 += u64::from(*backup_won);
                 }
             }
         }
@@ -871,8 +830,6 @@ impl Supervisor {
             quarantine_restored,
             checkpoints_verified,
             torn_tail_dropped: scan.torn_tail,
-            hedges,
-            last_replayed,
         })
     }
 }

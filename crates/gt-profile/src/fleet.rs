@@ -12,7 +12,6 @@
 //! - **Who bound the collectives?** Per-batch straggler attribution: the
 //!   worker whose stage time the collective waited on, and the stage that
 //!   dominated that worker's schedule.
-//! - **Did hedging help?** Launch/win counts and the win rate.
 //!
 //! Feed batches through a [`FleetObserver`] (one `observe_batch` per
 //! priced batch, with the per-worker schedules), then build a
@@ -138,15 +137,12 @@ pub struct WorkerHealth {
 /// render with [`render`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
-    /// Per-worker health, ascending worker index (dead workers included,
-    /// with whatever they accumulated before dying).
+    /// Per-worker health, ascending worker index.
     pub workers: Vec<WorkerHealth>,
     /// Batches observed.
     pub batches: usize,
     /// Run totals the report was built from.
     pub totals: FleetTotals,
-    /// `won / launched` (0 when nothing launched).
-    pub hedge_win_rate: f64,
     /// Per-stage imbalance `max busy / mean busy` across workers that
     /// executed anything, for stages with nonzero mean, in display order.
     pub stage_imbalance: Vec<(Stage, f64)>,
@@ -195,9 +191,9 @@ impl FleetReport {
             })
             .collect();
 
-        // Imbalance ratios over the workers that executed anything: a dead
-        // (or never-scheduled) worker contributing zeros would make every
-        // stage look skewed.
+        // Imbalance ratios over the workers that executed anything: a
+        // never-scheduled worker contributing zeros would make every stage
+        // look skewed.
         let participants: Vec<&WorkerHealth> = workers.iter().filter(|h| h.busy_us > 0.0).collect();
         let mut stage_imbalance = Vec::new();
         if participants.len() >= 2 {
@@ -246,11 +242,6 @@ impl FleetReport {
             workers,
             batches: observer.batches(),
             totals: totals.clone(),
-            hedge_win_rate: if totals.hedges_launched > 0 {
-                totals.hedges_won as f64 / totals.hedges_launched as f64
-            } else {
-                0.0
-            },
             stage_imbalance,
             worst_imbalance,
             busy_imbalance,
@@ -279,15 +270,8 @@ pub fn render(r: &FleetReport) -> String {
     };
     let _ = writeln!(
         out,
-        "  collective {:.1} µs ({collective_pct:.1}% of clock), recovery {:.1} µs ({} recoveries), false suspicions {}",
-        r.totals.collective_us, r.totals.recovery_virtual_us, r.totals.recoveries, r.totals.false_suspicions
-    );
-    let _ = writeln!(
-        out,
-        "  hedges: {} launched, {} won ({:.0}% win rate)",
-        r.totals.hedges_launched,
-        r.totals.hedges_won,
-        100.0 * r.hedge_win_rate
+        "  collective {:.1} µs ({collective_pct:.1}% of clock)",
+        r.totals.collective_us
     );
 
     let _ = writeln!(out, "per-worker utilization:");
@@ -378,7 +362,6 @@ mod tests {
             worker_busy_us: busy.to_vec(),
             worker_idle_us: vec![0.0; busy.len()],
             worker_link_us: vec![100.0; busy.len()],
-            ..FleetTotals::default()
         }
     }
 
@@ -442,7 +425,7 @@ mod tests {
     fn dead_workers_render_but_do_not_skew_imbalance() {
         let mut obs = FleetObserver::new();
         obs.observe_batch(0, &[(0, schedule(10.0, 5.0)), (1, schedule(10.0, 5.0))]);
-        // Worker 2 never executed (killed before its first batch).
+        // Worker 2 never executed.
         let report = FleetReport::build(&obs, &totals_for(&[15.0, 15.0, 0.0]));
         assert_eq!(report.workers.len(), 3);
         assert_eq!(report.workers[2].busy_frac, 0.0);
@@ -472,19 +455,12 @@ mod tests {
         ));
         let slow = sim.run_with_faults(&faults);
         obs.observe_batch(0, &[(0, schedule(10.0, 5.0)), (1, slow)]);
-        let mut totals = totals_for(&[15.0, 80.0]);
-        totals.hedges_launched = 2;
-        totals.hedges_won = 1;
-        totals.false_suspicions = 3;
+        let totals = totals_for(&[15.0, 80.0]);
         let report = FleetReport::build(&obs, &totals);
         let a = render(&report);
         let b = render(&FleetReport::build(&obs, &totals));
         assert_eq!(a, b);
-        assert!(
-            a.contains("hedges: 2 launched, 1 won (50% win rate)"),
-            "{a}"
-        );
-        assert!(a.contains("false suspicions 3"), "{a}");
+        assert!(a.contains("collective 100.0 µs (10.0% of clock)"), "{a}");
         assert!(a.contains("straggler attribution"), "{a}");
     }
 }

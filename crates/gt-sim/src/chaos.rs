@@ -45,7 +45,7 @@ pub fn sample_plan(seed: u64, batches: usize) -> FaultPlan {
     let mut plan = FaultPlan::new(seed);
     for _ in 0..n_faults {
         let b = rng.below(batches.max(1) as u64) as usize;
-        plan = match rng.below(11) {
+        plan = match rng.below(8) {
             0 => {
                 let sites = [
                     CrashSite::MidJournal,
@@ -110,19 +110,7 @@ pub fn sample_plan(seed: u64, batches: usize) -> FaultPlan {
                 let factor = (1 + rng.below(3)) as f64 * 2.0;
                 plan.with_rule(FaultRule::once(FaultKind::HashContention { factor }, b))
             }
-            7 => plan.with_delivery_delay(b, 1 + rng.below(3) as u32),
-            // Cluster faults. Worker indices are sampled over a nominal
-            // 4-worker cluster; the cluster supervisor maps them modulo
-            // its actual worker count, and single-node campaigns ignore
-            // them entirely (they are inert outside the cluster layer).
-            8 => plan.with_worker_kill(b, rng.below(4) as usize),
-            9 => {
-                let worker = rng.below(4) as usize;
-                let factor = (1 + rng.below(4)) as f64 * 2.0;
-                let until = b + 1 + rng.below(3) as usize;
-                plan.with_link_degrade(worker, factor, b, Some(until))
-            }
-            _ => plan.with_heartbeat_drop(b, rng.below(4) as usize, 1 + rng.below(3) as u32),
+            _ => plan.with_delivery_delay(b, 1 + rng.below(3) as u32),
         };
     }
     plan
@@ -173,15 +161,6 @@ fn kind_fields(kind: &FaultKind) -> (&'static str, Vec<(&'static str, Json)>) {
         FaultKind::DeliveryDelay { slots } => {
             ("delivery-delay", vec![("slots", (slots as u64).into())])
         }
-        FaultKind::WorkerKill { worker } => ("worker-kill", vec![("worker", worker.into())]),
-        FaultKind::LinkDegrade { worker, factor } => (
-            "link-degrade",
-            vec![("worker", worker.into()), ("factor", factor.into())],
-        ),
-        FaultKind::HeartbeatDrop { worker, beats } => (
-            "heartbeat-drop",
-            vec![("worker", worker.into()), ("beats", (beats as u64).into())],
-        ),
     }
 }
 
@@ -239,17 +218,6 @@ fn kind_from_json(v: &Json) -> Result<FaultKind, String> {
         }
         "delivery-delay" => Ok(FaultKind::DeliveryDelay {
             slots: num("slots")? as u32,
-        }),
-        "worker-kill" => Ok(FaultKind::WorkerKill {
-            worker: num("worker")? as usize,
-        }),
-        "link-degrade" => Ok(FaultKind::LinkDegrade {
-            worker: num("worker")? as usize,
-            factor: num("factor")?,
-        }),
-        "heartbeat-drop" => Ok(FaultKind::HeartbeatDrop {
-            worker: num("worker")? as usize,
-            beats: num("beats")? as u32,
         }),
         other => Err(format!("unknown fault kind {other:?}")),
     }
@@ -373,27 +341,6 @@ fn weaker_kinds(kind: &FaultKind) -> Vec<FaultKind> {
             extra_us: extra_us / 2.0,
         }],
         DeliveryDelay { slots } if slots > 1 => vec![DeliveryDelay { slots: slots / 2 }],
-        // A kill is the strongest cluster fault: try the faults that only
-        // *look* like one (a silent-but-alive worker, a slow link) first.
-        WorkerKill { worker } => vec![
-            HeartbeatDrop { worker, beats: 2 },
-            LinkDegrade {
-                worker,
-                factor: 2.0,
-            },
-        ],
-        LinkDegrade { worker, factor } if factor > 2.0 => {
-            vec![LinkDegrade {
-                worker,
-                factor: half(factor),
-            }]
-        }
-        HeartbeatDrop { worker, beats } if beats > 1 => {
-            vec![HeartbeatDrop {
-                worker,
-                beats: beats / 2,
-            }]
-        }
         _ => vec![],
     }
 }
@@ -519,37 +466,27 @@ mod tests {
         }
     }
 
+    /// The ten single-node categories, each reachable from the sampler:
+    /// three crash sites, journal and checkpoint storage faults, transfer
+    /// failure, memory pressure, stall, hash contention, delivery delay.
     #[test]
     fn sampled_space_covers_every_category() {
-        let mut seen_crash = false;
-        let mut seen_io = false;
-        let mut seen_delay = false;
-        let mut seen_schedule = false;
-        let mut seen_kill = false;
-        let mut seen_link = false;
-        let mut seen_beats = false;
+        let mut seen = std::collections::BTreeSet::new();
         for seed in 0..256 {
             for r in sample_plan(seed, 8).rules() {
-                match r.kind {
-                    FaultKind::Crash { .. } => seen_crash = true,
-                    FaultKind::Io { .. } => seen_io = true,
-                    FaultKind::DeliveryDelay { .. } => seen_delay = true,
-                    FaultKind::TransferStall { .. }
-                    | FaultKind::HashContention { .. }
-                    | FaultKind::MemoryPressure { .. }
-                    | FaultKind::TransferFailure => seen_schedule = true,
-                    FaultKind::WorkerKill { .. } => seen_kill = true,
-                    FaultKind::LinkDegrade { .. } => seen_link = true,
-                    FaultKind::HeartbeatDrop { .. } => seen_beats = true,
-                    _ => {}
-                }
+                seen.insert(match r.kind {
+                    FaultKind::Crash { site } => site.label(),
+                    FaultKind::Io { target, .. } => target.label(),
+                    FaultKind::TransferFailure => "transfer-failure",
+                    FaultKind::MemoryPressure { .. } => "memory-pressure",
+                    FaultKind::TransferStall { .. } => "stall",
+                    FaultKind::HashContention { .. } => "hash-contention",
+                    FaultKind::DeliveryDelay { .. } => "delivery-delay",
+                    other => panic!("the sampler never emits {other:?}"),
+                });
             }
         }
-        assert!(seen_crash && seen_io && seen_delay && seen_schedule);
-        assert!(
-            seen_kill && seen_link && seen_beats,
-            "cluster fault kinds must be reachable from the sampler"
-        );
+        assert_eq!(seen.len(), 10, "{seen:?}");
     }
 
     #[test]
@@ -563,32 +500,41 @@ mod tests {
         }
     }
 
+    /// The cluster's fault rule — a straggler on a global core index the
+    /// sampler never draws — and a serving stall survive the wire form.
     #[test]
     fn cluster_rules_round_trip_through_json() {
         let plan = FaultPlan::new(77)
-            .with_worker_kill(3, 2)
-            .with_link_degrade(1, 4.0, 2, Some(6))
-            .with_heartbeat_drop(5, 0, 3);
+            .with_straggler(3 * 12, 64.0)
+            .with_serve_delay_window(250.0, 2, Some(6));
         let text = plan_to_json(&plan).to_json_string();
         let parsed = gt_telemetry::json::parse(&text).unwrap();
         assert_eq!(plan_from_json(&parsed).unwrap(), plan);
     }
 
     #[test]
-    fn shrunk_worker_kill_repro_is_single_rule_and_replayable() {
-        // A noisy campaign plan whose only real trigger is the worker
-        // kill: the shrinker must isolate it, and the minimized plan must
+    fn shrunk_crash_repro_is_single_rule_and_replayable() {
+        // A noisy campaign plan whose only real trigger is the mid-journal
+        // crash: the shrinker must isolate it, and the minimized plan must
         // survive the JSON wire form (the exact bytes CI uploads and
         // `repro --chaos-replay` consumes) still failing the oracle.
         let plan = FaultPlan::new(41)
             .with_transfer_stall(8.0, 1.0)
-            .with_worker_kill(6, 3)
-            .with_heartbeat_drop(2, 1, 2)
+            .with_crash_at(6, CrashSite::MidJournal)
+            .with_io_fault(2, IoTarget::Checkpoint, IoFault::Enospc)
             .with_delivery_delay(4, 2);
-        let fails = |p: &FaultPlan| (0..10).any(|b| !p.active(b, 0).worker_kills().is_empty());
+        let fails = |p: &FaultPlan| {
+            (0..10).any(|b| p.active(b, 0).crash_site() == Some(CrashSite::MidJournal))
+        };
         let min = shrink(&plan, fails, 300);
         assert_eq!(min.len(), 1, "{min:?}");
-        assert!(matches!(min.rules()[0].kind, FaultKind::WorkerKill { .. }));
+        assert_eq!(
+            min.rules()[0].kind,
+            FaultKind::Crash {
+                site: CrashSite::MidJournal
+            },
+            "a weaker site no longer fails"
+        );
         assert_eq!(min.rules()[0].from_batch, 0, "rebased to batch 0");
         let text = plan_to_json(&min).to_json_string();
         let replayed = plan_from_json(&gt_telemetry::json::parse(&text).unwrap()).unwrap();
@@ -609,7 +555,6 @@ mod tests {
             r#""kind": "memory-pressure", "fraction": 0"#,
             r#""kind": "memory-pressure", "fraction": 1.5"#,
             r#""kind": "serve-delay", "extra_us": -1"#,
-            r#""kind": "heartbeat-drop", "worker": 0, "beats": 0"#,
         ] {
             let text = format!(
                 r#"{{"seed": 1, "rules": [{{{kind}, "probability": 1, "from": 0, "until": null}}]}}"#
@@ -734,9 +679,6 @@ mod tests {
             .with_crash_at(4, CrashSite::MidCheckpoint)
             .with_io_fault(6, IoTarget::Checkpoint, IoFault::ShortRead)
             .with_delivery_delay(2, 5)
-            .with_worker_kill(7, 6)
-            .with_link_degrade(3, 2.0, 1, None)
-            .with_heartbeat_drop(8, 2, 4)
             .with_rule(FaultRule {
                 kind: FaultKind::MemoryPressure { fraction: 0.25 },
                 probability: 1.0,
@@ -771,7 +713,7 @@ mod tests {
                     let f = plan.active(b, a);
                     write!(
                         out,
-                        "{:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+                        "{:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
                         f.is_empty(),
                         f.pcie_slowdown(),
                         f.lock_slowdown(),
@@ -780,7 +722,6 @@ mod tests {
                         f.serve_delay_us(),
                         f.crash_site(),
                         f.io_faults(),
-                        f.worker_kills(),
                         f.delivery_delay(),
                         f.des_relevant(),
                     )
@@ -788,16 +729,13 @@ mod tests {
                     for c in 0..8 {
                         write!(out, " {:?}", f.straggler(c)).unwrap();
                     }
-                    for w in 0..4 {
-                        write!(out, " {:?} {:?}", f.link_degrade(w), f.heartbeat_drops(w)).unwrap();
-                    }
                     out.push('\n');
                 }
             }
         }
         assert_eq!(
             (wire, fnv1a(out.into_bytes())),
-            (0xf056_4c8a_efc4_d445, 0x84d5_b95b_a2e5_72ff)
+            (0x0cfd_dc3e_2ce0_ba21, 0x0672_ff68_32c2_74ea)
         );
     }
 }

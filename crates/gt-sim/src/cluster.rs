@@ -8,11 +8,6 @@
 //! own DES instance, then charges ring all-gather/all-reduce collectives on
 //! the network link. Everything here is a pure function of the specs, so
 //! cluster schedules inherit the DES's bit-identity contract.
-//!
-//! The failure-detection side lives here too: the heartbeat constants and
-//! the [`PhiDetector`], a deterministic phi-accrual-style detector running in
-//! virtual time — suspicion is a pure function of observed heartbeat gaps,
-//! never of wall-clock time.
 
 use crate::device::SystemSpec;
 
@@ -119,100 +114,15 @@ impl ClusterSpec {
     }
 }
 
-/// Interval between heartbeats, virtual microseconds.
-pub const HEARTBEAT_INTERVAL_US: f64 = 1_000.0;
-
-/// Suspicion threshold: a worker is suspected once the observed gap
-/// reaches `PHI_THRESHOLD ×` its smoothed mean inter-arrival time.
-const PHI_THRESHOLD: f64 = 8.0;
-
-/// Deterministic phi-accrual-style failure detector for one worker.
-///
-/// Classic phi-accrual fits a distribution over inter-arrival times and
-/// reports `φ = −log₁₀ P(gap)`. In a simulated cluster the heartbeat
-/// interval is a modeled constant, so the detector reduces to its
-/// deterministic core: an exponentially-smoothed mean inter-arrival time
-/// and a suspicion score `phi = gap / mean`. The detector is a pure fold
-/// over observed gaps — no clocks, no randomness — so detection times are
-/// bit-identical across runs, worker counts, and `GT_THREADS` widths.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhiDetector {
-    /// Smoothed mean inter-arrival time, seeded with the nominal interval.
-    mean_us: f64,
-    /// Heartbeats observed so far.
-    observed: u64,
-}
-
-impl Default for PhiDetector {
-    fn default() -> Self {
-        PhiDetector {
-            mean_us: HEARTBEAT_INTERVAL_US,
-            observed: 0,
-        }
-    }
-}
-
-impl PhiDetector {
-    /// Record one heartbeat arriving `gap_us` after the previous one.
-    pub fn observe(&mut self, gap_us: f64) {
-        // EMA with a 0.2 step: recent gaps dominate after ~10 beats but a
-        // single outlier cannot drag the mean far.
-        self.mean_us = 0.8 * self.mean_us + 0.2 * gap_us;
-        self.observed += 1;
-    }
-
-    /// Suspicion score for a silence of `gap_us` since the last heartbeat.
-    pub fn phi(&self, gap_us: f64) -> f64 {
-        if self.mean_us <= 0.0 {
-            return f64::INFINITY;
-        }
-        gap_us / self.mean_us
-    }
-
-    /// Whether a silence of `gap_us` crosses the suspicion threshold.
-    pub fn suspects(&self, gap_us: f64) -> bool {
-        self.phi(gap_us) >= PHI_THRESHOLD
-    }
-
-    /// Virtual time from a worker's last heartbeat to the detector
-    /// *confirming* it dead: the silence must reach `PHI_THRESHOLD ×` the
-    /// smoothed mean before suspicion fires. This is the detection-latency
-    /// term of a kill's recovery cost.
-    pub fn confirm_delay_us(&self) -> f64 {
-        PHI_THRESHOLD * self.mean_us
-    }
-
-    /// Smoothed mean inter-arrival time (exposed for telemetry).
-    pub fn mean_us(&self) -> f64 {
-        self.mean_us
-    }
-
-    /// Heartbeats observed so far.
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-}
-
 /// Scalar totals of a cluster run on the cluster clock, as the cluster
 /// supervisor (`gt-core::cluster`) accumulates them and the fleet report
-/// (`gt-profile::fleet`) reads them. Vectors are indexed by worker (dead
-/// workers included).
+/// (`gt-profile::fleet`) reads them. Vectors are indexed by worker.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetTotals {
     /// Total virtual time on the cluster clock, µs.
     pub clock_us: f64,
     /// Virtual µs spent in all-gather/all-reduce collectives.
     pub collective_us: f64,
-    /// Virtual µs spent detecting failures and replaying partitions.
-    pub recovery_virtual_us: f64,
-    /// Hedges launched (one journal record each).
-    pub hedges_launched: u64,
-    /// Hedges whose backup strictly beat the straggler.
-    pub hedges_won: u64,
-    /// Heartbeat silences that crossed the phi threshold on a live worker.
-    pub false_suspicions: u64,
-    /// Supervisor rebuild-and-replay recoveries (kills + injected crashes).
-    pub recoveries: u64,
     /// Virtual µs each worker's resources spent executing subtasks.
     pub worker_busy_us: Vec<f64>,
     /// Virtual µs each worker idled waiting at the collective barrier.
@@ -271,48 +181,5 @@ mod tests {
         assert!((c.all_reduce_us(4000.0, 4) - 66.0).abs() < 1e-9);
         // All-gather of 1000 bytes/worker: 3 steps of 11 µs = 33 µs.
         assert!((c.all_gather_us(1000.0, 4) - 33.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn detector_is_calm_on_nominal_beats() {
-        let mut d = PhiDetector::default();
-        for _ in 0..50 {
-            d.observe(1_000.0);
-        }
-        assert!((d.mean_us() - 1_000.0).abs() < 1e-6);
-        assert!(!d.suspects(1_000.0));
-        assert!(!d.suspects(7_999.0));
-        assert!(d.suspects(8_000.0));
-        assert_eq!(d.observed(), 50);
-    }
-
-    #[test]
-    fn detector_adapts_to_slow_workers() {
-        let mut d = PhiDetector::default();
-        // A worker that consistently beats every 2 ms raises the mean, so
-        // the same absolute silence scores a lower phi.
-        assert!(d.suspects(8_000.0));
-        let phi_before = d.phi(8_000.0);
-        for _ in 0..100 {
-            d.observe(2_000.0);
-        }
-        assert!(d.phi(8_000.0) < phi_before);
-        assert!(!d.suspects(8_000.0));
-        assert!((d.confirm_delay_us() - 8.0 * d.mean_us()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn detector_is_deterministic() {
-        let mut a = PhiDetector::default();
-        let mut b = PhiDetector::default();
-        for gap in [1000.0, 1200.0, 900.0, 3000.0, 1000.0] {
-            a.observe(gap);
-            b.observe(gap);
-        }
-        assert_eq!(a, b);
-        assert_eq!(
-            a.confirm_delay_us().to_bits(),
-            b.confirm_delay_us().to_bits()
-        );
     }
 }

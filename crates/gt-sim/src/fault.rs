@@ -61,29 +61,12 @@ pub enum FaultKind {
     /// delivery order from these rules before serving; inert everywhere
     /// else — the *workload order* changes, not the pipeline's behavior.
     DeliveryDelay { slots: u32 },
-    /// Cluster worker `worker` dies before processing the batch: its
-    /// in-memory state is lost and a survivor must adopt its partition by
-    /// re-replaying the journal. Consumed by the cluster supervisor
-    /// (`gt-core::cluster`); inert in the single-node DES and serving
-    /// layers. Worker indices are taken modulo the actual worker count.
-    WorkerKill { worker: usize },
-    /// Worker `worker`'s network link runs `factor`× slower. A ring
-    /// collective moves at the pace of its slowest link, so one degraded
-    /// worker stretches every collective it participates in. Consumed by
-    /// the cluster supervisor; inert elsewhere.
-    LinkDegrade { worker: usize, factor: f64 },
-    /// Worker `worker`'s next `beats` heartbeats are dropped in flight
-    /// (the worker is healthy — the network ate the beats). Exercises the
-    /// phi-style failure detector's false-suspicion path: a long enough
-    /// gap raises phi past the threshold without any worker actually
-    /// dying. Consumed by the cluster supervisor; inert elsewhere.
-    HeartbeatDrop { worker: usize, beats: u32 },
 }
 
 impl FaultKind {
     /// True for the kinds the trainer's DES and memory tracker consume
     /// ([`ActiveFaults::des_relevant`]); every other kind is consumed by
-    /// the serving, durability, campaign or cluster layer and leaves the
+    /// the serving, durability or campaign layer and leaves the
     /// trainer on its exact fault-free path.
     pub fn reaches_trainer(&self) -> bool {
         match self {
@@ -95,10 +78,7 @@ impl FaultKind {
             FaultKind::ServeDelay { .. }
             | FaultKind::Crash { .. }
             | FaultKind::Io { .. }
-            | FaultKind::DeliveryDelay { .. }
-            | FaultKind::WorkerKill { .. }
-            | FaultKind::LinkDegrade { .. }
-            | FaultKind::HeartbeatDrop { .. } => false,
+            | FaultKind::DeliveryDelay { .. } => false,
         }
     }
 
@@ -107,34 +87,30 @@ impl FaultKind {
     /// Every other kind shapes the workload and survives in the reference.
     pub fn kills_process(&self) -> bool {
         match self {
-            FaultKind::Crash { .. } | FaultKind::Io { .. } | FaultKind::WorkerKill { .. } => true,
+            FaultKind::Crash { .. } | FaultKind::Io { .. } => true,
             FaultKind::TransferStall { .. }
             | FaultKind::TransferFailure
             | FaultKind::StragglerCore { .. }
             | FaultKind::MemoryPressure { .. }
             | FaultKind::HashContention { .. }
             | FaultKind::ServeDelay { .. }
-            | FaultKind::DeliveryDelay { .. }
-            | FaultKind::LinkDegrade { .. }
-            | FaultKind::HeartbeatDrop { .. } => false,
+            | FaultKind::DeliveryDelay { .. } => false,
         }
     }
 
     /// Range-check the kind's parameters: slowdown factors ≥ 1, memory
-    /// fractions in (0, 1], serving stalls ≥ 0 µs, at least one dropped
-    /// beat. `Err` names the first violation.
+    /// fractions in (0, 1], serving stalls ≥ 0 µs. `Err` names the first
+    /// violation.
     pub fn check(&self) -> Result<(), String> {
         let ok = match *self {
             FaultKind::TransferStall { factor }
             | FaultKind::StragglerCore { factor, .. }
-            | FaultKind::HashContention { factor }
-            | FaultKind::LinkDegrade { factor, .. } => factor >= 1.0,
+            | FaultKind::HashContention { factor } => factor >= 1.0,
             FaultKind::MemoryPressure { fraction } => fraction > 0.0 && fraction <= 1.0,
             FaultKind::ServeDelay { extra_us } => extra_us >= 0.0,
-            FaultKind::HeartbeatDrop { beats, .. } => beats >= 1,
             _ => true,
         };
-        let bounds = "factor >= 1, fraction in (0, 1], extra_us >= 0, beats >= 1";
+        let bounds = "factor >= 1, fraction in (0, 1], extra_us >= 0";
         ok.then_some(())
             .ok_or_else(|| format!("{self:?} is out of range ({bounds})"))
     }
@@ -383,32 +359,6 @@ impl FaultPlan {
         self.with_rule(FaultRule::once(FaultKind::DeliveryDelay { slots }, batch))
     }
 
-    /// Kill cluster worker `worker` while batch `batch` is in flight
-    /// (fires exactly once, like [`FaultPlan::with_crash_at`]).
-    pub fn with_worker_kill(self, batch: usize, worker: usize) -> Self {
-        self.with_rule(FaultRule::once(FaultKind::WorkerKill { worker }, batch))
-    }
-
-    /// Persistent network-link degradation on worker `worker` by `factor`
-    /// over batches `[from, until)`.
-    pub fn with_link_degrade(
-        self,
-        worker: usize,
-        factor: f64,
-        from: usize,
-        until: Option<usize>,
-    ) -> Self {
-        let kind = FaultKind::LinkDegrade { worker, factor };
-        self.with_rule(FaultRule::window(kind, from, until))
-    }
-
-    /// Drop the next `beats` heartbeats from worker `worker` while batch
-    /// `batch` is in flight (fires exactly once).
-    pub fn with_heartbeat_drop(self, batch: usize, worker: usize, beats: u32) -> Self {
-        let kind = FaultKind::HeartbeatDrop { worker, beats };
-        self.with_rule(FaultRule::once(kind, batch))
-    }
-
     /// The plan's seed (drives per-rule probability rolls).
     pub fn seed(&self) -> u64 {
         self.seed
@@ -558,25 +508,6 @@ impl ActiveFaults {
     pub fn io_faults(&self) -> Vec<(IoTarget, IoFault)> {
         self.values(pick!(FaultKind::Io { target, fault } => (target, fault)))
             .collect()
-    }
-
-    /// Cluster workers killed while this batch is in flight, in rule order
-    /// (raw indices — the cluster layer maps them modulo its worker count).
-    pub fn worker_kills(&self) -> Vec<usize> {
-        self.values(pick!(FaultKind::WorkerKill { worker } => worker))
-            .collect()
-    }
-
-    /// Combined network-link slowdown for worker `worker`, if any
-    /// [`FaultKind::LinkDegrade`] targets it (factors compound).
-    pub fn link_degrade(&self, worker: usize) -> Option<f64> {
-        self.product(pick!(FaultKind::LinkDegrade { worker: w, factor } if w == worker => factor))
-    }
-
-    /// Total heartbeats dropped from worker `worker` for this batch.
-    pub fn heartbeat_drops(&self, worker: usize) -> u32 {
-        self.sum(pick!(FaultKind::HeartbeatDrop { worker: w, beats } if w == worker => beats))
-            .unwrap_or(0)
     }
 
     /// Total delivery delay for this batch in stream slots, if any
@@ -851,81 +782,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_faults_fire_on_window_and_stay_out_of_the_des() {
-        let plan = FaultPlan::new(13)
-            .with_worker_kill(3, 1)
-            .with_link_degrade(2, 4.0, 1, Some(5))
-            .with_heartbeat_drop(2, 0, 3);
-        for b in 0..8 {
-            let active = plan.active(b, 0);
-            assert_eq!(
-                active.worker_kills(),
-                if b == 3 { vec![1] } else { vec![] },
-                "batch {b}"
-            );
-            assert_eq!(
-                active.link_degrade(2),
-                (1..5).contains(&b).then_some(4.0),
-                "batch {b}"
-            );
-            assert_eq!(active.link_degrade(0), None);
-            assert_eq!(active.heartbeat_drops(0), if b == 2 { 3 } else { 0 });
-            assert_eq!(active.heartbeat_drops(1), 0);
-            // Cluster faults never reach the single-node DES or serving
-            // layers: the inner supervisor stays on the fault-free path.
-            assert!(active.des_relevant().is_empty(), "batch {b}");
-            assert!(active.crash_site().is_none());
-        }
-    }
-
-    #[test]
-    fn link_degrade_factors_compound() {
-        let f = ActiveFaults {
-            faults: vec![
-                FaultKind::LinkDegrade {
-                    worker: 1,
-                    factor: 2.0,
-                },
-                FaultKind::LinkDegrade {
-                    worker: 1,
-                    factor: 3.0,
-                },
-                FaultKind::HeartbeatDrop {
-                    worker: 1,
-                    beats: 2,
-                },
-                FaultKind::HeartbeatDrop {
-                    worker: 1,
-                    beats: 1,
-                },
-            ],
-        };
-        assert_eq!(f.link_degrade(1), Some(6.0));
-        assert_eq!(f.heartbeat_drops(1), 3);
-    }
-
-    #[test]
-    fn worker_kill_counts_as_a_durability_rule() {
-        let plan = FaultPlan::new(8)
-            .with_worker_kill(4, 2)
-            .with_link_degrade(0, 2.0, 0, None)
-            .with_heartbeat_drop(1, 1, 2);
-        assert_eq!(plan.durability_rule_count(), 1);
-        let stripped = plan.without_durability_rules();
-        assert_eq!(stripped.durability_rule_count(), 0);
-        for b in 0..8 {
-            let bare = stripped.active(b, 0);
-            assert!(bare.worker_kills().is_empty(), "batch {b}");
-            // Workload-shaping cluster rules survive the strip.
-            assert_eq!(bare.link_degrade(0), plan.active(b, 0).link_degrade(0));
-            assert_eq!(
-                bare.heartbeat_drops(1),
-                plan.active(b, 0).heartbeat_drops(1)
-            );
-        }
-    }
-
-    #[test]
     fn io_target_labels_round_trip() {
         for t in [IoTarget::Checkpoint, IoTarget::Journal] {
             assert_eq!(IoTarget::parse(t.label()), Some(t));
@@ -946,7 +802,7 @@ mod tests {
     }
 
     /// One of every kind, in declaration order.
-    fn every_kind() -> [FaultKind; 12] {
+    fn every_kind() -> [FaultKind; 9] {
         [
             FaultKind::TransferStall { factor: 2.0 },
             FaultKind::TransferFailure,
@@ -965,15 +821,6 @@ mod tests {
                 fault: IoFault::Enospc,
             },
             FaultKind::DeliveryDelay { slots: 1 },
-            FaultKind::WorkerKill { worker: 1 },
-            FaultKind::LinkDegrade {
-                worker: 1,
-                factor: 2.0,
-            },
-            FaultKind::HeartbeatDrop {
-                worker: 1,
-                beats: 1,
-            },
         ]
     }
 
@@ -984,7 +831,7 @@ mod tests {
         };
         assert_eq!(all.des_relevant().faults, &all.faults[..5]);
         let kills: Vec<_> = all.faults.iter().filter(|k| k.kills_process()).collect();
-        assert_eq!(kills, [&all.faults[6], &all.faults[7], &all.faults[9]]);
+        assert_eq!(kills, [&all.faults[6], &all.faults[7]]);
         assert!(all
             .faults
             .iter()
@@ -1001,17 +848,9 @@ mod tests {
                 factor: f64::NAN,
             },
             FaultKind::HashContention { factor: 0.99 },
-            FaultKind::LinkDegrade {
-                worker: 0,
-                factor: 0.0,
-            },
             FaultKind::MemoryPressure { fraction: 0.0 },
             FaultKind::MemoryPressure { fraction: 1.5 },
             FaultKind::ServeDelay { extra_us: -1.0 },
-            FaultKind::HeartbeatDrop {
-                worker: 0,
-                beats: 0,
-            },
         ] {
             let err = bad.check().unwrap_err();
             assert!(err.contains(&format!("{bad:?}")), "{err}");

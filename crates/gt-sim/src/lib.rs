@@ -27,7 +27,7 @@ pub mod transfer;
 
 pub use cache::CacheSim;
 pub use chaos::{delivery_order, plan_from_json, plan_to_json, sample_plan, shrink};
-pub use cluster::{ClusterSpec, FleetTotals, NetLinkSpec, PhiDetector, HEARTBEAT_INTERVAL_US};
+pub use cluster::{ClusterSpec, FleetTotals, NetLinkSpec};
 pub use counters::{KernelRecord, KernelStats, Phase, SimContext};
 pub use des::{Resource, Schedule, ScheduledEvent, Simulator, TaskId, TaskSpec};
 pub use device::{DeviceSpec, HostSpec, PcieSpec, SystemSpec};
