@@ -76,9 +76,9 @@ hashed+=(flight-crash.json)
 run slo slo --flight-out flight.json
 hashed+=(flight.json)
 
-# The cluster run at 1 and 4 workers; numerics run once, through one
-# supervisor, so the checkpoint is the same at both. BENCH_cluster.json is
-# the 4-worker fleet's.
+# The cluster run at 1 and 4 workers; the cluster only prices virtual
+# time, so the checkpoint and the journal are the same at both.
+# BENCH_cluster.json is the 4-worker fleet's.
 for w in 1 4; do
   bench=()
   if [ "$w" = 4 ]; then bench=(--bench-out BENCH_cluster.json); fi
@@ -89,6 +89,7 @@ for w in 1 4; do
     "cluster-w$w.fleet.txt" "cluster-w$w.trace.json")
 done
 cmp cluster-w1/params.gt cluster-w4/params.gt
+cmp cluster-w1/outcomes.gtj cluster-w4/outcomes.gtj
 
 run serving serving --bench-out BENCH_serving.json
 "$repro" smoke --bench-out BENCH_smoke.json --scale test >smoke.out

@@ -314,14 +314,27 @@ fn main() {
         "threads" => threads::print(cfg),
         "durability" => durability::print(cfg, &durability_opts),
         "chaos" => chaos::print(cfg, &chaos_opts),
-        "cluster" => cluster::print(cfg, &cluster_opts),
         "slo" => slo::print(cfg, &slo_opts),
-        "serving" => serving::print(cfg, &serving_opts),
-        "smoke" => gt_bench::probe::print(cfg),
         _ => usage(),
     };
 
-    if exp == "all" {
+    // `serving`, `cluster` and `smoke` print one run and distill the same
+    // run for `--bench-out`; every other experiment's BENCH file is the
+    // training-loop perf probe's, run after it.
+    let report = if exp == "serving" {
+        let day = serving::run(&cfg, &serving_opts)
+            .unwrap_or_else(|e| panic!("serving experiment failed: {e}"));
+        serving::print(&day);
+        Some(serving::report(&cfg, &day))
+    } else if exp == "cluster" {
+        let run = cluster::run(&cfg, &cluster_opts);
+        cluster::print(&cluster_opts, &run);
+        Some(cluster::report(&cfg, &cluster_opts, &run))
+    } else if exp == "smoke" {
+        let probe = gt_bench::probe::report("smoke", &cfg);
+        gt_bench::probe::print(&probe);
+        Some(probe)
+    } else if exp == "all" {
         for name in [
             "table2",
             "table3",
@@ -344,20 +357,14 @@ fn main() {
         ] {
             run_one(name, &cfg);
         }
+        None
     } else {
         run_one(&exp, &cfg);
-    }
+        None
+    };
 
     if let Some(path) = bench_out {
-        // `serving` and `cluster` distill their own scenarios; everything
-        // else shares the training-loop perf probe.
-        let report = if exp == "serving" {
-            serving::report(&cfg, &serving_opts)
-        } else if exp == "cluster" {
-            cluster::report(&cfg, &cluster_opts)
-        } else {
-            gt_bench::probe::report(&exp, &cfg)
-        };
+        let report = report.unwrap_or_else(|| gt_bench::probe::report(&exp, &cfg));
         match std::fs::write(&path, report.to_json_string()) {
             Ok(()) => eprintln!(
                 "wrote {} modeled + {} wall metrics to {path} (gate with benchdiff)",

@@ -1,15 +1,15 @@
 //! Distributed cluster pricing run plus modeled cluster metrics for the
 //! perf gate (docs/distributed.md).
 //!
-//! One run serves the workload durably through a [`ClusterSupervisor`]:
-//! the numerics go through one inner [`Supervisor`], and every trained
+//! One run serves the workload durably through a [`Supervisor`] with its
+//! cluster layer armed ([`Supervisor::enable_cluster`]): every trained
 //! batch is priced over `--workers` modeled workers (per-worker DES over
 //! the partitioned work, ring collectives). The run checkpoints at the
-//! end, so `crates/bench/identity.sh` can `cmp` the checkpoint across
-//! worker counts: the worker count is a modeled lever and must not move
-//! a byte.
+//! end, so `crates/bench/identity.sh` can `cmp` the checkpoint and the
+//! journal across worker counts: the worker count is a modeled lever and
+//! must not move a byte.
 //!
-//! With `--bench-out` the experiment distills the run into a
+//! With `--bench-out` the same run is distilled into a
 //! schema-stable `BENCH_cluster.json`: per-worker busy/idle/link time,
 //! collective time, and the [`FleetReport`]'s skew figures (busy
 //! imbalance, worst stage imbalance, straggler attribution). All metrics
@@ -33,7 +33,7 @@ use gt_core::config::ModelConfig;
 use gt_core::error::GtError;
 use gt_core::serve::{DurabilityConfig, ServeCtx, Supervisor};
 use gt_core::trainer::GtVariant;
-use gt_core::{ClusterConfig, ClusterSummary, ClusterSupervisor, Partition};
+use gt_core::{ClusterConfig, ClusterSummary, Partition};
 use gt_profile::{fleet, FleetObserver, FleetReport};
 use gt_sim::{ClusterSpec, FaultPlan, SystemSpec};
 use gt_telemetry::http::MetricsServer;
@@ -86,6 +86,8 @@ pub struct Run {
     pub fleet: FleetReport,
     /// Serialized cross-worker Perfetto trace (virtual time only).
     pub trace_json: String,
+    /// Wall-clock µs the run took (informational only).
+    pub wall_us: f64,
 }
 
 /// The fault plan every run serves under: a persistent straggler on the
@@ -105,6 +107,7 @@ fn base_plan(cfg: &ExpConfig, opts: &ClusterOpts, spec: &ClusterSpec) -> FaultPl
 /// Serve the workload durably through one cluster into `dir`; checkpoint
 /// at the end.
 fn run_once(cfg: &ExpConfig, opts: &ClusterOpts, dir: &Path) -> Result<Run, GtError> {
+    let wall = Instant::now();
     let spec = gt_datasets::by_name("reddit2").expect("known dataset");
     let data = cfg.build(&spec);
     let model = ModelConfig::gcn(cfg.layers, 64, spec.out_dim);
@@ -114,37 +117,36 @@ fn run_once(cfg: &ExpConfig, opts: &ClusterOpts, dir: &Path) -> Result<Run, GtEr
         base_plan(cfg, opts, &cluster_spec),
     );
     sup.make_durable(DurabilityConfig::new(dir))?;
-    let config = ClusterConfig {
+    sup.enable_cluster(ClusterConfig {
         spec: cluster_spec,
         partition: opts.partition,
-    };
-    let mut cs = ClusterSupervisor::new(sup, config);
+    });
 
     let mut observer = FleetObserver::new();
     for (i, batch) in cfg.batch_stream(&data, opts.batches).enumerate() {
         // A trained batch was priced and left its per-worker schedules in
         // `last_schedules`; an untrained one never reaches the fleet.
-        if cs
-            .serve(&data, &batch, ServeCtx::default())?
-            .report
-            .outcome
-            .trained()
-        {
-            observer.observe_batch(i, cs.last_schedules());
+        let served = sup.serve(&data, &batch, ServeCtx::default())?;
+        if served.report.outcome.trained() {
+            let cluster = sup.cluster().expect("cluster armed above");
+            observer.observe_batch(i, cluster.last_schedules());
         }
     }
-    cs.supervisor.checkpoint_now()?;
+    sup.checkpoint_now()?;
 
-    let summary = cs.summary();
+    let cluster = sup.cluster().expect("cluster armed above");
+    let summary = cluster.summary();
     Ok(Run {
         fleet: FleetReport::build(&observer, &summary.totals),
-        trace_json: gt_telemetry::write_chrome_json(&cs.cluster_traces()),
+        trace_json: gt_telemetry::write_chrome_json(&cluster.cluster_traces()),
         summary,
+        wall_us: wall.elapsed().as_secs_f64() * 1e6,
     })
 }
 
-/// One run into `opts.dir` (emptied first), or into a throwaway directory.
-fn run(cfg: &ExpConfig, opts: &ClusterOpts) -> Run {
+/// One run into `opts.dir` (emptied first), or into a throwaway directory;
+/// [`print()`] and [`report()`] both read it.
+pub fn run(cfg: &ExpConfig, opts: &ClusterOpts) -> Run {
     let (dir, _cleanup) = match &opts.dir {
         Some(d) => {
             let _ = std::fs::remove_dir_all(d);
@@ -158,38 +160,26 @@ fn run(cfg: &ExpConfig, opts: &ClusterOpts) -> Run {
     run_once(cfg, opts, &dir).unwrap_or_else(|e| panic!("cluster experiment failed: {e}"))
 }
 
-/// Distill one run into a schema-stable [`BenchReport`] for
-/// `repro cluster --bench-out` / CI's `identity` job. Everything is
-/// virtual time — bit-identical at any `GT_THREADS`.
-pub fn report(cfg: &ExpConfig, opts: &ClusterOpts) -> BenchReport {
-    let wall = Instant::now();
-    let reference = run(
-        cfg,
-        &ClusterOpts {
-            dir: None,
-            ..opts.clone()
-        },
-    );
-    let s = &reference.summary.totals;
-    let wall_us = wall.elapsed().as_secs_f64() * 1e6;
+/// Distill `run` into a schema-stable [`BenchReport`] for
+/// `repro cluster --bench-out` / CI's `identity` job. Every modeled metric
+/// is virtual time — bit-identical at any `GT_THREADS`.
+pub fn report(cfg: &ExpConfig, opts: &ClusterOpts, run: &Run) -> BenchReport {
+    let s = &run.summary.totals;
 
     let mut metrics: Vec<(String, f64)> = vec![
         ("cluster_clock_us".into(), s.clock_us),
         ("collective_us".into(), s.collective_us),
-        (
-            "fleet_busy_imbalance".into(),
-            reference.fleet.busy_imbalance,
-        ),
+        ("fleet_busy_imbalance".into(), run.fleet.busy_imbalance),
         (
             "fleet_worst_stage_imbalance".into(),
-            reference.fleet.worst_imbalance.map_or(0.0, |(_, r)| r),
+            run.fleet.worst_imbalance.map_or(0.0, |(_, r)| r),
         ),
         (
             "fleet_straggler_batches".into(),
-            reference.fleet.attribution.first().map_or(0, |a| a.2) as f64,
+            run.fleet.attribution.first().map_or(0, |a| a.2) as f64,
         ),
     ];
-    for w in 0..reference.summary.workers {
+    for w in 0..run.summary.workers {
         metrics.push((format!("worker{w}_busy_us"), s.worker_busy_us[w]));
         metrics.push((format!("worker{w}_idle_us"), s.worker_idle_us[w]));
         metrics.push((format!("worker{w}_link_us"), s.worker_link_us[w]));
@@ -214,14 +204,13 @@ pub fn report(cfg: &ExpConfig, opts: &ClusterOpts) -> BenchReport {
             host_cores: sys.host.cores as u64,
         },
         metrics,
-        wall: vec![("wall_campaign_us".into(), wall_us)],
+        wall: vec![("wall_campaign_us".into(), run.wall_us)],
     }
 }
 
-/// Run once and print the modeled per-worker time, the fleet report, and
-/// where the artifacts went.
-pub fn print(cfg: &ExpConfig, opts: &ClusterOpts) {
-    let run = run(cfg, opts);
+/// Print `run`'s modeled per-worker time, the fleet report, and where the
+/// artifacts went.
+pub fn print(opts: &ClusterOpts, run: &Run) {
     let s = &run.summary.totals;
     let rows: Vec<Vec<String>> = (0..run.summary.workers)
         .map(|w| {
@@ -375,8 +364,8 @@ mod tests {
     fn report_is_deterministic() {
         let cfg = ExpConfig::test();
         let o = opts(2);
-        let a = report(&cfg, &o);
-        let b = report(&cfg, &o);
+        let a = report(&cfg, &o, &run(&cfg, &o));
+        let b = report(&cfg, &o, &run(&cfg, &o));
         assert_eq!(a.metrics, b.metrics);
         assert!(a
             .metrics

@@ -156,8 +156,9 @@ fn calibrated_spec(cfg: &ExpConfig, service_us: f64) -> WorkloadSpec {
 }
 
 /// Run one compressed day of traffic through the durable, cached,
-/// multi-tenant gateway. `Err` means the durable serving layer failed —
-/// the traffic itself cannot fail, only resolve.
+/// multi-tenant gateway; [`print()`] and [`report()`] both read the result.
+/// `Err` means the durable serving layer failed — the traffic itself
+/// cannot fail, only resolve.
 pub fn run(cfg: &ExpConfig, opts: &ServingOpts) -> Result<Summary, GtError> {
     let spec = gt_datasets::by_name(DATASET).expect("known dataset");
     let data = cfg.build(&spec);
@@ -294,10 +295,9 @@ pub fn run(cfg: &ExpConfig, opts: &ServingOpts) -> Result<Summary, GtError> {
     })
 }
 
-/// Run the scenario and distill it into a schema-stable [`BenchReport`]
-/// for `repro serving --bench-out` / CI's `identity` job.
-pub fn report(cfg: &ExpConfig, opts: &ServingOpts) -> BenchReport {
-    let s = run(cfg, opts).unwrap_or_else(|e| panic!("serving experiment failed: {e}"));
+/// Distill the day `s` into a schema-stable [`BenchReport`] for
+/// `repro serving --bench-out` / CI's `identity` job.
+pub fn report(cfg: &ExpConfig, s: &Summary) -> BenchReport {
     let tenants = s.spec.tenant_weights.len();
     let mut metrics: Vec<(String, f64)> = vec![
         (
@@ -376,9 +376,8 @@ pub fn report(cfg: &ExpConfig, opts: &ServingOpts) -> BenchReport {
     }
 }
 
-/// Print the day: totals, the p99-vs-load curve, and engagement points.
-pub fn print(cfg: &ExpConfig, opts: &ServingOpts) {
-    let s = run(cfg, opts).unwrap_or_else(|e| panic!("serving experiment failed: {e}"));
+/// Print the day `s`: totals, the p99-vs-load curve, and engagement points.
+pub fn print(s: &Summary) {
     let rows: Vec<Vec<String>> = s
         .windows
         .iter()
@@ -488,8 +487,8 @@ mod tests {
     #[test]
     fn report_is_deterministic() {
         let cfg = ExpConfig::test();
-        let a = report(&cfg, &opts("det_a"));
-        let b = report(&cfg, &opts("det_b"));
+        let a = report(&cfg, &run(&cfg, &opts("det_a")).unwrap());
+        let b = report(&cfg, &run(&cfg, &opts("det_b")).unwrap());
         assert_eq!(a.metrics, b.metrics);
         let back: BenchReport = a.to_json_string().parse().unwrap();
         assert_eq!(back, a);

@@ -157,9 +157,9 @@ pub fn report(experiment: &str, cfg: &ExpConfig) -> BenchReport {
     }
 }
 
-/// The `smoke` experiment: run the probe and print both metric families.
-pub fn print(cfg: &ExpConfig) {
-    let r = report("smoke", cfg);
+/// The `smoke` experiment's stdout: both metric families of the probe
+/// report `r`.
+pub fn print(r: &BenchReport) {
     let rows: Vec<Vec<String>> = r
         .metrics
         .iter()

@@ -1,41 +1,37 @@
 //! Distributed execution priced over a simulated worker cluster.
 //!
-//! The [`ClusterSupervisor`] prices single-node serving on N modeled
-//! workers (a [`gt_sim::ClusterSpec`]): every batch's measured
-//! preprocessing work is partitioned across the workers (a vertex cut or a
-//! NeutronTP-style feature-dimension split), each partition's S/R/K/T +
-//! NAPA subtasks are priced through that worker's own DES instance (with
-//! any `StragglerCore` fault mapped onto that worker's cores), and ring
-//! all-gather/all-reduce collectives are charged on the modeled network
-//! link. The worker count is a modeled lever: it changes what the virtual
-//! clock reads, never the numerics.
+//! [`Supervisor::enable_cluster`](crate::serve::Supervisor::enable_cluster) arms a [`Cluster`] layer that prices
+//! single-node serving on N modeled workers (a [`gt_sim::ClusterSpec`]):
+//! every trained batch's measured preprocessing work is partitioned across
+//! the workers (a vertex cut or a NeutronTP-style feature-dimension
+//! split), each partition's S/R/K/T + NAPA subtasks are priced through that
+//! worker's own DES instance (with any `StragglerCore` fault mapped onto
+//! that worker's cores), and ring all-gather/all-reduce collectives are
+//! charged on the modeled network link. The worker count is a modeled
+//! lever: it changes what the virtual clock reads, never the numerics.
 //!
 //! Every priced batch becomes a root span on a `cluster` coordinator
 //! process linked by flow arrows to per-worker envelope spans (one
 //! Perfetto process per worker, wrapping that worker's own S/R/K/T + NAPA
-//! subtask slices) — see [`ClusterSupervisor::cluster_traces`].
+//! subtask slices) — see [`Cluster::cluster_traces`].
 //!
-//! **The bit-identity contract.** Numerics (parameters, journal records,
-//! checkpoints) flow through exactly one inner [`Supervisor`] regardless of
-//! worker count; the cluster only tags each journal record with the
-//! batch's coordinating worker. A run with any worker count or
-//! `GT_THREADS` width therefore produces byte-identical model state. An
-//! injected crash comes back as the inner supervisor's typed error, and
-//! recovery is the single-node protocol: restart, then
-//! [`Supervisor::recover`], then wrap the recovered supervisor again.
+//! **The bit-identity contract.** The cluster reads a served batch's
+//! report and measured work and writes nothing back: parameters, journal
+//! records and checkpoints are byte-identical at any worker count or
+//! `GT_THREADS` width. [`Supervisor::recover`](crate::serve::Supervisor::recover) resets an armed cluster and
+//! the journal replay re-prices every replayed batch, so a run that crashed
+//! and recovered ends on the same summary and trace as one that never
+//! crashed.
 
-use crate::data::GraphData;
-use crate::error::GtError;
-use crate::framework::{BatchOutcome, BatchReport};
+use crate::framework::BatchReport;
 use crate::prepro::{HopWork, PreproWork};
 use crate::scheduler::build_prepro_sim;
-use crate::serve::{BatchService, RequestCtx, ServeCtx, Served, Supervisor};
-use gt_graph::VId;
+use crate::trainer::GraphTensor;
 use gt_sim::{
     schedule_to_trace, worker_process, ActiveFaults, ClusterSpec, FleetTotals, Phase, Resource,
     Schedule, TaskSpec,
 };
-use gt_telemetry::{Json, Telemetry, Trace, TraceContext};
+use gt_telemetry::{Json, Trace, TraceContext};
 
 /// Seed all cluster trace/span identities derive from (hash input, not
 /// RNG): batch root spans and per-worker flow arrows are pure functions
@@ -89,21 +85,19 @@ pub struct ClusterConfig {
 pub struct ClusterSummary {
     /// Worker count.
     pub workers: usize,
-    /// Batches the inner supervisor has served.
+    /// Batches served since the cluster was armed (or reset by recovery).
     pub batches: usize,
     /// Running totals on the cluster clock.
     pub totals: FleetTotals,
 }
 
-/// Distributed serving supervisor: serves every batch through one inner
-/// [`Supervisor`] and prices it across a simulated worker cluster. See the
-/// module docs for the execution and bit-identity model.
-pub struct ClusterSupervisor {
-    /// Topology + partitioning.
-    pub config: ClusterConfig,
-    /// The single inner supervisor carrying all numerics. Public so tests
-    /// and experiments can inspect parameters, quarantine, and plan.
-    pub supervisor: Supervisor,
+/// The supervisor's cluster pricing layer: prices every trained batch
+/// across a simulated worker cluster. See the module docs for the
+/// execution and bit-identity model.
+pub struct Cluster {
+    config: ClusterConfig,
+    /// Batches served since the layer was armed (or reset).
+    batches: usize,
     /// Running totals on the cluster clock ([`summary`](Self::summary)
     /// adds the worker and batch counts).
     totals: FleetTotals,
@@ -120,13 +114,12 @@ pub struct ClusterSupervisor {
     worker_traces: Vec<Trace>,
 }
 
-impl ClusterSupervisor {
-    /// Price `supervisor`'s batches over the cluster `config` describes.
-    /// Make the supervisor durable (or recover it) before wrapping it.
-    pub fn new(supervisor: Supervisor, config: ClusterConfig) -> Self {
+impl Cluster {
+    /// A cluster over `config` with nothing priced yet.
+    pub(crate) fn new(config: ClusterConfig) -> Self {
         let n = config.spec.len();
-        ClusterSupervisor {
-            supervisor,
+        Cluster {
+            batches: 0,
             totals: FleetTotals {
                 worker_busy_us: vec![0.0; n],
                 worker_idle_us: vec![0.0; n],
@@ -138,6 +131,11 @@ impl ClusterSupervisor {
             worker_traces: (0..n).map(|w| Trace::new(worker_process(w))).collect(),
             config,
         }
+    }
+
+    /// Forget everything priced so far (recovery replays it back).
+    pub(crate) fn reset(&mut self) {
+        *self = Cluster::new(self.config.clone());
     }
 
     /// Per-worker DES schedules of the most recent priced batch (empty
@@ -161,56 +159,37 @@ impl ClusterSupervisor {
         out
     }
 
-    /// The worker that coordinates (and journal-tags) `batch_index`:
-    /// coordination rotates round-robin, so journal records interleave
-    /// worker tags while staying strictly increasing per tag.
-    pub fn batch_owner(&self, batch_index: usize) -> usize {
-        batch_index % self.config.spec.len()
-    }
-
     /// Deterministic modeled metrics so far.
     pub fn summary(&self) -> ClusterSummary {
         ClusterSummary {
             workers: self.config.spec.len(),
-            batches: self.supervisor.batches_served(),
+            batches: self.batches,
             totals: self.totals.clone(),
         }
     }
 
-    /// Serve one batch through the inner supervisor (`ctx.worker` is set
-    /// to the batch's coordinating worker), then price its distributed
-    /// schedule (partitions, collectives) and advance the virtual clock.
-    /// Errors are the inner supervisor's, unchanged.
-    pub fn serve(
-        &mut self,
-        data: &GraphData,
-        batch: &[VId],
-        ctx: ServeCtx,
-    ) -> Result<Served, GtError> {
-        let batch_index = self.supervisor.batches_served();
-        let ctx = ServeCtx {
-            worker: Some(self.batch_owner(batch_index)),
-            ..ctx
-        };
-        let served = self.supervisor.serve(data, batch, ctx)?;
-        if served.report.outcome.trained() {
-            self.price_batch(batch_index, &served.report);
-        }
-        Ok(served)
-    }
-
-    /// Price one trained batch's distributed execution: per-worker DES
-    /// schedules over the partitioned work, then ring collectives. Pure
+    /// Price batch `batch_index`, which `trainer` just resolved into
+    /// `report` under the `active` faults: if it trained, per-worker DES
+    /// schedules over its partitioned work, then ring collectives. Pure
     /// virtual time — no numerics are touched.
-    fn price_batch(&mut self, batch_index: usize, report: &BatchReport) {
-        let Some(work) = &self.supervisor.trainer.last_work else {
+    pub(crate) fn price_batch(
+        &mut self,
+        batch_index: usize,
+        trainer: &GraphTensor,
+        report: &BatchReport,
+        active: &ActiveFaults,
+    ) {
+        self.batches += 1;
+        if !report.outcome.trained() {
+            return;
+        }
+        let Some(work) = &trainer.last_work else {
             return;
         };
-        let active = self.supervisor.plan.active(batch_index, 0);
-        let telemetry = self.supervisor.trainer.telemetry.clone();
+        let telemetry = &trainer.telemetry;
         let spec = &self.config.spec;
         let n = spec.len();
-        let strategy = self.supervisor.trainer.prepro_strategy();
+        let strategy = trainer.prepro_strategy();
         let batch_start = self.totals.clock_us;
 
         // Per-worker stage time: local DES over the worker's partition
@@ -219,7 +198,7 @@ impl ClusterSupervisor {
         self.last_schedules.clear();
         for w in 0..n {
             let work_w = partition_work(work, self.config.partition, w, n);
-            let schedule = price_worker(&work_w, spec, w, strategy, gpu_share, &active);
+            let schedule = price_worker(&work_w, spec, w, strategy, gpu_share, active);
             self.totals.worker_busy_us[w] += busy_us(&schedule);
             self.last_schedules.push((w, schedule));
         }
@@ -234,7 +213,7 @@ impl ClusterSupervisor {
 
         // Ring collectives on the shared fabric.
         let param_bytes: u64 = {
-            let params = self.supervisor.trainer.params();
+            let params = trainer.params();
             let mut names: Vec<&str> = params.names().collect();
             names.sort_unstable();
             names.iter().map(|n| params.get(n).bytes()).sum()
@@ -309,24 +288,6 @@ impl ClusterSupervisor {
                 wt.events.push(e);
             }
         }
-    }
-}
-
-impl BatchService for ClusterSupervisor {
-    fn serve(&mut self, data: &GraphData, batch: &[VId], ctx: ServeCtx) -> Result<Served, GtError> {
-        ClusterSupervisor::serve(self, data, batch, ctx)
-    }
-
-    fn note_shed(&mut self, request: RequestCtx, outcome: &BatchOutcome) {
-        self.supervisor.note_shed(request, outcome);
-    }
-
-    fn telemetry(&self) -> Telemetry {
-        self.supervisor.trainer.telemetry.clone()
-    }
-
-    fn fanout(&self) -> usize {
-        self.supervisor.trainer.sampler.fanout
     }
 }
 

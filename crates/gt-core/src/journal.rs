@@ -71,15 +71,13 @@ pub const MAX_RECORD_LEN: usize = 16 << 20;
 pub enum Record {
     /// A resolved batch: its serving index, the vertex ids as submitted
     /// (what replay re-serves), the fanout it was sampled with (`None`
-    /// replays at the configured fanout), its outcome's telemetry JSON,
-    /// and the cluster worker that owned it (`None` on single-node
-    /// journals), whose per-worker index order recovery checks.
+    /// replays at the configured fanout), and its outcome's telemetry
+    /// JSON.
     Batch {
         index: usize,
         ids: Vec<VId>,
         fanout: Option<usize>,
         outcome: Json,
-        worker: Option<usize>,
     },
     /// A quarantined batch, appended right after its batch record.
     Quarantine(QuarantineRecord),
@@ -112,7 +110,6 @@ impl Record {
                 ids: vids(rec, "batch")?,
                 fanout: optional(rec, "fanout")?,
                 outcome: rec.get("outcome").ok_or("outcome")?.clone(),
-                worker: optional(rec, "worker")?,
             },
             Some("quarantine") => {
                 let q = rec.get("record").ok_or("record")?;
@@ -150,12 +147,10 @@ impl ToJson for Record {
                 ids: batch,
                 fanout,
                 outcome,
-                worker,
             } => {
                 pairs.extend([("batch_index", (*index).into()), ("batch", ids(batch))]);
                 pairs.extend(fanout.map(|f| ("fanout", f.into())));
                 pairs.push(("outcome", outcome.clone()));
-                pairs.extend(worker.map(|w| ("worker", w.into())));
             }
             Record::Quarantine(q) => pairs.push((
                 "record",
@@ -202,15 +197,13 @@ fn uint<T: TryFrom<u64>>(v: &Json) -> Option<T> {
     }
 }
 
-/// The record appended for a resolved single-node batch served at
-/// `fanout`.
+/// The record appended for a resolved batch served at `fanout`.
 pub fn batch_record(index: usize, batch: &[VId], outcome: &BatchOutcome, fanout: usize) -> Record {
     Record::Batch {
         index,
         ids: batch.to_vec(),
         fanout: Some(fanout),
         outcome: outcome.to_json(),
-        worker: None,
     }
 }
 
@@ -432,7 +425,6 @@ mod tests {
                 ids: vec![10, 20],
                 fanout: Some(6),
                 outcome: BatchOutcome::Succeeded.to_json(),
-                worker: None,
             }
         );
         // The on-disk field names (docs/fault_model.md).
@@ -441,7 +433,13 @@ mod tests {
         assert_eq!(j.get("batch_index").and_then(uint::<usize>), Some(7));
         assert_eq!(vids(&j, "batch"), Ok(vec![10, 20]));
         assert_eq!(optional(&j, "fanout"), Ok(Some(6)));
-        assert!(j.get("worker").is_none(), "untagged batch has no worker");
+        // Batch records once carried a cluster `"worker"` key; a journal
+        // written then still decodes, to the untagged record.
+        let payload = r.to_json_string();
+        let tagged = format!("{},\"worker\":2}}", &payload[..payload.len() - 1]);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(Journal::frame(&tagged));
+        assert_eq!(scan(&bytes).unwrap().records, vec![r.clone()]);
         let c = Record::Checkpoint {
             index: 3,
             image_crc: 42,
@@ -453,36 +451,7 @@ mod tests {
         assert_eq!(j.get("image_crc").and_then(uint::<u32>), Some(42));
     }
 
-    #[test]
-    fn worker_tagged_records_round_trip() {
-        let r = Record::Batch {
-            index: 5,
-            ids: vec![8, 9],
-            fanout: Some(6),
-            outcome: BatchOutcome::Succeeded.to_json(),
-            worker: Some(2),
-        };
-        assert_eq!(record_type(&r), Some("batch"));
-        let j = r.to_json();
-        assert_eq!(optional(&j, "worker"), Ok(Some(2)));
-        assert_eq!(j.get("batch_index").and_then(uint::<usize>), Some(5));
-        // The tag is additive: every untagged field is still written.
-        assert_eq!(vids(&j, "batch"), Ok(vec![8, 9]));
-        assert_eq!(optional(&j, "fanout"), Ok(Some(6)));
-
-        // It survives the framed on-disk round trip.
-        let dir = tmp_dir("tagged");
-        let path = dir.join("outcomes.gtj");
-        let mut j = Journal::create(&path).unwrap();
-        j.append(&r).unwrap();
-        drop(j);
-        let s = read_journal(&path).unwrap();
-        assert_eq!(s.records, vec![r]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Every variant, with `fanout` and `worker` both present and absent,
-    /// survives encode → frame → scan unchanged.
+    /// Every variant, with `fanout` both present and absent, survives encode → frame → scan unchanged.
     #[test]
     fn records_round_trip_through_scan() {
         use gt_sim::prop::{self, Gen};
@@ -514,7 +483,6 @@ mod tests {
                         ids: ids(g),
                         fanout: maybe(g),
                         outcome: outcome.to_json(),
-                        worker: maybe(g),
                     }
                 }
                 1 => Record::Quarantine(QuarantineRecord {

@@ -34,7 +34,7 @@ pub mod tracing;
 pub mod trainer;
 
 pub use cache::{CacheConfig, CacheLookup, CacheStats, ServingCaches};
-pub use cluster::{ClusterConfig, ClusterSummary, ClusterSupervisor, Partition};
+pub use cluster::{Cluster, ClusterConfig, ClusterSummary, Partition};
 pub use config::{EdgeWeighting, ModelConfig};
 pub use data::GraphData;
 pub use error::GtError;
@@ -44,8 +44,7 @@ pub use framework::{
 pub use overload::{Completion, Gateway, OverloadConfig, TenancyConfig, TenantQuota};
 pub use scheduler::{build_prepro_sim, schedule_prepro_with_faults, PreproStrategy};
 pub use serve::{
-    BatchService, DurabilityConfig, QuarantineRecord, RecoveryReport, RequestCtx, ServeCtx, Served,
-    Supervisor,
+    DurabilityConfig, QuarantineRecord, RecoveryReport, RequestCtx, ServeCtx, Served, Supervisor,
 };
 pub use tracing::{FlightDump, RequestTracer, TracerConfig};
 pub use trainer::{GraphTensor, GtVariant};

@@ -58,7 +58,7 @@
 
 use crate::data::GraphData;
 use crate::framework::{BatchOutcome, DegradeAction, ShedCause};
-use crate::serve::{BatchService, RequestCtx, ServeCtx, Supervisor};
+use crate::serve::{RequestCtx, ServeCtx, Supervisor};
 use gt_graph::VId;
 use gt_telemetry::Telemetry;
 use std::collections::VecDeque;
@@ -174,21 +174,18 @@ pub struct Completion {
 }
 
 /// Bounded admission queue + deadline watchdog + shed/degrade ladder in
-/// front of any [`BatchService`] — a [`Supervisor`] or a
-/// [`ClusterSupervisor`](crate::cluster::ClusterSupervisor). See the
+/// front of a [`Supervisor`], whatever layers it has armed. See the
 /// module docs for the ladder.
 ///
-/// The gateway has no recovery protocol of its own: a service error (an
-/// injected crash in a durable [`Supervisor`], bare or under a cluster)
-/// panics the submission. Serving through a crash is a restart:
-/// [`Supervisor::recover`] from the journal, then a fresh gateway in front
-/// of the recovered service.
-pub struct Gateway<S = Supervisor> {
-    /// The service behind the queue.
-    pub supervisor: S,
+/// The gateway has no recovery protocol of its own: a supervisor error (an
+/// injected crash while durable) panics the submission. Serving through a
+/// crash is a restart: [`Supervisor::recover`] from the journal, then a
+/// fresh gateway in front of the recovered supervisor.
+pub struct Gateway {
+    /// The supervisor behind the queue.
+    pub supervisor: Supervisor,
     /// Admission-control policy.
     pub config: OverloadConfig,
-    telemetry: Telemetry,
     tenancy: Option<TenancyConfig>,
     tenants: Vec<Tenant>,
     rr_cursor: usize,
@@ -197,12 +194,11 @@ pub struct Gateway<S = Supervisor> {
     submitted: usize,
 }
 
-impl<S: BatchService> Gateway<S> {
+impl Gateway {
     /// Put `supervisor` behind an admission queue with `config`.
-    pub fn new(supervisor: S, config: OverloadConfig) -> Self {
+    pub fn new(supervisor: Supervisor, config: OverloadConfig) -> Self {
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
         Gateway {
-            telemetry: supervisor.telemetry(),
             supervisor,
             config,
             tenancy: None,
@@ -326,8 +322,13 @@ impl<S: BatchService> Gateway<S> {
         done
     }
 
+    /// The handle the gateway exports through: the supervisor's.
+    fn telemetry(&self) -> &Telemetry {
+        &self.supervisor.trainer.telemetry
+    }
+
     fn set_depth_gauge(&self, depth: usize) {
-        self.telemetry
+        self.telemetry()
             .gauge("gt_gateway_queue_depth", "Admission-queue occupancy")
             .set(depth as f64);
     }
@@ -335,7 +336,7 @@ impl<S: BatchService> Gateway<S> {
     /// Bump a per-tenant series; they exist only under tenancy.
     fn count_tenant(&self, name: &str, help: &str, tenant: usize) {
         if self.tenancy.is_some() {
-            self.telemetry
+            self.telemetry()
                 .counter_with(name, help, &[("tenant", &tenant.to_string())])
                 .inc();
         }
@@ -363,7 +364,7 @@ impl<S: BatchService> Gateway<S> {
         cause: ShedCause,
         detail: (&str, &dyn std::fmt::Display),
     ) -> Completion {
-        self.telemetry
+        self.telemetry()
             .counter("gt_gateway_shed_total", "Requests shed by the gateway")
             .inc();
         self.count_tenant(
@@ -371,7 +372,7 @@ impl<S: BatchService> Gateway<S> {
             "Requests shed, by tenant",
             p.tenant,
         );
-        self.telemetry.event(
+        self.telemetry().event(
             "gateway",
             "shed",
             &[
@@ -381,8 +382,11 @@ impl<S: BatchService> Gateway<S> {
             ],
         );
         let outcome = BatchOutcome::Shed { cause };
-        self.supervisor
-            .note_shed(self.request_ctx(p, at_us), &outcome);
+        // The shed request's trace and SLO sample still exist.
+        let request = self.request_ctx(p, at_us);
+        if let Some(tracer) = self.supervisor.tracer.as_mut() {
+            tracer.record_shed(request, &outcome);
+        }
         Completion {
             request_index: p.request_index,
             tenant: p.tenant,
@@ -467,7 +471,7 @@ impl<S: BatchService> Gateway<S> {
                 break;
             }
             let p = self.tenants[t].queue.pop_front().expect("front checked");
-            self.telemetry
+            self.telemetry()
                 .histogram_us("gt_gateway_queue_wait_us", "Admission-queue wait, µs")
                 .observe(queued_us);
             if late {
@@ -494,7 +498,7 @@ impl<S: BatchService> Gateway<S> {
                     t,
                 );
             }
-            self.telemetry.event(
+            self.telemetry().event(
                 "gateway",
                 "served",
                 &[
@@ -535,7 +539,7 @@ impl<S: BatchService> Gateway<S> {
         }
         let mut fanout = None;
         if depth >= self.config.degrade_watermark {
-            let from = self.supervisor.fanout();
+            let from = self.supervisor.trainer.sampler.fanout;
             let to = self.config.reduced_fanout.min(from);
             if to < from {
                 fanout = Some(to);
@@ -555,13 +559,13 @@ impl<S: BatchService> Gateway<S> {
             }
         }
         if let Some(a) = &action {
-            self.telemetry
+            self.telemetry()
                 .counter(
                     "gt_gateway_degraded_total",
                     "Requests served degraded under load",
                 )
                 .inc();
-            self.telemetry.event(
+            self.telemetry().event(
                 "gateway",
                 "degrade",
                 &[
@@ -574,13 +578,12 @@ impl<S: BatchService> Gateway<S> {
 
         let ctx = ServeCtx {
             fanout,
-            worker: None,
             request: Some(self.request_ctx(p, start_us)),
         };
         let served = self
             .supervisor
             .serve(data, batch, ctx)
-            .unwrap_or_else(|e| panic!("the service behind the gateway failed: {e}"));
+            .unwrap_or_else(|e| panic!("the supervisor behind the gateway failed: {e}"));
 
         // A gateway degradation outranks a clean supervisor outcome in the
         // report (the caller got less than it asked for); a supervisor
@@ -940,56 +943,12 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// A service that trains nothing: every batch succeeds in exactly
-    /// 100 virtual µs. Records the order requests reached it.
-    #[derive(Default)]
-    struct Fixed {
-        served: Vec<usize>,
-        sheds: usize,
-    }
-
-    impl BatchService for Fixed {
-        fn serve(
-            &mut self,
-            _: &GraphData,
-            _: &[VId],
-            ctx: ServeCtx,
-        ) -> Result<crate::serve::Served, crate::error::GtError> {
-            self.served.push(ctx.request.expect("request named").index);
-            Ok(crate::serve::Served {
-                report: crate::framework::BatchReport {
-                    loss: 0.0,
-                    sim: gt_sim::SimContext::new(gt_sim::DeviceSpec::tiny()),
-                    prepro: None,
-                    num_nodes: 0,
-                    num_edges: 0,
-                    oom: None,
-                    outcome: BatchOutcome::Succeeded,
-                    telemetry: Telemetry::null(),
-                },
-                stall_us: 100.0,
-                backoff_us: 0.0,
-                saved_us: 0.0,
-            })
-        }
-        fn note_shed(&mut self, _: RequestCtx, _: &BatchOutcome) {
-            self.sheds += 1;
-        }
-        fn telemetry(&self) -> Telemetry {
-            Telemetry::null()
-        }
-        fn fanout(&self) -> usize {
-            4
-        }
-    }
-
-    /// Deficit round robin, exact over the fake service: a flooding tenant
-    /// cannot starve a late one.
+    /// Deficit round robin: a flooding tenant cannot starve a late one.
     #[test]
     fn drr_order_under_a_flooding_tenant() {
-        let d = GraphData::synthetic(8, 16, 2, 2, 1);
+        let d = data();
         let mut g = Gateway::new(
-            Fixed::default(),
+            supervisor(FaultPlan::new(0)),
             cfg(16, f64::INFINITY, usize::MAX, usize::MAX),
         );
         g.enable_tenancy(TenancyConfig {
@@ -1006,34 +965,48 @@ mod tests {
             done.extend(g.submit_from(&d, 0.0, tenant, &[0, 1, 2, 3]));
         }
         done.extend(g.drain(&d));
-        assert_eq!(g.supervisor.served, [0, 1, 6, 2, 7, 3, 4, 5]);
-        let finished: Vec<f64> = done.iter().map(|c| c.done_us).collect();
-        assert_eq!(finished, [100., 200., 300., 400., 500., 600., 700., 800.]);
-        assert_eq!(g.supervisor.sheds, 0);
+        let order: Vec<usize> = done.iter().map(|c| c.request_index).collect();
+        assert_eq!(order, [0, 1, 6, 2, 7, 3, 4, 5]);
+        // Service is back to back: nothing is shed and the server never
+        // idles while the backlog lasts.
+        let mut busy_until = 0.0;
+        for c in &done {
+            assert!(c.outcome.trained(), "{c:?}");
+            assert_eq!(c.done_us, busy_until + c.service_us);
+            busy_until = c.done_us;
+        }
     }
 
-    /// Regression for the off-by-one at the deadline boundary, exact over
-    /// the fake service: a wait of *exactly* the deadline is late
-    /// (inclusive bound), and a provably late arrival is shed immediately
-    /// instead of queueing. One µs of headroom and the same request is
-    /// served after queueing for the full service time.
+    /// Regression for the off-by-one at the deadline boundary: a wait of
+    /// *exactly* the deadline is late (inclusive bound), and a provably
+    /// late arrival is shed immediately instead of queueing. One µs of
+    /// headroom and the same request is served after queueing for the full
+    /// service time.
     #[test]
     fn deadline_boundary_is_inclusive() {
-        let d = GraphData::synthetic(8, 16, 2, 2, 1);
+        let d = data();
         let run = |deadline_us| {
-            let mut g = Gateway::new(
-                Fixed::default(),
-                cfg(16, deadline_us, usize::MAX, usize::MAX),
-            );
-            // Request 1 arrives while request 0 holds the server for 100 µs.
+            let mut sup = supervisor(FaultPlan::new(0));
+            sup.enable_tracing(crate::tracing::TracerConfig::default(), None);
+            let mut g = Gateway::new(sup, cfg(16, deadline_us, usize::MAX, usize::MAX));
+            // Request 1 arrives while request 0 holds the server.
             let mut all = g.submit(&d, 0.0, &[0, 1, 2, 3]);
             all.extend(g.submit(&d, 0.0, &[0, 1, 2, 3]));
             all.extend(g.drain(&d));
             assert_eq!(all.len(), 2);
             assert!(all[0].outcome.trained());
-            (all.pop().unwrap(), g.supervisor.sheds)
+            let tracer = g.supervisor.tracer.as_ref().unwrap();
+            let sheds = tracer
+                .recorder()
+                .traces()
+                .iter()
+                .filter(|t| t.batch_index.is_none())
+                .count();
+            (all[0].service_us, all.pop().unwrap(), sheds)
         };
-        let (second, sheds) = run(100.0);
+        // The first request's service time, which the second one waits.
+        let (service_us, _, _) = run(f64::INFINITY);
+        let (_, second, sheds) = run(service_us);
         assert_eq!(
             second.outcome,
             BatchOutcome::Shed {
@@ -1045,14 +1018,14 @@ mod tests {
             second.done_us, 0.0,
             "predicted-late sheds resolve on arrival"
         );
-        assert_eq!(sheds, 1, "the service hears about the shed");
+        assert_eq!(sheds, 1, "the supervisor's tracer hears about the shed");
 
-        let (second, sheds) = run(101.0);
+        let (_, second, sheds) = run(service_us + 1.0);
         assert!(
             second.outcome.trained(),
             "1µs under the deadline must serve"
         );
-        assert_eq!((second.queued_us, sheds), (100.0, 0));
+        assert_eq!((second.queued_us, sheds), (service_us, 0));
     }
 
     #[test]

@@ -16,12 +16,21 @@
 //! quarantines. With an empty plan the supervisor is a pass-through — the
 //! trainer takes its exact unsupervised code path and numerics are
 //! bit-identical.
+//!
+//! Everything else a serving deployment adds is an armed layer of the one
+//! supervisor, skipped while unarmed: serving caches
+//! ([`Supervisor::enable_caches`]), cluster pricing
+//! ([`Supervisor::enable_cluster`]), the request tracer
+//! ([`Supervisor::enable_tracing`]) and the write-ahead journal
+//! ([`Supervisor::make_durable`], [`Supervisor::recover`]). Admission
+//! control ([`Gateway`](crate::overload::Gateway)) sits in front of it.
 
 use crate::cache::{CacheConfig, CacheStats, ServingCaches};
+use crate::cluster::{Cluster, ClusterConfig};
 use crate::data::GraphData;
 use crate::error::GtError;
 use crate::framework::{BatchOutcome, BatchReport, DegradeAction, FailReason, Framework};
-use crate::journal::{self, Journal, Record};
+use crate::journal::{self, batch_record, Journal, Record};
 use crate::tracing::{RequestTracer, TracerConfig};
 use crate::trainer::GraphTensor;
 use gt_graph::VId;
@@ -115,10 +124,6 @@ pub struct ServeCtx {
     /// Sample with this fanout instead of the configured one (a gateway
     /// degrading under load; journal replay of such a batch).
     pub fanout: Option<usize>,
-    /// Cluster worker whose partition owns the batch, stamped on its
-    /// journal record (recovery enforces strictly increasing batch
-    /// indices per tag, so a reordered journal cannot replay silently).
-    pub worker: Option<usize>,
     /// The request being served; without one the batch index doubles as
     /// the request index and service is back-to-back on the tracer's clock.
     pub request: Option<RequestCtx>,
@@ -153,23 +158,6 @@ impl Served {
     pub fn service_us(&self) -> f64 {
         self.modeled_us() + self.stall_us + self.backoff_us
     }
-}
-
-/// What an admission layer ([`Gateway`](crate::overload::Gateway)) needs
-/// from the service behind it; implemented by [`Supervisor`] and
-/// [`ClusterSupervisor`](crate::cluster::ClusterSupervisor).
-pub trait BatchService {
-    /// Train one batch; see [`Supervisor::serve`].
-    fn serve(&mut self, data: &GraphData, batch: &[VId], ctx: ServeCtx) -> Result<Served, GtError>;
-    /// A request was refused without being served (`request.start_us` is
-    /// when), so its trace and SLO sample still exist.
-    fn note_shed(&mut self, request: RequestCtx, outcome: &BatchOutcome);
-    /// The telemetry handle the service exports through; the admission
-    /// layer takes it once, at construction.
-    fn telemetry(&self) -> Telemetry;
-    /// The configured sampling fanout, which a degrade rung names before
-    /// it overrides it.
-    fn fanout(&self) -> usize;
 }
 
 struct DurabilityState {
@@ -225,6 +213,9 @@ pub struct Supervisor {
     /// Skew-exploiting serving caches; `None` (the default) keeps serving
     /// exactly as before caching existed.
     caches: Option<ServingCaches>,
+    /// Cluster pricing; `None` (the default) prices nothing beyond the
+    /// single-node report.
+    cluster: Option<Cluster>,
 }
 
 impl Supervisor {
@@ -242,6 +233,7 @@ impl Supervisor {
             batches_served: 0,
             durability: None,
             caches: None,
+            cluster: None,
         }
     }
 
@@ -279,12 +271,26 @@ impl Supervisor {
         self.caches.as_ref().map(|c| c.stats())
     }
 
+    /// Price every trained batch from now on over the modeled cluster
+    /// `config` describes (see [`crate::cluster`]). Pricing moves the
+    /// cluster's virtual clock and traces only; the numerics, journal and
+    /// checkpoints stay byte-identical at every worker count.
+    pub fn enable_cluster(&mut self, config: ClusterConfig) {
+        self.cluster = Some(Cluster::new(config));
+    }
+
+    /// The cluster pricing layer, when enabled.
+    pub fn cluster(&self) -> Option<&Cluster> {
+        self.cluster.as_ref()
+    }
+
     /// Train one batch under supervision — the one way a batch reaches the
     /// trainer. Never panics on injected faults; the report's
     /// [`BatchOutcome`] says how the batch resolved. Around the
     /// retry/degrade ladder, each armed layer runs in order and an unarmed
-    /// one is skipped: caches price their hits, the tracer files the
-    /// request's span tree, and — once [`make_durable`](Self::make_durable)
+    /// one is skipped: caches price their hits, the cluster prices the
+    /// batch across its workers, the tracer files the request's span tree,
+    /// and — once [`make_durable`](Self::make_durable)
     /// or [`recover`](Self::recover) armed the journal — the outcome (and
     /// any quarantine record) is journaled and fsynced *before* this
     /// returns, so an acknowledged result can never be lost to a crash.
@@ -366,6 +372,9 @@ impl Supervisor {
             }
             _ => 0.0,
         };
+        if let Some(cluster) = self.cluster.as_mut() {
+            cluster.price_batch(batch_index, &self.trainer, &report, &active);
+        }
         let served = Served {
             report,
             stall_us: active.serve_delay_us().unwrap_or(0.0),
@@ -381,13 +390,7 @@ impl Supervisor {
 
         // The record carries the fanout the batch was actually sampled
         // with: a replay at the configured fanout would diverge.
-        let rec = Record::Batch {
-            index: batch_index,
-            ids: batch.to_vec(),
-            fanout: Some(fanout),
-            outcome: served.report.outcome.to_json(),
-            worker: ctx.worker,
-        };
+        let rec = batch_record(batch_index, batch, &served.report.outcome, fanout);
         if crash == Some(CrashSite::MidJournal) {
             d.journal.append_torn(&rec)?;
             return Err(self.crash(batch_index, CrashSite::MidJournal));
@@ -701,6 +704,11 @@ impl Supervisor {
         if let Some(caches) = self.caches.as_mut() {
             caches.reset();
         }
+        // Likewise the cluster's clock and traces: the replay re-prices
+        // every journaled batch.
+        if let Some(cluster) = self.cluster.as_mut() {
+            cluster.reset();
+        }
         let scan = journal::read_journal(cfg.journal_path())?;
         if scan.torn_tail {
             journal::truncate_to(cfg.journal_path(), scan.valid_len)?;
@@ -711,11 +719,6 @@ impl Supervisor {
         let mut replayed = 0usize;
         let mut quarantine_restored = 0usize;
         let mut checkpoints_verified = 0usize;
-        // Last replayed batch index per cluster-worker tag: the journal's
-        // ordering invariant. Outcome comparison alone cannot catch a
-        // reordered journal (most outcomes are plain "succeeded"), so the
-        // indices themselves are the cross-check.
-        let mut worker_last = std::collections::BTreeMap::new();
         for rec in &scan.records {
             match rec {
                 &Record::Batch {
@@ -723,24 +726,12 @@ impl Supervisor {
                     ref ids,
                     fanout,
                     ref outcome,
-                    worker,
                 } => {
-                    if let Some(w) = worker {
-                        if worker_last.get(&w).is_some_and(|&last| last >= index) {
-                            return Err(GtError::ReplayDiverged {
-                                batch_index: index,
-                                detail: format!(
-                                    "per-worker ordering violated: worker {w} already \
-                                     journaled batch {}, then batch {index}",
-                                    worker_last[&w]
-                                ),
-                            });
-                        }
-                        worker_last.insert(w, index);
-                    }
                     // Batch records are appended with strictly sequential
-                    // indices; a gap or swap means the journal was
-                    // reordered and must not replay silently.
+                    // indices; a gap, swap or duplicate means the journal
+                    // was reordered and must not replay silently (most
+                    // outcomes are plain "succeeded", so outcome comparison
+                    // alone would not catch it).
                     if index != replayed {
                         return Err(GtError::ReplayDiverged {
                             batch_index: index,
@@ -831,25 +822,5 @@ impl Supervisor {
             checkpoints_verified,
             torn_tail_dropped: scan.torn_tail,
         })
-    }
-}
-
-impl BatchService for Supervisor {
-    fn serve(&mut self, data: &GraphData, batch: &[VId], ctx: ServeCtx) -> Result<Served, GtError> {
-        Supervisor::serve(self, data, batch, ctx)
-    }
-
-    fn note_shed(&mut self, request: RequestCtx, outcome: &BatchOutcome) {
-        if let Some(tracer) = self.tracer.as_mut() {
-            tracer.record_shed(request, outcome);
-        }
-    }
-
-    fn telemetry(&self) -> Telemetry {
-        self.trainer.telemetry.clone()
-    }
-
-    fn fanout(&self) -> usize {
-        self.trainer.sampler.fanout
     }
 }

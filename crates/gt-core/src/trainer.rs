@@ -72,8 +72,9 @@ pub struct GraphTensor {
     /// serving supervisor from its [`gt_sim::FaultPlan`].
     pub injected: Option<ActiveFaults>,
     /// Measured preprocessing work of the most recent batch, kept for the
-    /// cluster supervisor: partitioning a batch across workers re-prices the
-    /// same measured work per partition instead of re-running preprocessing.
+    /// supervisor's cluster pricing layer: partitioning a batch across
+    /// workers re-prices the same measured work per partition instead of
+    /// re-running preprocessing.
     pub last_work: Option<crate::prepro::PreproWork>,
     /// Where spans, events, and metrics go. Defaults to the process-wide
     /// handle ([`gt_telemetry::global`], off unless installed otherwise), so
@@ -292,9 +293,9 @@ impl GraphTensor {
         self.drift_emitted = now;
     }
 
-    /// The variant's preprocessing strategy. The cluster supervisor uses
-    /// this to price each worker's partition with the same scheduler the
-    /// trainer ran.
+    /// The variant's preprocessing strategy. The supervisor's cluster
+    /// pricing layer uses this to price each worker's partition with the
+    /// same scheduler the trainer ran.
     pub fn prepro_strategy(&self) -> PreproStrategy {
         match self.variant {
             // Base/Dynamic serialize S→R→K→T like DGL (§VI-B) but still

@@ -1,18 +1,17 @@
 //! End-to-end tests of the cluster pricing layer.
 //!
 //! The load-bearing property is that the cluster is a pricing model: at
-//! every worker count the parameters, journaled outcome stream and
-//! checkpoint are byte-for-byte those of a single `Supervisor`, while the
+//! every worker count the parameters, journal and checkpoint are
+//! byte-for-byte those of a `Supervisor` without the layer, while the
 //! modeled clock, collectives and per-worker schedules move. An injected
-//! crash or storage fault under a cluster is the inner supervisor's typed
-//! error, and recovery is the single-node protocol: restart, recover from
-//! the journal, wrap the recovered supervisor again, resume.
+//! crash or storage fault under a cluster is the supervisor's typed error,
+//! and recovery is the single-node protocol: restart, arm the cluster,
+//! recover from the journal (which re-prices every replayed batch), resume.
 
 use gt_core::journal::{self, Record};
 use gt_core::{
-    BatchService, ClusterConfig, ClusterSupervisor, Completion, DurabilityConfig, Gateway,
-    GraphData, GtError, OverloadConfig, Partition, ServeCtx, Supervisor, TenancyConfig,
-    TenantQuota,
+    ClusterConfig, ClusterSummary, Completion, DurabilityConfig, Gateway, GraphData, GtError,
+    OverloadConfig, Partition, ServeCtx, Supervisor, TenancyConfig, TenantQuota,
 };
 use gt_sim::{ClusterSpec, CrashSite, FaultPlan, IoFault, IoTarget, SystemSpec};
 use gt_telemetry::ToJson;
@@ -33,11 +32,27 @@ fn cluster_config(workers: usize) -> ClusterConfig {
     }
 }
 
-/// A durable cluster of `workers` over a fresh supervisor running `plan`.
-fn durable_cluster(workers: usize, plan: &FaultPlan, dir: &Path) -> ClusterSupervisor {
+/// A fresh supervisor running `plan` with a `workers`-worker cluster armed.
+fn clustered(workers: usize, plan: &FaultPlan) -> Supervisor {
     let mut sup = Supervisor::new(trainer(), plan.clone());
+    sup.enable_cluster(cluster_config(workers));
+    sup
+}
+
+/// [`clustered`], made durable under `dir`.
+fn durable_cluster(workers: usize, plan: &FaultPlan, dir: &Path) -> Supervisor {
+    let mut sup = clustered(workers, plan);
     sup.make_durable(durability(dir)).unwrap();
-    ClusterSupervisor::new(sup, cluster_config(workers))
+    sup
+}
+
+fn summary(sup: &Supervisor) -> ClusterSummary {
+    sup.cluster().expect("cluster armed").summary()
+}
+
+/// The accumulated cross-worker trace, serialized.
+fn trace_json(sup: &Supervisor) -> String {
+    gt_telemetry::write_chrome_json(&sup.cluster().expect("cluster armed").cluster_traces())
 }
 
 fn durability(dir: &Path) -> DurabilityConfig {
@@ -48,37 +63,36 @@ fn durability(dir: &Path) -> DurabilityConfig {
 }
 
 /// Drive a cluster over the workload the way a deployment does: a crash
-/// or storage fault comes back as the inner supervisor's typed error and
-/// is answered by a restart (a fresh supervisor recovers from the journal,
-/// a fresh cluster wraps it, serving resumes at the recovered index).
-/// Returns the last cluster, the journaled `(index, outcome)` stream, and
-/// the errors that forced a restart.
+/// or storage fault comes back as the supervisor's typed error and is
+/// answered by a restart (a fresh supervisor arms the cluster, recovers
+/// from the journal, and resumes at the recovered index). Returns the last
+/// supervisor, the journaled `(index, outcome)` stream, and the errors
+/// that forced a restart.
 fn run_cluster(
     workers: usize,
     plan: FaultPlan,
     dir: &Path,
     n: usize,
-) -> (ClusterSupervisor, Vec<(usize, String)>, Vec<GtError>) {
+) -> (Supervisor, Vec<(usize, String)>, Vec<GtError>) {
     let d = data();
     let all = batches(n);
-    let mut cs = durable_cluster(workers, &plan, dir);
+    let mut sup = durable_cluster(workers, &plan, dir);
     let mut restarts = Vec::new();
-    while cs.supervisor.batches_served() < n {
-        let b = &all[cs.supervisor.batches_served()];
-        match cs.serve(&d, b, ServeCtx::default()) {
+    while sup.batches_served() < n {
+        let b = &all[sup.batches_served()];
+        match sup.serve(&d, b, ServeCtx::default()) {
             Ok(_) => {}
             Err(e @ (GtError::InjectedCrash { .. } | GtError::Io { .. })) => {
                 restarts.push(e);
                 assert!(restarts.len() <= 8, "restart loop: {restarts:?}");
-                let mut fresh = Supervisor::new(trainer(), plan.clone());
-                fresh.recover(&d, durability(dir)).unwrap();
-                cs = ClusterSupervisor::new(fresh, cluster_config(workers));
+                sup = clustered(workers, &plan);
+                sup.recover(&d, durability(dir)).unwrap();
             }
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
     let stream = outcome_stream(dir);
-    (cs, stream, restarts)
+    (sup, stream, restarts)
 }
 
 /// The journaled batch outcome stream: (batch_index, outcome JSON).
@@ -103,16 +117,16 @@ fn fault_free_cluster_matches_single_node_numerics_at_every_worker_count() {
 
     for workers in [1usize, 2, 4] {
         let dir = tmp_dir(&format!("faultfree_w{workers}"));
-        let (cs, stream, restarts) = run_cluster(workers, FaultPlan::new(42), &dir, n);
+        let (sup, stream, restarts) = run_cluster(workers, FaultPlan::new(42), &dir, n);
         assert!(restarts.is_empty());
         assert_eq!(
-            checkpoint::to_bytes(cs.supervisor.trainer.params()),
+            checkpoint::to_bytes(sup.trainer.params()),
             ref_params,
             "{workers} workers must not perturb the numerics"
         );
         let outcomes: Vec<String> = stream.into_iter().map(|(_, o)| o).collect();
         assert_eq!(outcomes, ref_outcomes);
-        let s = cs.summary().totals;
+        let s = summary(&sup).totals;
         if workers == 1 {
             assert_eq!(s.collective_us, 0.0, "a lone worker gathers nothing");
         } else {
@@ -122,19 +136,16 @@ fn fault_free_cluster_matches_single_node_numerics_at_every_worker_count() {
     }
 }
 
-/// Killing the process at any crash site while any worker coordinates
-/// the batch, at any worker count, is the inner supervisor's
-/// `InjectedCrash`; restart + `Supervisor::recover` lands on the
-/// fault-free bytes.
+/// Killing the process at any crash site at any of the first four
+/// batches, at any worker count, is the supervisor's `InjectedCrash`;
+/// restart + `Supervisor::recover` lands on the fault-free bytes.
 #[test]
 fn kill_any_worker_at_any_batch_recovers_bit_identically() {
     let n = 5;
     for workers in [1usize, 2, 4] {
         let ref_dir = tmp_dir(&format!("killref_w{workers}"));
-        let (ref_cs, ref_stream, _) = run_cluster(workers, FaultPlan::new(42), &ref_dir, n);
-        let ref_params = checkpoint::to_bytes(ref_cs.supervisor.trainer.params());
-        // Batch `b` is coordinated by worker `b % workers`: 0..4 reaches
-        // every worker of the largest cluster.
+        let (ref_sup, ref_stream, _) = run_cluster(workers, FaultPlan::new(42), &ref_dir, n);
+        let ref_params = checkpoint::to_bytes(ref_sup.trainer.params());
         for batch in 0..4 {
             for site in [
                 CrashSite::MidJournal,
@@ -144,13 +155,13 @@ fn kill_any_worker_at_any_batch_recovers_bit_identically() {
                 let name = format!("kill_w{workers}_b{batch}_{}", site.label());
                 let dir = tmp_dir(&name);
                 let plan = FaultPlan::new(42).with_crash_at(batch, site);
-                let (cs, stream, restarts) = run_cluster(workers, plan, &dir, n);
+                let (sup, stream, restarts) = run_cluster(workers, plan, &dir, n);
                 assert!(
                     matches!(restarts[..], [GtError::InjectedCrash { site: s }] if s == site),
                     "{name}: {restarts:?}"
                 );
                 assert_eq!(
-                    checkpoint::to_bytes(cs.supervisor.trainer.params()),
+                    checkpoint::to_bytes(sup.trainer.params()),
                     ref_params,
                     "{name} must recover to identical bytes"
                 );
@@ -160,16 +171,16 @@ fn kill_any_worker_at_any_batch_recovers_bit_identically() {
     }
 }
 
-/// A crash in the middle of a batch surfaces through the cluster layer as
-/// the inner supervisor's typed `InjectedCrash` naming its site, and one
-/// restart (recover, wrap in a fresh cluster, resume) lands on the
-/// fault-free bytes and outcome stream.
+/// A crash in the middle of a batch under a cluster is the supervisor's
+/// typed `InjectedCrash` naming its site, and one restart (arm the
+/// cluster, recover, resume) lands on the fault-free bytes and outcome
+/// stream.
 #[test]
 fn crash_mid_batch_is_recovered_by_the_cluster_layer() {
     let n = 5;
     let ref_dir = tmp_dir("crashref");
-    let (ref_cs, ref_stream, _) = run_cluster(2, FaultPlan::new(42), &ref_dir, n);
-    let ref_params = checkpoint::to_bytes(ref_cs.supervisor.trainer.params());
+    let (ref_sup, ref_stream, _) = run_cluster(2, FaultPlan::new(42), &ref_dir, n);
+    let ref_params = checkpoint::to_bytes(ref_sup.trainer.params());
     for site in [
         CrashSite::MidJournal,
         CrashSite::MidCheckpoint,
@@ -177,19 +188,44 @@ fn crash_mid_batch_is_recovered_by_the_cluster_layer() {
     ] {
         let dir = tmp_dir(&format!("crash_{}", site.label()));
         let plan = FaultPlan::new(42).with_crash_at(3, site);
-        let (cs, stream, restarts) = run_cluster(2, plan, &dir, n);
+        let (sup, stream, restarts) = run_cluster(2, plan, &dir, n);
         assert!(
             matches!(restarts[..], [GtError::InjectedCrash { site: s }] if s == site),
             "crash at {}: {restarts:?}",
             site.label()
         );
         assert_eq!(
-            checkpoint::to_bytes(cs.supervisor.trainer.params()),
+            checkpoint::to_bytes(sup.trainer.params()),
             ref_params,
             "crash at {} must recover to identical bytes",
             site.label()
         );
         assert_eq!(stream, ref_stream);
+    }
+}
+
+/// Recovery resets the armed cluster and the journal replay re-prices
+/// every replayed batch: a 4-worker run killed at any crash site ends on
+/// the same modeled summary and cross-worker trace bytes as a run that
+/// never crashed.
+#[test]
+fn recovered_cluster_ends_on_the_uncrashed_summary_and_trace() {
+    let n = 5;
+    let cores = SystemSpec::tiny().host.cores;
+    // A straggler on worker 3 makes the per-worker schedules differ.
+    let plan = FaultPlan::new(42).with_straggler(3 * cores, 64.0);
+    let (ref_sup, _, _) = run_cluster(4, plan.clone(), &tmp_dir("resume_ref"), n);
+    for site in [
+        CrashSite::MidJournal,
+        CrashSite::MidCheckpoint,
+        CrashSite::AfterCommit,
+    ] {
+        let name = format!("resume_{}", site.label());
+        let crash = plan.clone().with_crash_at(2, site);
+        let (sup, _, restarts) = run_cluster(4, crash, &tmp_dir(&name), n);
+        assert_eq!(restarts.len(), 1, "{name}: {restarts:?}");
+        assert_eq!(summary(&sup), summary(&ref_sup), "{name}: summary");
+        assert!(trace_json(&sup) == trace_json(&ref_sup), "{name}: trace");
     }
 }
 
@@ -201,8 +237,8 @@ fn storage_faults_on_journal_and_checkpoint_recover_alike() {
     let n = 4;
     let run = |plan: FaultPlan, name: &str| {
         let dir = tmp_dir(name);
-        let (mut cs, stream, restarts) = run_cluster(2, plan, &dir, n);
-        cs.supervisor.checkpoint_now().unwrap();
+        let (mut sup, stream, restarts) = run_cluster(2, plan, &dir, n);
+        sup.checkpoint_now().unwrap();
         let params = std::fs::read(DurabilityConfig::new(&dir).checkpoint_path()).unwrap();
         (stream, params, restarts)
     };
@@ -236,53 +272,38 @@ fn stragglers_are_pure_virtual_time() {
     let (slow, slow_stream, _) = run(FaultPlan::new(42).with_straggler(3 * cores, 64.0), "slow");
     let (fast, fast_stream, _) = run(FaultPlan::new(42), "fast");
     assert_eq!(
-        checkpoint::to_bytes(slow.supervisor.trainer.params()),
-        checkpoint::to_bytes(fast.supervisor.trainer.params()),
+        checkpoint::to_bytes(slow.trainer.params()),
+        checkpoint::to_bytes(fast.trainer.params()),
         "a straggler must never touch model bytes"
     );
     assert_eq!(slow_stream, fast_stream);
-    let (s, f) = (slow.summary().totals, fast.summary().totals);
+    let (s, f) = (summary(&slow).totals, summary(&fast).totals);
     assert!(s.clock_us > f.clock_us, "{} !> {}", s.clock_us, f.clock_us);
     assert!(s.worker_busy_us[3] > f.worker_busy_us[3]);
     assert_eq!(s.worker_busy_us[0].to_bits(), f.worker_busy_us[0].to_bits());
     assert_eq!(s.collective_us.to_bits(), f.collective_us.to_bits());
 }
 
+/// The cluster writes nothing to the journal: a 3-worker run's journal is
+/// byte-for-byte a plain supervisor's, and a fresh supervisor replays it.
 #[test]
-fn interleaved_worker_tags_replay_cleanly() {
+fn cluster_journal_is_untagged_and_replays_cleanly() {
     let n = 6;
-    let dir = tmp_dir("interleave");
-    let (_cs, _, _) = run_cluster(3, FaultPlan::new(42), &dir, n);
-    let cfg = DurabilityConfig::new(&dir);
-
-    // The journal interleaves all three worker tags, strictly increasing
-    // per tag.
-    let scan = journal::read_journal(cfg.journal_path()).unwrap();
-    let tags: Vec<(usize, usize)> = scan
-        .records
-        .iter()
-        .filter_map(|r| match r {
-            Record::Batch { index, worker, .. } => {
-                Some((worker.expect("cluster records are tagged"), *index))
-            }
-            _ => None,
-        })
-        .collect();
-    let distinct: std::collections::BTreeSet<usize> = tags.iter().map(|&(w, _)| w).collect();
-    assert_eq!(distinct.len(), 3, "all workers must appear: {tags:?}");
-    for w in &distinct {
-        let per: Vec<usize> = tags
-            .iter()
-            .filter(|&&(t, _)| t == *w)
-            .map(|&(_, i)| i)
-            .collect();
-        assert!(per.windows(2).all(|p| p[0] < p[1]), "worker {w}: {per:?}");
+    let dir = tmp_dir("untagged");
+    run_cluster(3, FaultPlan::new(42), &dir, n);
+    let plain_dir = tmp_dir("untagged_plain");
+    let mut plain = Supervisor::new(trainer(), FaultPlan::new(42));
+    plain.make_durable(durability(&plain_dir)).unwrap();
+    let d = data();
+    for b in batches(n) {
+        plain.serve(&d, &b, ServeCtx::default()).unwrap();
     }
+    let cfg = DurabilityConfig::new(&dir);
+    let journal = std::fs::read(cfg.journal_path()).unwrap();
+    assert!(journal == std::fs::read(DurabilityConfig::new(&plain_dir).journal_path()).unwrap());
 
-    // A fresh supervisor replays the interleaved journal without
-    // complaint and lands on the same parameters.
     let mut fresh = Supervisor::new(trainer(), FaultPlan::new(42));
-    let rec = fresh.recover(&data(), cfg).unwrap();
+    let rec = fresh.recover(&d, cfg).unwrap();
     assert_eq!(rec.batches_replayed, n);
 }
 
@@ -290,7 +311,7 @@ fn interleaved_worker_tags_replay_cleanly() {
 fn shuffled_journal_is_rejected_not_silently_reordered() {
     let n = 4;
     let dir = tmp_dir("shuffled");
-    let (_cs, _, _) = run_cluster(2, FaultPlan::new(42), &dir, n);
+    run_cluster(2, FaultPlan::new(42), &dir, n);
     let cfg = DurabilityConfig::new(&dir);
     let scan = journal::read_journal(cfg.journal_path()).unwrap();
 
@@ -318,17 +339,15 @@ fn shuffled_journal_is_rejected_not_silently_reordered() {
 }
 
 #[test]
-fn duplicate_worker_record_trips_the_per_worker_invariant() {
+fn duplicate_batch_record_is_rejected_out_of_order() {
     let n = 4;
-    let dir = tmp_dir("dup_tag");
-    let (_cs, _, _) = run_cluster(2, FaultPlan::new(42), &dir, n);
+    let dir = tmp_dir("dup_record");
+    run_cluster(2, FaultPlan::new(42), &dir, n);
     let cfg = DurabilityConfig::new(&dir);
     let scan = journal::read_journal(cfg.journal_path()).unwrap();
 
-    // Re-append a copy of the first tagged batch record at the tail: its
-    // worker has already journaled a later batch, so the per-worker
-    // ordering check must fire (before the global index check reads it as
-    // a mere gap).
+    // Re-append a copy of the first batch record at the tail: replay
+    // expects batch `n` there, so the sequential-index check must fire.
     let mut records = scan.records.clone();
     let first_batch = records
         .iter()
@@ -342,7 +361,7 @@ fn duplicate_worker_record_trips_the_per_worker_invariant() {
     match fresh.recover(&data(), cfg.clone()) {
         Err(GtError::ReplayDiverged { detail, .. }) => {
             assert!(
-                detail.contains("per-worker ordering"),
+                detail.contains("out of order"),
                 "unexpected detail: {detail}"
             );
         }
@@ -356,18 +375,15 @@ fn feature_dim_partition_serves_identically_to_vertex_cut() {
     let run = |partition: Partition, dir: &Path| {
         let mut sup = Supervisor::new(trainer(), FaultPlan::new(42));
         sup.make_durable(DurabilityConfig::new(dir)).unwrap();
-        let mut cs = ClusterSupervisor::new(
-            sup,
-            ClusterConfig {
-                partition,
-                ..cluster_config(2)
-            },
-        );
+        sup.enable_cluster(ClusterConfig {
+            partition,
+            ..cluster_config(2)
+        });
         let d = data();
         for b in batches(n) {
-            cs.serve(&d, &b, ServeCtx::default()).unwrap();
+            sup.serve(&d, &b, ServeCtx::default()).unwrap();
         }
-        cs
+        sup
     };
     let vc_dir = tmp_dir("part_vc");
     let fd_dir = tmp_dir("part_fd");
@@ -375,27 +391,22 @@ fn feature_dim_partition_serves_identically_to_vertex_cut() {
     let fd = run(Partition::FeatureDim, &fd_dir);
     // Numerics are partition-invariant; only the modeled schedule moves.
     assert_eq!(
-        checkpoint::to_bytes(vc.supervisor.trainer.params()),
-        checkpoint::to_bytes(fd.supervisor.trainer.params())
+        checkpoint::to_bytes(vc.trainer.params()),
+        checkpoint::to_bytes(fd.trainer.params())
     );
     // Feature-dim replicates structure work on every worker, so its
     // stages are strictly longer than a vertex cut's.
-    assert!(fd.summary().totals.clock_us > vc.summary().totals.clock_us);
+    assert!(summary(&fd).totals.clock_us > summary(&vc).totals.clock_us);
 }
 
-/// A gateway with tenancy composes over the cluster exactly as over a
-/// plain supervisor: one completion per submission, and — the numerics
-/// still flowing through one inner supervisor — the same final checkpoint
-/// bytes.
+/// A gateway with tenancy in front of a cluster-armed supervisor resolves
+/// exactly as in front of a plain one: the same completions, one per
+/// submission, and the same final checkpoint bytes.
 #[test]
 fn gateway_in_front_of_a_cluster_matches_a_gateway_over_a_supervisor() {
     let n = 12;
     let d = data();
-    fn day<S: BatchService>(
-        mut g: Gateway<S>,
-        d: &GraphData,
-        n: usize,
-    ) -> (Gateway<S>, Vec<Completion>) {
+    fn day(mut g: Gateway, d: &GraphData, n: usize) -> (Gateway, Vec<Completion>) {
         g.enable_tenancy(TenancyConfig {
             quotas: vec![TenantQuota::unlimited(), TenantQuota::new(500.0, 2.0)],
             quantum: 16,
@@ -420,14 +431,14 @@ fn gateway_in_front_of_a_cluster_matches_a_gateway_over_a_supervisor() {
     single.supervisor.checkpoint_now().unwrap();
 
     let cluster_dir = tmp_dir("gw_cluster");
-    let cs = durable_cluster(4, &FaultPlan::new(42), &cluster_dir);
-    let (mut clustered, cluster_done) = day(Gateway::new(cs, overload), &d, n);
-    clustered.supervisor.supervisor.checkpoint_now().unwrap();
+    let sup = durable_cluster(4, &FaultPlan::new(42), &cluster_dir);
+    let (mut clustered, cluster_done) = day(Gateway::new(sup, overload), &d, n);
+    clustered.supervisor.checkpoint_now().unwrap();
 
     assert_eq!(cluster_done.len(), n, "one completion per submission");
     assert_eq!(cluster_done, single_done);
     assert!(cluster_done.iter().any(|c| c.outcome.trained()));
-    assert!(clustered.supervisor.summary().totals.clock_us > 0.0);
+    assert!(summary(&clustered.supervisor).totals.clock_us > 0.0);
     assert_eq!(
         std::fs::read(durability(&cluster_dir).checkpoint_path()).unwrap(),
         std::fs::read(durability(&single_dir).checkpoint_path()).unwrap(),

@@ -64,7 +64,7 @@ impl FleetObserver {
     }
 
     /// Fold one priced batch in: `schedules` is the batch's per-worker DES
-    /// schedule list (e.g. `ClusterSupervisor::last_schedules`). No-op on
+    /// schedule list (e.g. `gt_core::Cluster::last_schedules`). No-op on
     /// an empty list (untrained batches price no schedules).
     pub fn observe_batch(&mut self, batch: usize, schedules: &[(usize, Schedule)]) {
         if schedules.is_empty() {

@@ -2,8 +2,8 @@
 //! link + GPU), connected by modeled network links over which collectives
 //! are priced.
 //!
-//! This generalizes the single-node resource model: the cluster supervisor
-//! (`gt-core::cluster`) partitions each batch's preprocessing work across
+//! This generalizes the single-node resource model: the supervisor's
+//! cluster pricing layer (`gt-core::cluster`) partitions each batch's preprocessing work across
 //! workers, prices every worker's local S/R/K/T + NAPA schedule through its
 //! own DES instance, then charges ring all-gather/all-reduce collectives on
 //! the network link. Everything here is a pure function of the specs, so

@@ -12,8 +12,10 @@
 //! * [`sim`] — device models, work counters, discrete-event simulation;
 //! * [`sample`] — neighbor sampling, VID hash table, reindexing, lookup;
 //! * [`telemetry`] — spans, metrics, Chrome-trace / Prometheus exporters;
-//! * [`core`] — NAPA, the DKP orchestrator, the tensor scheduler, and the
-//!   [`core::trainer::GraphTensor`] framework;
+//! * [`core`] — NAPA, the DKP orchestrator, the tensor scheduler, the
+//!   [`core::trainer::GraphTensor`] framework, and the serving
+//!   [`core::serve::Supervisor`], whose caches, cluster pricing, tracer and
+//!   journal are layers it arms;
 //! * [`models`] — GCN / NGCF / GAT-lite presets + train/eval loops;
 //! * [`baselines`] — PyG / DGL / GNNAdvisor / SALIENT strategy replicas;
 //! * [`datasets`] — the ten Table-II workloads as synthetic recipes.
