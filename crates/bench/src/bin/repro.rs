@@ -66,11 +66,8 @@
 //! time — which CI's `identity` job gates. For `cluster`, `--trace-out`
 //! writes the *cross-worker* Perfetto trace (the coordinator plus one
 //! process per worker, flow-linked, all virtual time) instead of the
-//! wall-clock span tree; `--fleet-out` writes the fleet health report
-//! (the `/fleetz` page body), and `--serve-metrics PORT` serves
-//! `/metrics`, `/healthz`, and `/fleetz` after the run, self-scrapes
-//! each page, and shuts down (port 0 binds an ephemeral port). See
-//! `docs/distributed.md`.
+//! wall-clock span tree, and `--fleet-out` writes the fleet health
+//! report. See `docs/distributed.md`.
 //!
 //! The `serving` experiment runs the million-user scenario: a seeded
 //! open-loop diurnal workload (hot-key skew, flash crowds, three
@@ -94,7 +91,7 @@ fn usage() -> ! {
          [--seeds N] [--seeds-file PATH] \
          [--chaos-replay FILE] [--chaos-out PATH] [--flight-out PATH] \
          [--workers N] [--partition vertex-cut|feature-dim] \
-         [--fleet-out PATH] [--serve-metrics PORT]\n\
+         [--fleet-out PATH]\n\
          experiments: fig6 fig8 fig11b fig12 fig14 fig15 fig16 fig17 fig18 \
          fig19 fig20 table1 table2 table3 scalability ablation threads \
          durability chaos cluster slo serving smoke"
@@ -230,14 +227,6 @@ fn main() {
                 i += 1;
                 cluster_opts.fleet_out = Some(args.get(i).cloned().unwrap_or_else(usage_v).into());
             }
-            "--serve-metrics" => {
-                i += 1;
-                cluster_opts.serve_metrics = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(usage_v),
-                );
-            }
             "--chaos-replay" => {
                 i += 1;
                 chaos_opts.replay = Some(args.get(i).cloned().unwrap_or_else(usage_v).into());
@@ -278,7 +267,7 @@ fn main() {
         cluster_opts.trace_out = trace_out.take().map(Into::into);
     }
 
-    if trace_out.is_some() || cluster_opts.serve_metrics.is_some() {
+    if trace_out.is_some() {
         gt_telemetry::set_global(gt_telemetry::Telemetry::recording());
     }
 

@@ -17,12 +17,10 @@
 //! gates them with `benchdiff` against a committed baseline.
 //!
 //! The run also records the cross-worker Perfetto trace (`--trace-out`)
-//! and the rendered fleet health text (`--fleet-out`, also mounted at
-//! `/fleetz` with `--serve-metrics`); both are pure virtual-time artifacts
-//! the identity manifest holds at every thread width.
+//! and the rendered fleet health text (`--fleet-out`); both are pure
+//! virtual-time artifacts the identity manifest holds at every thread
+//! width.
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -36,7 +34,6 @@ use gt_core::trainer::GtVariant;
 use gt_core::{ClusterConfig, ClusterSummary, Partition};
 use gt_profile::{fleet, FleetObserver, FleetReport};
 use gt_sim::{ClusterSpec, FaultPlan, SystemSpec};
-use gt_telemetry::http::MetricsServer;
 
 /// Run knobs (separate from the `Copy` [`ExpConfig`]).
 #[derive(Debug, Clone)]
@@ -51,15 +48,11 @@ pub struct ClusterOpts {
     /// `crates/bench/identity.sh` can compare checkpoints across worker
     /// counts and `GT_THREADS` widths; a throwaway directory otherwise.
     pub dir: Option<PathBuf>,
-    /// Write the rendered fleet health report (the `/fleetz` page) here.
+    /// Write the rendered fleet health report here.
     pub fleet_out: Option<PathBuf>,
     /// Write the cross-worker Perfetto trace (coordinator + one process
     /// per worker, flow-linked) here.
     pub trace_out: Option<PathBuf>,
-    /// Serve `/metrics`, `/healthz`, and the fleet report at `/fleetz`
-    /// on this port after the run, self-scrape both pages, and shut down
-    /// (port 0 binds an ephemeral port).
-    pub serve_metrics: Option<u16>,
 }
 
 impl Default for ClusterOpts {
@@ -71,7 +64,6 @@ impl Default for ClusterOpts {
             dir: None,
             fleet_out: None,
             trace_out: None,
-            serve_metrics: None,
         }
     }
 }
@@ -262,58 +254,6 @@ pub fn print(opts: &ClusterOpts, run: &Run) {
             }
         }
     }
-    if let Some(port) = opts.serve_metrics {
-        serve_and_scrape(port, &fleet_text);
-    }
-}
-
-/// Mount the fleet report at `/fleetz` next to `/metrics`, self-scrape
-/// both pages, and shut down — CI's `identity` job's proof that the
-/// labeled exposition and the fleet page actually render over HTTP.
-fn serve_and_scrape(port: u16, fleet_text: &str) {
-    let server = MetricsServer::start(port, gt_telemetry::global())
-        .unwrap_or_else(|e| panic!("failed to bind metrics server on port {port}: {e}"));
-    server.set_page("/fleetz", fleet_text);
-    let addr = server.addr();
-    for path in ["/metrics", "/fleetz"] {
-        let body = scrape(server.port(), path);
-        println!(
-            "  self-scrape {path}: 200 OK ({} bytes) at {addr}",
-            body.len()
-        );
-    }
-    let metrics = scrape(server.port(), "/metrics");
-    assert!(
-        metrics.contains("gt_build_info{"),
-        "labeled series must render in the exposition:\n{metrics}"
-    );
-    println!("  labeled series render in /metrics (gt_build_info)");
-    let fleetz = scrape(server.port(), "/fleetz");
-    assert_eq!(fleetz, fleet_text, "/fleetz must serve the fleet report");
-    println!("  /fleetz serves the fleet report byte-for-byte");
-    server.shutdown();
-}
-
-/// Minimal HTTP GET against the local metrics server; panics unless the
-/// response is a 200 and returns the body.
-fn scrape(port: u16, path: &str) -> String {
-    let mut conn = TcpStream::connect(("127.0.0.1", port))
-        .unwrap_or_else(|e| panic!("connect 127.0.0.1:{port}: {e}"));
-    write!(
-        conn,
-        "GET {path} HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send request");
-    let mut response = String::new();
-    conn.read_to_string(&mut response).expect("read response");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .unwrap_or_else(|| panic!("malformed response for {path}: {response}"));
-    assert!(
-        head.starts_with("HTTP/1.1 200"),
-        "GET {path} must answer 200, got: {head}"
-    );
-    body.to_string()
 }
 
 #[cfg(test)]

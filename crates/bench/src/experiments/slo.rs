@@ -58,7 +58,7 @@ pub struct Summary {
     pub outcomes: Vec<(String, usize)>,
     /// Every rule transition the SLO engine emitted, in virtual order.
     pub alerts: Vec<SloAlert>,
-    /// Final `/healthz`-style state (`ok` or `breach:<rule>`).
+    /// Final SLO state (`ok` or `breach:<rule>`).
     pub slo_state: String,
     /// `(reason, artifact bytes)` per flight dump taken.
     pub dumps: Vec<(String, usize)>,

@@ -55,8 +55,6 @@ struct Stash {
     observed_fwd_us: f64,
     /// Predicted cost of the chosen placement (FWP + BWP), µs.
     predicted_us: f64,
-    /// Predicted cost of the placement not chosen, µs.
-    predicted_alt_us: f64,
     /// False when the decision was forced (weighted layer, static
     /// fallback) or the model is not yet fitted — such decisions carry no
     /// information about prediction quality.
@@ -184,7 +182,6 @@ impl CostDkp {
         let action = drift.record(DecisionRecord {
             placement: stash.placement,
             predicted_us: stash.predicted_us,
-            predicted_alt_us: stash.predicted_alt_us,
             observed_us: stash.observed_fwd_us + observed_bwd_us,
         });
         match action {
@@ -214,15 +211,14 @@ impl Op for CostDkp {
             && !weighted
             && !self.cost.is_static_fallback()
             && self.cost.fit_error().is_some();
-        let (predicted_us, predicted_alt_us) = if drift_eligible {
-            let af = self.cost.cost_aggregation_first(&d, self.needs_input_grad);
-            let cf = self.cost.cost_combination_first(&d, self.needs_input_grad);
-            match placement {
-                Placement::AggregationFirst => (af, cf),
-                Placement::CombinationFirst => (cf, af),
+        let predicted_us = match placement {
+            _ if !drift_eligible => 0.0,
+            Placement::AggregationFirst => {
+                self.cost.cost_aggregation_first(&d, self.needs_input_grad)
             }
-        } else {
-            (0.0, 0.0)
+            Placement::CombinationFirst => {
+                self.cost.cost_combination_first(&d, self.needs_input_grad)
+            }
         };
 
         // An edge-weighted Pull stands for a NeighborApply node ahead of
@@ -269,7 +265,6 @@ impl Op for CostDkp {
             intermediate,
             observed_fwd_us,
             predicted_us,
-            predicted_alt_us,
             drift_eligible,
         });
         out

@@ -10,9 +10,6 @@
 //! * every completed placement decision (forward + backward observed) is
 //!   compared against its prediction; the absolute percentage error feeds
 //!   an EWMA of the residual;
-//! * a *misprediction* is counted when the chosen placement's observed
-//!   cost exceeds what the model predicted for the alternative — the
-//!   observed ordering contradicts the predicted argmin;
 //! * when the EWMA exceeds a threshold, the monitor opens a sliding
 //!   collection window: the Cost-DKP nodes resume recording calibration
 //!   samples, and after `window_decisions` more decisions the model is
@@ -54,16 +51,14 @@ impl Default for DriftConfig {
     }
 }
 
-/// One completed placement decision: what the model predicted for both
-/// orders, and what the chosen order actually cost (forward + backward).
+/// One completed placement decision: what the model predicted for the
+/// chosen order, and what it actually cost (forward + backward).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionRecord {
     /// The placement DKP chose.
     pub placement: Placement,
     /// Predicted cost of the chosen placement, µs.
     pub predicted_us: f64,
-    /// Predicted cost of the placement *not* chosen, µs.
-    pub predicted_alt_us: f64,
     /// Observed (modeled-latency) cost of the chosen placement, µs.
     pub observed_us: f64,
 }
@@ -76,13 +71,6 @@ impl DecisionRecord {
         } else {
             0.0
         }
-    }
-
-    /// True when the observed cost of the chosen placement exceeds the
-    /// predicted cost of the alternative — the ordering the model used to
-    /// pick a side is contradicted by what actually happened.
-    pub fn mispredicted(&self) -> bool {
-        self.observed_us > self.predicted_alt_us
     }
 }
 
@@ -104,7 +92,6 @@ struct State {
     ewma_ape: Option<f64>,
     decisions: u64,
     since_refit: u64,
-    mispredictions: u64,
     refits: u64,
     /// Decisions remaining in the open collection window, if any.
     collecting: Option<u64>,
@@ -144,9 +131,6 @@ impl DriftMonitor {
         let mut s = self.state.lock();
         s.decisions += 1;
         s.since_refit += 1;
-        if rec.mispredicted() {
-            s.mispredictions += 1;
-        }
         let ape = rec.ape();
         s.ewma_ape = Some(match s.ewma_ape {
             Some(e) => self.cfg.alpha * ape + (1.0 - self.cfg.alpha) * e,
@@ -192,11 +176,6 @@ impl DriftMonitor {
         self.state.lock().decisions
     }
 
-    /// Decisions whose observed cost contradicted the predicted ordering.
-    pub fn mispredictions(&self) -> u64 {
-        self.state.lock().mispredictions
-    }
-
     /// Refits triggered by drift.
     pub fn refits(&self) -> u64 {
         self.state.lock().refits
@@ -222,46 +201,39 @@ mod tests {
         }
     }
 
-    fn rec(predicted: f64, alt: f64, observed: f64) -> DecisionRecord {
+    fn rec(predicted: f64, observed: f64) -> DecisionRecord {
         DecisionRecord {
             placement: Placement::AggregationFirst,
             predicted_us: predicted,
-            predicted_alt_us: alt,
             observed_us: observed,
         }
     }
 
     #[test]
-    fn ewma_and_mispredictions_match_hand_computed_values() {
+    fn ewma_matches_hand_computed_values() {
         let m = DriftMonitor::new(cfg());
 
         // Perfect prediction: ape 0, ewma seeds at 0, nothing triggers.
-        assert_eq!(m.record(rec(100.0, 120.0, 100.0)), DriftAction::None);
+        assert_eq!(m.record(rec(100.0, 100.0)), DriftAction::None);
         assert_eq!(m.ewma_ape(), Some(0.0));
-        assert_eq!(m.mispredictions(), 0);
 
         // Observed 250 vs predicted 100: ape = 150/250 = 0.6,
         // ewma = 0.5·0.6 + 0.5·0 = 0.3 > 0.25 with min_decisions met, so a
-        // collection window opens. 250 > alt 120 ⇒ misprediction.
-        assert_eq!(
-            m.record(rec(100.0, 120.0, 250.0)),
-            DriftAction::StartedCollection
-        );
+        // collection window opens.
+        assert_eq!(m.record(rec(100.0, 250.0)), DriftAction::StartedCollection);
         let e = m.ewma_ape().unwrap();
         assert!((e - 0.3).abs() < 1e-12, "ewma {e}");
-        assert_eq!(m.mispredictions(), 1);
         assert!(m.is_collecting());
 
         // Window of 2: one more decision keeps collecting, the next refits.
-        assert_eq!(m.record(rec(100.0, 120.0, 250.0)), DriftAction::None);
+        assert_eq!(m.record(rec(100.0, 250.0)), DriftAction::None);
         assert!(m.is_collecting());
-        assert_eq!(m.record(rec(100.0, 120.0, 250.0)), DriftAction::Refit);
+        assert_eq!(m.record(rec(100.0, 250.0)), DriftAction::Refit);
         assert!(!m.is_collecting());
         assert_eq!(m.refits(), 1);
         // Refit resets the EWMA: the old residuals are about the old fit.
         assert_eq!(m.ewma_ape(), None);
         assert_eq!(m.decisions(), 4);
-        assert_eq!(m.mispredictions(), 3);
     }
 
     #[test]
@@ -269,11 +241,10 @@ mod tests {
         let m = DriftMonitor::new(cfg());
         for _ in 0..50 {
             // 10% error, under the 25% threshold.
-            assert_eq!(m.record(rec(100.0, 200.0, 110.0)), DriftAction::None);
+            assert_eq!(m.record(rec(100.0, 110.0)), DriftAction::None);
         }
         assert!(!m.is_collecting());
         assert_eq!(m.refits(), 0);
-        assert_eq!(m.mispredictions(), 0);
         let e = m.ewma_ape().unwrap();
         assert!((e - 10.0 / 110.0).abs() < 1e-9, "ewma {e}");
     }
@@ -286,21 +257,18 @@ mod tests {
         });
         for i in 0..4 {
             assert_eq!(
-                m.record(rec(100.0, 500.0, 1000.0)),
+                m.record(rec(100.0, 1000.0)),
                 DriftAction::None,
                 "decision {i} triggered early"
             );
         }
-        assert_eq!(
-            m.record(rec(100.0, 500.0, 1000.0)),
-            DriftAction::StartedCollection
-        );
+        assert_eq!(m.record(rec(100.0, 1000.0)), DriftAction::StartedCollection);
     }
 
     #[test]
     fn refit_resets_the_min_decision_gate() {
         let m = DriftMonitor::new(cfg());
-        let bad = rec(100.0, 120.0, 1000.0);
+        let bad = rec(100.0, 1000.0);
         assert_eq!(m.record(bad), DriftAction::None);
         assert_eq!(m.record(bad), DriftAction::StartedCollection);
         assert_eq!(m.record(bad), DriftAction::None);
@@ -312,15 +280,14 @@ mod tests {
 
     #[test]
     fn zero_observed_cost_is_not_an_error() {
-        let r = rec(100.0, 120.0, 0.0);
+        let r = rec(100.0, 0.0);
         assert_eq!(r.ape(), 0.0);
-        assert!(!r.mispredicted());
     }
 
     #[test]
     fn drain_recent_takes_and_caps() {
         let m = DriftMonitor::new(cfg());
-        let good = rec(100.0, 200.0, 101.0);
+        let good = rec(100.0, 101.0);
         for _ in 0..300 {
             m.record(good);
         }

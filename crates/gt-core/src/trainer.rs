@@ -85,8 +85,8 @@ pub struct GraphTensor {
     cost: Arc<CostModel>,
     counters: Arc<DkpCounters>,
     drift: Arc<DriftMonitor>,
-    /// (decisions, mispredictions, refits) already emitted as counters.
-    drift_emitted: (u64, u64, u64),
+    /// (decisions, refits) already emitted as counters.
+    drift_emitted: (u64, u64),
     batches_run: usize,
     params_ready: bool,
 }
@@ -111,7 +111,7 @@ impl GraphTensor {
             cost,
             counters: Arc::new(DkpCounters::default()),
             drift: Arc::new(DriftMonitor::default()),
-            drift_emitted: (0, 0, 0),
+            drift_emitted: (0, 0),
             batches_run: 0,
             params_ready: false,
         }
@@ -127,7 +127,7 @@ impl GraphTensor {
         &self.cost
     }
 
-    /// The DKP drift monitor (residual EWMA, misprediction/refit counts).
+    /// The DKP drift monitor (residual EWMA, decision/refit counts).
     pub fn drift_monitor(&self) -> &Arc<DriftMonitor> {
         &self.drift
     }
@@ -229,11 +229,7 @@ impl GraphTensor {
     /// EWMA gauge, and one structured `dkp_decision` event per completed
     /// decision since the last batch.
     fn emit_drift_telemetry(&mut self, telemetry: &gt_telemetry::Telemetry) {
-        let now = (
-            self.drift.decisions(),
-            self.drift.mispredictions(),
-            self.drift.refits(),
-        );
+        let now = (self.drift.decisions(), self.drift.refits());
         let prev = self.drift_emitted;
         telemetry
             .counter(
@@ -243,16 +239,10 @@ impl GraphTensor {
             .add(now.0 - prev.0);
         telemetry
             .counter(
-                "gt_dkp_mispredictions_total",
-                "DKP decisions whose observed cost contradicted the predicted ordering",
-            )
-            .add(now.1 - prev.1);
-        telemetry
-            .counter(
                 "gt_dkp_refits_total",
                 "DKP cost-model refits triggered by drift",
             )
-            .add(now.2 - prev.2);
+            .add(now.1 - prev.1);
         if let Some(e) = self.drift.ewma_ape() {
             telemetry
                 .gauge(
@@ -265,7 +255,6 @@ impl GraphTensor {
             let predicted = format!("{:.3}", r.predicted_us);
             let observed = format!("{:.3}", r.observed_us);
             let ape = format!("{:.4}", r.ape());
-            let mispredicted = r.mispredicted().to_string();
             telemetry.event(
                 "dkp",
                 "dkp_decision",
@@ -274,11 +263,10 @@ impl GraphTensor {
                     ("predicted_us", &predicted),
                     ("observed_us", &observed),
                     ("ape", &ape),
-                    ("mispredicted", &mispredicted),
                 ],
             );
         }
-        if now.2 > prev.2 {
+        if now.1 > prev.1 {
             let fit_error = self
                 .cost
                 .fit_error()
@@ -367,7 +355,9 @@ impl GraphTensor {
         let mut cfg = self.sampler.clone();
         cfg.seed = cfg.seed.wrapping_add(self.batches_run as u64);
         let pr = {
-            let _s = telemetry.span("train", "run_prepro").arg("phase", "prepro");
+            let _s = telemetry
+                .span("train", "sample_and_reindex")
+                .arg("phase", "prepro");
             sample_and_reindex(data, batch, &cfg, ThreadPool::global())
         };
         self.last_work = Some(pr.work.clone());

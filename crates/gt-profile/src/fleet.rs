@@ -17,8 +17,8 @@
 //! priced batch, with the per-worker schedules), then build a
 //! [`FleetReport`] with the run's scalar totals ([`FleetTotals`]). Every
 //! number is virtual-time-derived, so reports are bit-identical across
-//! thread counts; [`render`] is the text form the cluster bench mounts at
-//! `/fleetz`.
+//! thread counts; [`render`] is the text form the cluster bench writes
+//! with `--fleet-out`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -251,7 +251,7 @@ impl FleetReport {
     }
 }
 
-/// Render the report as the plain-text page served at `/fleetz`. Purely a
+/// Render the report as the plain-text fleet page. Purely a
 /// function of the report: bit-identical across thread counts and worker
 /// counts that don't change the modeled run.
 pub fn render(r: &FleetReport) -> String {

@@ -11,8 +11,8 @@
 //!   whitespace the service-wide tensor scheduler exists to eliminate.
 //! - [`FleetReport`]: fleet health for distributed runs — per-worker
 //!   busy/idle/link utilization, stage-level imbalance ratios, per-batch
-//!   straggler attribution (the text page the cluster bench serves at
-//!   `/fleetz`).
+//!   straggler attribution (the text page the cluster bench writes with
+//!   `--fleet-out`).
 //!
 //! Everything is deterministic and zero-external-dependency, like the rest
 //! of the workspace. See `docs/profiling.md`.

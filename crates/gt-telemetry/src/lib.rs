@@ -25,7 +25,6 @@
 //! because the workspace builds offline with no vendored external crates.
 
 pub mod context;
-pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod prometheus;
@@ -138,19 +137,9 @@ impl Telemetry {
         self.registry.gauge(name, help)
     }
 
-    /// Get or register one labeled gauge series.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.registry.gauge_with(name, help, labels)
-    }
-
     /// Get or register a histogram with default µs latency buckets.
     pub fn histogram_us(&self, name: &str, help: &str) -> Histogram {
         self.registry.histogram_us(name, help)
-    }
-
-    /// Get or register one labeled µs-latency histogram series.
-    pub fn histogram_us_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-        self.registry.histogram_us_with(name, help, labels)
     }
 
     /// The underlying registry (for custom-bucket histograms).

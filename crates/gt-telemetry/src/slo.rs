@@ -37,7 +37,7 @@ pub struct BurnRule {
 /// A declarative service-level objective.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloSpec {
-    /// Objective name (shown in events, `/healthz`, and dumps).
+    /// Objective name (shown in events and dumps).
     pub name: &'static str,
     /// A completion slower than this is bad, virtual µs.
     pub latency_threshold_us: f64,
@@ -145,7 +145,7 @@ impl SloEngine {
         self.firing.iter().any(|&f| f)
     }
 
-    /// Stable state label for `/healthz` and dumps: `ok`, or
+    /// Stable state label for reports and dumps: `ok`, or
     /// `breach:<rule>` naming the most urgent firing rule.
     pub fn state(&self) -> String {
         match self

@@ -27,11 +27,6 @@
 //! Crash sites: `mid-journal`, `mid-checkpoint`, `after-commit`
 //! (docs/fault_model.md §Durability & recovery).
 //!
-//! With `--serve-metrics PORT` the run exposes a zero-dependency scrape
-//! endpoint (`/metrics` in Prometheus exposition format, `/healthz`) for
-//! the duration of the loop, then self-scrapes it once and prints the
-//! result — a built-in smoke test. Port `0` picks an ephemeral port.
-//!
 //! The fault plan is seeded, so this run is exactly reproducible: same
 //! seed, same retries, same outcomes. With an empty plan the supervisor is
 //! a pass-through and numerics are bit-identical to the plain trainer.
@@ -45,29 +40,15 @@ const BATCHES: usize = 20;
 fn usage() -> ! {
     eprintln!(
         "usage: fault_tolerant_serving [--checkpoint-dir DIR] [--crash-at N] \
-         [--crash-site SITE] [--serve-metrics PORT]"
+         [--crash-site SITE]"
     );
     std::process::exit(2);
-}
-
-/// One `GET` against our own metrics endpoint, over plain std TCP.
-fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect to metrics endpoint");
-    let request = format!("GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n");
-    stream.write_all(request.as_bytes()).expect("send scrape");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read scrape");
-    let (head, body) = response.split_once("\r\n\r\n").expect("http response");
-    assert!(head.starts_with("HTTP/1.1 200"), "scrape failed: {head}");
-    body.to_string()
 }
 
 fn main() {
     let mut checkpoint_dir: Option<PathBuf> = None;
     let mut crash_at: Option<usize> = None;
     let mut crash_site = CrashSite::MidJournal;
-    let mut metrics_port: Option<u16> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -76,9 +57,6 @@ fn main() {
             "--crash-at" => crash_at = Some(value().parse().unwrap_or_else(|_| usage())),
             "--crash-site" => {
                 crash_site = CrashSite::parse(&value()).unwrap_or_else(|| usage());
-            }
-            "--serve-metrics" => {
-                metrics_port = Some(value().parse().unwrap_or_else(|_| usage()));
             }
             _ => usage(),
         }
@@ -101,16 +79,6 @@ fn main() {
         ..Default::default()
     };
     trainer.lr = 0.3;
-
-    // Scrape endpoint: give the trainer a recording telemetry handle and
-    // expose its registry over plain-std HTTP for the life of the run.
-    let metrics_server = metrics_port.map(|port| {
-        let telemetry = Telemetry::recording();
-        trainer.telemetry = telemetry.clone();
-        let server = MetricsServer::start(port, telemetry).expect("bind metrics endpoint");
-        println!("metrics: http://{}/metrics (and /healthz)\n", server.addr());
-        server
-    });
 
     // An unkind environment: 30% of DMAs fail per attempt, host core 0
     // runs 4x slow, and a co-tenant occasionally grabs nearly all device
@@ -227,22 +195,6 @@ fn main() {
             q.reason,
             q.attempts
         );
-    }
-    if let Some(endpoint) = metrics_server {
-        // Built-in smoke test: scrape our own endpoint once before
-        // shutting it down, and fail loudly if the exposition is empty.
-        let health = scrape(endpoint.addr(), "/healthz");
-        assert!(health.starts_with("ok\n"), "healthz answered {health:?}");
-        assert!(health.contains("uptime_s "), "healthz answered {health:?}");
-        assert!(health.contains("slo "), "healthz answered {health:?}");
-        let metrics = scrape(endpoint.addr(), "/metrics");
-        assert!(metrics.contains("gt_"), "no gt_ series in the exposition");
-        let series = metrics
-            .lines()
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .count();
-        println!("\nmetrics self-scrape ok: healthz ok, {series} series exposed");
-        endpoint.shutdown();
     }
     if server.is_durable() {
         server.checkpoint_now().expect("final checkpoint");

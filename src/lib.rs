@@ -68,5 +68,5 @@ pub mod prelude {
     pub use gt_models::{evaluate, gat_lite, gcn, ngcf, train_epochs};
     pub use gt_sample::{BatchIter, SamplerConfig};
     pub use gt_sim::{CrashSite, FaultPlan, SystemSpec};
-    pub use gt_telemetry::{http::MetricsServer, SloSpec, Telemetry};
+    pub use gt_telemetry::{SloSpec, Telemetry};
 }
