@@ -33,10 +33,11 @@
 //! **One body per row walk, two instantiations.** The three row walks — the
 //! forward CSR chunk, the backward CSC chunk and the serial
 //! `edge_input_grad` pass — are plain-Rust `Walk` bodies. `Isa::run`
-//! compiles each twice on `x86_64`, as the dense band kernel is compiled:
-//! for the baseline target (SSE2) and, where [`has_avx2`] detects it,
-//! under `#[target_feature(enable = "avx2")]`. **Never `fma`.** Aggregation is
-//! bound by irregular source-row reads, so the two walks that read source
+//! compiles each twice on `x86_64`: for the baseline target (SSE2) and,
+//! where [`has_avx2`] detects it, under `#[target_feature(enable = "avx2")]`.
+//! **Never `fma`.** Aggregation is bound by irregular source-row reads, not
+//! arithmetic, so unlike the dense band kernel the walks have no AVX-512
+//! instantiation, and the two walks that read source
 //! rows in CSR order (forward, `edge_input_grad`) also prefetch (T0) every
 //! line of the row they will read `PREFETCH_EDGES` edges further on in the
 //! chunk's flat edge slice. The CSC walk's random reads are gradient rows

@@ -4,21 +4,31 @@
 //!
 //! All three products (`matmul`, `matmul_transpose_b`, `transpose_a_matmul`)
 //! run one band kernel, `band`: the output band is cut into register tiles
-//! of `TILE_R` rows × `TILE_C` feature columns, and each tile accumulates
+//! of `R` rows × `C` feature columns, and each tile accumulates
 //! `Σ_k A[r][k]·B[k][j]` with **k ascending per output element**, one rounded
 //! multiply and one rounded add per step. Tiling only reorders *which
 //! element* is worked on, never the order of one element's sum, so every
 //! result equals (`==`) the plain triple loop's.
 //!
-//! **One body, two instantiations.** The kernel is plain Rust, no intrinsics:
-//! `band_body` + `tile`. `band` compiles it twice on `x86_64` — for the
-//! build's baseline target (SSE2) and, behind `is_x86_feature_detected!`,
-//! under `#[target_feature(enable = "avx2")]`, where the same loops become
-//! 256-bit multiplies and adds — and once everywhere else. The lanes are
-//! independent output elements, so vector width cannot change a result.
-//! **Never `fma`:** a fused multiply-add rounds once where the contract says
-//! twice, and would break the `==` identity with the scalar loops (and every
-//! pinned digest downstream). [`kernel_isa`] names the instantiation in use.
+//! **One body, three instantiations.** The kernel is plain Rust, no
+//! intrinsics: `band_body::<R, C>` + `tile::<R, C>`, the register tile a
+//! const-generic parameter. `band` compiles it three times on `x86_64` — for
+//! the build's baseline target (SSE2) and, behind `is_x86_feature_detected!`,
+//! under `#[target_feature(enable = "avx2")]` and
+//! `#[target_feature(enable = "avx512f")]`, where the same loops become
+//! 256- and 512-bit multiplies and adds — and once everywhere else. The
+//! baseline and AVX2 have 16 vector registers and keep the 4×16 tile
+//! (`TILE_R` × `TILE_C`); AVX-512 has 32, and its 8×32 tile holds 16 zmm
+//! accumulators. The tile, not the width alone, is the gain: on the heavy
+//! workload's `X·W` (1903 table rows × 4353 by 4353 × 64, one thread of a
+//! 2-vCPU AVX-512 Xeon) AVX2 4×16 ran 21.5 GF/s, `avx512f` 4×16 24.4 and
+//! `avx512f` 8×32 39.4. The lanes are independent output elements, so
+//! neither vector width nor tile shape can change a result. **Never `fma`:**
+//! a fused multiply-add rounds once where the contract says twice, and would
+//! break the `==` identity with the scalar loops (and every pinned digest
+//! downstream); rustc's `avx512f` implies its `fma` target feature, so CI
+//! checks the built binary for fused instructions. [`kernel_isa`] names the
+//! instantiation in use, and every product dispatches on that name.
 //!
 //! **The kernel adds onto `c`.** A tile loads its accumulators from the
 //! output band, so `band` computes `c += A·B` and a long sum can be fed to
@@ -40,7 +50,7 @@
 //! [`Rows`] names rows `ids` of an [`EmbeddingTable`] without copying them
 //! (the GraphTensor trainer's first-layer input: the sampled vertices'
 //! features). `Rows::matmul` hands the kernel the table and the ids, and a
-//! tile looks up its `TILE_R` row offsets once, before its k loop;
+//! tile looks up its `R` row offsets once, before its k loop;
 //! `Rows::transpose_a_matmul` packs its panel from `table.row(ids[k])`. Both
 //! read the same floats in the same k order as the product of the gathered
 //! matrix, through the same kernel, so the results are `to_bits`-equal.
@@ -59,7 +69,8 @@ const MM_ROW_CHUNK: usize = 32;
 const TA_ROW_CHUNK: usize = 64;
 /// Rows of the left operand packed per `transpose_a_matmul` panel.
 const TA_K_BLOCK: usize = 256;
-/// Register tile: output rows × output columns held in accumulators.
+/// Register tile of the instantiations with 16 vector registers (baseline
+/// and AVX2): output rows × output columns held in accumulators.
 const TILE_R: usize = 4;
 const TILE_C: usize = 16;
 
@@ -110,12 +121,9 @@ impl<'a> Lhs<'a> {
     }
 }
 
-/// A band kernel: [`band`], or in tests `band_body` directly.
-type Kernel = fn(&mut [f32], usize, Lhs, usize, &[f32]);
-
-/// The dispatch predicate of every kernel compiled twice (the band kernel
-/// here, Pull's row walks in `gt-core`): whether this CPU runs the AVX2
-/// instantiation.
+/// The dispatch predicate of Pull's row walks in `gt-core`, compiled for
+/// the baseline and for AVX2: whether this CPU runs their AVX2
+/// instantiation. The band kernel here dispatches on [`kernel_isa`].
 pub fn has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     return std::arch::is_x86_feature_detected!("avx2");
@@ -123,10 +131,14 @@ pub fn has_avx2() -> bool {
     false
 }
 
-/// Which instantiation of the kernels compiled twice this process runs —
-/// the dense band kernel and Pull's row walks alike: `"avx2"` or
-/// `"baseline"`. Wall-clock tables print it; results do not depend on it.
+/// The widest instantiation of the band kernel this CPU runs, and the one
+/// every product uses: `"avx512f"`, `"avx2"` or `"baseline"`. Wall-clock
+/// tables print it; results do not depend on it.
 pub fn kernel_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        return "avx512f";
+    }
     if has_avx2() {
         "avx2"
     } else {
@@ -136,44 +148,60 @@ pub fn kernel_isa() -> &'static str {
 
 /// `c[r][j] += Σ_{kk<k} a(r, kk) · b[kk][j]` for the `c.len()/n` rows of the
 /// band `c`, k ascending per element (the module contract). `b` is `k×n`
-/// row-major. Runs the widest instantiation of [`band_body`] the CPU has.
-fn band(c: &mut [f32], n: usize, a: Lhs, k: usize, b: &[f32]) {
+/// row-major. Runs the `isa` instantiation of [`band_body`]: a name
+/// [`kernel_isa`] can answer, for an ISA this CPU has.
+fn band(isa: &str, c: &mut [f32], n: usize, a: Lhs, k: usize, b: &[f32]) {
     #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: `band_avx2` requires the `avx2` target feature, which
-        // `has_avx2` has just detected on the running CPU.
-        return unsafe { band_avx2(c, n, a, k, b) };
+    if isa != "baseline" {
+        let wide = match isa {
+            "avx512f" if std::arch::is_x86_feature_detected!("avx512f") => band_avx512,
+            "avx2" if has_avx2() => band_avx2,
+            _ => panic!("this CPU lacks the {isa} instantiation"),
+        };
+        // SAFETY: each wide instantiation requires the target feature its
+        // match arm has just detected on the running CPU.
+        return unsafe { wide(c, n, a, k, b) };
     }
-    band_body(c, n, a, k, b)
+    assert_eq!(isa, "baseline", "this CPU lacks the {isa} instantiation");
+    band_body::<TILE_R, TILE_C>(c, n, a, k, b)
 }
 
-/// [`band_body`] compiled for 256-bit vectors. No `fma` (module doc).
+/// [`band_body`] compiled for 256-bit vectors: a 4×16 tile, 8 of the 16 ymm
+/// registers as accumulators. No `fma` (module doc).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn band_avx2(c: &mut [f32], n: usize, a: Lhs, k: usize, b: &[f32]) {
-    band_body(c, n, a, k, b)
+    band_body::<TILE_R, TILE_C>(c, n, a, k, b)
 }
 
-/// The one kernel body. Full tiles get compile-time bounds (unrolled,
-/// accumulators in registers); ragged edge tiles run the same loops with
-/// runtime bounds.
+/// [`band_body`] compiled for 512-bit vectors: an 8×32 tile, 16 of the 32
+/// zmm registers as accumulators. No `fma` (module doc).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn band_avx512(c: &mut [f32], n: usize, a: Lhs, k: usize, b: &[f32]) {
+    band_body::<8, 32>(c, n, a, k, b)
+}
+
+/// The one kernel body, over `R`×`C` register tiles. Full tiles get
+/// compile-time bounds (unrolled, accumulators in registers); ragged edge
+/// tiles run the same loops with runtime bounds.
 #[inline(always)]
-fn band_body(c: &mut [f32], n: usize, a: Lhs, k: usize, b: &[f32]) {
+fn band_body<const R: usize, const C: usize>(c: &mut [f32], n: usize, a: Lhs, k: usize, b: &[f32]) {
     let rows = c.len() / n;
-    for r0 in (0..rows).step_by(TILE_R) {
-        for j0 in (0..n).step_by(TILE_C) {
-            let (rw, cw) = (TILE_R.min(rows - r0), TILE_C.min(n - j0));
-            if (rw, cw) == (TILE_R, TILE_C) {
-                tile(c, n, a, k, b, (r0, j0), (TILE_R, TILE_C));
+    for r0 in (0..rows).step_by(R) {
+        for j0 in (0..n).step_by(C) {
+            let (rw, cw) = (R.min(rows - r0), C.min(n - j0));
+            if (rw, cw) == (R, C) {
+                tile::<R, C>(c, n, a, k, b, (r0, j0), (R, C));
             } else {
-                tile(c, n, a, k, b, (r0, j0), (rw, cw));
+                tile::<R, C>(c, n, a, k, b, (r0, j0), (rw, cw));
             }
         }
     }
 }
 
 #[inline(always)]
-fn tile(
+fn tile<const R: usize, const C: usize>(
     c: &mut [f32],
     n: usize,
     a: Lhs,
@@ -182,8 +210,8 @@ fn tile(
     (r0, j0): (usize, usize),
     (rw, cw): (usize, usize),
 ) {
-    let mut acc = [[0.0f32; TILE_C]; TILE_R];
-    let mut starts = [0usize; TILE_R];
+    let mut acc = [[0.0f32; C]; R];
+    let mut starts = [0usize; R];
     for (r, (arow, start)) in acc.iter_mut().zip(&mut starts).enumerate().take(rw) {
         arow[..cw].copy_from_slice(&c[(r0 + r) * n + j0..][..cw]);
         *start = a.start(r0 + r);
@@ -203,12 +231,12 @@ fn tile(
 }
 
 /// `a · b` for the `m` rows of `a`, parallel over bands of output rows.
-fn row_banded(label: &'static str, a: Lhs, m: usize, b: &Matrix, kernel: Kernel) -> Matrix {
+fn row_banded(label: &'static str, a: Lhs, m: usize, b: &Matrix, isa: &str) -> Matrix {
     let (k, n) = (b.rows, b.cols);
     let mut out = Matrix::zeros(m, n);
     let chunk = MM_ROW_CHUNK * n;
     ThreadPool::global().for_each_chunk_mut(label, &mut out.data, chunk, |ci, c| {
-        kernel(c, n, a.skip_rows(ci * MM_ROW_CHUNK), k, &b.data);
+        band(isa, c, n, a.skip_rows(ci * MM_ROW_CHUNK), k, &b.data);
     });
     out
 }
@@ -222,7 +250,7 @@ fn transpose_a_matmul_on<A: RowSource + ?Sized>(
     a: &A,
     pool: &ThreadPool,
     rhs: &Matrix,
-    kernel: Kernel,
+    isa: &str,
 ) -> Matrix {
     assert_eq!(a.rows(), rhs.rows, "matmul_ta shape mismatch");
     let (k, m, n) = (a.rows(), a.cols(), rhs.cols);
@@ -242,7 +270,7 @@ fn transpose_a_matmul_on<A: RowSource + ?Sized>(
                 ks: w,
                 ids: None,
             };
-            kernel(c, n, lhs, kb, &rhs.data[k0 * n..]);
+            band(isa, c, n, lhs, kb, &rhs.data[k0 * n..]);
         }
     });
     out
@@ -279,12 +307,12 @@ impl Rows<'_> {
             ids: Some(self.ids),
             ..Lhs::dense(self.table.data(), self.table.dim())
         };
-        row_banded("dense.matmul", a, self.ids.len(), rhs, band)
+        row_banded("dense.matmul", a, self.ids.len(), rhs, kernel_isa())
     }
 
     /// `selfᵀ · rhs`: the panel is packed from the table's rows.
     pub fn transpose_a_matmul(&self, rhs: &Matrix) -> Matrix {
-        transpose_a_matmul_on(self, ThreadPool::global(), rhs, band)
+        transpose_a_matmul_on(self, ThreadPool::global(), rhs, kernel_isa())
     }
 }
 
@@ -427,7 +455,7 @@ impl Matrix {
     /// differ where a zero meets `∞`/`NaN` (now `NaN`, as IEEE says).
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
-        row_banded("dense.matmul", self.lhs(), self.rows, rhs, band)
+        row_banded("dense.matmul", self.lhs(), self.rows, rhs, kernel_isa())
     }
 
     /// `self · rhsᵀ`.
@@ -445,7 +473,7 @@ impl Matrix {
             self.lhs(),
             self.rows,
             &rhs.transpose(),
-            band,
+            kernel_isa(),
         )
     }
 
@@ -455,7 +483,7 @@ impl Matrix {
 
     /// `selfᵀ · rhs`.
     pub fn transpose_a_matmul(&self, rhs: &Matrix) -> Matrix {
-        transpose_a_matmul_on(self, ThreadPool::global(), rhs, band)
+        transpose_a_matmul_on(self, ThreadPool::global(), rhs, kernel_isa())
     }
 
     /// Explicit transpose, walked in square tiles so both the reads and the
@@ -695,15 +723,16 @@ mod tests {
         m.data.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every remainder path: rows % TILE_R, rows across pool chunks,
-    /// cols % TILE_C, the empty and the single-step sum, the heavy
+    /// Every remainder path of both tiles (4×16 and 8×32): m and n on,
+    /// just under and just over a multiple of each, rows across pool chunks,
+    /// the empty and the single-step sum, the heavy
     /// workload's 4353-long one, and for `transpose_a_matmul`'s panel a
     /// ragged last band and a ragged last k block around several blocks.
     fn oracle_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = Vec::new();
-        for m in [0, 1, 3, 4, 5, 33, 70] {
+        for m in [0, 1, 3, 4, 5, 7, 8, 9, 33, 70] {
             for k in [0, 1, 64] {
-                for n in [1, 2, 7, 16, 47, 64] {
+                for n in [1, 2, 7, 15, 16, 31, 32, 33, 47, 64, 65] {
                     shapes.push((m, k, n));
                 }
             }
@@ -717,16 +746,44 @@ mod tests {
         shapes
     }
 
-    /// The dispatcher (AVX2 where the host has it) and the baseline body.
-    const KERNELS: [(&str, Kernel); 2] = [("dispatched", band), ("baseline", band_body)];
+    /// Every instantiation this CPU runs, narrowest first: the baseline, then
+    /// each wide one it detects. The public products run the last.
+    fn kernels() -> Vec<&'static str> {
+        let mut isas = vec!["baseline"];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if has_avx2() {
+                isas.push("avx2");
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                isas.push("avx512f");
+            }
+        }
+        isas
+    }
 
     #[test]
     fn kernel_isa_names_what_the_cpu_reports() {
         #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        let (avx512f, avx2) = (
+            std::arch::is_x86_feature_detected!("avx512f"),
+            std::arch::is_x86_feature_detected!("avx2"),
+        );
         #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
-        assert_eq!(kernel_isa(), if avx2 { "avx2" } else { "baseline" });
+        let (avx512f, avx2) = (false, false);
+        let want = match (avx512f, avx2) {
+            (true, _) => "avx512f",
+            (false, true) => "avx2",
+            (false, false) => "baseline",
+        };
+        assert_eq!(kernel_isa(), want);
+        assert_eq!(kernels().last(), Some(&want));
+    }
+
+    #[test]
+    #[should_panic(expected = "lacks the avx1024 instantiation")]
+    fn band_refuses_an_isa_it_was_not_built_for() {
+        band("avx1024", &mut [0.0], 1, Lhs::dense(&[1.0], 1), 1, &[1.0]);
     }
 
     #[test]
@@ -741,25 +798,27 @@ mod tests {
             let want_tb = ref_matmul_tb(&a, &bt);
             let want_ta = ref_ta_matmul(&at, &b);
             let mut tb_bits = Vec::new();
-            for (name, kernel) in KERNELS {
+            for isa in kernels() {
                 // Bit-for-bit, signed zeros included: an accumulator that
                 // starts at +0.0 can never become -0.0, so the extra `+ 0·b`
                 // is a no-op.
-                let got = row_banded("dense.matmul", a.lhs(), m, &b, kernel);
-                assert_eq!(bits(&got), bits(&want_mm), "{name} matmul {m}x{k}x{n}");
+                let got = row_banded("dense.matmul", a.lhs(), m, &b, isa);
+                assert_eq!(bits(&got), bits(&want_mm), "{isa} matmul {m}x{k}x{n}");
 
                 // `sum()` starts from -0.0, so the old dot returned -0.0 for
                 // an empty or all-(-0.0) sum where the kernel returns +0.0:
                 // equal under `==`, which is the contract, but not the same
-                // bits. The two instantiations do agree bit for bit.
-                let got = row_banded("dense.matmul_tb", a.lhs(), m, &bt.transpose(), kernel);
-                assert_eq!(got.data, want_tb.data, "{name} matmul_tb {m}x{k}x{n}");
+                // bits. The instantiations do agree bit for bit.
+                let got = row_banded("dense.matmul_tb", a.lhs(), m, &bt.transpose(), isa);
+                assert_eq!(got.data, want_tb.data, "{isa} matmul_tb {m}x{k}x{n}");
                 tb_bits.push(bits(&got));
 
-                let got = transpose_a_matmul_on(&at, ThreadPool::global(), &b, kernel);
-                assert_eq!(bits(&got), bits(&want_ta), "{name} matmul_ta {m}x{k}x{n}");
+                let got = transpose_a_matmul_on(&at, ThreadPool::global(), &b, isa);
+                assert_eq!(bits(&got), bits(&want_ta), "{isa} matmul_ta {m}x{k}x{n}");
             }
-            assert_eq!(tb_bits[0], tb_bits[1], "matmul_tb {m}x{k}x{n}");
+            for (isa, got) in kernels().iter().zip(&tb_bits) {
+                assert_eq!(got, &tb_bits[0], "{isa} matmul_tb {m}x{k}x{n}");
+            }
             // The public entry points are the dispatched kernel.
             assert_eq!(bits(&a.matmul(&b)), bits(&want_mm));
             assert_eq!(bits(&a.matmul_transpose_b(&bt)), tb_bits[0]);
@@ -800,14 +859,14 @@ mod tests {
                 ids: &ids,
             };
             let x = gathered(&view);
-            for (name, kernel) in KERNELS {
+            for isa in kernels() {
                 let a = Lhs {
                     ids: Some(view.ids),
                     ..Lhs::dense(table.data(), k)
                 };
-                let got = row_banded("dense.matmul", a, m, &b, kernel);
-                let want = row_banded("dense.matmul", x.lhs(), m, &b, kernel);
-                assert_eq!(bits(&got), bits(&want), "{name} matmul {m}x{k}x{n}");
+                let got = row_banded("dense.matmul", a, m, &b, isa);
+                let want = row_banded("dense.matmul", x.lhs(), m, &b, isa);
+                assert_eq!(bits(&got), bits(&want), "{isa} matmul {m}x{k}x{n}");
             }
             assert_eq!(bits(&view.matmul(&b)), bits(&x.matmul(&b)));
 
@@ -818,15 +877,15 @@ mod tests {
                 ids: &ids,
             };
             let xt = gathered(&view);
-            for (name, kernel) in KERNELS {
-                let want = bits(&transpose_a_matmul_on(&xt, &pools[0], &b, kernel));
+            for isa in kernels() {
+                let want = bits(&transpose_a_matmul_on(&xt, &pools[0], &b, isa));
                 for pool in &pools {
-                    let got = transpose_a_matmul_on(&view, pool, &b, kernel);
+                    let got = transpose_a_matmul_on(&view, pool, &b, isa);
                     let width = pool.workers();
                     assert_eq!(
                         bits(&got),
                         want,
-                        "{name} matmul_ta {m}x{k}x{n}, width {width}"
+                        "{isa} matmul_ta {m}x{k}x{n}, width {width}"
                     );
                 }
             }
@@ -846,11 +905,11 @@ mod tests {
         let want = bits(&ref_ta_matmul(&a, &b));
         for width in [1, 2, 4] {
             let pool = ThreadPool::new(width);
-            for (name, kernel) in KERNELS {
+            for isa in kernels() {
                 assert_eq!(
-                    bits(&transpose_a_matmul_on(&a, &pool, &b, kernel)),
+                    bits(&transpose_a_matmul_on(&a, &pool, &b, isa)),
                     want,
-                    "{name}, width {width}"
+                    "{isa}, width {width}"
                 );
             }
         }
@@ -860,7 +919,14 @@ mod tests {
     fn band_adds_onto_c() {
         // The kernel's contract since the k-blocked panel: `c += A·B`, each
         // element's chain continuing from the value already in `c`.
-        for (m, k, n) in [(1, 1, 1), (4, 16, 16), (5, 37, 17), (9, 300, 47)] {
+        for (m, k, n) in [
+            (1, 1, 1),
+            (4, 16, 16),
+            (5, 37, 17),
+            (8, 16, 32),
+            (9, 300, 47),
+            (17, 37, 65),
+        ] {
             let a = salted(m, k, 11);
             let b = salted(k, n, 12);
             let c0 = salted(m, n, 13);
@@ -872,10 +938,10 @@ mod tests {
                     }
                 }
             }
-            for (name, kernel) in KERNELS {
+            for isa in kernels() {
                 let mut c = c0.clone();
-                kernel(&mut c.data, n, a.lhs(), k, &b.data);
-                assert_eq!(bits(&c), bits(&want), "{name} {m}x{k}x{n}");
+                band(isa, &mut c.data, n, a.lhs(), k, &b.data);
+                assert_eq!(bits(&c), bits(&want), "{isa} {m}x{k}x{n}");
             }
         }
     }
