@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Identity manifest: run the release `repro` at test scale and hash every
 # artifact a refactor must leave byte-identical — experiment stdout,
-# checkpoints, journals, flight dumps, fleet reports, cross-worker traces —
-# into OUT/IDENTITY.sha256, a standard `sha256sum -c` file.
+# checkpoints, journals, flight dumps — into OUT/IDENTITY.sha256, a
+# standard `sha256sum -c` file.
 #
 #   cargo build --release --locked --offline -p gt-bench --bins
 #   crates/bench/identity.sh OUT
 #   diff -u crates/bench/baselines/IDENTITY.sha256 OUT/IDENTITY.sha256
 #
-# The run also writes OUT/BENCH_{smoke,serving,cluster}.json for
+# The run also writes OUT/BENCH_{smoke,serving}.json for
 # `benchdiff BASE CAND` against crates/bench/baselines/. Not hashed,
 # because they vary with the run: `smoke` stdout (thread count, dense ISA,
 # wall_* rows), the `threads` sweep (widths and wall times), every stderr.
@@ -32,7 +32,7 @@ fi
 mkdir -p "$1"
 cd "$1"
 # Durable state left by an earlier run would be recovered, not served.
-rm -rf durability crash-* cluster-w1 cluster-w4
+rm -rf durability crash-*
 
 hashed=()
 # run NAME EXPERIMENT [ARGS...]: stdout to NAME.out, which is hashed.
@@ -75,21 +75,6 @@ hashed+=(flight-crash.json)
 # The SLO breach and its flight dump.
 run slo slo --flight-out flight.json
 hashed+=(flight.json)
-
-# The cluster run at 1 and 4 workers; the cluster only prices virtual
-# time, so the checkpoint and the journal are the same at both.
-# BENCH_cluster.json is the 4-worker fleet's.
-for w in 1 4; do
-  bench=()
-  if [ "$w" = 4 ]; then bench=(--bench-out BENCH_cluster.json); fi
-  run "cluster-w$w" cluster --workers "$w" \
-    --checkpoint-dir "cluster-w$w" --fleet-out "cluster-w$w.fleet.txt" \
-    --trace-out "cluster-w$w.trace.json" "${bench[@]}"
-  hashed+=("cluster-w$w/params.gt" "cluster-w$w/outcomes.gtj"
-    "cluster-w$w.fleet.txt" "cluster-w$w.trace.json")
-done
-cmp cluster-w1/params.gt cluster-w4/params.gt
-cmp cluster-w1/outcomes.gtj cluster-w4/outcomes.gtj
 
 run serving serving --bench-out BENCH_serving.json
 "$repro" smoke --bench-out BENCH_smoke.json --scale test >smoke.out

@@ -306,7 +306,7 @@ mod tests {
                 ("batch_e2e_us_p50".into(), 1000.0),
                 ("batch_e2e_us_p99".into(), 1500.0),
                 ("throughput_samples_per_s".into(), 40_000.0),
-                ("worker3_idle_us".into(), 0.0),
+                ("prepro_S_us".into(), 0.0),
             ],
             wall: vec![("wall_batch_us_p50".into(), 2300.0)],
         }
@@ -365,7 +365,7 @@ mod tests {
                 c.metrics[0].1 = 900.0;
                 c.metrics[3].1 = 1.0;
             }),
-            ["batch_e2e_us_p50: 1000 -> 900", "worker3_idle_us: 0 -> 1",]
+            ["batch_e2e_us_p50: 1000 -> 900", "prepro_S_us: 0 -> 1",]
         );
     }
 
@@ -392,13 +392,13 @@ mod tests {
                 c.metrics[0].1 *= 3.0; // p50 latency 3×
                 c.metrics[2].1 *= 0.1; // throughput collapses
                 c.metrics.remove(1); // p99 vanishes
-                c.metrics.push(("fleet_busy_imbalance".into(), 1.2));
+                c.metrics.push(("prepro_idle_pct".into(), 1.2));
             }),
             [
                 "batch_e2e_us_p50: 1000 -> 3000",
                 "batch_e2e_us_p99: 1500 -> absent",
                 "throughput_samples_per_s: 40000 -> 4000",
-                "fleet_busy_imbalance: absent -> 1.2",
+                "prepro_idle_pct: absent -> 1.2",
             ]
         );
     }
@@ -407,8 +407,8 @@ mod tests {
     fn new_metrics_gate_unless_allowed() {
         // A new modeled metric fails; only the wall section may grow.
         assert_eq!(
-            failures_after(|c| c.metrics.push(("fleet_busy_imbalance".into(), 1.2))),
-            ["fleet_busy_imbalance: absent -> 1.2"]
+            failures_after(|c| c.metrics.push(("prepro_idle_pct".into(), 1.2))),
+            ["prepro_idle_pct: absent -> 1.2"]
         );
         assert!(failures_after(|c| c.wall.push(("wall_extra_us".into(), 1.0))).is_empty());
     }

@@ -5,11 +5,10 @@
 //!       [--batch B] [--fanout F] [--layers L] [--threads N]
 //!       [--trace-out PATH] [--bench-out PATH] [--checkpoint-dir DIR]
 //!       [--crash-at N] [--crash-site mid-journal|mid-checkpoint|after-commit]
-//!       [--workers N] [--partition vertex-cut|feature-dim]
 //!
 //! experiments: fig6 fig8 fig11b fig12 fig14 fig15 fig16 fig17 fig18
 //!              fig19 fig20 table1 table2 table3 scalability ablation
-//!              threads durability chaos cluster slo serving smoke
+//!              threads durability chaos slo serving smoke
 //! ```
 //!
 //! `--threads N` pins the process-wide `gt_par` pool (same effect as
@@ -54,21 +53,6 @@
 //! are deterministic — bit-identical at every `GT_THREADS` width. See
 //! `docs/telemetry.md` §Tracing contexts and §SLOs in virtual time.
 //!
-//! The `cluster` experiment serves the workload once through the
-//! cluster pricing layer: every batch trains once, through one inner
-//! supervisor, and is priced over `--workers N` simulated workers
-//! (`--partition` vertex-cut or feature-dim) with ring collectives; the
-//! durable state (journal + final checkpoint) lands in
-//! `--checkpoint-dir`, and its checkpoint is byte-identical at every
-//! worker count. With `--bench-out` it writes `BENCH_cluster.json` —
-//! per-worker busy/idle/link time, collective time, and the fleet skew
-//! figures (busy/stage imbalance, straggler attribution), all in virtual
-//! time — which CI's `identity` job gates. For `cluster`, `--trace-out`
-//! writes the *cross-worker* Perfetto trace (the coordinator plus one
-//! process per worker, flow-linked, all virtual time) instead of the
-//! wall-clock span tree, and `--fleet-out` writes the fleet health
-//! report. See `docs/distributed.md`.
-//!
 //! The `serving` experiment runs the million-user scenario: a seeded
 //! open-loop diurnal workload (hot-key skew, flash crowds, three
 //! tenants) against the durable gateway with per-tenant quotas, deficit
@@ -89,12 +73,10 @@ fn usage() -> ! {
          [--trace-out PATH] [--bench-out PATH] [--checkpoint-dir DIR] \
          [--crash-at N] [--crash-site mid-journal|mid-checkpoint|after-commit] \
          [--seeds N] [--seeds-file PATH] \
-         [--chaos-replay FILE] [--chaos-out PATH] [--flight-out PATH] \
-         [--workers N] [--partition vertex-cut|feature-dim] \
-         [--fleet-out PATH]\n\
+         [--chaos-replay FILE] [--chaos-out PATH] [--flight-out PATH]\n\
          experiments: fig6 fig8 fig11b fig12 fig14 fig15 fig16 fig17 fig18 \
          fig19 fig20 table1 table2 table3 scalability ablation threads \
-         durability chaos cluster slo serving smoke"
+         durability chaos slo serving smoke"
     );
     std::process::exit(2);
 }
@@ -109,7 +91,6 @@ fn main() {
     let mut bench_out: Option<String> = None;
     let mut durability_opts = durability::DurabilityOpts::default();
     let mut chaos_opts = chaos::ChaosOpts::default();
-    let mut cluster_opts = cluster::ClusterOpts::default();
     let mut slo_opts = slo::SloOpts::default();
     let mut serving_opts = serving::ServingOpts::default();
     // The experiment is normally the first positional argument; flag-only
@@ -208,25 +189,6 @@ fn main() {
                 i += 1;
                 chaos_opts.seeds_file = Some(args.get(i).cloned().unwrap_or_else(usage_v).into());
             }
-            "--workers" => {
-                i += 1;
-                cluster_opts.workers = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(usage_v);
-            }
-            "--partition" => {
-                i += 1;
-                cluster_opts.partition = args
-                    .get(i)
-                    .and_then(|s| gt_core::Partition::parse(s))
-                    .unwrap_or_else(usage_v);
-            }
-            "--fleet-out" => {
-                i += 1;
-                cluster_opts.fleet_out = Some(args.get(i).cloned().unwrap_or_else(usage_v).into());
-            }
             "--chaos-replay" => {
                 i += 1;
                 chaos_opts.replay = Some(args.get(i).cloned().unwrap_or_else(usage_v).into());
@@ -254,18 +216,10 @@ fn main() {
         }
     }
 
-    // `slo`, `serving`, and `cluster` serve durably too;
-    // `--checkpoint-dir` names their state dir.
+    // `slo` and `serving` serve durably too; `--checkpoint-dir` names
+    // their state dir.
     slo_opts.dir = durability_opts.dir.clone();
     serving_opts.dir = durability_opts.dir.clone();
-    cluster_opts.dir = durability_opts.dir.clone();
-
-    // The cluster experiment owns `--trace-out`: it writes the
-    // cross-worker virtual-time trace itself, so the generic wall-clock
-    // span-tree writer below must not overwrite it.
-    if exp == "cluster" {
-        cluster_opts.trace_out = trace_out.take().map(Into::into);
-    }
 
     if trace_out.is_some() {
         gt_telemetry::set_global(gt_telemetry::Telemetry::recording());
@@ -307,7 +261,7 @@ fn main() {
         _ => usage(),
     };
 
-    // `serving`, `cluster` and `smoke` print one run and distill the same
+    // `serving` and `smoke` print one run and distill the same
     // run for `--bench-out`; every other experiment's BENCH file is the
     // training-loop perf probe's, run after it.
     let report = if exp == "serving" {
@@ -315,10 +269,6 @@ fn main() {
             .unwrap_or_else(|e| panic!("serving experiment failed: {e}"));
         serving::print(&day);
         Some(serving::report(&cfg, &day))
-    } else if exp == "cluster" {
-        let run = cluster::run(&cfg, &cluster_opts);
-        cluster::print(&cluster_opts, &run);
-        Some(cluster::report(&cfg, &cluster_opts, &run))
     } else if exp == "smoke" {
         let probe = gt_bench::probe::report("smoke", &cfg);
         gt_bench::probe::print(&probe);

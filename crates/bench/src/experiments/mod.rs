@@ -6,7 +6,6 @@
 
 pub mod ablation;
 pub mod chaos;
-pub mod cluster;
 pub mod durability;
 pub mod fig11b;
 pub mod fig12;

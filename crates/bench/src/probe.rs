@@ -18,8 +18,7 @@ use gt_core::prepro::sample_and_reindex;
 use gt_core::trainer::GtVariant;
 use gt_core::{build_prepro_sim, PreproStrategy};
 use gt_par::ThreadPool;
-use gt_profile::{BubbleReport, Stage, StageBreakdown};
-use gt_sim::SystemSpec;
+use gt_sim::{BubbleReport, Stage, StageBreakdown, SystemSpec};
 
 /// The probe's representative workload (the paper's light dataset).
 const DATASET: &str = "products";
@@ -75,7 +74,7 @@ pub fn report(experiment: &str, cfg: &ExpConfig) -> BenchReport {
     let mean_e2e = e2e_us.iter().sum::<f64>() / n as f64;
 
     // The `prepro_*` metrics price Prepro-GT's schedule (pipelined,
-    // contention-relaxed) over the same measured work, via gt-profile.
+    // contention-relaxed) over the same measured work, via `gt_sim::profile`.
     let work = sample_and_reindex(&data, &batch, &cfg.sampler(), ThreadPool::global()).work;
     let sys = SystemSpec::paper_testbed();
     let sim = build_prepro_sim(&work, &sys, PreproStrategy::PipelinedRelaxed);

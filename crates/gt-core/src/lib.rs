@@ -18,7 +18,6 @@
 //! compares like with like.
 
 pub mod cache;
-pub mod cluster;
 pub mod config;
 pub mod data;
 pub mod error;
@@ -34,7 +33,6 @@ pub mod tracing;
 pub mod trainer;
 
 pub use cache::{CacheConfig, CacheLookup, CacheStats, ServingCaches};
-pub use cluster::{Cluster, ClusterConfig, ClusterSummary, Partition};
 pub use config::{EdgeWeighting, ModelConfig};
 pub use data::GraphData;
 pub use error::GtError;

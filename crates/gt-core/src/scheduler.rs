@@ -58,8 +58,7 @@ pub fn schedule_prepro_with_faults(
 
 /// Construct the task graph for one batch's preprocessing without running
 /// it, for callers that need the [`Simulator`] itself: its host-core pool
-/// size (bubble accounting) or extra tasks added before the run (cluster
-/// workers).
+/// size (bubble accounting).
 pub fn build_prepro_sim(
     work: &PreproWork,
     sys: &SystemSpec,

@@ -19,14 +19,12 @@
 //!
 //! Everything else a serving deployment adds is an armed layer of the one
 //! supervisor, skipped while unarmed: serving caches
-//! ([`Supervisor::enable_caches`]), cluster pricing
-//! ([`Supervisor::enable_cluster`]), the request tracer
+//! ([`Supervisor::enable_caches`]), the request tracer
 //! ([`Supervisor::enable_tracing`]) and the write-ahead journal
 //! ([`Supervisor::make_durable`], [`Supervisor::recover`]). Admission
 //! control ([`Gateway`](crate::overload::Gateway)) sits in front of it.
 
 use crate::cache::{CacheConfig, CacheStats, ServingCaches};
-use crate::cluster::{Cluster, ClusterConfig};
 use crate::data::GraphData;
 use crate::error::GtError;
 use crate::framework::{BatchOutcome, BatchReport, DegradeAction, FailReason, Framework};
@@ -213,9 +211,6 @@ pub struct Supervisor {
     /// Skew-exploiting serving caches; `None` (the default) keeps serving
     /// exactly as before caching existed.
     caches: Option<ServingCaches>,
-    /// Cluster pricing; `None` (the default) prices nothing beyond the
-    /// single-node report.
-    cluster: Option<Cluster>,
 }
 
 impl Supervisor {
@@ -233,7 +228,6 @@ impl Supervisor {
             batches_served: 0,
             durability: None,
             caches: None,
-            cluster: None,
         }
     }
 
@@ -271,26 +265,12 @@ impl Supervisor {
         self.caches.as_ref().map(|c| c.stats())
     }
 
-    /// Price every trained batch from now on over the modeled cluster
-    /// `config` describes (see [`crate::cluster`]). Pricing moves the
-    /// cluster's virtual clock and traces only; the numerics, journal and
-    /// checkpoints stay byte-identical at every worker count.
-    pub fn enable_cluster(&mut self, config: ClusterConfig) {
-        self.cluster = Some(Cluster::new(config));
-    }
-
-    /// The cluster pricing layer, when enabled.
-    pub fn cluster(&self) -> Option<&Cluster> {
-        self.cluster.as_ref()
-    }
-
     /// Train one batch under supervision — the one way a batch reaches the
     /// trainer. Never panics on injected faults; the report's
     /// [`BatchOutcome`] says how the batch resolved. Around the
     /// retry/degrade ladder, each armed layer runs in order and an unarmed
-    /// one is skipped: caches price their hits, the cluster prices the
-    /// batch across its workers, the tracer files the request's span tree,
-    /// and — once [`make_durable`](Self::make_durable)
+    /// one is skipped: caches price their hits, the tracer files the
+    /// request's span tree, and — once [`make_durable`](Self::make_durable)
     /// or [`recover`](Self::recover) armed the journal — the outcome (and
     /// any quarantine record) is journaled and fsynced *before* this
     /// returns, so an acknowledged result can never be lost to a crash.
@@ -372,9 +352,6 @@ impl Supervisor {
             }
             _ => 0.0,
         };
-        if let Some(cluster) = self.cluster.as_mut() {
-            cluster.price_batch(batch_index, &self.trainer, &report, &active);
-        }
         let served = Served {
             report,
             stall_us: active.serve_delay_us().unwrap_or(0.0),
@@ -703,11 +680,6 @@ impl Supervisor {
         // hit counters) the crashed process had at the crash instant.
         if let Some(caches) = self.caches.as_mut() {
             caches.reset();
-        }
-        // Likewise the cluster's clock and traces: the replay re-prices
-        // every journaled batch.
-        if let Some(cluster) = self.cluster.as_mut() {
-            cluster.reset();
         }
         let scan = journal::read_journal(cfg.journal_path())?;
         if scan.torn_tail {

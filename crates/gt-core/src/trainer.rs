@@ -71,11 +71,6 @@ pub struct GraphTensor {
     /// Faults to apply to the *next* batch only (taken on use). Set by the
     /// serving supervisor from its [`gt_sim::FaultPlan`].
     pub injected: Option<ActiveFaults>,
-    /// Measured preprocessing work of the most recent batch, kept for the
-    /// supervisor's cluster pricing layer: partitioning a batch across
-    /// workers re-prices the same measured work per partition instead of
-    /// re-running preprocessing.
-    pub last_work: Option<crate::prepro::PreproWork>,
     /// Where spans, events, and metrics go. Defaults to the process-wide
     /// handle ([`gt_telemetry::global`], off unless installed otherwise), so
     /// the uninstrumented path costs nothing; swap in
@@ -105,7 +100,6 @@ impl GraphTensor {
             calibration_batches: 3,
             fail_fast: false,
             injected: None,
-            last_work: None,
             telemetry: gt_telemetry::global(),
             params: ParamStore::new(),
             cost,
@@ -281,10 +275,8 @@ impl GraphTensor {
         self.drift_emitted = now;
     }
 
-    /// The variant's preprocessing strategy. The supervisor's cluster
-    /// pricing layer uses this to price each worker's partition with the
-    /// same scheduler the trainer ran.
-    pub fn prepro_strategy(&self) -> PreproStrategy {
+    /// The variant's preprocessing strategy.
+    fn prepro_strategy(&self) -> PreproStrategy {
         match self.variant {
             // Base/Dynamic serialize S→R→K→T like DGL (§VI-B) but still
             // overlap whole batches with GPU compute.
@@ -360,7 +352,6 @@ impl GraphTensor {
                 .arg("phase", "prepro");
             sample_and_reindex(data, batch, &cfg, ThreadPool::global())
         };
-        self.last_work = Some(pr.work.clone());
 
         // The preprocessing schedule is a pure function of the measured
         // work, so it can run up front; with an empty fault set it is

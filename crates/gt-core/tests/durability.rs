@@ -9,10 +9,10 @@
 
 use gt_core::journal::{self, Record};
 use gt_core::{DurabilityConfig, GtError, ServeCtx, Supervisor};
-use gt_sim::{CrashSite, FaultPlan};
+use gt_sim::{CrashSite, FaultPlan, IoFault, IoTarget};
 use gt_telemetry::{json::parse, Json, ToJson};
 use gt_tensor::{checkpoint, crc32::crc32};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 mod common;
 use common::{batches_with_poison as batches, data, trainer};
@@ -376,4 +376,129 @@ fn durable_calls_require_setup() {
     assert!(sup.serve(&d, &[0, 1], ServeCtx::default()).is_ok());
     assert!(!sup.is_durable());
     assert!(matches!(sup.checkpoint_now(), Err(GtError::Io { .. })));
+}
+
+/// Serve `n` batches durably under `plan` the way a deployment does: a
+/// crash or storage fault comes back as the supervisor's typed error and
+/// is answered by a restart (a fresh supervisor recovers from the journal
+/// and resumes at the recovered index). Returns the last supervisor and
+/// the errors that forced a restart.
+fn serve_with_restarts(plan: &FaultPlan, dir: &Path, n: usize) -> (Supervisor, Vec<GtError>) {
+    let d = data();
+    let all = batches(n);
+    let mut sup = Supervisor::new(trainer(), plan.clone());
+    sup.make_durable(cfg(dir)).unwrap();
+    let mut restarts = Vec::new();
+    while sup.batches_served() < n {
+        match sup.serve(&d, &all[sup.batches_served()], ServeCtx::default()) {
+            Ok(_) => {}
+            Err(e @ (GtError::InjectedCrash { .. } | GtError::Io { .. })) => {
+                restarts.push(e);
+                assert!(restarts.len() <= 8, "restart loop: {restarts:?}");
+                sup = Supervisor::new(trainer(), plan.clone());
+                sup.recover(&d, cfg(dir)).unwrap();
+            }
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    (sup, restarts)
+}
+
+/// Rewrite the journal file from scratch with `records`.
+fn rewrite(cfg: &DurabilityConfig, records: &[Record]) {
+    let mut j = journal::Journal::create(cfg.journal_path()).unwrap();
+    for r in records {
+        j.append(r).unwrap();
+    }
+}
+
+/// Recover a fresh supervisor from `cfg`'s journal, which must fail
+/// replay's sequential-index check.
+fn assert_replay_out_of_order(cfg: DurabilityConfig) {
+    let mut fresh = Supervisor::new(trainer(), FaultPlan::new(42));
+    match fresh.recover(&data(), cfg) {
+        Err(GtError::ReplayDiverged { detail, .. }) => {
+            assert!(
+                detail.contains("out of order"),
+                "unexpected detail: {detail}"
+            );
+        }
+        other => panic!("reordered journal must diverge, got {other:?}"),
+    }
+}
+
+#[test]
+fn shuffled_journal_is_rejected_not_silently_reordered() {
+    let dir = tmp_dir("shuffled");
+    serve_with_restarts(&FaultPlan::new(42), &dir, 4);
+    let cfg = DurabilityConfig::new(&dir);
+    let scan = journal::read_journal(cfg.journal_path()).unwrap();
+
+    // Swap the first two batch records and rewrite the journal.
+    let mut records = scan.records.clone();
+    let batch_pos: Vec<usize> = records
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| matches!(r, Record::Batch { .. }))
+        .map(|(i, _)| i)
+        .collect();
+    records.swap(batch_pos[0], batch_pos[1]);
+    rewrite(&cfg, &records);
+    assert_replay_out_of_order(cfg);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn duplicate_batch_record_is_rejected_out_of_order() {
+    let dir = tmp_dir("dup_record");
+    serve_with_restarts(&FaultPlan::new(42), &dir, 4);
+    let cfg = DurabilityConfig::new(&dir);
+    let scan = journal::read_journal(cfg.journal_path()).unwrap();
+
+    // Re-append a copy of the first batch record at the tail: replay
+    // expects batch 4 there, so the sequential-index check must fire.
+    let mut records = scan.records.clone();
+    let first_batch = records
+        .iter()
+        .find(|r| matches!(r, Record::Batch { .. }))
+        .unwrap()
+        .clone();
+    records.push(first_batch);
+    rewrite(&cfg, &records);
+    assert_replay_out_of_order(cfg);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A failed checkpoint write is the same process death as a failed
+/// journal append: restart + recover heals either, at any batch, and
+/// lands on the fault-free outcome stream and checkpoint.
+#[test]
+fn storage_faults_on_journal_and_checkpoint_recover_alike() {
+    let n = 4;
+    let run = |plan: FaultPlan, name: &str| {
+        let dir = tmp_dir(name);
+        let (mut sup, restarts) = serve_with_restarts(&plan, &dir, n);
+        sup.checkpoint_now().unwrap();
+        let scan = journal::read_journal(cfg(&dir).journal_path()).unwrap();
+        let stream: Vec<(usize, String)> = scan.batch_outcomes().collect();
+        let params = std::fs::read(cfg(&dir).checkpoint_path()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        (stream, params, restarts)
+    };
+    let (ref_stream, ref_params, _) = run(FaultPlan::new(42), "io_ref");
+    for target in [IoTarget::Journal, IoTarget::Checkpoint] {
+        for fault in [IoFault::Enospc, IoFault::TornWrite] {
+            for batch in [1, 3] {
+                let plan = FaultPlan::new(42).with_io_fault(batch, target, fault);
+                let name = format!("io_{target:?}_{fault:?}_{batch}");
+                let (stream, params, restarts) = run(plan, &name);
+                assert!(
+                    matches!(restarts[..], [GtError::Io { .. }]),
+                    "{name}: the fault must fire once: {restarts:?}"
+                );
+                assert_eq!(stream, ref_stream, "{name}: outcome stream");
+                assert!(params == ref_params, "{name}: final checkpoint diverged");
+            }
+        }
+    }
 }

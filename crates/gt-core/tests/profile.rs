@@ -1,4 +1,4 @@
-//! Acceptance test for gt-profile against real preprocessing schedules:
+//! Acceptance test for `gt_sim::profile` against real preprocessing schedules:
 //! the pipelined-relaxed strategy must show strictly lower idle (bubble)
 //! percentage than the serial one on the same measured work.
 
@@ -6,9 +6,8 @@ use gt_core::data::GraphData;
 use gt_core::prepro::sample_and_reindex;
 use gt_core::scheduler::{build_prepro_sim, PreproStrategy};
 use gt_par::ThreadPool;
-use gt_profile::BubbleReport;
 use gt_sample::SamplerConfig;
-use gt_sim::SystemSpec;
+use gt_sim::{BubbleReport, SystemSpec};
 
 #[test]
 fn pipelined_relaxed_has_strictly_fewer_bubbles_than_serial() {

@@ -500,10 +500,10 @@ mod tests {
         }
     }
 
-    /// The cluster's fault rule — a straggler on a global core index the
-    /// sampler never draws — and a serving stall survive the wire form.
+    /// A straggler on a core past any host's pool — an index the sampler
+    /// never draws — and a serving stall survive the wire form.
     #[test]
-    fn cluster_rules_round_trip_through_json() {
+    fn out_of_range_straggler_round_trips_through_json() {
         let plan = FaultPlan::new(77)
             .with_straggler(3 * 12, 64.0)
             .with_serve_delay_window(250.0, 2, Some(6));

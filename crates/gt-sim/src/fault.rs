@@ -525,16 +525,6 @@ impl ActiveFaults {
         let faults = self.values(|k| k.reaches_trainer().then_some(*k)).collect();
         ActiveFaults { faults }
     }
-
-    /// The straggler faults that land on cluster worker `w` of a fleet with
-    /// `cores` host cores per worker: global core `c` belongs to worker
-    /// `c / cores` and becomes its local core `c % cores`.
-    pub fn stragglers_on_worker(&self, w: usize, cores: usize) -> ActiveFaults {
-        let local = pick!(FaultKind::StragglerCore { core, factor } if core / cores == w =>
-            FaultKind::StragglerCore { core: core % cores, factor });
-        let faults = self.values(local).collect();
-        ActiveFaults { faults }
-    }
 }
 
 /// Deterministic roll in `[0, 1)` for `(seed, batch, attempt, rule)`.
@@ -872,42 +862,6 @@ mod tests {
         assert_eq!((once.probability, once.transient), (1.0, false));
         let t = FaultRule::transient(kind, 0.25);
         assert_eq!((t.from_batch, t.until_batch, t.transient), (0, None, true));
-    }
-
-    #[test]
-    fn stragglers_on_worker_renumbers_global_cores() {
-        let f = ActiveFaults {
-            faults: vec![
-                FaultKind::StragglerCore {
-                    core: 1,
-                    factor: 2.0,
-                },
-                FaultKind::TransferStall { factor: 3.0 },
-                FaultKind::StragglerCore {
-                    core: 13,
-                    factor: 4.0,
-                },
-                FaultKind::StragglerCore {
-                    core: 14,
-                    factor: 8.0,
-                },
-            ],
-        };
-        assert_eq!(
-            f.stragglers_on_worker(1, 12).faults,
-            [
-                FaultKind::StragglerCore {
-                    core: 1,
-                    factor: 4.0
-                },
-                FaultKind::StragglerCore {
-                    core: 2,
-                    factor: 8.0
-                },
-            ]
-        );
-        assert_eq!(f.stragglers_on_worker(0, 12).straggler(1), Some(2.0));
-        assert!(f.stragglers_on_worker(2, 12).is_empty());
     }
 
     #[test]

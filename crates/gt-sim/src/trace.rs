@@ -56,11 +56,6 @@ pub fn schedule_to_trace(schedule: &Schedule, process: &str) -> Trace {
     trace
 }
 
-/// Process name for cluster worker `worker`'s Perfetto track group.
-pub fn worker_process(worker: usize) -> String {
-    format!("worker {worker}")
-}
-
 fn rank(e: &ScheduledEvent) -> (u8, usize) {
     match e.resource {
         Resource::HostCore => (0, e.unit),
@@ -141,23 +136,6 @@ mod tests {
             .collect();
         assert_eq!(flagged.len(), schedule.failed.len());
         assert!(flagged.iter().all(|e| e.track == "PCIe"));
-    }
-
-    #[test]
-    fn cluster_traces_get_one_process_per_worker() {
-        let schedules: Vec<(usize, Schedule)> = vec![(0, mixed_schedule()), (2, mixed_schedule())];
-        let traces: Vec<Trace> = schedules
-            .iter()
-            .map(|(w, schedule)| schedule_to_trace(schedule, &worker_process(*w)))
-            .collect();
-        assert_eq!(traces.len(), 2);
-        assert_eq!(traces[0].process, "worker 0");
-        assert_eq!(traces[1].process, "worker 2");
-        // The multi-process export round-trips with both processes intact.
-        let text = write_chrome_json(&traces.iter().collect::<Vec<_>>());
-        let back = from_chrome_json(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        assert!(back.iter().any(|t| t.process == worker_process(2)));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Property-based tests on the discrete-event simulator's guarantees.
+//! Property-based tests on the discrete-event simulator's guarantees and
+//! on the profiler's accounting over its schedules.
 
 use gt_sim::prop::{check, Gen, CASES};
 use gt_sim::{
-    schedule_to_trace, ActiveFaults, FaultKind, FaultPlan, FaultRule, Phase, Resource, Simulator,
-    TaskSpec,
+    schedule_to_trace, ActiveFaults, BubbleReport, FaultKind, FaultPlan, FaultRule, Phase,
+    Resource, Simulator, Stage, StageBreakdown, TaskSpec,
 };
 use gt_telemetry::{from_chrome_json, write_chrome_json};
 
@@ -50,6 +51,22 @@ fn build(tasks: &[Task], cores: usize, resource: fn(usize) -> Resource) -> Simul
 
 fn on_host(tasks: &[Task], cores: usize) -> Simulator {
     build(tasks, cores, |_| Resource::HostCore)
+}
+
+/// [`dag`] over 1–3 host cores, each task on a random resource and phase.
+fn mixed(g: &mut Gen) -> Simulator {
+    const RESOURCES: [Resource; 3] = [Resource::HostCore, Resource::Pcie, Resource::Gpu];
+    let mut sim = Simulator::new(g.range(1..4));
+    for (i, (dur, deps, lock)) in dag(g).into_iter().enumerate() {
+        let (resource, phase) = (*g.pick(&RESOURCES), *g.pick(&Phase::ALL));
+        let label = format!("t{i} {}", phase.label());
+        let mut spec = TaskSpec::new(label, resource, dur, phase).after(&deps);
+        if let Some(group) = lock {
+            spec = spec.locked(group);
+        }
+        sim.add(spec);
+    }
+    sim
 }
 
 /// Schedules are valid: dependencies precede dependents, units never
@@ -210,18 +227,8 @@ fn cores_monotone() {
 /// a write/parse round trip bit-exactly.
 #[test]
 fn schedule_trace_round_trips_bit_exactly() {
-    const RESOURCES: [Resource; 3] = [Resource::HostCore, Resource::Pcie, Resource::Gpu];
     check("schedule_trace_round_trips_bit_exactly", CASES, |g| {
-        let mut sim = Simulator::new(g.range(1..4));
-        for (i, (dur, deps, lock)) in dag(g).into_iter().enumerate() {
-            let (resource, phase) = (*g.pick(&RESOURCES), *g.pick(&Phase::ALL));
-            let label = format!("t{i} {}", phase.label());
-            let mut spec = TaskSpec::new(label, resource, dur, phase).after(&deps);
-            if let Some(group) = lock {
-                spec = spec.locked(group);
-            }
-            sim.add(spec);
-        }
+        let sim = mixed(g);
         let faults = FaultPlan::new(g.next_u64()).with_transfer_failure(0.5);
         let schedule = sim.run_with_faults(&faults.active(0, 0));
         let trace = schedule_to_trace(&schedule, "virtual time");
@@ -229,4 +236,54 @@ fn schedule_trace_round_trips_bit_exactly() {
         assert_eq!(back.len(), 1);
         assert_eq!(back[0], trace);
     });
+}
+
+/// The profiler's accounting holds on every schedule: the makespan is at
+/// most the summed stage time (the list scheduler can at worst serialize
+/// every task), the stage breakdown partitions the events' busy time, and
+/// per resource unit `busy + idle = makespan`.
+#[test]
+fn makespan_le_sum_of_stage_times() {
+    check("makespan_le_sum_of_stage_times", CASES, |g| {
+        let sim = mixed(g);
+        let schedule = sim.run();
+        let makespan = schedule.makespan_us;
+        let busy = StageBreakdown::from_schedule(&schedule).total();
+
+        assert!(makespan <= busy + 1e-6, "makespan {makespan} > busy {busy}");
+
+        let events = schedule.events.iter();
+        let event_sum: f64 = events.map(|e| e.end_us - e.start_us).sum();
+        assert!((busy - event_sum).abs() < 1e-6);
+
+        for u in &BubbleReport::from_schedule(&schedule, sim.host_cores()).units {
+            let (busy, idle) = (u.busy_us, u.idle_us);
+            assert!(
+                (busy + idle - makespan).abs() < 1e-6,
+                "{:?} {}: busy {busy} + idle {idle} != makespan {makespan}",
+                u.resource,
+                u.unit
+            );
+        }
+    });
+}
+
+#[test]
+fn sampling_split_attributes_to_both_halves() {
+    let mut sim = Simulator::new(2);
+    let a = sim.add(TaskSpec::new(
+        "S1A c0",
+        Resource::HostCore,
+        30.0,
+        Phase::Sampling,
+    ));
+    sim.add(
+        TaskSpec::new("S1H c0", Resource::HostCore, 10.0, Phase::Sampling)
+            .after(&[a])
+            .locked(1),
+    );
+    let breakdown = StageBreakdown::from_schedule(&sim.run());
+    assert!(breakdown.get(Stage::SampleAlg) > 0.0);
+    assert!(breakdown.get(Stage::SampleHash) > 0.0);
+    assert_eq!(breakdown.get(Stage::Sample), 0.0);
 }

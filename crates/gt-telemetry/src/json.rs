@@ -5,6 +5,11 @@
 //! own JSON machinery: a [`Json`] value tree, an escaping writer, and a
 //! strict recursive-descent parser (used by the Chrome-trace round-trip
 //! tests and by anyone post-processing exported traces).
+//!
+//! The parser also reads files from outside the process (`repro
+//! --chaos-replay`, `benchdiff`), so it runs in time linear in the input
+//! and bounds its recursion: arrays and objects nested more than 128 deep
+//! are a [`JsonError`], never a stack overflow.
 
 use std::fmt::Write as _;
 
@@ -193,11 +198,18 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Nothing the workspace
+/// writes comes close; the cap keeps a hostile `[[[…` document from
+/// recursing the parser off its stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -208,9 +220,14 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     Ok(v)
 }
 
+/// Invariant: `pos` stays on a char boundary of `text` between tokens —
+/// every step either consumes ASCII bytes or a whole run of `text`.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -255,11 +272,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object with `parse_one`, one level deeper.
+    fn nested(
+        &mut self,
+        parse_one: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse_one(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -317,13 +348,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe).
+                    // Copy the run up to the next quote or backslash whole.
+                    // Both are ASCII, so the run ends on a char boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -450,5 +483,37 @@ mod tests {
     fn whitespace_tolerated() {
         let v = parse(" {\n\t\"a\" : [ 1 , 2 ] }\r\n").unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (MAX_DEPTH, "nesting deeper than 128")
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).is_err());
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn long_and_mixed_strings_round_trip() {
+        let long = "gt".repeat(1 << 19);
+        assert_eq!(
+            parse(&Json::from(long.as_str()).to_json_string()).unwrap(),
+            Json::from(long)
+        );
+
+        // 1-, 2-, 3- and 4-byte scalars between every escape the parser reads.
+        let text = r#""a\"ß\\€\/😀\nπ\rx\tЖ\b中\f𝄞\u00e9\u0001z""#;
+        let want = "a\"ß\\€/😀\nπ\rx\tЖ\u{8}中\u{c}𝄞é\u{1}z";
+        assert_eq!(parse(text).unwrap(), Json::from(want));
+        assert_eq!(
+            parse(&Json::from(want).to_json_string()).unwrap(),
+            Json::from(want)
+        );
     }
 }

@@ -9,13 +9,14 @@
 //!
 //! * [`graph`] — storage formats (COO/CSR/CSC), embeddings, generators;
 //! * [`tensor`] — dense/sparse kernels and the autodiff dataflow graph;
-//! * [`sim`] — device models, work counters, discrete-event simulation;
+//! * [`sim`] — device models, work counters, discrete-event simulation,
+//!   and the stage/bubble profiler over its schedules;
 //! * [`sample`] — neighbor sampling, VID hash table, reindexing, lookup;
 //! * [`telemetry`] — spans, metrics, Chrome-trace / Prometheus exporters;
 //! * [`core`] — NAPA, the DKP orchestrator, the tensor scheduler, the
 //!   [`core::trainer::GraphTensor`] framework, and the serving
-//!   [`core::serve::Supervisor`], whose caches, cluster pricing, tracer and
-//!   journal are layers it arms;
+//!   [`core::serve::Supervisor`], whose caches, tracer and journal are
+//!   layers it arms;
 //! * [`models`] — GCN / NGCF / GAT-lite presets + train/eval loops;
 //! * [`baselines`] — PyG / DGL / GNNAdvisor / SALIENT strategy replicas;
 //! * [`datasets`] — the ten Table-II workloads as synthetic recipes.
