@@ -7,6 +7,7 @@ use gt_sim::{
     Resource, Simulator, Stage, StageBreakdown, TaskSpec,
 };
 use gt_telemetry::{from_chrome_json, write_chrome_json};
+use std::ops::Range;
 
 /// `(duration_us, deps, lock_group)`.
 type Task = (f64, Vec<usize>, Option<u32>);
@@ -14,8 +15,13 @@ type Task = (f64, Vec<usize>, Option<u32>);
 /// A random DAG of host tasks: each task may depend on earlier ones and may
 /// join one of two lock groups.
 fn dag(g: &mut Gen) -> Vec<Task> {
+    dag_in(g, 1..25, 1.0..50.0)
+}
+
+/// [`dag`] with a task count drawn from `len` and durations from `dur_us`.
+fn dag_in(g: &mut Gen, len: Range<usize>, dur_us: Range<f64>) -> Vec<Task> {
     let mut i = 0;
-    g.vec(1..25, |g| {
+    g.vec(len, |g| {
         let mut deps = match i {
             0 => Vec::new(),
             _ => g.vec(0..3, |g| g.range(0..i)),
@@ -24,7 +30,7 @@ fn dag(g: &mut Gen) -> Vec<Task> {
         deps.dedup();
         i += 1;
         let lock = (g.below(2) == 0).then(|| g.below(2) as u32);
-        (g.f64_in(1.0..50.0), deps, lock)
+        (g.f64_in(dur_us.clone()), deps, lock)
     })
 }
 
@@ -53,11 +59,12 @@ fn on_host(tasks: &[Task], cores: usize) -> Simulator {
     build(tasks, cores, |_| Resource::HostCore)
 }
 
-/// [`dag`] over 1–3 host cores, each task on a random resource and phase.
-fn mixed(g: &mut Gen) -> Simulator {
+/// [`dag_in`] over a core count drawn from `cores`, each task on a random
+/// resource and phase.
+fn mixed(g: &mut Gen, cores: Range<usize>, len: Range<usize>, dur_us: Range<f64>) -> Simulator {
     const RESOURCES: [Resource; 3] = [Resource::HostCore, Resource::Pcie, Resource::Gpu];
-    let mut sim = Simulator::new(g.range(1..4));
-    for (i, (dur, deps, lock)) in dag(g).into_iter().enumerate() {
+    let mut sim = Simulator::new(g.range(cores));
+    for (i, (dur, deps, lock)) in dag_in(g, len, dur_us).into_iter().enumerate() {
         let (resource, phase) = (*g.pick(&RESOURCES), *g.pick(&Phase::ALL));
         let label = format!("t{i} {}", phase.label());
         let mut spec = TaskSpec::new(label, resource, dur, phase).after(&deps);
@@ -228,7 +235,7 @@ fn cores_monotone() {
 #[test]
 fn schedule_trace_round_trips_bit_exactly() {
     check("schedule_trace_round_trips_bit_exactly", CASES, |g| {
-        let sim = mixed(g);
+        let sim = mixed(g, 1..4, 1..25, 1.0..50.0);
         let faults = FaultPlan::new(g.next_u64()).with_transfer_failure(0.5);
         let schedule = sim.run_with_faults(&faults.active(0, 0));
         let trace = schedule_to_trace(&schedule, "virtual time");
@@ -241,11 +248,12 @@ fn schedule_trace_round_trips_bit_exactly() {
 /// The profiler's accounting holds on every schedule: the makespan is at
 /// most the summed stage time (the list scheduler can at worst serialize
 /// every task), the stage breakdown partitions the events' busy time, and
-/// per resource unit `busy + idle = makespan`.
+/// per resource unit `busy + idle = makespan`. The DAGs are larger than
+/// elsewhere and include zero-length tasks, the edge case of both bounds.
 #[test]
 fn makespan_le_sum_of_stage_times() {
     check("makespan_le_sum_of_stage_times", CASES, |g| {
-        let sim = mixed(g);
+        let sim = mixed(g, 1..5, 1..40, 0.0..200.0);
         let schedule = sim.run();
         let makespan = schedule.makespan_us;
         let busy = StageBreakdown::from_schedule(&schedule).total();

@@ -207,14 +207,13 @@ const MAX_DEPTH: usize = 128;
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         text: input,
-        bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters"));
     }
     Ok(v)
@@ -224,7 +223,6 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 /// every step either consumes ASCII bytes or a whole run of `text`.
 struct Parser<'a> {
     text: &'a str,
-    bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open.
     depth: usize,
@@ -239,7 +237,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -258,7 +256,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -302,9 +300,9 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        self.text[start..self.pos]
+            .parse::<f64>()
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
             .map(Json::Num)
             .ok_or_else(|| self.err("invalid number"))
     }
@@ -331,11 +329,12 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
+                            if self.pos + 4 >= self.text.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex = (self.text)
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogate pairs are not emitted by our writer;
@@ -350,11 +349,8 @@ impl<'a> Parser<'a> {
                 Some(_) => {
                     // Copy the run up to the next quote or backslash whole.
                     // Both are ASCII, so the run ends on a char boundary.
-                    let rest = &self.bytes[self.pos..];
-                    let run = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
                     out.push_str(&self.text[self.pos..self.pos + run]);
                     self.pos += run;
                 }
@@ -474,7 +470,11 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for bad in ["", "{", "[1,", "\"abc", "nul", "{\"a\" 1}", "1 2"] {
+        // A `\u` escape cut short by the end of input or by a multi-byte
+        // scalar is an error, not a panic.
+        let cut_escapes = ["\"\\u12", "\"\\u000é\""];
+        let garbage = ["", "{", "[1,", "\"abc", "nul", "{\"a\" 1}", "1 2"];
+        for bad in garbage.into_iter().chain(cut_escapes) {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
     }
