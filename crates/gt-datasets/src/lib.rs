@@ -8,9 +8,8 @@
 //! dimensions. Vertex/edge counts scale with [`Scale`] so tests stay fast
 //! while benches run at meaningful sizes.
 
-use gt_core::data::GraphData;
+use gt_core::data::{self, GraphData};
 use gt_graph::generators;
-use gt_graph::EmbeddingTable;
 
 pub mod workload;
 
@@ -79,11 +78,13 @@ impl DatasetSpec {
         ((self.vertices / d).max(64), (self.edges / d).max(256))
     }
 
-    /// Generate the workload at `scale`. Deterministic in `seed`.
+    /// Generate the workload at `scale`. Deterministic in `seed`, and the
+    /// same bytes at any `GT_THREADS`: the R-MAT walk and the feature fill
+    /// run on the global pool (`gt_core::data`).
     pub fn build(&self, scale: Scale, seed: u64) -> GraphData {
         let (v, e) = self.scaled(scale);
         let coo = match self.family {
-            Family::Rmat => generators::rmat(v, e, seed),
+            Family::Rmat => data::rmat(v, e, seed),
             Family::Bipartite => {
                 let users = v / 2;
                 generators::bipartite(users.max(8), (v - users).max(8), e, seed)
@@ -95,7 +96,7 @@ impl DatasetSpec {
         };
         let n = coo.num_vertices();
         let (graph, _) = gt_graph::convert::coo_to_csr(&coo);
-        let features = EmbeddingTable::random(n, self.feature_dim, seed ^ 0xDA7A);
+        let features = data::random_features(n, self.feature_dim, seed ^ 0xDA7A);
         let labels = (0..n).map(|x| x % self.out_dim).collect();
         GraphData::new(graph, features, labels, self.out_dim)
     }

@@ -32,21 +32,16 @@ impl EmbeddingTable {
     }
 
     /// Deterministic pseudo-random table (values in [-1, 1]) from a seed.
+    ///
+    /// A counter-based SplitMix64 stream: element `i` of the row-major
+    /// buffer is `(z >> 40) / 2^24 · 2 − 1` for `z` the SplitMix64
+    /// finaliser of `seed + (i + 2)·γ` (`γ = 0x9E3779B97F4A7C15`, wrapping).
+    /// Every element is a pure function of its index, so any slice of the
+    /// table can be filled on its own ([`fill_random`]).
     pub fn random(rows: usize, dim: usize, seed: u64) -> Self {
-        // SplitMix64: cheap, seedable, good enough for feature init and far
-        // faster than pulling a full RNG through hundreds of MB.
-        let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
-        let mut next = move || {
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        };
-        let data = (0..rows * dim)
-            .map(|_| (next() >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0)
-            .collect();
-        EmbeddingTable { rows, dim, data }
+        let mut table = EmbeddingTable::zeros(rows, dim);
+        fill_random(seed, 0, &mut table.data);
+        table
     }
 
     /// Number of rows (vertices).
@@ -117,6 +112,31 @@ impl EmbeddingTable {
     }
 }
 
+/// The Weyl increment of [`EmbeddingTable::random`]'s counter.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Elements `first..first + out.len()` of the buffer of
+/// `EmbeddingTable::random(_, _, seed)`, written into `out`: the closed
+/// form that doc states, one element at a time. Chunks of one table can
+/// therefore be filled independently and in any order. Inlined into its
+/// callers, so a caller compiled for a wider target feature gets the loop
+/// vectorised at that width; lanes are independent elements, so the width
+/// cannot change a value.
+#[inline(always)]
+pub fn fill_random(seed: u64, first: usize, out: &mut [f32]) {
+    let mut state = seed.wrapping_add((first as u64).wrapping_add(2).wrapping_mul(GAMMA));
+    for x in out {
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        // 24 bits: exact through `i32` as through `u64`, and `i32` converts
+        // to `f32` in one instruction at every vector width.
+        *x = ((z >> 40) as i32) as f32 / (1u32 << 24) as f32 * 2.0 - 1.0;
+        state = state.wrapping_add(GAMMA);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,6 +160,39 @@ mod tests {
         assert!(a.data().iter().all(|x| (-1.0..=1.0).contains(x)));
         // Not degenerate: values differ.
         assert!(a.data().iter().any(|&x| x != a.data()[0]));
+    }
+
+    #[test]
+    fn random_is_its_closed_form() {
+        // The SplitMix64 stream as first written: a counter stepped by γ
+        // before every draw, starting one step past the seed.
+        let reference = |rows: usize, dim: usize, seed: u64| -> Vec<f32> {
+            let mut state = seed.wrapping_add(GAMMA);
+            (0..rows * dim)
+                .map(|_| {
+                    state = state.wrapping_add(GAMMA);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+                    z ^= z >> 31;
+                    (z >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0
+                })
+                .collect()
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rows, dim, seed) in [(0, 3, 1), (1, 1, 0), (7, 13, u64::MAX), (33, 100, 0xDA7A)] {
+            let want = reference(rows, dim, seed);
+            assert_eq!(
+                bits(EmbeddingTable::random(rows, dim, seed).data()),
+                bits(&want)
+            );
+            // Any slice, filled on its own, is that slice of the table.
+            for (lo, hi) in [(0, 0), (0, want.len()), (want.len() / 3, want.len())] {
+                let mut part = vec![0.0; hi - lo];
+                fill_random(seed, lo, &mut part);
+                assert_eq!(bits(&part), bits(&want[lo..hi]));
+            }
+        }
     }
 
     #[test]

@@ -19,39 +19,133 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_distr::{Distribution, Zipf};
 
+/// The canonical R-MAT partition probabilities (a, b, c); d = 1 − a − b − c.
+pub const RMAT_ABC: (f64, f64, f64) = (0.57, 0.19, 0.19);
+
+/// Draws per block of the R-MAT chain: a constant, so which draw lands in
+/// which block never depends on who steps or decodes the blocks.
+pub const RMAT_BLOCK: usize = 1 << 16;
+
 /// Recursive-matrix (R-MAT) generator with the canonical (a,b,c,d) =
-/// (0.57, 0.19, 0.19, 0.05) partition probabilities, yielding a power-law
-/// degree distribution like real web/social graphs.
+/// (0.57, 0.19, 0.19, 0.05) partition probabilities ([`RMAT_ABC`]),
+/// yielding a power-law degree distribution like real web/social graphs.
 pub fn rmat(num_vertices: usize, num_edges: usize, seed: u64) -> Coo {
-    rmat_with(num_vertices, num_edges, 0.57, 0.19, 0.19, seed)
+    let (a, b, c) = RMAT_ABC;
+    rmat_with(num_vertices, num_edges, a, b, c, seed)
 }
 
-/// R-MAT with explicit quadrant probabilities (d = 1 - a - b - c).
+/// R-MAT with explicit quadrant probabilities (d = 1 - a - b - c): the
+/// serial driver of [`RmatChain`] and [`RmatWalk`], one block at a time.
 pub fn rmat_with(num_vertices: usize, num_edges: usize, a: f64, b: f64, c: f64, seed: u64) -> Coo {
-    assert!(num_vertices > 1);
-    assert!(
-        [a, b, c].iter().all(|p| p.is_finite() && *p >= 0.0),
-        "quadrant probabilities must be finite and non-negative"
-    );
-    assert!(a + b + c < 1.0 + 1e-9, "quadrant probabilities exceed 1");
-    let scale = (num_vertices as f64).log2().ceil() as u32;
-    let thresholds = quadrant_thresholds(a, b, c);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut src = Vec::with_capacity(num_edges);
-    let mut dst = Vec::with_capacity(num_edges);
-    while src.len() < num_edges {
-        let (mut x, mut y) = (0usize, 0usize);
-        for bit in (0..scale).rev() {
-            let (xb, yb) = quadrant(rng.next_u64() >> 11, &thresholds);
-            x |= xb << bit;
-            y |= yb << bit;
-        }
-        if x < num_vertices && y < num_vertices && x != y {
-            src.push(x as VId);
-            dst.push(y as VId);
+    let mut walk = RmatWalk::new(num_vertices, num_edges, a, b, c);
+    let mut chain = RmatChain::new(seed);
+    let mut block = vec![0; RMAT_BLOCK];
+    while !walk.done() {
+        chain.fill(&mut block);
+        walk.decode(&block);
+    }
+    walk.into_coo()
+}
+
+/// The chain stage of the R-MAT walk: its one `StdRng` stream, stepped a
+/// block at a time. Every draw needs the one before it, so this stage is
+/// serial; it is also all the walk's RNG work.
+#[derive(Debug, Clone)]
+pub struct RmatChain(StdRng);
+
+impl RmatChain {
+    /// The stream the walk seeded with `seed` reads.
+    pub fn new(seed: u64) -> Self {
+        RmatChain(StdRng::seed_from_u64(seed))
+    }
+
+    /// Overwrite `block` with the stream's next `block.len()` draws, each
+    /// `next_u64() >> 11`: the 53 bits `gen::<f64>()` would divide by 2^53.
+    pub fn fill(&mut self, block: &mut [u64]) {
+        for m in block {
+            *m = self.0.next_u64() >> 11;
         }
     }
-    Coo::new(num_vertices, src, dst).dedup()
+}
+
+/// The decode stage of the R-MAT walk: turns draws, in stream order, into
+/// accepted edges. Each walk takes `ceil(log2 n)` draws, one per level, and
+/// may straddle two blocks; it is accepted when both ends fall inside the
+/// graph and differ. Decoding stops at exactly `num_edges` accepted edges.
+#[derive(Debug, Clone)]
+pub struct RmatWalk {
+    num_vertices: usize,
+    num_edges: usize,
+    scale: u32,
+    thresholds: [u64; 3],
+    /// The walk in progress: levels decoded so far and their bits.
+    level: u32,
+    x: usize,
+    y: usize,
+    src: Vec<VId>,
+    dst: Vec<VId>,
+}
+
+impl RmatWalk {
+    /// A walk that will accept `num_edges` edges over `num_vertices`
+    /// vertices with quadrant probabilities `a`, `b`, `c`.
+    pub fn new(num_vertices: usize, num_edges: usize, a: f64, b: f64, c: f64) -> Self {
+        assert!(num_vertices > 1);
+        assert!(
+            [a, b, c].iter().all(|p| p.is_finite() && *p >= 0.0),
+            "quadrant probabilities must be finite and non-negative"
+        );
+        assert!(a + b + c < 1.0 + 1e-9, "quadrant probabilities exceed 1");
+        RmatWalk {
+            num_vertices,
+            num_edges,
+            scale: (num_vertices as f64).log2().ceil() as u32,
+            thresholds: quadrant_thresholds(a, b, c),
+            level: 0,
+            x: 0,
+            y: 0,
+            src: Vec::with_capacity(num_edges),
+            dst: Vec::with_capacity(num_edges),
+        }
+    }
+
+    /// Whether `num_edges` edges have been accepted.
+    pub fn done(&self) -> bool {
+        self.src.len() == self.num_edges
+    }
+
+    /// Decode `draws` (the chain's next ones) until the walk is done; the
+    /// draws left over after that are never read.
+    pub fn decode(&mut self, mut draws: &[u64]) {
+        let (n, t) = (self.num_vertices, self.thresholds);
+        while !draws.is_empty() && !self.done() {
+            // The levels the walk in progress still needs, as far as this
+            // block reaches.
+            let take = ((self.scale - self.level) as usize).min(draws.len());
+            let (mut x, mut y) = (self.x, self.y);
+            for &m in &draws[..take] {
+                let (xb, yb) = quadrant(m, &t);
+                x = x << 1 | xb;
+                y = y << 1 | yb;
+            }
+            draws = &draws[take..];
+            self.level += take as u32;
+            (self.x, self.y) = (x, y);
+            if self.level < self.scale {
+                return;
+            }
+            if x < n && y < n && x != y {
+                self.src.push(x as VId);
+                self.dst.push(y as VId);
+            }
+            (self.level, self.x, self.y) = (0, 0, 0);
+        }
+    }
+
+    /// The accepted edges, deduplicated (first occurrence kept).
+    pub fn into_coo(self) -> Coo {
+        Coo::new(self.num_vertices, self.src, self.dst).dedup()
+    }
 }
 
 /// The R-MAT quadrant bounds `a`, `a+b`, `a+b+c` as 53-bit integers.
@@ -178,23 +272,18 @@ pub fn erdos_renyi(num_vertices: usize, num_edges: usize, seed: u64) -> Coo {
     Coo::new(num_vertices, src, dst).dedup()
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::convert::coo_to_csr;
-    use crate::degree::DegreeStats;
-
-    #[test]
-    fn rmat_is_deterministic() {
-        let a = rmat(256, 1000, 7);
-        let b = rmat(256, 1000, 7);
-        assert_eq!(a, b);
-        assert_ne!(a, rmat(256, 1000, 8));
-    }
+/// The R-MAT walk as first written, kept as the oracle that the block walk
+/// ([`rmat_with`]) and any other driver of [`RmatChain`] and [`RmatWalk`]
+/// must reproduce bit for bit, with the quadrant probabilities that probe
+/// it.
+pub mod reference {
+    use crate::{Coo, VId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// One R-MAT level as first written: an if/else chain over the
     /// cumulative f64 quadrant probabilities.
-    fn quadrant_reference(r: f64, a: f64, b: f64, c: f64) -> (usize, usize) {
+    pub fn quadrant_reference(r: f64, a: f64, b: f64, c: f64) -> (usize, usize) {
         if r < a {
             (0, 0)
         } else if r < a + b {
@@ -208,7 +297,7 @@ mod tests {
 
     /// The R-MAT walk as first written, one `gen::<f64>()` per level: the
     /// definition the integer-threshold walk must reproduce bit for bit.
-    fn rmat_reference(n: usize, e: usize, a: f64, b: f64, c: f64, seed: u64) -> Coo {
+    pub fn rmat_reference(n: usize, e: usize, a: f64, b: f64, c: f64, seed: u64) -> Coo {
         let mut rng = StdRng::seed_from_u64(seed);
         let (mut src, mut dst) = (Vec::new(), Vec::new());
         while src.len() < e {
@@ -230,7 +319,7 @@ mod tests {
 
     /// Canonical, dyadic (every threshold an integer, so `<` against `<=`
     /// shows), a zero quadrant each, and d = 0.
-    const QUADRANTS: [(f64, f64, f64); 6] = [
+    pub const QUADRANTS: [(f64, f64, f64); 6] = [
         (0.57, 0.19, 0.19),
         (0.5, 0.25, 0.125),
         (0.0, 0.5, 0.25),
@@ -238,6 +327,22 @@ mod tests {
         (0.5, 0.3, 0.0),
         (0.5, 0.25, 0.25),
     ];
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference::{quadrant_reference, rmat_reference, QUADRANTS};
+    use super::*;
+    use crate::convert::coo_to_csr;
+    use crate::degree::DegreeStats;
+
+    #[test]
+    fn rmat_is_deterministic() {
+        let a = rmat(256, 1000, 7);
+        let b = rmat(256, 1000, 7);
+        assert_eq!(a, b);
+        assert_ne!(a, rmat(256, 1000, 8));
+    }
 
     #[test]
     fn quadrant_matches_the_float_chain_at_every_threshold() {
@@ -263,7 +368,7 @@ mod tests {
     #[test]
     fn rmat_walk_matches_the_float_walk() {
         for (a, b, c) in QUADRANTS {
-            for (n, e) in [(3, 40), (256, 2000), (1000, 6000)] {
+            for (n, e) in [(3, 40), (256, 2000), (1000, 6000), (1000, 30_000)] {
                 for seed in [1, 42] {
                     assert_eq!(
                         rmat_with(n, e, a, b, c, seed),

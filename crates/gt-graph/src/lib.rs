@@ -32,7 +32,7 @@ pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::Csr;
 pub use degree::DegreeStats;
-pub use embedding::EmbeddingTable;
+pub use embedding::{fill_random, EmbeddingTable};
 pub use error::GraphError;
 
 /// Vertex identifier. `u32` bounds graphs at ~4.3B vertices, matching the

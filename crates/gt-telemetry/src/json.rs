@@ -329,18 +329,21 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.text.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = (self.text)
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not emitted by our writer;
-                            // map unpaired surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                            let mut code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A high surrogate and a `\u` low one right
+                            // after it are one scalar; a surrogate left
+                            // unpaired becomes U+FFFD.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.text[self.pos + 1..].starts_with("\\u")
+                            {
+                                let low = self.hex4(self.pos + 3)?;
+                                if (0xDC00..0xE000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
                         _ => return Err(self.err("bad escape")),
                     }
@@ -356,6 +359,18 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, JsonError> {
+        let hex = self
+            .text
+            .get(at..at + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(self.err("bad \\u escape"));
+        }
+        Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -476,6 +491,40 @@ mod tests {
         let garbage = ["", "{", "[1,", "\"abc", "nul", "{\"a\" 1}", "1 2"];
         for bad in garbage.into_iter().chain(cut_escapes) {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_do_not() {
+        let cases = [
+            (r#""\ud83d\ude00""#, "\u{1F600}"),
+            (r#""a\uD834\uDD1Ez""#, "a\u{1D11E}z"),
+            (r#""\ud83d""#, "\u{FFFD}"),
+            (r#""\ude00""#, "\u{FFFD}"),
+            (r#""\ud83dx""#, "\u{FFFD}x"),
+            (r#""\ude00\ud83d""#, "\u{FFFD}\u{FFFD}"),
+            (r#""\ud83d\u0041""#, "\u{FFFD}A"),
+            (r#""\ud83d\n""#, "\u{FFFD}\n"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{FFFD}\u{1F600}"),
+        ];
+        for (text, want) in cases {
+            assert_eq!(parse(text).unwrap(), Json::from(want), "{text}");
+        }
+        // A pair cut short is a typed error, never a panic.
+        for cut in [
+            r#""\ud83d\u"#,
+            r#""\ud83d\ude0"#,
+            r#""\ud83d\ude0""#,
+            r#""\ud83d\ude00"#,
+            r#""\ud83d\"#,
+            "\"\\ud83d\\ude0é\"",
+            r#""\u+123""#,
+        ] {
+            let err = parse(cut).expect_err(cut);
+            assert!(
+                err.message.contains("escape") || err.message.contains("unterminated"),
+                "{cut}: {err:?}"
+            );
         }
     }
 
