@@ -84,7 +84,6 @@ pub fn run(cfg: &ExpConfig, opts: &SloOpts) -> Result<Summary, GtError> {
         TracerConfig {
             seed: cfg.seed,
             flight_path: opts.flight_out.clone(),
-            ..TracerConfig::default()
         },
         Some(SloSpec::latency(opts.threshold_us, 0.9)),
     );

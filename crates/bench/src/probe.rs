@@ -18,7 +18,7 @@ use gt_core::prepro::sample_and_reindex;
 use gt_core::trainer::GtVariant;
 use gt_core::{build_prepro_sim, PreproStrategy};
 use gt_par::ThreadPool;
-use gt_sim::{BubbleReport, Stage, StageBreakdown, SystemSpec};
+use gt_sim::{BubbleReport, Phase, Stage, StageBreakdown, SystemSpec};
 
 /// The probe's representative workload (the paper's light dataset).
 const DATASET: &str = "products";
@@ -26,18 +26,15 @@ const DATASET: &str = "products";
 /// Minimum measured batches: percentiles over fewer samples are noise.
 const MIN_BATCHES: usize = 9;
 
-/// The host-side request segments sampled per measured batch, in the
-/// order of `SEGMENT_LABELS`.
-const SEGMENT_PHASES: [gt_sim::Phase; 4] = [
-    gt_sim::Phase::Sampling,
-    gt_sim::Phase::Reindex,
-    gt_sim::Phase::Lookup,
-    gt_sim::Phase::Transfer,
+/// The host-side request segments sampled per measured batch: the DES
+/// phase each covers and the stage whose label keys its metrics (the
+/// S/R/K/T vocabulary request traces use).
+const SEGMENTS: [(Phase, Stage); 4] = [
+    (Phase::Sampling, Stage::Sample),
+    (Phase::Reindex, Stage::Reindex),
+    (Phase::Lookup, Stage::Lookup),
+    (Phase::Transfer, Stage::Transfer),
 ];
-
-/// Metric-key labels for [`SEGMENT_PHASES`] (the S/R/K/T vocabulary of
-/// `gt_telemetry::SegmentKind`).
-const SEGMENT_LABELS: [&str; 4] = ["S", "R", "K", "T"];
 
 /// Run the probe and distill a schema-stable report.
 pub fn report(experiment: &str, cfg: &ExpConfig) -> BenchReport {
@@ -66,8 +63,8 @@ pub fn report(experiment: &str, cfg: &ExpConfig) -> BenchReport {
         wall_us.push(wall.elapsed().as_secs_f64() * 1e6);
         e2e_us.push(r.e2e_us(overlapped));
         gpu_us.push(r.gpu_us());
-        for (i, phase) in SEGMENT_PHASES.iter().enumerate() {
-            seg_us[i].push(r.prepro.as_ref().map_or(0.0, |s| s.phase_busy_us(*phase)));
+        for (seg, (phase, _)) in seg_us.iter_mut().zip(SEGMENTS) {
+            seg.push(r.prepro.as_ref().map_or(0.0, |s| s.phase_busy_us(phase)));
         }
         gpu_stages.merge(&StageBreakdown::from_kernels(r.sim.records()));
     }
@@ -115,9 +112,10 @@ pub fn report(experiment: &str, cfg: &ExpConfig) -> BenchReport {
     // Per-request latency-segment percentiles, keyed by the tracing
     // vocabulary (docs/telemetry.md §Tracing contexts): modeled, so they
     // sit under the same benchdiff gate as the e2e percentiles.
-    for (i, label) in SEGMENT_LABELS.iter().enumerate() {
+    for (seg, (_, stage)) in seg_us.iter().zip(SEGMENTS) {
         for p in [50.0, 95.0] {
-            metrics.push((format!("req_{label}_us_p{p:.0}"), percentile(&seg_us[i], p)));
+            let key = format!("req_{}_us_p{p:.0}", stage.label());
+            metrics.push((key, percentile(seg, p)));
         }
     }
     for p in [50.0, 95.0] {

@@ -25,24 +25,26 @@
 
 use crate::framework::BatchOutcome;
 use crate::serve::{RequestCtx, Served};
-use gt_sim::Phase;
+use gt_sim::{Phase, Stage};
 use gt_telemetry::{
-    FlightRecorder, RequestTrace, SegmentKind, SloAlert, SloEngine, SloSpec, Telemetry, ToJson,
-    TraceContext, TraceSpan,
+    FlightRecorder, RequestTrace, SloAlert, SloEngine, SloSpec, SpanRecord, Telemetry, ToJson,
+    TraceContext,
 };
 use std::path::PathBuf;
+
+/// Requests retained by the flight-recorder ring.
+pub const RING_CAPACITY: usize = 64;
+
+/// Plain successes that keep their full span tree (Algorithm-R acceptance
+/// over the stream of normal requests; everything abnormal is always kept
+/// in full).
+pub const RESERVOIR: usize = 8;
 
 /// Static policy of a [`RequestTracer`].
 #[derive(Debug, Clone)]
 pub struct TracerConfig {
     /// Seed all trace/span identities derive from (hash input, not RNG).
     pub seed: u64,
-    /// Requests retained by the flight-recorder ring.
-    pub ring_capacity: usize,
-    /// Plain successes that keep their full span tree (Algorithm-R
-    /// acceptance over the stream of normal requests; everything abnormal
-    /// is always kept in full).
-    pub reservoir: usize,
     /// Where flight dumps are written (`None` = kept in memory only).
     pub flight_path: Option<PathBuf>,
 }
@@ -51,20 +53,65 @@ impl Default for TracerConfig {
     fn default() -> Self {
         TracerConfig {
             seed: 0x6774_7263, // "gttrc"
-            ring_capacity: 64,
-            reservoir: 8,
             flight_path: None,
         }
     }
 }
 
-/// Root-span name: the request index, qualified with the tenant when the
-/// gateway runs multi-tenant admission.
-fn root_name(request_index: usize, tenant: Option<usize>) -> String {
-    match tenant {
-        Some(t) => format!("request #{request_index} (tenant {t})"),
-        None => format!("request #{request_index}"),
+/// A request segment: its label (the span's one arg, and the name of every
+/// non-root span) and the Chrome-trace track it renders on.
+type Segment = (&'static str, &'static str);
+
+const REQUEST: Segment = ("request", "request");
+const QUEUE_WAIT: Segment = ("queue-wait", "request");
+const KERNEL: Segment = ("kernel", "GPU");
+const STALL: Segment = ("stall", "serve");
+const BACKOFF: Segment = ("backoff", "serve");
+
+/// The preprocessing segments, one per S/R/K/T phase of the DES schedule,
+/// labelled by their stage.
+const PREPRO: [(Phase, Stage, &str); 4] = [
+    (Phase::Sampling, Stage::Sample, "core"),
+    (Phase::Reindex, Stage::Reindex, "core"),
+    (Phase::Lookup, Stage::Lookup, "core"),
+    (Phase::Transfer, Stage::Transfer, "PCIe"),
+];
+
+/// One request span in virtual µs.
+fn span(
+    id: u64,
+    parent: Option<u64>,
+    name: String,
+    (label, track): Segment,
+    start_us: f64,
+    dur_us: f64,
+) -> SpanRecord {
+    SpanRecord {
+        id,
+        parent,
+        name,
+        track: track.to_string(),
+        start_us,
+        dur_us,
+        args: vec![("segment".to_string(), label.to_string())],
     }
+}
+
+/// A request's root span, named by the request index and qualified with
+/// the tenant when the gateway runs multi-tenant admission.
+fn root_span(ctx: &TraceContext, request: &RequestCtx, dur_us: f64) -> SpanRecord {
+    let name = match request.tenant {
+        Some(t) => format!("request #{} (tenant {t})", request.index),
+        None => format!("request #{}", request.index),
+    };
+    span(
+        ctx.parent_span_id,
+        None,
+        name,
+        REQUEST,
+        request.arrival_us,
+        dur_us,
+    )
 }
 
 /// One dump artifact the tracer produced (also written to
@@ -105,7 +152,7 @@ impl RequestTracer {
     pub fn new(config: TracerConfig, slo: Option<SloSpec>, telemetry: Telemetry) -> RequestTracer {
         let slo = slo.map(|spec| SloEngine::new(spec, telemetry.clone()));
         RequestTracer {
-            recorder: FlightRecorder::new(config.ring_capacity),
+            recorder: FlightRecorder::new(RING_CAPACITY),
             config,
             slo,
             telemetry,
@@ -173,48 +220,32 @@ impl RequestTracer {
 
         let ctx = TraceContext::for_request(self.config.seed, req.index);
         let root = ctx.parent_span_id;
-        let mut spans = vec![TraceSpan {
-            span_id: root,
-            parent: None,
-            kind: SegmentKind::Request,
-            name: root_name(req.index, req.tenant),
-            start_us: req.arrival_us,
-            dur_us: queued_us + service_us,
-        }];
+        let mut spans = vec![root_span(&ctx, &req, queued_us + service_us)];
         // Child span ids are minted in a fixed order so the tree is a pure
         // function of (seed, request_index) and the segments present.
         let mut minted = 0usize;
-        let mut child = |spans: &mut Vec<TraceSpan>, kind: SegmentKind, start, dur| {
-            let span_id = ctx.span_id(minted);
+        let mut child = |spans: &mut Vec<SpanRecord>, segment: Segment, start, dur| {
+            let id = ctx.span_id(minted);
             minted += 1;
-            spans.push(TraceSpan {
-                span_id,
-                parent: Some(root),
-                kind,
-                name: kind.label().to_string(),
-                start_us: start,
-                dur_us: dur,
-            });
+            spans.push(span(
+                id,
+                Some(root),
+                segment.0.to_string(),
+                segment,
+                start,
+                dur,
+            ));
         };
         if queued_us > 0.0 {
-            child(
-                &mut spans,
-                SegmentKind::QueueWait,
-                req.arrival_us,
-                queued_us,
-            );
+            child(&mut spans, QUEUE_WAIT, req.arrival_us, queued_us);
         }
         // Preprocessing subtasks: one envelope span per S/R/K/T phase,
         // offset from the schedule's own origin to the service start.
         if let Some(schedule) = &report.prepro {
-            for (phase, kind) in [
-                (Phase::Sampling, SegmentKind::Sampling),
-                (Phase::Reindex, SegmentKind::Reindex),
-                (Phase::Lookup, SegmentKind::Lookup),
-                (Phase::Transfer, SegmentKind::Transfer),
-            ] {
+            for (phase, stage, track) in PREPRO {
                 if let Some((from, until)) = schedule.phase_window_us(phase) {
-                    child(&mut spans, kind, req.start_us + from, until - from);
+                    let segment = (stage.label(), track);
+                    child(&mut spans, segment, req.start_us + from, until - from);
                 }
             }
         }
@@ -222,15 +253,15 @@ impl RequestTracer {
         if gpu_us > 0.0 {
             // Steady-state overlap: kernels run against the next batch's
             // preprocessing, so the segment starts at service start.
-            child(&mut spans, SegmentKind::Kernel, req.start_us, gpu_us);
+            child(&mut spans, KERNEL, req.start_us, gpu_us);
         }
         let mut tail = req.start_us + served.modeled_us();
         if stall_us > 0.0 {
-            child(&mut spans, SegmentKind::Stall, tail, stall_us);
+            child(&mut spans, STALL, tail, stall_us);
             tail += stall_us;
         }
         if backoff_us > 0.0 {
-            child(&mut spans, SegmentKind::Backoff, tail, backoff_us);
+            child(&mut spans, BACKOFF, tail, backoff_us);
         }
 
         let latency_us = queued_us + service_us;
@@ -270,14 +301,7 @@ impl RequestTracer {
             outcome_json: outcome.to_json().to_json_string(),
             arrival_us,
             done_us,
-            spans: vec![TraceSpan {
-                span_id: ctx.parent_span_id,
-                parent: None,
-                kind: SegmentKind::Request,
-                name: root_name(request.index, request.tenant),
-                start_us: arrival_us,
-                dur_us: done_us - arrival_us,
-            }],
+            spans: vec![root_span(&ctx, &request, done_us - arrival_us)],
         };
         self.retain(&mut trace, true);
         self.feed_slo(done_us, done_us - arrival_us, false);
@@ -326,14 +350,14 @@ impl RequestTracer {
     }
 
     /// Algorithm-R acceptance over the stream of plain successes: the
-    /// `n`-th one is kept in full with probability `reservoir/(n+1)`,
+    /// `n`-th one is kept in full with probability `RESERVOIR/(n+1)`,
     /// decided by the request's own (seeded, deterministic) trace id.
     /// Earlier accepted trees are not evicted — the ring already bounds
     /// memory, so erring toward detail is free.
     fn reservoir_keeps(&mut self, trace_id: u64) -> bool {
         let n = self.normal_seen as u64;
         self.normal_seen += 1;
-        n < self.config.reservoir as u64 || trace_id % (n + 1) < self.config.reservoir as u64
+        n < RESERVOIR as u64 || trace_id % (n + 1) < RESERVOIR as u64
     }
 
     /// Feed one completion to the SLO engine (monotone-clamped) and take a

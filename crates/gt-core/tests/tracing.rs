@@ -10,6 +10,7 @@
 //! across `GT_THREADS={1,4}`.
 
 use gt_core::journal;
+use gt_core::tracing::{RESERVOIR, RING_CAPACITY};
 use gt_core::{
     DurabilityConfig, Gateway, GtError, OverloadConfig, ServeCtx, Supervisor, TracerConfig,
 };
@@ -50,8 +51,6 @@ fn overloaded_run(durable_dir: Option<&std::path::Path>) -> Gateway {
     sup.enable_tracing(
         TracerConfig {
             seed: 99,
-            ring_capacity: 32,
-            reservoir: 4,
             flight_path: None,
         },
         Some(SloSpec::latency(20_000.0, 0.9)),
@@ -305,26 +304,29 @@ fn injected_crash_takes_a_flight_dump() {
 /// remain present (and reconcilable).
 #[test]
 fn tail_sampling_demotes_only_plain_successes() {
+    // Three reservoirs' worth of plain successes, all inside the ring.
+    let n = 3 * RESERVOIR;
+    assert!(n <= RING_CAPACITY);
     let mut sup = supervisor(FaultPlan::new(0));
     sup.enable_tracing(
         TracerConfig {
             seed: 1,
-            ring_capacity: 64,
-            reservoir: 2,
             flight_path: None,
         },
         None,
     );
     let d = data();
-    for b in batches(16) {
+    for b in batches(n) {
         sup.serve(&d, &b, ServeCtx::default()).unwrap();
     }
     let traces = sup.tracer.as_ref().unwrap().recorder().traces();
-    assert_eq!(traces.len(), 16);
-    let full = traces.iter().filter(|t| t.spans.len() > 1).count();
+    assert_eq!(traces.len(), n);
     let demoted = traces.iter().filter(|t| t.spans.len() == 1).count();
-    assert!(demoted > 0, "a reservoir of 2 must demote some of 16");
-    assert!(full >= 2, "the reservoir floor keeps early successes");
+    assert!(demoted > 0, "the reservoir must demote some of {n}");
+    assert!(
+        traces[..RESERVOIR].iter().all(|t| t.spans.len() > 1),
+        "the reservoir floor keeps the early successes"
+    );
     // Demoted traces still carry identity and outcome.
     for t in traces.iter().filter(|t| t.spans.len() == 1) {
         assert_eq!(t.outcome, "succeeded");
@@ -334,26 +336,24 @@ fn tail_sampling_demotes_only_plain_successes() {
     let snap = sup.trainer.telemetry.snapshot();
     assert_eq!(
         snap.counter("gt_trace_requests_total"),
-        16,
+        n as u64,
         "every request is traced"
     );
     assert_eq!(snap.counter("gt_trace_demoted_total"), demoted as u64);
 
-    // Abnormal outcomes bypass the reservoir entirely: a quarantined
-    // request keeps its full (root + stall/backoff-free) trace flagged
-    // with its outcome.
-    let mut sup = supervisor(FaultPlan::new(0));
-    sup.enable_tracing(
-        TracerConfig {
-            reservoir: 0,
-            ..TracerConfig::default()
-        },
-        None,
-    );
-    sup.serve(&d, &[5, 5, 6], ServeCtx::default()).unwrap(); // duplicate ids → quarantined
+    // Abnormal outcomes bypass the reservoir entirely: past its floor,
+    // where plain successes are demoted, quarantined requests (duplicate
+    // ids) are never demoted and keep their outcome.
+    for _ in 0..RESERVOIR {
+        sup.serve(&d, &[5, 5, 6], ServeCtx::default()).unwrap();
+    }
+    let snap = sup.trainer.telemetry.snapshot();
+    assert_eq!(snap.counter("gt_trace_demoted_total"), demoted as u64);
     let traces = sup.tracer.as_ref().unwrap().recorder().traces();
-    assert_eq!(traces[0].outcome, "quarantined");
-    assert!(traces[0].outcome_json.contains("invalid-batch"));
+    for t in &traces[n..] {
+        assert_eq!(t.outcome, "quarantined");
+        assert!(t.outcome_json.contains("invalid-batch"));
+    }
 }
 
 /// Shed requests are traced (root-only, no batch index) and counted

@@ -4,7 +4,10 @@
 //! Aggregates (histograms, schedule profiles) say *that* p99 moved; a
 //! [`RequestTrace`] says *why request #4711 was slow*: one span tree per
 //! admitted request decomposing its life into queue-wait / S / R / K / T /
-//! transfer / kernel / stall / backoff segments. Identities are derived
+//! kernel / stall / backoff segments. The spans are the same
+//! [`SpanRecord`]s a [`MemoryCollector`](crate::MemoryCollector) holds; the
+//! clock belongs to the holder, so a collector's records are wall µs and a
+//! request trace's are DES virtual µs. Identities are derived
 //! purely from `(seed, request_index)` through splitmix64 — never from
 //! wall-clock or randomness — so two runs of the same workload produce
 //! bit-identical trace ids at any `GT_THREADS` width, and a trace exported
@@ -12,6 +15,7 @@
 //! written.
 
 use crate::json::{obj, Json, ToJson};
+use crate::span::SpanRecord;
 use crate::trace::Trace;
 
 /// The splitmix64 finalizer: the workspace's one stateless 64-bit mixer
@@ -57,83 +61,6 @@ impl TraceContext {
     pub fn span_id(&self, n: usize) -> u64 {
         splitmix64(self.trace_id ^ splitmix64(n as u64 + 1))
     }
-
-    /// A child context parented at `span_id`.
-    pub fn child(&self, span_id: u64) -> TraceContext {
-        TraceContext {
-            trace_id: self.trace_id,
-            parent_span_id: span_id,
-        }
-    }
-}
-
-/// What a traced segment measures — the causal vocabulary of the S/R/K/T
-/// pipeline plus the serving layer around it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentKind {
-    /// Whole-request envelope (arrival → resolution).
-    Request,
-    /// Time waiting in the admission queue before service started.
-    QueueWait,
-    /// Neighborhood sampling (S).
-    Sampling,
-    /// Vertex reindexing (R).
-    Reindex,
-    /// Feature lookup (K).
-    Lookup,
-    /// Host→device transfer (T).
-    Transfer,
-    /// GPU kernel execution (forward/backward/optimizer).
-    Kernel,
-    /// Injected serving stall (virtual time, `FaultKind::ServeDelay`).
-    Stall,
-    /// Retry backoff the supervisor paid.
-    Backoff,
-}
-
-impl SegmentKind {
-    /// Stable kebab-case label used in span names and dump JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SegmentKind::Request => "request",
-            SegmentKind::QueueWait => "queue-wait",
-            SegmentKind::Sampling => "S",
-            SegmentKind::Reindex => "R",
-            SegmentKind::Lookup => "K",
-            SegmentKind::Transfer => "T",
-            SegmentKind::Kernel => "kernel",
-            SegmentKind::Stall => "stall",
-            SegmentKind::Backoff => "backoff",
-        }
-    }
-
-    /// The Chrome-trace track this segment renders on.
-    pub fn track(&self) -> &'static str {
-        match self {
-            SegmentKind::Request | SegmentKind::QueueWait => "request",
-            SegmentKind::Sampling | SegmentKind::Reindex | SegmentKind::Lookup => "core",
-            SegmentKind::Transfer => "PCIe",
-            SegmentKind::Kernel => "GPU",
-            SegmentKind::Stall | SegmentKind::Backoff => "serve",
-        }
-    }
-}
-
-/// One span of a request's tree, in DES virtual microseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSpan {
-    /// Deterministic span id (see [`TraceContext::span_id`]).
-    pub span_id: u64,
-    /// Parent span id (`None` for the request root).
-    pub parent: Option<u64>,
-    /// What the segment measures.
-    pub kind: SegmentKind,
-    /// Display name (e.g. `"S"`, `"request #12"`).
-    pub name: String,
-    /// Start, virtual µs.
-    pub start_us: f64,
-    /// Duration, virtual µs.
-    pub dur_us: f64,
 }
 
 /// A request's full causal record: its span tree plus how it resolved.
@@ -158,19 +85,23 @@ pub struct RequestTrace {
     pub arrival_us: f64,
     /// Resolution time, virtual µs.
     pub done_us: f64,
-    /// The span tree, root first.
-    pub spans: Vec<TraceSpan>,
+    /// The span tree, root first, in virtual µs. Each record's `id` is its
+    /// deterministic span id ([`TraceContext::span_id`]), its `track` the
+    /// segment's Chrome-trace row, and its one arg `("segment", label)`
+    /// names what it measures (`request`, `queue-wait`, `S`, `R`, `K`,
+    /// `T`, `kernel`, `stall`, `backoff`).
+    pub spans: Vec<SpanRecord>,
+}
+
+/// A request span's segment label: its one arg.
+fn segment(span: &SpanRecord) -> &str {
+    span.args.first().map_or("", |(_, label)| label)
 }
 
 impl RequestTrace {
     /// Root span id, when the tree is non-empty.
     pub fn root_span(&self) -> Option<u64> {
-        self.spans.first().map(|s| s.span_id)
-    }
-
-    /// End-to-end latency (arrival → resolution), virtual µs.
-    pub fn latency_us(&self) -> f64 {
-        self.done_us - self.arrival_us
+        self.spans.first().map(|s| s.id)
     }
 
     /// Drop every non-root span (tail sampling demotion): the request stays
@@ -187,9 +118,9 @@ impl RequestTrace {
         for s in &self.spans {
             let mut args: Vec<(String, Json)> = vec![
                 ("trace_id".to_string(), self.trace_id.into()),
-                ("span_id".to_string(), s.span_id.into()),
+                ("span_id".to_string(), s.id.into()),
                 ("request".to_string(), Json::from(self.request_index as u64)),
-                ("segment".to_string(), s.kind.label().into()),
+                ("segment".to_string(), segment(s).into()),
             ];
             if let Some(p) = s.parent {
                 args.push(("parent_span_id".to_string(), p.into()));
@@ -198,7 +129,7 @@ impl RequestTrace {
                 args.push(("outcome".to_string(), self.outcome.as_str().into()));
             }
             trace.duration(
-                s.kind.track(),
+                s.track.clone(),
                 s.name.clone(),
                 "request",
                 s.start_us,
@@ -211,34 +142,29 @@ impl RequestTrace {
         // causal edge across tracks.
         for s in &self.spans {
             let Some(parent_id) = s.parent else { continue };
-            let Some(parent) = self.spans.iter().find(|p| p.span_id == parent_id) else {
+            let Some(parent) = self.spans.iter().find(|p| p.id == parent_id) else {
                 continue;
             };
-            trace.flow_start(
-                parent.kind.track(),
-                s.name.clone(),
-                parent.start_us,
-                s.span_id,
-            );
-            trace.flow_finish(s.kind.track(), s.name.clone(), s.start_us, s.span_id);
+            trace.flow_start(parent.track.clone(), s.name.clone(), parent.start_us, s.id);
+            trace.flow_finish(s.track.clone(), s.name.clone(), s.start_us, s.id);
         }
     }
 }
 
-impl ToJson for TraceSpan {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("span_id", self.span_id.into()),
-            ("kind", self.kind.label().into()),
-            ("name", self.name.as_str().into()),
-            ("start_us", self.start_us.into()),
-            ("dur_us", self.dur_us.into()),
-        ];
-        if let Some(p) = self.parent {
-            pairs.push(("parent", p.into()));
-        }
-        obj(pairs)
+/// A request span's dump form: the keys and order the flight recorder has
+/// always written, the segment label under `kind`.
+fn span_json(s: &SpanRecord) -> Json {
+    let mut pairs = vec![
+        ("span_id", s.id.into()),
+        ("kind", segment(s).into()),
+        ("name", s.name.as_str().into()),
+        ("start_us", s.start_us.into()),
+        ("dur_us", s.dur_us.into()),
+    ];
+    if let Some(p) = s.parent {
+        pairs.push(("parent", p.into()));
     }
+    obj(pairs)
 }
 
 impl ToJson for RequestTrace {
@@ -266,7 +192,7 @@ impl ToJson for RequestTrace {
             ("done_us", self.done_us.into()),
             (
                 "spans",
-                Json::Arr(self.spans.iter().map(|s| s.to_json()).collect()),
+                Json::Arr(self.spans.iter().map(span_json).collect()),
             ),
         ]);
         obj(pairs)
@@ -274,7 +200,7 @@ impl ToJson for RequestTrace {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -287,9 +213,6 @@ mod tests {
         // Span ids are stable per mint index and distinct across indices.
         assert_eq!(a.span_id(3), a.span_id(3));
         assert_ne!(a.span_id(3), a.span_id(4));
-        let child = a.child(a.span_id(1));
-        assert_eq!(child.trace_id, a.trace_id);
-        assert_eq!(child.parent_span_id, a.span_id(1));
     }
 
     #[test]
@@ -299,10 +222,30 @@ mod tests {
         assert_eq!(fnv1a("foobar".bytes()), 0x8594_4171_f739_67e8);
     }
 
+    /// A request span as the tracer mints it: the segment label is its one
+    /// arg.
+    pub(crate) fn span(
+        id: u64,
+        parent: Option<u64>,
+        name: &str,
+        (segment, track): (&str, &str),
+        start_us: f64,
+        dur_us: f64,
+    ) -> SpanRecord {
+        SpanRecord {
+            id,
+            parent,
+            name: name.to_string(),
+            track: track.to_string(),
+            start_us,
+            dur_us,
+            args: vec![("segment".to_string(), segment.to_string())],
+        }
+    }
+
     fn two_span_trace() -> RequestTrace {
         let ctx = TraceContext::for_request(7, 12);
         let root = ctx.parent_span_id;
-        let child = ctx.span_id(0);
         RequestTrace {
             trace_id: ctx.trace_id,
             request_index: 12,
@@ -313,22 +256,15 @@ mod tests {
             arrival_us: 100.0,
             done_us: 250.0,
             spans: vec![
-                TraceSpan {
-                    span_id: root,
-                    parent: None,
-                    kind: SegmentKind::Request,
-                    name: "request #12".to_string(),
-                    start_us: 100.0,
-                    dur_us: 150.0,
-                },
-                TraceSpan {
-                    span_id: child,
-                    parent: Some(root),
-                    kind: SegmentKind::Sampling,
-                    name: "S".to_string(),
-                    start_us: 110.0,
-                    dur_us: 40.0,
-                },
+                span(
+                    root,
+                    None,
+                    "request #12",
+                    ("request", "request"),
+                    100.0,
+                    150.0,
+                ),
+                span(ctx.span_id(0), Some(root), "S", ("S", "core"), 110.0, 40.0),
             ],
         }
     }
@@ -342,7 +278,7 @@ mod tests {
         assert_eq!(trace.events.len(), 4);
         let flows: Vec<_> = trace.events.iter().filter(|e| e.flow.is_some()).collect();
         assert_eq!(flows.len(), 2);
-        let child_id = rt.spans[1].span_id;
+        let child_id = rt.spans[1].id;
         assert!(flows
             .iter()
             .all(|e| e.flow.as_ref().unwrap().id == child_id));
@@ -355,10 +291,11 @@ mod tests {
         let mut rt = two_span_trace();
         rt.demote_to_root();
         assert_eq!(rt.spans.len(), 1);
-        assert_eq!(rt.spans[0].kind, SegmentKind::Request);
-        assert!((rt.latency_us() - 150.0).abs() < 1e-12);
+        assert_eq!(segment(&rt.spans[0]), "request");
         let j = rt.to_json();
         assert_eq!(j.get("outcome").unwrap().as_str(), Some("succeeded"));
         assert_eq!(j.get("batch_index").unwrap().as_f64(), Some(9.0));
+        let spans = j.get("spans").unwrap().as_arr().unwrap();
+        assert_eq!(spans[0].get("kind").unwrap().as_str(), Some("request"));
     }
 }

@@ -7,6 +7,9 @@
 //!
 //! - **Spans** ([`Span`], [`MemoryCollector`]): RAII wall-clock regions on
 //!   named tracks, nestable, labeled with phase/batch/layer.
+//!   Their [`SpanRecord`] is also the span of a request's causal tree
+//!   ([`RequestTrace`]), where ids are deterministic and the clock is
+//!   virtual.
 //! - **Metrics** ([`Registry`]): counters, gauges, and fixed-bucket
 //!   histograms with p50/p95/p99 estimation.
 //! - **Exporters**: Chrome trace-event JSON ([`trace`]) loadable in
@@ -36,7 +39,7 @@ pub mod trace;
 
 use std::sync::{Arc, OnceLock};
 
-pub use context::{fnv1a, splitmix64, RequestTrace, SegmentKind, TraceContext, TraceSpan};
+pub use context::{fnv1a, splitmix64, RequestTrace, TraceContext};
 pub use json::{Json, JsonError, ToJson};
 pub use metrics::{
     label_set, Counter, Gauge, Histogram, HistogramSnapshot, LabelSet, MetricSnapshot, MetricValue,

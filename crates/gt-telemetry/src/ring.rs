@@ -18,8 +18,8 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::context::RequestTrace;
-use crate::json::{obj, parse, Json, JsonError, ToJson};
-use crate::trace::{write_chrome_json, Trace};
+use crate::json::{parse, Json, JsonError, ToJson};
+use crate::trace::{chrome_doc, Trace};
 
 /// Version of the dump's `gt_flight_schema` field.
 pub const FLIGHT_SCHEMA_VERSION: u64 = 1;
@@ -39,11 +39,6 @@ impl FlightRecorder {
             capacity,
             ring: Mutex::new(VecDeque::with_capacity(capacity)),
         }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Requests currently retained (≤ capacity).
@@ -78,23 +73,18 @@ impl FlightRecorder {
         for rt in &traces {
             rt.render(&mut trace);
         }
-        let chrome = write_chrome_json(&[&trace]);
-        // write_chrome_json returns a complete `{...}` object; splice the
-        // gt_* keys in by re-parsing (the in-tree parser is strict and the
-        // document is ours, so this cannot fail).
-        let mut doc = match parse(&chrome) {
-            Ok(Json::Obj(pairs)) => pairs,
-            _ => unreachable!("write_chrome_json emits a JSON object"),
-        };
-        doc.push((
-            "gt_flight_schema".to_string(),
-            Json::from(FLIGHT_SCHEMA_VERSION),
-        ));
-        doc.push(("gt_flight_reason".to_string(), Json::from(reason)));
-        doc.push((
-            "gt_flight_requests".to_string(),
-            Json::Arr(traces.iter().map(|t| t.to_json()).collect()),
-        ));
+        let mut doc = chrome_doc(&[&trace]);
+        doc.extend([
+            (
+                "gt_flight_schema".to_string(),
+                Json::from(FLIGHT_SCHEMA_VERSION),
+            ),
+            ("gt_flight_reason".to_string(), Json::from(reason)),
+            (
+                "gt_flight_requests".to_string(),
+                Json::Arr(traces.iter().map(|t| t.to_json()).collect()),
+            ),
+        ]);
         Json::Obj(doc).to_json_string()
     }
 }
@@ -123,22 +113,11 @@ pub fn dump_outcomes(dump: &str) -> Result<Vec<(usize, String)>, JsonError> {
     Ok(out)
 }
 
-impl ToJson for FlightRecorder {
-    fn to_json(&self) -> Json {
-        obj([
-            ("capacity", Json::from(self.capacity as u64)),
-            (
-                "traces",
-                Json::Arr(self.traces().iter().map(|t| t.to_json()).collect()),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{SegmentKind, TraceContext, TraceSpan};
+    use crate::context::tests::span;
+    use crate::context::TraceContext;
     use crate::trace::from_chrome_json;
 
     fn trace(request_index: usize) -> RequestTrace {
@@ -152,14 +131,14 @@ mod tests {
             outcome_json: "{\"outcome\":\"succeeded\"}".to_string(),
             arrival_us: request_index as f64 * 10.0,
             done_us: request_index as f64 * 10.0 + 5.0,
-            spans: vec![TraceSpan {
-                span_id: ctx.parent_span_id,
-                parent: None,
-                kind: SegmentKind::Request,
-                name: format!("request #{request_index}"),
-                start_us: request_index as f64 * 10.0,
-                dur_us: 5.0,
-            }],
+            spans: vec![span(
+                ctx.parent_span_id,
+                None,
+                &format!("request #{request_index}"),
+                ("request", "request"),
+                request_index as f64 * 10.0,
+                5.0,
+            )],
         }
     }
 
@@ -230,5 +209,119 @@ mod tests {
         let outcomes = dump_outcomes(&rec.dump("test")).unwrap();
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].0, 0);
+    }
+
+    /// The dump's exact bytes for a fixed ring: a root-only shed, then a
+    /// tenant's full tree (every segment and track) with its flow arrows.
+    #[test]
+    fn dump_byte_layout_is_pinned() {
+        let rec = FlightRecorder::new(4);
+        let ctx = TraceContext::for_request(3, 4);
+        rec.record(RequestTrace {
+            trace_id: ctx.trace_id,
+            request_index: 4,
+            tenant: None,
+            batch_index: None,
+            outcome: "shed".to_string(),
+            outcome_json: "{\"outcome\":\"shed\",\"reason\":\"queue-full\"}".to_string(),
+            arrival_us: 400.0,
+            done_us: 400.0,
+            spans: vec![span(
+                ctx.parent_span_id,
+                None,
+                "request #4",
+                ("request", "request"),
+                400.0,
+                0.0,
+            )],
+        });
+        let ctx = TraceContext::for_request(3, 5);
+        let root = ctx.parent_span_id;
+        let mut spans = vec![span(
+            root,
+            None,
+            "request #5 (tenant 2)",
+            ("request", "request"),
+            500.0,
+            162.5,
+        )];
+        for (n, (segment, start, dur)) in [
+            (("queue-wait", "request"), 500.0, 20.0),
+            (("S", "core"), 520.0, 30.25),
+            (("R", "core"), 550.25, 4.5),
+            (("K", "core"), 520.0, 12.0),
+            (("T", "PCIe"), 554.75, 7.125),
+            (("kernel", "GPU"), 520.0, 90.0),
+            (("stall", "serve"), 610.0, 40.0),
+            (("backoff", "serve"), 650.0, 12.5),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            spans.push(span(
+                ctx.span_id(n),
+                Some(root),
+                segment.0,
+                segment,
+                start,
+                dur,
+            ));
+        }
+        rec.record(RequestTrace {
+            trace_id: ctx.trace_id,
+            request_index: 5,
+            tenant: Some(2),
+            batch_index: Some(3),
+            outcome: "recovered".to_string(),
+            outcome_json: "{\"outcome\":\"recovered\",\"attempts\":2}".to_string(),
+            arrival_us: 500.0,
+            done_us: 662.5,
+            spans,
+        });
+        let want = concat!(
+            r#"{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"flight recorder"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"request"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"core"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"PCIe"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":4,"args":{"name":"GPU"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":5,"args":{"name":"serve"}},"#,
+            r#"{"name":"request #4","cat":"request","pid":1,"tid":1,"ts":400,"ph":"X","dur":0,"args":{"trace_id":10968187914866821000,"span_id":6957558452390164000,"request":4,"segment":"request","outcome":"shed"}},"#,
+            r#"{"name":"request #5 (tenant 2)","cat":"request","pid":1,"tid":1,"ts":500,"ph":"X","dur":162.5,"args":{"trace_id":14871207630202692000,"span_id":6317840770260608000,"request":5,"segment":"request","outcome":"recovered"}},"#,
+            r#"{"name":"queue-wait","cat":"request","pid":1,"tid":1,"ts":500,"ph":"X","dur":20,"args":{"trace_id":14871207630202692000,"span_id":5176890198050575000,"request":5,"segment":"queue-wait","parent_span_id":6317840770260608000}},"#,
+            r#"{"name":"S","cat":"request","pid":1,"tid":2,"ts":520,"ph":"X","dur":30.25,"args":{"trace_id":14871207630202692000,"span_id":14587191656564466000,"request":5,"segment":"S","parent_span_id":6317840770260608000}},"#,
+            r#"{"name":"R","cat":"request","pid":1,"tid":2,"ts":550.25,"ph":"X","dur":4.5,"args":{"trace_id":14871207630202692000,"span_id":7583132990230907000,"request":5,"segment":"R","parent_span_id":6317840770260608000}},"#,
+            r#"{"name":"K","cat":"request","pid":1,"tid":2,"ts":520,"ph":"X","dur":12,"args":{"trace_id":14871207630202692000,"span_id":6517475443819050000,"request":5,"segment":"K","parent_span_id":6317840770260608000}},"#,
+            r#"{"name":"T","cat":"request","pid":1,"tid":3,"ts":554.75,"ph":"X","dur":7.125,"args":{"trace_id":14871207630202692000,"span_id":1765590448971059000,"request":5,"segment":"T","parent_span_id":6317840770260608000}},"#,
+            r#"{"name":"kernel","cat":"request","pid":1,"tid":4,"ts":520,"ph":"X","dur":90,"args":{"trace_id":14871207630202692000,"span_id":11279562684574355000,"request":5,"segment":"kernel","parent_span_id":6317840770260608000}},"#,
+            r#"{"name":"stall","cat":"request","pid":1,"tid":5,"ts":610,"ph":"X","dur":40,"args":{"trace_id":14871207630202692000,"span_id":17321126809939930000,"request":5,"segment":"stall","parent_span_id":6317840770260608000}},"#,
+            r#"{"name":"backoff","cat":"request","pid":1,"tid":5,"ts":650,"ph":"X","dur":12.5,"args":{"trace_id":14871207630202692000,"span_id":3641730176048064500,"request":5,"segment":"backoff","parent_span_id":6317840770260608000}},"#,
+            r#"{"name":"queue-wait","cat":"flow","pid":1,"tid":1,"ts":500,"ph":"s","id":5176890198050575000,"args":{}},"#,
+            r#"{"name":"queue-wait","cat":"flow","pid":1,"tid":1,"ts":500,"ph":"f","bp":"e","id":5176890198050575000,"args":{}},"#,
+            r#"{"name":"S","cat":"flow","pid":1,"tid":1,"ts":500,"ph":"s","id":14587191656564466000,"args":{}},"#,
+            r#"{"name":"S","cat":"flow","pid":1,"tid":2,"ts":520,"ph":"f","bp":"e","id":14587191656564466000,"args":{}},"#,
+            r#"{"name":"R","cat":"flow","pid":1,"tid":1,"ts":500,"ph":"s","id":7583132990230907000,"args":{}},"#,
+            r#"{"name":"R","cat":"flow","pid":1,"tid":2,"ts":550.25,"ph":"f","bp":"e","id":7583132990230907000,"args":{}},"#,
+            r#"{"name":"K","cat":"flow","pid":1,"tid":1,"ts":500,"ph":"s","id":6517475443819050000,"args":{}},"#,
+            r#"{"name":"K","cat":"flow","pid":1,"tid":2,"ts":520,"ph":"f","bp":"e","id":6517475443819050000,"args":{}},"#,
+            r#"{"name":"T","cat":"flow","pid":1,"tid":1,"ts":500,"ph":"s","id":1765590448971059000,"args":{}},"#,
+            r#"{"name":"T","cat":"flow","pid":1,"tid":3,"ts":554.75,"ph":"f","bp":"e","id":1765590448971059000,"args":{}},"#,
+            r#"{"name":"kernel","cat":"flow","pid":1,"tid":1,"ts":500,"ph":"s","id":11279562684574355000,"args":{}},"#,
+            r#"{"name":"kernel","cat":"flow","pid":1,"tid":4,"ts":520,"ph":"f","bp":"e","id":11279562684574355000,"args":{}},"#,
+            r#"{"name":"stall","cat":"flow","pid":1,"tid":1,"ts":500,"ph":"s","id":17321126809939930000,"args":{}},"#,
+            r#"{"name":"stall","cat":"flow","pid":1,"tid":5,"ts":610,"ph":"f","bp":"e","id":17321126809939930000,"args":{}},"#,
+            r#"{"name":"backoff","cat":"flow","pid":1,"tid":1,"ts":500,"ph":"s","id":3641730176048064500,"args":{}},"#,
+            r#"{"name":"backoff","cat":"flow","pid":1,"tid":5,"ts":650,"ph":"f","bp":"e","id":3641730176048064500,"args":{}}],"#,
+            r#""displayTimeUnit":"ms","gt_flight_schema":1,"gt_flight_reason":"test","gt_flight_requests":[{"trace_id":10968187914866821000,"request":4,"batch_index":null,"outcome":"shed","outcome_json":"{\"outcome\":\"shed\",\"reason\":\"queue-full\"}","arrival_us":400,"done_us":400,"spans":[{"span_id":6957558452390164000,"kind":"request","name":"request #4","start_us":400,"dur_us":0}]},"#,
+            r#"{"trace_id":14871207630202692000,"request":5,"batch_index":3,"tenant":2,"outcome":"recovered","outcome_json":"{\"outcome\":\"recovered\",\"attempts\":2}","arrival_us":500,"done_us":662.5,"spans":[{"span_id":6317840770260608000,"kind":"request","name":"request #5 (tenant 2)","start_us":500,"dur_us":162.5},"#,
+            r#"{"span_id":5176890198050575000,"kind":"queue-wait","name":"queue-wait","start_us":500,"dur_us":20,"parent":6317840770260608000},"#,
+            r#"{"span_id":14587191656564466000,"kind":"S","name":"S","start_us":520,"dur_us":30.25,"parent":6317840770260608000},"#,
+            r#"{"span_id":7583132990230907000,"kind":"R","name":"R","start_us":550.25,"dur_us":4.5,"parent":6317840770260608000},"#,
+            r#"{"span_id":6517475443819050000,"kind":"K","name":"K","start_us":520,"dur_us":12,"parent":6317840770260608000},"#,
+            r#"{"span_id":1765590448971059000,"kind":"T","name":"T","start_us":554.75,"dur_us":7.125,"parent":6317840770260608000},"#,
+            r#"{"span_id":11279562684574355000,"kind":"kernel","name":"kernel","start_us":520,"dur_us":90,"parent":6317840770260608000},"#,
+            r#"{"span_id":17321126809939930000,"kind":"stall","name":"stall","start_us":610,"dur_us":40,"parent":6317840770260608000},"#,
+            r#"{"span_id":3641730176048064500,"kind":"backoff","name":"backoff","start_us":650,"dur_us":12.5,"parent":6317840770260608000}]}]}"#,
+        );
+        assert_eq!(rec.dump("test"), want);
     }
 }

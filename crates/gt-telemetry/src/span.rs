@@ -18,18 +18,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// A finished span, as stored by a collector.
+/// A finished span. The clock is whatever holds the record: a
+/// [`MemoryCollector`]'s spans are wall µs since its epoch, a
+/// [`RequestTrace`](crate::RequestTrace)'s are DES virtual µs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Collector-unique id (1-based; 0 is reserved for "no span").
+    /// Span id: collector-unique and 1-based (0 is reserved for "no span")
+    /// from a collector, deterministic
+    /// ([`TraceContext::span_id`](crate::TraceContext::span_id)) in a
+    /// request trace.
     pub id: u64,
-    /// Innermost span of the same collector open on the same thread, if any.
+    /// Parent span: for a collector, the innermost span of the same
+    /// collector open on the same thread, if any.
     pub parent: Option<u64>,
     /// Span name (e.g. `"train_batch"`).
     pub name: String,
     /// Track (exported as one Chrome-trace thread per track).
     pub track: String,
-    /// Start, µs since the collector's epoch.
+    /// Start, µs on the holder's clock.
     pub start_us: f64,
     /// Duration, µs.
     pub dur_us: f64,

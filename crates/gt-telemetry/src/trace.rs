@@ -205,6 +205,12 @@ impl Trace {
 /// its own pid; each distinct track within it gets a tid, both announced
 /// via `"M"` metadata records so viewers show human-readable names.
 pub fn write_chrome_json(traces: &[&Trace]) -> String {
+    Json::Obj(chrome_doc(traces)).to_json_string()
+}
+
+/// The top-level members of [`write_chrome_json`]'s document, for callers
+/// that add keys of their own before writing it.
+pub(crate) fn chrome_doc(traces: &[&Trace]) -> Vec<(String, Json)> {
     let mut events: Vec<Json> = Vec::new();
     for (pid, trace) in traces.iter().enumerate() {
         let pid = pid as u64 + 1;
@@ -263,11 +269,10 @@ pub fn write_chrome_json(traces: &[&Trace]) -> String {
             events.push(obj(fields));
         }
     }
-    obj([
-        ("traceEvents", Json::Arr(events)),
-        ("displayTimeUnit", "ms".into()),
-    ])
-    .to_json_string()
+    vec![
+        ("traceEvents".to_string(), Json::Arr(events)),
+        ("displayTimeUnit".to_string(), "ms".into()),
+    ]
 }
 
 /// Parse a Chrome trace-event document produced by [`write_chrome_json`]
