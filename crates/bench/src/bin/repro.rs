@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro <experiment|all> [--scale test|small|medium|N] [--seed S]
-//!       [--batch B] [--fanout F] [--layers L] [--threads N]
+//!       [--batch B] [--fanout F] [--layers L]
 //!       [--trace-out PATH] [--bench-out PATH] [--checkpoint-dir DIR]
 //!       [--crash-at N] [--crash-site mid-journal|mid-checkpoint|after-commit]
 //!
@@ -11,10 +11,9 @@
 //!              threads durability chaos slo serving smoke
 //! ```
 //!
-//! `--threads N` pins the process-wide `gt_par` pool (same effect as
-//! `GT_THREADS=N`); results are bit-identical at every width, see
-//! `docs/parallelism.md`. The `threads` experiment sweeps pool widths
-//! 1/2/4/8 itself and ignores the knob.
+//! `GT_THREADS=N` pins the process-wide `gt_par` pool; results are
+//! bit-identical at every width, see `docs/parallelism.md`. The `threads`
+//! experiment sweeps pool widths 1/2/4/8 itself and ignores the knob.
 //!
 //! With `--trace-out`, the run records wall-clock spans and metrics and
 //! writes a Chrome trace (load it at <https://ui.perfetto.dev>) plus a
@@ -69,7 +68,7 @@ use gt_datasets::Scale;
 fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment|all> [--scale test|small|medium|<divisor>] \
-         [--seed S] [--batch B] [--fanout F] [--layers L] [--threads N] \
+         [--seed S] [--batch B] [--fanout F] [--layers L] \
          [--trace-out PATH] [--bench-out PATH] [--checkpoint-dir DIR] \
          [--crash-at N] [--crash-site mid-journal|mid-checkpoint|after-commit] \
          [--seeds N] [--seeds-file PATH] \
@@ -140,16 +139,6 @@ fn main() {
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(usage_v);
-            }
-            "--threads" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(usage_v);
-                // The global pool reads GT_THREADS on first use; nothing has
-                // touched it yet, so this pins every experiment's pool width.
-                std::env::set_var(gt_par::THREADS_ENV, n.to_string());
             }
             "--trace-out" => {
                 i += 1;

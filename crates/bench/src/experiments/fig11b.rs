@@ -8,9 +8,9 @@
 //! prefer the conventional order.
 
 use crate::runner::{pct, print_table, ExpConfig};
+use gt_core::config::PAPER_HIDDEN;
 use gt_core::orchestrator::Dims;
 use gt_core::prepro::run_prepro;
-use gt_models::PAPER_HIDDEN;
 
 /// One layer's reduction measurement.
 #[derive(Debug, Clone)]

@@ -7,12 +7,11 @@
 //! decision with its predicted costs.
 
 use crate::runner::{print_table, ExpConfig};
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::Framework;
 use gt_core::orchestrator::{CostModel, Dims};
 use gt_core::prepro::run_prepro;
 use gt_core::trainer::GtVariant;
-use gt_models::PAPER_HIDDEN;
 
 /// The calibration result.
 #[derive(Debug)]

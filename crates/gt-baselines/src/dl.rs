@@ -23,7 +23,7 @@ use gt_core::napa::{NeighborApply, Pull};
 use gt_sample::LayerGraph;
 use gt_sim::{KernelStats, Phase};
 use gt_tensor::dense::Matrix;
-use gt_tensor::dfg::{ExecCtx, Op, Operand, ParamStore};
+use gt_tensor::dfg::{ExecCtx, Op, Operand};
 use gt_tensor::sparse::{EdgeOp, Reduce};
 use std::sync::Arc;
 
@@ -134,10 +134,6 @@ impl Op for DlAggregate {
             vec![Some(dx)]
         }
     }
-
-    fn out_shape(&self, in_shapes: &[(usize, usize)], _params: &ParamStore) -> (usize, usize) {
-        (self.pull.layer.num_dst, in_shapes[0].1)
-    }
 }
 
 /// DL-approach edge weighting: two dense gathers (src and dst matrices),
@@ -203,10 +199,6 @@ impl Op for DlEdgeWeight {
         ctx.sim.memory.free(bloat);
         vec![Some(dx)]
     }
-
-    fn out_shape(&self, in_shapes: &[(usize, usize)], _params: &ParamStore) -> (usize, usize) {
-        (self.na.layer.csr.num_edges(), in_shapes[0].1)
-    }
 }
 
 #[cfg(test)]
@@ -215,6 +207,7 @@ mod tests {
     use gt_graph::convert::{coo_to_csc, coo_to_csr};
     use gt_graph::{Coo, Csr};
     use gt_sim::{DeviceSpec, SimContext};
+    use gt_tensor::dfg::ParamStore;
 
     fn layer() -> Arc<LayerGraph> {
         let coo = Coo::from_edges(4, &[(1, 0), (2, 0), (3, 1), (0, 1)]);

@@ -15,7 +15,7 @@ use gt_core::napa::Pull;
 use gt_sample::LayerGraph;
 use gt_sim::{CacheSim, KernelStats, Phase};
 use gt_tensor::dense::Matrix;
-use gt_tensor::dfg::{ExecCtx, Op, Operand, ParamStore};
+use gt_tensor::dfg::{ExecCtx, Op, Operand};
 use gt_tensor::sparse::Reduce;
 use std::sync::Arc;
 
@@ -97,10 +97,6 @@ impl Op for NeighborGroupAggregate {
         ctx.sim.record_gpu(Phase::Aggregation, stats);
         vec![Some(dx)]
     }
-
-    fn out_shape(&self, in_shapes: &[(usize, usize)], _params: &ParamStore) -> (usize, usize) {
-        (self.pull.layer.num_dst, in_shapes[0].1)
-    }
 }
 
 #[cfg(test)]
@@ -140,6 +136,7 @@ mod tests {
     #[test]
     fn numerics_still_match() {
         use gt_sim::{DeviceSpec, SimContext};
+        use gt_tensor::dfg::ParamStore;
         let l = layer();
         let x = Matrix::from_fn(13, 2, |r, _| r as f32);
         let adv = NeighborGroupAggregate::new(Arc::clone(&l), Reduce::Mean);

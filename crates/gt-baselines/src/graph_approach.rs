@@ -16,7 +16,7 @@ use gt_graph::convert::translation_stats;
 use gt_sample::LayerGraph;
 use gt_sim::{KernelStats, Phase};
 use gt_tensor::dense::Matrix;
-use gt_tensor::dfg::{ExecCtx, Op, Operand, ParamStore};
+use gt_tensor::dfg::{ExecCtx, Op, Operand};
 use gt_tensor::sparse::{EdgeOp, Reduce};
 use std::sync::Arc;
 
@@ -137,10 +137,6 @@ impl Op for EdgeWiseAggregate {
             vec![Some(dx)]
         }
     }
-
-    fn out_shape(&self, in_shapes: &[(usize, usize)], _params: &ParamStore) -> (usize, usize) {
-        (self.pull.layer.num_dst, in_shapes[0].1)
-    }
 }
 
 /// Graph-approach edge weighting (SDDMM), edge-wise scheduled: COO is
@@ -217,10 +213,6 @@ impl Op for EdgeWiseEdgeWeight {
         ctx.sim.record_gpu(Phase::EdgeWeighting, stats);
         vec![Some(dx)]
     }
-
-    fn out_shape(&self, in_shapes: &[(usize, usize)], _params: &ParamStore) -> (usize, usize) {
-        (self.na.layer.csr.num_edges(), in_shapes[0].1)
-    }
 }
 
 #[cfg(test)]
@@ -229,6 +221,7 @@ mod tests {
     use gt_graph::convert::{coo_to_csc, coo_to_csr};
     use gt_graph::{Coo, Csr};
     use gt_sim::{DeviceSpec, SimContext};
+    use gt_tensor::dfg::ParamStore;
 
     fn layer() -> Arc<LayerGraph> {
         // A hub: dsts 0..8 all read src 8 → edge-wise duplicates row 8.

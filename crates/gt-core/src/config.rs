@@ -8,6 +8,9 @@ use gt_tensor::dfg::ParamStore;
 use gt_tensor::init::xavier;
 pub use gt_tensor::sparse::{EdgeOp, Reduce};
 
+/// The paper's hidden dimension for both models (§VI).
+pub const PAPER_HIDDEN: usize = 64;
+
 /// How edge weights are folded into the aggregation (`h` in §II-A): the
 /// function "that transforms the embedding of each edge's src node using
 /// g's output vector".
@@ -76,6 +79,24 @@ impl ModelConfig {
             edge: Some(EdgeWeighting {
                 g: EdgeOp::ElemMul,
                 h: HFn::Add,
+            }),
+        }
+    }
+
+    /// Simplified GAT: per-edge scalar attention from the src·dst dot
+    /// product, scaling each source embedding (unnormalized attention, the
+    /// NAPA mode closest to \[34\]). The paper notes that GAT is "similar to
+    /// NGCF" under the NAPA modes.
+    pub fn gat_lite(layers: usize, hidden: usize, out_dim: usize) -> Self {
+        ModelConfig {
+            name: "GAT-lite".into(),
+            layers,
+            hidden,
+            out_dim,
+            agg: Reduce::Mean,
+            edge: Some(EdgeWeighting {
+                g: EdgeOp::Dot,
+                h: HFn::Mul,
             }),
         }
     }

@@ -17,7 +17,7 @@ use gt_par::ThreadPool;
 use gt_sample::LayerGraph;
 use gt_sim::{KernelStats, Phase};
 use gt_tensor::dense::{Matrix, RowSource};
-use gt_tensor::dfg::{ExecCtx, Op, Operand, ParamStore};
+use gt_tensor::dfg::{ExecCtx, Op, Operand};
 use gt_tensor::sparse::EdgeOp;
 use std::sync::Arc;
 
@@ -244,10 +244,6 @@ impl Op for NeighborApply {
         ctx.sim.record_gpu(Phase::EdgeWeighting, stats);
         vec![Some(dx)]
     }
-
-    fn out_shape(&self, in_shapes: &[(usize, usize)], _params: &ParamStore) -> (usize, usize) {
-        (self.layer.csr.num_edges(), in_shapes[0].1)
-    }
 }
 
 #[cfg(test)]
@@ -341,7 +337,6 @@ mod tests {
     fn out_shape_is_edges_by_feat() {
         let l = layer();
         let na = NeighborApply::new(l, EdgeOp::ElemMul);
-        let p = ParamStore::new();
-        assert_eq!(na.out_shape(&[(3, 5)], &p), (4, 5));
+        assert_eq!(na.compute(&Matrix::zeros(3, 5)).shape(), (4, 5));
     }
 }

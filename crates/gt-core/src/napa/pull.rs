@@ -57,7 +57,7 @@ use gt_par::ThreadPool;
 use gt_sample::LayerGraph;
 use gt_sim::{KernelStats, Phase};
 use gt_tensor::dense::{has_avx2, Matrix, RowSource};
-use gt_tensor::dfg::{ExecCtx, Op, Operand, ParamStore};
+use gt_tensor::dfg::{ExecCtx, Op, Operand};
 use gt_tensor::sparse::{EdgeOp, Reduce};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -108,13 +108,7 @@ impl Pull {
     }
 
     /// Weighted aggregation: `h` folds NeighborApply's weights into sources.
-    /// `agg` is `Sum` or `Mean`: a weighted `Max` is refused, as its kernel
-    /// has no weighted form.
     pub fn weighted(layer: Arc<LayerGraph>, agg: Reduce, h: HFn) -> Self {
-        assert!(
-            agg != Reduce::Max,
-            "weighted aggregation: Max is not supported"
-        );
         Pull {
             h: Some(h),
             ..Pull::new(layer, agg)
@@ -122,8 +116,7 @@ impl Pull {
     }
 
     /// Edge-weighted aggregation over `[features]` alone: `g` weights each
-    /// edge and `h` folds the weight into its source, in one pass. `agg` is
-    /// `Sum` or `Mean`, as for [`Pull::weighted`].
+    /// edge and `h` folds the weight into its source, in one pass.
     pub fn edge_weighted(layer: Arc<LayerGraph>, agg: Reduce, g: EdgeOp, h: HFn) -> Self {
         Pull {
             g: Some(g),
@@ -234,10 +227,6 @@ impl Pull {
         grad: &Matrix,
         isa: Isa,
     ) -> (Matrix, Option<Matrix>) {
-        assert!(
-            self.agg != Reduce::Max,
-            "Pull backward: Max needs argmax state"
-        );
         self.assert_weight_arity(weights);
         let f = features.cols();
         let layer = &self.layer;
@@ -470,41 +459,28 @@ impl<X: RowSource + ?Sized> Walk for Forward<'_, X> {
             if degree == 0 {
                 continue;
             }
-            match (pull.agg, pull.h, pull.g, weights) {
-                // Unweighted only: the constructors refuse a weighted Max.
-                (Reduce::Max, ..) => {
-                    let start = edges.start;
-                    each_source(features, srcs, edges, |srow, e| {
-                        if e == start {
-                            orow.copy_from_slice(srow);
-                        } else {
-                            for (o, &x) in orow.iter_mut().zip(srow) {
-                                *o = o.max(x);
-                            }
-                        }
-                    });
-                }
+            match (pull.h, pull.g, weights) {
                 // The dst row stays hot across its edges.
-                (_, Some(HFn::Mul), Some(g), _) => {
+                (Some(HFn::Mul), Some(g), _) => {
                     let drow = features.row(d);
                     each_source(features, srcs, edges, |srow, _| {
                         fold_edge(orow, srow, srow, drow, g, |x, wk| x * wk)
                     });
                 }
-                (_, Some(HFn::Add), Some(g), _) => {
+                (Some(HFn::Add), Some(g), _) => {
                     let drow = features.row(d);
                     each_source(features, srcs, edges, |srow, _| {
                         fold_edge(orow, srow, srow, drow, g, |x, wk| x + wk)
                     });
                 }
-                (_, Some(HFn::Mul), None, Some(w)) => {
+                (Some(HFn::Mul), None, Some(w)) => {
                     each_source(features, srcs, edges, |srow, e| {
                         for ((o, &x), &wk) in orow.iter_mut().zip(srow).zip(w.row(e)) {
                             *o += x * wk;
                         }
                     });
                 }
-                (_, Some(HFn::Add), None, Some(w)) => {
+                (Some(HFn::Add), None, Some(w)) => {
                     each_source(features, srcs, edges, |srow, e| {
                         for ((o, &x), &wk) in orow.iter_mut().zip(srow).zip(w.row(e)) {
                             *o += x + wk;
@@ -723,10 +699,6 @@ impl Op for Pull {
             vec![Some(dx)]
         }
     }
-
-    fn out_shape(&self, in_shapes: &[(usize, usize)], _params: &ParamStore) -> (usize, usize) {
-        (self.layer.num_dst, in_shapes[0].1)
-    }
 }
 
 #[cfg(test)]
@@ -747,7 +719,7 @@ mod tests {
     #[test]
     fn matches_spmm_oracle() {
         let l = layer();
-        for agg in [Reduce::Sum, Reduce::Mean, Reduce::Max] {
+        for agg in [Reduce::Sum, Reduce::Mean] {
             let pull = Pull::new(Arc::clone(&l), agg);
             let got = pull.compute(&feats(), None);
             let oracle = sparse::spmm(&l.csr, &feats(), agg);
@@ -776,31 +748,17 @@ mod tests {
             .compute(&Matrix::zeros(2, 4), None);
     }
 
-    #[test]
-    #[should_panic(expected = "weighted aggregation: Max is not supported")]
-    fn weighted_max_is_refused_by_name() {
-        Pull::weighted(layer(), Reduce::Max, HFn::Mul);
-    }
-
-    #[test]
-    #[should_panic(expected = "weighted aggregation: Max is not supported")]
-    fn edge_weighted_max_is_refused_by_name() {
-        Pull::edge_weighted(layer(), Reduce::Max, EdgeOp::ElemMul, HFn::Mul);
-    }
-
     fn bits(m: &Matrix) -> Vec<u32> {
         m.data().iter().map(|x| x.to_bits()).collect()
     }
 
-    /// A Pull in every mode over `l`: unweighted `Sum`, `Mean` and `Max`;
+    /// A Pull in every mode over `l`: unweighted `Sum` and `Mean`;
     /// stored weights under `h = Mul` and `Add`; and edge weighting by
     /// `ElemMul`, `ElemAdd` and `Dot` under each `h`.
     fn every_mode(l: &Arc<LayerGraph>) -> Vec<Pull> {
         let mut pulls = Vec::new();
-        for agg in [Reduce::Sum, Reduce::Mean, Reduce::Max] {
-            pulls.push(Pull::new(Arc::clone(l), agg));
-        }
         for agg in [Reduce::Sum, Reduce::Mean] {
+            pulls.push(Pull::new(Arc::clone(l), agg));
             for h in [HFn::Mul, HFn::Add] {
                 pulls.push(Pull::weighted(Arc::clone(l), agg, h));
                 for g in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
@@ -850,10 +808,8 @@ mod tests {
         let grad = Matrix::from_fn(l.num_dst, f, |r, c| ((r * f + c) % 7) as f32 - 3.0);
 
         let mut cases = Vec::new();
-        for agg in [Reduce::Sum, Reduce::Mean, Reduce::Max] {
-            cases.push((Pull::new(Arc::clone(&l), agg), None));
-        }
         for agg in [Reduce::Sum, Reduce::Mean] {
+            cases.push((Pull::new(Arc::clone(&l), agg), None));
             for h in [HFn::Mul, HFn::Add] {
                 cases.push((Pull::weighted(Arc::clone(&l), agg, h), Some(&w)));
                 for g in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
@@ -867,9 +823,6 @@ mod tests {
             assert_eq!(bits(&pull.compute(&view, weights)), want, "{mode}");
             let operand = Operand::Rows(view);
             assert_eq!(bits(&pull.compute(&operand, weights)), want, "{mode}");
-            if pull.agg == Reduce::Max {
-                continue;
-            }
             let (dx, dw) = pull.compute_backward(&x, weights, &grad);
             for (got, got_dw) in [
                 pull.compute_backward(&view, weights, &grad),
@@ -924,22 +877,19 @@ mod tests {
                 let weights = weights_for(&pull, &w);
                 let mode = format!("agg={:?} g={:?} h={:?} F={f}", pull.agg, pull.g, pull.h);
                 let want = bits(&pull.forward_on(&x, weights, Isa::Baseline));
-                let want_bwd = (pull.agg != Reduce::Max).then(|| {
-                    let (dx, dw) = pull.backward_on(&x, weights, &grad, Isa::Baseline);
-                    (bits(&dx), dw.as_ref().map(bits))
-                });
+                let (dx, dw) = pull.backward_on(&x, weights, &grad, Isa::Baseline);
+                let want_bwd = (bits(&dx), dw.as_ref().map(bits));
                 for pool in pools() {
                     let pull = pull.clone().with_pool(pool);
                     for isa in [Isa::Widest, Isa::Baseline] {
                         let at = format!("{mode} {isa:?} width {}", pool.workers());
                         assert_eq!(bits(&pull.forward_on(&x, weights, isa)), want, "{at}");
                         assert_eq!(bits(&pull.forward_on(&view, weights, isa)), want, "{at}");
-                        let Some(want_bwd) = &want_bwd else { continue };
                         for (dx, dw) in [
                             pull.backward_on(&x, weights, &grad, isa),
                             pull.backward_on(&view, weights, &grad, isa),
                         ] {
-                            assert_eq!(&(bits(&dx), dw.as_ref().map(bits)), want_bwd, "{at}");
+                            assert_eq!((bits(&dx), dw.as_ref().map(bits)), want_bwd, "{at}");
                         }
                     }
                 }
@@ -1005,6 +955,7 @@ mod tests {
     #[test]
     fn charges_aggregation_phase_without_bloat() {
         use gt_sim::{DeviceSpec, SimContext};
+        use gt_tensor::dfg::ParamStore;
         let l = layer();
         let pull = Pull::new(l, Reduce::Mean);
         let mut sim = SimContext::new(DeviceSpec::tiny());
@@ -1023,9 +974,7 @@ mod tests {
 
     #[test]
     fn out_shape_is_dst_by_feat() {
-        let l = layer();
-        let pull = Pull::new(l, Reduce::Sum);
-        let p = ParamStore::new();
-        assert_eq!(pull.out_shape(&[(3, 7)], &p), (2, 7));
+        let pull = Pull::new(layer(), Reduce::Sum);
+        assert_eq!(pull.compute(&Matrix::zeros(3, 7), None).shape(), (2, 7));
     }
 }

@@ -69,7 +69,7 @@ pub struct CostDkp {
     /// MLP weight parameter name.
     pub weight: String,
     /// MLP bias parameter name.
-    pub bias: Option<String>,
+    pub bias: String,
     /// Shared cost model (Table I).
     pub cost: Arc<CostModel>,
     /// False only for the first GNN layer, whose input features need no
@@ -92,7 +92,7 @@ impl CostDkp {
     pub fn new(
         pull: Pull,
         weight: String,
-        bias: Option<String>,
+        bias: String,
         cost: Arc<CostModel>,
         needs_input_grad: bool,
         calibrate: bool,
@@ -257,9 +257,7 @@ impl Op for CostDkp {
             }
         };
         // The bias goes on after aggregation under either placement.
-        if let Some(b) = &self.bias {
-            out.add_row_vector(ctx.params.get(b).row(0));
-        }
+        out.add_row_vector(ctx.params.get(&self.bias).row(0));
         *self.stash.lock() = Some(Stash {
             placement,
             intermediate,
@@ -286,10 +284,8 @@ impl Op for CostDkp {
             debug_assert!(false, "backward without matching forward");
             return vec![None; inputs.len()];
         };
-        if let Some(b) = &self.bias {
-            let db = Matrix::from_vec(1, grad.cols(), grad.column_sums());
-            ctx.params.accumulate_grad(b, &db);
-        }
+        let db = Matrix::from_vec(1, grad.cols(), grad.column_sums());
+        ctx.params.accumulate_grad(&self.bias, &db);
 
         let mut observed_bwd_us = 0.0;
         let grads = match stash.placement {
@@ -345,10 +341,6 @@ impl Op for CostDkp {
         self.complete_decision(&stash, observed_bwd_us);
         grads
     }
-
-    fn out_shape(&self, _in_shapes: &[(usize, usize)], params: &ParamStore) -> (usize, usize) {
-        (self.pull.layer.num_dst, params.get(&self.weight).cols())
-    }
 }
 
 /// A Pull → MatMul pair the trainer registered for rewriting.
@@ -363,7 +355,7 @@ pub struct DkpPair {
     /// The Linear's weight parameter name.
     pub weight: String,
     /// The Linear's bias parameter name.
-    pub bias: Option<String>,
+    pub bias: String,
     /// Whether the Pull's feature input requires gradients.
     pub needs_input_grad: bool,
 }
@@ -463,7 +455,7 @@ mod tests {
                 linear_node: ln,
                 pull,
                 weight: "w".into(),
-                bias: Some("b".into()),
+                bias: "b".into(),
                 needs_input_grad,
             }];
             assert_eq!(apply_dkp(&mut dfg, pairs, &cost, true, &counters, None), 1);
@@ -548,13 +540,14 @@ mod tests {
         for (feat, hid) in [(64usize, 2usize), (2, 64)] {
             let mut params = ParamStore::new();
             params.register("w", xavier(feat, hid, 5));
+            params.register("b", xavier(1, hid, 6));
             let cost = Arc::new(CostModel::from_device(&DeviceSpec::rtx3090()));
             let counters = Arc::new(DkpCounters::default());
             let pull = Pull::new(Arc::clone(&l), Reduce::Mean);
             let node = CostDkp::new(
                 pull.clone(),
                 "w".into(),
-                None,
+                "b".into(),
                 cost,
                 true,
                 false,
@@ -568,9 +561,10 @@ mod tests {
                 params: &mut params,
             };
             let fused_out = node.forward(&[Operand::Dense(&xval)], &mut ctx);
-            // Reference: aggregate then matmul.
+            // Reference: aggregate, matmul, then add the bias.
             let a = pull.compute(&xval, None);
-            let refr = a.matmul(ctx.params.get("w"));
+            let mut refr = a.matmul(ctx.params.get("w"));
+            refr.add_row_vector(ctx.params.get("b").row(0));
             assert!(
                 fused_out.max_abs_diff(&refr) < 1e-4,
                 "feat={feat} hid={hid} diverged"
@@ -583,11 +577,12 @@ mod tests {
         let l = layer();
         let mut params = ParamStore::new();
         params.register("w", xavier(4, 2, 5));
+        params.register("b", Matrix::zeros(1, 2));
         let cost = Arc::new(CostModel::from_device(&DeviceSpec::tiny()));
         let node = CostDkp::new(
             Pull::new(l, Reduce::Mean),
             "w".into(),
-            None,
+            "b".into(),
             Arc::clone(&cost),
             true,
             true,

@@ -6,10 +6,10 @@
 //! negative-item) triple is scored by inner products and optimized with
 //! the BPR loss `−ln σ(e_u·e_p − e_u·e_n)`, back-propagated through the
 //! whole NAPA pipeline via
-//! [`gt_core::trainer::GraphTensor::train_batch_with_loss`].
+//! [`GraphTensor::train_batch_with_loss`].
 
-use gt_core::data::GraphData;
-use gt_core::trainer::GraphTensor;
+use crate::data::GraphData;
+use crate::trainer::GraphTensor;
 use gt_graph::VId;
 use gt_tensor::dense::Matrix;
 use rand::rngs::StdRng;
@@ -183,8 +183,8 @@ pub fn ranking_accuracy(trainer: &mut GraphTensor, data: &GraphData, batch: &Bpr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gt_core::config::ModelConfig;
-    use gt_core::trainer::GtVariant;
+    use crate::config::ModelConfig;
+    use crate::trainer::GtVariant;
     use gt_graph::{generators, EmbeddingTable};
     use gt_sample::SamplerConfig;
     use gt_sim::SystemSpec;

@@ -19,11 +19,11 @@ use crate::prepro::{sample_and_reindex, Sampled};
 use crate::scheduler::{schedule_prepro_with_faults, PreproStrategy};
 use gt_graph::VId;
 use gt_par::ThreadPool;
-use gt_sample::{LayerGraph, SamplerConfig};
+use gt_sample::{BatchIter, LayerGraph, SamplerConfig};
 use gt_sim::{ActiveFaults, SimContext, SystemSpec};
 use gt_tensor::dense::{Matrix, Rows};
 use gt_tensor::dfg::{Dfg, ExecCtx, Linear, Operand, ParamStore, Relu};
-use gt_tensor::loss::softmax_cross_entropy;
+use gt_tensor::loss::{accuracy, softmax_cross_entropy};
 use std::sync::Arc;
 
 pub use crate::orchestrator::dkp::DkpCounters;
@@ -177,7 +177,7 @@ impl GraphTensor {
                 linear_node: lin,
                 pull: pull_op,
                 weight: w,
-                bias: Some(b),
+                bias: b,
                 needs_input_grad: l > 0,
             });
             x = if l + 1 < self.model.layers {
@@ -536,10 +536,39 @@ fn sim_loss_record(sim: &mut SimContext, logits: &Matrix) -> f64 {
     )
 }
 
+/// Loss trajectory of training `trainer` for `epochs` epochs over all
+/// vertices of `data` in batches of `batch_size`. Returns per-epoch mean
+/// losses.
+pub fn train_epochs(
+    trainer: &mut GraphTensor,
+    data: &GraphData,
+    epochs: usize,
+    batch_size: usize,
+    seed: u64,
+) -> Vec<f32> {
+    let mut curve = Vec::with_capacity(epochs);
+    for epoch in 0..epochs {
+        let mut sum = 0.0f32;
+        let mut n = 0usize;
+        for batch in BatchIter::new(data.num_vertices(), batch_size, seed + epoch as u64) {
+            sum += trainer.train_batch(data, &batch).loss;
+            n += 1;
+        }
+        curve.push(sum / n.max(1) as f32);
+    }
+    curve
+}
+
+/// Classification accuracy of the trained model on `eval_nodes`.
+pub fn evaluate(trainer: &mut GraphTensor, data: &GraphData, eval_nodes: &[VId]) -> f64 {
+    let logits = trainer.infer_batch(data, eval_nodes);
+    let labels = data.batch_labels(eval_nodes);
+    accuracy(&logits, &labels)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gt_sample::BatchIter;
     use gt_sim::Phase;
 
     fn data() -> GraphData {

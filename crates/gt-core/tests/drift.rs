@@ -161,10 +161,11 @@ fn singular_refit_degrades_to_static_fallback() {
     }));
     let mut params = ParamStore::new();
     params.register("w", xavier(4, 2, 5));
+    params.register("b", gt_tensor::dense::Matrix::zeros(1, 2));
     let node = CostDkp::new(
         Pull::new(layer(), Reduce::Mean),
         "w".into(),
-        None,
+        "b".into(),
         Arc::clone(&cost),
         true,
         false,

@@ -4,7 +4,7 @@
 //! two, and every loss bit, modeled microsecond, device-memory peak,
 //! parameter bit and inference output has to stay what it was.
 
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::data::GraphData;
 use gt_core::framework::Framework;
 use gt_core::trainer::{GraphTensor, GtVariant};
@@ -66,8 +66,8 @@ fn edge_weighted_training_is_pinned_end_to_end() {
         .iter()
         .map(|&(preset, layers, variant, _)| {
             let model = match preset {
-                "ngcf" => gt_models::ngcf(layers, 4),
-                _ => gt_models::gat_lite(layers, 4),
+                "ngcf" => ModelConfig::ngcf(layers, PAPER_HIDDEN, 4),
+                _ => ModelConfig::gat_lite(layers, PAPER_HIDDEN, 4),
             };
             digest(model, variant)
         })

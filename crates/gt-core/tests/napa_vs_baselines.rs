@@ -98,7 +98,7 @@ fn model_phase_profiles() {
     for (model, expect_weighting) in [
         (ModelConfig::gcn(2, 16, 3), false),
         (ModelConfig::ngcf(2, 16, 3), true),
-        (gt_models_free::gin_like(), false),
+        (gin_like(), false),
     ] {
         let mut t = GraphTensor::new(GtVariant::Base, model, SystemSpec::tiny());
         t.sampler = SamplerConfig {
@@ -113,19 +113,14 @@ fn model_phase_profiles() {
     }
 }
 
-/// Inline GIN-like config without depending on gt-models (avoids a cycle).
-mod gt_models_free {
-    use gt_core::config::ModelConfig;
-    use gt_tensor::sparse::Reduce;
-
-    pub fn gin_like() -> ModelConfig {
-        ModelConfig {
-            name: "GIN-like".into(),
-            layers: 2,
-            hidden: 16,
-            out_dim: 3,
-            agg: Reduce::Sum,
-            edge: None,
-        }
+/// A GIN-like config: sum aggregation, no edge weighting.
+fn gin_like() -> ModelConfig {
+    ModelConfig {
+        name: "GIN-like".into(),
+        layers: 2,
+        hidden: 16,
+        out_dim: 3,
+        agg: Reduce::Sum,
+        edge: None,
     }
 }

@@ -238,7 +238,7 @@ fn device_run(
             linear_node,
             pull,
             weight: "w".into(),
-            bias: Some("b".into()),
+            bias: "b".into(),
             needs_input_grad,
         };
         let cost = Arc::new(CostModel::from_device(&DeviceSpec::tiny()));

@@ -338,18 +338,6 @@ impl MetricsSnapshot {
             _ => None,
         }
     }
-
-    /// One labeled histogram series, `None` when absent.
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-    ) -> Option<&HistogramSnapshot> {
-        match self.get_with(name, labels).map(|m| &m.value) {
-            Some(MetricValue::Histogram(h)) => Some(h),
-            _ => None,
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -439,19 +427,6 @@ impl Registry {
     /// Get or register a histogram with default latency buckets.
     pub fn histogram_us(&self, name: &str, help: &str) -> Histogram {
         self.histogram(name, help, Histogram::latency_us)
-    }
-
-    /// Get or register one labeled latency histogram series of `name`.
-    pub fn histogram_us_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.register(
-            name,
-            help,
-            labels,
-            Entry::Histogram(Histogram::latency_us()),
-        ) {
-            Entry::Histogram(h) => h,
-            _ => unreachable!(),
-        }
     }
 
     /// Get or register a histogram, building it with `make` on first use.
@@ -767,23 +742,16 @@ mod tests {
     }
 
     #[test]
-    fn labeled_gauges_and_histograms_round_trip() {
+    fn labeled_gauges_round_trip() {
         let reg = Registry::new();
         reg.gauge_with("gt_link_util", "", &[("link", "w0")])
             .set(0.5);
-        reg.histogram_us_with("gt_stage_us", "", &[("worker", "1")])
-            .observe(42.0);
         let snap = reg.snapshot();
         assert_eq!(
             snap.gauge_with("gt_link_util", &[("link", "w0")]),
             Some(0.5)
         );
         assert_eq!(snap.gauge("gt_link_util"), None);
-        let h = snap
-            .histogram_with("gt_stage_us", &[("worker", "1")])
-            .unwrap();
-        assert_eq!(h.count, 1);
-        assert!(snap.histogram("gt_stage_us").is_none());
     }
 
     #[test]

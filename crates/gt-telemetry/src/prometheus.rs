@@ -151,7 +151,7 @@ mod tests {
     }
 
     /// Labeled families: one HELP/TYPE header per name, one series line per
-    /// label set, label values escaped, histogram buckets merge `le` last.
+    /// label set, label values escaped.
     #[test]
     fn labeled_series_render_as_one_family() {
         let reg = Registry::new();
@@ -175,14 +175,6 @@ mod tests {
         // Labels render key-sorted regardless of registration order.
         assert!(text.contains("gt_link_util{dir=\"tx\",link=\"w0\"} 0.5"));
         assert!(text.contains("gt_stage_us_bucket{le=\"100\"} 1"));
-
-        let hl = reg.histogram_us_with("gt_lat_us", "", &[("worker", "1")]);
-        hl.observe(15.0);
-        let text = render(&reg.snapshot());
-        assert!(text.contains("gt_lat_us_bucket{worker=\"1\",le=\"20\"} 1"));
-        assert!(text.contains("gt_lat_us_bucket{worker=\"1\",le=\"+Inf\"} 1"));
-        assert!(text.contains("gt_lat_us_sum{worker=\"1\"} 15"));
-        assert!(text.contains("gt_lat_us_count{worker=\"1\"} 1"));
     }
 
     /// Exposition-format conformance: HELP escapes `\` and newline; label

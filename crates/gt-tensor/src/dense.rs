@@ -580,11 +580,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Max absolute difference to another matrix (test helper).
     pub fn max_abs_diff(&self, rhs: &Matrix) -> f32 {
         assert_eq!(self.shape(), rhs.shape());
@@ -970,12 +965,6 @@ mod tests {
         let mut c = a.clone();
         c.axpy(2.0, &b);
         assert_eq!(c.data(), &[9., 12., 15.]);
-    }
-
-    #[test]
-    fn norms() {
-        let a = Matrix::from_vec(1, 2, vec![3., 4.]);
-        assert!((a.frobenius() - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! kernels at the GPU-side", so the Pull→MatMul pair is replaced by a
 //! Cost-DKP node at the host side (§V-A, Fig 11c). This module provides the
 //! graph, execution (forward + backward with gradient accumulation into a
-//! [`ParamStore`]), shape inference for the cost model, and the
-//! [`Dfg::fuse_pair`] rewrite primitive the orchestrator uses.
+//! [`ParamStore`]), and the [`Dfg::fuse_pair`] rewrite primitive the
+//! orchestrator uses.
 //!
 //! Ops charge their own work to the [`gt_sim::SimContext`] carried by
 //! [`ExecCtx`], so a DFG execution doubles as a measured GPU run.
@@ -193,9 +193,6 @@ pub trait Op: std::fmt::Debug {
         grad: &Matrix,
         ctx: &mut ExecCtx,
     ) -> Vec<Option<Matrix>>;
-
-    /// Output shape from input shapes (for the DKP cost model's dry run).
-    fn out_shape(&self, in_shapes: &[(usize, usize)], params: &ParamStore) -> (usize, usize);
 }
 
 enum NodeKind {
@@ -479,61 +476,24 @@ impl Dfg {
         }
         input_grads
     }
-
-    /// Shape-infer every live node given input-slot shapes.
-    pub fn shapes(
-        &self,
-        input_shapes: &[(usize, usize)],
-        params: &ParamStore,
-    ) -> Vec<Option<(usize, usize)>> {
-        let live = self.live();
-        let mut shapes: Vec<Option<(usize, usize)>> = Vec::with_capacity(self.nodes.len());
-        for (id, node) in self.nodes.iter().enumerate() {
-            if !live[id] {
-                shapes.push(None);
-                continue;
-            }
-            let s = match &node.kind {
-                NodeKind::Input(slot) => input_shapes[*slot],
-                NodeKind::Op(op) => {
-                    let ins: Vec<(usize, usize)> = node
-                        .inputs
-                        .iter()
-                        .map(|&i| shapes[i].expect("input shape missing"))
-                        .collect();
-                    op.out_shape(&ins, params)
-                }
-            };
-            shapes.push(Some(s));
-        }
-        shapes
-    }
 }
 
-/// Dense linear layer `X·W (+ b)` — the paper's `Apply` maps to TensorFlow's
+/// Dense linear layer `X·W + b` — the paper's `Apply` maps to TensorFlow's
 /// `tf.matmul`/`tf.nn.bias_add`. Charged to [`Phase::Combination`].
 #[derive(Debug, Clone)]
 pub struct Linear {
     /// Weight parameter name in the [`ParamStore`] (shape f×h).
     pub weight: String,
-    /// Optional bias parameter name (shape 1×h).
-    pub bias: Option<String>,
+    /// Bias parameter name (shape 1×h).
+    pub bias: String,
 }
 
 impl Linear {
-    /// Linear layer with bias.
+    /// Linear layer over the named weight and bias.
     pub fn new(weight: impl Into<String>, bias: impl Into<String>) -> Self {
         Linear {
             weight: weight.into(),
-            bias: Some(bias.into()),
-        }
-    }
-
-    /// Linear layer without bias.
-    pub fn no_bias(weight: impl Into<String>) -> Self {
-        Linear {
-            weight: weight.into(),
-            bias: None,
+            bias: bias.into(),
         }
     }
 }
@@ -547,9 +507,7 @@ impl Op for Linear {
         let x = inputs[0];
         let w = ctx.params.get(&self.weight);
         let mut y = x.matmul(w);
-        if let Some(b) = &self.bias {
-            y.add_row_vector(ctx.params.get(b).row(0));
-        }
+        y.add_row_vector(ctx.params.get(&self.bias).row(0));
         let (n, f) = (x.rows(), x.cols());
         let h = w.cols();
         ctx.sim.record_gpu(
@@ -558,7 +516,7 @@ impl Op for Linear {
                 flops: 2 * (n * f * h) as u64,
                 global_read_bytes: (n * f * 4) as u64 + w.bytes(),
                 global_write_bytes: y.bytes(),
-                launches: if self.bias.is_some() { 2 } else { 1 },
+                launches: 2,
                 ..Default::default()
             },
         );
@@ -579,10 +537,8 @@ impl Op for Linear {
         let (w_bytes, h) = (w.bytes(), w.cols());
         let dw = x.transpose_a_matmul(grad);
         ctx.params.accumulate_grad(&self.weight, &dw);
-        if let Some(b) = &self.bias {
-            let db = Matrix::from_vec(1, grad.cols(), grad.column_sums());
-            ctx.params.accumulate_grad(b, &db);
-        }
+        let db = Matrix::from_vec(1, grad.cols(), grad.column_sums());
+        ctx.params.accumulate_grad(&self.bias, &db);
         let (n, f) = (x.rows(), x.cols());
         ctx.sim.record_gpu(
             Phase::Combination,
@@ -595,10 +551,6 @@ impl Op for Linear {
             },
         );
         vec![Some(dx)]
-    }
-
-    fn out_shape(&self, in_shapes: &[(usize, usize)], params: &ParamStore) -> (usize, usize) {
-        (in_shapes[0].0, params.get(&self.weight).cols())
     }
 }
 
@@ -648,10 +600,6 @@ impl Op for Relu {
         );
         vec![Some(g)]
     }
-
-    fn out_shape(&self, in_shapes: &[(usize, usize)], _params: &ParamStore) -> (usize, usize) {
-        in_shapes[0]
-    }
 }
 
 #[cfg(test)]
@@ -688,9 +636,10 @@ mod tests {
         use gt_graph::EmbeddingTable;
         let (mut sim, mut params) = ctx_parts();
         params.register("w", Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]));
+        params.register("b", Matrix::from_vec(1, 2, vec![1., -1.]));
         let mut dfg = Dfg::new();
         let x = dfg.input(0);
-        let y = dfg.op(Linear::no_bias("w"), &[x]);
+        let y = dfg.op(Linear::new("w", "b"), &[x]);
         dfg.set_output(y);
         let mut ctx = ExecCtx {
             sim: &mut sim,
@@ -713,7 +662,7 @@ mod tests {
         // ...while op outputs are values the execution owns.
         assert!(matches!(vals.values[x], Some(Value::Input(_))));
         assert!(matches!(vals.values[y], Some(Value::Output(_))));
-        assert_eq!(vals.get(y).data(), &[8., 12., 0., 0., 8., 12.]);
+        assert_eq!(vals.get(y).data(), &[9., 11., 1., -1., 9., 11.]);
 
         // A dense input is borrowed the same way and reads the same rows.
         let gathered = Matrix::from_vec(3, 2, table.gather(&ids).into_vec());
@@ -726,7 +675,7 @@ mod tests {
     fn mlp_gradients_match_finite_differences() {
         let (mut sim, mut params) = ctx_parts();
         params.register("w", xavier(3, 2, 5));
-        params.register("b", Matrix::zeros(1, 2));
+        params.register("b", Matrix::from_vec(1, 2, vec![0.3, -0.2]));
         let mut dfg = Dfg::new();
         let x = dfg.input(0);
         let lin = dfg.op(Linear::new("w", "b"), &[x]);
@@ -734,7 +683,7 @@ mod tests {
         dfg.set_output(out);
         let xval = Matrix::from_vec(2, 3, vec![0.5, -1.0, 2.0, 1.5, 0.3, -0.7]);
 
-        // Analytic input grad of L = sum(output).
+        // Analytic gradients of L = sum(output).
         let mut ctx = ExecCtx {
             sim: &mut sim,
             params: &mut params,
@@ -743,7 +692,6 @@ mod tests {
         let ones = Matrix::from_vec(2, 2, vec![1.0; 4]);
         let grads = dfg.backward(&vals, ones, &mut ctx);
         let gx = grads[0].as_ref().unwrap().clone();
-        let gw = params.grad("w").unwrap().clone();
 
         let loss = |xv: &Matrix, ps: &mut ParamStore| {
             let mut sim = SimContext::new(DeviceSpec::tiny());
@@ -768,35 +716,39 @@ mod tests {
                 gx.data()[i]
             );
         }
-        // Check weight grads.
-        let w0 = params.get("w").clone();
-        for i in 0..w0.len() {
-            let mut wp = w0.clone();
-            wp.data_mut()[i] += eps;
-            params.register("w", wp);
-            let lp = loss(&xval, &mut params);
-            let mut wm = w0.clone();
-            wm.data_mut()[i] -= eps;
-            params.register("w", wm);
-            let lm = loss(&xval, &mut params);
-            params.register("w", w0.clone());
-            let num = (lp - lm) / (2.0 * eps);
-            assert!(
-                (num - gw.data()[i]).abs() < 1e-2,
-                "w[{i}]: {num} vs {}",
-                gw.data()[i]
-            );
+        // Check weight and bias grads.
+        for name in ["w", "b"] {
+            let g = params.grad(name).unwrap().clone();
+            let v0 = params.get(name).clone();
+            for i in 0..v0.len() {
+                let mut vp = v0.clone();
+                vp.data_mut()[i] += eps;
+                params.register(name, vp);
+                let lp = loss(&xval, &mut params);
+                let mut vm = v0.clone();
+                vm.data_mut()[i] -= eps;
+                params.register(name, vm);
+                let lm = loss(&xval, &mut params);
+                params.register(name, v0.clone());
+                let num = (lp - lm) / (2.0 * eps);
+                assert!(
+                    (num - g.data()[i]).abs() < 1e-2,
+                    "{name}[{i}]: {num} vs {}",
+                    g.data()[i]
+                );
+            }
         }
     }
 
     #[test]
     fn sgd_descends_on_quadratic() {
-        // Minimize ‖x·W‖² over W; SGD must shrink the loss.
+        // Minimize ‖x·W + b‖² over W and b; SGD must shrink the loss.
         let (mut sim, mut params) = ctx_parts();
         params.register("w", xavier(4, 3, 9));
+        params.register("b", Matrix::zeros(1, 3));
         let mut dfg = Dfg::new();
         let x = dfg.input(0);
-        let y = dfg.op(Linear::no_bias("w"), &[x]);
+        let y = dfg.op(Linear::new("w", "b"), &[x]);
         dfg.set_output(y);
         let xval = xavier(8, 4, 11);
         let mut last = f32::INFINITY;
@@ -824,10 +776,11 @@ mod tests {
     fn fuse_pair_rewrites_and_dead_code_skipped() {
         let (mut sim, mut params) = ctx_parts();
         params.register("w", Matrix::from_vec(2, 2, vec![1., 0., 0., 1.]));
+        params.register("b", Matrix::zeros(1, 2));
         let mut dfg = Dfg::new();
         let x = dfg.input(0);
         let r = dfg.op(Relu, &[x]);
-        let l = dfg.op(Linear::no_bias("w"), &[r]);
+        let l = dfg.op(Linear::new("w", "b"), &[r]);
         dfg.set_output(l);
         assert_eq!(dfg.node_name(r), "relu");
         // Fuse relu→matmul into a single relu (dummy fusion for the test).
@@ -854,20 +807,6 @@ mod tests {
         let _c = dfg.op(Relu, &[a]); // second consumer of a
         dfg.set_output(b);
         dfg.fuse_pair(a, b, Box::new(Relu));
-    }
-
-    #[test]
-    fn shape_inference() {
-        let mut params = ParamStore::new();
-        params.register("w", Matrix::zeros(8, 3));
-        let mut dfg = Dfg::new();
-        let x = dfg.input(0);
-        let l = dfg.op(Linear::no_bias("w"), &[x]);
-        let r = dfg.op(Relu, &[l]);
-        dfg.set_output(r);
-        let shapes = dfg.shapes(&[(10, 8)], &params);
-        assert_eq!(shapes[l], Some((10, 3)));
-        assert_eq!(shapes[r], Some((10, 3)));
     }
 
     #[test]
@@ -912,9 +851,6 @@ mod tests {
                 _ctx: &mut ExecCtx,
             ) -> Vec<Option<Matrix>> {
                 vec![Some(grad.clone()), Some(grad.clone())]
-            }
-            fn out_shape(&self, s: &[(usize, usize)], _p: &ParamStore) -> (usize, usize) {
-                s[0]
             }
         }
         let (mut sim, mut params) = ctx_parts();

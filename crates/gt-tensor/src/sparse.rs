@@ -10,15 +10,15 @@
 use crate::dense::Matrix;
 use gt_graph::Csr;
 
-/// How aggregated neighbor embeddings are reduced (`f` in §II-A).
+/// How aggregated neighbor embeddings are reduced (`f` in §II-A). Both
+/// are linear, which is what lets DKP move the MatMul past the aggregation
+/// (§V-A), and both have a backward pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reduce {
     /// Plain sum.
     Sum,
     /// Arithmetic mean (GCN's aggregation).
     Mean,
-    /// Elementwise max (GraphSAGE-pool style).
-    Max,
 }
 
 /// SpMM: for every destination `d`, reduce the embeddings of its sources.
@@ -32,27 +32,15 @@ pub fn spmm(csr: &Csr, features: &Matrix, reduce: Reduce) -> Matrix {
             continue;
         }
         let orow = out.row_mut(d as usize);
-        match reduce {
-            Reduce::Sum | Reduce::Mean => {
-                for &s in srcs {
-                    for (o, &x) in orow.iter_mut().zip(features.row(s as usize)) {
-                        *o += x;
-                    }
-                }
-                if reduce == Reduce::Mean {
-                    let inv = 1.0 / srcs.len() as f32;
-                    for o in orow.iter_mut() {
-                        *o *= inv;
-                    }
-                }
+        for &s in srcs {
+            for (o, &x) in orow.iter_mut().zip(features.row(s as usize)) {
+                *o += x;
             }
-            Reduce::Max => {
-                orow.copy_from_slice(features.row(srcs[0] as usize));
-                for &s in &srcs[1..] {
-                    for (o, &x) in orow.iter_mut().zip(features.row(s as usize)) {
-                        *o = o.max(x);
-                    }
-                }
+        }
+        if reduce == Reduce::Mean {
+            let inv = 1.0 / srcs.len() as f32;
+            for o in orow.iter_mut() {
+                *o *= inv;
             }
         }
     }
@@ -62,17 +50,12 @@ pub fn spmm(csr: &Csr, features: &Matrix, reduce: Reduce) -> Matrix {
 /// Weighted SpMM: like [`spmm`] but each (dst, src) edge's contribution is
 /// first scaled elementwise by its weight vector from `edge_weights`
 /// (row = edge id in CSR order). This is `f(h(X))` with `h` = weighted sum.
-/// `Max` has no weighted form here and is refused.
 pub fn spmm_weighted(
     csr: &Csr,
     features: &Matrix,
     edge_weights: &Matrix,
     reduce: Reduce,
 ) -> Matrix {
-    assert!(
-        reduce != Reduce::Max,
-        "weighted aggregation: Max is not supported"
-    );
     assert_eq!(
         edge_weights.rows(),
         csr.num_edges(),
@@ -152,10 +135,6 @@ pub fn sddmm(csr: &Csr, features: &Matrix, op: EdgeOp) -> Matrix {
 /// (`f'` of Fig 3b). For `Mean`, each edge contribution is scaled by
 /// 1/deg(dst) to match the forward.
 pub fn spmm_backward(csr: &Csr, grad: &Matrix, num_srcs: usize, reduce: Reduce) -> Matrix {
-    assert!(
-        reduce != Reduce::Max,
-        "max backward needs forward argmax state"
-    );
     let f = grad.cols();
     let mut out = Matrix::zeros(num_srcs, f);
     for (d, srcs) in csr.iter() {
@@ -205,13 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn spmm_max() {
-        let csr = small();
-        let m = spmm(&csr, &feats(), Reduce::Max);
-        assert_eq!(m.row(0), &[3., 30.]);
-    }
-
-    #[test]
     fn sddmm_elem_mul() {
         let csr = small();
         let w = sddmm(&csr, &feats(), EdgeOp::ElemMul);
@@ -237,13 +209,6 @@ mod tests {
         let plain = spmm(&csr, &feats(), Reduce::Sum);
         let weighted = spmm_weighted(&csr, &feats(), &ones, Reduce::Sum);
         assert!(plain.max_abs_diff(&weighted) < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "weighted aggregation: Max is not supported")]
-    fn weighted_spmm_refuses_max() {
-        let ones = Matrix::from_vec(3, 2, vec![1.0; 6]);
-        spmm_weighted(&small(), &feats(), &ones, Reduce::Max);
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn main() {
     let data = GraphData::synthetic_learnable(2_000, 24_000, 32, 2, 7);
     let mut trainer = GraphTensor::new(
         GtVariant::Prepro,
-        gcn(2, data.num_classes),
+        ModelConfig::gcn(2, PAPER_HIDDEN, data.num_classes),
         SystemSpec::paper_testbed(),
     );
     trainer.sampler = SamplerConfig {

@@ -19,7 +19,7 @@ fn main() {
         seed: 9,
         ..Default::default()
     };
-    let model = gcn(2, data.num_classes);
+    let model = ModelConfig::gcn(2, PAPER_HIDDEN, data.num_classes);
 
     println!(
         "{:<12} {:>10} {:>10} {:>12} {:>12}  table-III",

@@ -31,7 +31,7 @@ fn main() {
 
     let mut trainer = GraphTensor::new(
         GtVariant::Dynamic,
-        gcn(2, classes),
+        ModelConfig::gcn(2, PAPER_HIDDEN, classes),
         SystemSpec::paper_testbed(),
     );
     trainer.sampler = SamplerConfig {
@@ -74,7 +74,7 @@ fn main() {
     let restored = graphtensor::tensor::checkpoint::load_file(&path).unwrap();
     let mut served = GraphTensor::new(
         GtVariant::Dynamic,
-        gcn(2, classes),
+        ModelConfig::gcn(2, PAPER_HIDDEN, classes),
         SystemSpec::paper_testbed(),
     );
     served.sampler = trainer.sampler.clone();

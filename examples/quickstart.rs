@@ -23,7 +23,7 @@ fn main() {
     // Prepro-GT = the complete system of the paper.
     let mut trainer = GraphTensor::new(
         GtVariant::Prepro,
-        gcn(2, data.num_classes),
+        ModelConfig::gcn(2, PAPER_HIDDEN, data.num_classes),
         SystemSpec::paper_testbed(),
     );
     trainer.sampler = SamplerConfig {

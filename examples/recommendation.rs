@@ -29,7 +29,7 @@ fn main() {
 
     let mut trainer = GraphTensor::new(
         GtVariant::Dynamic,
-        ngcf(2, data.num_classes),
+        ModelConfig::ngcf(2, PAPER_HIDDEN, data.num_classes),
         SystemSpec::paper_testbed(),
     );
     trainer.sampler = SamplerConfig {
@@ -63,11 +63,11 @@ fn main() {
 
     // The real recommendation objective: BPR ranking over (user, item+,
     // item−) triples, trained through the same NGCF pipeline.
-    use graphtensor::models::recsys::{ranking_accuracy, sample_bpr_batch, train_bpr_batch};
+    use graphtensor::core::recsys::{ranking_accuracy, sample_bpr_batch, train_bpr_batch};
     let num_users = 1_500; // the bipartite generator's user partition
     let mut ranker = GraphTensor::new(
         GtVariant::Dynamic,
-        ngcf(2, 32), // output = 32-dim embeddings scored by inner product
+        ModelConfig::ngcf(2, PAPER_HIDDEN, 32), // output = 32-dim embeddings scored by inner product
         SystemSpec::paper_testbed(),
     );
     ranker.sampler = SamplerConfig {

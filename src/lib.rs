@@ -16,8 +16,8 @@
 //! * [`core`] — NAPA, the DKP orchestrator, the tensor scheduler, the
 //!   [`core::trainer::GraphTensor`] framework, and the serving
 //!   [`core::serve::Supervisor`], whose caches, tracer and journal are
-//!   layers it arms;
-//! * [`models`] — GCN / NGCF / GAT-lite presets + train/eval loops;
+//!   layers it arms; the GCN / NGCF / GAT-lite presets, the train/eval
+//!   loops and NGCF's BPR recommendation task;
 //! * [`baselines`] — PyG / DGL / GNNAdvisor / SALIENT strategy replicas;
 //! * [`datasets`] — the ten Table-II workloads as synthetic recipes.
 //!
@@ -31,7 +31,7 @@
 //! // Dynamic-GT: NAPA kernels + dynamic kernel placement.
 //! let mut trainer = GraphTensor::new(
 //!     GtVariant::Dynamic,
-//!     gcn(2, data.num_classes),
+//!     ModelConfig::gcn(2, PAPER_HIDDEN, data.num_classes),
 //!     SystemSpec::paper_testbed(),
 //! );
 //! trainer.sampler.fanout = 4;
@@ -43,7 +43,6 @@ pub use gt_baselines as baselines;
 pub use gt_core as core;
 pub use gt_datasets as datasets;
 pub use gt_graph as graph;
-pub use gt_models as models;
 pub use gt_sample as sample;
 pub use gt_sim as sim;
 pub use gt_telemetry as telemetry;
@@ -52,7 +51,7 @@ pub use gt_tensor as tensor;
 /// Everything needed for typical use.
 pub mod prelude {
     pub use gt_baselines::{Baseline, BaselineKind};
-    pub use gt_core::config::ModelConfig;
+    pub use gt_core::config::{ModelConfig, PAPER_HIDDEN};
     pub use gt_core::data::GraphData;
     pub use gt_core::error::GtError;
     pub use gt_core::framework::{
@@ -64,9 +63,8 @@ pub mod prelude {
         DurabilityConfig, QuarantineRecord, RecoveryReport, ServeCtx, Served, Supervisor,
     };
     pub use gt_core::tracing::{RequestTracer, TracerConfig};
-    pub use gt_core::trainer::{GraphTensor, GtVariant};
+    pub use gt_core::trainer::{evaluate, train_epochs, GraphTensor, GtVariant};
     pub use gt_datasets::{DatasetSpec, Scale};
-    pub use gt_models::{evaluate, gat_lite, gcn, ngcf, train_epochs};
     pub use gt_sample::{BatchIter, SamplerConfig};
     pub use gt_sim::{CrashSite, FaultPlan, SystemSpec};
     pub use gt_telemetry::{SloSpec, Telemetry};

@@ -20,7 +20,7 @@ fn sampler() -> SamplerConfig {
 fn all_eight_frameworks_agree_numerically() {
     let data = GraphData::synthetic(400, 4000, 24, 4, 5);
     let batch: Vec<u32> = (0..50).collect();
-    let model = gcn(2, 4);
+    let model = ModelConfig::gcn(2, PAPER_HIDDEN, 4);
 
     let mut reference = GraphTensor::new(GtVariant::Base, model.clone(), SystemSpec::tiny());
     reference.sampler = sampler();
@@ -51,7 +51,11 @@ fn all_eight_frameworks_agree_numerically() {
 fn training_is_bit_reproducible() {
     let run = || {
         let data = GraphData::synthetic(300, 3000, 16, 3, 9);
-        let mut t = GraphTensor::new(GtVariant::Prepro, gcn(2, 3), SystemSpec::tiny());
+        let mut t = GraphTensor::new(
+            GtVariant::Prepro,
+            ModelConfig::gcn(2, PAPER_HIDDEN, 3),
+            SystemSpec::tiny(),
+        );
         t.sampler = sampler();
         let mut losses = Vec::new();
         for b in BatchIter::new(300, 60, 1) {
@@ -70,7 +74,7 @@ fn variant_ordering_on_heavy_features() {
     let spec = gt_datasets::by_name("gowalla").unwrap();
     let data = spec.build(Scale::Test, 5);
     let batch: Vec<u32> = (0..60.min(data.num_vertices() as u32)).collect();
-    let model = gcn(2, spec.out_dim);
+    let model = ModelConfig::gcn(2, PAPER_HIDDEN, spec.out_dim);
 
     let mut base = GraphTensor::new(GtVariant::Base, model.clone(), SystemSpec::paper_testbed());
     base.sampler = sampler();
@@ -118,7 +122,10 @@ fn variant_ordering_on_heavy_features() {
 fn napa_has_no_conversion_overhead() {
     let data = GraphData::synthetic(300, 3000, 16, 2, 1);
     let batch: Vec<u32> = (0..40).collect();
-    for model in [gcn(2, 2), ngcf(2, 2)] {
+    for model in [
+        ModelConfig::gcn(2, PAPER_HIDDEN, 2),
+        ModelConfig::ngcf(2, PAPER_HIDDEN, 2),
+    ] {
         let mut t = GraphTensor::new(GtVariant::Base, model, SystemSpec::tiny());
         t.sampler = sampler();
         let r = t.train_batch(&data, &batch);
@@ -138,7 +145,7 @@ fn every_dataset_trains_one_batch() {
         let batch: Vec<u32> = (0..n as u32).collect();
         let mut t = GraphTensor::new(
             GtVariant::Prepro,
-            gcn(2, spec.out_dim),
+            ModelConfig::gcn(2, PAPER_HIDDEN, spec.out_dim),
             SystemSpec::paper_testbed(),
         );
         t.sampler = sampler();
@@ -155,7 +162,7 @@ fn prelude_quickstart_compiles_and_learns() {
     let data = GraphData::synthetic_learnable(300, 2400, 16, 2, 7);
     let mut trainer = GraphTensor::new(
         GtVariant::Dynamic,
-        gcn(2, data.num_classes),
+        ModelConfig::gcn(2, PAPER_HIDDEN, data.num_classes),
         SystemSpec::tiny(),
     );
     trainer.sampler.fanout = 3;
@@ -168,7 +175,11 @@ fn prelude_quickstart_compiles_and_learns() {
 #[test]
 fn checkpoint_restore_preserves_predictions() {
     let data = GraphData::synthetic_learnable(200, 1600, 8, 2, 5);
-    let mut t = GraphTensor::new(GtVariant::Dynamic, gcn(2, 2), SystemSpec::tiny());
+    let mut t = GraphTensor::new(
+        GtVariant::Dynamic,
+        ModelConfig::gcn(2, PAPER_HIDDEN, 2),
+        SystemSpec::tiny(),
+    );
     t.sampler = sampler();
     t.lr = 0.3;
     for b in BatchIter::new(200, 40, 1) {
@@ -177,7 +188,11 @@ fn checkpoint_restore_preserves_predictions() {
     let mut buf = Vec::new();
     graphtensor::tensor::checkpoint::save(t.params(), &mut buf).unwrap();
     let restored = graphtensor::tensor::checkpoint::load(buf.as_slice()).unwrap();
-    let mut served = GraphTensor::new(GtVariant::Dynamic, gcn(2, 2), SystemSpec::tiny());
+    let mut served = GraphTensor::new(
+        GtVariant::Dynamic,
+        ModelConfig::gcn(2, PAPER_HIDDEN, 2),
+        SystemSpec::tiny(),
+    );
     served.sampler = sampler();
     served.set_params(restored);
     let eval: Vec<u32> = (0..80).collect();

@@ -92,7 +92,11 @@ fn device_presets() {
 fn batch_report_consistency() {
     let data = GraphData::synthetic(500, 6000, 32, 4, 9);
     let batch: Vec<u32> = (0..80).collect();
-    let mut t = GraphTensor::new(GtVariant::Prepro, gcn(2, 4), SystemSpec::paper_testbed());
+    let mut t = GraphTensor::new(
+        GtVariant::Prepro,
+        ModelConfig::gcn(2, PAPER_HIDDEN, 4),
+        SystemSpec::paper_testbed(),
+    );
     t.sampler = SamplerConfig {
         fanout: 8,
         layers: 2,
