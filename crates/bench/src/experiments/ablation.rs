@@ -11,7 +11,7 @@
 //!   degree-weighted importance sampling.
 
 use crate::runner::{print_table, ExpConfig};
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::Framework;
 use gt_core::napa::schedule::{edge_wise_cache, feature_wise_cache};
 use gt_core::prepro::run_prepro;
@@ -29,7 +29,7 @@ pub fn fanout_sweep(cfg: &ExpConfig) -> Vec<(usize, usize, f64, f64)> {
         c.fanout = fanout;
         let mut t = c.graphtensor(
             GtVariant::Prepro,
-            ModelConfig::gcn(c.layers, 64, spec.out_dim),
+            ModelConfig::gcn(c.layers, PAPER_HIDDEN, spec.out_dim),
         );
         let reports = c.measure(&mut t, &data, 3);
         let nodes = reports[0].num_nodes;
@@ -47,7 +47,7 @@ pub fn device_sensitivity(cfg: &ExpConfig) -> Vec<(String, String, f64, (usize, 
     let batch = cfg.batch_ids(&data);
     let mut rows = Vec::new();
     for dev in [DeviceSpec::rtx3090(), DeviceSpec::a100()] {
-        let model = ModelConfig::gcn(cfg.layers, 64, spec.out_dim);
+        let model = ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim);
         let mut base = cfg.graphtensor(GtVariant::Base, model.clone());
         base.sys.gpu = dev.clone();
         let rb = base.train_batch(&data, &batch);
@@ -130,7 +130,7 @@ pub fn priority_ablation(cfg: &ExpConfig) -> Vec<(String, usize, f32)> {
     ] {
         let mut t = cfg.graphtensor(
             GtVariant::Dynamic,
-            ModelConfig::gcn(cfg.layers, 64, spec.out_dim),
+            ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim),
         );
         t.sampler.priority = priority;
         let mut loss = 0.0;

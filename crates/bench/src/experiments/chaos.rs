@@ -33,7 +33,7 @@
 //! `GT_THREADS` width.
 
 use crate::runner::{print_table, ExpConfig};
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::error::GtError;
 use gt_core::journal;
 use gt_core::serve::{DurabilityConfig, RecoveryReport, ServeCtx, Supervisor};
@@ -216,7 +216,7 @@ pub fn run_plan(
     let spec = gt_datasets::by_name("reddit2").expect("known dataset");
     let data = cfg.build(&spec);
     let make_server = |plan: FaultPlan| {
-        let model = ModelConfig::gcn(cfg.layers, 64, spec.out_dim);
+        let model = ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim);
         Supervisor::new(cfg.graphtensor(GtVariant::Dynamic, model), plan)
     };
     // The faulted run (and only it) carries the flight recorder when

@@ -11,7 +11,7 @@
 //! parameters bit-identical to an uninterrupted run.
 
 use crate::runner::{print_table, ExpConfig};
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::error::GtError;
 use gt_core::journal::{self, Record};
 use gt_core::serve::{DurabilityConfig, ServeCtx, Supervisor};
@@ -71,7 +71,7 @@ pub struct Summary {
 pub fn run(cfg: &ExpConfig, opts: &DurabilityOpts) -> Result<Summary, GtError> {
     let spec = gt_datasets::by_name("reddit2").expect("known dataset");
     let data = cfg.build(&spec);
-    let model = ModelConfig::gcn(cfg.layers, 64, spec.out_dim);
+    let model = ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim);
 
     let mut plan = FaultPlan::new(cfg.seed)
         .with_transfer_failure(0.3)

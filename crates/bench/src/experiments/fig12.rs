@@ -3,6 +3,7 @@
 //! feature graphs are sampling-bound, heavy ones are lookup/transfer-bound.
 
 use crate::runner::{pct, print_table, ExpConfig};
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::Framework;
 use gt_core::trainer::GtVariant;
 use gt_sim::Phase;
@@ -61,7 +62,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
     for spec in gt_datasets::registry() {
         let data = cfg.build(&spec);
         let batch = cfg.batch_ids(&data);
-        let model = gt_core::config::ModelConfig::gcn(cfg.layers, 64, spec.out_dim);
+        let model = ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim);
         let mut t = cfg.graphtensor(GtVariant::Dynamic, model);
         // Warm past calibration so the GPU time is the steady-state one.
         for _ in 0..3 {

@@ -9,7 +9,7 @@
 
 use crate::runner::{geomean, print_table, ExpConfig};
 use gt_baselines::BaselineKind;
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::data::GraphData;
 use gt_core::trainer::GtVariant;
 use gt_datasets::DatasetSpec;
@@ -26,8 +26,8 @@ pub enum Model {
 impl Model {
     fn config(self, layers: usize, out_dim: usize) -> ModelConfig {
         match self {
-            Model::Gcn => ModelConfig::gcn(layers, 64, out_dim),
-            Model::Ngcf => ModelConfig::ngcf(layers, 64, out_dim),
+            Model::Gcn => ModelConfig::gcn(layers, PAPER_HIDDEN, out_dim),
+            Model::Ngcf => ModelConfig::ngcf(layers, PAPER_HIDDEN, out_dim),
         }
     }
 

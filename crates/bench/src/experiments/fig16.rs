@@ -4,7 +4,7 @@
 
 use crate::runner::{pct, print_table, ExpConfig};
 use gt_baselines::BaselineKind;
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::Framework;
 use gt_core::trainer::GtVariant;
 use gt_sim::Phase;
@@ -59,8 +59,14 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
         let data = cfg.build(&spec);
         let batch = cfg.batch_ids(&data);
         for (mname, model) in [
-            ("GCN", ModelConfig::gcn(cfg.layers, 64, spec.out_dim)),
-            ("NGCF", ModelConfig::ngcf(cfg.layers, 64, spec.out_dim)),
+            (
+                "GCN",
+                ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim),
+            ),
+            (
+                "NGCF",
+                ModelConfig::ngcf(cfg.layers, PAPER_HIDDEN, spec.out_dim),
+            ),
         ] {
             for kind in [BaselineKind::Dgl, BaselineKind::Pyg] {
                 let mut b = cfg.baseline(kind, model.clone());

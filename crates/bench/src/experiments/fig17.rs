@@ -7,7 +7,7 @@
 
 use crate::runner::{pct, print_table, ExpConfig};
 use gt_baselines::BaselineKind;
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::Framework;
 use gt_core::trainer::GtVariant;
 
@@ -56,7 +56,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<(Row, f64, f64)> {
         let data = cfg.build(&spec);
         let batch = cfg.batch_ids(&data);
         // NGCF exercises both aggregation and weighting paths.
-        let model = ModelConfig::ngcf(cfg.layers, 64, spec.out_dim);
+        let model = ModelConfig::ngcf(cfg.layers, PAPER_HIDDEN, spec.out_dim);
 
         let mut pyg = cfg.baseline(BaselineKind::Pyg, model.clone());
         let rp = pyg.train_batch(&data, &batch);

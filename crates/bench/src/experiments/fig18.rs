@@ -4,7 +4,7 @@
 //! DKP, averaged over products and wiki-talk).
 
 use crate::runner::{print_table, ExpConfig};
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::Framework;
 use gt_core::trainer::GtVariant;
 
@@ -33,8 +33,14 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
         let data = cfg.build(&spec);
         let batch = cfg.batch_ids(&data);
         for (mname, model) in [
-            ("GCN", ModelConfig::gcn(cfg.layers, 64, spec.out_dim)),
-            ("NGCF", ModelConfig::ngcf(cfg.layers, 64, spec.out_dim)),
+            (
+                "GCN",
+                ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim),
+            ),
+            (
+                "NGCF",
+                ModelConfig::ngcf(cfg.layers, PAPER_HIDDEN, spec.out_dim),
+            ),
         ] {
             let mut base = cfg.graphtensor(GtVariant::Base, model.clone());
             let rb = base.train_batch(&data, &batch);

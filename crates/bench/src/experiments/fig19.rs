@@ -7,7 +7,7 @@
 
 use crate::runner::{geomean, print_table, ExpConfig};
 use gt_baselines::BaselineKind;
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::Framework;
 use gt_core::trainer::GtVariant;
 use gt_datasets::DatasetSpec;
@@ -44,7 +44,7 @@ pub fn run(cfg: &ExpConfig, specs: &[DatasetSpec]) -> Vec<Row> {
     let mut rows = Vec::new();
     for spec in specs {
         let data = cfg.build(spec);
-        let model = ModelConfig::gcn(cfg.layers, 64, spec.out_dim);
+        let model = ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim);
         let mut e2e = Vec::new();
         for kind in [
             BaselineKind::PygMt,
@@ -142,7 +142,7 @@ mod tests {
         cfg.batch = 120;
         let spec = gt_datasets::by_name("gowalla").unwrap();
         let data = cfg.build(&spec);
-        let model = ModelConfig::gcn(cfg.layers, 64, spec.out_dim);
+        let model = ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim);
         let mut sal = cfg.baseline(BaselineKind::Salient, model.clone());
         let mut t = cfg.graphtensor(GtVariant::Dynamic, model);
         let rs = cfg.measure(&mut sal, &data, 0);

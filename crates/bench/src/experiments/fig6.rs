@@ -7,6 +7,7 @@
 
 use crate::runner::{geomean, print_table, ExpConfig};
 use gt_baselines::BaselineKind;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::Framework;
 use gt_core::napa::schedule::edge_wise_cache;
 use gt_core::prepro::run_prepro;
@@ -33,7 +34,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
 
         // (a) DL-approach (PyG) running NGCF — the edge-weighting path is
         // where DL-approach cannot avoid the bloat (§III).
-        let model = gt_core::config::ModelConfig::ngcf(cfg.layers, 64, spec.out_dim);
+        let model = ModelConfig::ngcf(cfg.layers, PAPER_HIDDEN, spec.out_dim);
         let mut pyg = cfg.baseline(BaselineKind::Pyg, model);
         let report = pyg.train_batch(&data, &batch);
         let table_bytes = (report.num_nodes * spec.feature_dim * 4) as f64;

@@ -28,7 +28,7 @@ use std::time::Instant;
 use crate::benchjson::{BenchConfig, BenchReport, EnvFingerprint, SCHEMA_VERSION};
 use crate::runner::{percentile, print_table, ExpConfig};
 use gt_core::cache::CacheStats;
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::error::GtError;
 use gt_core::framework::{BatchOutcome, ShedCause};
 use gt_core::serve::{DurabilityConfig, Supervisor};
@@ -129,7 +129,7 @@ impl Summary {
 /// on this config — the unit the arrival rate and deadline scale from.
 fn probe_service_us(cfg: &ExpConfig, data: &gt_core::GraphData, batch_size: usize) -> f64 {
     let spec = gt_datasets::by_name(DATASET).expect("known dataset");
-    let model = ModelConfig::gcn(cfg.layers, 64, spec.out_dim);
+    let model = ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim);
     let sup = Supervisor::new(
         cfg.graphtensor(GtVariant::Dynamic, model),
         FaultPlan::new(cfg.seed),
@@ -163,7 +163,7 @@ pub fn run(cfg: &ExpConfig, opts: &ServingOpts) -> Result<Summary, GtError> {
     let spec = gt_datasets::by_name(DATASET).expect("known dataset");
     let data = cfg.build(&spec);
     let nv = data.num_vertices();
-    let model = ModelConfig::gcn(cfg.layers, 64, spec.out_dim);
+    let model = ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim);
 
     let wl_probe = WorkloadSpec::default_day(cfg.seed);
     let service_us = probe_service_us(cfg, &data, wl_probe.batch_size);
@@ -502,7 +502,7 @@ mod tests {
         let cfg = ExpConfig::test();
         let spec = gt_datasets::by_name(DATASET).unwrap();
         let data = cfg.build(&spec);
-        let model = ModelConfig::gcn(cfg.layers, 64, spec.out_dim);
+        let model = ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim);
         let wl = WorkloadSpec::default_day(cfg.seed);
         let batches: Vec<_> = workload::generate(&wl, data.num_vertices())
             .into_iter()

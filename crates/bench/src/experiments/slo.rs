@@ -11,7 +11,7 @@
 //! identity manifest (`crates/bench/identity.sh`) holds at both widths.
 
 use crate::runner::{print_table, ExpConfig};
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::error::GtError;
 use gt_core::journal;
 use gt_core::serve::{DurabilityConfig, Supervisor};
@@ -74,7 +74,7 @@ pub struct Summary {
 pub fn run(cfg: &ExpConfig, opts: &SloOpts) -> Result<Summary, GtError> {
     let spec = gt_datasets::by_name("reddit2").expect("known dataset");
     let data = cfg.build(&spec);
-    let model = ModelConfig::gcn(cfg.layers, 64, spec.out_dim);
+    let model = ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim);
 
     let plan = FaultPlan::new(cfg.seed).with_serve_delay_window(opts.stall_us, 0, None);
     let mut trainer = cfg.graphtensor(GtVariant::Dynamic, model);

@@ -36,7 +36,7 @@ pub fn run(cfg: &ExpConfig) -> Result {
     let data_h = cfg.build(&spec_heavy);
     let mut t = cfg.graphtensor(
         GtVariant::Dynamic,
-        ModelConfig::gcn(cfg.layers, 64, spec_light.out_dim),
+        ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec_light.out_dim),
     );
     t.calibration_batches = 4;
     let bl = cfg.batch_ids(&data_l);
@@ -48,7 +48,7 @@ pub fn run(cfg: &ExpConfig) -> Result {
     // light trainer's fit and each workload's decisions use its own model.
     let mut th = cfg.graphtensor(
         GtVariant::Dynamic,
-        ModelConfig::gcn(cfg.layers, 64, spec_heavy.out_dim),
+        ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec_heavy.out_dim),
     );
     th.calibration_batches = 4;
     let bh = cfg.batch_ids(&data_h);

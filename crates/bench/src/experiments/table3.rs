@@ -8,7 +8,7 @@
 
 use crate::runner::print_table;
 use gt_baselines::BaselineKind;
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::{Framework, FrameworkTraits};
 use gt_core::trainer::GtVariant;
 use gt_sim::SystemSpec;
@@ -28,7 +28,7 @@ pub struct Row {
 
 /// Assemble all rows.
 pub fn run() -> Vec<Row> {
-    let model = ModelConfig::gcn(2, 64, 4);
+    let model = ModelConfig::gcn(2, PAPER_HIDDEN, 4);
     let sys = SystemSpec::paper_testbed();
     let mut rows = Vec::new();
     for (kind, group) in [

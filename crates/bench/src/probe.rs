@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use crate::benchjson::{BenchConfig, BenchReport, EnvFingerprint, SCHEMA_VERSION};
 use crate::runner::{percentile, print_table, ExpConfig};
-use gt_core::config::ModelConfig;
+use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::Framework;
 use gt_core::prepro::sample_and_reindex;
 use gt_core::trainer::GtVariant;
@@ -43,7 +43,7 @@ pub fn report(experiment: &str, cfg: &ExpConfig) -> BenchReport {
     let batch = cfg.batch_ids(&data);
     let mut t = cfg.graphtensor(
         GtVariant::Dynamic,
-        ModelConfig::gcn(cfg.layers, 64, spec.out_dim),
+        ModelConfig::gcn(cfg.layers, PAPER_HIDDEN, spec.out_dim),
     );
     let overlapped = t.overlaps_batches();
 

@@ -119,8 +119,9 @@ fn serial(work: &PreproWork, sys: &SystemSpec, kind: TransferKind) -> Simulator 
             .after(&prev_stage);
             ids.push(sim.add(t));
         }
-        let n_hash = chunk(hop.sample_hash_ops, cores).len().max(1) as u64;
-        for (c, share) in chunk(hop.sample_hash_ops, cores).into_iter().enumerate() {
+        let hash_shares = chunk(hop.sample_hash_ops, cores);
+        let n_hash = hash_shares.len().max(1) as u64;
+        for (c, share) in hash_shares.into_iter().enumerate() {
             let t = TaskSpec::new(
                 format!("S{}H c{}", k + 1, c),
                 Resource::HostCore,
@@ -134,7 +135,7 @@ fn serial(work: &PreproWork, sys: &SystemSpec, kind: TransferKind) -> Simulator 
         }
         prev_stage = ids;
     }
-    let s_done = prev_stage.clone();
+    let s_done = prev_stage;
 
     // R: all hops, after every S.
     let mut r_ids = Vec::new();

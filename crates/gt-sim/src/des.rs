@@ -4,7 +4,8 @@
 //! about *scheduling*: the same S/R/K/T work, chopped into subtasks and
 //! placed with maximum overlap across host cores, the PCIe link, and the
 //! GPU, finishes much earlier than the serialized schedule the baselines
-//! use. Since this machine exposes a single vCPU (DESIGN.md §2), we replay
+//! use. The development host has 2 vCPUs (DESIGN.md §2), too few to show
+//! 12-way host parallelism or CPU/PCIe overlap in wall time, so we replay
 //! each framework's task DAG on modeled resources with a deterministic
 //! list scheduler and compare virtual makespans.
 //!
@@ -220,8 +221,17 @@ impl Simulator {
     }
 
     /// Run list scheduling: repeatedly place the ready task with the earliest
-    /// possible start (ties broken by submission order) on the
-    /// earliest-available unit of its resource pool.
+    /// possible start on the earliest-available unit of its resource pool.
+    ///
+    /// A task's start is `data_ready.max(unit_ready).max(lock_ready)`: the
+    /// latest finish among its deps, the earliest free unit of its pool, and
+    /// its lock group's release. Among equal starts the lowest task id
+    /// wins; among equally free units, the lowest unit index.
+    ///
+    /// Each round scans only the ready set (tasks whose deps have all
+    /// finished), and a task's data-ready time is folded once, when its last
+    /// dependency ends, so a run costs O(n·ready + E) for n tasks and E
+    /// dependency entries, plus one pass over each pool per round.
     pub fn run(&self) -> Schedule {
         self.run_inner(None)
     }
@@ -241,62 +251,94 @@ impl Simulator {
 
     fn run_inner(&self, faults: Option<&crate::fault::ActiveFaults>) -> Schedule {
         let n = self.tasks.len();
-        let mut finish: Vec<Option<f64>> = vec![None; n];
-        let mut host_free = vec![0.0f64; self.host_cores];
-        let mut pcie_free = vec![0.0f64; 1];
-        let mut gpu_free = vec![0.0f64; 1];
-        let mut lock_free: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+        // Dependents as CSR: `dependents[head[d]..head[d + 1]]` lists every
+        // task that names `d` in its deps, once per entry (duplicates
+        // included), so `pending[i]` reaches 0 exactly when task i's last
+        // dependency finishes.
+        let mut head = vec![0usize; n + 1];
+        for t in &self.tasks {
+            for &d in &t.deps {
+                head[d] += 1;
+            }
+        }
+        for i in 1..=n {
+            head[i] += head[i - 1];
+        }
+        let mut dependents = vec![0; head[n]];
+        for (i, t) in self.tasks.iter().enumerate().rev() {
+            for &d in t.deps.iter().rev() {
+                head[d] -= 1;
+                dependents[head[d]] = i;
+            }
+        }
+        let mut pending: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
+
+        // Lock groups are a handful of ids: give each a slot in a Vec table.
+        let mut groups: Vec<u32> = Vec::new();
+        let lock_slot: Vec<Option<usize>> = self
+            .tasks
+            .iter()
+            .map(|t| {
+                t.lock.map(|g| match groups.iter().position(|&h| h == g) {
+                    Some(slot) => slot,
+                    None => {
+                        groups.push(g);
+                        groups.len() - 1
+                    }
+                })
+            })
+            .collect();
+        let mut lock_free = vec![0.0f64; groups.len()];
+
+        let pool_of = |r: Resource| match r {
+            Resource::HostCore => 0,
+            Resource::Pcie => 1,
+            Resource::Gpu => 2,
+        };
+        let mut pools = [vec![0.0f64; self.host_cores], vec![0.0f64], vec![0.0f64]];
+        let mut finish = vec![0.0f64; n];
+        let data_ready_of = |i: usize, finish: &[f64]| {
+            let deps = self.tasks[i].deps.iter();
+            deps.map(|&d| finish[d]).fold(0.0f64, f64::max)
+        };
+        // Tasks whose dependencies have all finished, in index order, each
+        // with its data-ready time (fixed once its last dependency ends).
+        let mut ready: Vec<(TaskId, f64)> = (0..n)
+            .filter(|&i| pending[i] == 0)
+            .map(|i| (i, data_ready_of(i, &finish)))
+            .collect();
         let mut events: Vec<ScheduledEvent> = Vec::with_capacity(n);
-        let mut scheduled = vec![false; n];
         let mut failed: Vec<TaskId> = Vec::new();
 
         for _round in 0..n {
-            // Find the ready task with the earliest possible start time.
+            // Find the ready task with the earliest possible start time; the
+            // scan runs in index order, so ties keep the lowest index.
+            let unit_ready = pools
+                .each_ref()
+                .map(|pool| pool.iter().copied().fold(f64::INFINITY, f64::min));
             let mut best: Option<(f64, usize)> = None;
-            for (i, t) in self.tasks.iter().enumerate() {
-                if scheduled[i] {
-                    continue;
-                }
-                if t.deps.iter().any(|&d| finish[d].is_none()) {
-                    continue;
-                }
-                let data_ready = t
-                    .deps
-                    .iter()
-                    .map(|&d| finish[d].unwrap())
-                    .fold(0.0f64, f64::max);
-                let pool: &Vec<f64> = match t.resource {
-                    Resource::HostCore => &host_free,
-                    Resource::Pcie => &pcie_free,
-                    Resource::Gpu => &gpu_free,
-                };
-                let unit_ready = pool.iter().copied().fold(f64::INFINITY, f64::min);
-                let lock_ready = t.lock.map_or(0.0, |g| *lock_free.get(&g).unwrap_or(&0.0));
-                let start = data_ready.max(unit_ready).max(lock_ready);
+            for (pos, &(i, data_ready)) in ready.iter().enumerate() {
+                let t = &self.tasks[i];
+                let lock_ready = lock_slot[i].map_or(0.0, |s| lock_free[s]);
+                let start = data_ready
+                    .max(unit_ready[pool_of(t.resource)])
+                    .max(lock_ready);
                 match best {
                     Some((s, _)) if s <= start => {}
-                    _ => best = Some((start, i)),
+                    _ => best = Some((start, pos)),
                 }
             }
-            let (_, i) = best.expect("cycle in task graph: no ready task");
+            let (_, pos) = best.expect("cycle in task graph: no ready task");
+            let (i, data_ready) = ready.remove(pos);
             let t = &self.tasks[i];
-            let data_ready = t
-                .deps
-                .iter()
-                .map(|&d| finish[d].unwrap())
-                .fold(0.0f64, f64::max);
-            let pool: &mut Vec<f64> = match t.resource {
-                Resource::HostCore => &mut host_free,
-                Resource::Pcie => &mut pcie_free,
-                Resource::Gpu => &mut gpu_free,
-            };
+            let pool = &mut pools[pool_of(t.resource)];
             let (unit, unit_ready) = pool
                 .iter()
                 .copied()
                 .enumerate()
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .unwrap();
-            let lock_ready = t.lock.map_or(0.0, |g| *lock_free.get(&g).unwrap_or(&0.0));
+            let lock_ready = lock_slot[i].map_or(0.0, |s| lock_free[s]);
             let unblocked = data_ready.max(unit_ready);
             let start = unblocked.max(lock_ready);
             // Fault adjustments are Option-gated: with no applicable fault
@@ -325,11 +367,10 @@ impl Simulator {
             }
             let end = start + duration;
             pool[unit] = end;
-            if let Some(g) = t.lock {
-                lock_free.insert(g, end);
+            if let Some(slot) = lock_slot[i] {
+                lock_free[slot] = end;
             }
-            finish[i] = Some(end);
-            scheduled[i] = true;
+            finish[i] = end;
             events.push(ScheduledEvent {
                 task: i,
                 label: t.label.clone(),
@@ -341,6 +382,13 @@ impl Simulator {
                 lock_wait_us: (lock_ready - unblocked).max(0.0),
                 items: t.items,
             });
+            for &j in &dependents[head[i]..head[i + 1]] {
+                pending[j] -= 1;
+                if pending[j] == 0 {
+                    let at = ready.partition_point(|&(k, _)| k < j);
+                    ready.insert(at, (j, data_ready_of(j, &finish)));
+                }
+            }
         }
 
         let makespan_us = events.iter().map(|e| e.end_us).fold(0.0, f64::max);

@@ -41,7 +41,7 @@ fn lock_free_dag(g: &mut Gen) -> Vec<Task> {
 }
 
 /// `tasks` placed on `resource(i)`, over `cores` host cores.
-fn build(tasks: &[Task], cores: usize, resource: fn(usize) -> Resource) -> Simulator {
+fn build(tasks: &[Task], cores: usize, resource: impl Fn(usize) -> Resource) -> Simulator {
     let mut sim = Simulator::new(cores);
     let mut ids = Vec::new();
     for (i, (dur, deps, lock)) in tasks.iter().enumerate() {
@@ -74,6 +74,162 @@ fn mixed(g: &mut Gen, cores: Range<usize>, len: Range<usize>, dur_us: Range<f64>
         sim.add(spec);
     }
     sim
+}
+
+/// One task placed by [`quadratic_reference`]:
+/// `(task, unit, start_us, end_us, lock_wait_us)`.
+type Placed = (usize, usize, f64, f64, f64);
+
+/// The list scheduler as first written, kept as the oracle for
+/// `Simulator::run`: each of n rounds rescans every task, re-folds the
+/// deps of each ready one and reads lock groups from a map, O(n²·deps).
+/// Task `i` runs on `on[i]`. Returns the placements in schedule order, the
+/// failed tasks and the makespan.
+fn quadratic_reference(
+    tasks: &[Task],
+    on: &[Resource],
+    cores: usize,
+    faults: &ActiveFaults,
+) -> (Vec<Placed>, Vec<usize>, f64) {
+    let pool = |r: Resource| match r {
+        Resource::HostCore => 0,
+        Resource::Pcie => 1,
+        Resource::Gpu => 2,
+    };
+    let n = tasks.len();
+    let mut finish: Vec<Option<f64>> = vec![None; n];
+    let mut free = [vec![0.0f64; cores], vec![0.0], vec![0.0]];
+    let mut lock_free: std::collections::HashMap<u32, f64> = Default::default();
+    let (mut placed, mut failed) = (Vec::new(), Vec::new());
+    let data_ready = |deps: &[usize], finish: &[Option<f64>]| {
+        let at = deps.iter().map(|&d| finish[d].unwrap());
+        at.fold(0.0f64, f64::max)
+    };
+    for _round in 0..n {
+        let mut best: Option<(f64, usize)> = None;
+        for (i, (_, deps, lock)) in tasks.iter().enumerate() {
+            if finish[i].is_some() || deps.iter().any(|&d| finish[d].is_none()) {
+                continue;
+            }
+            let unit_ready = free[pool(on[i])]
+                .iter()
+                .copied()
+                .fold(f64::INFINITY, f64::min);
+            let lock_ready = lock.map_or(0.0, |g| *lock_free.get(&g).unwrap_or(&0.0));
+            let start = data_ready(deps, &finish).max(unit_ready).max(lock_ready);
+            match best {
+                Some((s, _)) if s <= start => {}
+                _ => best = Some((start, i)),
+            }
+        }
+        let (_, i) = best.expect("no ready task");
+        let (duration, deps, lock) = &tasks[i];
+        let (unit, unit_ready) = free[pool(on[i])]
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap();
+        let lock_ready = lock.map_or(0.0, |g| *lock_free.get(&g).unwrap_or(&0.0));
+        let unblocked = data_ready(deps, &finish).max(unit_ready);
+        let start = unblocked.max(lock_ready);
+        let mut duration = *duration;
+        if on[i] == Resource::HostCore {
+            if let Some(factor) = faults.straggler(unit) {
+                duration *= factor;
+            }
+        }
+        if on[i] == Resource::Pcie {
+            if let Some(factor) = faults.pcie_slowdown() {
+                duration *= factor;
+            }
+        }
+        if lock.is_some() {
+            if let Some(factor) = faults.lock_slowdown() {
+                duration *= factor;
+            }
+        }
+        if on[i] == Resource::Pcie && faults.fails_transfers() {
+            failed.push(i);
+        }
+        let end = start + duration;
+        free[pool(on[i])][unit] = end;
+        if let Some(g) = lock {
+            lock_free.insert(*g, end);
+        }
+        finish[i] = Some(end);
+        placed.push((i, unit, start, end, (lock_ready - unblocked).max(0.0)));
+    }
+    let makespan = placed.iter().map(|p| p.3).fold(0.0, f64::max);
+    (placed, failed, makespan)
+}
+
+/// The linear-time scheduler places every task exactly where the quadratic
+/// oracle does, bit for bit, with and without faults. The DAGs span all
+/// three resources, 1-5 cores and 0-3 lock groups (sparse ids), repeat
+/// deps, and draw zero and integer durations so that start times tie.
+#[test]
+fn scheduler_equals_the_quadratic_oracle() {
+    const RESOURCES: [Resource; 3] = [Resource::HostCore, Resource::Pcie, Resource::Gpu];
+    const GROUPS: [u32; 3] = [1, 0, u32::MAX];
+    check("scheduler_equals_the_quadratic_oracle", CASES, |g| {
+        let (cores, groups) = (g.range(1..6), g.range(0..4));
+        let mut i = 0;
+        let tasks: Vec<Task> = g.vec(1..60, |g| {
+            let mut deps = match i {
+                0 => Vec::new(),
+                _ => g.vec(0..4, |g| g.range(0..i)),
+            };
+            if !deps.is_empty() && g.below(3) == 0 {
+                deps.push(deps[0]);
+            }
+            i += 1;
+            let duration = match g.below(3) {
+                0 => 0.0,
+                1 => g.range(1..4) as f64 * 10.0,
+                _ => g.f64_in(0.0..50.0),
+            };
+            let lock = (groups > 0 && g.below(2) == 0).then(|| GROUPS[g.range(0..groups)]);
+            (duration, deps, lock)
+        });
+        let on: Vec<Resource> = tasks.iter().map(|_| *g.pick(&RESOURCES)).collect();
+        let mut faults = ActiveFaults::none();
+        let sampled = [
+            FaultKind::StragglerCore {
+                core: g.range(0..cores),
+                factor: g.f64_in(1.0..4.0),
+            },
+            FaultKind::TransferStall {
+                factor: g.range(1..4) as f64,
+            },
+            FaultKind::HashContention {
+                factor: g.f64_in(1.0..3.0),
+            },
+            FaultKind::TransferFailure,
+        ];
+        for kind in sampled {
+            if g.below(2) == 0 {
+                faults.faults.push(kind);
+            }
+        }
+
+        let sim = build(&tasks, cores, |i| on[i]);
+        for (schedule, active) in [
+            (sim.run(), ActiveFaults::none()),
+            (sim.run_with_faults(&faults), faults.clone()),
+        ] {
+            let (placed, failed, makespan) = quadratic_reference(&tasks, &on, cores, &active);
+            assert_eq!(schedule.events.len(), placed.len());
+            for (e, &(task, unit, start, end, wait)) in schedule.events.iter().zip(&placed) {
+                assert_eq!((e.task, e.unit), (task, unit), "under {active:?}");
+                assert_eq!(e.start_us.to_bits(), start.to_bits(), "task {task}");
+                assert_eq!(e.end_us.to_bits(), end.to_bits(), "task {task}");
+                assert_eq!(e.lock_wait_us.to_bits(), wait.to_bits(), "task {task}");
+            }
+            assert_eq!(schedule.failed, failed);
+            assert_eq!(schedule.makespan_us.to_bits(), makespan.to_bits());
+        }
+    });
 }
 
 /// Schedules are valid: dependencies precede dependents, units never
