@@ -4,10 +4,14 @@
 //! model, which prices the same work under different schedules (serialized
 //! baselines vs GraphTensor's pipelined subtasks) on the modeled 12-core
 //! host (DESIGN.md §2). The work itself executes on the `gt_par` thread
-//! pool (S split into A + H phases, K chunk-parallel; R builds its CSR and
-//! CSC from the new ids H assigned, with no pool pass); each stage is
-//! wrapped in a telemetry span on the `prepro` track so real overlap shows
-//! up next to the DES-predicted schedule in a Perfetto trace.
+//! pool: S samples each hop in one round whose A phase maps frontier chunks
+//! on every worker while the calling worker folds H over them in chunk
+//! order (the paper's contention relaxing, Fig 14c); R counting-sorts the
+//! new-id columns H wrote into CSR and CSC, with no pool pass and no copy;
+//! K is chunk-parallel. Each stage is wrapped in a telemetry span on the
+//! `prepro` track (and A and H in `sample.A` / `sample.H` worker spans) so
+//! real overlap shows up next to the DES-predicted schedule in a Perfetto
+//! trace.
 //!
 //! [`run_prepro`] runs all three. The GraphTensor trainer runs only S and R
 //! ([`sample_and_reindex`]): its kernels read the sampled rows of the

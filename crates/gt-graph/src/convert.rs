@@ -69,9 +69,21 @@ pub(crate) fn counting_sort<T: Copy + Default>(
     (indptr, out)
 }
 
+/// Group an edge list, given as parallel `keys`/`values` columns, by key:
+/// the pointer array over `num_keys` keys and the values in key order,
+/// input order within a key (a stable counting sort). Grouping the source
+/// column by destination gives a CSR's arrays, the destination column by
+/// source a CSC's; callers holding the columns outside a [`Coo`] build
+/// either without copying them into one. Panics if the columns differ in
+/// length or a key is not below `num_keys`.
+pub fn group_by_key(num_keys: usize, keys: &[VId], values: &[VId]) -> (Vec<EId>, Vec<VId>) {
+    assert_eq!(keys.len(), values.len(), "edge columns differ in length");
+    counting_sort(num_keys, keys, values.iter().copied())
+}
+
 /// COO → dst-indexed CSR (what forward aggregation needs).
 pub fn coo_to_csr(coo: &Coo) -> (Csr, KernelStats) {
-    let (indptr, srcs) = counting_sort(coo.num_vertices(), &coo.dst, coo.src.iter().copied());
+    let (indptr, srcs) = group_by_key(coo.num_vertices(), &coo.dst, &coo.src);
     (
         Csr::new(indptr, srcs),
         translation_stats(coo.num_edges() as u64, coo.num_vertices() as u64),
@@ -80,7 +92,7 @@ pub fn coo_to_csr(coo: &Coo) -> (Csr, KernelStats) {
 
 /// COO → src-indexed CSC (what backward propagation needs).
 pub fn coo_to_csc(coo: &Coo) -> (Csc, KernelStats) {
-    let (indptr, dsts) = counting_sort(coo.num_vertices(), &coo.src, coo.dst.iter().copied());
+    let (indptr, dsts) = group_by_key(coo.num_vertices(), &coo.src, &coo.dst);
     (
         Csc::new(indptr, dsts),
         translation_stats(coo.num_edges() as u64, coo.num_vertices() as u64),

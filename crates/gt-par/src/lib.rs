@@ -6,10 +6,12 @@
 //! gt-telemetry — and built around one idea: **work is split into chunks
 //! whose geometry never depends on the thread count**, workers claim chunks
 //! via an atomic cursor (self-scheduling), and results are combined in chunk
-//! order. Each output element is produced by exactly one worker running
-//! serial code over its chunk, so `GT_THREADS=N` is bit-identical to
-//! `GT_THREADS=1` by construction — no reduction-order nondeterminism to
-//! paper over. docs/parallelism.md describes the contract.
+//! order — after the round ([`ThreadPool::map_chunks`]) or during it, on the
+//! calling thread, while later chunks are still being mapped
+//! ([`ThreadPool::map_fold_ordered`]). Each output element is produced by
+//! exactly one worker running serial code over its chunk, so `GT_THREADS=N`
+//! is bit-identical to `GT_THREADS=1` by construction — no reduction-order
+//! nondeterminism to paper over. docs/parallelism.md describes the contract.
 //!
 //! Workers are persistent: a pool spawns `workers - 1` threads at
 //! construction and broadcasts each parallel operation to them through a
@@ -23,13 +25,19 @@
 //! overlap next to the DES-predicted schedule (Fig 13/14-style lanes).
 
 use std::any::Any;
+use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Environment variable selecting the worker count for [`ThreadPool::global`].
 pub const THREADS_ENV: &str = "GT_THREADS";
+
+/// Busy-wait rounds the folding caller of [`ThreadPool::map_fold_ordered`]
+/// spins on an unfinished chunk before it starts yielding its core, so that
+/// a pool wider than the machine cannot starve the worker it waits on.
+const SPINS_BEFORE_YIELD: u32 = 64;
 
 /// A fixed-width pool of self-scheduling workers. `workers - 1` persistent
 /// threads park on a condvar between operations; the calling thread is
@@ -193,12 +201,14 @@ impl ThreadPool {
             return;
         }
         let cursor = AtomicUsize::new(0);
-        self.run_parallel(&|w| worker_loop(w, label, &cursor, n, total, chunk, &f));
+        let task = |w| worker_loop(w, label, &cursor, n, total, chunk, &f);
+        self.run_parallel(&task, &mut || task(0));
     }
 
-    /// Broadcast `task` to every worker (index 1..workers on the spawned
-    /// threads, 0 on the calling thread) and block until all have returned.
-    fn run_parallel(&self, task: &(dyn Fn(usize) + Sync)) {
+    /// Broadcast `task` to the spawned workers (indices 1..workers), run
+    /// `own` on the calling thread as worker 0, and block until all have
+    /// returned.
+    fn run_parallel(&self, task: &(dyn Fn(usize) + Sync), own: &mut dyn FnMut()) {
         let op = self.op_lock.lock().unwrap();
         let shared = self.shared.as_ref().expect("multi-worker pool");
         // Safety: we block below until every worker finished the round, so
@@ -219,10 +229,10 @@ impl ThreadPool {
             shared.work_cv.notify_all();
         }
         IN_POOL_JOB.with(|c| c.set(true));
-        let own = catch_unwind(AssertUnwindSafe(|| task(0)));
+        let own = catch_unwind(AssertUnwindSafe(own));
         IN_POOL_JOB.with(|c| c.set(false));
-        // Wait even when `task(0)` panicked: the workers still hold the
-        // erased borrow.
+        // Wait even when `own` panicked: the workers still hold the erased
+        // borrow.
         let mut st = shared.state.lock().unwrap();
         while st.active > 0 {
             st = shared.done_cv.wait(st).unwrap();
@@ -248,11 +258,112 @@ impl ThreadPool {
         let n = num_chunks(total, chunk);
         let slots = SlotVec::new(n);
         self.for_each_chunk(label, total, chunk, |i, range| {
-            // Safety: `for_each_chunk` hands out each chunk index exactly
+            // SAFETY: `for_each_chunk` hands out each chunk index exactly
             // once, so slot `i` has a unique writer.
-            unsafe { slots.write(i, f(i, range)) };
+            unsafe { slots.publish(i, f(i, range)) };
         });
         slots.into_vec()
+    }
+
+    /// Map every chunk of `0..total` through `map` on the pool and fold the
+    /// results on the calling thread **in chunk order**, `fold(0, ..)`,
+    /// `fold(1, ..)`, …, while later chunks are still being mapped. The
+    /// output therefore equals [`ThreadPool::map_chunks`] followed by a
+    /// serial fold, bit for bit, at every width — but on a multi-worker
+    /// pool the fold overlaps the map instead of waiting behind it, and each
+    /// chunk's result is dropped as soon as it is folded.
+    ///
+    /// Spawned workers only map. The calling thread (worker 0) owns the
+    /// fold: it folds chunk `next` once that chunk is mapped, claims and
+    /// maps a chunk itself while it is not, and waits (spinning, then
+    /// yielding) only when nothing is left to claim. `fold` therefore needs
+    /// neither `Send` nor `Sync`. With one worker, one chunk, or inside a
+    /// pool job, it runs inline: every `map` in chunk order, then every
+    /// `fold`, as `map_chunks` and a serial fold would. A panic in `map` or
+    /// `fold` reaches the caller as [`ThreadPool::for_each_chunk`]'s do, and
+    /// the pool stays usable.
+    ///
+    /// Telemetry: spawned workers open one `map_label` span each, as in
+    /// `for_each_chunk`. Worker 0 holds one `fold_label` span on
+    /// `cpu-worker-0` for the whole call, with a `map_label` span nested in
+    /// it for each chunk it maps itself, so the fold span's exclusive time
+    /// is folding and waiting.
+    pub fn map_fold_ordered<T, M, F>(
+        &self,
+        map_label: &'static str,
+        fold_label: &'static str,
+        total: usize,
+        chunk: usize,
+        map: M,
+        mut fold: F,
+    ) where
+        T: Send,
+        M: Fn(usize, Range<usize>) -> T + Sync,
+        F: FnMut(usize, T),
+    {
+        let n = num_chunks(total, chunk);
+        let telemetry = gt_telemetry::global();
+        let _fold_span = telemetry.span("cpu-worker-0", fold_label);
+        let map_on_caller = |i: usize| {
+            let _span = telemetry.span("cpu-worker-0", map_label);
+            map(i, chunk_range(total, chunk, i))
+        };
+        if self.workers == 1 || n <= 1 || IN_POOL_JOB.with(|c| c.get()) {
+            // Serial: every map, then every fold. With no other core to hide
+            // the fold behind, alternating them per chunk only makes each
+            // evict the other's working set (the sampler measured ≈ 4%
+            // slower that way).
+            let mapped: Vec<T> = (0..n).map(map_on_caller).collect();
+            for (i, value) in mapped.into_iter().enumerate() {
+                fold(i, value);
+            }
+            return;
+        }
+        let slots = SlotVec::new(n);
+        let cursor = AtomicUsize::new(0);
+        // Set by a panicking map or fold so that the folding caller stops
+        // waiting for a chunk that will never be published, and the
+        // mappers stop mapping. It publishes no data (the panic payload
+        // travels through the pool's state mutex), so Relaxed suffices.
+        let abort = AtomicBool::new(false);
+        let publish = |i: usize, range: Range<usize>| {
+            if abort.load(Ordering::Relaxed) {
+                return;
+            }
+            let _unwinding = AbortOnUnwind(&abort);
+            // SAFETY: the cursor hands out each chunk index exactly once,
+            // so slot `i` has a unique writer.
+            unsafe { slots.publish(i, map(i, range)) };
+        };
+        let spawned = |w| worker_loop(w, map_label, &cursor, n, total, chunk, &publish);
+        self.run_parallel(&spawned, &mut || {
+            let _unwinding = AbortOnUnwind(&abort);
+            let (mut next, mut claimed, mut spins) = (0, 0u64, 0u32);
+            while next < n {
+                // SAFETY: this closure is the only reader of the slots.
+                if let Some(value) = unsafe { slots.take(next) } {
+                    fold(next, value);
+                    next += 1;
+                    spins = 0;
+                    continue;
+                }
+                if abort.load(Ordering::Relaxed) {
+                    return;
+                }
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i < n {
+                    claimed += 1;
+                    // SAFETY: as in `publish`; index `i` came from the cursor.
+                    unsafe { slots.publish(i, map_on_caller(i)) };
+                } else if spins < SPINS_BEFORE_YIELD {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+            count_claims(&telemetry, claimed);
+        });
     }
 
     /// Run `f(chunk_index, chunk_slice)` over `data.chunks_mut(chunk)`, in
@@ -352,12 +463,28 @@ fn worker_loop<F>(
         i = cursor.fetch_add(1, Ordering::Relaxed);
     }
     drop(span);
+    count_claims(&telemetry, claimed);
+}
+
+fn count_claims(telemetry: &gt_telemetry::Telemetry, claimed: u64) {
     telemetry
         .counter(
             "gt_par_chunks_claimed_total",
             "chunks claimed by pool workers",
         )
         .add(claimed);
+}
+
+/// Sets its flag if dropped while its thread unwinds: a mapper or folder
+/// that panics raises the round's abort flag on the way out.
+struct AbortOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Worker count from `GT_THREADS`, defaulting to available parallelism.
@@ -377,34 +504,53 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// `Vec<Option<T>>` with interior mutability for unique-index writes.
+/// One result slot per chunk, each written once by the worker that mapped
+/// the chunk and then flagged ready.
 struct SlotVec<T> {
-    slots: std::cell::UnsafeCell<Vec<Option<T>>>,
+    slots: Vec<UnsafeCell<Option<T>>>,
+    ready: Vec<AtomicBool>,
 }
 
-// Safety: writes go to distinct indices (enforced by the chunk cursor) and
-// reads happen only after all writers joined.
+// SAFETY: a slot is written by exactly one thread (the chunk cursor hands
+// each index out once) and read either by the one folding thread after it
+// observes the slot's ready flag (Release store in `publish`, Acquire load
+// in `take`), or by the caller after the round has joined. Values move
+// between threads, hence `T: Send`; no `&T` is ever shared.
 unsafe impl<T: Send> Sync for SlotVec<T> {}
 
 impl<T> SlotVec<T> {
     fn new(n: usize) -> SlotVec<T> {
         SlotVec {
-            slots: std::cell::UnsafeCell::new((0..n).map(|_| None).collect()),
+            slots: (0..n).map(|_| UnsafeCell::new(None)).collect(),
+            ready: (0..n).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
-    /// Safety: each index must have exactly one writer, and no concurrent
-    /// reader.
-    unsafe fn write(&self, i: usize, value: T) {
-        let slots: &mut Vec<Option<T>> = &mut *self.slots.get();
-        slots[i] = Some(value);
+    /// Store chunk `i`'s result and flag it ready.
+    ///
+    /// # Safety
+    /// Each index must be published by at most one thread, at most once.
+    unsafe fn publish(&self, i: usize, value: T) {
+        *self.slots[i].get() = Some(value);
+        self.ready[i].store(true, Ordering::Release);
+    }
+
+    /// Take chunk `i`'s result if it has been published (and not yet taken).
+    ///
+    /// # Safety
+    /// Only one thread may call `take` during a round.
+    unsafe fn take(&self, i: usize) -> Option<T> {
+        if self.ready[i].load(Ordering::Acquire) {
+            (*self.slots[i].get()).take()
+        } else {
+            None
+        }
     }
 
     fn into_vec(self) -> Vec<T> {
         self.slots
-            .into_inner()
             .into_iter()
-            .map(|s| s.expect("every chunk produced a result"))
+            .map(|s| s.into_inner().expect("every chunk produced a result"))
             .collect()
     }
 }
@@ -547,6 +693,136 @@ mod tests {
                 assert!(message.starts_with("chunk "), "{message}");
                 let clean = pool.map_chunks("test", 40, 4, |i, _| i);
                 assert_eq!(clean, (0..10).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    /// `map_chunks` followed by a serial fold: what `map_fold_ordered`
+    /// must equal at every width.
+    fn fold_after_map(pool: &ThreadPool, total: usize, chunk: usize) -> Vec<(usize, u64)> {
+        let mapped = pool.map_chunks("test", total, chunk, chunk_digest);
+        mapped.into_iter().enumerate().collect()
+    }
+
+    fn chunk_digest(i: usize, range: Range<usize>) -> u64 {
+        range.fold(i as u64, |h, x| {
+            (h ^ x as u64).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn map_fold_ordered_equals_map_then_serial_fold() {
+        let pools = [1, 2, 4].map(ThreadPool::new);
+        gt_sim::prop::check("map_fold_ordered", 64, |g| {
+            let total = g.range(0..1500);
+            let chunk = g.range(1..120);
+            // Sleep-jittered map bodies: about a quarter of the chunks stall
+            // up to 100 µs, so chunks finish out of order.
+            let jitter = g.vec(0..64, |g| g.below(4) == 0);
+            for pool in &pools {
+                let mut folded = Vec::new();
+                pool.map_fold_ordered(
+                    "test",
+                    "test.fold",
+                    total,
+                    chunk,
+                    |i, range| {
+                        if jitter.get(i % jitter.len().max(1)) == Some(&true) {
+                            std::thread::sleep(std::time::Duration::from_micros(
+                                (i as u64 * 37) % 100,
+                            ));
+                        }
+                        chunk_digest(i, range)
+                    },
+                    |i, value| folded.push((i, value)),
+                );
+                assert_eq!(
+                    folded,
+                    fold_after_map(pool, total, chunk),
+                    "width {}",
+                    pool.workers()
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn map_fold_ordered_runs_inline_inside_a_pool_job() {
+        let pool = ThreadPool::leaked(4);
+        pool.for_each_chunk("outer", 8, 1, |_, _| {
+            let here = std::thread::current().id();
+            let mut order = Vec::new();
+            pool.map_fold_ordered(
+                "inner",
+                "inner.fold",
+                100,
+                7,
+                |i, _| {
+                    assert_eq!(std::thread::current().id(), here, "nested map left its job");
+                    i
+                },
+                |i, mapped| {
+                    assert_eq!(i, mapped);
+                    order.push(i);
+                },
+            );
+            assert_eq!(order, (0..num_chunks(100, 7)).collect::<Vec<_>>());
+        });
+    }
+
+    #[test]
+    fn map_fold_ordered_panics_reach_the_caller_and_leave_the_pool_usable() {
+        #[derive(Clone, Copy, Debug)]
+        enum Fault {
+            MapOnCaller,
+            MapOnSpawned,
+            Fold,
+        }
+        for workers in [1, 2, 4] {
+            let pool = ThreadPool::new(workers);
+            for fault in [Fault::MapOnCaller, Fault::MapOnSpawned, Fault::Fold] {
+                // One chunk per worker, each held until every worker holds
+                // one, so both the caller and the spawned workers map.
+                let all_claimed = std::sync::Barrier::new(workers);
+                let caller = std::thread::current().id();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    pool.map_fold_ordered(
+                        "test",
+                        "test.fold",
+                        workers,
+                        1,
+                        |i, _| {
+                            if workers > 1 {
+                                all_claimed.wait();
+                            }
+                            let on_caller = std::thread::current().id() == caller;
+                            let panics = match fault {
+                                Fault::MapOnCaller => on_caller,
+                                Fault::MapOnSpawned => !on_caller || workers == 1,
+                                Fault::Fold => false,
+                            };
+                            if panics {
+                                panic!("map {i}");
+                            }
+                        },
+                        |i, ()| {
+                            if let Fault::Fold = fault {
+                                panic!("fold {i}");
+                            }
+                        },
+                    )
+                }));
+                let payload = outcome.expect_err("the panic reaches the caller");
+                let message = payload.downcast_ref::<String>().expect("panic! message");
+                let expected = if let Fault::Fold = fault {
+                    "fold "
+                } else {
+                    "map "
+                };
+                assert!(message.starts_with(expected), "{fault:?}: {message}");
+                let mut next = Vec::new();
+                pool.map_fold_ordered("test", "test.fold", 40, 4, |i, _| i, |_, i| next.push(i));
+                assert_eq!(next, (0..10).collect::<Vec<_>>());
             }
         }
     }

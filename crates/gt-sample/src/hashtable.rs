@@ -37,6 +37,11 @@ impl VidMap {
 
     /// Map `orig` to its new VID, allocating the next dense id if unseen.
     /// Returns `(new_vid, was_inserted)`.
+    // `#[inline]`: H calls this once per sampled edge from the sampler's
+    // fold closure, which the compiler may place in another codegen unit;
+    // without the hint the probe stayed an out-of-line call there and H ran
+    // 10–15% slower.
+    #[inline]
     pub fn insert_or_get(&mut self, orig: VId) -> (VId, bool) {
         let next = self.new_to_orig.len() as VId;
         // Mapped values are all `< next`, so `new == next` means "fresh".

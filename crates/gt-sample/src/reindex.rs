@@ -1,20 +1,22 @@
 //! Graph reindexing (R) — §II-B, Fig 4b.
 //!
 //! Builds a sampled hop's per-layer graph structures in the dense new-id
-//! space from one COO: dst-indexed CSR for forward aggregation and
-//! src-indexed CSC for backward propagation (§II-A, Fig 3). The new ids are
-//! the ones the sampler's H phase assigned as it inserted each endpoint
-//! (`HopEdges::{src_new, dst_new}`), so on the host R reads no hash table
-//! and runs no pool pass. The paper's R renumbers through the table, and
-//! the model still prices it that way: R's reads racing S's writes, the
-//! second contention source of Fig 14a, is modeled in `gt-core::scheduler`,
-//! which prices `reindex_ops` (two hash reads + two builds) per edge.
+//! space: dst-indexed CSR for forward aggregation and src-indexed CSC for
+//! backward propagation (§II-A, Fig 3). The new ids are the ones the
+//! sampler's H phase assigned as it inserted each endpoint
+//! (`HopEdges::{src_new, dst_new}`), so on the host R reads no hash table,
+//! runs no pool pass and copies no column: both structures are counting
+//! sorts straight over the hop's two new-id columns. The paper's R
+//! renumbers through the table, and the model still prices it that way:
+//! R's reads racing S's writes, the second contention source of Fig 14a, is
+//! modeled in `gt-core::scheduler`, which prices `reindex_ops` (two hash
+//! reads + two builds) per edge.
 
 use crate::error::SampleError;
 use crate::hashtable::VidMap;
 use crate::sampler::HopEdges;
-use gt_graph::convert::{coo_to_csc, coo_to_csr};
-use gt_graph::{Coo, Csc, Csr};
+use gt_graph::convert::group_by_key;
+use gt_graph::{Csc, Csr};
 use gt_par::ThreadPool;
 
 /// Per-layer graph structures in new-id space.
@@ -91,15 +93,13 @@ pub fn try_reindex_layer_with_pool(
         return Err(SampleError::DstOutOfRange { v, num_dst });
     }
 
-    // One COO over the src space (dsts are a prefix of srcs) feeds both the
-    // dst-indexed CSR and the src-indexed CSC.
-    let coo = Coo::new(num_src, hop.src_new.clone(), hop.dst_new.clone());
-    let (csc, _) = coo_to_csc(&coo);
-    let (Csr { mut indptr, srcs }, _) = coo_to_csr(&coo);
-    // Truncate the pointer array to the dst space (no edges land above
-    // num_dst, checked above; `Csr::new` re-checks that).
-    indptr.truncate(num_dst + 1);
+    // Both structures are counting sorts straight over the hop's columns:
+    // the CSR groups sources by destination over the dst space, the CSC
+    // destinations by source over the src space (ids checked above).
+    let (indptr, srcs) = group_by_key(num_dst, &hop.dst_new, &hop.src_new);
     let csr = Csr::new(indptr, srcs);
+    let (indptr, dsts) = group_by_key(num_src, &hop.src_new, &hop.dst_new);
+    let csc = Csc::new(indptr, dsts);
     Ok(LayerGraph {
         csr,
         csc,
@@ -112,7 +112,9 @@ pub fn try_reindex_layer_with_pool(
 mod tests {
     use super::*;
     use crate::sampler::{sample_batch, SamplerConfig};
+    use gt_graph::convert::{coo_to_csc, coo_to_csr};
     use gt_graph::generators::erdos_renyi;
+    use gt_graph::Coo;
     use gt_graph::VId;
 
     fn sampled() -> (crate::sampler::SampleOutput, Csr) {

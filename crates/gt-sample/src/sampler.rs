@@ -16,17 +16,22 @@
 //!   each sampled source's original id beside its destination's new id, and
 //!   allocates nothing per destination (duplicates are found by scanning the
 //!   destination's own tail of the chunk's source column).
-//! * **H (hash update)** — serial, in chunk order: one
-//!   [`VidMap::insert_or_get`] per sampled source allocates or finds its
-//!   dense new VID (first-occurrence order) and H writes it into the hop's
-//!   `src_new` column, so R builds the layer from the ids H assigned and
-//!   never probes the map again. Whether a source is new to the next
-//!   frontier is a hop stamp in a dense `Vec` indexed by new id, which
-//!   grows with the id log — one probe per sampled endpoint in all.
-//!   Because H walks chunks in index order and A is order-independent,
-//!   `GT_THREADS=N` produces bit-identical output to `GT_THREADS=1`. H is
-//!   the map's only user, so the map needs no lock (Fig 14c serializes
-//!   H; the contention of Fig 14a is modeled in `gt-core::scheduler`).
+//! * **H (hash update)** — folded in chunk order on the calling worker,
+//!   behind the A chunks still running: each hop is one
+//!   [`ThreadPool::map_fold_ordered`] round with A as the map and H as the
+//!   fold, so one hop's hash updates overlap the sampling still in flight
+//!   (spans `sample.A` on the mapping workers, `sample.H` on
+//!   `cpu-worker-0`). One [`VidMap::insert_or_get`] per sampled source
+//!   allocates or finds its dense new VID (first-occurrence order) and H
+//!   writes it into the hop's `src_new` column, so R builds the layer from
+//!   the ids H assigned and never probes the map again. Whether a source is
+//!   new to the next frontier is a hop stamp in a dense `Vec` indexed by new
+//!   id, which grows with the id log — one probe per sampled endpoint in
+//!   all. Because H folds chunks in index order and A is order-independent,
+//!   `GT_THREADS=N` produces bit-identical output to `GT_THREADS=1`. H runs
+//!   on one thread and is the map's only user, so the map needs no lock
+//!   (Fig 14c serializes H; the contention of Fig 14a is modeled in
+//!   `gt-core::scheduler`).
 //!
 //! Every frontier node also samples itself (a self-loop edge): GCN's
 //! normalized adjacency includes self-loops (Â = A + I), and the self-edge
@@ -226,94 +231,41 @@ pub fn try_sample_batch_with_pool(
     let mut boundaries = vec![vidmap.len()];
     let mut hops = Vec::with_capacity(cfg.layers);
     for hop in 0..cfg.layers {
-        // A phase: chunk-parallel sampling with zero hash-table traffic.
-        let frontier_ref = &frontier;
-        let chunks: Vec<(HopEdges, SampleStats)> =
-            pool.map_chunks("sample.A", frontier.len(), A_CHUNK, |_, range| {
-                let dsts = &frontier_ref[range];
-                // Each dst adds its self-loop and at most `fanout` samples.
-                let bound = dsts
-                    .iter()
-                    .map(|&(d, _)| 1 + graph.degree(d).min(cfg.fanout))
-                    .sum();
-                // H fills `src_new`.
-                let mut edges = HopEdges {
-                    src_orig: Vec::with_capacity(bound),
-                    dst_orig: Vec::with_capacity(bound),
-                    dst_new: Vec::with_capacity(bound),
-                    ..HopEdges::default()
-                };
-                let mut st = SampleStats::default();
-                let (mut chosen, mut weights) = (Vec::new(), Vec::new());
-                for &(dst, dst_new) in dsts {
-                    // Neighbors already taken for this dst ("unique random",
-                    // §II-B) are the chunk's source column from its
-                    // self-loop on: the adjacency list may contain duplicate
-                    // edges or an explicit self-loop, both of which must not
-                    // produce repeat samples.
-                    let taken = edges.src_orig.len();
-                    let mut take = |s: VId| {
-                        if !edges.src_orig[taken..].contains(&s) {
-                            edges.src_orig.push(s);
-                            edges.dst_orig.push(dst);
-                            edges.dst_new.push(dst_new);
-                        }
-                    };
-                    // Self-loop: a node always aggregates itself.
-                    take(dst);
-
-                    let neigh = graph.srcs(dst);
-                    st.edges_visited += neigh.len() as u64;
-                    if neigh.len() <= cfg.fanout {
-                        neigh.iter().for_each(|&s| take(s));
-                        continue;
-                    }
-                    let mut rng = StdRng::seed_from_u64(node_stream_seed(cfg.seed, hop, dst));
-                    match cfg.priority {
-                        Priority::UniqueRandom => {
-                            sample_unique(neigh.len(), cfg.fanout, &mut rng, &mut st, &mut chosen)
-                        }
-                        Priority::DegreeWeighted => sample_degree_weighted(
-                            graph,
-                            neigh,
-                            cfg.fanout,
-                            &mut rng,
-                            &mut st,
-                            &mut chosen,
-                            &mut weights,
-                        ),
-                    }
-                    chosen.iter().for_each(|&i| take(neigh[i]));
-                }
-                (edges, st)
-            });
-
-        // H phase: serial, in chunk order. Steps ③/④ — allocate-or-find each
-        // source's new id with one probe, and build the next frontier in
-        // first-occurrence order (Fig 4a iterates ③ "for all the previously
-        // sampled vertices"). The src column visits each dst before that
-        // dst's samples (self-loop first), so the frontier order matches
-        // what a fully serial pass would produce.
-        let mut edges = HopEdges::with_capacity(chunks.iter().map(|(e, _)| e.len()).sum());
+        let mut edges = HopEdges::with_capacity(edge_bound(graph, cfg, &frontier));
         let mut next_frontier: Vec<(VId, VId)> = Vec::new();
-        for (chunk, st) in chunks {
-            stats.edges_visited += st.edges_visited;
-            stats.draws += st.draws;
-            for &s in &chunk.src_orig {
-                let (new, fresh) = vidmap.insert_or_get(s);
-                if fresh {
-                    stamp.push(0);
+        pool.map_fold_ordered(
+            "sample.A",
+            "sample.H",
+            frontier.len(),
+            A_CHUNK,
+            // A phase: chunk-parallel sampling with zero hash-table traffic.
+            |_, range| sample_chunk(graph, cfg, hop, &frontier[range]),
+            // H phase: folded in chunk order on the calling worker, behind
+            // the A chunks still running. Steps ③/④ — allocate-or-find each
+            // source's new id with one probe, and build the next frontier in
+            // first-occurrence order (Fig 4a iterates ③ "for all the
+            // previously sampled vertices"). The src column visits each dst
+            // before that dst's samples (self-loop first), so the frontier
+            // order matches what a fully serial pass would produce.
+            |_, (chunk, st): (HopEdges, SampleStats)| {
+                stats.edges_visited += st.edges_visited;
+                stats.draws += st.draws;
+                for &s in &chunk.src_orig {
+                    let (new, fresh) = vidmap.insert_or_get(s);
+                    if fresh {
+                        stamp.push(0);
+                    }
+                    if stamp[new as usize] != hop + 1 {
+                        stamp[new as usize] = hop + 1;
+                        next_frontier.push((s, new));
+                    }
+                    edges.src_new.push(new);
                 }
-                if stamp[new as usize] != hop + 1 {
-                    stamp[new as usize] = hop + 1;
-                    next_frontier.push((s, new));
-                }
-                edges.src_new.push(new);
-            }
-            edges.src_orig.extend_from_slice(&chunk.src_orig);
-            edges.dst_orig.extend_from_slice(&chunk.dst_orig);
-            edges.dst_new.extend_from_slice(&chunk.dst_new);
-        }
+                edges.src_orig.extend_from_slice(&chunk.src_orig);
+                edges.dst_orig.extend_from_slice(&chunk.dst_orig);
+                edges.dst_new.extend_from_slice(&chunk.dst_new);
+            },
+        );
         boundaries.push(vidmap.len());
         hops.push(edges);
         frontier = next_frontier;
@@ -325,6 +277,74 @@ pub fn try_sample_batch_with_pool(
         boundaries,
         stats,
     })
+}
+
+/// Edges that sampling `dsts` can emit: a self-loop and at most `fanout`
+/// samples per destination.
+fn edge_bound(graph: &Csr, cfg: &SamplerConfig, dsts: &[(VId, VId)]) -> usize {
+    dsts.iter()
+        .map(|&(d, _)| 1 + graph.degree(d).min(cfg.fanout))
+        .sum()
+}
+
+/// The A phase of one chunk of hop `hop`'s frontier: sample every
+/// destination's neighbors into the chunk's edge columns. `src_new` stays
+/// empty; H fills it.
+fn sample_chunk(
+    graph: &Csr,
+    cfg: &SamplerConfig,
+    hop: usize,
+    dsts: &[(VId, VId)],
+) -> (HopEdges, SampleStats) {
+    let bound = edge_bound(graph, cfg, dsts);
+    let mut edges = HopEdges {
+        src_orig: Vec::with_capacity(bound),
+        dst_orig: Vec::with_capacity(bound),
+        dst_new: Vec::with_capacity(bound),
+        ..HopEdges::default()
+    };
+    let mut st = SampleStats::default();
+    let (mut chosen, mut weights) = (Vec::new(), Vec::new());
+    for &(dst, dst_new) in dsts {
+        // Neighbors already taken for this dst ("unique random", §II-B) are
+        // the chunk's source column from its self-loop on: the adjacency
+        // list may contain duplicate edges or an explicit self-loop, both of
+        // which must not produce repeat samples.
+        let taken = edges.src_orig.len();
+        let mut take = |s: VId| {
+            if !edges.src_orig[taken..].contains(&s) {
+                edges.src_orig.push(s);
+                edges.dst_orig.push(dst);
+                edges.dst_new.push(dst_new);
+            }
+        };
+        // Self-loop: a node always aggregates itself.
+        take(dst);
+
+        let neigh = graph.srcs(dst);
+        st.edges_visited += neigh.len() as u64;
+        if neigh.len() <= cfg.fanout {
+            neigh.iter().for_each(|&s| take(s));
+            continue;
+        }
+        let mut rng = StdRng::seed_from_u64(node_stream_seed(cfg.seed, hop, dst));
+        match cfg.priority {
+            Priority::UniqueRandom => {
+                sample_unique(neigh.len(), cfg.fanout, &mut rng, &mut st, &mut chosen)
+            }
+            Priority::DegreeWeighted => sample_degree_weighted(
+                graph,
+                neigh,
+                cfg.fanout,
+                &mut rng,
+                &mut st,
+                &mut chosen,
+                &mut weights,
+            ),
+        }
+        chosen.iter().for_each(|&i| take(neigh[i]));
+    }
+    (edges, st)
 }
 
 /// Degree-weighted sampling without replacement: repeatedly draw with
