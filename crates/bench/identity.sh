@@ -1,19 +1,18 @@
 #!/usr/bin/env bash
 # Identity manifest: run the release `repro` at test scale and hash every
 # artifact a refactor must leave byte-identical — experiment stdout,
-# checkpoints, journals, flight dumps — into OUT/IDENTITY.sha256, a
-# standard `sha256sum -c` file.
+# checkpoints, journals, flight dumps, the BENCH reports — into
+# OUT/IDENTITY.sha256, a standard `sha256sum -c` file.
 #
 #   cargo build --release --locked --offline -p gt-bench --bins
 #   crates/bench/identity.sh OUT
 #   diff -u crates/bench/baselines/IDENTITY.sha256 OUT/IDENTITY.sha256
 #
-# The run also writes OUT/BENCH_{smoke,serving}.json for
-# `benchdiff BASE CAND` against crates/bench/baselines/. Not hashed,
-# because they vary with the run: `smoke` stdout (thread count, dense ISA,
-# wall_* rows), the `threads` sweep (widths and wall times), every stderr.
+# Not run or hashed, because they vary with the host: the `threads` sweep
+# (widths and wall times) and every stderr (thread count, dense ISA).
 # After an intended change, rerun and copy OUT/IDENTITY.sha256 over the
-# committed manifest. See docs/profiling.md §Identity manifest.
+# committed manifest; OUT/*.out show which metric moved. See
+# docs/profiling.md §Identity manifest.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -77,7 +76,9 @@ run slo slo --flight-out flight.json
 hashed+=(flight.json)
 
 run serving serving --bench-out BENCH_serving.json
-"$repro" smoke --bench-out BENCH_smoke.json --scale test >smoke.out
+hashed+=(BENCH_serving.json)
+run smoke smoke --bench-out BENCH_smoke.json
+hashed+=(BENCH_smoke.json)
 
 sha256sum "${hashed[@]}" >IDENTITY.sha256
 echo "identity: ${#hashed[@]} artifacts hashed into $1/IDENTITY.sha256" >&2

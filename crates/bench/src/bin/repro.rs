@@ -19,12 +19,11 @@
 //! writes a Chrome trace (load it at <https://ui.perfetto.dev>) plus a
 //! metrics summary on stderr; see `docs/telemetry.md`.
 //!
-//! With `--bench-out`, the run additionally drives the perf probe and
-//! writes a schema-stable `BENCH_<exp>.json` report (modeled latency
-//! percentiles, throughput, stage breakdowns, env fingerprint) for
-//! `benchdiff` to gate against a committed baseline; see
-//! `docs/profiling.md`. The `smoke` experiment prints the same probe as
-//! a table and is the CI perf gate's workload.
+//! `--bench-out PATH` applies to `smoke` and `serving` only (a usage
+//! error elsewhere): it writes the printed run as a schema-stable
+//! `BENCH_<exp>.json` report. `smoke` is the training-loop perf probe
+//! (modeled latency percentiles, throughput, stage breakdowns); the
+//! identity manifest hashes both files. See `docs/profiling.md`.
 //!
 //! `--checkpoint-dir` / `--crash-at` / `--crash-site` apply to the
 //! `durability` experiment: serve durably into DIR, optionally dying at
@@ -58,8 +57,7 @@
 //! round robin, and the skew-exploiting serving caches enabled. With
 //! `--bench-out` it writes `BENCH_serving.json` — cache hit rates,
 //! shed/degrade totals, and the p99-vs-load curve, all in virtual time
-//! and bit-identical at every `GT_THREADS` width — which is the
-//! `identity` CI job's serving gate. See `docs/serving.md`.
+//! and bit-identical at every `GT_THREADS` width. See `docs/serving.md`.
 
 use gt_bench::experiments::*;
 use gt_bench::ExpConfig;
@@ -69,7 +67,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment|all> [--scale test|small|medium|<divisor>] \
          [--seed S] [--batch B] [--fanout F] [--layers L] \
-         [--trace-out PATH] [--bench-out PATH] [--checkpoint-dir DIR] \
+         [--trace-out PATH] [--bench-out PATH (smoke, serving)] [--checkpoint-dir DIR] \
          [--crash-at N] [--crash-site mid-journal|mid-checkpoint|after-commit] \
          [--seeds N] [--seeds-file PATH] \
          [--chaos-replay FILE] [--chaos-out PATH] [--flight-out PATH]\n\
@@ -204,6 +202,9 @@ fn main() {
             usage();
         }
     }
+    if bench_out.is_some() && exp != "smoke" && exp != "serving" {
+        usage();
+    }
 
     // `slo` and `serving` serve durably too; `--checkpoint-dir` names
     // their state dir.
@@ -250,16 +251,15 @@ fn main() {
         _ => usage(),
     };
 
-    // `serving` and `smoke` print one run and distill the same
-    // run for `--bench-out`; every other experiment's BENCH file is the
-    // training-loop perf probe's, run after it.
+    // `serving` and `smoke` print one run and distill the same run for
+    // `--bench-out`.
     let report = if exp == "serving" {
         let day = serving::run(&cfg, &serving_opts)
             .unwrap_or_else(|e| panic!("serving experiment failed: {e}"));
         serving::print(&day);
         Some(serving::report(&cfg, &day))
     } else if exp == "smoke" {
-        let probe = gt_bench::probe::report("smoke", &cfg);
+        let probe = gt_bench::probe::report(&cfg);
         gt_bench::probe::print(&probe);
         Some(probe)
     } else if exp == "all" {
@@ -291,14 +291,9 @@ fn main() {
         None
     };
 
-    if let Some(path) = bench_out {
-        let report = report.unwrap_or_else(|| gt_bench::probe::report(&exp, &cfg));
+    if let (Some(path), Some(report)) = (bench_out, report) {
         match std::fs::write(&path, report.to_json_string()) {
-            Ok(()) => eprintln!(
-                "wrote {} modeled + {} wall metrics to {path} (gate with benchdiff)",
-                report.metrics.len(),
-                report.wall.len()
-            ),
+            Ok(()) => eprintln!("wrote {} metrics to {path}", report.metrics.len()),
             Err(e) => {
                 eprintln!("failed to write bench report to {path}: {e}");
                 std::process::exit(2);

@@ -19,13 +19,12 @@
 //! engage degradation, deadline sheds, and tenant 2's quota. Everything
 //! is priced in DES virtual time, so the whole report is a pure function
 //! of `(config, seed)` — bit-identical across runs and `GT_THREADS`
-//! widths, which is what lets CI gate it with `benchdiff` against a
-//! committed `BENCH_serving.json`.
+//! widths, which is what lets the identity manifest hash
+//! `BENCH_serving.json`.
 
 use std::path::PathBuf;
-use std::time::Instant;
 
-use crate::benchjson::{BenchConfig, BenchReport, EnvFingerprint, SCHEMA_VERSION};
+use crate::benchjson::{BenchConfig, BenchReport, EnvFingerprint};
 use crate::runner::{percentile, print_table, ExpConfig};
 use gt_core::cache::CacheStats;
 use gt_core::config::{ModelConfig, PAPER_HIDDEN};
@@ -95,8 +94,6 @@ pub struct Summary {
     pub first_shed_us: f64,
     /// Virtual µs of the first quota shed (`duration_us` when none).
     pub first_quota_shed_us: f64,
-    /// Wall-clock µs the drive loop took (informational only).
-    pub wall_us: f64,
 }
 
 impl Summary {
@@ -216,13 +213,11 @@ pub fn run(cfg: &ExpConfig, opts: &ServingOpts) -> Result<Summary, GtError> {
         quantum: wl.batch_size,
     });
 
-    let wall = Instant::now();
     let mut completions: Vec<Completion> = Vec::with_capacity(arrivals.len());
     for a in &arrivals {
         completions.extend(g.submit_from(&data, a.at_us, a.tenant, &a.batch));
     }
     completions.extend(g.drain(&data));
-    let wall_us = wall.elapsed().as_secs_f64() * 1e6;
     assert_eq!(
         completions.len(),
         arrivals.len(),
@@ -291,7 +286,6 @@ pub fn run(cfg: &ExpConfig, opts: &ServingOpts) -> Result<Summary, GtError> {
         first_degrade_us,
         first_shed_us,
         first_quota_shed_us,
-        wall_us,
     })
 }
 
@@ -355,7 +349,6 @@ pub fn report(cfg: &ExpConfig, s: &Summary) -> BenchReport {
 
     let sys = SystemSpec::paper_testbed();
     BenchReport {
-        schema_version: SCHEMA_VERSION,
         experiment: "serving".to_string(),
         config: BenchConfig {
             scale_divisor: cfg.scale.divisor() as u64,
@@ -366,13 +359,11 @@ pub fn report(cfg: &ExpConfig, s: &Summary) -> BenchReport {
             measure_batches: s.completions.len() as u64,
         },
         env: EnvFingerprint {
-            threads: gt_par::ThreadPool::global().workers() as u64,
             gpu: sys.gpu.name.to_string(),
             host: sys.host.name.to_string(),
             host_cores: sys.host.cores as u64,
         },
         metrics,
-        wall: vec![("wall_drive_us".into(), s.wall_us)],
     }
 }
 
@@ -487,11 +478,8 @@ mod tests {
     #[test]
     fn report_is_deterministic() {
         let cfg = ExpConfig::test();
-        let a = report(&cfg, &run(&cfg, &opts("det_a")).unwrap());
-        let b = report(&cfg, &run(&cfg, &opts("det_b")).unwrap());
-        assert_eq!(a.metrics, b.metrics);
-        let back: BenchReport = a.to_json_string().parse().unwrap();
-        assert_eq!(back, a);
+        let bytes = |dir| report(&cfg, &run(&cfg, &opts(dir)).unwrap()).to_json_string();
+        assert_eq!(bytes("det_a"), bytes("det_b"));
     }
 
     /// Checkpoint restore invalidates the caches and the deterministic

@@ -8,5 +8,4 @@ pub mod experiments;
 pub mod probe;
 pub mod runner;
 
-pub use benchjson::{compare, BenchReport};
 pub use runner::ExpConfig;

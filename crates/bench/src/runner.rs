@@ -136,7 +136,9 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Nearest-rank percentile over an unsorted sample.
+/// Percentile over an unsorted sample: the sorted value at index
+/// `round(p/100 · (n−1))`. This is not nearest-rank (`ceil(p/100 · n) − 1`):
+/// for n = 10 and p = 50 it picks index 5 where nearest-rank picks 4.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     let mut v = values.to_vec();
     v.sort_by(|a, b| a.total_cmp(b));

@@ -7,9 +7,9 @@
 //! tests and by anyone post-processing exported traces).
 //!
 //! The parser also reads files from outside the process (`repro
-//! --chaos-replay`, `benchdiff`), so it runs in time linear in the input
-//! and bounds its recursion: arrays and objects nested more than 128 deep
-//! are a [`JsonError`], never a stack overflow.
+//! --chaos-replay`), so it runs in time linear in the input and bounds
+//! its recursion: arrays and objects nested more than 128 deep are a
+//! [`JsonError`], never a stack overflow.
 
 use std::fmt::Write as _;
 
