@@ -21,6 +21,11 @@ use gt_sim::{BubbleReport, Phase, Stage, StageBreakdown, SystemSpec};
 const DATASET: &str = "products";
 
 /// Minimum measured batches: percentiles over fewer samples are noise.
+/// No `ExpConfig` asks for more, so every run measures exactly this many,
+/// and [`percentile`] takes index `round(p/100·8)` of 9 samples, so
+/// `batch_e2e_us_p95`, `batch_e2e_us_p99` and every `req_*_us_p95` are all
+/// the sample maximum. Changing that moves the BENCH bytes (ROADMAP item
+/// 14).
 const MIN_BATCHES: usize = 9;
 
 /// The host-side request segments sampled per measured batch: the DES

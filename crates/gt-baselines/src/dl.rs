@@ -245,7 +245,7 @@ mod tests {
     fn dl_aggregate_is_fused_but_edge_wise() {
         let l = layer();
         let x = Matrix::zeros(4, 8);
-        let dl = DlAggregate::new(l, Reduce::Sum);
+        let dl = DlAggregate::new(l, Reduce::Mean);
         let (mut sim, mut params) = ctx_parts();
         let mut ctx = ExecCtx {
             sim: &mut sim,

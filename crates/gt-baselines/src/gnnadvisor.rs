@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn grouping_duplicates_dst_rows() {
         let l = layer();
-        let adv = NeighborGroupAggregate::new(Arc::clone(&l), Reduce::Sum);
+        let adv = NeighborGroupAggregate::new(Arc::clone(&l), Reduce::Mean);
         let adv_stats = adv.stats(8, 8);
         let napa_stats = adv.pull.forward_stats(8, 8);
         // 3 groups on (up to) 3 SMs load the dst row up to 3×; NAPA once.

@@ -291,8 +291,8 @@ mod tests {
                 .max_abs_diff(&napa.compute(&x, None))
                 < 1e-6
         );
-        let ew = EdgeWiseEdgeWeight::new(Arc::clone(&l), EdgeOp::ElemAdd);
-        let napa_w = NeighborApply::new(l, EdgeOp::ElemAdd);
+        let ew = EdgeWiseEdgeWeight::new(Arc::clone(&l), EdgeOp::ElemMul);
+        let napa_w = NeighborApply::new(l, EdgeOp::ElemMul);
         assert!(
             ew.forward(&[Operand::Dense(&x)], &mut ctx)
                 .max_abs_diff(&napa_w.compute(&x))

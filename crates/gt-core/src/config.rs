@@ -13,13 +13,9 @@ pub const PAPER_HIDDEN: usize = 64;
 
 /// How edge weights are folded into the aggregation (`h` in §II-A): the
 /// function "that transforms the embedding of each edge's src node using
-/// g's output vector".
+/// g's output vector". NGCF adds the weight to the src embedding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HFn {
-    /// Elementwise multiply the src embedding by the weight vector
-    /// (NGCF's sum-based weight accumulation over similarity-scaled
-    /// embeddings).
-    Mul,
     /// Add the weight vector to the src embedding.
     Add,
 }
@@ -36,7 +32,7 @@ pub struct EdgeWeighting {
 /// A GNN model as NAPA mode settings plus layer dimensions.
 #[derive(Debug, Clone)]
 pub struct ModelConfig {
-    /// Display name ("GCN", "NGCF", ...).
+    /// Display name ("GCN", "NGCF").
     pub name: String,
     /// Number of GNN layers (= sampled hops).
     pub layers: usize,
@@ -65,10 +61,10 @@ impl ModelConfig {
 
     /// NGCF (§VI): average-based aggregation with elementwise-product
     /// similarity weights folded in additively, matching NGCF's message
-    /// m_{u←i} = e_i + e_i ⊙ e_u. Folding with `h = Mul` instead would make
-    /// each message cubic in the (sub-unit) embeddings — e_i ⊙ e_i ⊙ e_u —
-    /// which collapses activations and gradients toward zero and freezes
-    /// BPR training at ln 2.
+    /// m_{u←i} = e_i + e_i ⊙ e_u. Multiplying the weight in instead would
+    /// make each message cubic in the (sub-unit) embeddings — e_i ⊙ e_i ⊙
+    /// e_u — which collapses activations and gradients toward zero and
+    /// freezes BPR training at ln 2.
     pub fn ngcf(layers: usize, hidden: usize, out_dim: usize) -> Self {
         ModelConfig {
             name: "NGCF".into(),
@@ -79,24 +75,6 @@ impl ModelConfig {
             edge: Some(EdgeWeighting {
                 g: EdgeOp::ElemMul,
                 h: HFn::Add,
-            }),
-        }
-    }
-
-    /// Simplified GAT: per-edge scalar attention from the src·dst dot
-    /// product, scaling each source embedding (unnormalized attention, the
-    /// NAPA mode closest to \[34\]). The paper notes that GAT is "similar to
-    /// NGCF" under the NAPA modes.
-    pub fn gat_lite(layers: usize, hidden: usize, out_dim: usize) -> Self {
-        ModelConfig {
-            name: "GAT-lite".into(),
-            layers,
-            hidden,
-            out_dim,
-            agg: Reduce::Mean,
-            edge: Some(EdgeWeighting {
-                g: EdgeOp::Dot,
-                h: HFn::Mul,
             }),
         }
     }

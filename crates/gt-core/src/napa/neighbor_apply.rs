@@ -8,8 +8,8 @@
 //!
 //! This op materialises its output, one `F`-wide row per edge. The trainer
 //! does not instantiate it: an edge-weighted model runs `g` inside
-//! [`super::Pull::edge_weighted`], which shares this module's device charge,
-//! `g'` scatter and `Dot` scalar. The materialising kernel stays for the
+//! [`super::Pull::edge_weighted`], which shares this module's device charge
+//! and `g'` scatter. The materialising kernel stays for the
 //! baselines, whose strategies hold edge values by design, and as the oracle
 //! the fused kernel is tested against.
 
@@ -32,7 +32,7 @@ const EDGE_CHUNK: usize = 128;
 pub struct NeighborApply {
     /// The per-layer subgraph whose edges are weighted.
     pub layer: Arc<LayerGraph>,
-    /// The weight function `g`.
+    /// The weight function `g` (NGCF's elementwise product).
     pub g: EdgeOp,
     /// Worker pool for edge-row-parallel compute.
     pub pool: &'static ThreadPool,
@@ -81,26 +81,9 @@ impl NeighborApply {
                     while indptr[d + 1] as usize <= e {
                         d += 1;
                     }
-                    let s = srcs_arr[e] as usize;
-                    let srow = features.row(s);
-                    let drow = features.row(d);
-                    match self.g {
-                        EdgeOp::ElemMul => {
-                            for ((o, &a), &b) in wrow.iter_mut().zip(srow).zip(drow) {
-                                *o = a * b;
-                            }
-                        }
-                        EdgeOp::ElemAdd => {
-                            for ((o, &a), &b) in wrow.iter_mut().zip(srow).zip(drow) {
-                                *o = a + b;
-                            }
-                        }
-                        EdgeOp::Dot => {
-                            let dot = dot(srow, drow);
-                            for o in wrow.iter_mut() {
-                                *o = dot;
-                            }
-                        }
+                    let srow = features.row(srcs_arr[e] as usize);
+                    for ((o, &a), &b) in wrow.iter_mut().zip(srow).zip(features.row(d)) {
+                        *o = a * b;
                     }
                 }
             },
@@ -116,14 +99,7 @@ impl NeighborApply {
         // dst-disjoint trick doesn't apply; sampled layers are small.
         for (d, srcs) in layer.csr.iter() {
             for (&s, e) in srcs.iter().zip(layer.csr.edge_range(d)) {
-                scatter_edge_grad(
-                    &mut dx,
-                    self.g,
-                    features,
-                    s as usize,
-                    d as usize,
-                    grad.row(e),
-                );
+                scatter_edge_grad(&mut dx, features, s as usize, d as usize, grad.row(e));
             }
         }
         dx
@@ -166,19 +142,12 @@ pub(super) fn assert_covers_dst<X: RowSource + ?Sized>(layer: &LayerGraph, featu
     );
 }
 
-/// `Dot`'s per-edge scalar, summed in feature order.
-#[inline(always)]
-pub(super) fn dot(srow: &[f32], drow: &[f32]) -> f32 {
-    srow.iter().zip(drow).map(|(&a, &b)| a * b).sum()
-}
-
-/// `g'` for one edge `(s, d)` whose weight-row gradient is `grow`: the src
-/// row of `dx` accumulates first, then the dst row (they alias on a
-/// self-loop). Inlined into each instantiation of Pull's walks.
+/// `g'` of `ElemMul` for one edge `(s, d)` whose weight-row gradient is
+/// `grow`: the src row of `dx` accumulates first, then the dst row (they
+/// alias on a self-loop). Inlined into each instantiation of Pull's walks.
 #[inline(always)]
 pub(super) fn scatter_edge_grad<X: RowSource + ?Sized>(
     dx: &mut Matrix,
-    g: EdgeOp,
     features: &X,
     s: usize,
     d: usize,
@@ -187,32 +156,11 @@ pub(super) fn scatter_edge_grad<X: RowSource + ?Sized>(
     // `grow` and `features` are not `dx`, so their rows are borrowed across
     // the two accumulations, not copied.
     let (srow, drow) = (features.row(s), features.row(d));
-    match g {
-        EdgeOp::ElemMul => {
-            for ((x, &g), &b) in dx.row_mut(s).iter_mut().zip(grow).zip(drow) {
-                *x += g * b;
-            }
-            for ((x, &g), &a) in dx.row_mut(d).iter_mut().zip(grow).zip(srow) {
-                *x += g * a;
-            }
-        }
-        EdgeOp::ElemAdd => {
-            for (x, &g) in dx.row_mut(s).iter_mut().zip(grow) {
-                *x += g;
-            }
-            for (x, &g) in dx.row_mut(d).iter_mut().zip(grow) {
-                *x += g;
-            }
-        }
-        EdgeOp::Dot => {
-            let gsum: f32 = grow.iter().sum();
-            for (x, &b) in dx.row_mut(s).iter_mut().zip(drow) {
-                *x += gsum * b;
-            }
-            for (x, &a) in dx.row_mut(d).iter_mut().zip(srow) {
-                *x += gsum * a;
-            }
-        }
+    for ((x, &g), &b) in dx.row_mut(s).iter_mut().zip(grow).zip(drow) {
+        *x += g * b;
+    }
+    for ((x, &g), &a) in dx.row_mut(d).iter_mut().zip(grow).zip(srow) {
+        *x += g * a;
     }
 }
 
@@ -264,12 +212,10 @@ mod tests {
     #[test]
     fn matches_sddmm_oracle() {
         let l = layer();
-        for g in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
-            let na = NeighborApply::new(Arc::clone(&l), g);
-            let got = na.compute(&feats());
-            let oracle = sparse::sddmm(&l.csr, &feats(), g);
-            assert!(got.max_abs_diff(&oracle) < 1e-6, "g={g:?}");
-        }
+        let na = NeighborApply::new(Arc::clone(&l), EdgeOp::ElemMul);
+        let got = na.compute(&feats());
+        let oracle = sparse::sddmm(&l.csr, &feats());
+        assert!(got.max_abs_diff(&oracle) < 1e-6);
     }
 
     /// The per-chunk dst search lands on chunk boundaries that coincide with
@@ -286,10 +232,8 @@ mod tests {
         assert_ne!(edges.len() % EDGE_CHUNK, 0);
         let l = test_layer(16, degrees.len(), &edges);
         let x = Matrix::from_vec(16, 3, (0..48).map(|i| (i % 11) as f32 - 4.5).collect());
-        for g in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
-            let got = NeighborApply::new(Arc::clone(&l), g).compute(&x);
-            assert_eq!(got.data(), sparse::sddmm(&l.csr, &x, g).data(), "g={g:?}");
-        }
+        let got = NeighborApply::new(Arc::clone(&l), EdgeOp::ElemMul).compute(&x);
+        assert_eq!(got.data(), sparse::sddmm(&l.csr, &x).data());
     }
 
     #[test]
@@ -302,25 +246,23 @@ mod tests {
     #[test]
     fn backward_finite_difference() {
         let l = layer();
-        for g in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
-            let na = NeighborApply::new(Arc::clone(&l), g);
-            let x0 = feats();
-            let loss = |x: &Matrix| na.compute(x).data().iter().sum::<f32>();
-            let ones = Matrix::from_vec(l.csr.num_edges(), 2, vec![1.0; l.csr.num_edges() * 2]);
-            let dx = na.compute_backward(&x0, &ones);
-            let eps = 1e-2f32;
-            for i in 0..x0.len() {
-                let mut p = x0.clone();
-                p.data_mut()[i] += eps;
-                let mut m = x0.clone();
-                m.data_mut()[i] -= eps;
-                let num = (loss(&p) - loss(&m)) / (2.0 * eps);
-                assert!(
-                    (num - dx.data()[i]).abs() < 0.05,
-                    "g={g:?} dx[{i}]: {num} vs {}",
-                    dx.data()[i]
-                );
-            }
+        let na = NeighborApply::new(Arc::clone(&l), EdgeOp::ElemMul);
+        let x0 = feats();
+        let loss = |x: &Matrix| na.compute(x).data().iter().sum::<f32>();
+        let ones = Matrix::from_vec(l.csr.num_edges(), 2, vec![1.0; l.csr.num_edges() * 2]);
+        let dx = na.compute_backward(&x0, &ones);
+        let eps = 1e-2f32;
+        for i in 0..x0.len() {
+            let mut p = x0.clone();
+            p.data_mut()[i] += eps;
+            let mut m = x0.clone();
+            m.data_mut()[i] -= eps;
+            let num = (loss(&p) - loss(&m)) / (2.0 * eps);
+            assert!(
+                (num - dx.data()[i]).abs() < 0.05,
+                "dx[{i}]: {num} vs {}",
+                dx.data()[i]
+            );
         }
     }
 

@@ -15,15 +15,20 @@
 //! has exactly one writer and chunk geometry is fixed, so results are
 //! bit-identical at any `GT_THREADS`.
 //!
-//! Edge-weighted models run `NeighborApply` *inside* this kernel on the host
+//! Pull runs the three modes the paper's two models (§VI) need: the plain
+//! mean (GCN); NGCF's edge weighting, `g = ElemMul` folded into each source
+//! by `h = Add`, computed in the walk; and the same `h = Add` over stored
+//! weights. NGCF runs `NeighborApply` *inside* this kernel on the host
 //! ([`Pull::edge_weighted`]): each edge's weight is computed from its
-//! (src, dst) rows where it is consumed, so no `E×F` edge matrix exists, and
-//! the backward pass recomputes weights instead of reading them. Every
-//! rounding happens in the order the two separate kernels use, so the result
-//! is bit-identical to `NeighborApply::compute` → [`Pull::weighted`], which
-//! stays as the materialising strategy the baselines reproduce. The device
-//! model is not fused: it still prices two kernels and a resident edge
-//! tensor (docs/MODEL.md).
+//! (src, dst) rows where it is consumed, so no `E×F` edge matrix exists. The
+//! backward pass needs no weight at all — under `h = Add` a weight does not
+//! enter its source's gradient — and recomputes each weight-gradient row
+//! where `g'` consumes it. Every rounding happens in the order the two
+//! separate kernels use, so the result is bit-identical to
+//! `NeighborApply::compute` → [`Pull::weighted`], which stays as the
+//! materialising strategy the baselines reproduce. The device model is not
+//! fused: it still prices two kernels and a resident edge tensor
+//! (docs/MODEL.md).
 //!
 //! Forward and backward read source and destination rows through
 //! [`RowSource`], so one body serves a dense matrix and the GraphTensor
@@ -241,8 +246,6 @@ impl Pull {
             |ci, chunk| {
                 isa.run(Backward {
                     pull: self,
-                    features,
-                    weights,
                     grad,
                     dx: chunk,
                     row_base: ci * ROW_CHUNK,
@@ -250,37 +253,23 @@ impl Pull {
             },
         );
 
-        // d_weights via CSR: serial — dw rows are written in CSR edge order
-        // while reading per-dst gradient rows; the loop is cheap relative
-        // to dx and keeping it serial avoids a second edge-id index.
-        let dw = match (self.h, weights) {
-            (Some(_), Some(_)) => {
-                let mut dw = Matrix::zeros(layer.csr.num_edges(), f);
-                for (d, srcs) in layer.csr.iter() {
-                    let scale = self.scale(d);
-                    let grow = grad.row(d as usize);
-                    for (&s, e) in srcs.iter().zip(layer.csr.edge_range(d)) {
-                        let wrow = dw.row_mut(e);
-                        match self.h {
-                            Some(HFn::Mul) => {
-                                let srow = features.row(s as usize);
-                                for ((o, &g), &x) in wrow.iter_mut().zip(grow).zip(srow) {
-                                    *o = g * x * scale;
-                                }
-                            }
-                            _ => {
-                                for (o, &g) in wrow.iter_mut().zip(grow) {
-                                    *o = g * scale;
-                                }
-                            }
-                        }
+        // d_weights via CSR: `h = Add` passes each edge its destination's
+        // scaled gradient row. Serial — dw rows are written in CSR edge
+        // order; the loop is cheap relative to dx.
+        let dw = weights.map(|_| {
+            let mut dw = Matrix::zeros(layer.csr.num_edges(), f);
+            for (d, _) in layer.csr.iter() {
+                let scale = self.scale(d);
+                let grow = grad.row(d as usize);
+                for e in layer.csr.edge_range(d) {
+                    for (o, &g) in dw.row_mut(e).iter_mut().zip(grow) {
+                        *o = g * scale;
                     }
                 }
-                Some(dw)
             }
-            _ => None,
-        };
-        if let (Some(g), Some(h)) = (self.g, self.h) {
+            dw
+        });
+        if self.g.is_some() {
             // The sum a DFG forms when Pull and NeighborApply both feed
             // gradients back to `features`: Pull's first, then `+= 1.0 ·`.
             // The second is what `NeighborApply::compute_backward` returns
@@ -291,8 +280,6 @@ impl Pull {
                 pull: self,
                 features,
                 grad,
-                g,
-                h,
                 dx: &mut dx_na,
             });
             dx.axpy(1.0, &dx_na);
@@ -300,13 +287,10 @@ impl Pull {
         (dx, dw)
     }
 
-    /// Mean's `1 / deg(d)` for destination `d`'s gradient row; 1 otherwise.
+    /// The mean's `1 / deg(d)` for destination `d`'s gradient row.
     #[inline(always)]
     fn scale(&self, d: u32) -> f32 {
-        match self.agg {
-            Reduce::Mean => 1.0 / self.layer.csr.degree(d).max(1) as f32,
-            _ => 1.0,
-        }
+        1.0 / self.layer.csr.degree(d).max(1) as f32
     }
 
     /// `[features, edge_weights]` exactly when `h` reads stored weights.
@@ -459,35 +443,21 @@ impl<X: RowSource + ?Sized> Walk for Forward<'_, X> {
             if degree == 0 {
                 continue;
             }
-            match (pull.h, pull.g, weights) {
-                // The dst row stays hot across its edges.
-                (Some(HFn::Mul), Some(g), _) => {
+            match (pull.g, weights) {
+                // Fused ElemMul → Add; the dst row stays hot across its edges.
+                (Some(_), _) => {
                     let drow = features.row(d);
-                    each_source(features, srcs, edges, |srow, _| {
-                        fold_edge(orow, srow, srow, drow, g, |x, wk| x * wk)
-                    });
+                    each_source(features, srcs, edges, |srow, _| fold_edge(orow, srow, drow));
                 }
-                (Some(HFn::Add), Some(g), _) => {
-                    let drow = features.row(d);
-                    each_source(features, srcs, edges, |srow, _| {
-                        fold_edge(orow, srow, srow, drow, g, |x, wk| x + wk)
-                    });
-                }
-                (Some(HFn::Mul), None, Some(w)) => {
-                    each_source(features, srcs, edges, |srow, e| {
-                        for ((o, &x), &wk) in orow.iter_mut().zip(srow).zip(w.row(e)) {
-                            *o += x * wk;
-                        }
-                    });
-                }
-                (Some(HFn::Add), None, Some(w)) => {
+                // Stored weights, folded in by `h = Add`.
+                (None, Some(w)) => {
                     each_source(features, srcs, edges, |srow, e| {
                         for ((o, &x), &wk) in orow.iter_mut().zip(srow).zip(w.row(e)) {
                             *o += x + wk;
                         }
                     });
                 }
-                _ => {
+                (None, None) => {
                     each_source(features, srcs, edges, |srow, _| {
                         for (o, &x) in orow.iter_mut().zip(srow) {
                             *o += x;
@@ -495,66 +465,42 @@ impl<X: RowSource + ?Sized> Walk for Forward<'_, X> {
                     });
                 }
             }
-            if pull.agg == Reduce::Mean {
-                let inv = 1.0 / degree as f32;
-                for o in orow.iter_mut() {
-                    *o *= inv;
-                }
+            let inv = 1.0 / degree as f32;
+            for o in orow.iter_mut() {
+                *o *= inv;
             }
         }
     }
 }
 
 /// The backward walk over one chunk of source rows of `dx`, in CSC order.
-struct Backward<'a, X: ?Sized> {
+/// Under `h = Add` an edge's weight does not touch its source's gradient,
+/// so every mode runs this one body.
+struct Backward<'a> {
     pull: &'a Pull,
-    features: &'a X,
-    weights: Option<&'a Matrix>,
     grad: &'a Matrix,
     /// Rows `row_base..` of `d_features`.
     dx: &'a mut [f32],
     row_base: usize,
 }
 
-impl<X: RowSource + ?Sized> Walk for Backward<'_, X> {
+impl Walk for Backward<'_> {
     #[inline(always)]
     fn walk(self) {
         let Backward {
             pull,
-            features,
-            weights,
             grad,
             dx,
             row_base,
         } = self;
-        let (layer, f) = (&pull.layer, features.cols());
+        let (layer, f) = (&pull.layer, grad.cols());
         // `dx` covers the feature rows; only the first `num_src` have edges.
         let sources = layer.num_src.saturating_sub(row_base);
         for (r, xrow) in dx.chunks_mut(f).take(sources).enumerate() {
-            let s = row_base + r;
-            let dsts = layer.csc.dsts(s as u32);
-            for (k, &d) in dsts.iter().enumerate() {
+            for &d in layer.csc.dsts((row_base + r) as u32) {
                 let scale = pull.scale(d);
-                let grow = grad.row(d as usize);
-                match (pull.h, pull.g, weights) {
-                    (Some(HFn::Mul), Some(g), _) => {
-                        // Recompute this edge's weights: no edge id.
-                        let (srow, drow) = (features.row(s), features.row(d as usize));
-                        fold_edge(xrow, grow, srow, drow, g, |gk, wk| gk * wk * scale);
-                    }
-                    (Some(HFn::Mul), None, Some(w)) => {
-                        // This edge's weight row, by its CSR id.
-                        let copy = dsts[..k].iter().filter(|&&x| x == d).count();
-                        let e = edge_id(&pull.layer, d, s as u32, copy);
-                        for ((x, &g), &wk) in xrow.iter_mut().zip(grow).zip(w.row(e)) {
-                            *x += g * wk * scale;
-                        }
-                    }
-                    _ => {
-                        for (x, &g) in xrow.iter_mut().zip(grow) {
-                            *x += g * scale;
-                        }
-                    }
+                for (x, &g) in xrow.iter_mut().zip(grad.row(d as usize)) {
+                    *x += g * scale;
                 }
             }
         }
@@ -563,14 +509,13 @@ impl<X: RowSource + ?Sized> Walk for Backward<'_, X> {
 
 /// The input gradient that flows through the edge weights, into `dx`.
 /// Serial like `NeighborApply::compute_backward`: src and dst rows both
-/// accumulate, in CSR edge order, with each `d_weights` row recomputed into
-/// one scratch row.
+/// accumulate, in CSR edge order. `h = Add` passes each edge its
+/// destination's scaled gradient, so one `d_weights` row serves every edge
+/// of a destination.
 struct EdgeInputGrad<'a, X: ?Sized> {
     pull: &'a Pull,
     features: &'a X,
     grad: &'a Matrix,
-    g: EdgeOp,
-    h: HFn,
     dx: &'a mut Matrix,
 }
 
@@ -581,85 +526,31 @@ impl<X: RowSource + ?Sized> Walk for EdgeInputGrad<'_, X> {
             pull,
             features,
             grad,
-            g,
-            h,
             dx,
         } = self;
         let csr = &pull.layer.csr;
         let mut dwrow = vec![0.0f32; features.cols()];
         for (d, srcs) in csr.iter() {
             let scale = pull.scale(d);
-            let grow = grad.row(d as usize);
-            if h == HFn::Add {
-                // `h = Add` passes the scaled gradient through: one row per dst.
-                for (o, &g) in dwrow.iter_mut().zip(grow) {
-                    *o = g * scale;
-                }
+            for (o, &g) in dwrow.iter_mut().zip(grad.row(d as usize)) {
+                *o = g * scale;
             }
             for (&s, e) in srcs.iter().zip(csr.edge_range(d)) {
                 prefetch_ahead(features, &csr.srcs, e);
-                if h == HFn::Mul {
-                    let srow = features.row(s as usize);
-                    for ((o, &g), &x) in dwrow.iter_mut().zip(grow).zip(srow) {
-                        *o = g * x * scale;
-                    }
-                }
-                neighbor_apply::scatter_edge_grad(dx, g, features, s as usize, d as usize, &dwrow);
+                neighbor_apply::scatter_edge_grad(dx, features, s as usize, d as usize, &dwrow);
             }
         }
     }
 }
 
-/// One edge of an edge-weighted kernel: `acc[j] += k(lhs[j], w[j])`, where
-/// `w[j] = g(x_s[j], x_d[j])` is rounded to `f32` before `k` sees it, as if
-/// it had been stored, and `Dot`'s scalar is summed once per edge.
+/// One edge of the fused kernel: `acc[j] += x_s[j] + w[j]`, where
+/// `w[j] = x_s[j] · x_d[j]` (`g = ElemMul`) is rounded to `f32` before
+/// `h = Add` sees it, as if it had been stored.
 #[inline(always)]
-fn fold_edge(
-    acc: &mut [f32],
-    lhs: &[f32],
-    srow: &[f32],
-    drow: &[f32],
-    g: EdgeOp,
-    k: impl Fn(f32, f32) -> f32,
-) {
-    #[inline(always)]
-    fn fold(
-        acc: &mut [f32],
-        lhs: &[f32],
-        srow: &[f32],
-        drow: &[f32],
-        w: impl Fn(f32, f32) -> f32,
-        k: impl Fn(f32, f32) -> f32,
-    ) {
-        for (((o, &l), &a), &b) in acc.iter_mut().zip(lhs).zip(srow).zip(drow) {
-            *o += k(l, w(a, b));
-        }
+fn fold_edge(acc: &mut [f32], srow: &[f32], drow: &[f32]) {
+    for ((o, &a), &b) in acc.iter_mut().zip(srow).zip(drow) {
+        *o += a + a * b;
     }
-    match g {
-        EdgeOp::ElemMul => fold(acc, lhs, srow, drow, |a, b| a * b, k),
-        EdgeOp::ElemAdd => fold(acc, lhs, srow, drow, |a, b| a + b, k),
-        EdgeOp::Dot => {
-            let dot = neighbor_apply::dot(srow, drow);
-            fold(acc, lhs, srow, drow, |_, _| dot, k)
-        }
-    }
-}
-
-/// CSR id of copy `copy` (0 for the first) of the edge `s → d`. CSR and CSC
-/// come from one stable counting sort of the same edge list, so the n-th
-/// copy in `s`'s CSC slice is the n-th copy in `d`'s CSR slice. A linear
-/// scan of the dst's slice is fine: sampled degrees are small and even
-/// (§IV-B, Fig 8).
-fn edge_id(layer: &LayerGraph, d: u32, s: u32, copy: usize) -> usize {
-    let erange = layer.csr.edge_range(d);
-    let pos = layer.csr.srcs[erange.clone()]
-        .iter()
-        .enumerate()
-        .filter(|&(_, &x)| x == s)
-        .nth(copy)
-        .expect("edge exists")
-        .0;
-    erange.start + pos
 }
 
 impl Op for Pull {
@@ -719,24 +610,18 @@ mod tests {
     #[test]
     fn matches_spmm_oracle() {
         let l = layer();
-        for agg in [Reduce::Sum, Reduce::Mean] {
-            let pull = Pull::new(Arc::clone(&l), agg);
-            let got = pull.compute(&feats(), None);
-            let oracle = sparse::spmm(&l.csr, &feats(), agg);
-            assert!(
-                got.max_abs_diff(&oracle) < 1e-6,
-                "agg {agg:?} diverged from oracle"
-            );
-        }
+        let got = Pull::new(Arc::clone(&l), Reduce::Mean).compute(&feats(), None);
+        let oracle = sparse::spmm(&l.csr, &feats());
+        assert!(got.max_abs_diff(&oracle) < 1e-6);
     }
 
     #[test]
     fn weighted_matches_oracle() {
         let l = layer();
         let w = Matrix::from_vec(3, 2, vec![0.5, 1.0, 2.0, 0.1, 1.5, 0.5]);
-        let pull = Pull::weighted(Arc::clone(&l), Reduce::Sum, HFn::Mul);
+        let pull = Pull::weighted(Arc::clone(&l), Reduce::Mean, HFn::Add);
         let got = pull.compute(&feats(), Some(&w));
-        let oracle = sparse::spmm_weighted(&l.csr, &feats(), &w, Reduce::Sum);
+        let oracle = sparse::spmm_weighted(&l.csr, &feats(), &w);
         assert!(got.max_abs_diff(&oracle) < 1e-6);
     }
 
@@ -744,7 +629,7 @@ mod tests {
     #[should_panic(expected = "layer has 3 dst / 1 src, features have 2 rows")]
     fn edge_weighted_features_shorter_than_the_dst_space_are_refused_by_name() {
         let l = test_layer(1, 3, &[(0, 2)]);
-        Pull::edge_weighted(l, Reduce::Sum, EdgeOp::ElemMul, HFn::Mul)
+        Pull::edge_weighted(l, Reduce::Mean, EdgeOp::ElemMul, HFn::Add)
             .compute(&Matrix::zeros(2, 4), None);
     }
 
@@ -752,21 +637,15 @@ mod tests {
         m.data().iter().map(|x| x.to_bits()).collect()
     }
 
-    /// A Pull in every mode over `l`: unweighted `Sum` and `Mean`;
-    /// stored weights under `h = Mul` and `Add`; and edge weighting by
-    /// `ElemMul`, `ElemAdd` and `Dot` under each `h`.
-    fn every_mode(l: &Arc<LayerGraph>) -> Vec<Pull> {
-        let mut pulls = Vec::new();
-        for agg in [Reduce::Sum, Reduce::Mean] {
-            pulls.push(Pull::new(Arc::clone(l), agg));
-            for h in [HFn::Mul, HFn::Add] {
-                pulls.push(Pull::weighted(Arc::clone(l), agg, h));
-                for g in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
-                    pulls.push(Pull::edge_weighted(Arc::clone(l), agg, g, h));
-                }
-            }
-        }
-        pulls
+    /// A Pull in every mode over `l`: unweighted (GCN), stored weights,
+    /// and weights computed in the walk (NGCF).
+    fn every_mode(l: &Arc<LayerGraph>) -> [Pull; 3] {
+        let (agg, g, h) = (Reduce::Mean, EdgeOp::ElemMul, HFn::Add);
+        [
+            Pull::new(Arc::clone(l), agg),
+            Pull::weighted(Arc::clone(l), agg, h),
+            Pull::edge_weighted(Arc::clone(l), agg, g, h),
+        ]
     }
 
     /// `w` where `pull` reads stored weights.
@@ -807,18 +686,9 @@ mod tests {
         let w = Matrix::from_fn(l.csr.num_edges(), f, |e, c| (e * f + c) as f32 * 0.25 - 3.0);
         let grad = Matrix::from_fn(l.num_dst, f, |r, c| ((r * f + c) % 7) as f32 - 3.0);
 
-        let mut cases = Vec::new();
-        for agg in [Reduce::Sum, Reduce::Mean] {
-            cases.push((Pull::new(Arc::clone(&l), agg), None));
-            for h in [HFn::Mul, HFn::Add] {
-                cases.push((Pull::weighted(Arc::clone(&l), agg, h), Some(&w)));
-                for g in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
-                    cases.push((Pull::edge_weighted(Arc::clone(&l), agg, g, h), None));
-                }
-            }
-        }
-        for (pull, weights) in cases {
-            let mode = format!("agg={:?} g={:?} h={:?}", pull.agg, pull.g, pull.h);
+        for pull in every_mode(&l) {
+            let weights = weights_for(&pull, &w);
+            let mode = format!("g={:?} h={:?}", pull.g, pull.h);
             let want = bits(&pull.compute(&x, weights));
             assert_eq!(bits(&pull.compute(&view, weights)), want, "{mode}");
             let operand = Operand::Rows(view);
@@ -875,7 +745,7 @@ mod tests {
             let (w, grad) = (random(l.csr.num_edges()), random(num_dst));
             for pull in every_mode(&l) {
                 let weights = weights_for(&pull, &w);
-                let mode = format!("agg={:?} g={:?} h={:?} F={f}", pull.agg, pull.g, pull.h);
+                let mode = format!("g={:?} h={:?} F={f}", pull.g, pull.h);
                 let want = bits(&pull.forward_on(&x, weights, Isa::Baseline));
                 let (dx, dw) = pull.backward_on(&x, weights, &grad, Isa::Baseline);
                 let want_bwd = (bits(&dx), dw.as_ref().map(bits));
@@ -898,18 +768,18 @@ mod tests {
     }
 
     /// Each copy of a duplicate `(src, dst)` edge carries its own weight
-    /// row, forward and backward: `d/dx₁ (2·x₁ + 5·x₁) = 7`.
+    /// row: `((x₁ + 2) + (x₁ + 5)) / 2 = 7.5`, and `d/dx₁ = 1`.
     #[test]
     fn duplicate_edges_read_their_own_weight_rows() {
         let l = test_layer(2, 1, &[(1, 0), (1, 0)]);
-        let pull = Pull::weighted(l, Reduce::Sum, HFn::Mul);
+        let pull = Pull::weighted(l, Reduce::Mean, HFn::Add);
         let x = Matrix::from_vec(2, 1, vec![3.0, 4.0]);
         let w = Matrix::from_vec(2, 1, vec![2.0, 5.0]);
-        assert_eq!(pull.compute(&x, Some(&w)).data(), &[28.0]);
+        assert_eq!(pull.compute(&x, Some(&w)).data(), &[7.5]);
         let grad = Matrix::from_vec(1, 1, vec![1.0]);
         let (dx, dw) = pull.compute_backward(&x, Some(&w), &grad);
-        assert_eq!(dx.data(), &[0.0, 7.0]);
-        assert_eq!(dw.expect("weights have a gradient").data(), &[4.0, 4.0]);
+        assert_eq!(dx.data(), &[0.0, 1.0]);
+        assert_eq!(dw.expect("weights have a gradient").data(), &[0.5, 0.5]);
     }
 
     #[test]
@@ -918,7 +788,7 @@ mod tests {
         let pull = Pull::new(Arc::clone(&l), Reduce::Mean);
         let grad = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
         let (dx, dw) = pull.compute_backward(&feats(), None, &grad);
-        let oracle = sparse::spmm_backward(&l.csr, &grad, 3, Reduce::Mean);
+        let oracle = sparse::spmm_backward(&l.csr, &grad, 3);
         assert!(dx.max_abs_diff(&oracle) < 1e-6);
         assert!(dw.is_none());
     }
@@ -926,7 +796,7 @@ mod tests {
     #[test]
     fn weighted_backward_finite_difference() {
         let l = layer();
-        let pull = Pull::weighted(Arc::clone(&l), Reduce::Mean, HFn::Mul);
+        let pull = Pull::weighted(Arc::clone(&l), Reduce::Mean, HFn::Add);
         let x0 = feats();
         let w0 = Matrix::from_vec(3, 2, vec![0.5, 1.0, 2.0, 0.1, 1.5, 0.5]);
         let loss = |x: &Matrix, w: &Matrix| pull.compute(x, Some(w)).data().iter().sum::<f32>();
@@ -974,7 +844,7 @@ mod tests {
 
     #[test]
     fn out_shape_is_dst_by_feat() {
-        let pull = Pull::new(layer(), Reduce::Sum);
+        let pull = Pull::new(layer(), Reduce::Mean);
         assert_eq!(pull.compute(&Matrix::zeros(3, 7), None).shape(), (2, 7));
     }
 }

@@ -7,10 +7,10 @@
 //! execution sequence."
 //!
 //! Combination-first correctness (bottom of Fig 11c): with `f` linear
-//! (sum/mean), `MLP(f(X)) = σ(W·f(X) + b) = σ(f(W·X) + b)` — the MatMul
+//! (the mean), `MLP(f(X)) = σ(W·f(X) + b) = σ(f(W·X) + b)` — the MatMul
 //! commutes past the aggregation, so Cost-DKP transforms all `n_src` rows
 //! first and aggregates in the hidden dimension. The bias is added *after*
-//! aggregation either way, keeping Sum-aggregation exact too.
+//! aggregation either way.
 //!
 //! The node reads its feature input as an [`Operand`]: in the first layer
 //! that is rows of the embedding table read in place, which Pull, `X·W` and
@@ -437,7 +437,7 @@ mod tests {
         let x = dfg.input(0);
         let (pull, pn) = if weighted {
             let na = dfg.op(NeighborApply::new(Arc::clone(&l), EdgeOp::ElemMul), &[x]);
-            let pull = Pull::weighted(Arc::clone(&l), Reduce::Sum, HFn::Mul);
+            let pull = Pull::weighted(Arc::clone(&l), Reduce::Mean, HFn::Add);
             let pn = dfg.op(pull.clone(), &[x, na]);
             (pull, pn)
         } else {

@@ -52,30 +52,20 @@ fn digest(model: ModelConfig, variant: GtVariant) -> u64 {
 #[test]
 fn edge_weighted_training_is_pinned_end_to_end() {
     // Recorded at the parent of the host-side NeighborApply→Pull fusion.
-    let expected: [(&str, usize, GtVariant, u64); 8] = [
-        ("ngcf", 2, GtVariant::Prepro, 0x8e81_abac_a685_5fa9),
-        ("ngcf", 2, GtVariant::Base, 0xd242_176a_f0d1_cfcb),
-        ("ngcf", 3, GtVariant::Prepro, 0xe93e_eb3f_5eb9_f28b),
-        ("ngcf", 3, GtVariant::Base, 0x6a8c_d3b1_04f4_1858),
-        ("gat_lite", 2, GtVariant::Prepro, 0x07c8_b29c_31c7_ff15),
-        ("gat_lite", 2, GtVariant::Base, 0x47b2_824a_7673_9e97),
-        ("gat_lite", 3, GtVariant::Prepro, 0x7abc_ee63_4602_6d91),
-        ("gat_lite", 3, GtVariant::Base, 0x7084_8d03_fa73_e01e),
+    let expected: [(usize, GtVariant, u64); 4] = [
+        (2, GtVariant::Prepro, 0x8e81_abac_a685_5fa9),
+        (2, GtVariant::Base, 0xd242_176a_f0d1_cfcb),
+        (3, GtVariant::Prepro, 0xe93e_eb3f_5eb9_f28b),
+        (3, GtVariant::Base, 0x6a8c_d3b1_04f4_1858),
     ];
     let all: Vec<u64> = expected
         .iter()
-        .map(|&(preset, layers, variant, _)| {
-            let model = match preset {
-                "ngcf" => ModelConfig::ngcf(layers, PAPER_HIDDEN, 4),
-                _ => ModelConfig::gat_lite(layers, PAPER_HIDDEN, 4),
-            };
-            digest(model, variant)
-        })
+        .map(|&(layers, variant, _)| digest(ModelConfig::ngcf(layers, PAPER_HIDDEN, 4), variant))
         .collect();
-    for (&(preset, layers, variant, want), &got) in expected.iter().zip(&all) {
+    for (&(layers, variant, want), &got) in expected.iter().zip(&all) {
         assert_eq!(
             got, want,
-            "{preset} x{layers} {variant:?}: digest {got:#018x}, pinned {want:#018x} (all: {all:#018x?})"
+            "ngcf x{layers} {variant:?}: digest {got:#018x}, pinned {want:#018x} (all: {all:#018x?})"
         );
     }
 }

@@ -93,24 +93,18 @@ fn napa_kernels_are_bit_identical_across_widths() {
             *x = ((i % 7) as f32) - 3.0;
         }
 
-        for agg in [Reduce::Sum, Reduce::Mean] {
-            let pull1 = Pull::new(std::sync::Arc::clone(&layer), agg).with_pool(p1);
-            let fwd1 = pull1.compute(feats, None);
-            let (bwd1, _) = pull1.compute_backward(feats, None, &grad);
-            for pool in [p2, p8] {
-                let pull = Pull::new(std::sync::Arc::clone(&layer), agg).with_pool(pool);
-                assert_eq!(pull.compute(feats, None).data(), fwd1.data());
-                let (bwd, _) = pull.compute_backward(feats, None, &grad);
-                assert_eq!(bwd.data(), bwd1.data());
-            }
-        }
-        for op in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
-            let na1 = NeighborApply::new(std::sync::Arc::clone(&layer), op).with_pool(p1);
-            let ew1 = na1.compute(feats);
-            for pool in [p2, p8] {
-                let na = NeighborApply::new(std::sync::Arc::clone(&layer), op).with_pool(pool);
-                assert_eq!(na.compute(feats).data(), ew1.data());
-            }
+        let pull1 = Pull::new(Arc::clone(&layer), Reduce::Mean).with_pool(p1);
+        let fwd1 = pull1.compute(feats, None);
+        let (bwd1, _) = pull1.compute_backward(feats, None, &grad);
+        let na1 = NeighborApply::new(Arc::clone(&layer), EdgeOp::ElemMul).with_pool(p1);
+        let ew1 = na1.compute(feats);
+        for pool in [p2, p8] {
+            let pull = Pull::new(Arc::clone(&layer), Reduce::Mean).with_pool(pool);
+            assert_eq!(pull.compute(feats, None).data(), fwd1.data());
+            let (bwd, _) = pull.compute_backward(feats, None, &grad);
+            assert_eq!(bwd.data(), bwd1.data());
+            let na = NeighborApply::new(Arc::clone(&layer), EdgeOp::ElemMul).with_pool(pool);
+            assert_eq!(na.compute(feats).data(), ew1.data());
         }
     });
 }
@@ -147,14 +141,17 @@ fn drawn_matrix(g: &mut Gen, rows: usize, cols: usize) -> Matrix {
     Matrix::from_vec(rows, cols, data.collect())
 }
 
+/// NGCF's edge-weighting modes (`ModelConfig::ngcf`).
+const NGCF: (EdgeOp, HFn, Reduce) = (EdgeOp::ElemMul, HFn::Add, Reduce::Mean);
+
 fn bits(m: &Matrix) -> Vec<u32> {
     m.data().iter().map(|x| x.to_bits()).collect()
 }
 
-/// The edge-weighted Pull against the two kernels it replaces on the host:
-/// forward equals `NeighborApply::compute` → `Pull::weighted`, and the input
-/// gradient equals `dx_pull + NeighborApply::compute_backward(d_weights)`,
-/// bit for bit, for every mode and at every pool width.
+/// NGCF's edge-weighted Pull against the two kernels it replaces on the
+/// host: forward equals `NeighborApply::compute` → `Pull::weighted`, and the
+/// input gradient equals `dx_pull + NeighborApply::compute_backward(d_weights)`,
+/// bit for bit, at every pool width.
 #[test]
 fn edge_weighted_pull_equals_neighbor_apply_then_pull() {
     check(
@@ -166,26 +163,20 @@ fn edge_weighted_pull_equals_neighbor_apply_then_pull() {
             let x = drawn_matrix(g, layer.num_src, dim);
             let grad = drawn_matrix(g, layer.num_dst, dim);
             let [p1, _, _] = pools();
-            for op in [EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot] {
-                let na = NeighborApply::new(Arc::clone(&layer), op).with_pool(p1);
-                let w = na.compute(&x);
-                for h in [HFn::Mul, HFn::Add] {
-                    for agg in [Reduce::Sum, Reduce::Mean] {
-                        let mode = format!("g={op:?} h={h:?} agg={agg:?}");
-                        let two = Pull::weighted(Arc::clone(&layer), agg, h).with_pool(p1);
-                        let fwd = two.compute(&x, Some(&w));
-                        let (mut dx, dw) = two.compute_backward(&x, Some(&w), &grad);
-                        dx.axpy(1.0, &na.compute_backward(&x, &dw.expect("weighted")));
-                        for pool in pools() {
-                            let one =
-                                Pull::edge_weighted(Arc::clone(&layer), agg, op, h).with_pool(pool);
-                            assert_eq!(bits(&one.compute(&x, None)), bits(&fwd), "{mode}");
-                            let (got, dw) = one.compute_backward(&x, None, &grad);
-                            assert_eq!(bits(&got), bits(&dx), "{mode}");
-                            assert!(dw.is_none(), "{mode}: no weight input, no weight gradient");
-                        }
-                    }
-                }
+            let (op, h, agg) = NGCF;
+            let na = NeighborApply::new(Arc::clone(&layer), op).with_pool(p1);
+            let w = na.compute(&x);
+            let two = Pull::weighted(Arc::clone(&layer), agg, h).with_pool(p1);
+            let fwd = two.compute(&x, Some(&w));
+            let (mut dx, dw) = two.compute_backward(&x, Some(&w), &grad);
+            dx.axpy(1.0, &na.compute_backward(&x, &dw.expect("weighted")));
+            for pool in pools() {
+                let one = Pull::edge_weighted(Arc::clone(&layer), agg, op, h).with_pool(pool);
+                let width = pool.workers();
+                assert_eq!(bits(&one.compute(&x, None)), bits(&fwd), "width {width}");
+                let (got, dw) = one.compute_backward(&x, None, &grad);
+                assert_eq!(bits(&got), bits(&dx), "width {width}");
+                assert!(dw.is_none(), "no weight input, no weight gradient");
             }
         },
     );
@@ -204,17 +195,17 @@ struct DeviceRun {
     dw: Vec<u32>,
 }
 
-/// `one_node`: the edge-weighted Pull; otherwise NeighborApply → weighted
-/// Pull. `dkp`: fuse Pull + Linear into a Cost-DKP node with that
-/// `needs_input_grad`.
+/// NGCF's edge weighting. `one_node`: the edge-weighted Pull; otherwise
+/// NeighborApply → weighted Pull. `dkp`: fuse Pull + Linear into a Cost-DKP
+/// node with that `needs_input_grad`.
 fn device_run(
     layer: &Arc<LayerGraph>,
-    (op, h, agg): (EdgeOp, HFn, Reduce),
     x: &Matrix,
     w: &Matrix,
     one_node: bool,
     dkp: Option<bool>,
 ) -> DeviceRun {
+    let (op, h, agg) = NGCF;
     let mut params = ParamStore::new();
     params.register("w", w.clone());
     params.register("b", Matrix::zeros(1, w.cols()));
@@ -282,18 +273,13 @@ fn edge_weighted_pull_charges_the_device_like_two_kernels() {
             let (dim, hid) = (g.range(1..24), g.range(1..12));
             let x = drawn_matrix(g, layer.num_src, dim);
             let w = drawn_matrix(g, dim, hid);
-            let modes = (
-                *g.pick(&[EdgeOp::ElemMul, EdgeOp::ElemAdd, EdgeOp::Dot]),
-                *g.pick(&[HFn::Mul, HFn::Add]),
-                *g.pick(&[Reduce::Sum, Reduce::Mean]),
-            );
             for dkp in [None, Some(true), Some(false)] {
-                let two = device_run(&layer, modes, &x, &w, false, dkp);
-                let one = device_run(&layer, modes, &x, &w, true, dkp);
+                let two = device_run(&layer, &x, &w, false, dkp);
+                let one = device_run(&layer, &x, &w, true, dkp);
                 let charged = |p| two.records.iter().any(|r| r.0 == p && r.1.flops > 0);
                 assert!(charged(Phase::EdgeWeighting), "edge weighting is charged");
                 assert_eq!(one.dx.is_some(), dkp != Some(false));
-                assert_eq!(one, two, "{modes:?} dkp={dkp:?}");
+                assert_eq!(one, two, "dkp={dkp:?}");
             }
         },
     );

@@ -5,7 +5,7 @@ use gt_graph::{Coo, VId};
 use gt_sim::prop::{check, Gen, CASES};
 use gt_tensor::dense::Matrix;
 use gt_tensor::lstsq::lstsq;
-use gt_tensor::sparse::{spmm, spmm_backward, Reduce};
+use gt_tensor::sparse::{spmm, spmm_backward};
 
 /// Small random matrix.
 fn matrix(g: &mut Gen, rows: usize, cols: usize) -> Matrix {
@@ -64,16 +64,16 @@ fn matmul_distributes() {
     });
 }
 
-/// SpMM with Sum equals the dense adjacency-matrix product.
+/// Mean SpMM equals the product with the row-normalized dense adjacency.
 #[test]
 fn spmm_matches_dense_adjacency() {
     check("spmm_matches_dense_adjacency", CASES, |g| {
         let ((csr, coo), x) = (graph(g, 8, 40), matrix(g, 8, 3));
-        let sparse = spmm(&csr, &x, Reduce::Sum);
-        // Dense S (dst × src) from the same edges.
+        let sparse = spmm(&csr, &x);
+        // Dense S (dst × src) from the same edges, each 1 / deg(dst).
         let mut s = Matrix::zeros(8, 8);
         for (src, dst) in coo.edges() {
-            *s.at_mut(dst as usize, src as usize) += 1.0;
+            *s.at_mut(dst as usize, src as usize) += 1.0 / csr.degree(dst) as f32;
         }
         let dense = s.matmul(&x);
         assert!(sparse.max_abs_diff(&dense) < 1e-3);
@@ -85,8 +85,8 @@ fn spmm_matches_dense_adjacency() {
 fn spmm_backward_is_adjoint() {
     check("spmm_backward_is_adjoint", CASES, |g| {
         let ((csr, _), x, grad) = (graph(g, 6, 25), matrix(g, 6, 2), matrix(g, 6, 2));
-        let y = spmm(&csr, &x, Reduce::Sum);
-        let gx = spmm_backward(&csr, &grad, 6, Reduce::Sum);
+        let y = spmm(&csr, &x);
+        let gx = spmm_backward(&csr, &grad, 6);
         let dot = |a: &Matrix, b: &Matrix| -> f64 {
             let terms = a.data().iter().zip(b.data());
             terms.map(|(&p, &q)| (p * q) as f64).sum()

@@ -16,7 +16,7 @@
 //! * [`core`] — NAPA, the DKP orchestrator, the tensor scheduler, the
 //!   [`core::trainer::GraphTensor`] framework, and the serving
 //!   [`core::serve::Supervisor`], whose caches, tracer and journal are
-//!   layers it arms; the GCN / NGCF / GAT-lite presets, the train/eval
+//!   layers it arms; the GCN and NGCF presets, the train/eval
 //!   loops and NGCF's BPR recommendation task;
 //! * [`baselines`] — PyG / DGL / GNNAdvisor / SALIENT strategy replicas;
 //! * [`datasets`] — the ten Table-II workloads as synthetic recipes.
