@@ -14,8 +14,9 @@ use crate::runner::{print_table, ExpConfig};
 use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::Framework;
 use gt_core::napa::schedule::{edge_wise_cache, feature_wise_cache};
-use gt_core::prepro::run_prepro;
+use gt_core::prepro::sample_and_reindex;
 use gt_core::trainer::GtVariant;
+use gt_par::ThreadPool;
 use gt_sample::Priority;
 use gt_sim::{DeviceSpec, LruCacheSim};
 
@@ -72,7 +73,7 @@ pub fn cache_ablation(cfg: &ExpConfig) -> Vec<(String, u64, u64, u64, u64)> {
     let spec = gt_datasets::by_name("reddit2").unwrap();
     let data = cfg.build(&spec);
     let batch = cfg.batch_ids(&data);
-    let pr = run_prepro(&data, &batch, &cfg.sampler());
+    let pr = sample_and_reindex(&data, &batch, &cfg.sampler(), ThreadPool::global());
     let dev = DeviceSpec::rtx3090();
     let row_bytes = (spec.feature_dim * 4) as u64;
     let mut rows = Vec::new();

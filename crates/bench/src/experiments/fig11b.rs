@@ -10,7 +10,8 @@
 use crate::runner::{pct, print_table, ExpConfig};
 use gt_core::config::PAPER_HIDDEN;
 use gt_core::orchestrator::Dims;
-use gt_core::prepro::run_prepro;
+use gt_core::prepro::sample_and_reindex;
+use gt_par::ThreadPool;
 
 /// One layer's reduction measurement.
 #[derive(Debug, Clone)]
@@ -39,7 +40,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
     for spec in gt_datasets::registry() {
         let data = cfg.build(&spec);
         let batch = cfg.batch_ids(&data);
-        let pr = run_prepro(&data, &batch, &cfg.sampler());
+        let pr = sample_and_reindex(&data, &batch, &cfg.sampler(), ThreadPool::global());
         let mut n_feat = spec.feature_dim;
         for (l, layer) in pr.layers.iter().enumerate() {
             let n_hid = if l + 1 == pr.layers.len() {

@@ -7,8 +7,9 @@
 //! the hash updates (Fig 14c) removes most of it.
 
 use crate::runner::{pct, print_table, ExpConfig};
-use gt_core::prepro::run_prepro;
+use gt_core::prepro::sample_and_reindex;
 use gt_core::scheduler::{schedule_prepro, PreproStrategy};
+use gt_par::ThreadPool;
 use gt_sim::{Phase, SystemSpec};
 
 /// Contention measurements for one dataset.
@@ -33,7 +34,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
     for spec in gt_datasets::registry() {
         let data = cfg.build(&spec);
         let batch = cfg.batch_ids(&data);
-        let pr = run_prepro(&data, &batch, &cfg.sampler());
+        let pr = sample_and_reindex(&data, &batch, &cfg.sampler(), ThreadPool::global());
         let naive = schedule_prepro(&pr.work, &sys, PreproStrategy::Pipelined);
         let relaxed = schedule_prepro(&pr.work, &sys, PreproStrategy::PipelinedRelaxed);
         let busy: f64 = naive

@@ -6,8 +6,9 @@
 //! transfers 48.5% earlier, cutting the preprocessing makespan by 48.5%.
 
 use crate::runner::{pct, print_table, ExpConfig};
-use gt_core::prepro::run_prepro;
+use gt_core::prepro::sample_and_reindex;
 use gt_core::scheduler::{schedule_prepro, PreproStrategy};
+use gt_par::ThreadPool;
 use gt_sim::{Phase, SystemSpec, Timeline};
 
 /// Timelines of one dataset under both schedules.
@@ -40,7 +41,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
         let spec = gt_datasets::by_name(name).unwrap();
         let data = cfg.build(&spec);
         let batch = cfg.batch_ids(&data);
-        let pr = run_prepro(&data, &batch, &cfg.sampler());
+        let pr = sample_and_reindex(&data, &batch, &cfg.sampler(), ThreadPool::global());
         let serial = schedule_prepro(&pr.work, &sys, PreproStrategy::Serial);
         let pipelined = schedule_prepro(&pr.work, &sys, PreproStrategy::PipelinedRelaxed);
         rows.push(Row {

@@ -10,7 +10,8 @@ use gt_baselines::BaselineKind;
 use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::Framework;
 use gt_core::napa::schedule::edge_wise_cache;
-use gt_core::prepro::run_prepro;
+use gt_core::prepro::sample_and_reindex;
+use gt_par::ThreadPool;
 use gt_sim::DeviceSpec;
 
 /// One dataset's bloat measurements.
@@ -41,7 +42,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
         let memory_footprint = report.sim.memory.peak() as f64 / table_bytes;
 
         // (b) Graph-approach SDDMM cache loads over the same batch.
-        let pr = run_prepro(&data, &batch, &cfg.sampler());
+        let pr = sample_and_reindex(&data, &batch, &cfg.sampler(), ThreadPool::global());
         let row_bytes = (spec.feature_dim * 4) as u64;
         let mut loaded = 0u64;
         let mut unique = 0u64;

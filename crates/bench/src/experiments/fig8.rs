@@ -3,8 +3,9 @@
 //! tighter distribution, motivating feature-wise scheduling (§IV-B).
 
 use crate::runner::{print_table, ExpConfig};
-use gt_core::prepro::run_prepro;
+use gt_core::prepro::sample_and_reindex;
 use gt_graph::{Coo, DegreeStats};
+use gt_par::ThreadPool;
 
 /// One dataset's degree comparison.
 #[derive(Debug, Clone)]
@@ -38,7 +39,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
         let orig = DegreeStats::of_csr_nonisolated(&data.graph);
 
         let batch = cfg.batch_ids(&data);
-        let pr = run_prepro(&data, &batch, &cfg.sampler());
+        let pr = sample_and_reindex(&data, &batch, &cfg.sampler(), ThreadPool::global());
         // Union of all hops in new-id space = "the preprocessed graph".
         let mut src = Vec::new();
         let mut dst = Vec::new();

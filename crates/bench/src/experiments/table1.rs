@@ -10,8 +10,9 @@ use crate::runner::{print_table, ExpConfig};
 use gt_core::config::{ModelConfig, PAPER_HIDDEN};
 use gt_core::framework::Framework;
 use gt_core::orchestrator::{CostModel, Dims};
-use gt_core::prepro::run_prepro;
+use gt_core::prepro::sample_and_reindex;
 use gt_core::trainer::GtVariant;
+use gt_par::ThreadPool;
 
 /// The calibration result.
 #[derive(Debug)]
@@ -65,7 +66,12 @@ pub fn run(cfg: &ExpConfig) -> Result {
     // coefficients are fitted per training run, §V-A).
     let mut decisions = Vec::new();
     for (spec, data, trainer) in [(&spec_light, &data_l, &t), (&spec_heavy, &data_h, &th)] {
-        let pr = run_prepro(data, &cfg.batch_ids(data), &cfg.sampler());
+        let pr = sample_and_reindex(
+            data,
+            &cfg.batch_ids(data),
+            &cfg.sampler(),
+            ThreadPool::global(),
+        );
         let mut n_feat = spec.feature_dim;
         for (l, layer) in pr.layers.iter().enumerate() {
             let n_hid = if l + 1 == pr.layers.len() {

@@ -3,7 +3,8 @@
 //! the configured scale with the paper's numbers printed for reference.
 
 use crate::runner::{print_table, ExpConfig};
-use gt_core::prepro::run_prepro;
+use gt_core::prepro::sample_and_reindex;
+use gt_par::ThreadPool;
 
 /// One workload's measured characteristics.
 #[derive(Debug, Clone)]
@@ -41,7 +42,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
     for spec in gt_datasets::registry() {
         let data = cfg.build(&spec);
         let batch = cfg.batch_ids(&data);
-        let pr = run_prepro(&data, &batch, &cfg.sampler());
+        let pr = sample_and_reindex(&data, &batch, &cfg.sampler(), ThreadPool::global());
         let sampled_edges: usize = pr.layers.iter().map(|l| l.csr.num_edges()).sum();
         // Dst vertices = id space of the second-to-last boundary (every
         // node that is a destination in some hop).

@@ -1,4 +1,4 @@
-//! Threads scaling — wall-clock speedup of the S/R/K preprocessing
+//! Threads scaling — wall-clock speedup of the S and R preprocessing
 //! stages on the `gt_par` pool, with the bit-identity contract checked
 //! at every width.
 //!
@@ -6,13 +6,16 @@
 //! host, this experiment times the real host-side implementation: the
 //! same batch is preprocessed on pools of 1, 2, 4, and 8 workers and
 //! the measured wall-clock is reported relative to the 1-worker run.
-//! Every multi-worker result is also compared field-by-field against
-//! the serial one — the pool's determinism contract (docs/parallelism.md)
-//! says they must be bit-identical, not merely equivalent.
+//! It times S+R ([`sample_and_reindex`]), which is what every in-tree
+//! path runs: the kernels read the sampled rows in place, so K's gather
+//! is never built. Every multi-worker result is also compared against the
+//! serial one — subgraphs, id tables and work counts — since the pool's
+//! determinism contract (docs/parallelism.md) says they must be
+//! bit-identical, not merely equivalent.
 
 use crate::runner::{print_table, ExpConfig};
 use gt_core::data::GraphData;
-use gt_core::prepro::{run_prepro_with_pool, PreproResult};
+use gt_core::prepro::{sample_and_reindex, Sampled};
 use gt_par::ThreadPool;
 use std::time::Instant;
 
@@ -24,7 +27,7 @@ pub const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 pub struct Row {
     /// Pool width (worker count).
     pub threads: usize,
-    /// Mean wall-clock of one batch's S+R+K (µs).
+    /// Mean wall-clock of one batch's S+R (µs).
     pub prepro_us: f64,
     /// Speedup over the 1-worker run.
     pub speedup: f64,
@@ -42,16 +45,6 @@ fn build_data(cfg: &ExpConfig) -> GraphData {
     GraphData::synthetic(nv, ne, 64, 8, cfg.seed)
 }
 
-fn outputs_match(a: &PreproResult, b: &PreproResult) -> bool {
-    a.new_to_orig == b.new_to_orig
-        && a.boundaries == b.boundaries
-        && a.features == b.features
-        && a.layers.len() == b.layers.len()
-        && a.layers.iter().zip(&b.layers).all(|(x, y)| {
-            x.csr == y.csr && x.csc == y.csc && x.num_dst == y.num_dst && x.num_src == y.num_src
-        })
-}
-
 /// Sweep pool widths over one batch of the synthetic graph.
 pub fn run(cfg: &ExpConfig) -> Vec<Row> {
     let data = build_data(cfg);
@@ -59,22 +52,19 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
     let scfg = cfg.sampler();
     let reps = cfg.measure_batches.max(1);
 
-    let mut reference: Option<PreproResult> = None;
+    let mut reference: Option<Sampled> = None;
     let mut base_us = 0.0;
     let mut rows = Vec::new();
     for &threads in &WIDTHS {
         let pool = ThreadPool::leaked(threads);
-        // Warm up once (first touch of the feature table and allocator).
-        let mut result = run_prepro_with_pool(&data, &batch, &scfg, pool);
+        // Warm up once (first touch of the graph and allocator).
+        let mut result = sample_and_reindex(&data, &batch, &scfg, pool);
         let start = Instant::now();
         for _ in 0..reps {
-            result = run_prepro_with_pool(&data, &batch, &scfg, pool);
+            result = sample_and_reindex(&data, &batch, &scfg, pool);
         }
         let us = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
-        let identical = match &reference {
-            None => true,
-            Some(r) => outputs_match(r, &result),
-        };
+        let identical = reference.as_ref().is_none_or(|r| *r == result);
         if reference.is_none() {
             reference = Some(result);
             base_us = us;
@@ -112,7 +102,7 @@ pub fn print(cfg: &ExpConfig) {
         .collect();
     print_table(
         &format!(
-            "threads: S/R/K wall-clock scaling on the gt_par pool (vs 1 worker; {} dense kernel)",
+            "threads: S/R wall-clock scaling on the gt_par pool (vs 1 worker; {} dense kernel)",
             gt_tensor::dense::kernel_isa()
         ),
         &["threads", "prepro", "speedup", "bit-identical"],

@@ -7,23 +7,26 @@
 //! | DGL        | Graph-approach (edge-wise)  | serial, multi-threaded        |
 //! | GNNAdvisor | neighbor-group (+DL for `g`)| none (excluded from Fig 19)   |
 //! | SALIENT    | DL-approach                 | serial, pinned, overlapped    |
+//! | ROC        | Graph-approach, CSR resident| serial, multi-threaded        |
 //!
-//! All of them schedule aggregation before combination statically; like the
-//! paper's Fig 15 methodology, [`Baseline::comb_first`] lets the harness
-//! also run the hand-programmed combination-first order and average the two.
+//! ROC skips DGL's forward COO→CSR translation, but pays CSR→COO before
+//! SDDMM (§VII). All of them schedule aggregation before combination
+//! statically; like the paper's Fig 15 methodology, [`Baseline::comb_first`]
+//! lets the harness also run the hand-programmed combination-first order and
+//! average the two.
 
-use crate::dl::{DlAggregate, DlEdgeWeight};
-use crate::gnnadvisor::NeighborGroupAggregate;
-use crate::graph_approach::{EdgeWiseAggregate, EdgeWiseEdgeWeight};
+use crate::priced::{Kernel, Priced};
 use gt_core::config::ModelConfig;
 use gt_core::data::GraphData;
 use gt_core::framework::{BatchOutcome, BatchReport, Framework, FrameworkTraits};
-use gt_core::prepro::{run_prepro, PreproResult};
+use gt_core::napa::{NeighborApply, Pull};
+use gt_core::prepro::{sample_and_reindex, PreproWork, ThreadPool};
 use gt_core::scheduler::{schedule_prepro, PreproStrategy};
 use gt_graph::VId;
 use gt_sample::{LayerGraph, SamplerConfig};
 use gt_sim::{Schedule, SimContext, SystemSpec};
-use gt_tensor::dfg::{Dfg, ExecCtx, Linear, Op, Operand, ParamStore, Relu};
+use gt_tensor::dense::Rows;
+use gt_tensor::dfg::{Dfg, ExecCtx, Linear, Operand, ParamStore, Relu};
 use gt_tensor::loss::softmax_cross_entropy;
 use std::sync::Arc;
 
@@ -97,70 +100,31 @@ impl Baseline {
         }
     }
 
-    /// This baseline's aggregation kernel for one layer.
-    fn agg_op(&self, layer: Arc<LayerGraph>, weighted: bool) -> Box<dyn Op> {
-        let agg = self.model.agg;
-        match (self.kind, weighted) {
-            (BaselineKind::Dgl, false) => Box::new(EdgeWiseAggregate::new(layer, agg)),
-            (BaselineKind::Dgl, true) => Box::new(EdgeWiseAggregate::weighted(
-                layer,
-                agg,
-                self.model.edge.unwrap().h,
-            )),
-            // ROC keeps CSR resident: SpMM needs no translation.
-            (BaselineKind::Roc, false) => {
-                Box::new(EdgeWiseAggregate::without_translation(layer, agg))
-            }
-            (BaselineKind::Roc, true) => Box::new(EdgeWiseAggregate::weighted_no_translation(
-                layer,
-                agg,
-                self.model.edge.unwrap().h,
-            )),
-            (BaselineKind::GnnAdvisor, false) => Box::new(NeighborGroupAggregate::new(layer, agg)),
-            // GNNAdvisor lacks weighted aggregation → DL fallback; all
-            // PyG-family baselines use DL ops throughout.
-            (_, false) => Box::new(DlAggregate::new(layer, agg)),
-            (_, true) => Box::new(DlAggregate::weighted(
-                layer,
-                agg,
-                self.model.edge.unwrap().h,
-            )),
-        }
-    }
-
-    /// This baseline's edge-weighting kernel.
-    fn edge_op(&self, layer: Arc<LayerGraph>) -> Box<dyn Op> {
-        let g = self.model.edge.expect("edge op requires edge weighting").g;
-        match self.kind {
-            BaselineKind::Dgl => Box::new(EdgeWiseEdgeWeight::new(layer, g)),
-            // ROC translates CSR→COO before SDDMM (§VII: "it still needs to
-            // perform format translation (CSR to COO) during SDDMM").
-            BaselineKind::Roc => Box::new(EdgeWiseEdgeWeight::with_translation(layer, g)),
-            // "GNNAdvisor … has no mechanism to compute edge weighting,
-            // which cannot cover diverse GNN models" → DL-approach user code.
-            _ => Box::new(DlEdgeWeight::new(layer, g)),
-        }
-    }
-
-    fn build_dfg(&self, pr: &PreproResult) -> Dfg {
+    fn build_dfg(&self, layers: &[Arc<LayerGraph>]) -> Dfg {
         let mut dfg = Dfg::new();
         let mut x = dfg.input(0);
-        for l in 0..self.model.layers {
-            let layer = Arc::clone(&pr.layers[l]);
-            let weighted = self.model.edge.is_some();
+        let agg = self.model.agg;
+        let pull = |p| Priced::new(self.kind, Kernel::Pull(p));
+        for (l, layer) in layers[..self.model.layers].iter().enumerate() {
+            let layer = Arc::clone(layer);
             let w = self.model.weight_name(l);
             let b = self.model.bias_name(l);
-            let out = if self.comb_first && !weighted {
+            let out = match self.model.edge {
                 // Hand-programmed combination-first (exact for mean `f`).
-                let lin = dfg.op(Linear::new(w, b), &[x]);
-                dfg.op_boxed(self.agg_op(layer, false), &[lin])
-            } else if weighted {
-                let na = dfg.op_boxed(self.edge_op(Arc::clone(&layer)), &[x]);
-                let agg = dfg.op_boxed(self.agg_op(layer, true), &[x, na]);
-                dfg.op(Linear::new(w, b), &[agg])
-            } else {
-                let agg = dfg.op_boxed(self.agg_op(layer, false), &[x]);
-                dfg.op(Linear::new(w, b), &[agg])
+                None if self.comb_first => {
+                    let lin = dfg.op(Linear::new(w, b), &[x]);
+                    dfg.op(pull(Pull::new(layer, agg)), &[lin])
+                }
+                None => {
+                    let agg = dfg.op(pull(Pull::new(layer, agg)), &[x]);
+                    dfg.op(Linear::new(w, b), &[agg])
+                }
+                Some(e) => {
+                    let na = NeighborApply::new(Arc::clone(&layer), e.g);
+                    let na = dfg.op(Priced::new(self.kind, Kernel::NeighborApply(na)), &[x]);
+                    let agg = dfg.op(pull(Pull::weighted(layer, agg, e.h)), &[x, na]);
+                    dfg.op(Linear::new(w, b), &[agg])
+                }
             };
             x = if l + 1 < self.model.layers {
                 dfg.op(Relu, &[out])
@@ -172,7 +136,7 @@ impl Baseline {
         dfg
     }
 
-    fn prepro_schedule(&self, pr: &PreproResult) -> Option<Schedule> {
+    fn prepro_schedule(&self, work: &PreproWork) -> Option<Schedule> {
         match self.kind {
             BaselineKind::GnnAdvisor => None, // "does not support preprocessing"
             BaselineKind::Pyg => {
@@ -180,13 +144,13 @@ impl Baseline {
                 // one-core host (>5× slower in the paper's preliminaries).
                 let mut sys = self.sys.clone();
                 sys.host.cores = 1;
-                Some(schedule_prepro(&pr.work, &sys, PreproStrategy::Serial))
+                Some(schedule_prepro(work, &sys, PreproStrategy::Serial))
             }
             BaselineKind::PygMt | BaselineKind::Dgl | BaselineKind::Roc => {
-                Some(schedule_prepro(&pr.work, &self.sys, PreproStrategy::Serial))
+                Some(schedule_prepro(work, &self.sys, PreproStrategy::Serial))
             }
             BaselineKind::Salient => Some(schedule_prepro(
-                &pr.work,
+                work,
                 &self.sys,
                 PreproStrategy::SerialPinned,
             )),
@@ -249,15 +213,15 @@ impl Framework for Baseline {
         }
         let mut cfg = self.sampler.clone();
         cfg.seed = cfg.seed.wrapping_add(self.batches_run as u64);
-        let pr = run_prepro(data, batch, &cfg);
+        let pr = sample_and_reindex(data, batch, &cfg, ThreadPool::global());
 
         let mut sim = SimContext::new(self.sys.gpu.clone());
-        let _ = sim.memory.alloc(pr.features.bytes());
+        let _ = sim.memory.alloc(pr.work.total_feature_bytes);
         for l in &pr.layers {
             let _ = sim.memory.alloc(l.structure_bytes());
         }
 
-        let dfg = self.build_dfg(&pr);
+        let dfg = self.build_dfg(&pr.layers);
         let labels = data.batch_labels(batch);
         self.params.zero_grads();
         let (loss, num_edges) = {
@@ -265,7 +229,12 @@ impl Framework for Baseline {
                 sim: &mut sim,
                 params: &mut self.params,
             };
-            let values = dfg.forward(&[Operand::Dense(&pr.features)], &mut ctx);
+            // The sampled rows of the embedding table, read in place.
+            let features = Rows {
+                table: &data.features,
+                ids: &pr.new_to_orig,
+            };
+            let values = dfg.forward(&[Operand::Rows(features)], &mut ctx);
             let logits = values.get(dfg.output());
             let (loss, grad) = softmax_cross_entropy(logits, &labels);
             dfg.backward(&values, grad, &mut ctx);
@@ -274,7 +243,7 @@ impl Framework for Baseline {
         self.params.sgd_step(self.lr);
         self.batches_run += 1;
 
-        let prepro = self.prepro_schedule(&pr);
+        let prepro = self.prepro_schedule(&pr.work);
         let oom = sim.memory.oom().map(|e| e.to_string());
         BatchReport {
             loss,

@@ -2,24 +2,49 @@
 //! GraphTensor-RS substrate (§III, DESIGN.md §2).
 //!
 //! Every baseline computes *numerically identical* results to GraphTensor
-//! (the kernels share the same math) while charging the device model the
-//! way its real counterpart behaves:
+//! — its kernels are NAPA's, reading the sampled rows in place — while
+//! charging the device model the way its real counterpart behaves:
 //!
-//! * [`dl`] — **DL-approach** (PyG, NeuGraph, FlexGraph): sparse→dense
-//!   conversion materializes per-edge embedding copies before dense
-//!   scatter ops → GPU *memory bloat* (Fig 6a);
-//! * [`graph_approach`] — **Graph-approach** (DGL, FeatGraph, G3): COO
-//!   resident, per-batch COO→CSR/CSC *format translation*, edge-wise
-//!   SpMM/SDDMM scheduling → *cache bloat* (Fig 6b);
-//! * [`gnnadvisor`] — GNNAdvisor: neighbor-group partitioning balances load
-//!   but makes multiple SMs update one destination → synchronization
-//!   overhead; no edge-weighting support, so NGCF falls back to DL ops;
-//! * [`frameworks`] — the [`gt_core::Framework`] implementations: `Pyg`,
-//!   `PygMt`, `Dgl`, `GnnAdvisor`, `Salient`.
+//! * [`frameworks`] — the [`gt_core::Framework`] implementations: PyG,
+//!   PyG-MT, DGL, GNNAdvisor, SALIENT and ROC, each with its preprocessing
+//!   schedule and the pricing of its kernels;
+//! * `priced` — the one kernel op: `Pull` or `NeighborApply` numerics, plus
+//!   a pricing that says what the framework pays around them;
+//! * `dl` — the **DL approach** (PyG, PyG-MT, SALIENT): sparse→dense copies
+//!   ahead of DL-op edge weighting → GPU *memory bloat* (Fig 6a);
+//! * `graph_approach` — the **Graph approach**: COO-resident DGL pays a
+//!   *format translation* per direction, CSR-resident ROC one before
+//!   backward SpMM and one before SDDMM; edge-wise SpMM/SDDMM scheduling →
+//!   *cache bloat* (Fig 6b);
+//! * `gnnadvisor` — GNNAdvisor's neighbor groups balance load but make
+//!   several SMs update one destination → synchronization overhead; no
+//!   edge-weighting support, so NGCF falls back to DL ops.
 
-pub mod dl;
+mod dl;
 pub mod frameworks;
-pub mod gnnadvisor;
-pub mod graph_approach;
+mod gnnadvisor;
+mod graph_approach;
+mod priced;
 
 pub use frameworks::{Baseline, BaselineKind};
+
+/// A layer over `num_src` sources and `num_dst` destinations from
+/// `(src, dst)` edges, CSR and CSC both in `edges` order.
+#[cfg(test)]
+fn test_layer(
+    num_src: usize,
+    num_dst: usize,
+    edges: &[(u32, u32)],
+) -> std::sync::Arc<gt_sample::LayerGraph> {
+    use gt_graph::convert::{coo_to_csc, coo_to_csr};
+    let coo = gt_graph::Coo::from_edges(num_src.max(num_dst), edges);
+    let (csr_full, _) = coo_to_csr(&coo);
+    let csr = gt_graph::Csr::new(csr_full.indptr[..=num_dst].to_vec(), csr_full.srcs);
+    let (csc, _) = coo_to_csc(&coo);
+    std::sync::Arc::new(gt_sample::LayerGraph {
+        csr,
+        csc,
+        num_dst,
+        num_src,
+    })
+}

@@ -54,8 +54,9 @@ impl NeighborApply {
         self
     }
 
-    /// Forward numerics (shared with tests/benches).
-    pub fn compute(&self, features: &Matrix) -> Matrix {
+    /// Forward numerics over any row source: a dense matrix, or rows of a
+    /// table read in place.
+    pub fn compute<X: RowSource + ?Sized>(&self, features: &X) -> Matrix {
         let f = features.cols();
         let layer = &self.layer;
         assert!(features.rows() >= layer.num_src, "features cover src space");
@@ -92,7 +93,7 @@ impl NeighborApply {
     }
 
     /// Backward numerics: gradient w.r.t. features.
-    pub fn compute_backward(&self, features: &Matrix, grad: &Matrix) -> Matrix {
+    pub fn compute_backward<X: RowSource + ?Sized>(&self, features: &X, grad: &Matrix) -> Matrix {
         let layer = &self.layer;
         let mut dx = Matrix::zeros(features.rows(), features.cols());
         // Sequential edge scan: src and dst rows both accumulate, so the

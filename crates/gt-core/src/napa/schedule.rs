@@ -82,7 +82,7 @@ mod tests {
     use crate::config::HFn;
     use crate::data::GraphData;
     use crate::napa::Pull;
-    use crate::prepro::run_prepro;
+    use crate::prepro::{sample_and_reindex, ThreadPool};
     use gt_graph::{Coo, Csc, Csr};
     use gt_sample::SamplerConfig;
     use gt_sim::{prop, DeviceSpec, KernelStats, Phase, SimContext};
@@ -140,7 +140,7 @@ mod tests {
                         seed,
                         ..Default::default()
                     };
-                    run_prepro(&data, &batch, &cfg).layers
+                    sample_and_reindex(&data, &batch, &cfg, ThreadPool::global()).layers
                 }
                 2 => vec![Arc::new(hub_layer(g.range(1..200)))],
                 _ => {

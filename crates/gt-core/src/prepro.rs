@@ -1,4 +1,5 @@
-//! Runs the real preprocessing work (S, R, K) for one batch and measures it.
+//! Runs the real preprocessing work (S and R) for one batch and measures it,
+//! K's included.
 //!
 //! The measured work counts feed the service-wide tensor scheduler's cost
 //! model, which prices the same work under different schedules (serialized
@@ -7,21 +8,20 @@
 //! pool: S samples each hop in one round whose A phase maps frontier chunks
 //! on every worker while the calling worker folds H over them in chunk
 //! order (the paper's contention relaxing, Fig 14c); R counting-sorts the
-//! new-id columns H wrote into CSR and CSC, with no pool pass and no copy;
-//! K is chunk-parallel. Each stage is wrapped in a telemetry span on the
-//! `prepro` track (and A and H in `sample.A` / `sample.H` worker spans) so
-//! real overlap shows up next to the DES-predicted schedule in a Perfetto
-//! trace.
+//! new-id columns H wrote into CSR and CSC, with no pool pass and no copy.
+//! Each stage is wrapped in a telemetry span on the `prepro` track (and A
+//! and H in `sample.A` / `sample.H` worker spans) so real overlap shows up
+//! next to the DES-predicted schedule in a Perfetto trace.
 //!
-//! [`run_prepro`] runs all three. The GraphTensor trainer runs only S and R
-//! ([`sample_and_reindex`]): its kernels read the sampled rows of the
-//! embedding table in place, so K's gathered copy is never built on that
-//! path. K is still priced there — [`PreproWork`] counts its bytes the same
-//! either way (docs/MODEL.md).
+//! Every in-tree path runs only S and R ([`sample_and_reindex`]): the
+//! GraphTensor trainer's and the baselines' kernels read the sampled rows
+//! of the embedding table in place, so K's gathered copy is never built.
+//! K is still priced — [`PreproWork`] counts its bytes (docs/MODEL.md).
+//! [`run_prepro`] still gathers K, for the wall-clock benchmark alone.
 
 use crate::data::GraphData;
 use gt_graph::VId;
-use gt_par::ThreadPool;
+pub use gt_par::ThreadPool;
 use gt_sample::{
     lookup_all_with_pool, try_reindex_layer_with_pool, try_sample_batch_with_pool, LayerGraph,
     SamplerConfig,
@@ -30,7 +30,7 @@ use gt_tensor::dense::Matrix;
 use std::sync::Arc;
 
 /// Measured work of one hop's preprocessing.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HopWork {
     /// Sampling algorithm operations (adjacency scans + random draws).
     pub sample_alg_ops: u64,
@@ -50,7 +50,7 @@ pub struct HopWork {
 }
 
 /// Measured preprocessing work for one batch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PreproWork {
     /// Per-hop measurements, hop 1 first.
     pub hops: Vec<HopWork>,
@@ -71,9 +71,8 @@ impl PreproWork {
     }
 }
 
-/// S and R of one batch: everything a [`PreproResult`] holds except K's
-/// gathered features.
-#[derive(Debug)]
+/// S and R of one batch: the subgraphs, the id tables and the measured work.
+#[derive(Debug, PartialEq)]
 pub struct Sampled {
     /// Per-GNN-layer subgraphs in execution order: `layers[0]` is the
     /// outermost hop (consumed by GNN layer 1).
@@ -87,7 +86,9 @@ pub struct Sampled {
     pub work: PreproWork,
 }
 
-/// Everything the GPU stage needs, plus the work measurements.
+/// Everything the GPU stage needs, plus the work measurements. The
+/// wall-clock benchmark (`benchmark/`) is its last caller; ROADMAP item
+/// 1(d) deletes it.
 #[derive(Debug)]
 pub struct PreproResult {
     /// Per-GNN-layer subgraphs in execution order: `layers[0]` is the
@@ -104,18 +105,10 @@ pub struct PreproResult {
 }
 
 /// Run S, R, and K for one batch on the process-wide pool (`GT_THREADS`).
+/// The wall-clock benchmark (`benchmark/`) is its last caller; ROADMAP
+/// item 1(d) deletes it.
 pub fn run_prepro(data: &GraphData, batch: &[VId], cfg: &SamplerConfig) -> PreproResult {
-    run_prepro_with_pool(data, batch, cfg, ThreadPool::global())
-}
-
-/// [`run_prepro`] on an explicit pool — determinism tests and the scaling
-/// bench pin pool widths directly.
-pub fn run_prepro_with_pool(
-    data: &GraphData,
-    batch: &[VId],
-    cfg: &SamplerConfig,
-    pool: &ThreadPool,
-) -> PreproResult {
+    let pool = ThreadPool::global();
     let s = sample_and_reindex(data, batch, cfg, pool);
     let gathered = {
         let _s = gt_telemetry::global().span("prepro", "K (lookup)");

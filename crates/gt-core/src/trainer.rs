@@ -635,11 +635,13 @@ mod tests {
             t.train_batch(&d, &batch);
             let logits = t.infer_batch(&d, &batch);
 
-            // The same forward pass by hand, fed `run_prepro`'s gathered
-            // feature matrix.
+            // The same forward pass by hand, fed the sampled rows gathered
+            // into a matrix.
             let mut cfg = t.sampler.clone();
             cfg.seed = cfg.seed.wrapping_add(0x1FE0);
-            let pr = crate::prepro::run_prepro(&d, &batch, &cfg);
+            let pr = sample_and_reindex(&d, &batch, &cfg, ThreadPool::global());
+            let gathered = d.features.gather(&pr.new_to_orig);
+            let features = Matrix::from_vec(gathered.rows(), gathered.dim(), gathered.into_vec());
             let (mut dfg, pairs) = t.build_dfg(&pr.layers);
             if variant != GtVariant::Base {
                 apply_dkp(&mut dfg, pairs, &t.cost, false, &t.counters, None);
@@ -649,7 +651,7 @@ mod tests {
                 sim: &mut sim,
                 params: &mut t.params,
             };
-            let values = dfg.forward(&[Operand::Dense(&pr.features)], &mut ctx);
+            let values = dfg.forward(&[Operand::Dense(&features)], &mut ctx);
             assert_eq!(bits(&logits), bits(values.get(dfg.output())), "{variant:?}");
         }
     }

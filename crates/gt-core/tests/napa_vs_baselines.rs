@@ -4,8 +4,9 @@
 use gt_core::config::ModelConfig;
 use gt_core::data::GraphData;
 use gt_core::napa::{NeighborApply, Pull};
-use gt_core::prepro::run_prepro;
+use gt_core::prepro::sample_and_reindex;
 use gt_core::trainer::{GraphTensor, GtVariant};
+use gt_par::ThreadPool;
 use gt_sample::SamplerConfig;
 use gt_sim::SystemSpec;
 use gt_tensor::sparse::{EdgeOp, Reduce};
@@ -16,17 +17,17 @@ fn sampled_layers(
 ) -> (Vec<Arc<gt_sample::LayerGraph>>, gt_tensor::dense::Matrix) {
     let data = GraphData::synthetic(400, 6000, feature_dim, 4, 11);
     let batch: Vec<u32> = (0..60).collect();
-    let pr = run_prepro(
-        &data,
-        &batch,
-        &SamplerConfig {
-            fanout: 6,
-            layers: 2,
-            seed: 2,
-            ..Default::default()
-        },
-    );
-    (pr.layers, pr.features)
+    let cfg = SamplerConfig {
+        fanout: 6,
+        layers: 2,
+        seed: 2,
+        ..Default::default()
+    };
+    let pr = sample_and_reindex(&data, &batch, &cfg, ThreadPool::global());
+    let gathered = data.features.gather(&pr.new_to_orig);
+    let features =
+        gt_tensor::dense::Matrix::from_vec(gathered.rows(), gathered.dim(), gathered.into_vec());
+    (pr.layers, features)
 }
 
 /// NAPA's stats never charge more cache loads than edge-wise scheduling on

@@ -7,10 +7,11 @@
 //! whenever it is ready on a buffer") is priced by `gt-core::scheduler`
 //! from the gathered byte counts; the host does not stage chunks.
 //!
-//! The GraphTensor trainer does not run K: its kernels read the sampled rows
-//! of the global table in place (`gt_tensor::dense::Rows`). The gathered
-//! table is what the baselines train on, and what `gt_core`'s `run_prepro`
-//! returns to every other caller.
+//! No in-tree path runs K: the GraphTensor trainer's and the baselines'
+//! kernels read the sampled rows of the global table in place
+//! (`gt_tensor::dense::Rows`), and K is priced from counts. The gather stays
+//! for the wall-clock benchmark (`benchmark/`), its last caller through
+//! `gt_core::prepro`; ROADMAP item 1(d) deletes it.
 
 use gt_graph::{EmbeddingTable, VId};
 use gt_par::ThreadPool;

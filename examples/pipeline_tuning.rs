@@ -7,7 +7,7 @@
 //! cargo run --release --example pipeline_tuning
 //! ```
 
-use graphtensor::core::prepro::run_prepro;
+use graphtensor::core::prepro::{sample_and_reindex, ThreadPool};
 use graphtensor::core::scheduler::schedule_prepro;
 use graphtensor::prelude::*;
 use graphtensor::sim::{Phase, Timeline};
@@ -23,7 +23,7 @@ fn main() {
         seed: 4,
         ..Default::default()
     };
-    let pr = run_prepro(&data, &batch, &sampler);
+    let pr = sample_and_reindex(&data, &batch, &sampler, ThreadPool::global());
     println!(
         "batch preprocessing work: {} nodes, {:.1} MB of embeddings to move",
         pr.work.total_nodes,

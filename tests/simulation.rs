@@ -1,7 +1,7 @@
 //! Facade-level tests of the modeling substrate: device specs, preprocessing
 //! schedules, and the invariants the evaluation figures rely on.
 
-use graphtensor::core::prepro::run_prepro;
+use graphtensor::core::prepro::{sample_and_reindex, ThreadPool};
 use graphtensor::core::scheduler::schedule_prepro;
 use graphtensor::prelude::*;
 use graphtensor::sim::{DeviceSpec, Phase};
@@ -9,17 +9,13 @@ use graphtensor::sim::{DeviceSpec, Phase};
 fn prepro_work() -> graphtensor::core::prepro::PreproWork {
     let data = GraphData::synthetic(2_000, 30_000, 128, 4, 9);
     let batch: Vec<u32> = (0..200).collect();
-    run_prepro(
-        &data,
-        &batch,
-        &SamplerConfig {
-            fanout: 10,
-            layers: 2,
-            seed: 4,
-            ..Default::default()
-        },
-    )
-    .work
+    let cfg = SamplerConfig {
+        fanout: 10,
+        layers: 2,
+        seed: 4,
+        ..Default::default()
+    };
+    sample_and_reindex(&data, &batch, &cfg, ThreadPool::global()).work
 }
 
 /// The four strategies keep their paper ordering on a realistic batch:
